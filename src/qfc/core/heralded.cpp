@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "qfc/detect/fit.hpp"
+#include "qfc/detect/streaming.hpp"
 #include "qfc/photonics/device_presets.hpp"
 
 namespace qfc::core {
@@ -87,24 +88,28 @@ detect::ChannelPairSpec HeraldedPhotonExperiment::channel_spec(int k) const {
   return spec;
 }
 
-detect::EngineResult HeraldedPhotonExperiment::simulate_events(
-    double duration_s, std::uint64_t seed) const {
-  std::vector<detect::ChannelPairSpec> specs;
-  specs.reserve(static_cast<std::size_t>(cfg_.num_channel_pairs));
-  for (int k = 1; k <= cfg_.num_channel_pairs; ++k) specs.push_back(channel_spec(k));
-
+void HeraldedPhotonExperiment::stream_events(
+    std::vector<detect::ChannelPairSpec> specs, double duration_s, std::uint64_t seed,
+    const std::function<void(const detect::StreamWindow&)>& on_window) const {
   detect::EngineConfig ec;
   ec.duration_s = duration_s;
   ec.seed = seed;
   ec.num_threads = cfg_.engine_threads;
-  return detect::EventEngine(ec).run(specs);
+  detect::for_each_window(ec, std::move(specs), on_window);
+}
+
+std::vector<detect::ChannelPairSpec> HeraldedPhotonExperiment::all_channel_specs() const {
+  std::vector<detect::ChannelPairSpec> specs;
+  specs.reserve(static_cast<std::size_t>(cfg_.num_channel_pairs));
+  for (int k = 1; k <= cfg_.num_channel_pairs; ++k) specs.push_back(channel_spec(k));
+  return specs;
 }
 
 std::vector<MatrixCell> HeraldedPhotonExperiment::run_coincidence_matrix() {
-  const detect::EngineResult events = simulate_events(cfg_.duration_s, cfg_.seed + 1);
-  const detect::CarMatrix matrix =
-      detect::car_matrix(events.signal, events.idler, cfg_.coincidence_window_s,
-                         cfg_.side_window_spacing_s);
+  detect::StreamingCarAccumulator car(cfg_.coincidence_window_s, cfg_.side_window_spacing_s);
+  stream_events(all_channel_specs(), cfg_.duration_s, cfg_.seed + 1,
+                [&](const detect::StreamWindow& w) { car.push(w); });
+  const detect::CarMatrix matrix = car.finish();
 
   std::vector<MatrixCell> cells;
   const int n = cfg_.num_channel_pairs;
@@ -123,28 +128,32 @@ std::vector<MatrixCell> HeraldedPhotonExperiment::run_coincidence_matrix() {
 }
 
 std::vector<ChannelResult> HeraldedPhotonExperiment::run_channel_table() {
-  const detect::EngineResult events = simulate_events(cfg_.duration_s, cfg_.seed + 2);
-  const detect::CarMatrix matrix =
-      detect::car_matrix(events.signal, events.idler, cfg_.coincidence_window_s,
-                         cfg_.side_window_spacing_s);
+  const auto n = static_cast<std::size_t>(cfg_.num_channel_pairs);
+  detect::StreamingCarAccumulator car(cfg_.coincidence_window_s, cfg_.side_window_spacing_s);
+  std::vector<std::size_t> singles_signal(n, 0), singles_idler(n, 0);
+  stream_events(all_channel_specs(), cfg_.duration_s, cfg_.seed + 2,
+                [&](const detect::StreamWindow& w) {
+                  car.push(w);
+                  for (std::size_t c = 0; c < n; ++c) {
+                    singles_signal[c] += w.events.signal.channel_size(c);
+                    singles_idler[c] += w.events.idler.channel_size(c);
+                  }
+                });
+  const detect::CarMatrix matrix = car.finish();
 
   std::vector<ChannelResult> out;
-  const int n = cfg_.num_channel_pairs;
-  for (int k = 1; k <= n; ++k) {
-    const auto c = static_cast<std::size_t>(k - 1);
-    const detect::CarResult car = matrix.at(c, c);
+  for (std::size_t c = 0; c < n; ++c) {
+    const detect::CarResult car_cell = matrix.at(c, c);
 
     ChannelResult r;
-    r.k = k;
+    r.k = static_cast<int>(c) + 1;
     // Net pair rate: subtract the accidental floor from the peak window.
     r.coincidence_rate_hz =
-        std::max(0.0, car.coincidences - car.accidentals) / cfg_.duration_s;
-    r.car = car.car;
-    r.car_err = car.car_err;
-    r.singles_signal_hz =
-        static_cast<double>(events.signal.channel_size(c)) / cfg_.duration_s;
-    r.singles_idler_hz =
-        static_cast<double>(events.idler.channel_size(c)) / cfg_.duration_s;
+        std::max(0.0, car_cell.coincidences - car_cell.accidentals) / cfg_.duration_s;
+    r.car = car_cell.car;
+    r.car_err = car_cell.car_err;
+    r.singles_signal_hz = static_cast<double>(singles_signal[c]) / cfg_.duration_s;
+    r.singles_idler_hz = static_cast<double>(singles_idler[c]) / cfg_.duration_s;
     out.push_back(r);
   }
   return out;
@@ -158,16 +167,13 @@ CoherenceResult HeraldedPhotonExperiment::run_coherence_measurement(int k,
     throw std::out_of_range("run_coherence_measurement: bad channel");
 
   // Dedicated long acquisition for the time-resolved histogram: the same
-  // spec + engine path as the multi-channel runs, restricted to channel k.
-  detect::EngineConfig ec;
-  ec.duration_s = duration_s;
-  ec.seed = cfg_.seed + 1000 + static_cast<std::uint64_t>(k);
-  ec.num_threads = cfg_.engine_threads;
-  const detect::EngineResult events = detect::EventEngine(ec).run({channel_spec(k)});
+  // spec + stream path as the multi-channel runs, restricted to channel k.
+  detect::StreamingCorrelatorAccumulator corr(hist_bin_s, hist_range_s);
+  stream_events({channel_spec(k)}, duration_s, cfg_.seed + 1000 + static_cast<std::uint64_t>(k),
+                [&](const detect::StreamWindow& w) { corr.push(w); });
 
   CoherenceResult res;
-  res.histogram =
-      detect::correlate_all(events.signal, events.idler, hist_bin_s, hist_range_s)[0];
+  res.histogram = corr.finish()[0];
   res.ring_linewidth_hz = source_.photon_linewidth_hz();
 
   // Background-subtract the flat accidental floor (median of the outermost

@@ -6,6 +6,7 @@
 /// Reproduces the coincidence "frequency matrix", the per-channel CAR /
 /// pair-rate table, and the time-resolved coherence measurement.
 
+#include <functional>
 #include <vector>
 
 #include "qfc/io/json.hpp"
@@ -13,6 +14,7 @@
 #include "qfc/core/channel_model.hpp"
 #include "qfc/detect/coincidence.hpp"
 #include "qfc/detect/event_engine.hpp"
+#include "qfc/detect/streaming.hpp"
 #include "qfc/photonics/microring.hpp"
 #include "qfc/photonics/pump.hpp"
 #include "qfc/sfwm/pair_source.hpp"
@@ -27,8 +29,8 @@ struct HeraldedConfig {
   double side_window_spacing_s = 100e-9;
   ChannelModel channels{};
   std::uint64_t seed = 20170327;     ///< DATE'17 conference date
-  /// Worker threads for the batched event engine (0 = hardware
-  /// concurrency). Results are bitwise independent of this value.
+  /// Worker threads of the event streamer (0 = hardware concurrency).
+  /// Results are bitwise independent of this value.
   int engine_threads = 0;
 
   /// Throws std::invalid_argument with a path-qualified message
@@ -94,8 +96,12 @@ class HeraldedPhotonExperiment {
   /// Engine spec for channel pair k: pair rate and linewidth from the
   /// SFWM source, transmission and detector from the collection chain.
   detect::ChannelPairSpec channel_spec(int k) const;
-  /// All configured channel pairs through the batched event engine.
-  detect::EngineResult simulate_events(double duration_s, std::uint64_t seed) const;
+  std::vector<detect::ChannelPairSpec> all_channel_specs() const;
+  /// Streams `specs` through `on_window` in windows of
+  /// detect::bounded_window_s, so memory stays bounded however long the run.
+  void stream_events(std::vector<detect::ChannelPairSpec> specs, double duration_s,
+                     std::uint64_t seed,
+                     const std::function<void(const detect::StreamWindow&)>& on_window) const;
 
   photonics::MicroringResonator device_;
   HeraldedConfig cfg_;

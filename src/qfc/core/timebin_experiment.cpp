@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "qfc/detect/streaming.hpp"
 #include "qfc/photonics/device_presets.hpp"
 
 namespace qfc::core {
@@ -144,9 +145,10 @@ std::vector<detect::CarResult> TimebinExperiment::run_car_check(double duration_
   detect::EngineConfig ec;
   ec.duration_s = duration_s;
   ec.seed = cfg_.seed + 4242;
-  const detect::EngineResult events = detect::EventEngine(ec).run(specs);
-  const detect::CarMatrix matrix = detect::car_matrix(
-      events.signal, events.idler, window_s, /*side_window_spacing_s=*/100e-9);
+  detect::StreamingCarAccumulator car(window_s, /*side_window_spacing_s=*/100e-9);
+  detect::for_each_window(ec, std::move(specs),
+                          [&](const detect::StreamWindow& w) { car.push(w); });
+  const detect::CarMatrix matrix = car.finish();
 
   std::vector<detect::CarResult> out;
   out.reserve(static_cast<std::size_t>(cfg_.num_channel_pairs));
@@ -181,20 +183,22 @@ std::vector<TimebinExperiment::PulsedClickCheck> TimebinExperiment::run_pulsed_c
   detect::EngineConfig ec;
   ec.duration_s = duration_s;
   ec.seed = cfg_.seed + 8484;
-  const detect::EngineResult events = detect::EventEngine(ec).run(specs);
 
   // Accidental windows at multiples of the repetition period: for a
   // pulsed source the only physical accidental estimate is a neighboring
   // pulse slot, not an arbitrary CW offset.
   const double period = 1.0 / cfg_.pump.train.repetition_rate_hz;
-  const detect::CarMatrix matrix =
-      detect::car_matrix(events.signal, events.idler, window_s, period);
-
+  detect::StreamingCarAccumulator car(window_s, period);
   // Δt histogram fine enough to resolve the early/late peak triplet.
   const double dt_bins = cfg_.pump.bin_separation_s;
-  const auto hists = detect::correlate_all(events.signal, events.idler,
-                                           /*bin_width_s=*/dt_bins / 16.0,
-                                           /*range_s=*/1.5 * dt_bins);
+  detect::StreamingCorrelatorAccumulator corr(/*bin_width_s=*/dt_bins / 16.0,
+                                              /*range_s=*/1.5 * dt_bins);
+  detect::for_each_window(ec, std::move(specs), [&](const detect::StreamWindow& w) {
+    car.push(w);
+    corr.push(w);
+  });
+  const detect::CarMatrix matrix = car.finish();
+  const auto hists = corr.finish();
 
   std::vector<PulsedClickCheck> out;
   out.reserve(static_cast<std::size_t>(cfg_.num_channel_pairs));

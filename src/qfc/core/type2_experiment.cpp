@@ -3,7 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "qfc/detect/event_engine.hpp"
+#include "qfc/detect/streaming.hpp"
 #include "qfc/photonics/device_presets.hpp"
 
 namespace qfc::core {
@@ -81,10 +81,9 @@ Type2CarResult Type2Experiment::measure_at(double total_power_w,
   detect::EngineConfig ec;
   ec.duration_s = cfg_.duration_s;
   ec.seed = cfg_.seed + seed_offset;
-  const detect::EngineResult events = detect::EventEngine(ec).run({spec});
-  const detect::CarMatrix matrix =
-      detect::car_matrix(events.signal, events.idler, cfg_.coincidence_window_s,
-                         cfg_.side_window_spacing_s);
+  detect::StreamingCarAccumulator car(cfg_.coincidence_window_s, cfg_.side_window_spacing_s);
+  detect::for_each_window(ec, {spec}, [&](const detect::StreamWindow& w) { car.push(w); });
+  const detect::CarMatrix matrix = car.finish();
 
   Type2CarResult r;
   r.pump_power_w = total_power_w;

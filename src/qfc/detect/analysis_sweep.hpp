@@ -1,13 +1,10 @@
 #pragma once
 
 /// \file analysis_sweep.hpp
-/// Internal shared core of the batched analysis kernels (event_engine.cpp)
-/// and their streaming accumulators (streaming.cpp): the merged idler view,
-/// the CAR window grid, and the per-signal-event counting functions. Both
-/// paths call the *same* inline functions for every count, so "streaming is
-/// bitwise identical to batch" is a property of the call order alone — the
-/// arithmetic cannot drift apart. Not installed API; include only from
-/// qfc::detect translation units.
+/// Internal core of the coincidence analyzers (streaming.cpp): the merged
+/// idler view, the CAR window grid, and the per-signal-event counting
+/// functions. Not installed API; include only from qfc::detect translation
+/// units.
 
 #include <algorithm>
 #include <cmath>
@@ -23,12 +20,10 @@ class WorkerPool;
 
 namespace qfc::detect::analysis_detail {
 
-/// Fixed shard size of the batched analysis sweeps *and* of the streaming
-/// accumulators' per-push chunk fan-out. Boundaries derived from it depend
-/// only on the data, never on the worker count.
+/// Largest chunk of signal events one analysis worker sweeps at a time.
 constexpr std::size_t kAnalysisChunkEvents = 16384;
 
-/// Pool for one analysis call (event_engine.cpp). `num_threads` <= 0 uses
+/// Pool for one analysis call or accumulator (event_engine.cpp). `num_threads` <= 0 uses
 /// (and lazily builds) the cached process-wide pool at the current
 /// set_analysis_threads request; a positive explicit count that matches the
 /// cached size reuses it, any other explicit count gets a transient pool.

@@ -1,9 +1,8 @@
 #pragma once
 
 /// \file channel_rng.hpp
-/// Internal: the per-channel RNG sub-stream fork discipline shared by the
-/// batch engine (event_engine.cpp) and the windowed streaming engine
-/// (streaming.cpp).
+/// Internal: the per-channel RNG sub-stream fork discipline of the event
+/// streamer (streaming.cpp), which also drives EventEngine::run.
 ///
 /// Per channel c the engine forks `ch = master.fork(c + 1)` (serially, in
 /// channel order) and then derives eleven sub-streams from `ch`,
@@ -16,10 +15,9 @@
 ///   9 det idler         10 darks idler     11 pw darks idler
 ///
 /// Because every stage owns its own stream, pausing one stage at a window
-/// boundary (streaming) cannot shift the draws of any other stage — the
-/// batch run and any windowed run consume identical per-stream sequences,
-/// which is what makes streaming output bitwise identical to batch at
-/// every window size. Streams for stages a spec never exercises (e.g. the
+/// boundary cannot shift the draws of any other stage — runs at any two
+/// window sizes consume identical per-stream sequences, which is what makes
+/// the output bitwise identical at every window size. Streams for stages a spec never exercises (e.g. the
 /// piecewise streams of a Cw channel) are forked but simply never drawn
 /// from.
 

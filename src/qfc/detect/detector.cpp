@@ -1,7 +1,7 @@
 #include "qfc/detect/detector.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "qfc/detect/event_stream.hpp"
@@ -49,57 +49,65 @@ std::vector<double> SinglePhotonDetector::detect(const std::vector<double>& arri
 
   std::vector<double> clicks;
   clicks.reserve(arrivals.size() / 4 + 16);
-
-  // Photon-induced clicks.
   for (double t : arrivals) {
     double click;
     if (detect_photon_click(t, params_, duration_s, g_photon, click))
       clicks.push_back(click);
   }
+  const std::vector<double> darks =
+      generate_poisson_arrivals(params_.dark_rate_hz, duration_s, g_dark);
+  double dead_last = detail::kNoClick;
+  return detail::finalize_clicks(clicks, std::numeric_limits<double>::infinity(), darks,
+                                 extra_darks, params_.dead_time_s, dead_last);
+}
 
+namespace detail {
+
+std::vector<double> finalize_clicks(std::vector<double>& pending, double until_s,
+                                    const std::vector<double>& darks,
+                                    const std::vector<double>& extra_darks,
+                                    double dead_time_s, double& dead_last_s) {
   // Photon clicks are nearly sorted already (jitter is tiny vs typical
   // arrival spacing), so the is_sorted probe usually skips the sort.
-  if (!std::is_sorted(clicks.begin(), clicks.end()))
-    std::sort(clicks.begin(), clicks.end());
+  if (!std::is_sorted(pending.begin(), pending.end()))
+    std::sort(pending.begin(), pending.end());
+  const auto split = std::lower_bound(pending.begin(), pending.end(), until_s);
 
-  // Dark / background clicks: homogeneous Poisson process, generated in
-  // time order, so a linear merge replaces concatenate-and-resort.
-  if (params_.dark_rate_hz > 0) {
-    const auto darks = generate_poisson_arrivals(params_.dark_rate_hz, duration_s, g_dark);
-    if (obs::metrics_enabled())
-      obs::counter("detect.darks_injected").add(darks.size());
-    std::vector<double> merged(clicks.size() + darks.size());
-    std::merge(clicks.begin(), clicks.end(), darks.begin(), darks.end(),
-               merged.begin());
-    clicks.swap(merged);
+  // Darks are generated in time order, so linear merges replace
+  // concatenate-and-resort; on ties photon clicks come first, then the
+  // internal darks, then the schedule darks.
+  std::vector<double> clicks;
+  if (split == pending.end() && darks.empty() && extra_darks.empty()) {
+    clicks.swap(pending);
+  } else {
+    clicks.resize(static_cast<std::size_t>(split - pending.begin()) + darks.size());
+    std::merge(pending.begin(), split, darks.begin(), darks.end(), clicks.begin());
+    pending.erase(pending.begin(), split);
+    if (!extra_darks.empty()) {
+      std::vector<double> merged(clicks.size() + extra_darks.size());
+      std::merge(clicks.begin(), clicks.end(), extra_darks.begin(), extra_darks.end(),
+                 merged.begin());
+      clicks.swap(merged);
+    }
   }
-
-  // Caller-supplied darks (piecewise-rate schedules): direct click times,
-  // merged like the internal homogeneous pass above.
-  if (!extra_darks.empty()) {
-    if (obs::metrics_enabled())
-      obs::counter("detect.darks_injected").add(extra_darks.size());
-    std::vector<double> merged(clicks.size() + extra_darks.size());
-    std::merge(clicks.begin(), clicks.end(), extra_darks.begin(), extra_darks.end(),
-               merged.begin());
-    clicks.swap(merged);
-  }
+  if (obs::metrics_enabled() && !(darks.empty() && extra_darks.empty()))
+    obs::counter("detect.darks_injected").add(darks.size() + extra_darks.size());
 
   // Dead time: drop clicks closer than dead_time_s to the previous kept one.
-  if (params_.dead_time_s > 0 && !clicks.empty()) {
-    std::vector<double> kept;
-    kept.reserve(clicks.size());
-    double last = -1e18;
+  if (dead_time_s > 0) {
+    std::size_t kept = 0;
     for (double t : clicks) {
-      if (t - last >= params_.dead_time_s) {
-        kept.push_back(t);
-        last = t;
+      if (t - dead_last_s >= dead_time_s) {
+        clicks[kept++] = t;
+        dead_last_s = t;
       }
     }
-    clicks.swap(kept);
+    clicks.resize(kept);
   }
   return clicks;
 }
+
+}  // namespace detail
 
 double SinglePhotonDetector::expected_singles_rate_hz(double photon_rate_hz) const {
   if (photon_rate_hz < 0)

@@ -70,10 +70,10 @@ class SinglePhotonDetector {
 
 /// One photon arrival through the efficiency + jitter front end: returns
 /// true (and writes the click time) iff the photon is detected and its
-/// jittered timestamp lands inside [0, duration). Exactly the per-arrival
-/// body of SinglePhotonDetector::detect — shared with the streaming engine
-/// so batch and windowed runs consume identical draw sequences. Note the
-/// jitter draw happens only when the efficiency Bernoulli succeeds.
+/// jittered timestamp lands inside [0, duration). The per-arrival body of
+/// SinglePhotonDetector::detect and of the event streamer's detector pass.
+/// Note the jitter draw happens only when the efficiency Bernoulli
+/// succeeds.
 inline bool detect_photon_click(double t_s, const DetectorParams& params,
                                 double duration_s, rng::Xoshiro256& g,
                                 double& click_out_s) {
@@ -84,5 +84,24 @@ inline bool detect_photon_click(double t_s, const DetectorParams& params,
   click_out_s = jittered;
   return true;
 }
+
+namespace detail {
+
+/// Initial dead-time carry: no click yet.
+constexpr double kNoClick = -1e18;
+
+/// The one click-finalization pass of every detector run, batch or
+/// windowed: sorts the pending photon clicks if needed, takes those below
+/// `until_s` (erasing them from `pending`), merges them with the sorted
+/// internal darks and then the sorted schedule darks (ties keep that
+/// order), and drops clicks closer than `dead_time_s` to the previous kept
+/// one. `dead_last_s` carries the last kept click across calls; start it at
+/// kNoClick.
+std::vector<double> finalize_clicks(std::vector<double>& pending, double until_s,
+                                    const std::vector<double>& darks,
+                                    const std::vector<double>& extra_darks,
+                                    double dead_time_s, double& dead_last_s);
+
+}  // namespace detail
 
 }  // namespace qfc::detect

@@ -1,12 +1,10 @@
 #pragma once
 
 /// \file engine_plan.hpp
-/// Internal: per-channel generation plan shared by the batch engine
-/// (event_engine.cpp) and the windowed streaming engine (streaming.cpp).
-/// Builds the validated kernel-parameter structs for a ChannelPairSpec so
-/// both paths reject bad specs identically and drive the same emission
-/// kernels with the same parameters. Not installed API; include only from
-/// qfc::detect translation units.
+/// Internal: per-channel generation plan of the EventStreamer
+/// (streaming.cpp), which also drives EventEngine::run. Builds the
+/// validated kernel-parameter structs for a ChannelPairSpec. Not installed
+/// API; include only from qfc::detect translation units.
 
 #include <stdexcept>
 
@@ -69,9 +67,8 @@ inline ChannelPlan make_plan(const ChannelPairSpec& spec, double duration_s) {
   return plan;
 }
 
-/// Validation wrapper both engines use when planning a whole spec list: the
-/// spec-level checks shared by batch and streaming (background rates) plus
-/// make_plan, with the channel index prefixed onto any error so one bad
+/// Validation wrapper the engine uses when planning a whole spec list: the
+/// spec-level checks (background rates, detector parameters) plus make_plan, with the channel index prefixed onto any error so one bad
 /// entry in a hundreds-of-channels plan (e.g. a QkdNetwork user list) names
 /// the offender instead of forcing a bisection.
 inline ChannelPlan make_checked_plan(const ChannelPairSpec& spec, double duration_s,
@@ -79,6 +76,8 @@ inline ChannelPlan make_checked_plan(const ChannelPairSpec& spec, double duratio
   try {
     if (spec.background_rate_signal_hz < 0 || spec.background_rate_idler_hz < 0)
       throw std::invalid_argument("ChannelPairSpec: negative background rate");
+    spec.detector_signal.validate();
+    spec.detector_idler.validate();
     return make_plan(spec, duration_s);
   } catch (const std::invalid_argument& e) {
     throw std::invalid_argument("channel " + std::to_string(channel) + ": " + e.what());

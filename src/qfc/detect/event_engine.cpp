@@ -11,12 +11,9 @@
 #include <utility>
 
 #include "qfc/detect/analysis_sweep.hpp"
-#include "qfc/detect/channel_rng.hpp"
-#include "qfc/detect/engine_plan.hpp"
-#include "qfc/detect/event_stream.hpp"
+#include "qfc/detect/streaming.hpp"
 #include "qfc/obs/obs.hpp"
 #include "qfc/parallel/worker_pool.hpp"
-#include "qfc/rng/xoshiro.hpp"
 
 namespace qfc::detect {
 
@@ -73,139 +70,19 @@ EventEngine::EventEngine(EngineConfig cfg) : cfg_(cfg) {
     throw std::invalid_argument("EngineConfig: negative analysis thread count");
 }
 
-namespace {
-
-using detail::ChannelPlan;
-
-const char* emission_name(EmissionMode mode) {
-  switch (mode) {
-    case EmissionMode::Cw: return "engine.emission.cw";
-    case EmissionMode::Pulsed: return "engine.emission.pulsed";
-    case EmissionMode::PiecewiseRates: return "engine.emission.piecewise";
-  }
-  return "engine.emission.unknown";
-}
-
-}  // namespace
-
 EngineResult EventEngine::run(const std::vector<ChannelPairSpec>& channels) const {
-  const std::size_t n = channels.size();
-  QFC_OBS_SPAN("engine.run", {{"channels", n}});
-
-  // Validate and pre-fork everything serially, in channel order, so the
-  // parallel section below is schedule-independent: channel c's results
-  // depend only on gens[c], never on which thread ran it or when.
-  std::vector<ChannelPlan> plans;
-  std::vector<SinglePhotonDetector> det_s, det_i;
-  plans.reserve(n);
-  det_s.reserve(n);
-  det_i.reserve(n);
-  for (std::size_t c = 0; c < n; ++c) {
-    const ChannelPairSpec& spec = channels[c];
-    plans.push_back(detail::make_checked_plan(spec, cfg_.duration_s, c));
-    det_s.emplace_back(spec.detector_signal);
-    det_i.emplace_back(spec.detector_idler);
-  }
-
-  rng::Xoshiro256 master(cfg_.seed);
-  std::vector<rng::Xoshiro256> gens;
-  gens.reserve(n);
-  for (std::size_t c = 0; c < n; ++c)
-    gens.push_back(master.fork(static_cast<std::uint64_t>(c + 1)));
-
-  std::vector<std::vector<double>> sig_cols(n), idl_cols(n);
-
-  const auto process_channel = [&](std::size_t c) {
-    QFC_OBS_SPAN("engine.generate", {{"channel", c}});
-    const ChannelPairSpec& spec = channels[c];
-    const ChannelPlan& plan = plans[c];
-    // Per-stage sub-streams, forked unconditionally in fixed order (see
-    // channel_rng.hpp): every stochastic stage owns its own generator, so
-    // the streaming engine can pause any stage at a window boundary without
-    // shifting another stage's draws — batch and windowed runs consume
-    // identical per-stream sequences.
-    detail::ChannelRngs r = detail::fork_channel_rngs(gens[c]);
-
-    PairStreams photons;
-    switch (plan.mode) {
-      case EmissionMode::Cw:
-        photons = generate_pair_arrivals(plan.cw, r.pair);
-        break;
-      case EmissionMode::Pulsed:
-        photons = generate_pulsed_pair_arrivals(plan.pulsed, r.pair);
-        break;
-      case EmissionMode::PiecewiseRates:
-        photons = generate_piecewise_pair_arrivals(plan.piecewise, r.pair);
-        break;
-    }
-    if (obs::metrics_enabled()) {
-      obs::counter(emission_name(plan.mode)).increment();
-      obs::counter("engine.events_generated").add(photons.a.size() + photons.b.size());
-    }
-
-    // Both the pair arrivals and the background stream are sorted, so a
-    // linear merge suffices (same pattern as the detector's dark pass).
-    const auto merge_into = [](std::vector<double>& arm, const std::vector<double>& bg) {
-      if (bg.empty()) return;
-      std::vector<double> merged(arm.size() + bg.size());
-      std::merge(arm.begin(), arm.end(), bg.begin(), bg.end(), merged.begin());
-      arm.swap(merged);
-    };
-    const auto inject = [&](std::vector<double>& arm, double rate_hz,
-                            rng::Xoshiro256& g) {
-      if (rate_hz <= 0) return;
-      merge_into(arm, generate_poisson_arrivals(rate_hz, cfg_.duration_s, g));
-    };
-    inject(photons.a, spec.background_rate_signal_hz, r.bg_a);
-    inject(photons.b, spec.background_rate_idler_hz, r.bg_b);
-    if (plan.mode == EmissionMode::PiecewiseRates) {
-      merge_into(photons.a, generate_piecewise_poisson_arrivals(
-                                plan.piecewise.segments,
-                                &RateSegment::background_rate_signal_hz,
-                                cfg_.duration_s, r.pwbg_a));
-      merge_into(photons.b, generate_piecewise_poisson_arrivals(
-                                plan.piecewise.segments,
-                                &RateSegment::background_rate_idler_hz,
-                                cfg_.duration_s, r.pwbg_b));
-      const auto darks_s = generate_piecewise_poisson_arrivals(
-          plan.piecewise.segments, &RateSegment::dark_rate_signal_hz, cfg_.duration_s,
-          r.pwdark_a);
-      sig_cols[c] =
-          det_s[c].detect(photons.a, darks_s, cfg_.duration_s, r.det_a, r.dark_a);
-      const auto darks_i = generate_piecewise_poisson_arrivals(
-          plan.piecewise.segments, &RateSegment::dark_rate_idler_hz, cfg_.duration_s,
-          r.pwdark_b);
-      idl_cols[c] =
-          det_i[c].detect(photons.b, darks_i, cfg_.duration_s, r.det_b, r.dark_b);
-    } else {
-      static const std::vector<double> no_extra_darks;
-      sig_cols[c] = det_s[c].detect(photons.a, no_extra_darks, cfg_.duration_s,
-                                    r.det_a, r.dark_a);
-      idl_cols[c] = det_i[c].detect(photons.b, no_extra_darks, cfg_.duration_s,
-                                    r.det_b, r.dark_b);
-    }
-    if (obs::metrics_enabled())
-      obs::counter("engine.clicks_kept").add(sig_cols[c].size() + idl_cols[c].size());
-  };
-
-  unsigned num_threads = cfg_.num_threads > 0
-                             ? static_cast<unsigned>(cfg_.num_threads)
-                             : std::max(1u, std::thread::hardware_concurrency());
-  num_threads = static_cast<unsigned>(
-      std::min<std::size_t>(num_threads, std::max<std::size_t>(n, 1)));
-
-  // Per-run pool sized to the config: workers claim whole channels, so the
-  // output is schedule-independent (see file comment in the header).
-  parallel::WorkerPool pool(num_threads);
-  pool.run(n, process_channel);
-
-  EngineResult result;
-  result.signal = EventTable::from_columns(std::move(sig_cols));
-  result.idler = EventTable::from_columns(std::move(idl_cols));
-  return result;
+  QFC_OBS_SPAN("engine.run", {{"channels", channels.size()}});
+  // A whole run is one stream window: the same samplers, detector pass and
+  // per-channel workers as any windowed run, drained in a single next().
+  StreamConfig one_window;
+  one_window.window_s = cfg_.duration_s;
+  EventStreamer streamer(cfg_, one_window, channels);
+  StreamWindow w;
+  streamer.next(w);
+  return std::move(w.events);
 }
 
-// ----------------------------------------------------------- batched analysis
+// ------------------------------------------------------- analysis support
 
 namespace analysis_detail {
 
@@ -302,9 +179,6 @@ MergedView merge_channels(const EventTable& table, parallel::WorkerPool* pool) {
 
 namespace {
 
-using analysis_detail::MergedView;
-using analysis_detail::merge_channels;
-
 // --------------------------------------------------- analysis worker pool
 
 std::mutex analysis_pool_mutex;
@@ -351,82 +225,6 @@ std::shared_ptr<parallel::WorkerPool> analysis_pool_for(int num_threads) {
 
 }  // namespace analysis_detail
 
-namespace {
-
-using analysis_detail::analysis_pool_for;
-
-// ------------------------------------------------------- sharded sweeps
-//
-// Unit of parallel analysis work: one contiguous slice of one signal
-// channel's column. Boundaries depend only on the table contents (fixed
-// kAnalysisChunkEvents), never on the worker count; each shard accumulates
-// into its own partial count buffer and the buffers merge additively in
-// shard order after the join. Counts are integers, so the merged result is
-// bitwise identical to the single-threaded sweep at any pool size.
-
-using analysis_detail::kAnalysisChunkEvents;
-using analysis_detail::sweep_start;
-
-struct SignalShard {
-  std::size_t channel = 0;
-  std::size_t begin = 0;  ///< event-index range within the channel column
-  std::size_t end = 0;
-};
-
-std::vector<SignalShard> make_signal_shards(const EventTable& signal) {
-  std::vector<SignalShard> shards;
-  for (std::size_t c = 0; c < signal.num_channels(); ++c) {
-    const std::size_t len = signal.channel_size(c);
-    for (std::size_t b = 0; b < len; b += kAnalysisChunkEvents)
-      shards.push_back({c, b, std::min(b + kAnalysisChunkEvents, len)});
-  }
-  return shards;
-}
-
-/// Run the sharded sweep: `sweep(shard, row)` must accumulate shard's counts
-/// into `row`, a zeroed buffer of `row_size` cells addressed relative to the
-/// shard's channel; `row_of(channel)` is that channel's slice of the global
-/// count array. With one worker the shards sweep the global rows directly
-/// (no partials) — the order of integer additions per cell is unchanged, so
-/// both paths produce identical counts. The caller resolves the pool once
-/// (analysis_pool_for) so it can share it with merge_channels.
-template <class SweepFn, class RowOfFn>
-void run_sharded(const EventTable& signal,
-                 const std::shared_ptr<parallel::WorkerPool>& wp,
-                 std::size_t row_size, const SweepFn& sweep, const RowOfFn& row_of) {
-  const auto shards = make_signal_shards(signal);
-  if (shards.empty()) return;
-  // Span + histogram around one shard's sweep; pure wrapper, so the count
-  // arithmetic — and with it the determinism contract — is untouched.
-  const auto observed_sweep = [&](const SignalShard& s, std::uint64_t* row) {
-    QFC_OBS_SPAN("engine.analysis.shard",
-                 {{"channel", s.channel}, {"events", s.end - s.begin}});
-    if (obs::metrics_enabled()) {
-      const std::uint64_t t0 = obs::detail::now_ns();
-      sweep(s, row);
-      obs::histogram("engine.analysis.shard_ns").observe(obs::detail::now_ns() - t0);
-      obs::counter("engine.analysis.shards").increment();
-    } else {
-      sweep(s, row);
-    }
-  };
-  if (wp->size() <= 1 || shards.size() <= 1) {
-    for (const SignalShard& s : shards) observed_sweep(s, row_of(s.channel));
-    return;
-  }
-  std::vector<std::vector<std::uint64_t>> partials(shards.size());
-  wp->run(shards.size(), [&](std::size_t i) {
-    partials[i].assign(row_size, 0);
-    observed_sweep(shards[i], partials[i].data());
-  });
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    std::uint64_t* dst = row_of(shards[i].channel);
-    for (std::size_t k = 0; k < row_size; ++k) dst[k] += partials[i][k];
-  }
-}
-
-}  // namespace
-
 void set_analysis_threads(unsigned n) {
   std::lock_guard<std::mutex> lock(analysis_pool_mutex);
   analysis_request() = n;
@@ -443,150 +241,10 @@ unsigned analysis_thread_request() {
   return analysis_request();
 }
 
-std::vector<CoincidenceHistogram> correlate_all(const EventTable& signal,
-                                                const EventTable& idler,
-                                                double bin_width_s, double range_s,
-                                                int num_threads) {
-  if (bin_width_s <= 0 || range_s <= 0)
-    throw std::invalid_argument("correlate_all: non-positive bin width or range");
-  if (signal.num_channels() != idler.num_channels())
-    throw std::invalid_argument("correlate_all: channel count mismatch");
-  QFC_OBS_SPAN("engine.correlate_all", {{"events", signal.size() + idler.size()}});
-
-  const auto half_bins = static_cast<std::size_t>(std::ceil(range_s / bin_width_s));
-  const std::size_t num_bins = 2 * half_bins + 1;
-  std::vector<CoincidenceHistogram> hists(signal.num_channels());
-  for (auto& h : hists) {
-    h.bin_width_s = bin_width_s;
-    h.range_s = range_s;
-    h.counts.assign(num_bins, 0);
-  }
-
-  // Diagonal pairs only: two-pointer passes directly over the contiguous
-  // columns, sharded per signal-column chunk.
-  const auto wp = analysis_pool_for(num_threads);
-  run_sharded(
-      signal, wp, num_bins,
-      [&](const SignalShard& s, std::uint64_t* counts) {
-        const double* a0 = signal.channel_begin(s.channel) + s.begin;
-        const double* a1 = signal.channel_begin(s.channel) + s.end;
-        const double* ie = idler.channel_end(s.channel);
-        const double* lo =
-            std::lower_bound(idler.channel_begin(s.channel), ie, *a0 - range_s);
-        for (const double* a = a0; a != a1; ++a)
-          analysis_detail::corr_count_event(*a, ie, lo, bin_width_s, range_s,
-                                            half_bins, num_bins, counts);
-      },
-      [&](std::size_t c) { return hists[c].counts.data(); });
-  return hists;
-}
-
-std::vector<std::uint64_t> coincidence_count_matrix(const EventTable& signal,
-                                                    const EventTable& idler,
-                                                    double window_s, double offset_s,
-                                                    int num_threads) {
-  if (window_s <= 0)
-    throw std::invalid_argument("coincidence_count_matrix: window <= 0");
-
-  const std::size_t ns = signal.num_channels();
-  const std::size_t ni = idler.num_channels();
-  std::vector<std::uint64_t> counts(ns * ni, 0);
-  if (ns == 0 || ni == 0) return counts;
-  QFC_OBS_SPAN("engine.count_matrix", {{"events", signal.size() + idler.size()}});
-
-  const double half = window_s / 2.0;
-  // Conservative scan reach (one extra window of slack): membership below
-  // uses the same center-bounds arithmetic as count_coincidences, so the
-  // counts are bitwise identical to the pairwise legacy scan.
-  const double reach = std::abs(offset_s) + window_s;
-  // Merge only the idler side; the signal side is swept one contiguous
-  // channel column at a time (each already sorted), which skips half the
-  // merge work without changing any count.
-  const auto wp = analysis_pool_for(num_threads);
-  const MergedView i = merge_channels(idler, wp.get());
-  run_sharded(
-      signal, wp, ni,
-      [&](const SignalShard& s, std::uint64_t* row) {
-        const double* a0 = signal.channel_begin(s.channel) + s.begin;
-        const double* a1 = signal.channel_begin(s.channel) + s.end;
-        std::size_t lo = sweep_start(i.t, *a0, reach);
-        for (const double* a = a0; a != a1; ++a)
-          analysis_detail::window_count_event(*a, i.t, i.ch, lo, half, offset_s,
-                                              reach, row);
-      },
-      [&](std::size_t c) { return counts.data() + c * ni; });
-  return counts;
-}
-
 const CarResult& CarMatrix::at(std::size_t s, std::size_t i) const {
   if (s >= num_signal || i >= num_idler)
     throw std::out_of_range("CarMatrix::at: bad cell");
   return cells[s * num_idler + i];
-}
-
-CarMatrix car_matrix(const EventTable& signal, const EventTable& idler,
-                     double window_s, double side_window_spacing_s,
-                     int num_side_windows, int num_threads) {
-  if (window_s <= 0) throw std::invalid_argument("car_matrix: window <= 0");
-  if (num_side_windows < 1)
-    throw std::invalid_argument("car_matrix: need at least one side window");
-  if (side_window_spacing_s <= window_s)
-    throw std::invalid_argument("car_matrix: side windows overlap the peak");
-
-  CarMatrix result;
-  result.num_signal = signal.num_channels();
-  result.num_idler = idler.num_channels();
-  result.cells.assign(result.num_signal * result.num_idler, CarResult{});
-  if (result.cells.empty()) return result;
-  QFC_OBS_SPAN("engine.car_matrix", {{"events", signal.size() + idler.size()}});
-
-  // Window grid + per-event counting live in analysis_sweep.hpp, shared
-  // with the streaming accumulators so both paths count with one copy of
-  // the arithmetic.
-  const analysis_detail::CarGrid grid =
-      analysis_detail::make_car_grid(window_s, side_window_spacing_s,
-                                     num_side_windows);
-  std::vector<std::uint64_t> counts(result.cells.size() * grid.stride, 0);
-
-  // Merge only the idler side; sweep the signal side per contiguous
-  // channel column, sharded across the analysis workers (see
-  // coincidence_count_matrix).
-  const std::size_t ni = result.num_idler;
-  const auto wp = analysis_pool_for(num_threads);
-  const MergedView i = merge_channels(idler, wp.get());
-  run_sharded(
-      signal, wp, ni * grid.stride,
-      [&](const SignalShard& s, std::uint64_t* row) {
-        const double* a0 = signal.channel_begin(s.channel) + s.begin;
-        const double* a1 = signal.channel_begin(s.channel) + s.end;
-        std::size_t lo = sweep_start(i.t, *a0, grid.reach);
-        for (const double* a = a0; a != a1; ++a)
-          analysis_detail::car_count_event(*a, i.t, i.ch, lo, grid, row);
-      },
-      [&](std::size_t c) { return counts.data() + c * ni * grid.stride; });
-
-  analysis_detail::finalize_car_cells(result, counts, grid);
-  return result;
-}
-
-CarMatrix EventEngine::car_matrix(const EngineResult& events, double window_s,
-                                  double side_window_spacing_s,
-                                  int num_side_windows) const {
-  return detect::car_matrix(events.signal, events.idler, window_s,
-                            side_window_spacing_s, num_side_windows,
-                            cfg_.analysis_threads);
-}
-
-std::vector<CoincidenceHistogram> EventEngine::correlate_all(
-    const EngineResult& events, double bin_width_s, double range_s) const {
-  return detect::correlate_all(events.signal, events.idler, bin_width_s, range_s,
-                               cfg_.analysis_threads);
-}
-
-std::vector<std::uint64_t> EventEngine::coincidence_count_matrix(
-    const EngineResult& events, double window_s, double offset_s) const {
-  return detect::coincidence_count_matrix(events.signal, events.idler, window_s,
-                                          offset_s, cfg_.analysis_threads);
 }
 
 double mean_pair_rate_hz(const ChannelPairSpec& spec) {

@@ -1,33 +1,23 @@
 #pragma once
 
 /// \file event_engine.hpp
-/// Batched columnar Monte-Carlo detection engine: generates correlated
-/// click streams for N comb channel pairs in one pass into
-/// structure-of-arrays tables, and analyzes every signal x idler
-/// combination with single merge-sweeps instead of O(n²) pairwise
-/// re-scans of the full streams.
+/// Columnar Monte-Carlo detection engine: generates correlated click
+/// streams for N comb channel pairs into structure-of-arrays tables, and
+/// analyzes every signal x idler combination with single merge-sweeps
+/// instead of O(n²) pairwise re-scans of the full streams.
 ///
 /// Layout (see src/qfc/detect/README.md): an EventTable holds one
 /// contiguous timestamp column plus a parallel channel-id column, grouped
 /// channel-major with CSR-style offsets. Within each channel the
 /// timestamps are sorted ascending.
 ///
-/// Determinism contract: EventEngine::run derives one RNG per channel by
-/// forking a master generator in channel order *before* any parallel work
-/// starts, then derives eleven per-stage sub-streams from each channel
-/// generator in a fixed order (see channel_rng.hpp) — one per stochastic
-/// stage (emission, backgrounds, detection, darks) — and every stage
-/// consumes only its own stream. Worker threads (a
-/// qfc::parallel::WorkerPool) claim whole channels and write into
-/// per-channel slots, so the output is bitwise identical for every value
-/// of EngineConfig::num_threads at a fixed seed — and, because a windowed
-/// run consumes the same per-stream sequences merely paused at window
-/// boundaries, the streaming engine (streaming.hpp) is bitwise identical
-/// to run() at every window size too. The batched analysis sweeps below
-/// carry the same contract: signal columns are sharded into fixed-size
-/// chunks whose per-cell integer counts merge additively in chunk order,
-/// so car_matrix/coincidence_count_matrix/correlate_all are bitwise
-/// identical at every analysis thread count.
+/// There is one detection pipeline, the windowed one of streaming.hpp.
+/// EventEngine::run is that pipeline drained in a single window, and
+/// car_matrix / coincidence_count_matrix / correlate_all push one
+/// whole-run window through the matching streaming accumulator. So the
+/// determinism contract is the streaming one: output is bitwise identical
+/// at every window size, generation thread count (EngineConfig::num_threads)
+/// and analysis thread count.
 
 #include <cstdint>
 #include <vector>
@@ -114,12 +104,11 @@ struct EngineConfig {
   /// Worker threads for the per-channel passes; 0 = hardware concurrency.
   /// Output is bitwise independent of this value (see file comment).
   int num_threads = 0;
-  /// Worker threads for the merge-sweep analysis helpers below
-  /// (car_matrix/coincidence_count_matrix/correlate_all called through this
-  /// engine); 0 = the process-wide setting (QFC_ENGINE_ANALYSIS_THREADS,
-  /// else hardware concurrency). Output is bitwise independent of this
-  /// value: the sweeps shard signal columns into fixed-size chunks and merge
-  /// per-cell additive partial counts in chunk order.
+  /// Analysis worker threads that travel with the run's config, for callers
+  /// to pass as the `num_threads` of the analysis helpers below or of the
+  /// streaming accumulators; 0 = the process-wide setting
+  /// (QFC_ENGINE_ANALYSIS_THREADS, else hardware concurrency). The engine
+  /// only validates it. Output is bitwise independent of this value.
   int analysis_threads = 0;
 };
 
@@ -138,20 +127,9 @@ class EventEngine {
 
   /// Full chain for all channel pairs: correlated pair generation with
   /// per-arm transmission, uncorrelated background injection, detector
-  /// efficiency/jitter, dark counts, sort, dead time.
+  /// efficiency/jitter, dark counts, sort, dead time. Equal to the
+  /// concatenated windows of an EventStreamer over the same inputs.
   EngineResult run(const std::vector<ChannelPairSpec>& channels) const;
-
-  /// Batched analysis bound to this engine's config: forwards to the free
-  /// functions below with EngineConfig::analysis_threads.
-  struct CarMatrix car_matrix(const EngineResult& events, double window_s,
-                              double side_window_spacing_s,
-                              int num_side_windows = 10) const;
-  std::vector<CoincidenceHistogram> correlate_all(const EngineResult& events,
-                                                  double bin_width_s,
-                                                  double range_s) const;
-  std::vector<std::uint64_t> coincidence_count_matrix(const EngineResult& events,
-                                                      double window_s,
-                                                      double offset_s = 0.0) const;
 
  private:
   EngineConfig cfg_;
@@ -172,7 +150,8 @@ unsigned analysis_threads();
 unsigned analysis_thread_request();
 
 /// Δt histograms for the diagonal (signal k, idler k) channel pairs, all
-/// built in one merge-sweep over the two tables. `num_threads` selects the
+/// built in one merge-sweep over the two tables (one whole-run window
+/// through StreamingCorrelatorAccumulator). `num_threads` selects the
 /// sharded-sweep worker count (0 = the process-wide analysis setting);
 /// counts are bitwise identical at every thread count.
 std::vector<CoincidenceHistogram> correlate_all(const EventTable& signal,

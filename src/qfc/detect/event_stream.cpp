@@ -1,10 +1,10 @@
 #include "qfc/detect/event_stream.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <limits>
 #include <stdexcept>
 
-#include "qfc/photonics/constants.hpp"
+#include "qfc/detect/emission_samplers.hpp"
 #include "qfc/rng/distributions.hpp"
 
 namespace qfc::detect {
@@ -36,11 +36,12 @@ void emit_pair(double t0, double delay_scale, double duration_s, double transmis
 
 namespace {
 
-using detail::emit_pair;
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// The pair emission times are generated in order and the signal-idler
 /// delay is ~1/(2π δν), usually far below the mean pair spacing: both
-/// arms are almost always already sorted, so probe before sorting.
+/// arms are almost always already sorted, so probe before sorting. (Pulsed
+/// pairs are emitted bin-unordered within one repetition period.)
 void sort_if_needed(PairStreams& s) {
   if (!std::is_sorted(s.a.begin(), s.a.end())) std::sort(s.a.begin(), s.a.end());
   if (!std::is_sorted(s.b.begin(), s.b.end())) std::sort(s.b.begin(), s.b.end());
@@ -48,22 +49,13 @@ void sort_if_needed(PairStreams& s) {
 
 }  // namespace
 
+// Each generator is one sampler of emission_samplers.hpp advanced to +∞.
+
 PairStreams generate_pair_arrivals(const PairStreamParams& p, rng::Xoshiro256& g) {
   p.validate();
   PairStreams s;
-  if (p.pair_rate_hz == 0) return s;
-
-  const double delay_scale = 1.0 / (2.0 * photonics::pi * p.linewidth_hz);
-  const std::size_t expected =
-      static_cast<std::size_t>(p.pair_rate_hz * p.duration_s * 1.1) + 16;
-  s.a.reserve(expected);
-  s.b.reserve(expected);
-
-  double t = rng::sample_exponential(g, p.pair_rate_hz);
-  while (t < p.duration_s) {
-    emit_pair(t, delay_scale, p.duration_s, p.transmission_a, p.transmission_b, s, g);
-    t += rng::sample_exponential(g, p.pair_rate_hz);
-  }
+  detail::ExpState{}.advance(p.pair_rate_hz, p.duration_s, kInf, g,
+                             detail::pair_emitter(p, s, g));
   sort_if_needed(s);
   return s;
 }
@@ -73,12 +65,7 @@ std::vector<double> generate_poisson_arrivals(double rate_hz, double duration_s,
   if (rate_hz < 0) throw std::invalid_argument("generate_poisson_arrivals: negative rate");
   if (duration_s <= 0) throw std::invalid_argument("generate_poisson_arrivals: duration <= 0");
   std::vector<double> out;
-  if (rate_hz == 0) return out;
-  double t = rng::sample_exponential(g, rate_hz);
-  while (t < duration_s) {
-    out.push_back(t);
-    t += rng::sample_exponential(g, rate_hz);
-  }
+  detail::ExpState{}.advance(rate_hz, duration_s, kInf, g, detail::push_into(out));
   return out;
 }
 
@@ -106,40 +93,7 @@ PairStreams generate_pulsed_pair_arrivals(const PulsedStreamParams& p,
                                           rng::Xoshiro256& g) {
   p.validate();
   PairStreams s;
-  if (p.mean_pairs_per_pulse == 0) return s;
-
-  const double delay_scale = 1.0 / (2.0 * photonics::pi * p.linewidth_hz);
-  const double period = 1.0 / p.repetition_rate_hz;
-  const std::size_t expected = static_cast<std::size_t>(
-                                   p.mean_pairs_per_pulse * p.duration_s / period * 1.1) +
-                               16;
-  s.a.reserve(expected);
-  s.b.reserve(expected);
-
-  const bool double_pulse = p.bin_separation_s > 0;
-  const double mu = p.mean_pairs_per_pulse;
-  // Visit only the occupied pulse slots: slot occupancy is Bernoulli with
-  // p_occ = 1 - e^-mu per slot, so the index gap to the next occupied slot
-  // is geometric — sampled exactly as floor(Exp(mu)) — and the pair number
-  // of a visited slot is zero-truncated Poisson. Identical in distribution
-  // to a Poisson draw per slot, at O(emitted pairs) RNG cost instead of
-  // O(slots); comb sources run at mu << 1, where almost every slot is empty.
-  double pulse = std::floor(rng::sample_exponential(g, mu));
-  for (;;) {
-    const double t_pulse = pulse * period;
-    if (t_pulse >= p.duration_s) break;
-    const std::uint64_t n = rng::sample_zero_truncated_poisson(g, mu);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      double t0 = t_pulse;
-      if (double_pulse && rng::sample_bernoulli(g, p.late_fraction))
-        t0 += p.bin_separation_s;
-      if (p.pulse_sigma_s > 0) t0 += rng::sample_normal(g, 0.0, p.pulse_sigma_s);
-      emit_pair(t0, delay_scale, p.duration_s, p.transmission_a, p.transmission_b, s, g);
-    }
-    pulse += 1.0 + std::floor(rng::sample_exponential(g, mu));
-  }
-  // Within one repetition period pairs are emitted bin-unordered; across
-  // periods they are time-ordered, so the streams are nearly sorted.
+  detail::PulsedState{}.advance(p, kInf, g, detail::pair_emitter(p, s, g));
   sort_if_needed(s);
   return s;
 }
@@ -181,23 +135,8 @@ PairStreams generate_piecewise_pair_arrivals(const PiecewiseStreamParams& p,
                                              rng::Xoshiro256& g) {
   p.validate();
   PairStreams s;
-  const double delay_scale = 1.0 / (2.0 * photonics::pi * p.linewidth_hz);
-
-  double seg_start = 0;
-  for (const RateSegment& seg : p.segments) {
-    if (seg_start >= p.duration_s) break;
-    const double seg_end = std::min(seg_start + seg.duration_s, p.duration_s);
-    if (seg.pair_rate_hz > 0) {
-      // Same emission loop as the CW kernel, restarted per segment at the
-      // segment's own rate (memorylessness makes the restart exact).
-      double t = seg_start + rng::sample_exponential(g, seg.pair_rate_hz);
-      while (t < seg_end) {
-        emit_pair(t, delay_scale, p.duration_s, p.transmission_a, p.transmission_b, s, g);
-        t += rng::sample_exponential(g, seg.pair_rate_hz);
-      }
-    }
-    seg_start += seg.duration_s;
-  }
+  detail::PwState{}.advance(p.segments, &RateSegment::pair_rate_hz, p.duration_s, kInf, g,
+                            detail::pair_emitter(p, s, g));
   sort_if_needed(s);
   return s;
 }
@@ -208,22 +147,8 @@ std::vector<double> generate_piecewise_poisson_arrivals(
   if (duration_s <= 0)
     throw std::invalid_argument("generate_piecewise_poisson_arrivals: duration <= 0");
   validate_segments(segments, duration_s);
-
   std::vector<double> out;
-  double seg_start = 0;
-  for (const RateSegment& seg : segments) {
-    if (seg_start >= duration_s) break;
-    const double seg_end = std::min(seg_start + seg.duration_s, duration_s);
-    const double r = seg.*rate;
-    if (r > 0) {
-      double t = seg_start + rng::sample_exponential(g, r);
-      while (t < seg_end) {
-        out.push_back(t);
-        t += rng::sample_exponential(g, r);
-      }
-    }
-    seg_start += seg.duration_s;
-  }
+  detail::PwState{}.advance(segments, rate, duration_s, kInf, g, detail::push_into(out));
   return out;
 }
 

@@ -10,9 +10,10 @@
 /// per-arm channel transmission. Detector imperfections are applied
 /// separately by SinglePhotonDetector.
 ///
-/// These are the single-stream kernels of the batched columnar
-/// EventEngine (event_engine.hpp), which applies them per channel column;
-/// multi-channel callers should use the engine rather than looping here.
+/// Each generator drains the mode's resumable sampler
+/// (emission_samplers.hpp), the same one the windowed engine advances per
+/// window (streaming.hpp); multi-channel callers should use the engine
+/// rather than looping here.
 
 #include <vector>
 
@@ -106,10 +107,8 @@ namespace detail {
 
 /// Emit one correlated pair born at t0: Laplace-split the signal-idler
 /// delay symmetrically and thin each arm by its transmission. Shared by
-/// all three emission kernels — and by the windowed streaming samplers
-/// (streaming.cpp), which must consume the exact same draws per pair —
-/// so delay/transmission semantics and RNG order stay identical by
-/// construction.
+/// all three emission samplers, so delay/transmission semantics and RNG
+/// order are the same in every mode.
 void emit_pair(double t0, double delay_scale, double duration_s, double transmission_a,
                double transmission_b, PairStreams& s, rng::Xoshiro256& g);
 

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <limits>
 #include <numeric>
+#include <string>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -13,11 +14,12 @@
 #include "qfc/detect/analysis_sweep.hpp"
 #include "qfc/detect/channel_rng.hpp"
 #include "qfc/detect/engine_plan.hpp"
+#include "qfc/detect/detector.hpp"
+#include "qfc/detect/emission_samplers.hpp"
 #include "qfc/detect/event_stream.hpp"
 #include "qfc/obs/obs.hpp"
 #include "qfc/parallel/worker_pool.hpp"
 #include "qfc/photonics/constants.hpp"
-#include "qfc/rng/distributions.hpp"
 
 namespace qfc::detect {
 
@@ -155,265 +157,19 @@ struct ByteReader {
   }
 };
 
-// --------------------------------------------------- windowed samplers
-//
-// Resumable counterparts of the event_stream.cpp kernels. Each replicates
-// its batch kernel's loop draw for draw on the same dedicated sub-stream
-// (channel_rng.hpp), merely *pausing* when the next emission would reach
-// the advance target — so the concatenation of windowed advances consumes
-// exactly the batch draw sequence, which is the whole parity argument.
-
-/// generate_poisson_arrivals, windowed: emit every arrival < min(target,
-/// duration) into `out`.
-struct ExpState {
-  double next = 0;
-  bool primed = false;
-  bool done = false;
-
-  void advance(double rate_hz, double duration_s, double target_s,
-               rng::Xoshiro256& g, std::vector<double>& out) {
-    if (done) return;
-    if (!primed) {
-      if (rate_hz <= 0) {
-        done = true;  // batch draws nothing at rate 0
-        return;
-      }
-      next = rng::sample_exponential(g, rate_hz);
-      primed = true;
-    }
-    while (next < duration_s && next < target_s) {
-      out.push_back(next);
-      next += rng::sample_exponential(g, rate_hz);
-    }
-    if (next >= duration_s) done = true;
-  }
-
-  void save(ByteWriter& w) const {
-    w.f64(next);
-    w.boolean(primed);
-    w.boolean(done);
-  }
-  void load(ByteReader& r) {
-    next = r.f64();
-    primed = r.boolean();
-    done = r.boolean();
-  }
-};
-
-/// generate_piecewise_poisson_arrivals, windowed. A segment whose start
-/// lies beyond the target is left unprimed (its first draw happens once
-/// the target reaches it — same dedicated stream, so the sequence is the
-/// batch one regardless of when the pause falls).
-struct PwState {
-  std::uint64_t seg = 0;
-  double seg_start = 0;
-  double next = 0;
-  bool primed = false;
-  bool done = false;
-
-  void advance(const std::vector<RateSegment>& segments, double RateSegment::*rate,
-               double duration_s, double target_s, rng::Xoshiro256& g,
-               std::vector<double>& out) {
-    if (done) return;
-    while (true) {
-      if (seg >= segments.size() || seg_start >= duration_s) {
-        done = true;
-        return;
-      }
-      const RateSegment& sg = segments[seg];
-      const double seg_end = std::min(seg_start + sg.duration_s, duration_s);
-      const double r = sg.*rate;
-      if (r > 0) {
-        if (!primed) {
-          if (seg_start >= target_s) return;
-          next = seg_start + rng::sample_exponential(g, r);
-          primed = true;
-        }
-        while (next < seg_end && next < target_s) {
-          out.push_back(next);
-          next += rng::sample_exponential(g, r);
-        }
-        if (next < seg_end) return;  // paused mid-segment
-      }
-      seg_start += sg.duration_s;
-      ++seg;
-      primed = false;
-    }
-  }
-
-  void save(ByteWriter& w) const {
-    w.u64(seg);
-    w.f64(seg_start);
-    w.f64(next);
-    w.boolean(primed);
-    w.boolean(done);
-  }
-  void load(ByteReader& r) {
-    seg = r.u64();
-    seg_start = r.f64();
-    next = r.f64();
-    primed = r.boolean();
-    done = r.boolean();
-  }
-};
-
-/// generate_pair_arrivals, windowed.
-struct CwPairState {
-  double next = 0;
-  bool primed = false;
-  bool done = false;
-
-  void advance(const PairStreamParams& p, double delay_scale, double target_s,
-               rng::Xoshiro256& g, PairStreams& out) {
-    if (done) return;
-    if (!primed) {
-      if (p.pair_rate_hz == 0) {
-        done = true;
-        return;
-      }
-      next = rng::sample_exponential(g, p.pair_rate_hz);
-      primed = true;
-    }
-    while (next < p.duration_s && next < target_s) {
-      detail::emit_pair(next, delay_scale, p.duration_s, p.transmission_a,
-                        p.transmission_b, out, g);
-      next += rng::sample_exponential(g, p.pair_rate_hz);
-    }
-    if (next >= p.duration_s) done = true;
-  }
-
-  void save(ByteWriter& w) const {
-    w.f64(next);
-    w.boolean(primed);
-    w.boolean(done);
-  }
-  void load(ByteReader& r) {
-    next = r.f64();
-    primed = r.boolean();
-    done = r.boolean();
-  }
-};
-
-/// generate_pulsed_pair_arrivals, windowed: pauses before an occupied
-/// pulse slot whose nominal time reaches the target (the slot's pair
-/// number and per-pair draws happen once the target passes it).
-struct PulsedPairState {
-  double pulse = 0;
-  bool primed = false;
-  bool done = false;
-
-  void advance(const PulsedStreamParams& p, double delay_scale, double target_s,
-               rng::Xoshiro256& g, PairStreams& out) {
-    if (done) return;
-    const double mu = p.mean_pairs_per_pulse;
-    if (!primed) {
-      if (mu == 0) {
-        done = true;
-        return;
-      }
-      pulse = std::floor(rng::sample_exponential(g, mu));
-      primed = true;
-    }
-    const double period = 1.0 / p.repetition_rate_hz;
-    const bool double_pulse = p.bin_separation_s > 0;
-    for (;;) {
-      const double t_pulse = pulse * period;
-      if (t_pulse >= p.duration_s) {
-        done = true;
-        return;
-      }
-      if (t_pulse >= target_s) return;  // paused before this slot
-      const std::uint64_t n = rng::sample_zero_truncated_poisson(g, mu);
-      for (std::uint64_t i = 0; i < n; ++i) {
-        double t0 = t_pulse;
-        if (double_pulse && rng::sample_bernoulli(g, p.late_fraction))
-          t0 += p.bin_separation_s;
-        if (p.pulse_sigma_s > 0) t0 += rng::sample_normal(g, 0.0, p.pulse_sigma_s);
-        detail::emit_pair(t0, delay_scale, p.duration_s, p.transmission_a,
-                          p.transmission_b, out, g);
-      }
-      pulse += 1.0 + std::floor(rng::sample_exponential(g, mu));
-    }
-  }
-
-  void save(ByteWriter& w) const {
-    w.f64(pulse);
-    w.boolean(primed);
-    w.boolean(done);
-  }
-  void load(ByteReader& r) {
-    pulse = r.f64();
-    primed = r.boolean();
-    done = r.boolean();
-  }
-};
-
-/// generate_piecewise_pair_arrivals, windowed.
-struct PwPairState {
-  std::uint64_t seg = 0;
-  double seg_start = 0;
-  double next = 0;
-  bool primed = false;
-  bool done = false;
-
-  void advance(const PiecewiseStreamParams& p, double delay_scale, double target_s,
-               rng::Xoshiro256& g, PairStreams& out) {
-    if (done) return;
-    while (true) {
-      if (seg >= p.segments.size() || seg_start >= p.duration_s) {
-        done = true;
-        return;
-      }
-      const RateSegment& sg = p.segments[seg];
-      const double seg_end = std::min(seg_start + sg.duration_s, p.duration_s);
-      if (sg.pair_rate_hz > 0) {
-        if (!primed) {
-          if (seg_start >= target_s) return;
-          next = seg_start + rng::sample_exponential(g, sg.pair_rate_hz);
-          primed = true;
-        }
-        while (next < seg_end && next < target_s) {
-          detail::emit_pair(next, delay_scale, p.duration_s, p.transmission_a,
-                            p.transmission_b, out, g);
-          next += rng::sample_exponential(g, sg.pair_rate_hz);
-        }
-        if (next < seg_end) return;
-      }
-      seg_start += sg.duration_s;
-      ++seg;
-      primed = false;
-    }
-  }
-
-  void save(ByteWriter& w) const {
-    w.u64(seg);
-    w.f64(seg_start);
-    w.f64(next);
-    w.boolean(primed);
-    w.boolean(done);
-  }
-  void load(ByteReader& r) {
-    seg = r.u64();
-    seg_start = r.f64();
-    next = r.f64();
-    primed = r.boolean();
-    done = r.boolean();
-  }
-};
-
 // ----------------------------------------------------- per-channel state
 
 /// One detector arm's carried state: arrivals generated but not yet pushed
 /// through detection (>= last window's arrival watermark) and clicks
 /// detected but not yet finalized (>= last window's click watermark).
 struct ArmState {
-  ExpState bg;      ///< spec-level homogeneous background
-  PwState pwbg;     ///< piecewise background schedule
-  ExpState dark;    ///< detector-internal homogeneous darks
-  PwState pwdark;   ///< piecewise dark schedule
+  detail::ExpState bg;     ///< spec-level homogeneous background
+  detail::PwState pwbg;    ///< piecewise background schedule
+  detail::ExpState dark;   ///< detector-internal homogeneous darks
+  detail::PwState pwdark;  ///< piecewise dark schedule
   std::vector<double> pending_arrivals;
   std::vector<double> pending_clicks;
-  double dead_last = -1e18;  ///< dead-time filter carry (batch initial value)
+  double dead_last = detail::kNoClick;  ///< dead-time filter carry
 
   void save(ByteWriter& w) const {
     bg.save(w);
@@ -437,9 +193,9 @@ struct ArmState {
 
 struct ChannelState {
   detail::ChannelRngs rng;
-  CwPairState cw;
-  PulsedPairState pulsed;
-  PwPairState pw;
+  detail::ExpState cw;  ///< pair emission, by the spec's mode
+  detail::PulsedState pulsed;
+  detail::PwState pw;
   ArmState a, b;
   double prev_theta = 0;  ///< previous window's arrival watermark
   double prev_c = 0;      ///< previous window's click watermark
@@ -564,8 +320,6 @@ struct EventStreamer::Impl {
   StreamConfig stream;
   std::vector<ChannelPairSpec> specs;
   std::vector<detail::ChannelPlan> plans;
-  std::vector<SinglePhotonDetector> det_s, det_i;
-  std::vector<double> delay_scale;  ///< per channel, 1/(2π δν)
   std::vector<double> spill_pair;   ///< emission look-ahead past the watermark
   std::vector<double> spill_jit;    ///< arrival watermark past the click one
   std::size_t num_windows = 0;
@@ -588,22 +342,16 @@ struct EventStreamer::Impl {
 
     const std::size_t n = specs.size();
     plans.reserve(n);
-    det_s.reserve(n);
-    det_i.reserve(n);
-    delay_scale.reserve(n);
     spill_pair.reserve(n);
     spill_jit.reserve(n);
     for (const ChannelPairSpec& spec : specs) {
       const std::size_t c = plans.size();
       plans.push_back(detail::make_checked_plan(spec, cfg.duration_s, c));
-      det_s.emplace_back(spec.detector_signal);
-      det_i.emplace_back(spec.detector_idler);
 
-      const double scale = 1.0 / (2.0 * photonics::pi * spec.linewidth_hz);
-      delay_scale.push_back(scale);
-      // P(|Laplace| / 2 > 32 scales) = e^-64; pulsed adds the deterministic
-      // late-bin shift and 16 sigmas of pulse-envelope jitter.
-      double sp = 32.0 * scale;
+      // P(|Laplace| / 2 > 32 scales) = e^-64 for the pair delay scale
+      // 1/(2π δν); pulsed adds the deterministic late-bin shift and 16
+      // sigmas of pulse-envelope jitter.
+      double sp = 32.0 / (2.0 * photonics::pi * spec.linewidth_hz);
       if (spec.emission == EmissionMode::Pulsed)
         sp += spec.pulsed.bin_separation_s + 16.0 * spec.pulsed.pulse_sigma_s;
       double sj = 16.0 * std::max(spec.detector_signal.jitter_sigma_s,
@@ -638,33 +386,29 @@ struct EventStreamer::Impl {
 
   /// One arm of one channel for one window: advance backgrounds to the
   /// arrival watermark `theta`, detect the sorted arrival prefix < theta,
-  /// advance dark schedules to the click watermark `C`, finalize all
-  /// clicks < C (3-way merge + dead-time filter with carried state).
-  std::vector<double> process_arm(ArmState& arm, const SinglePhotonDetector& det,
-                                  double bg_rate_hz,
-                                  double RateSegment::*pwbg_member,
+  /// advance dark schedules to the click watermark `C`, and finalize all
+  /// clicks < C through the shared merge + dead-time pass.
+  std::vector<double> process_arm(ArmState& arm, const DetectorParams& params,
+                                  double bg_rate_hz, double RateSegment::*pwbg_member,
                                   double RateSegment::*pwdark_member,
-                                  const detail::ChannelPlan& plan, double theta,
-                                  double C, double prev_theta, double prev_c,
-                                  rng::Xoshiro256& g_bg, rng::Xoshiro256& g_pwbg,
-                                  rng::Xoshiro256& g_det, rng::Xoshiro256& g_dark,
-                                  rng::Xoshiro256& g_pwdark,
+                                  const detail::ChannelPlan& plan, double theta, double C,
+                                  double prev_theta, double prev_c, rng::Xoshiro256& g_bg,
+                                  rng::Xoshiro256& g_pwbg, rng::Xoshiro256& g_det,
+                                  rng::Xoshiro256& g_dark, rng::Xoshiro256& g_pwdark,
                                   std::uint64_t& violations) {
     const double T = cfg.duration_s;
-    const DetectorParams& params = det.params();
+    // Piecewise schedules are empty unless the spec is PiecewiseRates.
+    const std::vector<RateSegment>& segments = plan.piecewise.segments;
 
     // Backgrounds are complete below theta by construction of their
     // advance target, so they feed straight into the pending arrivals.
-    if (bg_rate_hz > 0)
-      arm.bg.advance(bg_rate_hz, T, theta, g_bg, arm.pending_arrivals);
-    if (plan.mode == EmissionMode::PiecewiseRates)
-      arm.pwbg.advance(plan.piecewise.segments, pwbg_member, T, theta, g_pwbg,
-                       arm.pending_arrivals);
+    auto& pending = arm.pending_arrivals;
+    arm.bg.advance(bg_rate_hz, T, theta, g_bg, detail::push_into(pending));
+    arm.pwbg.advance(segments, pwbg_member, T, theta, g_pwbg, detail::push_into(pending));
 
     // Detect the sorted arrival prefix < theta. Concatenated across
-    // windows this visits every arrival in the batch engine's fully
-    // sorted order, so the detection stream's draws line up exactly.
-    auto& pending = arm.pending_arrivals;
+    // windows this visits every arrival in fully sorted order, so the
+    // detection stream's draws do not depend on the window size.
     if (!std::is_sorted(pending.begin(), pending.end()))
       std::sort(pending.begin(), pending.end());
     const auto arr_split = std::lower_bound(pending.begin(), pending.end(), theta);
@@ -679,49 +423,13 @@ struct EventStreamer::Impl {
     // Dark clicks carry no jitter, so the click watermark C is exact for
     // them: generate straight up to C and finalize everything.
     std::vector<double> darks, pwdarks;
-    if (params.dark_rate_hz > 0)
-      arm.dark.advance(params.dark_rate_hz, T, C, g_dark, darks);
-    if (plan.mode == EmissionMode::PiecewiseRates)
-      arm.pwdark.advance(plan.piecewise.segments, pwdark_member, T, C, g_pwdark,
-                         pwdarks);
-    if (obs::metrics_enabled() && !(darks.empty() && pwdarks.empty()))
-      obs::counter("detect.darks_injected").add(darks.size() + pwdarks.size());
-
-    // Finalize clicks < C: photon clicks first on ties, then internal
-    // darks, then schedule darks — the batch detect() merge order.
-    auto& clicks = arm.pending_clicks;
-    if (!std::is_sorted(clicks.begin(), clicks.end()))
-      std::sort(clicks.begin(), clicks.end());
-    const auto click_split = std::lower_bound(clicks.begin(), clicks.end(), C);
-    std::vector<double> merged;
-    merged.resize(static_cast<std::size_t>(click_split - clicks.begin()) +
-                  darks.size());
-    std::merge(clicks.begin(), click_split, darks.begin(), darks.end(),
-               merged.begin());
-    if (!pwdarks.empty()) {
-      std::vector<double> merged2(merged.size() + pwdarks.size());
-      std::merge(merged.begin(), merged.end(), pwdarks.begin(), pwdarks.end(),
-                 merged2.begin());
-      merged.swap(merged2);
-    }
-    clicks.erase(clicks.begin(), click_split);
-
-    for (double t : merged)
+    arm.dark.advance(params.dark_rate_hz, T, C, g_dark, detail::push_into(darks));
+    arm.pwdark.advance(segments, pwdark_member, T, C, g_pwdark, detail::push_into(pwdarks));
+    std::vector<double> clicks = detail::finalize_clicks(
+        arm.pending_clicks, C, darks, pwdarks, params.dead_time_s, arm.dead_last);
+    for (double t : clicks)
       if (t < prev_c) ++violations;
-
-    // Dead time, carried across windows (same expression as batch).
-    if (params.dead_time_s > 0) {
-      std::vector<double> kept;
-      kept.reserve(merged.size());
-      for (double t : merged) {
-        if (t - arm.dead_last >= params.dead_time_s) {
-          kept.push_back(t);
-          arm.dead_last = t;
-        }
-      }
-      merged.swap(kept);
-    }
-    return merged;
+    return clicks;
   }
 
   void process_channel(std::size_t c, double C, bool last,
@@ -740,34 +448,39 @@ struct EventStreamer::Impl {
     PairStreams fresh;
     switch (plan.mode) {
       case EmissionMode::Cw:
-        st.cw.advance(plan.cw, delay_scale[c], E, st.rng.pair, fresh);
+        st.cw.advance(plan.cw.pair_rate_hz, plan.cw.duration_s, E, st.rng.pair,
+                      detail::pair_emitter(plan.cw, fresh, st.rng.pair));
         break;
       case EmissionMode::Pulsed:
-        st.pulsed.advance(plan.pulsed, delay_scale[c], E, st.rng.pair, fresh);
+        st.pulsed.advance(plan.pulsed, E, st.rng.pair,
+                          detail::pair_emitter(plan.pulsed, fresh, st.rng.pair));
         break;
       case EmissionMode::PiecewiseRates:
-        st.pw.advance(plan.piecewise, delay_scale[c], E, st.rng.pair, fresh);
+        st.pw.advance(plan.piecewise.segments, &RateSegment::pair_rate_hz,
+                      plan.piecewise.duration_s, E, st.rng.pair,
+                      detail::pair_emitter(plan.piecewise, fresh, st.rng.pair));
         break;
     }
     if (obs::metrics_enabled())
       obs::counter("engine.events_generated").add(fresh.a.size() + fresh.b.size());
-    st.a.pending_arrivals.insert(st.a.pending_arrivals.end(), fresh.a.begin(),
-                                 fresh.a.end());
-    st.b.pending_arrivals.insert(st.b.pending_arrivals.end(), fresh.b.begin(),
-                                 fresh.b.end());
+    for (auto [pending, arm] : {std::pair{&st.a.pending_arrivals, &fresh.a},
+                                std::pair{&st.b.pending_arrivals, &fresh.b}}) {
+      if (pending->empty())
+        pending->swap(*arm);
+      else
+        pending->insert(pending->end(), arm->begin(), arm->end());
+    }
 
-    sig_col = process_arm(st.a, det_s[c], spec.background_rate_signal_hz,
+    sig_col = process_arm(st.a, spec.detector_signal, spec.background_rate_signal_hz,
                           &RateSegment::background_rate_signal_hz,
                           &RateSegment::dark_rate_signal_hz, plan, theta, C,
                           st.prev_theta, st.prev_c, st.rng.bg_a, st.rng.pwbg_a,
-                          st.rng.det_a, st.rng.dark_a, st.rng.pwdark_a,
-                          st.violations);
-    idl_col = process_arm(st.b, det_i[c], spec.background_rate_idler_hz,
+                          st.rng.det_a, st.rng.dark_a, st.rng.pwdark_a, st.violations);
+    idl_col = process_arm(st.b, spec.detector_idler, spec.background_rate_idler_hz,
                           &RateSegment::background_rate_idler_hz,
                           &RateSegment::dark_rate_idler_hz, plan, theta, C,
                           st.prev_theta, st.prev_c, st.rng.bg_b, st.rng.pwbg_b,
-                          st.rng.det_b, st.rng.dark_b, st.rng.pwdark_b,
-                          st.violations);
+                          st.rng.det_b, st.rng.dark_b, st.rng.pwdark_b, st.violations);
     if (obs::metrics_enabled())
       obs::counter("engine.clicks_kept").add(sig_col.size() + idl_col.size());
     st.prev_theta = theta;
@@ -885,6 +598,31 @@ EventStreamer EventStreamer::restore(const std::vector<std::uint8_t>& blob) {
   return out;
 }
 
+double bounded_window_s(const std::vector<ChannelPairSpec>& channels, double duration_s) {
+  constexpr double kClicksPerWindow = 1e5;
+  double rate_hz = 0;
+  for (const ChannelPairSpec& s : channels) {
+    const DetectorParams& ds = s.detector_signal;
+    const DetectorParams& di = s.detector_idler;
+    rate_hz += mean_pair_rate_hz(s) *
+                   (s.transmission_signal * ds.efficiency +
+                    s.transmission_idler * di.efficiency) +
+               s.background_rate_signal_hz * ds.efficiency +
+               s.background_rate_idler_hz * di.efficiency + ds.dark_rate_hz +
+               di.dark_rate_hz;
+  }
+  return rate_hz > 0 ? std::min(duration_s, kClicksPerWindow / rate_hz) : duration_s;
+}
+
+void for_each_window(const EngineConfig& cfg, std::vector<ChannelPairSpec> channels,
+                     const std::function<void(const StreamWindow&)>& on_window) {
+  StreamConfig sc;
+  sc.window_s = bounded_window_s(channels, cfg.duration_s);
+  EventStreamer streamer(cfg, sc, std::move(channels));
+  StreamWindow w;
+  while (streamer.next(w)) on_window(w);
+}
+
 // ------------------------------------------------ streaming accumulators
 
 namespace {
@@ -921,132 +659,127 @@ void append_sorted(std::vector<double>& dst, const double* begin,
                        dst.begin() + static_cast<std::ptrdiff_t>(old), dst.end());
 }
 
-/// Rolling state shared by the two merged-idler accumulators (CAR and
-/// count-matrix): the trimmed merged idler view and the per-signal-channel
-/// unresolved event buffers.
-struct MergedRoll {
-  std::size_t ns = kNoChannels, ni = kNoChannels;
-  std::vector<double> it;
-  std::vector<std::uint32_t> ich;
+void save_columns(ByteWriter& w, const std::vector<std::vector<double>>& cols) {
+  w.u64(cols.size());
+  for (const auto& col : cols) w.vec_f64(col);
+}
+
+void load_columns(ByteReader& r, std::vector<std::vector<double>>& cols) {
+  cols.resize(r.u64());
+  for (auto& col : cols) col = r.vec_f64();
+}
+
+/// Signal events not yet resolved, per channel, and the one sharded count
+/// sweep of every coincidence analysis, batch or streamed.
+struct SignalRoll {
   std::vector<std::vector<double>> pending;
 
-  void append_window(const StreamWindow& w, parallel::WorkerPool* pool) {
-    const std::size_t wns = w.events.signal.num_channels();
-    const std::size_t wni = w.events.idler.num_channels();
-    if (ns == kNoChannels) {
-      ns = wns;
-      ni = wni;
-      pending.resize(ns);
-    } else if (wns != ns || wni != ni) {
-      throw std::invalid_argument(
-          "streaming accumulator: window channel count changed mid-run");
-    }
-    analysis_detail::MergedView mv =
-        analysis_detail::merge_channels(w.events.idler, pool);
-    const bool clean = it.empty() || mv.t.empty() || mv.t.front() >= it.back();
-    it.insert(it.end(), mv.t.begin(), mv.t.end());
-    ich.insert(ich.end(), mv.ch.begin(), mv.ch.end());
-    if (!clean) co_sort(it, ich);
-    for (std::size_t c = 0; c < ns; ++c)
-      append_sorted(pending[c], w.events.signal.channel_begin(c),
-                    w.events.signal.channel_end(c));
-  }
-
-  /// Count every signal event whose full reach lies behind `frontier`
-  /// through `count_event(ta, lo, row)`, then drop it and trim the merged
-  /// idler view below everything any future event can reach. Chunk
-  /// boundaries depend only on the data, and per-chunk partial counts are
-  /// integers merged in chunk order — so the counts are bitwise identical
-  /// to the batch sweep at every worker count and window size.
-  template <class CountFn>
-  void resolve(double frontier, double reach, std::size_t row_size,
-               parallel::WorkerPool* pool, std::vector<std::uint64_t>& counts,
-               const CountFn& count_event) {
-    if (ns == kNoChannels) return;
+  /// Counts, through `count_chunk(channel, first, last, row)`, every signal
+  /// event — carried, or in the columns of `signal` (may be null) — whose
+  /// full reach lies behind `frontier`, and carries the rest. Resolved
+  /// events are swept straight from the window's columns; only the
+  /// unresolved tail is copied. The events are cut into chunks of at most
+  /// kAnalysisChunkEvents, swept in parallel into per-chunk partial rows of
+  /// `row_size` cells when the pool has more than one worker, and added into
+  /// `counts` (row `channel`) in chunk order. Counts are integers, so the
+  /// result is bitwise identical at every worker count and window size.
+  template <class ChunkFn>
+  void resolve(const EventTable* signal, double frontier, double reach,
+               std::size_t row_size, parallel::WorkerPool* pool,
+               std::vector<std::uint64_t>& counts, const ChunkFn& count_chunk) {
     struct Chunk {
-      std::size_t ch, begin, end;
+      std::size_t ch;
+      const double* first;
+      const double* last;
     };
+    const std::size_t n = pending.size();
     std::vector<Chunk> chunks;
-    std::vector<std::size_t> resolved(ns, 0);
-    for (std::size_t c = 0; c < ns; ++c) {
-      const auto& p = pending[c];
-      const auto split = std::partition_point(
-          p.begin(), p.end(),
-          [&](double ta) { return ta + reach < frontier; });
-      const std::size_t nres = static_cast<std::size_t>(split - p.begin());
-      resolved[c] = nres;
-      for (std::size_t b = 0; b < nres; b += kAnalysisChunkEvents)
-        chunks.push_back({c, b, std::min(nres, b + kAnalysisChunkEvents)});
+    std::vector<std::size_t> carried_resolved(n);
+    std::vector<const double*> tail(n), tail_end(n);
+    const auto resolved_end = [&](const double* b, const double* e) {
+      return std::partition_point(b, e, [&](double ta) { return ta + reach < frontier; });
+    };
+    const auto add_chunks = [&](std::size_t c, const double* b, const double* e) {
+      for (; b != e; b += std::min<std::ptrdiff_t>(e - b, kAnalysisChunkEvents))
+        chunks.push_back({c, b, b + std::min<std::ptrdiff_t>(e - b, kAnalysisChunkEvents)});
+    };
+    for (std::size_t c = 0; c < n; ++c) {
+      auto& p = pending[c];
+      const double* b = signal ? signal->channel_begin(c) : nullptr;
+      const double* e = signal ? signal->channel_end(c) : nullptr;
+      if (!p.empty() && b != e && *b < p.back()) {  // boundary violation
+        append_sorted(p, b, e);
+        b = e;
+      }
+      const double* p_end = resolved_end(p.data(), p.data() + p.size());
+      carried_resolved[c] = static_cast<std::size_t>(p_end - p.data());
+      add_chunks(c, p.data(), p_end);
+      tail[c] = carried_resolved[c] == p.size() ? resolved_end(b, e) : b;
+      tail_end[c] = e;
+      add_chunks(c, b, tail[c]);
     }
-    if (!chunks.empty()) {
+
+    const auto sweep = [&](const Chunk& ck, std::uint64_t* row) {
+      QFC_OBS_SPAN("engine.analysis.shard",
+                   {{"channel", ck.ch},
+                    {"events", static_cast<std::size_t>(ck.last - ck.first)}});
+      if (!obs::metrics_enabled()) {
+        count_chunk(ck.ch, ck.first, ck.last, row);
+        return;
+      }
+      const std::uint64_t t0 = obs::detail::now_ns();
+      count_chunk(ck.ch, ck.first, ck.last, row);
+      obs::histogram("engine.analysis.shard_ns").observe(obs::detail::now_ns() - t0);
+      obs::counter("engine.analysis.shards").increment();
+    };
+    if (!pool || pool->size() <= 1 || chunks.size() <= 1) {
+      for (const Chunk& ck : chunks) sweep(ck, counts.data() + ck.ch * row_size);
+    } else {
       std::vector<std::vector<std::uint64_t>> partials(chunks.size());
-      const auto run_chunk = [&](std::size_t i) {
-        const Chunk& ck = chunks[i];
-        auto& part = partials[i];
-        part.assign(row_size, 0);
-        const double* base = pending[ck.ch].data();
-        std::size_t lo = analysis_detail::sweep_start(it, base[ck.begin], reach);
-        for (std::size_t e = ck.begin; e < ck.end; ++e)
-          count_event(base[e], lo, part.data());
-      };
-      if (pool && pool->size() > 1 && chunks.size() > 1)
-        pool->run(chunks.size(), run_chunk);
-      else
-        for (std::size_t i = 0; i < chunks.size(); ++i) run_chunk(i);
+      pool->run(chunks.size(), [&](std::size_t i) {
+        partials[i].assign(row_size, 0);
+        sweep(chunks[i], partials[i].data());
+      });
       for (std::size_t i = 0; i < chunks.size(); ++i) {
         std::uint64_t* row = counts.data() + chunks[i].ch * row_size;
         for (std::size_t j = 0; j < row_size; ++j) row[j] += partials[i][j];
       }
     }
-    double trim_t = frontier;
-    for (std::size_t c = 0; c < ns; ++c) {
+
+    for (std::size_t c = 0; c < n; ++c) {
       auto& p = pending[c];
-      p.erase(p.begin(), p.begin() + static_cast<std::ptrdiff_t>(resolved[c]));
-      if (!p.empty()) trim_t = std::min(trim_t, p.front());
-    }
-    if (std::isfinite(trim_t)) {
-      const auto cut =
-          std::lower_bound(it.begin(), it.end(), trim_t - reach) - it.begin();
-      it.erase(it.begin(), it.begin() + cut);
-      ich.erase(ich.begin(), ich.begin() + cut);
-    } else {
-      it.clear();
-      ich.clear();
+      p.erase(p.begin(), p.begin() + static_cast<std::ptrdiff_t>(carried_resolved[c]));
+      p.insert(p.end(), tail[c], tail_end[c]);
     }
   }
 
-  void save(ByteWriter& w) const {
-    w.u64(ns == kNoChannels ? std::uint64_t(-1) : ns);
-    w.u64(ni == kNoChannels ? std::uint64_t(-1) : ni);
-    w.vec_f64(it);
-    w.vec_u32(ich);
-    w.u64(pending.size());
-    for (const auto& p : pending) w.vec_f64(p);
+  /// Earliest carried signal time of channel `c`, or `frontier` if none.
+  double earliest(std::size_t c, double frontier) const {
+    return pending[c].empty() ? frontier : pending[c].front();
   }
-  void load(ByteReader& r) {
-    const std::uint64_t rns = r.u64(), rni = r.u64();
-    ns = rns == std::uint64_t(-1) ? kNoChannels : static_cast<std::size_t>(rns);
-    ni = rni == std::uint64_t(-1) ? kNoChannels : static_cast<std::size_t>(rni);
-    it = r.vec_f64();
-    ich = r.vec_u32();
-    pending.resize(r.u64());
-    for (auto& p : pending) p = r.vec_f64();
+  double earliest(double frontier) const {
+    for (std::size_t c = 0; c < pending.size(); ++c)
+      frontier = std::min(frontier, earliest(c, frontier));
+    return frontier;
   }
 };
 
-}  // namespace
+/// Drop the prefix of sorted `t` (and its co-sorted `ch`, if any) below
+/// `t_min`; everything when `t_min` is not finite (nothing left to resolve).
+void trim_below(std::vector<double>& t, std::vector<std::uint32_t>* ch, double t_min) {
+  const auto cut = std::isfinite(t_min)
+                       ? std::lower_bound(t.begin(), t.end(), t_min) - t.begin()
+                       : static_cast<std::ptrdiff_t>(t.size());
+  t.erase(t.begin(), t.begin() + cut);
+  if (ch) ch->erase(ch->begin(), ch->begin() + cut);
+}
 
-// ------------------------------------------------ StreamingCarAccumulator
-
-struct StreamingCarAccumulator::Impl {
+/// CAR window grid and count of car_matrix.
+struct CarKernel {
+  static constexpr const char* kName = "StreamingCarAccumulator";
   analysis_detail::CarGrid grid;
-  std::shared_ptr<parallel::WorkerPool> pool;
-  MergedRoll roll;
-  std::vector<std::uint64_t> counts;
-  bool finished = false;
 
-  Impl(double window_s, double side_window_spacing_s, int num_side_windows,
-       int num_threads) {
+  CarKernel(double window_s, double side_window_spacing_s, int num_side_windows) {
     if (window_s <= 0) throw std::invalid_argument("car_matrix: window <= 0");
     if (num_side_windows < 1)
       throw std::invalid_argument("car_matrix: need at least one side window");
@@ -1054,174 +787,159 @@ struct StreamingCarAccumulator::Impl {
       throw std::invalid_argument("car_matrix: side windows overlap the peak");
     grid = analysis_detail::make_car_grid(window_s, side_window_spacing_s,
                                           num_side_windows);
-    pool = analysis_detail::analysis_pool_for(num_threads);
   }
-
-  void push(const StreamWindow& w) {
-    if (finished)
-      throw std::logic_error("StreamingCarAccumulator: push after finish");
-    QFC_OBS_SPAN("engine.stream.car_push", {{"events", w.events.signal.size()}});
-    roll.append_window(w, pool.get());
-    if (counts.empty() && roll.ns != kNoChannels)
-      counts.assign(roll.ns * roll.ni * grid.stride, 0);
-    resolve(w.t_end_s);
-  }
-
-  void resolve(double frontier) {
-    roll.resolve(frontier, grid.reach, roll.ni * grid.stride, pool.get(), counts,
-                 [&](double ta, std::size_t& lo, std::uint64_t* row) {
-                   analysis_detail::car_count_event(ta, roll.it, roll.ich, lo,
-                                                    grid, row);
-                 });
-  }
-
-  CarMatrix finish() {
-    if (finished)
-      throw std::logic_error("StreamingCarAccumulator: finish called twice");
-    finished = true;
-    CarMatrix result;
-    if (roll.ns == kNoChannels) return result;
-    resolve(kInf);
-    result.num_signal = roll.ns;
-    result.num_idler = roll.ni;
-    result.cells.assign(roll.ns * roll.ni, CarResult{});
-    if (!result.cells.empty())
-      analysis_detail::finalize_car_cells(result, counts, grid);
-    return result;
+  double reach() const { return grid.reach; }
+  std::size_t cells() const { return grid.stride; }
+  void count(double ta, const std::vector<double>& it, const std::vector<std::uint32_t>& ich,
+             std::size_t& lo, std::uint64_t* row) const {
+    analysis_detail::car_count_event(ta, it, ich, lo, grid, row);
   }
 };
 
-StreamingCarAccumulator::StreamingCarAccumulator(double window_s,
-                                                 double side_window_spacing_s,
-                                                 int num_side_windows,
-                                                 int num_threads)
-    : impl_(std::make_unique<Impl>(window_s, side_window_spacing_s,
-                                   num_side_windows, num_threads)) {}
-StreamingCarAccumulator::~StreamingCarAccumulator() = default;
-StreamingCarAccumulator::StreamingCarAccumulator(
-    StreamingCarAccumulator&&) noexcept = default;
-StreamingCarAccumulator& StreamingCarAccumulator::operator=(
-    StreamingCarAccumulator&&) noexcept = default;
+/// Windowed coincidence count of coincidence_count_matrix.
+struct WindowKernel {
+  static constexpr const char* kName = "StreamingCountMatrixAccumulator";
+  double half = 0, offset_s = 0, reach_s = 0;
 
-void StreamingCarAccumulator::push(const StreamWindow& w) { impl_->push(w); }
-CarMatrix StreamingCarAccumulator::finish() { return impl_->finish(); }
-
-std::vector<std::uint8_t> StreamingCarAccumulator::snapshot() const {
-  if (impl_->finished)
-    throw std::logic_error("StreamingCarAccumulator: snapshot after finish");
-  ByteWriter w;
-  w.header(kKindCar);
-  impl_->roll.save(w);
-  w.vec_u64(impl_->counts);
-  return std::move(w.buf);
-}
-
-void StreamingCarAccumulator::restore(const std::vector<std::uint8_t>& blob) {
-  ByteReader r(blob);
-  r.header(kKindCar);
-  impl_->roll.load(r);
-  impl_->counts = r.vec_u64();
-  impl_->finished = false;
-  r.expect_end();
-}
-
-// ---------------------------------------- StreamingCountMatrixAccumulator
-
-struct StreamingCountMatrixAccumulator::Impl {
-  double half = 0, offset_s = 0, reach = 0;
-  std::shared_ptr<parallel::WorkerPool> pool;
-  MergedRoll roll;
-  std::vector<std::uint64_t> counts;
-  bool finished = false;
-
-  Impl(double window_s, double offset, int num_threads) : offset_s(offset) {
+  WindowKernel(double window_s, double offset) : offset_s(offset) {
     if (window_s <= 0)
       throw std::invalid_argument("coincidence_count_matrix: window <= 0");
     half = window_s / 2.0;
-    reach = std::abs(offset_s) + window_s;
-    pool = analysis_detail::analysis_pool_for(num_threads);
+    // Conservative scan reach (one extra window of slack): membership uses
+    // the same center-bounds arithmetic as count_coincidences.
+    reach_s = std::abs(offset_s) + window_s;
   }
-
-  void push(const StreamWindow& w) {
-    if (finished)
-      throw std::logic_error(
-          "StreamingCountMatrixAccumulator: push after finish");
-    roll.append_window(w, pool.get());
-    if (counts.empty() && roll.ns != kNoChannels)
-      counts.assign(roll.ns * roll.ni, 0);
-    resolve(w.t_end_s);
-  }
-
-  void resolve(double frontier) {
-    roll.resolve(frontier, reach, roll.ni, pool.get(), counts,
-                 [&](double ta, std::size_t& lo, std::uint64_t* row) {
-                   analysis_detail::window_count_event(ta, roll.it, roll.ich, lo,
-                                                       half, offset_s, reach, row);
-                 });
-  }
-
-  std::vector<std::uint64_t> finish() {
-    if (finished)
-      throw std::logic_error(
-          "StreamingCountMatrixAccumulator: finish called twice");
-    finished = true;
-    if (roll.ns == kNoChannels) return {};
-    resolve(kInf);
-    return std::move(counts);
+  double reach() const { return reach_s; }
+  std::size_t cells() const { return 1; }
+  void count(double ta, const std::vector<double>& it, const std::vector<std::uint32_t>& ich,
+             std::size_t& lo, std::uint64_t* row) const {
+    analysis_detail::window_count_event(ta, it, ich, lo, half, offset_s, reach_s, row);
   }
 };
 
-StreamingCountMatrixAccumulator::StreamingCountMatrixAccumulator(double window_s,
-                                                                 double offset_s,
-                                                                 int num_threads)
-    : impl_(std::make_unique<Impl>(window_s, offset_s, num_threads)) {}
-StreamingCountMatrixAccumulator::~StreamingCountMatrixAccumulator() = default;
-StreamingCountMatrixAccumulator::StreamingCountMatrixAccumulator(
-    StreamingCountMatrixAccumulator&&) noexcept = default;
-StreamingCountMatrixAccumulator& StreamingCountMatrixAccumulator::operator=(
-    StreamingCountMatrixAccumulator&&) noexcept = default;
+/// Every signal channel against every idler channel: signal events are
+/// swept one contiguous channel column at a time against the merged
+/// (time, channel) idler view, which is trimmed below everything a future
+/// signal event can reach. `Kernel` supplies the reach, the count cells per
+/// (signal, idler) pair and the per-event count.
+template <class Kernel>
+struct MergedSweep {
+  Kernel kernel;
+  std::shared_ptr<parallel::WorkerPool> pool;
+  std::size_t ns = kNoChannels, ni = kNoChannels;
+  SignalRoll signal;
+  std::vector<double> it;           ///< merged idler times
+  std::vector<std::uint32_t> ich;  ///< merged idler channels
+  std::vector<std::uint64_t> counts;
+  bool finished = false;
 
-void StreamingCountMatrixAccumulator::push(const StreamWindow& w) {
-  impl_->push(w);
+  MergedSweep(Kernel k, int num_threads)
+      : kernel(std::move(k)), pool(analysis_detail::analysis_pool_for(num_threads)) {}
+
+  void push(const EventTable& sig, const EventTable& idl, double frontier) {
+    if (finished) throw std::logic_error(std::string(Kernel::kName) + ": push after finish");
+    if (ns == kNoChannels) {
+      ns = sig.num_channels();
+      ni = idl.num_channels();
+      signal.pending.resize(ns);
+      counts.assign(ns * ni * kernel.cells(), 0);
+    } else if (sig.num_channels() != ns || idl.num_channels() != ni) {
+      throw std::invalid_argument(
+          "streaming accumulator: window channel count changed mid-run");
+    }
+    analysis_detail::MergedView mv = analysis_detail::merge_channels(idl, pool.get());
+    if (it.empty()) {
+      it.swap(mv.t);
+      ich.swap(mv.ch);
+    } else {
+      const bool clean = mv.t.empty() || mv.t.front() >= it.back();
+      it.insert(it.end(), mv.t.begin(), mv.t.end());
+      ich.insert(ich.end(), mv.ch.begin(), mv.ch.end());
+      if (!clean) co_sort(it, ich);
+    }
+    resolve(&sig, frontier);
+  }
+
+  void resolve(const EventTable* sig, double frontier) {
+    const double reach = kernel.reach();
+    signal.resolve(sig, frontier, reach, ni * kernel.cells(), pool.get(), counts,
+                   [&](std::size_t, const double* a0, const double* a1, std::uint64_t* row) {
+                     std::size_t lo = analysis_detail::sweep_start(it, *a0, reach);
+                     for (const double* a = a0; a != a1; ++a)
+                       kernel.count(*a, it, ich, lo, row);
+                   });
+    trim_below(it, &ich, signal.earliest(frontier) - reach);
+  }
+
+  /// Resolves everything still carried; false when nothing was pushed.
+  bool finish() {
+    if (finished)
+      throw std::logic_error(std::string(Kernel::kName) + ": finish called twice");
+    finished = true;
+    if (ns == kNoChannels) return false;
+    resolve(nullptr, kInf);
+    return true;
+  }
+
+  std::vector<std::uint8_t> snapshot(SnapshotKind kind) const {
+    if (finished)
+      throw std::logic_error(std::string(Kernel::kName) + ": snapshot after finish");
+    ByteWriter w;
+    w.header(kind);
+    w.u64(ns == kNoChannels ? std::uint64_t(-1) : ns);
+    w.u64(ni == kNoChannels ? std::uint64_t(-1) : ni);
+    w.vec_f64(it);
+    w.vec_u32(ich);
+    save_columns(w, signal.pending);
+    w.vec_u64(counts);
+    return std::move(w.buf);
+  }
+  void restore(SnapshotKind kind, const std::vector<std::uint8_t>& blob) {
+    ByteReader r(blob);
+    r.header(kind);
+    const std::uint64_t rns = r.u64(), rni = r.u64();
+    ns = rns == std::uint64_t(-1) ? kNoChannels : static_cast<std::size_t>(rns);
+    ni = rni == std::uint64_t(-1) ? kNoChannels : static_cast<std::size_t>(rni);
+    it = r.vec_f64();
+    ich = r.vec_u32();
+    load_columns(r, signal.pending);
+    counts = r.vec_u64();
+    finished = false;
+    r.expect_end();
+  }
+};
+
+using CarSweep = MergedSweep<CarKernel>;
+using CountSweep = MergedSweep<WindowKernel>;
+
+CarMatrix finish_car(CarSweep& s) {
+  CarMatrix result;
+  if (!s.finish()) return result;
+  result.num_signal = s.ns;
+  result.num_idler = s.ni;
+  result.cells.assign(s.ns * s.ni, CarResult{});
+  analysis_detail::finalize_car_cells(result, s.counts, s.kernel.grid);
+  return result;
 }
-std::vector<std::uint64_t> StreamingCountMatrixAccumulator::finish() {
-  return impl_->finish();
+
+std::vector<std::uint64_t> finish_counts(CountSweep& s) {
+  if (!s.finish()) return {};
+  return std::move(s.counts);
 }
 
-std::vector<std::uint8_t> StreamingCountMatrixAccumulator::snapshot() const {
-  if (impl_->finished)
-    throw std::logic_error(
-        "StreamingCountMatrixAccumulator: snapshot after finish");
-  ByteWriter w;
-  w.header(kKindCountMatrix);
-  impl_->roll.save(w);
-  w.vec_u64(impl_->counts);
-  return std::move(w.buf);
-}
-
-void StreamingCountMatrixAccumulator::restore(
-    const std::vector<std::uint8_t>& blob) {
-  ByteReader r(blob);
-  r.header(kKindCountMatrix);
-  impl_->roll.load(r);
-  impl_->counts = r.vec_u64();
-  impl_->finished = false;
-  r.expect_end();
-}
-
-// ---------------------------------------- StreamingCorrelatorAccumulator
-
-struct StreamingCorrelatorAccumulator::Impl {
+/// The diagonal (signal k, idler k) Δt histograms of correlate_all: signal
+/// events are swept against their own idler channel's column.
+struct CorrelatorSweep {
   double bin_width_s = 0, range_s = 0;
   std::size_t half_bins = 0, num_bins = 0;
   std::shared_ptr<parallel::WorkerPool> pool;
   std::size_t nch = kNoChannels;
-  std::vector<std::vector<double>> idler;    ///< rolling per-channel columns
-  std::vector<std::vector<double>> pending;  ///< unresolved signal events
-  std::vector<std::uint64_t> counts;         ///< nch x num_bins
+  std::vector<std::vector<double>> idler;  ///< per-channel columns, trimmed
+  SignalRoll signal;
+  std::vector<std::uint64_t> counts;       ///< nch x num_bins
   bool finished = false;
 
-  Impl(double bin_width, double range, int num_threads)
+  CorrelatorSweep(double bin_width, double range, int num_threads)
       : bin_width_s(bin_width), range_s(range) {
     if (bin_width_s <= 0 || range_s <= 0)
       throw std::invalid_argument("correlate_all: non-positive bin width or range");
@@ -1230,103 +948,155 @@ struct StreamingCorrelatorAccumulator::Impl {
     pool = analysis_detail::analysis_pool_for(num_threads);
   }
 
-  void push(const StreamWindow& w) {
+  void push(const EventTable& sig, const EventTable& idl, double frontier) {
     if (finished)
       throw std::logic_error("StreamingCorrelatorAccumulator: push after finish");
-    if (w.events.signal.num_channels() != w.events.idler.num_channels())
+    if (sig.num_channels() != idl.num_channels())
       throw std::invalid_argument("correlate_all: channel count mismatch");
     if (nch == kNoChannels) {
-      nch = w.events.signal.num_channels();
+      nch = sig.num_channels();
       idler.resize(nch);
-      pending.resize(nch);
+      signal.pending.resize(nch);
       counts.assign(nch * num_bins, 0);
-    } else if (w.events.signal.num_channels() != nch) {
+    } else if (sig.num_channels() != nch) {
       throw std::invalid_argument(
           "streaming accumulator: window channel count changed mid-run");
     }
-    for (std::size_t c = 0; c < nch; ++c) {
-      append_sorted(idler[c], w.events.idler.channel_begin(c),
-                    w.events.idler.channel_end(c));
-      append_sorted(pending[c], w.events.signal.channel_begin(c),
-                    w.events.signal.channel_end(c));
-    }
-    resolve(w.t_end_s);
+    for (std::size_t c = 0; c < nch; ++c)
+      append_sorted(idler[c], idl.channel_begin(c), idl.channel_end(c));
+    resolve(&sig, frontier);
   }
 
-  void resolve(double frontier) {
-    if (nch == kNoChannels) return;
-    struct Chunk {
-      std::size_t ch, begin, end;
-    };
-    std::vector<Chunk> chunks;
-    std::vector<std::size_t> resolved(nch, 0);
-    for (std::size_t c = 0; c < nch; ++c) {
-      const auto& p = pending[c];
-      const auto split = std::partition_point(
-          p.begin(), p.end(),
-          [&](double ta) { return ta + range_s < frontier; });
-      const std::size_t nres = static_cast<std::size_t>(split - p.begin());
-      resolved[c] = nres;
-      for (std::size_t b = 0; b < nres; b += kAnalysisChunkEvents)
-        chunks.push_back({c, b, std::min(nres, b + kAnalysisChunkEvents)});
-    }
-    if (!chunks.empty()) {
-      std::vector<std::vector<std::uint64_t>> partials(chunks.size());
-      const auto run_chunk = [&](std::size_t i) {
-        const Chunk& ck = chunks[i];
-        auto& part = partials[i];
-        part.assign(num_bins, 0);
-        const double* base = pending[ck.ch].data();
-        const double* ib = idler[ck.ch].data();
-        const double* ie = ib + idler[ck.ch].size();
-        const double* lo = std::lower_bound(ib, ie, base[ck.begin] - range_s);
-        for (std::size_t e = ck.begin; e < ck.end; ++e)
-          analysis_detail::corr_count_event(base[e], ie, lo, bin_width_s,
-                                            range_s, half_bins, num_bins,
-                                            part.data());
-      };
-      if (pool && pool->size() > 1 && chunks.size() > 1)
-        pool->run(chunks.size(), run_chunk);
-      else
-        for (std::size_t i = 0; i < chunks.size(); ++i) run_chunk(i);
-      for (std::size_t i = 0; i < chunks.size(); ++i) {
-        std::uint64_t* row = counts.data() + chunks[i].ch * num_bins;
-        for (std::size_t j = 0; j < num_bins; ++j) row[j] += partials[i][j];
-      }
-    }
-    for (std::size_t c = 0; c < nch; ++c) {
-      auto& p = pending[c];
-      p.erase(p.begin(), p.begin() + static_cast<std::ptrdiff_t>(resolved[c]));
-      const double unresolved = p.empty() ? frontier : p.front();
-      if (std::isfinite(unresolved)) {
-        auto& col = idler[c];
-        const auto cut =
-            std::lower_bound(col.begin(), col.end(), unresolved - range_s) -
-            col.begin();
-        col.erase(col.begin(), col.begin() + cut);
-      } else {
-        idler[c].clear();
-      }
-    }
+  void resolve(const EventTable* sig, double frontier) {
+    signal.resolve(sig, frontier, range_s, num_bins, pool.get(), counts,
+                   [&](std::size_t c, const double* a0, const double* a1,
+                       std::uint64_t* row) {
+                     const double* ib = idler[c].data();
+                     const double* ie = ib + idler[c].size();
+                     const double* lo = std::lower_bound(ib, ie, *a0 - range_s);
+                     for (const double* a = a0; a != a1; ++a)
+                       analysis_detail::corr_count_event(*a, ie, lo, bin_width_s, range_s,
+                                                         half_bins, num_bins, row);
+                   });
+    for (std::size_t c = 0; c < nch; ++c)
+      trim_below(idler[c], nullptr, signal.earliest(c, frontier) - range_s);
   }
 
   std::vector<CoincidenceHistogram> finish() {
     if (finished)
-      throw std::logic_error(
-          "StreamingCorrelatorAccumulator: finish called twice");
+      throw std::logic_error("StreamingCorrelatorAccumulator: finish called twice");
     finished = true;
     if (nch == kNoChannels) return {};
-    resolve(kInf);
+    resolve(nullptr, kInf);
     std::vector<CoincidenceHistogram> hists(nch);
     for (std::size_t c = 0; c < nch; ++c) {
       hists[c].bin_width_s = bin_width_s;
       hists[c].range_s = range_s;
       hists[c].counts.assign(counts.begin() + static_cast<std::ptrdiff_t>(c * num_bins),
-                             counts.begin() +
-                                 static_cast<std::ptrdiff_t>((c + 1) * num_bins));
+                             counts.begin() + static_cast<std::ptrdiff_t>((c + 1) * num_bins));
     }
     return hists;
   }
+};
+
+}  // namespace
+
+// --------------------------------------------------- batch analysis entry
+//
+// A whole-run table pair is one window that reaches +∞: the accumulators
+// resolve every event in that single push.
+
+CarMatrix car_matrix(const EventTable& signal, const EventTable& idler, double window_s,
+                     double side_window_spacing_s, int num_side_windows, int num_threads) {
+  CarSweep s(CarKernel(window_s, side_window_spacing_s, num_side_windows), num_threads);
+  QFC_OBS_SPAN("engine.car_matrix", {{"events", signal.size() + idler.size()}});
+  s.push(signal, idler, kInf);
+  return finish_car(s);
+}
+
+std::vector<std::uint64_t> coincidence_count_matrix(const EventTable& signal,
+                                                    const EventTable& idler,
+                                                    double window_s, double offset_s,
+                                                    int num_threads) {
+  CountSweep s(WindowKernel(window_s, offset_s), num_threads);
+  QFC_OBS_SPAN("engine.count_matrix", {{"events", signal.size() + idler.size()}});
+  s.push(signal, idler, kInf);
+  return finish_counts(s);
+}
+
+std::vector<CoincidenceHistogram> correlate_all(const EventTable& signal,
+                                                const EventTable& idler,
+                                                double bin_width_s, double range_s,
+                                                int num_threads) {
+  CorrelatorSweep s(bin_width_s, range_s, num_threads);
+  QFC_OBS_SPAN("engine.correlate_all", {{"events", signal.size() + idler.size()}});
+  s.push(signal, idler, kInf);
+  return s.finish();
+}
+
+// ------------------------------------------------ StreamingCarAccumulator
+
+struct StreamingCarAccumulator::Impl : CarSweep {
+  using CarSweep::CarSweep;
+};
+
+StreamingCarAccumulator::StreamingCarAccumulator(double window_s,
+                                                 double side_window_spacing_s,
+                                                 int num_side_windows,
+                                                 int num_threads)
+    : impl_(std::make_unique<Impl>(
+          CarKernel(window_s, side_window_spacing_s, num_side_windows), num_threads)) {}
+StreamingCarAccumulator::~StreamingCarAccumulator() = default;
+StreamingCarAccumulator::StreamingCarAccumulator(
+    StreamingCarAccumulator&&) noexcept = default;
+StreamingCarAccumulator& StreamingCarAccumulator::operator=(
+    StreamingCarAccumulator&&) noexcept = default;
+
+void StreamingCarAccumulator::push(const StreamWindow& w) {
+  QFC_OBS_SPAN("engine.stream.car_push", {{"events", w.events.signal.size()}});
+  impl_->push(w.events.signal, w.events.idler, w.t_end_s);
+}
+CarMatrix StreamingCarAccumulator::finish() { return finish_car(*impl_); }
+std::vector<std::uint8_t> StreamingCarAccumulator::snapshot() const {
+  return impl_->snapshot(kKindCar);
+}
+void StreamingCarAccumulator::restore(const std::vector<std::uint8_t>& blob) {
+  impl_->restore(kKindCar, blob);
+}
+
+// ---------------------------------------- StreamingCountMatrixAccumulator
+
+struct StreamingCountMatrixAccumulator::Impl : CountSweep {
+  using CountSweep::CountSweep;
+};
+
+StreamingCountMatrixAccumulator::StreamingCountMatrixAccumulator(double window_s,
+                                                                 double offset_s,
+                                                                 int num_threads)
+    : impl_(std::make_unique<Impl>(WindowKernel(window_s, offset_s), num_threads)) {}
+StreamingCountMatrixAccumulator::~StreamingCountMatrixAccumulator() = default;
+StreamingCountMatrixAccumulator::StreamingCountMatrixAccumulator(
+    StreamingCountMatrixAccumulator&&) noexcept = default;
+StreamingCountMatrixAccumulator& StreamingCountMatrixAccumulator::operator=(
+    StreamingCountMatrixAccumulator&&) noexcept = default;
+
+void StreamingCountMatrixAccumulator::push(const StreamWindow& w) {
+  impl_->push(w.events.signal, w.events.idler, w.t_end_s);
+}
+std::vector<std::uint64_t> StreamingCountMatrixAccumulator::finish() {
+  return finish_counts(*impl_);
+}
+std::vector<std::uint8_t> StreamingCountMatrixAccumulator::snapshot() const {
+  return impl_->snapshot(kKindCountMatrix);
+}
+void StreamingCountMatrixAccumulator::restore(const std::vector<std::uint8_t>& blob) {
+  impl_->restore(kKindCountMatrix, blob);
+}
+
+// ---------------------------------------- StreamingCorrelatorAccumulator
+
+struct StreamingCorrelatorAccumulator::Impl : CorrelatorSweep {
+  using CorrelatorSweep::CorrelatorSweep;
 };
 
 StreamingCorrelatorAccumulator::StreamingCorrelatorAccumulator(double bin_width_s,
@@ -1340,7 +1110,7 @@ StreamingCorrelatorAccumulator& StreamingCorrelatorAccumulator::operator=(
     StreamingCorrelatorAccumulator&&) noexcept = default;
 
 void StreamingCorrelatorAccumulator::push(const StreamWindow& w) {
-  impl_->push(w);
+  impl_->push(w.events.signal, w.events.idler, w.t_end_s);
 }
 std::vector<CoincidenceHistogram> StreamingCorrelatorAccumulator::finish() {
   return impl_->finish();
@@ -1353,10 +1123,8 @@ std::vector<std::uint8_t> StreamingCorrelatorAccumulator::snapshot() const {
   ByteWriter w;
   w.header(kKindCorrelator);
   w.u64(impl_->nch == kNoChannels ? std::uint64_t(-1) : impl_->nch);
-  w.u64(impl_->idler.size());
-  for (const auto& col : impl_->idler) w.vec_f64(col);
-  w.u64(impl_->pending.size());
-  for (const auto& col : impl_->pending) w.vec_f64(col);
+  save_columns(w, impl_->idler);
+  save_columns(w, impl_->signal.pending);
   w.vec_u64(impl_->counts);
   return std::move(w.buf);
 }
@@ -1367,10 +1135,8 @@ void StreamingCorrelatorAccumulator::restore(
   r.header(kKindCorrelator);
   const std::uint64_t rn = r.u64();
   impl_->nch = rn == std::uint64_t(-1) ? kNoChannels : static_cast<std::size_t>(rn);
-  impl_->idler.resize(r.u64());
-  for (auto& col : impl_->idler) col = r.vec_f64();
-  impl_->pending.resize(r.u64());
-  for (auto& col : impl_->pending) col = r.vec_f64();
+  load_columns(r, impl_->idler);
+  load_columns(r, impl_->signal.pending);
   impl_->counts = r.vec_u64();
   impl_->finished = false;
   r.expect_end();

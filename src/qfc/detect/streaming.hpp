@@ -1,20 +1,20 @@
 #pragma once
 
 /// \file streaming.hpp
-/// Windowed, bounded-memory generation and online analysis for the event
-/// engine: EventStreamer produces the exact click streams of
-/// EventEngine::run in fixed time windows, and the Streaming*Accumulator
-/// classes fold each window into car_matrix / coincidence_count_matrix /
-/// correlate_all / Allan-deviation results, discarding consumed events as
-/// they resolve, so resident memory stays flat no matter how long the run.
+/// The detection pipeline: EventStreamer generates the click streams of a
+/// run in fixed time windows, and the Streaming*Accumulator classes fold
+/// each window into car_matrix / coincidence_count_matrix / correlate_all /
+/// Allan-deviation results, discarding consumed events as they resolve, so
+/// resident memory stays flat no matter how long the run.
+/// EventEngine::run is this pipeline drained in one window, and the
+/// whole-table analyzers of event_engine.hpp push one whole-run window.
 ///
-/// Determinism and parity contract: every per-stage RNG sub-stream of the
-/// batch engine (channel_rng.hpp) is paused — never re-seeded or reordered
-/// — at window boundaries, and every analysis count goes through the same
-/// inline per-event functions as the batch sweeps (analysis_sweep.hpp).
-/// Consequently a streamed run is **bitwise identical** to
-/// EventEngine::run + the batch analysis helpers at every window size, and
-/// at every generation / analysis thread count.
+/// Determinism contract: every per-stage RNG sub-stream (channel_rng.hpp)
+/// is paused — never re-seeded or reordered — at window boundaries, and
+/// every analysis count goes through the same inline per-event functions
+/// (analysis_sweep.hpp) in integer partials. Consequently output is
+/// **bitwise identical** at every window size, and at every generation /
+/// analysis thread count.
 ///
 /// Window boundary handling: the delay and jitter distributions have
 /// unbounded support, so a photon born inside window k can click inside
@@ -33,6 +33,7 @@
 /// continues bitwise identical to the uninterrupted one.
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -41,8 +42,8 @@
 
 namespace qfc::detect {
 
-/// Streaming-specific knobs; generation physics and seeds come from the
-/// same EngineConfig / ChannelPairSpec as the batch engine.
+/// Streaming-specific knobs; generation physics and seeds come from
+/// EngineConfig / ChannelPairSpec.
 struct StreamConfig {
   /// Window length in seconds. The run is split into
   /// ceil(duration_s / window_s) fixed windows; window k covers
@@ -56,9 +57,8 @@ struct StreamConfig {
 };
 
 /// One emitted window: the clicks of both detector banks restricted to
-/// [t_begin_s, t_end_s), in the same EventTable layout as a batch run.
-/// Concatenating the per-channel columns of every window reproduces the
-/// batch EngineResult exactly.
+/// [t_begin_s, t_end_s), in the EventTable layout. Concatenating the
+/// per-channel columns of every window gives the EventEngine::run result.
 struct StreamWindow {
   std::size_t index = 0;
   double t_begin_s = 0;
@@ -67,7 +67,7 @@ struct StreamWindow {
   EngineResult events;
 };
 
-/// Windowed generator with the exact output of EventEngine::run. Usage:
+/// Windowed generator; EventEngine::run is one window of it. Usage:
 ///
 ///   EventStreamer s(cfg, {.window_s = 10.0}, specs);
 ///   StreamWindow w;
@@ -75,8 +75,8 @@ struct StreamWindow {
 ///   auto result = accumulator.finish();
 class EventStreamer {
  public:
-  /// Validates exactly like EventEngine::run (same exceptions for bad
-  /// specs) plus StreamConfig::window_s > 0.
+  /// Throws std::invalid_argument for a bad config or spec (the channel
+  /// index prefixes spec errors) or StreamConfig::window_s <= 0.
   EventStreamer(const EngineConfig& cfg, const StreamConfig& stream,
                 std::vector<ChannelPairSpec> channels);
   ~EventStreamer();
@@ -94,7 +94,7 @@ class EventStreamer {
   /// Clicks or arrivals that materialized behind an already-finalized
   /// window boundary (see file comment). Always 0 at the default slack in
   /// any realistic run; nonzero means window contents are no longer
-  /// bitwise comparable to batch.
+  /// bitwise comparable across window sizes.
   std::uint64_t boundary_violations() const;
 
   const EngineConfig& config() const;
@@ -112,10 +112,23 @@ class EventStreamer {
   std::unique_ptr<Impl> impl_;
 };
 
+/// Window length that bounds the memory of a run over `channels`: about
+/// 10^5 expected clicks across all channels per window, capped at
+/// `duration_s`. The expected click rate per channel is
+/// mean_pair_rate_hz x (transmission x efficiency, summed over both arms)
+/// plus each arm's spec-level background x efficiency and detector dark
+/// rate.
+double bounded_window_s(const std::vector<ChannelPairSpec>& channels, double duration_s);
+
+/// Stream `channels` under `cfg` in windows of bounded_window_s and hand
+/// every window, in order, to `on_window`.
+void for_each_window(const EngineConfig& cfg, std::vector<ChannelPairSpec> channels,
+                     const std::function<void(const StreamWindow&)>& on_window);
+
 /// Online car_matrix: push every window, then finish() returns exactly
-/// what `car_matrix(signal, idler, ...)` would return for the whole run —
+/// what `car_matrix(signal, idler, ...)` returns for the whole run —
 /// bitwise, at every window size and every `num_threads` (0 = the
-/// process-wide analysis setting, as in the batch helpers).
+/// process-wide analysis setting).
 class StreamingCarAccumulator {
  public:
   StreamingCarAccumulator(double window_s, double side_window_spacing_s,

@@ -4,7 +4,7 @@
 /// Lightweight, thread-safe, zero-overhead-when-disabled observability for
 /// the engine/pool/linalg substrate:
 ///
-///  - **Tracing spans** — `QFC_OBS_SPAN("engine.generate", {{"channel", c}})`
+///  - **Tracing spans** — `QFC_OBS_SPAN("engine.stream.channel", {{"channel", c}})`
 ///    records a scoped begin/end event into a per-thread buffer; the whole
 ///    trace exports as Chrome trace-event JSON (`write_trace` /
 ///    `trace_json`), loadable in chrome://tracing or Perfetto.

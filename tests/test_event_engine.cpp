@@ -568,24 +568,26 @@ TEST(ShardedAnalysis, ProcessWideSettingControlsTheDefaultPath) {
   EXPECT_GE(detect::analysis_threads(), 1u);  // auto resolves to hardware
 }
 
-TEST(ShardedAnalysis, EngineBoundHelpersHonorConfig) {
+TEST(ShardedAnalysis, ConfigAnalysisThreadsFeedTheFreeFunctions) {
   EngineConfig ec;
   ec.duration_s = 4.0;
   ec.seed = 77;
   ec.analysis_threads = 2;
-  const EventEngine engine(ec);
-  const EngineResult res = engine.run(test_specs(3));
+  const EngineResult res = EventEngine(ec).run(test_specs(3));
 
   expect_car_matrices_equal(
       detect::car_matrix(res.signal, res.idler, 8e-9, 100e-9, 10, 1),
-      engine.car_matrix(res, 8e-9, 100e-9), "engine helper");
-  const auto hists = engine.correlate_all(res, 1e-9, 50e-9);
+      detect::car_matrix(res.signal, res.idler, 8e-9, 100e-9, 10, ec.analysis_threads),
+      "config analysis threads");
+  const auto hists =
+      detect::correlate_all(res.signal, res.idler, 1e-9, 50e-9, ec.analysis_threads);
   const auto hists1 = detect::correlate_all(res.signal, res.idler, 1e-9, 50e-9, 1);
   ASSERT_EQ(hists.size(), hists1.size());
   for (std::size_t c = 0; c < hists.size(); ++c)
     EXPECT_EQ(hists[c].counts, hists1[c].counts);
-  EXPECT_EQ(engine.coincidence_count_matrix(res, 8e-9),
-            detect::coincidence_count_matrix(res.signal, res.idler, 8e-9, 0.0, 1));
+  EXPECT_EQ(
+      detect::coincidence_count_matrix(res.signal, res.idler, 8e-9, 0.0, ec.analysis_threads),
+      detect::coincidence_count_matrix(res.signal, res.idler, 8e-9, 0.0, 1));
 
   EngineConfig bad;
   bad.analysis_threads = -1;

@@ -1,15 +1,18 @@
 // Tests for the windowed streaming engine and its online accumulators:
-// bitwise streaming-vs-batch parity across emission modes, window sizes
-// and thread counts; snapshot/restore; boundary-violation accounting; and
-// the streaming-backed core façades.
+// bitwise window-size and thread-count invariance across emission modes,
+// anchored to the golden values of detect_golden.hpp; snapshot/restore;
+// boundary-violation accounting; and the streaming-backed core façades.
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "detect_golden.hpp"
 #include "qfc/core/comb_source.hpp"
+#include "qfc/core/heralded.hpp"
 #include "qfc/core/qkd.hpp"
 #include "qfc/core/stability.hpp"
 #include "qfc/detect/event_engine.hpp"
@@ -158,52 +161,89 @@ constexpr double kCorrRange = 40e-9;
 class StreamingParity
     : public ::testing::TestWithParam<detect::EmissionMode> {};
 
-TEST_P(StreamingParity, BitwiseMatchesBatchAcrossWindowSizesAndThreads) {
-  const auto specs = specs_for(GetParam());
+/// Stream `specs` in windows of `window_s`, folding every window into the
+/// three accumulators and concatenating the per-channel columns.
+struct StreamedRun {
+  EngineResult events;
+  detect::CarMatrix car;
+  std::vector<std::uint64_t> counts;
+  std::vector<detect::CoincidenceHistogram> hists;
+  std::uint64_t boundary_violations = 0;
+};
+
+StreamedRun stream_run(const EngineConfig& ec, const std::vector<ChannelPairSpec>& specs,
+                       double window_s, double car_window, double car_spacing,
+                       double count_window, double count_offset, double corr_bin,
+                       double corr_range, int analysis_threads) {
+  StreamConfig sc;
+  sc.window_s = window_s;
+  EventStreamer streamer(ec, sc, specs);
+  detect::StreamingCarAccumulator car(car_window, car_spacing, 10, analysis_threads);
+  detect::StreamingCountMatrixAccumulator cm(count_window, count_offset, analysis_threads);
+  detect::StreamingCorrelatorAccumulator corr(corr_bin, corr_range, analysis_threads);
+  std::vector<std::vector<double>> sig(specs.size()), idl(specs.size());
+  StreamWindow w;
+  while (streamer.next(w)) {
+    car.push(w);
+    cm.push(w);
+    corr.push(w);
+    for (std::size_t c = 0; c < specs.size(); ++c) {
+      const auto col_s = w.events.signal.channel_clicks(c);
+      const auto col_i = w.events.idler.channel_clicks(c);
+      sig[c].insert(sig[c].end(), col_s.begin(), col_s.end());
+      idl[c].insert(idl[c].end(), col_i.begin(), col_i.end());
+    }
+  }
+  StreamedRun r;
+  r.events.signal = EventTable::from_columns(std::move(sig));
+  r.events.idler = EventTable::from_columns(std::move(idl));
+  r.car = car.finish();
+  r.counts = cm.finish();
+  r.hists = corr.finish();
+  r.boundary_violations = streamer.boundary_violations();
+  return r;
+}
+
+TEST_P(StreamingParity, BitwiseInvariantAcrossWindowSizesAndThreads) {
+  const detect::EmissionMode mode = GetParam();
+  // Reference: the whole run as one window (EventEngine::run + the
+  // whole-table analyzers) on specs with an empty channel.
+  const auto specs = specs_for(mode);
   const EngineConfig ec = engine_config();
-  const EngineResult batch = EventEngine(ec).run(specs);
-  const auto batch_car =
-      detect::car_matrix(batch.signal, batch.idler, kCarWindow, kCarSpacing, 10, 1);
-  const auto batch_counts = detect::coincidence_count_matrix(
-      batch.signal, batch.idler, kCarWindow, kCountOffset, 1);
-  const auto batch_hists =
-      detect::correlate_all(batch.signal, batch.idler, kCorrBin, kCorrRange, 1);
+  const EngineResult one = EventEngine(ec).run(specs);
+  const auto one_car =
+      detect::car_matrix(one.signal, one.idler, kCarWindow, kCarSpacing, 10, 1);
+  const auto one_counts = detect::coincidence_count_matrix(
+      one.signal, one.idler, kCarWindow, kCountOffset, 1);
+  const auto one_hists =
+      detect::correlate_all(one.signal, one.idler, kCorrBin, kCorrRange, 1);
 
   for (double window_s : parity_windows()) {
     SCOPED_TRACE("window_s = " + std::to_string(window_s));
-    StreamConfig sc;
-    sc.window_s = window_s;
     for (int analysis_threads : {1, 2, 4}) {
       SCOPED_TRACE("analysis_threads = " + std::to_string(analysis_threads));
-      EventStreamer streamer(ec, sc, specs);
-      detect::StreamingCarAccumulator car(kCarWindow, kCarSpacing, 10,
-                                          analysis_threads);
-      detect::StreamingCountMatrixAccumulator cm(kCarWindow, kCountOffset,
-                                                 analysis_threads);
-      detect::StreamingCorrelatorAccumulator corr(kCorrBin, kCorrRange,
-                                                  analysis_threads);
-      std::vector<std::vector<double>> sig(specs.size()), idl(specs.size());
-      StreamWindow w;
-      while (streamer.next(w)) {
-        car.push(w);
-        cm.push(w);
-        corr.push(w);
-        for (std::size_t c = 0; c < specs.size(); ++c) {
-          const auto col_s = w.events.signal.channel_clicks(c);
-          const auto col_i = w.events.idler.channel_clicks(c);
-          sig[c].insert(sig[c].end(), col_s.begin(), col_s.end());
-          idl[c].insert(idl[c].end(), col_i.begin(), col_i.end());
-        }
-      }
-      EXPECT_EQ(streamer.boundary_violations(), 0u);
-      EXPECT_EQ(EventTable::from_columns(std::move(sig)), batch.signal);
-      EXPECT_EQ(EventTable::from_columns(std::move(idl)), batch.idler);
-      expect_car_equal(car.finish(), batch_car);
-      EXPECT_EQ(cm.finish(), batch_counts);
-      const auto hists = corr.finish();
-      ASSERT_EQ(hists.size(), batch_hists.size());
-      for (std::size_t c = 0; c < hists.size(); ++c)
-        EXPECT_EQ(hists[c].counts, batch_hists[c].counts) << "channel " << c;
+      const StreamedRun r = stream_run(ec, specs, window_s, kCarWindow, kCarSpacing,
+                                       kCarWindow, kCountOffset, kCorrBin, kCorrRange,
+                                       analysis_threads);
+      EXPECT_EQ(r.boundary_violations, 0u);
+      EXPECT_EQ(r.events.signal, one.signal);
+      EXPECT_EQ(r.events.idler, one.idler);
+      expect_car_equal(r.car, one_car);
+      EXPECT_EQ(r.counts, one_counts);
+      ASSERT_EQ(r.hists.size(), one_hists.size());
+      for (std::size_t c = 0; c < r.hists.size(); ++c)
+        EXPECT_EQ(r.hists[c].counts, one_hists[c].counts) << "channel " << c;
+
+      // The same windows and thread counts reproduce the recorded values.
+      const StreamedRun g = stream_run(
+          golden::engine_config(), golden::specs(mode), window_s, golden::kCarWindow,
+          golden::kCarSpacing, golden::kCountWindow, golden::kCountOffset,
+          golden::kCorrBin, golden::kCorrRange, analysis_threads);
+      EXPECT_EQ(g.boundary_violations, 0u);
+      golden::expect_events(g.events, mode);
+      golden::expect_car(g.car, mode);
+      golden::expect_count_matrix(g.counts, mode);
+      golden::expect_histograms(g.hists, mode);
     }
   }
 }
@@ -410,6 +450,58 @@ TEST(StreamingFacades, QkdStreamCheckWindowSizeInvariant) {
               batch[i].measured_accidental_rate_hz);
   }
   EXPECT_THROW(link.stream_check(-1.0, 1.0), std::invalid_argument);
+}
+
+TEST(StreamingFacades, ChannelTableInvariantToTheDerivedWindow) {
+  // run_channel_table streams in windows of bounded_window_s. A short run
+  // fits in one window and a long run at the same rates takes several;
+  // both must equal the whole-run table analysis of the same specs.
+  const auto comb = core::QuantumFrequencyComb::for_configuration(
+      core::PumpConfiguration::SelfLockedCw);
+  core::HeraldedConfig cfg;
+  cfg.num_channel_pairs = 3;
+  cfg.engine_threads = 2;
+  std::vector<ChannelPairSpec> specs;
+  {
+    const auto exp = comb.heralded(cfg);
+    for (int k = 1; k <= cfg.num_channel_pairs; ++k) {
+      ChannelPairSpec spec;
+      spec.pair_rate_hz = exp.source().pair_rate_hz(k);
+      spec.linewidth_hz = exp.source().photon_linewidth_hz();
+      spec.transmission_signal = cfg.channels.chain(k, 0).transmission;
+      spec.transmission_idler = cfg.channels.chain(k, 1).transmission;
+      spec.detector_signal = cfg.channels.chain(k, 0).detector;
+      spec.detector_idler = cfg.channels.chain(k, 1).detector;
+      specs.push_back(spec);
+    }
+  }
+  const double window = detect::bounded_window_s(specs, 1e9);
+  for (const double duration : {window / 4.0, 2.5 * window}) {
+    SCOPED_TRACE("duration_s = " + std::to_string(duration));
+    cfg.duration_s = duration;
+    auto exp = comb.heralded(cfg);
+    const auto table = exp.run_channel_table();
+
+    EngineConfig ec;
+    ec.duration_s = duration;
+    ec.seed = cfg.seed + 2;
+    const EngineResult events = EventEngine(ec).run(specs);
+    const auto matrix = detect::car_matrix(events.signal, events.idler,
+                                           cfg.coincidence_window_s, cfg.side_window_spacing_s);
+    ASSERT_EQ(table.size(), specs.size());
+    for (std::size_t c = 0; c < specs.size(); ++c) {
+      const detect::CarResult& want = matrix.at(c, c);
+      EXPECT_EQ(table[c].car, want.car) << "channel " << c;
+      EXPECT_EQ(table[c].car_err, want.car_err) << "channel " << c;
+      EXPECT_EQ(table[c].coincidence_rate_hz,
+                std::max(0.0, want.coincidences - want.accidentals) / duration);
+      EXPECT_EQ(table[c].singles_signal_hz,
+                static_cast<double>(events.signal.channel_size(c)) / duration);
+      EXPECT_EQ(table[c].singles_idler_hz,
+                static_cast<double>(events.idler.channel_size(c)) / duration);
+    }
+    EXPECT_EQ(detect::bounded_window_s(specs, duration) < duration, duration > window);
+  }
 }
 
 TEST(StreamingAccumulators, RejectMisuse) {
