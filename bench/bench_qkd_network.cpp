@@ -14,6 +14,7 @@
 // Usage: bench_qkd_network [--smoke] [--json PATH] [--help]
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -76,12 +77,14 @@ bool reports_identical(const core::QkdNetworkReport& a,
   for (std::size_t u = 0; u < a.users.size(); ++u) {
     if (a.users[u].car.coincidences != b.users[u].car.coincidences) return false;
     if (a.users[u].car.accidentals != b.users[u].car.accidentals) return false;
-    if (a.users[u].qber != b.users[u].qber) return false;
+    // A user without coincidences has a NaN QBER on both sides.
+    const double qa = a.users[u].qber, qb = b.users[u].qber;
+    if (!(qa == qb || (std::isnan(qa) && std::isnan(qb)))) return false;
     if (a.users[u].secret_key_rate_bps != b.users[u].secret_key_rate_bps)
       return false;
   }
   return a.total_key_rate_bps == b.total_key_rate_bps &&
-         a.users_with_key == b.users_with_key;
+         a.users_with_key == b.users_with_key && a.users_no_data == b.users_no_data;
 }
 
 struct NetworkRow {

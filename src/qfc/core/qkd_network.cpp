@@ -72,7 +72,7 @@ io::Json QkdUserReport::to_json() const {
   j.set("distance_km", distance_km);
   j.set("car", car.to_json());
   j.set("visibility", visibility);
-  j.set("qber", io::number_or_string(qber));
+  j.set("qber", std::isnan(qber) ? io::Json(nullptr) : io::Json(qber));
   j.set("sifted_rate_hz", sifted_rate_hz);
   j.set("secret_fraction", secret_fraction);
   j.set("secret_key_rate_bps", secret_key_rate_bps);
@@ -100,6 +100,7 @@ io::Json QkdNetworkReport::to_json(bool include_diagnostics) const {
   j.set("total_key_rate_bps", total_key_rate_bps);
   j.set("worst_qber", io::number_or_string(worst_qber));
   j.set("users_with_key", users_with_key);
+  j.set("users_no_data", users_no_data);
   io::Json bins = io::Json::make_array();
   for (const auto& b : distance_histogram) bins.push_back(b.to_json());
   j.set("distance_histogram", std::move(bins));
@@ -221,9 +222,10 @@ QkdNetworkReport QkdNetwork::run(double duration_s) const {
             const double v_intrinsic =
                 intrinsic_visibility(*experiment_, assigned_[u], user.link);
             r.visibility = total > 0 ? v_intrinsic * true_c / total : 0.0;
-            r.qber = qber_from_visibility(r.visibility);
+            r.qber = total > 0 ? qber_from_visibility(r.visibility)
+                               : std::numeric_limits<double>::quiet_NaN();
             r.sifted_rate_hz = user.endpoint.sifting_factor * total / duration_s;
-            r.secret_fraction = bbm92_secret_fraction(r.qber);
+            r.secret_fraction = total > 0 ? bbm92_secret_fraction(r.qber) : 0.0;
             r.secret_key_rate_bps = r.sifted_rate_hz * r.secret_fraction;
             r.key_positive = r.secret_key_rate_bps > 0;
             report.users[u] = r;
@@ -233,14 +235,19 @@ QkdNetworkReport QkdNetwork::run(double duration_s) const {
 
   // ---- aggregates, accumulated serially in user order (deterministic).
   double max_distance = 0;
+  // Users without coincidences have no QBER (NaN) and stay out of the
+  // QBER aggregates.
   for (const QkdUserReport& r : report.users) {
     if (r.key_positive) {
       report.total_key_rate_bps += r.secret_key_rate_bps;
       ++report.users_with_key;
     }
-    report.worst_qber = std::isnan(report.worst_qber)
-                            ? r.qber
-                            : std::max(report.worst_qber, r.qber);
+    if (std::isnan(r.qber))
+      ++report.users_no_data;
+    else
+      report.worst_qber = std::isnan(report.worst_qber)
+                              ? r.qber
+                              : std::max(report.worst_qber, r.qber);
     max_distance = std::max(max_distance, r.distance_km);
   }
 
@@ -253,6 +260,7 @@ QkdNetworkReport QkdNetwork::run(double duration_s) const {
     report.distance_histogram[b].hi_km =
         static_cast<double>(b + 1) * cfg_.histogram_bin_km;
   }
+  std::vector<std::size_t> with_data(num_bins, 0);  // users with a QBER, per bin
   for (const QkdUserReport& r : report.users) {
     const std::size_t b = std::min(
         num_bins - 1,
@@ -263,10 +271,18 @@ QkdNetworkReport QkdNetwork::run(double duration_s) const {
       ++bin.users_with_key;
       bin.total_key_rate_bps += r.secret_key_rate_bps;
     }
-    bin.mean_qber += r.qber;  // sum for now; divided below
+    if (!std::isnan(r.qber)) {
+      ++with_data[b];
+      bin.mean_qber += r.qber;  // sum for now; divided below
+    }
   }
-  for (DistanceBinStat& bin : report.distance_histogram)
-    if (bin.users > 0) bin.mean_qber /= static_cast<double>(bin.users);
+  for (std::size_t b = 0; b < num_bins; ++b) {
+    DistanceBinStat& bin = report.distance_histogram[b];
+    if (with_data[b] > 0)
+      bin.mean_qber /= static_cast<double>(with_data[b]);
+    else if (bin.users > 0)
+      bin.mean_qber = std::numeric_limits<double>::quiet_NaN();
+  }
 
   obs::gauge("network.users_with_key")
       .set(static_cast<long long>(report.users_with_key));

@@ -86,7 +86,7 @@ struct QkdUserReport {
   double distance_km = 0;
   detect::CarResult car;   ///< this user's diagonal CAR-matrix cell
   double visibility = 0;   ///< intrinsic visibility × measured true/total
-  double qber = 0;
+  double qber = 0;         ///< NaN (JSON null) when the user saw no coincidences
   double sifted_rate_hz = 0;
   double secret_fraction = 0;
   double secret_key_rate_bps = 0;
@@ -102,7 +102,9 @@ struct DistanceBinStat {
   std::size_t users = 0;
   std::size_t users_with_key = 0;
   double total_key_rate_bps = 0;
-  double mean_qber = 0;  ///< mean over the bin's users
+  /// Mean QBER over the bin's users with data; NaN when none of its users
+  /// has data, 0 for an empty bin.
+  double mean_qber = 0;
 
   io::Json to_json() const;
 };
@@ -112,8 +114,9 @@ struct QkdNetworkReport {
   std::vector<QkdUserReport> users;
   // ---- network aggregates
   double total_key_rate_bps = 0;   ///< sum of positive per-user key rates
-  double worst_qber = 0;           ///< max per-user QBER; NaN when no users
+  double worst_qber = 0;           ///< max QBER over users with data; NaN if none
   std::size_t users_with_key = 0;
+  std::size_t users_no_data = 0;   ///< users with zero coincidences (QBER null)
   std::vector<DistanceBinStat> distance_histogram;
   // ---- run diagnostics
   std::size_t stream_windows = 0;  ///< windows the shared run emitted

@@ -39,7 +39,8 @@ void expect_reports_bitwise_equal(const core::QkdNetworkReport& a,
     EXPECT_EQ(a.users[u].car.car, b.users[u].car.car);
     EXPECT_EQ(a.users[u].car.car_err, b.users[u].car.car_err);
     EXPECT_EQ(a.users[u].visibility, b.users[u].visibility);
-    EXPECT_EQ(a.users[u].qber, b.users[u].qber);
+    EXPECT_TRUE((std::isnan(a.users[u].qber) && std::isnan(b.users[u].qber)) ||
+                a.users[u].qber == b.users[u].qber);
     EXPECT_EQ(a.users[u].sifted_rate_hz, b.users[u].sifted_rate_hz);
     EXPECT_EQ(a.users[u].secret_key_rate_bps, b.users[u].secret_key_rate_bps);
   }
@@ -47,13 +48,15 @@ void expect_reports_bitwise_equal(const core::QkdNetworkReport& a,
   EXPECT_TRUE((std::isnan(a.worst_qber) && std::isnan(b.worst_qber)) ||
               a.worst_qber == b.worst_qber);
   EXPECT_EQ(a.users_with_key, b.users_with_key);
+  EXPECT_EQ(a.users_no_data, b.users_no_data);
   ASSERT_EQ(a.distance_histogram.size(), b.distance_histogram.size());
   for (std::size_t i = 0; i < a.distance_histogram.size(); ++i) {
     EXPECT_EQ(a.distance_histogram[i].users, b.distance_histogram[i].users);
     EXPECT_EQ(a.distance_histogram[i].total_key_rate_bps,
               b.distance_histogram[i].total_key_rate_bps);
-    EXPECT_EQ(a.distance_histogram[i].mean_qber,
-              b.distance_histogram[i].mean_qber);
+    EXPECT_TRUE((std::isnan(a.distance_histogram[i].mean_qber) &&
+                 std::isnan(b.distance_histogram[i].mean_qber)) ||
+                a.distance_histogram[i].mean_qber == b.distance_histogram[i].mean_qber);
   }
 }
 
@@ -191,6 +194,40 @@ TEST_F(QkdNetworkFixture, EmptyAndSingleUserDegenerateNetworks) {
   EXPECT_TRUE(r.users[0].key_positive);
   EXPECT_EQ(r.users_with_key, 1u);
   EXPECT_EQ(r.total_key_rate_bps, r.users[0].secret_key_rate_bps);
+}
+
+TEST_F(QkdNetworkFixture, UnreachableUserHasNoQberAndStaysOutOfAggregates) {
+  // User 1 sits behind 2000 km of fiber: in a short run it records no
+  // coincidence at all, so it has no QBER rather than the QBER 0.5 of
+  // zero visibility, and the QBER aggregates cover user 0 only.
+  core::QkdNetworkConfig cfg = core::QkdNetworkConfig::uniform(2, 0.0);
+  cfg.users[1].link.distance_km = 2000.0;
+  cfg.histogram_bin_km = 1000.0;
+  const core::QkdNetwork net(exp_, cfg);
+  const auto report = net.run(/*duration_s=*/0.01);
+  ASSERT_EQ(report.users.size(), 2u);
+  const auto& near = report.users[0];
+  const auto& far = report.users[1];
+  ASSERT_GT(near.car.coincidences, 0.0);
+  EXPECT_FALSE(std::isnan(near.qber));
+  EXPECT_EQ(far.car.coincidences, 0.0);
+  EXPECT_TRUE(std::isnan(far.qber));
+  EXPECT_FALSE(far.key_positive);
+  EXPECT_EQ(far.secret_key_rate_bps, 0.0);
+
+  EXPECT_EQ(report.users_no_data, 1u);
+  EXPECT_EQ(report.worst_qber, near.qber);
+  ASSERT_EQ(report.distance_histogram.size(), 3u);
+  EXPECT_EQ(report.distance_histogram[0].mean_qber, near.qber);
+  EXPECT_EQ(report.distance_histogram[1].users, 0u);
+  EXPECT_EQ(report.distance_histogram[1].mean_qber, 0.0);
+  EXPECT_EQ(report.distance_histogram[2].users, 1u);
+  EXPECT_TRUE(std::isnan(report.distance_histogram[2].mean_qber));
+
+  const io::Json j = report.to_json();
+  EXPECT_TRUE(j.find("users")->array_items()[1].find("qber")->is_null());
+  EXPECT_TRUE(j.find("users")->array_items()[0].find("qber")->is_number());
+  EXPECT_EQ(j.find("users_no_data")->int_value(), 1);
 }
 
 TEST_F(QkdNetworkFixture, ValidationNamesTheOffendingUser) {
