@@ -76,19 +76,15 @@ std::vector<double> finalize_clicks(std::vector<double>& pending, double until_s
   // Darks are generated in time order, so linear merges replace
   // concatenate-and-resort; on ties photon clicks come first, then the
   // internal darks, then the schedule darks.
-  std::vector<double> clicks;
-  if (split == pending.end() && darks.empty() && extra_darks.empty()) {
-    clicks.swap(pending);
-  } else {
-    clicks.resize(static_cast<std::size_t>(split - pending.begin()) + darks.size());
-    std::merge(pending.begin(), split, darks.begin(), darks.end(), clicks.begin());
-    pending.erase(pending.begin(), split);
-    if (!extra_darks.empty()) {
-      std::vector<double> merged(clicks.size() + extra_darks.size());
-      std::merge(clicks.begin(), clicks.end(), extra_darks.begin(), extra_darks.end(),
-                 merged.begin());
-      clicks.swap(merged);
-    }
+  std::vector<double> clicks(static_cast<std::size_t>(split - pending.begin()) +
+                             darks.size());
+  std::merge(pending.begin(), split, darks.begin(), darks.end(), clicks.begin());
+  pending.erase(pending.begin(), split);
+  if (!extra_darks.empty()) {
+    std::vector<double> merged(clicks.size() + extra_darks.size());
+    std::merge(clicks.begin(), clicks.end(), extra_darks.begin(), extra_darks.end(),
+               merged.begin());
+    clicks.swap(merged);
   }
   if (obs::metrics_enabled() && !(darks.empty() && extra_darks.empty()))
     obs::counter("detect.darks_injected").add(darks.size() + extra_darks.size());

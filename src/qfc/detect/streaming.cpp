@@ -463,13 +463,10 @@ struct EventStreamer::Impl {
     }
     if (obs::metrics_enabled())
       obs::counter("engine.events_generated").add(fresh.a.size() + fresh.b.size());
-    for (auto [pending, arm] : {std::pair{&st.a.pending_arrivals, &fresh.a},
-                                std::pair{&st.b.pending_arrivals, &fresh.b}}) {
-      if (pending->empty())
-        pending->swap(*arm);
-      else
-        pending->insert(pending->end(), arm->begin(), arm->end());
-    }
+    st.a.pending_arrivals.insert(st.a.pending_arrivals.end(), fresh.a.begin(),
+                                 fresh.a.end());
+    st.b.pending_arrivals.insert(st.b.pending_arrivals.end(), fresh.b.begin(),
+                                 fresh.b.end());
 
     sig_col = process_arm(st.a, spec.detector_signal, spec.background_rate_signal_hz,
                           &RateSegment::background_rate_signal_hz,
