@@ -1,7 +1,6 @@
 #include "qfc/detect/event_engine.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
 #include <memory>
 #include <mutex>
