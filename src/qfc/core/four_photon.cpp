@@ -8,21 +8,15 @@
 namespace qfc::core {
 
 void FourPhotonConfig::validate() const {
-  const auto fail = [](const char* field, const char* what) {
-    throw std::invalid_argument(std::string("FourPhotonConfig.") + field + ": " + what);
-  };
-  if (pair_a < 1) fail("pair_a", "must be >= 1");
-  if (pair_b < 1) fail("pair_b", "must be >= 1");
-  if (pair_a == pair_b) fail("pair_b", "must differ from pair_a");
-  if (fringe_points < 4) fail("fringe_points", "must be >= 4");
-  if (!(fourfold_events_per_point > 0)) fail("fourfold_events_per_point", "must be > 0");
-  if (fourfold_accidental_fraction < 0)
-    fail("fourfold_accidental_fraction", "must be >= 0");
-  if (!(tomo_shots_per_setting > 0)) fail("tomo_shots_per_setting", "must be > 0");
-  if (tomo_noise.analyzer_phase_rms_rad < 0)
-    fail("tomo_noise.analyzer_phase_rms_rad", "must be >= 0");
-  if (tomo_noise.accidentals_per_outcome < 0)
-    fail("tomo_noise.accidentals_per_outcome", "must be >= 0");
+  io::check_fields(*this, "FourPhotonConfig");
+  if (pair_a == pair_b)
+    throw std::invalid_argument("FourPhotonConfig.pair_b: must differ from pair_a");
+  if (!(tomo_noise.analyzer_phase_rms_rad >= 0))
+    throw std::invalid_argument(
+        "FourPhotonConfig.tomo_noise.analyzer_phase_rms_rad: must be >= 0");
+  if (!(tomo_noise.accidentals_per_outcome >= 0))
+    throw std::invalid_argument(
+        "FourPhotonConfig.tomo_noise.accidentals_per_outcome: must be >= 0");
 }
 
 io::Json FourPhotonResult::to_json() const {

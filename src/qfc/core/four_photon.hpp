@@ -8,7 +8,7 @@
 
 #include <vector>
 
-#include "qfc/io/json.hpp"
+#include "qfc/io/fields.hpp"
 
 #include "qfc/core/timebin_experiment.hpp"
 #include "qfc/quantum/measures.hpp"
@@ -34,10 +34,19 @@ struct FourPhotonConfig {
   tomo::NoiseKnobs tomo_noise{0.38, 1.0};
   std::uint64_t seed = 351;  ///< Science vol. 351 (ref [8])
 
-  /// Throws std::invalid_argument with a path-qualified message
-  /// ("FourPhotonConfig.pair_b: must differ from pair_a"). The in-range
-  /// check against the timebin config's channel count stays in the
-  /// constructor (it is a cross-config constraint).
+  QFC_FIELDS(FourPhotonConfig,
+      QFC_FIELD(pair_a, io::between(1, 64), "first channel pair of the four-photon state"),
+      QFC_FIELD(pair_b, io::between(1, 64), "second channel pair of the four-photon state"),
+      QFC_FIELD(fringe_points, io::between(4, 100000), "points per four-fold fringe"),
+      QFC_FIELD(fourfold_events_per_point, io::kPositive, "four-fold events per point"),
+      QFC_FIELD(fourfold_accidental_fraction, io::kNonNegative, "four-fold background"),
+      QFC_FIELD(tomo_shots_per_setting, io::kPositive, "tomography shots per setting"),
+      QFC_FIELD(seed, io::kNonNegative, "experiment RNG seed"))
+
+  /// The table's ranges, pair_b != pair_a and the tomo_noise signs; throws
+  /// std::invalid_argument("FourPhotonConfig.pair_b: must differ from
+  /// pair_a"). The check against the timebin config's channel count stays
+  /// in the constructor (it is a cross-config constraint).
   void validate() const;
 };
 

@@ -28,17 +28,6 @@ void finalize_g2(HbtResult& r) {
 
 }  // namespace
 
-void HbtParams::validate() const {
-  if (mean_pairs_per_trial < 0) throw std::invalid_argument("HbtParams: negative mu");
-  if (herald_efficiency <= 0 || herald_efficiency > 1)
-    throw std::invalid_argument("HbtParams: herald efficiency outside (0,1]");
-  if (signal_efficiency <= 0 || signal_efficiency > 1)
-    throw std::invalid_argument("HbtParams: signal efficiency outside (0,1]");
-  if (dark_probability < 0 || dark_probability > 1)
-    throw std::invalid_argument("HbtParams: dark probability outside [0,1]");
-  if (trials == 0) throw std::invalid_argument("HbtParams: zero trials");
-}
-
 HbtResult run_hbt(const HbtParams& p, rng::Xoshiro256& g) {
   p.validate();
   HbtResult r;
@@ -71,19 +60,6 @@ HbtResult run_hbt(const HbtParams& p, rng::Xoshiro256& g) {
 
   finalize_g2(r);
   return r;
-}
-
-void HbtStreamParams::validate() const {
-  if (pair_rate_hz < 0) throw std::invalid_argument("HbtStreamParams: negative rate");
-  if (linewidth_hz <= 0) throw std::invalid_argument("HbtStreamParams: linewidth <= 0");
-  if (duration_s <= 0) throw std::invalid_argument("HbtStreamParams: duration <= 0");
-  if (herald_efficiency <= 0 || herald_efficiency > 1)
-    throw std::invalid_argument("HbtStreamParams: herald efficiency outside (0,1]");
-  if (signal_efficiency <= 0 || signal_efficiency > 1)
-    throw std::invalid_argument("HbtStreamParams: signal efficiency outside (0,1]");
-  if (dark_rate_hz < 0) throw std::invalid_argument("HbtStreamParams: negative dark rate");
-  if (coincidence_window_s <= 0)
-    throw std::invalid_argument("HbtStreamParams: window <= 0");
 }
 
 HbtResult run_hbt_time_domain(const HbtStreamParams& p) {

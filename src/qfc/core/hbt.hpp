@@ -11,6 +11,7 @@
 
 #include <cstdint>
 
+#include "qfc/io/fields.hpp"
 #include "qfc/quantum/fock.hpp"
 #include "qfc/rng/xoshiro.hpp"
 
@@ -23,7 +24,14 @@ struct HbtParams {
   double dark_probability = 1e-6;      ///< per-detector, per-trial
   std::uint64_t trials = 2'000'000;
 
-  void validate() const;
+  QFC_FIELDS(HbtParams,
+      QFC_FIELD(mean_pairs_per_trial, io::kNonNegative, "mean SFWM pairs per time slot"),
+      QFC_FIELD(herald_efficiency, io::kEfficiency, "idler-arm detection probability"),
+      QFC_FIELD(signal_efficiency, io::kEfficiency, "signal-arm detection probability"),
+      QFC_FIELD(dark_probability, io::kFraction, "dark-count probability per trial"),
+      QFC_FIELD(trials, io::at_least(1), "time slots simulated"))
+
+  void validate() const { io::check_fields(*this, "HbtParams"); }
 };
 
 struct HbtResult {
@@ -50,7 +58,17 @@ struct HbtStreamParams {
   double coincidence_window_s = 8e-9;
   std::uint64_t seed = 8236;
 
-  void validate() const;
+  QFC_FIELDS(HbtStreamParams,
+      QFC_FIELD(pair_rate_hz, io::kNonNegative, "on-chip generated pair rate [Hz]"),
+      QFC_FIELD(linewidth_hz, io::kPositive, "photon Lorentzian FWHM [Hz]"),
+      QFC_FIELD(duration_s, io::kPositive, "run duration [s]"),
+      QFC_FIELD(herald_efficiency, io::kEfficiency, "idler (herald) arm detection probability"),
+      QFC_FIELD(signal_efficiency, io::kEfficiency, "signal-arm detection probability"),
+      QFC_FIELD(dark_rate_hz, io::kNonNegative, "per-detector dark rate [Hz]"),
+      QFC_FIELD(coincidence_window_s, io::kPositive, "herald coincidence window [s]"),
+      QFC_FIELD(seed, io::kNonNegative, "engine seed"))
+
+  void validate() const { io::check_fields(*this, "HbtStreamParams"); }
 };
 
 /// Time-domain heralded HBT on engine-generated click streams: the idler

@@ -24,16 +24,12 @@ photonics::CwPump make_pump(const photonics::MicroringResonator& device,
 }  // namespace
 
 void HeraldedConfig::validate() const {
-  const auto fail = [](const char* field, const char* what) {
-    throw std::invalid_argument(std::string("HeraldedConfig.") + field + ": " + what);
-  };
-  if (!(pump_power_w > 0)) fail("pump_power_w", "must be > 0");
-  if (num_channel_pairs < 1) fail("num_channel_pairs", "must be >= 1");
-  if (!(duration_s > 0)) fail("duration_s", "must be > 0");
-  if (!(coincidence_window_s > 0)) fail("coincidence_window_s", "must be > 0");
+  io::check_fields(*this, "HeraldedConfig");
   if (!(side_window_spacing_s > coincidence_window_s))
-    fail("side_window_spacing_s", "must exceed the coincidence window");
-  if (engine_threads < 0) fail("engine_threads", "must be >= 0");
+    throw std::invalid_argument(
+        "HeraldedConfig.side_window_spacing_s: must exceed the coincidence window");
+  if (engine_threads < 0)
+    throw std::invalid_argument("HeraldedConfig.engine_threads: must be >= 0");
 }
 
 io::Json MatrixCell::to_json() const {

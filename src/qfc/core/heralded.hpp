@@ -9,7 +9,7 @@
 #include <functional>
 #include <vector>
 
-#include "qfc/io/json.hpp"
+#include "qfc/io/fields.hpp"
 
 #include "qfc/core/channel_model.hpp"
 #include "qfc/detect/coincidence.hpp"
@@ -33,10 +33,17 @@ struct HeraldedConfig {
   /// Results are bitwise independent of this value.
   int engine_threads = 0;
 
-  /// Throws std::invalid_argument with a path-qualified message
-  /// ("HeraldedConfig.duration_s: must be > 0") for nonsensical values.
-  /// The constructor calls this, so an experiment object always holds a
-  /// valid config.
+  QFC_FIELDS(HeraldedConfig,
+      QFC_FIELD(pump_power_w, io::kPositive, "CW pump power at the ring [W]"),
+      QFC_FIELD(num_channel_pairs, io::between(1, 64), "symmetric comb channel pairs"),
+      QFC_FIELD(duration_s, io::kPositive, "integration time [s]"),
+      QFC_FIELD(coincidence_window_s, io::kPositive, "coincidence window [s]"),
+      QFC_FIELD(side_window_spacing_s, io::kPositive, "accidental side-window spacing [s]"),
+      QFC_FIELD(seed, io::kNonNegative, "experiment RNG seed"))
+
+  /// The table's ranges plus side_window_spacing_s > coincidence_window_s;
+  /// throws std::invalid_argument("HeraldedConfig.duration_s: must be > 0").
+  /// The constructor calls this, so an experiment always holds a valid config.
   void validate() const;
 };
 

@@ -50,25 +50,8 @@ double bbm92_secret_fraction(double qber) {
   return std::max(0.0, 1.0 - 2.0 * binary_entropy_bits(qber));
 }
 
-void UserEndpointParams::validate() const {
-  if (coincidence_window_s <= 0)
-    throw std::invalid_argument("UserEndpointParams: coincidence window <= 0");
-  if (dark_rate_hz < 0)
-    throw std::invalid_argument("UserEndpointParams: negative dark rate");
-  if (sifting_factor <= 0 || sifting_factor > 1)
-    throw std::invalid_argument("UserEndpointParams: sifting factor outside (0,1]");
-  if (detector_jitter_sigma_s < 0)
-    throw std::invalid_argument("UserEndpointParams: negative detector jitter");
-  if (detector_dead_time_s < 0)
-    throw std::invalid_argument("UserEndpointParams: negative dead time");
-  if (detection_efficiency_scale <= 0 || detection_efficiency_scale > 1)
-    throw std::invalid_argument(
-        "UserEndpointParams: detection efficiency scale outside (0,1]");
-}
-
 void LinkGeometry::validate() const {
-  if (distance_km < 0)
-    throw std::invalid_argument("LinkGeometry: negative distance");
+  io::check_fields(*this, "LinkGeometry");
   fiber.validate();
 }
 

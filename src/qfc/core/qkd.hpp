@@ -19,7 +19,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "qfc/io/json.hpp"
+#include "qfc/io/fields.hpp"
 
 #include "qfc/core/timebin_experiment.hpp"
 #include "qfc/detect/event_engine.hpp"
@@ -55,10 +55,19 @@ struct UserEndpointParams {
   /// older SNSPDs sets < 1). 1.0 leaves the experiment value untouched.
   double detection_efficiency_scale = 1.0;
 
-  /// Throws std::invalid_argument naming the offending field for
-  /// nonsensical values (window <= 0, negative dark rate, sifting outside
-  /// (0,1], negative jitter/dead time, efficiency scale outside (0,1]).
-  void validate() const;
+  QFC_FIELDS(UserEndpointParams,
+      QFC_FIELD(coincidence_window_s, io::kPositive, "Alice-Bob pairing window [s]"),
+      QFC_FIELD(dark_rate_hz, io::kNonNegative, "per-detector dark rate [Hz]"),
+      QFC_FIELD(sifting_factor, io::kEfficiency, "basis-sifting factor"),
+      QFC_FIELD(detector_jitter_sigma_s, io::kNonNegative,
+                "detector timing jitter, 1 sigma (Monte-Carlo only) [s]"),
+      QFC_FIELD(detector_dead_time_s, io::kNonNegative,
+                "detector dead time (Monte-Carlo only) [s]"),
+      QFC_FIELD(detection_efficiency_scale, io::kEfficiency, "endpoint efficiency multiplier"))
+
+  /// Throws std::invalid_argument("UserEndpointParams.dark_rate_hz: must be
+  /// >= 0").
+  void validate() const { io::check_fields(*this, "UserEndpointParams"); }
 };
 
 /// Glass-side parameters of one Alice–Bob link: total separation and the
@@ -67,6 +76,9 @@ struct UserEndpointParams {
 struct LinkGeometry {
   double distance_km = 0.0;
   fiber::FiberParams fiber;  ///< length_m is ignored; the arm span sets it
+
+  QFC_FIELDS(LinkGeometry,
+      QFC_FIELD(distance_km, io::kNonNegative, "total Alice-Bob separation [km]"))
 
   /// Throws std::invalid_argument for a negative distance or invalid fiber.
   void validate() const;

@@ -16,7 +16,7 @@ QkdNetworkConfig QkdNetworkConfig::uniform(std::size_t num_users,
                                            double max_distance_km,
                                            UserEndpointParams endpoint,
                                            fiber::FiberParams fiber) {
-  if (max_distance_km < 0)
+  if (!(max_distance_km >= 0))
     throw std::invalid_argument("QkdNetworkConfig::uniform: negative distance");
   QkdNetworkConfig cfg;
   cfg.users.reserve(num_users);
@@ -35,30 +35,26 @@ QkdNetworkConfig QkdNetworkConfig::uniform(std::size_t num_users,
 }
 
 void QkdNetworkConfig::validate(int num_channel_pairs) const {
-  if (stream_window_s <= 0)
-    throw std::invalid_argument("QkdNetworkConfig: stream window <= 0");
-  if (histogram_bin_km <= 0)
-    throw std::invalid_argument("QkdNetworkConfig: histogram bin <= 0");
+  io::check_fields(*this, "QkdNetworkConfig");
   if (analysis_threads < 0)
-    throw std::invalid_argument("QkdNetworkConfig: analysis threads < 0");
+    throw std::invalid_argument("QkdNetworkConfig.analysis_threads: must be >= 0");
 
   for (std::size_t u = 0; u < users.size(); ++u) {
     const QkdUserSpec& user = users[u];
     try {
       user.endpoint.validate();
       user.link.validate();
-      if (user.crosstalk_leakage < 0 || user.crosstalk_leakage > 1)
-        throw std::invalid_argument("crosstalk leakage outside [0, 1]");
+      io::check_fields(user, "QkdUserSpec");
       if (user.channel_pair < 0 || user.channel_pair > num_channel_pairs)
-        throw std::invalid_argument(
-            "channel pair outside [0, " + std::to_string(num_channel_pairs) +
-            "] (0 = auto; the experiment has " + std::to_string(num_channel_pairs) +
-            " pairs)");
+        throw std::invalid_argument("QkdUserSpec.channel_pair: must be in [0, " +
+                                    std::to_string(num_channel_pairs) +
+                                    "] (0 = auto; the experiment has " +
+                                    std::to_string(num_channel_pairs) + " pairs)");
       if (user.endpoint.coincidence_window_s !=
           users.front().endpoint.coincidence_window_s)
         throw std::invalid_argument(
-            "coincidence window differs from user 0's; the shared streaming "
-            "accumulator sweeps every channel with one window");
+            "UserEndpointParams.coincidence_window_s: differs from user 0's; the shared "
+            "streaming accumulator sweeps every channel with one window");
     } catch (const std::invalid_argument& e) {
       throw std::invalid_argument("user " + std::to_string(u) + ": " + e.what());
     }

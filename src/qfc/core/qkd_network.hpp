@@ -29,7 +29,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "qfc/io/json.hpp"
+#include "qfc/io/fields.hpp"
 
 #include "qfc/core/qkd.hpp"
 #include "qfc/core/timebin_experiment.hpp"
@@ -51,6 +51,10 @@ struct QkdUserSpec {
   /// user's channel (imperfect demux isolation), in [0, 1]. Folded into
   /// the spec-level background rates; 0 is an exact no-op.
   double crosstalk_leakage = 0.0;
+
+  /// channel_pair is checked against the experiment by QkdNetworkConfig.
+  QFC_FIELDS(QkdUserSpec,
+      QFC_FIELD(crosstalk_leakage, io::kFraction, "adjacent-bin flux leaking in"))
 };
 
 struct QkdNetworkConfig {
@@ -71,6 +75,11 @@ struct QkdNetworkConfig {
   static QkdNetworkConfig uniform(std::size_t num_users, double max_distance_km,
                                   UserEndpointParams endpoint = {},
                                   fiber::FiberParams fiber = {});
+
+  QFC_FIELDS(QkdNetworkConfig,
+      QFC_FIELD(stream_window_s, io::kPositive, "streaming window (memory knob) [s]"),
+      QFC_FIELD(seed, io::kNonNegative, "engine seed"),
+      QFC_FIELD(histogram_bin_km, io::kPositive, "distance histogram bin [km]"))
 
   /// Validates the run knobs and every user spec; per-user errors are
   /// prefixed "user N: ". `num_channel_pairs` is the owning experiment's

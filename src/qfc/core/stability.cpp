@@ -13,18 +13,6 @@
 
 namespace qfc::core {
 
-void StabilityConfig::validate() const {
-  const auto fail = [](const char* field, const char* what) {
-    throw std::invalid_argument(std::string("StabilityConfig.") + field + ": " + what);
-  };
-  if (!(observation_days > 0)) fail("observation_days", "must be > 0");
-  if (!(sample_interval_s > 0)) fail("sample_interval_s", "must be > 0");
-  if (temperature_rms_K < 0) fail("temperature_rms_K", "must be >= 0");
-  if (!(temperature_tau_s > 0)) fail("temperature_tau_s", "must be > 0");
-  if (self_locked_residual_fraction < 0)
-    fail("self_locked_residual_fraction", "must be >= 0");
-}
-
 io::Json StabilityTrace::to_json(bool include_series) const {
   io::Json j = io::Json::make_object();
   j.set("samples", relative_rate.size());

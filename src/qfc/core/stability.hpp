@@ -9,7 +9,7 @@
 
 #include <vector>
 
-#include "qfc/io/json.hpp"
+#include "qfc/io/fields.hpp"
 
 #include "qfc/detect/allan.hpp"
 #include "qfc/photonics/microring.hpp"
@@ -33,10 +33,17 @@ struct StabilityConfig {
   double self_locked_residual_fraction = 0.02;
   std::uint64_t seed = 1023;  ///< Opt. Express 22, 1023 (ref [6])
 
-  /// Throws std::invalid_argument with a path-qualified message
-  /// ("StabilityConfig.observation_days: must be > 0"). Called by the
-  /// constructor.
-  void validate() const;
+  QFC_FIELDS(StabilityConfig,
+      QFC_FIELD(observation_days, io::kPositive, "observation window [days]"),
+      QFC_FIELD(sample_interval_s, io::kPositive, "sampling interval [s]"),
+      QFC_FIELD(temperature_rms_K, io::kNonNegative, "ambient temperature drift RMS [K]"),
+      QFC_FIELD(temperature_tau_s, io::kPositive, "temperature correlation time [s]"),
+      QFC_FIELD(self_locked_residual_fraction, io::kNonNegative, "jitter [ring linewidths]"),
+      QFC_FIELD(seed, io::kNonNegative, "drift RNG seed"))
+
+  /// Throws std::invalid_argument("StabilityConfig.observation_days: must
+  /// be > 0"). Called by the constructor.
+  void validate() const { io::check_fields(*this, "StabilityConfig"); }
 };
 
 struct StabilityTrace {

@@ -26,19 +26,8 @@ photonics::DoublePulsePump TimebinConfig::make_default_pump(
 }
 
 void TimebinConfig::validate() const {
-  const auto fail = [](const char* field, const char* what) {
-    throw std::invalid_argument(std::string("TimebinConfig.") + field + ": " + what);
-  };
   pump.validate();
-  if (num_channel_pairs < 1) fail("num_channel_pairs", "must be >= 1");
-  if (!(integration_s_per_point > 0)) fail("integration_s_per_point", "must be > 0");
-  if (fringe_points < 4) fail("fringe_points", "must be >= 4");
-  if (interferometer_phase_noise_rms_rad < 0)
-    fail("interferometer_phase_noise_rms_rad", "must be >= 0");
-  if (accidental_fraction < 0 || accidental_fraction >= 1)
-    fail("accidental_fraction", "must be in [0, 1)");
-  if (!(detection_efficiency_per_arm > 0) || detection_efficiency_per_arm > 1)
-    fail("detection_efficiency_per_arm", "must be in (0, 1]");
+  io::check_fields(*this, "TimebinConfig");
 }
 
 io::Json TimebinChannelResult::to_json() const {

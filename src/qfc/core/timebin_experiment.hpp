@@ -7,7 +7,7 @@
 
 #include <vector>
 
-#include "qfc/io/json.hpp"
+#include "qfc/io/fields.hpp"
 
 #include "qfc/detect/event_engine.hpp"
 #include "qfc/detect/fit.hpp"
@@ -42,10 +42,20 @@ struct TimebinConfig {
   static photonics::DoublePulsePump make_default_pump(
       const photonics::MicroringResonator& device, double average_power_w = 250e-3);
 
-  /// Throws std::invalid_argument with a path-qualified message
-  /// ("TimebinConfig.accidental_fraction: must be in [0, 1)"); the pump
-  /// validates itself (DoublePulsePump::validate). Called by the
-  /// constructor.
+  QFC_FIELDS(TimebinConfig,
+      QFC_FIELD(num_channel_pairs, io::between(1, 64), "symmetric comb channel pairs"),
+      QFC_FIELD(integration_s_per_point, io::kPositive, "integration per fringe point [s]"),
+      QFC_FIELD(fringe_points, io::between(4, 100000), "points per interference fringe"),
+      QFC_FIELD(interferometer_phase_noise_rms_rad, io::kNonNegative,
+                "analyzer phase noise RMS [rad]"),
+      QFC_FIELD(accidental_fraction, {0.0, false, 1.0, true},
+                "accidental fraction of coincidences"),
+      QFC_FIELD(detection_efficiency_per_arm, io::kEfficiency, "per-arm detection probability"),
+      QFC_FIELD(seed, io::kNonNegative, "experiment RNG seed"))
+
+  /// The pump's own checks plus the table's ranges; throws
+  /// std::invalid_argument("TimebinConfig.accidental_fraction: must be in
+  /// [0, 1)"). Called by the constructor.
   void validate() const;
 };
 

@@ -22,16 +22,10 @@ sfwm::Type2PairSource Type2Experiment::make_source(
 }
 
 void Type2Config::validate() const {
-  const auto fail = [](const char* field, const char* what) {
-    throw std::invalid_argument(std::string("Type2Config.") + field + ": " + what);
-  };
-  if (!(pump_power_total_w > 0)) fail("pump_power_total_w", "must be > 0");
-  if (num_channel_pairs < 1) fail("num_channel_pairs", "must be >= 1");
-  if (!(duration_s > 0)) fail("duration_s", "must be > 0");
-  if (!(coincidence_window_s > 0)) fail("coincidence_window_s", "must be > 0");
+  io::check_fields(*this, "Type2Config");
   if (!(side_window_spacing_s > coincidence_window_s))
-    fail("side_window_spacing_s", "must exceed the coincidence window");
-  if (!(pbs_extinction_db > 0)) fail("pbs_extinction_db", "must be > 0");
+    throw std::invalid_argument(
+        "Type2Config.side_window_spacing_s: must exceed the coincidence window");
 }
 
 io::Json Type2CarResult::to_json() const {

@@ -7,7 +7,7 @@
 
 #include <vector>
 
-#include "qfc/io/json.hpp"
+#include "qfc/io/fields.hpp"
 
 #include "qfc/core/channel_model.hpp"
 #include "qfc/detect/coincidence.hpp"
@@ -37,9 +37,18 @@ struct Type2Config {
       /*dead_time_s=*/10e-6};
   std::uint64_t seed = 8236;  ///< Nat. Commun. article number of ref [7]
 
-  /// Throws std::invalid_argument with a path-qualified message
-  /// ("Type2Config.pump_power_total_w: must be > 0"). Called by the
-  /// constructor.
+  QFC_FIELDS(Type2Config,
+      QFC_FIELD(pump_power_total_w, io::kPositive, "total bichromatic pump power [W]"),
+      QFC_FIELD(num_channel_pairs, io::between(1, 64), "symmetric comb channel pairs"),
+      QFC_FIELD(duration_s, io::kPositive, "integration time [s]"),
+      QFC_FIELD(coincidence_window_s, io::kPositive, "coincidence window [s]"),
+      QFC_FIELD(side_window_spacing_s, io::kPositive, "accidental side-window spacing [s]"),
+      QFC_FIELD(pbs_extinction_db, io::kPositive, "PBS polarization extinction [dB]"),
+      QFC_FIELD(seed, io::kNonNegative, "experiment RNG seed"))
+
+  /// The table's ranges plus side_window_spacing_s > coincidence_window_s;
+  /// throws std::invalid_argument("Type2Config.duration_s: must be > 0").
+  /// Called by the constructor.
   void validate() const;
 };
 

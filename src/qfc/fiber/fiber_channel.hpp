@@ -20,8 +20,8 @@ struct FiberParams {
   /// Dispersion slope is ignored (< 1% effect over S+C+L for our spans).
 
   void validate() const {
-    if (length_m < 0) throw std::invalid_argument("FiberParams: negative length");
-    if (attenuation_db_per_km < 0)
+    if (!(length_m >= 0)) throw std::invalid_argument("FiberParams: negative length");
+    if (!(attenuation_db_per_km >= 0))
       throw std::invalid_argument("FiberParams: negative attenuation");
   }
 };

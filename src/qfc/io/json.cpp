@@ -484,8 +484,7 @@ const Json* JsonView::find(std::string_view key) const {
   return value_->find(key);
 }
 
-void JsonView::require_keys_among(
-    std::initializer_list<std::string_view> allowed) const {
+void JsonView::require_keys_among(const std::vector<std::string_view>& allowed) const {
   if (!value_->is_object())
     fail(std::string("expected object, got ") + type_name(value_->type()));
   for (const auto& member : value_->object_members()) {

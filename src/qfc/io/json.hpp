@@ -169,7 +169,7 @@ class JsonView {
   /// of: a, b, c)" if the object holds any member not in `allowed`.
   /// The error is the single most common config typo, so every config
   /// reader in qfc::sweep calls this before touching members.
-  void require_keys_among(std::initializer_list<std::string_view> allowed) const;
+  void require_keys_among(const std::vector<std::string_view>& allowed) const;
 
   [[noreturn]] void fail(const std::string& message) const;
 

@@ -28,8 +28,8 @@ struct CwPump {
   PumpLocking locking = PumpLocking::SelfLocked;
 
   void validate() const {
-    if (power_w < 0) throw std::invalid_argument("CwPump: negative power");
-    if (frequency_hz <= 0) throw std::invalid_argument("CwPump: frequency <= 0");
+    if (!(power_w >= 0)) throw std::invalid_argument("CwPump: negative power");
+    if (!(frequency_hz > 0)) throw std::invalid_argument("CwPump: frequency <= 0");
   }
 };
 
@@ -45,9 +45,9 @@ struct CrossPolarizedPump {
   double total_power_w() const { return power_te_w + power_tm_w; }
 
   void validate() const {
-    if (power_te_w < 0 || power_tm_w < 0)
+    if (!(power_te_w >= 0) || !(power_tm_w >= 0))
       throw std::invalid_argument("CrossPolarizedPump: negative power");
-    if (frequency_te_hz <= 0 || frequency_tm_hz <= 0)
+    if (!(frequency_te_hz > 0) || !(frequency_tm_hz > 0))
       throw std::invalid_argument("CrossPolarizedPump: frequency <= 0");
   }
 };
@@ -64,9 +64,9 @@ struct PulseTrain {
   }
 
   void validate() const {
-    if (repetition_rate_hz <= 0) throw std::invalid_argument("PulseTrain: rep rate <= 0");
-    if (pulse_fwhm_s <= 0) throw std::invalid_argument("PulseTrain: pulse width <= 0");
-    if (average_power_w < 0) throw std::invalid_argument("PulseTrain: negative power");
+    if (!(repetition_rate_hz > 0)) throw std::invalid_argument("PulseTrain: rep rate <= 0");
+    if (!(pulse_fwhm_s > 0)) throw std::invalid_argument("PulseTrain: pulse width <= 0");
+    if (!(average_power_w >= 0)) throw std::invalid_argument("PulseTrain: negative power");
   }
 };
 
@@ -81,12 +81,12 @@ struct DoublePulsePump {
 
   void validate() const {
     train.validate();
-    if (bin_separation_s <= 0)
+    if (!(bin_separation_s > 0))
       throw std::invalid_argument("DoublePulsePump: bin separation <= 0");
-    if (bin_separation_s < 4.0 * train.pulse_fwhm_s)
+    if (!(bin_separation_s >= 4.0 * train.pulse_fwhm_s))
       throw std::invalid_argument(
           "DoublePulsePump: time bins overlap (separation < 4x pulse width)");
-    if (frequency_hz <= 0) throw std::invalid_argument("DoublePulsePump: frequency <= 0");
+    if (!(frequency_hz > 0)) throw std::invalid_argument("DoublePulsePump: frequency <= 0");
   }
 };
 

@@ -7,8 +7,7 @@
 namespace qfc::qudit {
 
 void FreqBinConfig::validate() const {
-  if (dimension < 2)
-    throw std::invalid_argument("FreqBinConfig.dimension: must be >= 2");
+  io::check_fields(*this, "FreqBinConfig");
   if (!bin_phase_rad.empty() && bin_phase_rad.size() != dimension)
     throw std::invalid_argument(
         "FreqBinConfig.bin_phase_rad: size must equal dimension (or be empty)");

@@ -12,6 +12,7 @@
 
 #include <vector>
 
+#include "qfc/io/fields.hpp"
 #include "qfc/photonics/comb_grid.hpp"
 #include "qfc/qudit/dstate.hpp"
 #include "qfc/sfwm/pair_source.hpp"
@@ -22,6 +23,9 @@ struct FreqBinConfig {
   std::size_t dimension = 2;  ///< d: uses comb channel pairs k = 1..d as bins
   /// Per-bin phase (pump phase + dispersion walk-off), radians; empty = 0.
   std::vector<double> bin_phase_rad;
+
+  QFC_FIELDS(FreqBinConfig,
+      QFC_FIELD(dimension, io::at_least(2), "qudit dimension d (comb pairs 1..d)"))
 
   /// Config-only checks (dimension, phase-profile shape); throws
   /// std::invalid_argument with "FreqBinConfig.field: ..." messages. The

@@ -3,38 +3,36 @@
 /// \file scenario.hpp
 /// Uniform experiment API over the core façades: every end-to-end
 /// experiment of the paper is registered here as a named *scenario* — a
-/// JSON-parameterized adapter `run(params) -> Json` whose parameters map
-/// 1:1 onto the façade's Config struct (same names, same defaults) and
-/// whose result is the façade result's to_json(). The sweep driver
-/// (sweep.hpp) and the qfc_sweep CLI enumerate experiments through this
-/// registry instead of hard-coding façade calls, so adding an experiment
-/// to the repo means adding one registry entry.
+/// JSON-parameterized adapter `run(params) -> Json` whose parameters are
+/// the field tables (io/fields.hpp) of the Config structs it builds, plus
+/// the adapter's own arguments in the same table form, and whose result is
+/// the façade result's to_json(). The sweep runner (sweep.hpp) and the
+/// qfc_sweep CLI enumerate experiments through this registry instead of
+/// hard-coding façade calls, so adding an experiment to the repo means
+/// adding one registry entry.
 ///
 /// Adapter contract:
 ///  - deterministic: the result depends only on `params` (seeds are
 ///    parameters; no wall clock, no global state), so sweep reports are
 ///    bitwise identical at any worker count;
-///  - strict: unknown parameter keys and type mismatches throw
-///    io::JsonError naming the exact JSON path;
-///  - self-describing: the ParamSpec list is the single source of truth
-///    for the accepted keys (the registry generates the unknown-key guard
-///    from it, and `qfc_sweep --list` prints it).
+///  - strict: unknown parameter keys, type mismatches and out-of-range
+///    values throw io::JsonError naming the exact JSON path;
+///  - self-describing: the field tables are the single source of truth
+///    for each parameter's name, type, default, range and doc. The
+///    ParamSpec list is generated from them, the registry generates the
+///    unknown-key guard from that list, and `qfc_sweep --list` prints it.
 
 #include <functional>
 #include <string_view>
 #include <vector>
 
-#include "qfc/io/json.hpp"
+#include "qfc/io/fields.hpp"
 
 namespace qfc::sweep {
 
-/// One accepted parameter of a scenario. `type` is the JsonView getter
-/// family that reads it: "bool", "integer", "number", or "string".
-struct ParamSpec {
-  const char* name;
-  const char* type;
-  const char* description;
-};
+/// One accepted parameter of a scenario: a field-table entry with its
+/// default (null when required) and valid interval.
+using ParamSpec = io::FieldSpec;
 
 /// One registered experiment adapter.
 struct Scenario {

@@ -1,17 +1,16 @@
 /// \file scenarios.cpp
-/// The registry entries: one adapter per core façade. Each adapter maps a
-/// flat JSON parameter object onto the façade's Config struct (same field
-/// names, same defaults), runs the experiment, and returns the result's
-/// to_json(). Seeds are ordinary parameters, so a scenario instance is a
-/// pure function of its parameter object.
+/// The registry entries: one adapter per core façade. Each adapter reads
+/// the façade's Config structs from a flat JSON parameter object through
+/// their field tables (same names, same defaults, same ranges), runs the
+/// experiment, and returns the result's to_json(). Seeds are ordinary
+/// parameters, so a scenario instance is a pure function of its parameter
+/// object.
 
 #include "qfc/sweep/scenario.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <complex>
-#include <cstdint>
-#include <limits>
+#include <iterator>
 #include <string>
 #include <utility>
 
@@ -24,81 +23,71 @@ namespace qfc::sweep {
 
 namespace {
 
-// ---- optional-parameter getters: fall back to the façade default when the
-//      key is absent, path-qualified JsonError on a type mismatch.
-
-bool flag(const io::JsonView& p, const char* key, bool fallback) {
-  return p.has(key) ? p.at(key).as_bool() : fallback;
+/// The parameter list of a scenario: the tables of the structs it reads,
+/// in order.
+template <class... Structs>
+std::vector<ParamSpec> specs() {
+  std::vector<ParamSpec> out;
+  (std::ranges::move(io::field_specs<Structs>(), std::back_inserter(out)), ...);
+  return out;
 }
 
-double num(const io::JsonView& p, const char* key, double fallback) {
-  return p.has(key) ? p.at(key).as_number() : fallback;
+/// `value` with every field of its table that `p` holds read from `p`.
+template <class T>
+T read(const io::JsonView& p, T value = {}) {
+  io::read_fields(p, value);
+  return value;
 }
 
-int int_in(const io::JsonView& p, const char* key, int fallback, int lo, int hi) {
-  return p.has(key) ? static_cast<int>(p.at(key).as_int_in(lo, hi)) : fallback;
-}
+// ---- adapter arguments: what an adapter reads besides Config members,
+//      declared in the same table form.
 
-std::uint64_t seed_param(const io::JsonView& p, std::uint64_t fallback) {
-  return p.has("seed")
-             ? static_cast<std::uint64_t>(p.at("seed").as_int_in(
-                   0, std::numeric_limits<std::int64_t>::max()))
-             : fallback;
-}
-
-// ---- shared parameter blocks
-
-core::UserEndpointParams endpoint_from(const io::JsonView& p) {
-  core::UserEndpointParams ep;
-  ep.coincidence_window_s = num(p, "coincidence_window_s", ep.coincidence_window_s);
-  ep.dark_rate_hz = num(p, "dark_rate_hz", ep.dark_rate_hz);
-  ep.sifting_factor = num(p, "sifting_factor", ep.sifting_factor);
-  ep.detection_efficiency_scale =
-      num(p, "detection_efficiency_scale", ep.detection_efficiency_scale);
-  return ep;
-}
-
-core::TimebinConfig timebin_config_from(const io::JsonView& p,
-                                        const photonics::MicroringResonator& device) {
-  core::TimebinConfig cfg;
-  cfg.pump = core::TimebinConfig::make_default_pump(
-      device, num(p, "average_power_w", 250e-3));
-  cfg.num_channel_pairs = int_in(p, "num_channel_pairs", cfg.num_channel_pairs, 1, 64);
-  cfg.integration_s_per_point =
-      num(p, "integration_s_per_point", cfg.integration_s_per_point);
-  cfg.fringe_points = int_in(p, "fringe_points", cfg.fringe_points, 4, 100000);
-  cfg.interferometer_phase_noise_rms_rad = num(
-      p, "interferometer_phase_noise_rms_rad", cfg.interferometer_phase_noise_rms_rad);
-  cfg.accidental_fraction = num(p, "accidental_fraction", cfg.accidental_fraction);
-  cfg.detection_efficiency_per_arm =
-      num(p, "detection_efficiency_per_arm", cfg.detection_efficiency_per_arm);
-  cfg.seed = seed_param(p, cfg.seed);
-  return cfg;
-}
-
-const std::vector<ParamSpec> kTimebinParams = {
-    {"average_power_w", "number", "average double-pulse pump power [W]"},
-    {"num_channel_pairs", "integer", "symmetric comb channel pairs"},
-    {"integration_s_per_point", "number", "integration time per fringe point [s]"},
-    {"fringe_points", "integer", "points per interference fringe"},
-    {"interferometer_phase_noise_rms_rad", "number", "analyzer phase noise RMS [rad]"},
-    {"accidental_fraction", "number", "accidental fraction of coincidences"},
-    {"detection_efficiency_per_arm", "number", "per-arm detection probability"},
-    {"seed", "integer", "experiment RNG seed"},
+/// The pump power TimebinConfig::make_default_pump() builds the pump from.
+struct DoublePulseArgs {
+  double average_power_w = 250e-3;
+  QFC_FIELDS(DoublePulseArgs,
+      QFC_FIELD(average_power_w, io::kNonNegative, "average double-pulse pump power [W]"))
 };
 
-const std::vector<ParamSpec> kEndpointParams = {
-    {"coincidence_window_s", "number", "Alice-Bob pairing window [s]"},
-    {"dark_rate_hz", "number", "per-detector dark rate [Hz]"},
-    {"sifting_factor", "number", "basis-sifting factor"},
-    {"detection_efficiency_scale", "number", "endpoint efficiency multiplier"},
+struct ChshArgs {
+  int channel = 0;
+  QFC_FIELDS(ChshArgs,
+      QFC_FIELD(channel, io::between(0, 64), "channel pair to run (0 = all pairs)"))
 };
 
-std::vector<ParamSpec> concat(std::vector<ParamSpec> a,
-                              const std::vector<ParamSpec>& b) {
-  a.insert(a.end(), b.begin(), b.end());
-  return a;
-}
+struct StabilityArgs {
+  bool include_series = false;
+  QFC_FIELDS(StabilityArgs,
+      QFC_FIELD(include_series, {}, "embed the full time series in the result"))
+};
+
+struct LinkBudgetArgs {
+  double distance_km = 0.0;
+  QFC_FIELDS(LinkBudgetArgs,
+      QFC_FIELD(distance_km, io::kNonNegative, "total Alice-Bob separation [km]"))
+};
+
+/// QkdNetworkConfig::uniform()'s inputs and the run duration.
+struct NetworkArgs {
+  int num_users = 0;
+  double max_distance_km = 50.0;
+  double duration_s = 1.0;
+  QFC_FIELDS(NetworkArgs,
+      QFC_FIELD(num_users, io::between(1, 100000), "subscribers on the comb", true),
+      QFC_FIELD(max_distance_km, io::kNonNegative, "links spread over [0, max] [km]"),
+      QFC_FIELD(duration_s, io::kPositive, "shared run duration [s]"))
+};
+
+/// The qudit bins are the CW comb's first `dimension` pairs, so the
+/// dimension sets HeraldedConfig::num_channel_pairs and of that table only
+/// the pump power stays a free knob.
+struct QuditArgs {
+  int dimension = 0;
+  double pump_power_w = core::HeraldedConfig{}.pump_power_w;
+  QFC_FIELDS(QuditArgs,
+      QFC_FIELD(dimension, io::between(2, 64), "qudit dimension d (comb pairs 1..d)", true),
+      QFC_FIELD(pump_power_w, io::kPositive, "CW pump power at the ring [W]"))
+};
 
 }  // namespace
 
@@ -122,21 +111,10 @@ void ScenarioRegistry::add(const char* name, const char* description,
   s.params = std::move(params);
   // Wrap with the unknown-key guard so every adapter is strict for free
   // and the ParamSpec list stays the single source of truth.
-  s.run = [spec = s.params, inner = std::move(run)](const io::JsonView& p) {
-    if (!p.value().is_object()) p.fail("expected a parameter object");
-    for (const auto& member : p.value().object_members()) {
-      const bool known = std::any_of(spec.begin(), spec.end(), [&](const ParamSpec& ps) {
-        return member.first == ps.name;
-      });
-      if (!known) {
-        std::string allowed;
-        for (const ParamSpec& ps : spec) {
-          if (!allowed.empty()) allowed += ", ";
-          allowed += ps.name;
-        }
-        p.fail("unknown key '" + member.first + "' (expected one of: " + allowed + ")");
-      }
-    }
+  std::vector<std::string_view> keys;
+  for (const ParamSpec& ps : s.params) keys.push_back(ps.name);
+  s.run = [keys = std::move(keys), inner = std::move(run)](const io::JsonView& p) {
+    p.require_keys_among(keys);
     return inner(p);
   };
   scenarios_.push_back(std::move(s));
@@ -149,24 +127,8 @@ ScenarioRegistry::ScenarioRegistry() {
   // ---- Sec. II: heralded single photons (self-locked CW pump)
   add("heralded_channel_table",
       "Per-channel CAR / pair-rate table of the CW-pumped heralded source",
-      {
-          {"pump_power_w", "number", "CW pump power at the ring [W]"},
-          {"num_channel_pairs", "integer", "symmetric comb channel pairs"},
-          {"duration_s", "number", "integration time [s]"},
-          {"coincidence_window_s", "number", "coincidence window [s]"},
-          {"side_window_spacing_s", "number", "accidental side-window spacing [s]"},
-          {"seed", "integer", "experiment RNG seed"},
-      },
-      [](const io::JsonView& p) {
-        core::HeraldedConfig cfg;
-        cfg.pump_power_w = num(p, "pump_power_w", cfg.pump_power_w);
-        cfg.num_channel_pairs = int_in(p, "num_channel_pairs", cfg.num_channel_pairs, 1, 64);
-        cfg.duration_s = num(p, "duration_s", cfg.duration_s);
-        cfg.coincidence_window_s =
-            num(p, "coincidence_window_s", cfg.coincidence_window_s);
-        cfg.side_window_spacing_s =
-            num(p, "side_window_spacing_s", cfg.side_window_spacing_s);
-        cfg.seed = seed_param(p, cfg.seed);
+      specs<core::HeraldedConfig>(), [](const io::JsonView& p) {
+        auto cfg = read<core::HeraldedConfig>(p);
         cfg.engine_threads = 1;  // sweep workers own the parallelism
         auto comb = QuantumFrequencyComb::for_configuration(PumpConfiguration::SelfLockedCw);
         auto exp = comb.heralded(cfg);
@@ -181,21 +143,10 @@ ScenarioRegistry::ScenarioRegistry() {
   add("type2_car",
       "Cross-polarized coincidence measurement and OPO threshold of the "
       "type-II source",
-      {
-          {"pump_power_total_w", "number", "total bichromatic pump power [W]"},
-          {"num_channel_pairs", "integer", "symmetric comb channel pairs"},
-          {"duration_s", "number", "integration time [s]"},
-          {"seed", "integer", "experiment RNG seed"},
-      },
-      [](const io::JsonView& p) {
-        core::Type2Config cfg;
-        cfg.pump_power_total_w = num(p, "pump_power_total_w", cfg.pump_power_total_w);
-        cfg.num_channel_pairs = int_in(p, "num_channel_pairs", cfg.num_channel_pairs, 1, 64);
-        cfg.duration_s = num(p, "duration_s", cfg.duration_s);
-        cfg.seed = seed_param(p, cfg.seed);
+      specs<core::Type2Config>(), [](const io::JsonView& p) {
         auto comb =
             QuantumFrequencyComb::for_configuration(PumpConfiguration::CrossPolarized);
-        auto exp = comb.type2(cfg);
+        auto exp = comb.type2(read<core::Type2Config>(p));
         io::Json out = io::Json::make_object();
         out.set("car", exp.run_car_measurement().to_json());
         out.set("opo_threshold_w", exp.opo_threshold_w());
@@ -207,18 +158,22 @@ ScenarioRegistry::ScenarioRegistry() {
   add("timebin_chsh",
       "Quantum-interference fringe and CHSH test on one or all comb "
       "channel pairs",
-      concat({{"channel", "integer", "channel pair to run (0 = all pairs)"}},
-             kTimebinParams),
-      [](const io::JsonView& p) {
+      specs<ChshArgs, DoublePulseArgs, core::TimebinConfig>(), [](const io::JsonView& p) {
+        const auto args = read<ChshArgs>(p);
+        const auto pump = read<DoublePulseArgs>(p);
         auto comb = QuantumFrequencyComb::for_configuration(PumpConfiguration::DoublePulse);
-        auto exp = comb.timebin(timebin_config_from(p, comb.device()));
-        const int channel =
-            int_in(p, "channel", 0, 0, exp.config().num_channel_pairs);
+        auto exp = comb.timebin(read<core::TimebinConfig>(
+            p, {.pump = core::TimebinConfig::make_default_pump(comb.device(),
+                                                               pump.average_power_w)}));
+        const int num_pairs = exp.config().num_channel_pairs;
+        if (args.channel > num_pairs)
+          p.at("channel").fail("must be <= num_channel_pairs (" +
+                               std::to_string(num_pairs) + ")");
         io::Json channels = io::Json::make_array();
-        if (channel == 0) {
+        if (args.channel == 0) {
           for (auto& r : exp.run_all_channels()) channels.push_back(r.to_json());
         } else {
-          channels.push_back(exp.run_channel(channel).to_json());
+          channels.push_back(exp.run_channel(args.channel).to_json());
         }
         io::Json out = io::Json::make_object();
         out.set("channels", std::move(channels));
@@ -228,63 +183,36 @@ ScenarioRegistry::ScenarioRegistry() {
   // ---- Sec. V: four-photon states (double-pulse pump, four modes)
   add("four_photon",
       "Four-photon interference fringe and tomographic fidelities",
-      {
-          {"pair_a", "integer", "first channel pair of the four-photon state"},
-          {"pair_b", "integer", "second channel pair of the four-photon state"},
-          {"fringe_points", "integer", "points per four-fold fringe"},
-          {"fourfold_events_per_point", "number", "four-fold events per fringe point"},
-          {"tomo_shots_per_setting", "number", "tomography shots per setting"},
-          {"seed", "integer", "experiment RNG seed"},
-      },
-      [](const io::JsonView& p) {
-        core::FourPhotonConfig cfg;
-        cfg.pair_a = int_in(p, "pair_a", cfg.pair_a, 1, 64);
-        cfg.pair_b = int_in(p, "pair_b", cfg.pair_b, 1, 64);
-        cfg.fringe_points = int_in(p, "fringe_points", cfg.fringe_points, 4, 100000);
-        cfg.fourfold_events_per_point =
-            num(p, "fourfold_events_per_point", cfg.fourfold_events_per_point);
-        cfg.tomo_shots_per_setting =
-            num(p, "tomo_shots_per_setting", cfg.tomo_shots_per_setting);
-        cfg.seed = seed_param(p, cfg.seed);
+      specs<core::FourPhotonConfig>(), [](const io::JsonView& p) {
         auto comb = QuantumFrequencyComb::for_configuration(
             PumpConfiguration::DoublePulseFourMode);
-        return comb.four_photon(cfg).run().to_json();
+        return comb.four_photon(read<core::FourPhotonConfig>(p)).run().to_json();
       });
 
   // ---- Sec. II stability claim
   add("stability_comparison",
       "Self-locked vs externally pumped long-term pair-rate stability",
-      {
-          {"observation_days", "number", "observation window [days]"},
-          {"sample_interval_s", "number", "sampling interval [s]"},
-          {"temperature_rms_K", "number", "ambient temperature drift RMS [K]"},
-          {"temperature_tau_s", "number", "temperature correlation time [s]"},
-          {"seed", "integer", "drift RNG seed"},
-          {"include_series", "bool", "embed the full time series in the result"},
-      },
-      [](const io::JsonView& p) {
-        core::StabilityConfig cfg;
-        cfg.observation_days = num(p, "observation_days", cfg.observation_days);
-        cfg.sample_interval_s = num(p, "sample_interval_s", cfg.sample_interval_s);
-        cfg.temperature_rms_K = num(p, "temperature_rms_K", cfg.temperature_rms_K);
-        cfg.temperature_tau_s = num(p, "temperature_tau_s", cfg.temperature_tau_s);
-        cfg.seed = seed_param(p, cfg.seed);
+      specs<core::StabilityConfig, StabilityArgs>(), [](const io::JsonView& p) {
         auto comb = QuantumFrequencyComb::for_configuration(PumpConfiguration::SelfLockedCw);
-        return comb.stability(cfg).run().to_json(flag(p, "include_series", false));
+        return comb.stability(read<core::StabilityConfig>(p))
+            .run()
+            .to_json(read<StabilityArgs>(p).include_series);
       });
 
   // ---- QKD application: analytic multiplexed link budget
   add("qkd_link_budget",
       "Analytic BBM92 link budget over every comb channel pair at one "
       "Alice-Bob distance",
-      concat(concat({{"distance_km", "number", "total Alice-Bob separation [km]"}},
-                    kEndpointParams),
-             kTimebinParams),
+      specs<LinkBudgetArgs, core::UserEndpointParams, DoublePulseArgs,
+            core::TimebinConfig>(),
       [](const io::JsonView& p) {
+        const double distance_km = read<LinkBudgetArgs>(p).distance_km;
+        const auto pump = read<DoublePulseArgs>(p);
         auto comb = QuantumFrequencyComb::for_configuration(PumpConfiguration::DoublePulse);
-        auto exp = comb.timebin(timebin_config_from(p, comb.device()));
-        const core::MultiplexedQkdLink link(exp, endpoint_from(p));
-        const double distance_km = num(p, "distance_km", 0.0);
+        auto exp = comb.timebin(read<core::TimebinConfig>(
+            p, {.pump = core::TimebinConfig::make_default_pump(comb.device(),
+                                                               pump.average_power_w)}));
+        const core::MultiplexedQkdLink link(exp, read<core::UserEndpointParams>(p));
         io::Json channels = io::Json::make_array();
         for (const auto& ch : link.all_channels(distance_km))
           channels.push_back(ch.to_json());
@@ -298,41 +226,30 @@ ScenarioRegistry::ScenarioRegistry() {
   // ---- QKD application: many-user shared-engine network run
   add("qkd_network",
       "Monte-Carlo many-user QKD network from one shared streaming engine run",
-      concat({{"num_users", "integer", "subscribers on the comb"},
-              {"max_distance_km", "number", "links spread over [0, max] [km]"},
-              {"duration_s", "number", "shared run duration [s]"},
-              {"stream_window_s", "number", "streaming window (memory knob) [s]"},
-              {"histogram_bin_km", "number", "distance histogram bin [km]"},
-              {"seed", "integer", "engine seed"}},
-             kEndpointParams),
+      specs<NetworkArgs, core::QkdNetworkConfig, core::UserEndpointParams>(),
       [](const io::JsonView& p) {
+        const auto args = read<NetworkArgs>(p);
         auto comb = QuantumFrequencyComb::for_configuration(PumpConfiguration::DoublePulse);
         auto exp = comb.timebin_default();
-        core::QkdNetworkConfig cfg = core::QkdNetworkConfig::uniform(
-            static_cast<std::size_t>(p.at("num_users").as_int_in(1, 100000)),
-            num(p, "max_distance_km", 50.0), endpoint_from(p));
-        cfg.stream_window_s = num(p, "stream_window_s", cfg.stream_window_s);
-        cfg.histogram_bin_km = num(p, "histogram_bin_km", cfg.histogram_bin_km);
-        cfg.seed = seed_param(p, cfg.seed);
+        auto cfg = read<core::QkdNetworkConfig>(
+            p, core::QkdNetworkConfig::uniform(static_cast<std::size_t>(args.num_users),
+                                               args.max_distance_km,
+                                               read<core::UserEndpointParams>(p)));
         cfg.analysis_threads = 1;  // sweep workers own the parallelism
         const core::QkdNetwork network(exp, cfg);
-        return network.run(num(p, "duration_s", 1.0)).to_json();
+        return network.run(args.duration_s).to_json();
       });
 
   // ---- qudit application: frequency-bin entangled pairs
   add("qudit_source",
       "Frequency-bin qudit pairs from the CW comb: entanglement measures "
       "and procrustean flattening cost",
-      {
-          {"dimension", "integer", "qudit dimension d (comb pairs 1..d)"},
-          {"pump_power_w", "number", "CW pump power at the ring [W]"},
-      },
-      [](const io::JsonView& p) {
-        const auto dimension =
-            static_cast<std::size_t>(p.at("dimension").as_int_in(2, 64));
+      specs<QuditArgs>(), [](const io::JsonView& p) {
+        const auto args = read<QuditArgs>(p);
+        const auto dimension = static_cast<std::size_t>(args.dimension);
         core::HeraldedConfig cfg;
-        cfg.pump_power_w = num(p, "pump_power_w", cfg.pump_power_w);
-        cfg.num_channel_pairs = static_cast<int>(dimension);
+        cfg.pump_power_w = args.pump_power_w;
+        cfg.num_channel_pairs = args.dimension;
         auto comb = QuantumFrequencyComb::for_configuration(PumpConfiguration::SelfLockedCw);
         auto exp = comb.heralded(cfg);
         const auto source = qudit::FreqBinSource::from_cw_source(exp.source(), dimension);

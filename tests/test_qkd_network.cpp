@@ -262,4 +262,18 @@ TEST_F(QkdNetworkFixture, ValidationNamesTheOffendingUser) {
   EXPECT_THROW(ok.assigned_channel_pair(2), std::out_of_range);
 }
 
+TEST_F(QkdNetworkFixture, NanStreamWindowIsRejectedAtConstruction) {
+  // A NaN window would otherwise reach the streamer's window count.
+  core::QkdNetworkConfig cfg = core::QkdNetworkConfig::uniform(2, 30.0);
+  cfg.stream_window_s = std::nan("");
+  try {
+    const core::QkdNetwork net(exp_, cfg);
+    FAIL() << "NaN stream window accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("QkdNetworkConfig.stream_window_s"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 }  // namespace

@@ -4,14 +4,19 @@
 // and adapter-vs-façade parity for every registered experiment.
 
 #include <cmath>
+#include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
+#include <type_traits>
 
 #include <gtest/gtest.h>
 
 #include "qfc/core/comb_source.hpp"
+#include "qfc/core/hbt.hpp"
 #include "qfc/core/qkd.hpp"
 #include "qfc/core/qkd_network.hpp"
+#include "qfc/io/fields.hpp"
 #include "qfc/io/json.hpp"
 #include "qfc/qudit/freq_bin_source.hpp"
 #include "qfc/sweep/scenario.hpp"
@@ -245,9 +250,68 @@ TEST(SweepRun, FailingInstanceIsIsolated) {
   EXPECT_TRUE(entries[0].find("ok")->bool_value());
   EXPECT_FALSE(entries[1].find("ok")->bool_value());
   EXPECT_TRUE(entries[2].find("ok")->bool_value());
-  EXPECT_NE(entries[1].find("error")->string_value().find("dark rate"),
+  EXPECT_NE(entries[1].find("error")->string_value().find("params.dark_rate_hz"),
             std::string::npos);
   EXPECT_EQ(entries[1].find("result"), nullptr);
+}
+
+TEST(SweepRun, OutOfRangeParamNamesItsJsonPath) {
+  // One out-of-range value per scenario: the failed instance's error names
+  // the offending key under the instance's parameter path.
+  const std::pair<const char*, const char*> cases[] = {
+      {"heralded_channel_table", R"({"duration_s": -1.0})"},
+      {"type2_car", R"({"pbs_extinction_db": 0.0})"},
+      {"timebin_chsh", R"({"accidental_fraction": 1.0})"},
+      {"four_photon", R"({"fourfold_accidental_fraction": -0.1})"},
+      {"stability_comparison", R"({"temperature_rms_K": -1.0})"},
+      {"qkd_link_budget", R"({"sifting_factor": 1.5})"},
+      {"qkd_network", R"({"num_users": 2, "stream_window_s": 0.0})"},
+      {"qudit_source", R"({"dimension": 65})"},
+  };
+  for (const auto& [scenario, base] : cases) {
+    Json config = Json::make_object();
+    Json sweep = Json::make_object();
+    sweep.set("scenario", scenario);
+    sweep.set("base", Json::parse(base));
+    config.set("sweeps", Json::make_array({sweep}));
+    const auto report = sweep::run_sweep(sweep::expand_sweep_config(config), 1);
+    ASSERT_EQ(report.num_failed, 1u) << scenario;
+    const std::string error =
+        report.json.find("results")->array_items()[0].find("error")->string_value();
+    // The key is the last one of the base object.
+    const std::string key = Json::parse(base).object_members().back().first;
+    EXPECT_NE(error.find("$.sweeps[0].params." + key + ": must be"), std::string::npos)
+        << scenario << ": " << error;
+  }
+}
+
+TEST(SweepRun, SpelledOutDefaultsReproduceTheSmokeInstances) {
+  // The first instance of every smoke sweep, once as written and once with
+  // every other listed parameter spelled out at its listed default: the
+  // result bytes must agree, so the listed defaults are the ones in use.
+  std::ifstream in(QFC_SOURCE_DIR "/examples/sweep_smoke.json");
+  ASSERT_TRUE(in) << "cannot open the smoke config";
+  std::ostringstream text;
+  text << in.rdbuf();
+  const auto plan = sweep::expand_sweep_config(Json::parse(text.str()));
+  std::string previous;
+  int checked = 0;
+  for (const auto& instance : plan.instances) {
+    if (instance.path == previous) continue;  // not the first of its sweep
+    previous = instance.path;
+    ++checked;
+    const auto* scenario = sweep::ScenarioRegistry::instance().find(instance.scenario);
+    ASSERT_NE(scenario, nullptr);
+    Json spelled = instance.params;
+    for (const auto& param : scenario->params)
+      if (!param.default_value.is_null() && !spelled.find(param.name))
+        spelled.set(param.name, param.default_value);
+    ASSERT_NE(spelled, instance.params) << instance.scenario << ": nothing spelled out";
+    EXPECT_EQ(scenario->run(JsonView(spelled)).dump(),
+              scenario->run(JsonView(instance.params)).dump())
+        << instance.scenario;
+  }
+  EXPECT_EQ(checked, 8);
 }
 
 // --------------------------------------------- adapter-vs-façade parity
@@ -395,6 +459,57 @@ TEST(FacadeConfigs, ValidateNamesTheOffendingField) {
   qudit::FreqBinConfig qudit_cfg;
   qudit_cfg.dimension = 1;
   EXPECT_THROW(qudit_cfg.validate(), std::invalid_argument);
+}
+
+/// Sets each number field of `valid` in turn to NaN, and to -inf / +inf
+/// where its interval is bounded on that side; `validate` must reject each
+/// with a message naming "Type.field".
+template <class T, class Validate>
+void expect_non_finite_rejected(const char* type, const T& valid, Validate validate) {
+  ASSERT_NO_THROW(validate(valid)) << type;
+  const double inf = std::numeric_limits<double>::infinity();
+  io::for_each_field<T>([&](const auto& f) {
+    if constexpr (std::is_same_v<std::remove_cvref_t<decltype(valid.*f.member)>, double>) {
+      for (const double bad : {std::nan(""), -inf, inf}) {
+        if ((bad == -inf && !(f.valid.lo > -inf)) || (bad == inf && !(f.valid.hi < inf)))
+          continue;
+        T cfg = valid;
+        cfg.*f.member = bad;
+        const std::string field = std::string(type) + "." + f.name;
+        try {
+          validate(cfg);
+          ADD_FAILURE() << field << " accepted " << bad;
+        } catch (const std::invalid_argument& e) {
+          EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+        }
+      }
+    }
+  });
+}
+
+TEST(FacadeConfigs, EveryTableRejectsNonFiniteValues) {
+  const auto validate = [](const auto& cfg) { cfg.validate(); };
+  expect_non_finite_rejected("HeraldedConfig", core::HeraldedConfig{}, validate);
+  expect_non_finite_rejected("Type2Config", core::Type2Config{}, validate);
+  core::TimebinConfig timebin;
+  timebin.pump = core::TimebinConfig::make_default_pump(
+      QuantumFrequencyComb::for_configuration(PumpConfiguration::DoublePulse).device());
+  expect_non_finite_rejected("TimebinConfig", timebin, validate);
+  expect_non_finite_rejected("FourPhotonConfig", core::FourPhotonConfig{}, validate);
+  expect_non_finite_rejected("StabilityConfig", core::StabilityConfig{}, validate);
+  expect_non_finite_rejected("UserEndpointParams", core::UserEndpointParams{}, validate);
+  expect_non_finite_rejected("LinkGeometry", core::LinkGeometry{}, validate);
+  expect_non_finite_rejected("QkdUserSpec", core::QkdUserSpec{},
+                             [](const core::QkdUserSpec& user) {
+                               core::QkdNetworkConfig network;
+                               network.users = {user};
+                               network.validate(5);
+                             });
+  expect_non_finite_rejected("QkdNetworkConfig", core::QkdNetworkConfig::uniform(2, 10.0),
+                             [](const core::QkdNetworkConfig& cfg) { cfg.validate(5); });
+  expect_non_finite_rejected("HbtParams", core::HbtParams{}, validate);
+  expect_non_finite_rejected("HbtStreamParams", core::HbtStreamParams{}, validate);
+  expect_non_finite_rejected("FreqBinConfig", qudit::FreqBinConfig{}, validate);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // scenario registry.
 //
 //   qfc_sweep --config sweep.json --out report.json --workers 4
-//   qfc_sweep --list
+//   qfc_sweep --list            (every scenario's parameters, defaults, ranges)
 //   qfc_sweep --config sweep.json --selfcheck
 //
 // The report is deterministic: bitwise identical bytes at every worker
@@ -36,9 +36,13 @@ int usage(const char* argv0) {
 int list_scenarios() {
   for (const auto& scenario : qfc::sweep::ScenarioRegistry::instance().scenarios()) {
     std::cout << scenario.name << "\n    " << scenario.description << "\n";
-    for (const auto& param : scenario.params)
-      std::cout << "    - " << param.name << " (" << param.type << "): "
-                << param.description << "\n";
+    for (const auto& param : scenario.params) {
+      std::cout << "    - " << param.name << " (" << param.type << ", "
+                << (param.default_value.is_null() ? "required"
+                                                  : "default " + param.default_value.dump());
+      if (param.valid.bounded()) std::cout << ", " << qfc::io::describe(param.valid);
+      std::cout << "): " << param.doc << "\n";
+    }
   }
   return 0;
 }
