@@ -19,20 +19,6 @@ void FourPhotonConfig::validate() const {
         "FourPhotonConfig.tomo_noise.accidentals_per_outcome: must be >= 0");
 }
 
-io::Json FourPhotonResult::to_json() const {
-  io::Json j = io::Json::make_object();
-  j.set("fringe", fringe.to_json());
-  j.set("fringe_fit", fringe_fit.to_json());
-  j.set("analytic_visibility", analytic_visibility);
-  j.set("bell_fidelity_a", bell_fidelity_a);
-  j.set("bell_fidelity_b", bell_fidelity_b);
-  j.set("four_photon_fidelity", four_photon_fidelity);
-  j.set("four_photon_state_fidelity", four_photon_state_fidelity);
-  j.set("tomo_iterations_pair", tomo_iterations_pair);
-  j.set("tomo_iterations_four", tomo_iterations_four);
-  return j;
-}
-
 FourPhotonExperiment::FourPhotonExperiment(photonics::MicroringResonator device,
                                            TimebinConfig timebin_cfg, FourPhotonConfig cfg,
                                            sfwm::SfwmEfficiency eff)

@@ -32,35 +32,6 @@ void HeraldedConfig::validate() const {
     throw std::invalid_argument("HeraldedConfig.engine_threads: must be >= 0");
 }
 
-io::Json MatrixCell::to_json() const {
-  io::Json j = io::Json::make_object();
-  j.set("signal_k", signal_k);
-  j.set("idler_k", idler_k);
-  j.set("car", car.to_json());
-  return j;
-}
-
-io::Json ChannelResult::to_json() const {
-  io::Json j = io::Json::make_object();
-  j.set("k", k);
-  j.set("coincidence_rate_hz", coincidence_rate_hz);
-  j.set("car", io::number_or_string(car));
-  j.set("car_err", io::number_or_string(car_err));
-  j.set("singles_signal_hz", singles_signal_hz);
-  j.set("singles_idler_hz", singles_idler_hz);
-  return j;
-}
-
-io::Json CoherenceResult::to_json() const {
-  io::Json j = io::Json::make_object();
-  j.set("histogram", histogram.to_json());
-  j.set("fitted_tau_s", fitted_tau_s);
-  j.set("measured_linewidth_hz", measured_linewidth_hz);
-  j.set("deconvolved_linewidth_hz", deconvolved_linewidth_hz);
-  j.set("ring_linewidth_hz", ring_linewidth_hz);
-  return j;
-}
-
 HeraldedPhotonExperiment::HeraldedPhotonExperiment(photonics::MicroringResonator device,
                                                    HeraldedConfig cfg,
                                                    sfwm::SfwmEfficiency eff)

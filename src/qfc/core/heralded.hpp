@@ -53,7 +53,7 @@ struct MatrixCell {
   int idler_k = 0;   ///< idler channel pair index (photon at pump − k FSR)
   detect::CarResult car;
 
-  io::Json to_json() const;
+  QFC_JSON(MatrixCell, signal_k, idler_k, car)
 };
 
 struct ChannelResult {
@@ -64,7 +64,7 @@ struct ChannelResult {
   double singles_signal_hz = 0;
   double singles_idler_hz = 0;
 
-  io::Json to_json() const;
+  QFC_JSON(ChannelResult, k, coincidence_rate_hz, car, car_err, singles_signal_hz, singles_idler_hz)
 };
 
 struct CoherenceResult {
@@ -74,7 +74,7 @@ struct CoherenceResult {
   double deconvolved_linewidth_hz = 0;  ///< after jitter correction
   double ring_linewidth_hz = 0;         ///< ground truth of the device model
 
-  io::Json to_json() const;
+  QFC_JSON(CoherenceResult, histogram, fitted_tau_s, measured_linewidth_hz, deconvolved_linewidth_hz, ring_linewidth_hz)
 };
 
 class HeraldedPhotonExperiment {

@@ -10,28 +10,6 @@
 
 namespace qfc::core {
 
-io::Json QkdChannelPerformance::to_json() const {
-  io::Json j = io::Json::make_object();
-  j.set("k", k);
-  j.set("distance_km", distance_km);
-  j.set("visibility", visibility);
-  j.set("qber", qber);
-  j.set("sifted_rate_hz", sifted_rate_hz);
-  j.set("secret_fraction", secret_fraction);
-  j.set("key_rate_bps", key_rate_bps);
-  j.set("key_positive", key_positive);
-  return j;
-}
-
-io::Json MultiplexedQkdLink::StreamCheck::to_json() const {
-  io::Json j = io::Json::make_object();
-  j.set("k", k);
-  j.set("measured_coincidence_rate_hz", measured_coincidence_rate_hz);
-  j.set("measured_accidental_rate_hz", measured_accidental_rate_hz);
-  j.set("car", car.to_json());
-  return j;
-}
-
 double binary_entropy_bits(double p) {
   if (p < 0 || p > 1) throw std::invalid_argument("binary_entropy_bits: p outside [0,1]");
   if (p == 0 || p == 1) return 0.0;

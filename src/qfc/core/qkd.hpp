@@ -99,7 +99,7 @@ struct QkdChannelPerformance {
   double key_rate_bps = 0;
   bool key_positive = false;
 
-  io::Json to_json() const;
+  QFC_JSON(QkdChannelPerformance, k, distance_km, visibility, qber, sifted_rate_hz, secret_fraction, key_rate_bps, key_positive)
 };
 
 /// Intrinsic (accidental-free) time-bin visibility of channel pair k over
@@ -176,7 +176,7 @@ class MultiplexedQkdLink {
     double measured_accidental_rate_hz = 0;   ///< per peak-equivalent window
     detect::CarResult car;
 
-    io::Json to_json() const;
+    QFC_JSON(StreamCheck, k, measured_coincidence_rate_hz, measured_accidental_rate_hz, car)
   };
 
   /// Monte-Carlo cross-check of the analytic link budget: every channel

@@ -61,52 +61,6 @@ void QkdNetworkConfig::validate(int num_channel_pairs) const {
   }
 }
 
-io::Json QkdUserReport::to_json() const {
-  io::Json j = io::Json::make_object();
-  j.set("user", user);
-  j.set("channel_pair", channel_pair);
-  j.set("distance_km", distance_km);
-  j.set("car", car.to_json());
-  j.set("visibility", visibility);
-  j.set("qber", std::isnan(qber) ? io::Json(nullptr) : io::Json(qber));
-  j.set("sifted_rate_hz", sifted_rate_hz);
-  j.set("secret_fraction", secret_fraction);
-  j.set("secret_key_rate_bps", secret_key_rate_bps);
-  j.set("key_positive", key_positive);
-  return j;
-}
-
-io::Json DistanceBinStat::to_json() const {
-  io::Json j = io::Json::make_object();
-  j.set("lo_km", lo_km);
-  j.set("hi_km", hi_km);
-  j.set("users", users);
-  j.set("users_with_key", users_with_key);
-  j.set("total_key_rate_bps", total_key_rate_bps);
-  j.set("mean_qber", io::number_or_string(mean_qber));
-  return j;
-}
-
-io::Json QkdNetworkReport::to_json(bool include_diagnostics) const {
-  io::Json j = io::Json::make_object();
-  j.set("duration_s", duration_s);
-  io::Json user_array = io::Json::make_array();
-  for (const auto& u : users) user_array.push_back(u.to_json());
-  j.set("users", std::move(user_array));
-  j.set("total_key_rate_bps", total_key_rate_bps);
-  j.set("worst_qber", io::number_or_string(worst_qber));
-  j.set("users_with_key", users_with_key);
-  j.set("users_no_data", users_no_data);
-  io::Json bins = io::Json::make_array();
-  for (const auto& b : distance_histogram) bins.push_back(b.to_json());
-  j.set("distance_histogram", std::move(bins));
-  if (include_diagnostics) {
-    j.set("stream_windows", stream_windows);
-    j.set("peak_rss_kb", peak_rss_kb);
-  }
-  return j;
-}
-
 QkdNetwork::QkdNetwork(const TimebinExperiment& experiment, QkdNetworkConfig config)
     : experiment_(&experiment), cfg_(std::move(config)) {
   const int num_pairs = experiment_->config().num_channel_pairs;

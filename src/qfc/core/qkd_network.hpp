@@ -95,13 +95,13 @@ struct QkdUserReport {
   double distance_km = 0;
   detect::CarResult car;   ///< this user's diagonal CAR-matrix cell
   double visibility = 0;   ///< intrinsic visibility × measured true/total
-  double qber = 0;         ///< NaN (JSON null) when the user saw no coincidences
+  double qber = 0;         ///< NaN (JSON "nan") when the user saw no coincidences
   double sifted_rate_hz = 0;
   double secret_fraction = 0;
   double secret_key_rate_bps = 0;
   bool key_positive = false;
 
-  io::Json to_json() const;
+  QFC_JSON(QkdUserReport, user, channel_pair, distance_km, car, visibility, qber, sifted_rate_hz, secret_fraction, secret_key_rate_bps, key_positive)
 };
 
 /// One bin of the per-distance aggregate histogram: [lo_km, hi_km).
@@ -115,7 +115,7 @@ struct DistanceBinStat {
   /// has data, 0 for an empty bin.
   double mean_qber = 0;
 
-  io::Json to_json() const;
+  QFC_JSON(DistanceBinStat, lo_km, hi_km, users, users_with_key, total_key_rate_bps, mean_qber)
 };
 
 struct QkdNetworkReport {
@@ -125,17 +125,17 @@ struct QkdNetworkReport {
   double total_key_rate_bps = 0;   ///< sum of positive per-user key rates
   double worst_qber = 0;           ///< max QBER over users with data; NaN if none
   std::size_t users_with_key = 0;
-  std::size_t users_no_data = 0;   ///< users with zero coincidences (QBER null)
+  std::size_t users_no_data = 0;   ///< users with zero coincidences (QBER NaN)
   std::vector<DistanceBinStat> distance_histogram;
   // ---- run diagnostics
   std::size_t stream_windows = 0;  ///< windows the shared run emitted
   long long peak_rss_kb = 0;       ///< max instantaneous RSS seen per window
 
-  /// Full report: per-user array, aggregates, distance histogram. The
-  /// run diagnostics (stream_windows, peak_rss_kb) are host/run-specific
-  /// and excluded by default so serialized reports stay bitwise
-  /// reproducible; pass include_diagnostics=true to embed them.
-  io::Json to_json(bool include_diagnostics = false) const;
+  /// Per-user array, aggregates, distance histogram. The run diagnostics
+  /// are host/run-specific and stay out, so reports are bitwise
+  /// reproducible.
+  QFC_JSON(QkdNetworkReport, duration_s, users, total_key_rate_bps, worst_qber,
+           users_with_key, users_no_data, distance_histogram)
 };
 
 /// The network façade: binds a user list to one TimebinExperiment and runs

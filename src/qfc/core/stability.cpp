@@ -13,46 +13,6 @@
 
 namespace qfc::core {
 
-io::Json StabilityTrace::to_json(bool include_series) const {
-  io::Json j = io::Json::make_object();
-  j.set("samples", relative_rate.size());
-  j.set("mean", mean);
-  j.set("rms_fluctuation_percent", rms_fluctuation_percent);
-  j.set("peak_to_peak_percent", peak_to_peak_percent);
-  if (include_series) {
-    const auto as_array = [](const std::vector<double>& v) {
-      io::Json a = io::Json::make_array();
-      for (const double x : v) a.push_back(io::Json(x));
-      return a;
-    };
-    j.set("time_s", as_array(time_s));
-    j.set("relative_rate", as_array(relative_rate));
-  }
-  return j;
-}
-
-io::Json StabilityComparison::to_json(bool include_series) const {
-  io::Json j = io::Json::make_object();
-  j.set("self_locked", self_locked.to_json(include_series));
-  j.set("external", external.to_json(include_series));
-  return j;
-}
-
-io::Json CountedStabilityTrace::to_json(bool include_series) const {
-  io::Json j = io::Json::make_object();
-  j.set("trace", trace.to_json(include_series));
-  j.set("mean_counts", mean_counts);
-  io::Json a = io::Json::make_array();
-  for (const auto& p : allan) a.push_back(p.to_json());
-  j.set("allan", std::move(a));
-  if (include_series) {
-    io::Json c = io::Json::make_array();
-    for (const double x : counts) c.push_back(io::Json(x));
-    j.set("counts", std::move(c));
-  }
-  return j;
-}
-
 StabilityExperiment::StabilityExperiment(photonics::MicroringResonator device,
                                          StabilityConfig cfg)
     : device_(device), cfg_(cfg) {

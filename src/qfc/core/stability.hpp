@@ -53,16 +53,18 @@ struct StabilityTrace {
   double rms_fluctuation_percent = 0;   ///< 100 * std/mean
   double peak_to_peak_percent = 0;
 
-  /// Summary statistics plus the series length; pass include_series=true
-  /// to embed the full time/rate arrays (large for multi-week runs).
-  io::Json to_json(bool include_series = false) const;
+  std::size_t samples() const { return relative_rate.size(); }
+
+  /// Summary statistics and the series length; the series themselves
+  /// (large for multi-week runs) stay out.
+  QFC_JSON(StabilityTrace, samples, mean, rms_fluctuation_percent, peak_to_peak_percent)
 };
 
 struct StabilityComparison {
   StabilityTrace self_locked;
   StabilityTrace external;
 
-  io::Json to_json(bool include_series = false) const;
+  QFC_JSON(StabilityComparison, self_locked, external)
 };
 
 /// Counting-statistics form of a stability run, derived from raw engine
@@ -78,7 +80,7 @@ struct CountedStabilityTrace {
   std::vector<detect::AllanPoint> allan;  ///< of counts / mean(counts)
   double mean_counts = 0;
 
-  io::Json to_json(bool include_series = false) const;
+  QFC_JSON(CountedStabilityTrace, trace, mean_counts, allan)
 };
 
 class StabilityExperiment {

@@ -30,17 +30,6 @@ void TimebinConfig::validate() const {
   io::check_fields(*this, "TimebinConfig");
 }
 
-io::Json TimebinChannelResult::to_json() const {
-  io::Json j = io::Json::make_object();
-  j.set("k", k);
-  j.set("mu_per_double_pulse", mu_per_double_pulse);
-  j.set("fringe_fit", fringe_fit.to_json());
-  j.set("predicted_visibility", predicted_visibility);
-  j.set("chsh", chsh.to_json());
-  j.set("scan", scan.to_json());
-  return j;
-}
-
 TimebinExperiment::TimebinExperiment(photonics::MicroringResonator device,
                                      TimebinConfig cfg, sfwm::SfwmEfficiency eff)
     : device_(device), cfg_(cfg), source_(device_, cfg_.pump, cfg_.num_channel_pairs, eff) {

@@ -28,23 +28,6 @@ void Type2Config::validate() const {
         "Type2Config.side_window_spacing_s: must exceed the coincidence window");
 }
 
-io::Json Type2CarResult::to_json() const {
-  io::Json j = io::Json::make_object();
-  j.set("pump_power_w", pump_power_w);
-  j.set("car", car.to_json());
-  j.set("pair_rate_on_chip_hz", pair_rate_on_chip_hz);
-  j.set("coincidence_rate_hz", coincidence_rate_hz);
-  return j;
-}
-
-io::Json Type2Experiment::OpoPoint::to_json() const {
-  io::Json j = io::Json::make_object();
-  j.set("pump_w", pump_w);
-  j.set("output_w", output_w);
-  j.set("oscillating", oscillating);
-  return j;
-}
-
 Type2Experiment::Type2Experiment(photonics::MicroringResonator device, Type2Config cfg,
                                  sfwm::SfwmEfficiency eff)
     : device_(device),

@@ -58,7 +58,7 @@ struct Type2CarResult {
   double pair_rate_on_chip_hz = 0;
   double coincidence_rate_hz = 0;
 
-  io::Json to_json() const;
+  QFC_JSON(Type2CarResult, pump_power_w, car, pair_rate_on_chip_hz, coincidence_rate_hz)
 };
 
 class Type2Experiment {
@@ -80,7 +80,7 @@ class Type2Experiment {
     double output_w;
     bool oscillating;
 
-    io::Json to_json() const;
+    QFC_JSON(OpoPoint, pump_w, output_w, oscillating)
   };
   std::vector<OpoPoint> run_opo_curve(double max_pump_w, int num_points) const;
 

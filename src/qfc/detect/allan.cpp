@@ -3,17 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "qfc/io/json.hpp"
-
 namespace qfc::detect {
-
-io::Json AllanPoint::to_json() const {
-  io::Json j = io::Json::make_object();
-  j.set("tau_s", tau_s);
-  j.set("sigma", sigma);
-  j.set("pairs", pairs);
-  return j;
-}
 
 double allan_deviation(const std::vector<double>& samples, std::size_t m) {
   const std::size_t n = samples.size();

@@ -8,9 +8,7 @@
 #include <cstddef>
 #include <vector>
 
-namespace qfc::io {
-class Json;
-}
+#include "qfc/io/fields.hpp"
 
 namespace qfc::detect {
 
@@ -19,8 +17,7 @@ struct AllanPoint {
   double sigma = 0;    ///< overlapping Allan deviation of the (fractional) series
   std::size_t pairs = 0;  ///< number of difference pairs averaged
 
-  /// {tau_s, sigma, pairs}.
-  io::Json to_json() const;
+  QFC_JSON(AllanPoint, tau_s, sigma, pairs)
 };
 
 /// Overlapping Allan deviation at averaging factor m (tau = m * dt):

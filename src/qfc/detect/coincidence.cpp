@@ -4,33 +4,12 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "qfc/io/json.hpp"
-
 namespace qfc::detect {
 
 std::uint64_t CoincidenceHistogram::total() const {
   std::uint64_t s = 0;
   for (auto c : counts) s += c;
   return s;
-}
-
-io::Json CoincidenceHistogram::to_json() const {
-  io::Json j = io::Json::make_object();
-  j.set("bin_width_s", bin_width_s);
-  j.set("range_s", range_s);
-  io::Json bins = io::Json::make_array();
-  for (const auto c : counts) bins.push_back(io::Json(c));
-  j.set("counts", std::move(bins));
-  return j;
-}
-
-io::Json CarResult::to_json() const {
-  io::Json j = io::Json::make_object();
-  j.set("coincidences", coincidences);
-  j.set("accidentals", accidentals);
-  j.set("car", io::number_or_string(car));
-  j.set("car_err", io::number_or_string(car_err));
-  return j;
 }
 
 CoincidenceHistogram correlate(const std::vector<double>& clicks_a,

@@ -8,9 +8,7 @@
 #include <cstdint>
 #include <vector>
 
-namespace qfc::io {
-class Json;
-}
+#include "qfc/io/fields.hpp"
 
 namespace qfc::detect {
 
@@ -26,8 +24,7 @@ struct CoincidenceHistogram {
   }
   std::uint64_t total() const;
 
-  /// {bin_width_s, range_s, counts} — the sweep-report serialization.
-  io::Json to_json() const;
+  QFC_JSON(CoincidenceHistogram, bin_width_s, range_s, counts)
 };
 
 /// Build the Δt histogram from two sorted click streams (seconds).
@@ -48,8 +45,7 @@ struct CarResult {
   double car = 0;           ///< coincidences / accidentals
   double car_err = 0;       ///< Poisson 1σ propagation
 
-  /// {coincidences, accidentals, car, car_err}.
-  io::Json to_json() const;
+  QFC_JSON(CarResult, coincidences, accidentals, car, car_err)
 };
 
 /// CAR from two click streams: peak window around Δt = 0, accidentals

@@ -4,21 +4,10 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "qfc/io/json.hpp"
 #include "qfc/linalg/solve.hpp"
 #include "qfc/photonics/constants.hpp"
 
 namespace qfc::detect {
-
-io::Json SinusoidFit::to_json() const {
-  io::Json j = io::Json::make_object();
-  j.set("offset", offset);
-  j.set("amplitude", amplitude);
-  j.set("phase_rad", phase_rad);
-  j.set("visibility", visibility);
-  j.set("visibility_err", visibility_err);
-  return j;
-}
 
 ExponentialFit fit_two_sided_exponential(const std::vector<double>& t_s,
                                          const std::vector<double>& y) {

@@ -7,9 +7,7 @@
 
 #include <vector>
 
-namespace qfc::io {
-class Json;
-}
+#include "qfc/io/fields.hpp"
 
 namespace qfc::detect {
 
@@ -43,8 +41,7 @@ struct SinusoidFit {
   double visibility = 0;   ///< A / c0, clipped to [0, 1]
   double visibility_err = 0;  ///< 1σ from Poisson residual propagation
 
-  /// {offset, amplitude, phase_rad, visibility, visibility_err}.
-  io::Json to_json() const;
+  QFC_JSON(SinusoidFit, offset, amplitude, phase_rad, visibility, visibility_err)
 };
 
 /// Least-squares fit of a fringe y(x) = c0 + a cos x + b sin x; x in rad.

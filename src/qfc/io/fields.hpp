@@ -1,7 +1,8 @@
 #pragma once
 
 /// \file fields.hpp
-/// Field tables: the one declaration of a config struct's scalar knobs.
+/// Field tables: the one declaration of a config struct's scalar knobs,
+/// and of the members a result struct serialises.
 /// Each entry holds the member's name, a pointer to it, its valid interval
 /// and a one-line doc with the unit. `validate()` range-checks through
 /// check_fields(), the sweep adapters read JSON parameters through
@@ -16,6 +17,14 @@
 ///
 /// Nested structs and thread-count knobs stay out of the tables; checks
 /// that involve more than one field stay hand-written in validate().
+///
+/// Result structs declare the members they serialise in the names-only
+/// form, which builds the same entries without interval or doc:
+///
+///     QFC_JSON(CarResult, coincidences, accidentals, car, car_err)
+///
+/// and io::to_json() renders any tabled struct, in table order. An entry
+/// may name a const member function; its return value is written.
 
 #include <cstdint>
 #include <limits>
@@ -88,10 +97,48 @@ struct Field {
     return std::tuple{__VA_ARGS__}; \
   }
 
+#define QFC_PARENS ()
+#define QFC_EXPAND(...) QFC_EXPAND3(QFC_EXPAND3(QFC_EXPAND3(QFC_EXPAND3(__VA_ARGS__))))
+#define QFC_EXPAND3(...) QFC_EXPAND2(QFC_EXPAND2(QFC_EXPAND2(QFC_EXPAND2(__VA_ARGS__))))
+#define QFC_EXPAND2(...) QFC_EXPAND1(QFC_EXPAND1(QFC_EXPAND1(QFC_EXPAND1(__VA_ARGS__))))
+#define QFC_EXPAND1(...) __VA_ARGS__
+/// `QFC_FOR_EACH(f, a, b, c)` → `f(a), f(b), f(c)` (up to 64 arguments).
+#define QFC_FOR_EACH(f, ...) __VA_OPT__(QFC_EXPAND(QFC_FOR_EACH_STEP(f, __VA_ARGS__)))
+#define QFC_FOR_EACH_STEP(f, a, ...) \
+  f(a) __VA_OPT__(, QFC_FOR_EACH_AGAIN QFC_PARENS(f, __VA_ARGS__))
+#define QFC_FOR_EACH_AGAIN() QFC_FOR_EACH_STEP
+
+/// `QFC_JSON(T, member...)`: the names-only table of a result struct.
+#define QFC_JSON_KEY(m) ::qfc::io::Field{#m, &Self::m, {}, ""}
+#define QFC_JSON(T, ...) QFC_FIELDS(T, QFC_FOR_EACH(QFC_JSON_KEY, __VA_ARGS__))
+
 /// Calls `fn(entry)` for every entry of T's table, in order.
 template <class T, class Fn>
 void for_each_field(Fn&& fn) {
   std::apply([&](const auto&... entry) { (fn(entry), ...); }, T::fields());
+}
+
+/// The JSON of a value: a number, bool or string is a leaf, a tabled
+/// struct an object of its entries in table order, any other range an
+/// array of its elements.
+template <class T>
+Json to_json(const T& value) {
+  if constexpr (std::is_constructible_v<Json, const T&>) {
+    return Json(value);
+  } else if constexpr (requires { T::fields(); }) {
+    Json out = Json::make_object();
+    for_each_field<T>([&](const auto& f) {
+      if constexpr (std::is_member_function_pointer_v<decltype(f.member)>)
+        out.set(f.name, to_json((value.*f.member)()));
+      else
+        out.set(f.name, to_json(value.*f.member));
+    });
+    return out;
+  } else {
+    Json out = Json::make_array();
+    for (const auto& x : value) out.push_back(to_json(x));
+    return out;
+  }
 }
 
 /// Throws std::invalid_argument("TypeName.field: must be …") for the first

@@ -21,6 +21,12 @@ Json Json::make_array(Array elements) {
   return j;
 }
 
+Json Json::make_object(Object members) {
+  Json j = make_object();
+  j.object_ = std::move(members);
+  return j;
+}
+
 void Json::push_back(Json v) {
   if (type_ == Type::Null) type_ = Type::Array;
   if (type_ != Type::Array) throw JsonError("Json::push_back on a non-array value");
@@ -322,10 +328,9 @@ void append_escaped(std::string& out, const std::string& s) {
 }
 
 void append_double(std::string& out, double v) {
-  if (!std::isfinite(v))
-    throw JsonError(
-        "Json::dump: non-finite number (use io::number_or_string for "
-        "fields that can be NaN/Inf)");
+  // JSON has no NaN/Inf literal: a non-finite value is written as a string.
+  if (std::isnan(v)) { out += "\"nan\""; return; }
+  if (std::isinf(v)) { out += v > 0 ? "\"inf\"" : "\"-inf\""; return; }
   char buf[32];
   // Shortest round-trip form: deterministic bytes for identical bits, and
   // parse(dump(v)) reproduces v exactly.
@@ -387,12 +392,6 @@ std::string Json::dump(int indent) const {
   std::string out;
   dump_to(out, indent, 0);
   return out;
-}
-
-Json number_or_string(double v) {
-  if (std::isfinite(v)) return Json(v);
-  if (std::isnan(v)) return Json("nan");
-  return Json(v > 0 ? "inf" : "-inf");
 }
 
 // ------------------------------------------------------------- JsonView

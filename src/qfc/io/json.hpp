@@ -11,8 +11,13 @@
 /// on it): objects preserve insertion order, numbers print via
 /// std::to_chars shortest round-trip form, and dump() emits no timestamps
 /// or addresses — the same Json value always serializes to the same bytes,
-/// and parse(dump(v)) == v exactly (integers stay integers, doubles stay
-/// bit-identical).
+/// and parse(dump(v)) == v exactly (integers stay integers, finite doubles
+/// stay bit-identical).
+///
+/// Non-finite policy: JSON has no NaN/Inf literal, so the writer emits a
+/// non-finite double as the string "nan", "inf" or "-inf" (a run with no
+/// coincidences reports e.g. a NaN CAR without aborting the report).
+/// Re-parsing the output reads these values back as strings, not numbers.
 
 #include <cstdint>
 #include <stdexcept>
@@ -62,6 +67,9 @@ class Json {
   static Json make_object() { Json j; j.type_ = Type::Object; return j; }
   /// Convenience: Json::make_array({Json(1), Json(2)}).
   static Json make_array(Array elements);
+  /// Convenience: Json::make_object({{"a", 1}, {"b", true}}); keys must be
+  /// distinct.
+  static Json make_object(Object members);
 
   Type type() const noexcept { return type_; }
   bool is_null() const noexcept { return type_ == Type::Null; }
@@ -107,8 +115,8 @@ class Json {
 
   /// Serialize. indent < 0: compact one-line form; indent >= 0: pretty
   /// form with that many spaces per level. Numbers use std::to_chars
-  /// shortest round-trip formatting; non-finite doubles throw JsonError
-  /// (JSON has no NaN/Inf literal) unless the caller sanitized them.
+  /// shortest round-trip formatting; non-finite doubles are written as the
+  /// strings "nan", "inf" and "-inf" (see the file comment).
   std::string dump(int indent = -1) const;
 
  private:
@@ -122,13 +130,6 @@ class Json {
   Array array_;
   Object object_;
 };
-
-/// Non-throwing NaN/Inf-safe number: non-finite doubles serialize as
-/// strings ("nan", "inf", "-inf") so reports can carry e.g. the NaN
-/// worst_qber of an empty network without killing the writer. Readers
-/// treat these as data, not numbers; the sweep report uses this for every
-/// measured floating-point field.
-Json number_or_string(double v);
 
 /// Checked, path-carrying accessor over a parsed Json tree. A JsonView is
 /// a (value, "$.path") pair; every typed getter throws JsonError naming

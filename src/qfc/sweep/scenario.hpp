@@ -6,7 +6,7 @@
 /// JSON-parameterized adapter `run(params) -> Json` whose parameters are
 /// the field tables (io/fields.hpp) of the Config structs it builds, plus
 /// the adapter's own arguments in the same table form, and whose result is
-/// the façade result's to_json(). The sweep runner (sweep.hpp) and the
+/// the façade result through io::to_json(). The sweep runner (sweep.hpp) and the
 /// qfc_sweep CLI enumerate experiments through this registry instead of
 /// hard-coding façade calls, so adding an experiment to the repo means
 /// adding one registry entry.

@@ -2,7 +2,7 @@
 /// The registry entries: one adapter per core façade. Each adapter reads
 /// the façade's Config structs from a flat JSON parameter object through
 /// their field tables (same names, same defaults, same ranges), runs the
-/// experiment, and returns the result's to_json(). Seeds are ordinary
+/// experiment, and returns the result through io::to_json(). Seeds are ordinary
 /// parameters, so a scenario instance is a pure function of its parameter
 /// object.
 
@@ -13,6 +13,7 @@
 #include <iterator>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "qfc/core/comb_source.hpp"
 #include "qfc/core/qkd.hpp"
@@ -132,11 +133,7 @@ ScenarioRegistry::ScenarioRegistry() {
         cfg.engine_threads = 1;  // sweep workers own the parallelism
         auto comb = QuantumFrequencyComb::for_configuration(PumpConfiguration::SelfLockedCw);
         auto exp = comb.heralded(cfg);
-        io::Json channels = io::Json::make_array();
-        for (const auto& r : exp.run_channel_table()) channels.push_back(r.to_json());
-        io::Json out = io::Json::make_object();
-        out.set("channels", std::move(channels));
-        return out;
+        return io::Json::make_object({{"channels", io::to_json(exp.run_channel_table())}});
       });
 
   // ---- Sec. III: type-II pairs (cross-polarized bichromatic pump)
@@ -147,11 +144,10 @@ ScenarioRegistry::ScenarioRegistry() {
         auto comb =
             QuantumFrequencyComb::for_configuration(PumpConfiguration::CrossPolarized);
         auto exp = comb.type2(read<core::Type2Config>(p));
-        io::Json out = io::Json::make_object();
-        out.set("car", exp.run_car_measurement().to_json());
-        out.set("opo_threshold_w", exp.opo_threshold_w());
-        out.set("stimulated_suppression_db", exp.stimulated_suppression_db());
-        return out;
+        return io::Json::make_object(
+            {{"car", io::to_json(exp.run_car_measurement())},
+             {"opo_threshold_w", exp.opo_threshold_w()},
+             {"stimulated_suppression_db", exp.stimulated_suppression_db()}});
       });
 
   // ---- Sec. IV: time-bin entanglement (double-pulse pump)
@@ -169,15 +165,10 @@ ScenarioRegistry::ScenarioRegistry() {
         if (args.channel > num_pairs)
           p.at("channel").fail("must be <= num_channel_pairs (" +
                                std::to_string(num_pairs) + ")");
-        io::Json channels = io::Json::make_array();
-        if (args.channel == 0) {
-          for (auto& r : exp.run_all_channels()) channels.push_back(r.to_json());
-        } else {
-          channels.push_back(exp.run_channel(args.channel).to_json());
-        }
-        io::Json out = io::Json::make_object();
-        out.set("channels", std::move(channels));
-        return out;
+        return io::Json::make_object(
+            {{"channels", io::to_json(args.channel == 0
+                                          ? exp.run_all_channels()
+                                          : std::vector{exp.run_channel(args.channel)})}});
       });
 
   // ---- Sec. V: four-photon states (double-pulse pump, four modes)
@@ -186,7 +177,7 @@ ScenarioRegistry::ScenarioRegistry() {
       specs<core::FourPhotonConfig>(), [](const io::JsonView& p) {
         auto comb = QuantumFrequencyComb::for_configuration(
             PumpConfiguration::DoublePulseFourMode);
-        return comb.four_photon(read<core::FourPhotonConfig>(p)).run().to_json();
+        return io::to_json(comb.four_photon(read<core::FourPhotonConfig>(p)).run());
       });
 
   // ---- Sec. II stability claim
@@ -194,9 +185,20 @@ ScenarioRegistry::ScenarioRegistry() {
       "Self-locked vs externally pumped long-term pair-rate stability",
       specs<core::StabilityConfig, StabilityArgs>(), [](const io::JsonView& p) {
         auto comb = QuantumFrequencyComb::for_configuration(PumpConfiguration::SelfLockedCw);
-        return comb.stability(read<core::StabilityConfig>(p))
-            .run()
-            .to_json(read<StabilityArgs>(p).include_series);
+        const auto result = comb.stability(read<core::StabilityConfig>(p)).run();
+        io::Json out = io::to_json(result);
+        if (read<StabilityArgs>(p).include_series) {
+          // The series follow each trace's summary keys.
+          const auto with_series = [](const core::StabilityTrace& trace) {
+            io::Json j = io::to_json(trace);
+            j.set("time_s", io::to_json(trace.time_s));
+            j.set("relative_rate", io::to_json(trace.relative_rate));
+            return j;
+          };
+          out.set("self_locked", with_series(result.self_locked));
+          out.set("external", with_series(result.external));
+        }
+        return out;
       });
 
   // ---- QKD application: analytic multiplexed link budget
@@ -213,14 +215,10 @@ ScenarioRegistry::ScenarioRegistry() {
             p, {.pump = core::TimebinConfig::make_default_pump(comb.device(),
                                                                pump.average_power_w)}));
         const core::MultiplexedQkdLink link(exp, read<core::UserEndpointParams>(p));
-        io::Json channels = io::Json::make_array();
-        for (const auto& ch : link.all_channels(distance_km))
-          channels.push_back(ch.to_json());
-        io::Json out = io::Json::make_object();
-        out.set("distance_km", distance_km);
-        out.set("channels", std::move(channels));
-        out.set("aggregate_key_rate_bps", link.aggregate_key_rate_bps(distance_km));
-        return out;
+        return io::Json::make_object(
+            {{"distance_km", distance_km},
+             {"channels", io::to_json(link.all_channels(distance_km))},
+             {"aggregate_key_rate_bps", link.aggregate_key_rate_bps(distance_km)}});
       });
 
   // ---- QKD application: many-user shared-engine network run
@@ -237,7 +235,7 @@ ScenarioRegistry::ScenarioRegistry() {
                                                read<core::UserEndpointParams>(p)));
         cfg.analysis_threads = 1;  // sweep workers own the parallelism
         const core::QkdNetwork network(exp, cfg);
-        return network.run(args.duration_s).to_json();
+        return io::to_json(network.run(args.duration_s));
       });
 
   // ---- qudit application: frequency-bin entangled pairs
@@ -256,14 +254,12 @@ ScenarioRegistry::ScenarioRegistry() {
         io::Json probabilities = io::Json::make_array();
         for (const auto& amplitude : source.bin_amplitudes())
           probabilities.push_back(std::norm(amplitude));
-        io::Json out = io::Json::make_object();
-        out.set("dimension", dimension);
-        out.set("bin_probabilities", std::move(probabilities));
-        out.set("schmidt_number", source.schmidt_number());
-        out.set("entanglement_entropy_bits", source.entanglement_entropy_bits());
-        out.set("flattening_efficiency",
-                source.shaping_efficiency(source.flattening_mask()));
-        return out;
+        return io::Json::make_object(
+            {{"dimension", dimension},
+             {"bin_probabilities", std::move(probabilities)},
+             {"schmidt_number", source.schmidt_number()},
+             {"entanglement_entropy_bits", source.entanglement_entropy_bits()},
+             {"flattening_efficiency", source.shaping_efficiency(source.flattening_mask())}});
       });
 }
 

@@ -6,19 +6,7 @@
 #include "qfc/quantum/pauli.hpp"
 #include "qfc/rng/distributions.hpp"
 
-#include "qfc/io/json.hpp"
-
 namespace qfc::timebin {
-
-io::Json TimebinPeaks::to_json() const {
-  io::Json j = io::Json::make_object();
-  j.set("early_late", early_late);
-  j.set("same_bin", same_bin);
-  j.set("late_early", late_early);
-  j.set("central_to_side_ratio", central_to_side_ratio());
-  return j;
-}
-
 
 using linalg::cplx;
 using linalg::CMat;

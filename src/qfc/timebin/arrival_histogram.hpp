@@ -17,9 +17,7 @@
 #include "qfc/rng/xoshiro.hpp"
 #include "qfc/timebin/interferometer.hpp"
 
-namespace qfc::io {
-class Json;
-}
+#include "qfc/io/fields.hpp"
 
 namespace qfc::timebin {
 
@@ -60,8 +58,7 @@ struct TimebinPeaks {
   /// counts), same convention as ArrivalHistogram::central_to_side_ratio.
   double central_to_side_ratio() const;
 
-  /// {early_late, same_bin, late_early, central_to_side_ratio}.
-  io::Json to_json() const;
+  QFC_JSON(TimebinPeaks, early_late, same_bin, late_early, central_to_side_ratio)
 };
 
 /// Sum the histogram bins within ±half_window_s of Δt = −ΔT, 0, +ΔT.

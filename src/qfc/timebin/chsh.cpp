@@ -7,22 +7,7 @@
 #include "qfc/quantum/pauli.hpp"
 #include "qfc/rng/distributions.hpp"
 
-#include "qfc/io/json.hpp"
-
 namespace qfc::timebin {
-
-io::Json ChshMeasurement::to_json() const {
-  io::Json j = io::Json::make_object();
-  j.set("s", s);
-  j.set("s_err", s_err);
-  io::Json e = io::Json::make_array();
-  for (const double c : correlations) e.push_back(io::Json(c));
-  j.set("correlations", std::move(e));
-  j.set("violates_classical", violates_classical());
-  j.set("sigmas_above_2", sigmas_above_2());
-  return j;
-}
-
 
 using photonics::pi;
 

@@ -11,9 +11,7 @@
 #include "qfc/quantum/state.hpp"
 #include "qfc/rng/xoshiro.hpp"
 
-namespace qfc::io {
-class Json;
-}
+#include "qfc/io/fields.hpp"
 
 namespace qfc::timebin {
 
@@ -42,8 +40,7 @@ struct ChshMeasurement {
   bool violates_classical() const { return s > 2.0; }
   double sigmas_above_2() const { return s_err > 0 ? (s - 2.0) / s_err : 0.0; }
 
-  /// {s, s_err, correlations, violates_classical, sigmas_above_2}.
-  io::Json to_json() const;
+  QFC_JSON(ChshMeasurement, s, s_err, correlations, violates_classical, sigmas_above_2)
 };
 
 /// Simulate a CHSH measurement with `pairs_per_setting` detected pairs per

@@ -13,9 +13,7 @@
 #include "qfc/rng/xoshiro.hpp"
 #include "qfc/timebin/interferometer.hpp"
 
-namespace qfc::io {
-class Json;
-}
+#include "qfc/io/fields.hpp"
 
 namespace qfc::timebin {
 
@@ -42,8 +40,7 @@ struct FringeScan {
   std::vector<double> counts;       ///< MC coincidence counts per point
   std::vector<double> expected;     ///< analytic expectation per point
 
-  /// {phase_rad, counts, expected} as parallel arrays.
-  io::Json to_json() const;
+  QFC_JSON(FringeScan, phase_rad, counts, expected)
 };
 
 /// Simulate a fringe: analyzer B fixed, analyzer A scanned over

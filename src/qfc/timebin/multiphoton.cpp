@@ -7,24 +7,7 @@
 #include "qfc/quantum/pauli.hpp"
 #include "qfc/rng/distributions.hpp"
 
-#include "qfc/io/json.hpp"
-
 namespace qfc::timebin {
-
-io::Json FourfoldFringe::to_json() const {
-  io::Json j = io::Json::make_object();
-  const auto as_array = [](const std::vector<double>& v) {
-    io::Json a = io::Json::make_array();
-    for (const double x : v) a.push_back(io::Json(x));
-    return a;
-  };
-  j.set("phase_rad", as_array(phase_rad));
-  j.set("counts", as_array(counts));
-  j.set("expected", as_array(expected));
-  j.set("visibility", visibility);
-  return j;
-}
-
 
 using photonics::pi;
 

@@ -11,9 +11,7 @@
 #include "qfc/quantum/state.hpp"
 #include "qfc/rng/xoshiro.hpp"
 
-namespace qfc::io {
-class Json;
-}
+#include "qfc/io/fields.hpp"
 
 namespace qfc::timebin {
 
@@ -28,8 +26,7 @@ struct FourfoldFringe {
   std::vector<double> expected;  ///< analytic mean
   double visibility = 0;         ///< extrema-based (max−min)/(max+min) of expected
 
-  /// {phase_rad, counts, expected, visibility} as parallel arrays + scalar.
-  io::Json to_json() const;
+  QFC_JSON(FourfoldFringe, phase_rad, counts, expected, visibility)
 };
 
 /// Scan the common analyzer phase over [0, 2π). `events_per_point` is the

@@ -67,14 +67,17 @@ TEST(Json, IntAndDoubleAreDistinctValues) {
   EXPECT_EQ(Json(3.0), Json(3.0));
 }
 
-TEST(Json, WriterRejectsNonFiniteAndNumberOrStringSanitizes) {
+TEST(Json, WriterEmitsNonFiniteNumbersAsStrings) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
-  EXPECT_THROW(Json(nan).dump(), JsonError);
-  EXPECT_EQ(io::number_or_string(nan).dump(), "\"nan\"");
-  EXPECT_EQ(io::number_or_string(inf).dump(), "\"inf\"");
-  EXPECT_EQ(io::number_or_string(-inf).dump(), "\"-inf\"");
-  EXPECT_EQ(io::number_or_string(2.5).dump(), "2.5");
+  EXPECT_EQ(Json(nan).dump(), "\"nan\"");
+  EXPECT_EQ(Json(-nan).dump(), "\"nan\"");
+  EXPECT_EQ(Json(inf).dump(), "\"inf\"");
+  EXPECT_EQ(Json(-inf).dump(), "\"-inf\"");
+  EXPECT_EQ(Json(2.5).dump(), "2.5");
+  // Re-parsing reads the non-finite values back as strings.
+  const Json back = Json::parse(Json::make_array({Json(nan), Json(-inf)}).dump());
+  EXPECT_EQ(back, Json::make_array({Json("nan"), Json("-inf")}));
 }
 
 TEST(Json, ParseErrorsCarryLineAndColumn) {
@@ -255,6 +258,22 @@ TEST(SweepRun, FailingInstanceIsIsolated) {
   EXPECT_EQ(entries[1].find("result"), nullptr);
 }
 
+TEST(SweepRun, NoDataNetworkUserReportsNanQber) {
+  // The user 2000 km out sees no coincidence in 10 ms: the instance still
+  // succeeds and the report carries its QBER as "nan".
+  const auto plan = sweep::expand_sweep_config(parse_config(R"({
+    "sweeps": [{
+      "scenario": "qkd_network",
+      "base": { "num_users": 2, "max_distance_km": 2000.0, "duration_s": 0.01 }
+    }]
+  })"));
+  const auto report = sweep::run_sweep(plan, 1);
+  EXPECT_EQ(report.num_failed, 0u);
+  const std::string bytes = report.json.dump(2);
+  EXPECT_NE(bytes.find(R"("qber": "nan")"), std::string::npos);
+  EXPECT_EQ(bytes.find("null"), std::string::npos);
+}
+
 TEST(SweepRun, OutOfRangeParamNamesItsJsonPath) {
   // One out-of-range value per scenario: the failed instance's error names
   // the offending key under the instance's parameter path.
@@ -338,9 +357,7 @@ TEST(ScenarioParity, HeraldedChannelTable) {
   auto comb = QuantumFrequencyComb::for_configuration(PumpConfiguration::SelfLockedCw);
   auto exp = comb.heralded(cfg);
   Json direct = Json::make_object();
-  Json channels = Json::make_array();
-  for (const auto& r : exp.run_channel_table()) channels.push_back(r.to_json());
-  direct.set("channels", std::move(channels));
+  direct.set("channels", io::to_json(exp.run_channel_table()));
   EXPECT_EQ(via_sweep, direct);
 }
 
@@ -356,7 +373,7 @@ TEST(ScenarioParity, QkdLinkBudget) {
   const auto direct = link.all_channels(25.0);
   ASSERT_EQ(channels_json.size(), direct.size());
   for (std::size_t i = 0; i < direct.size(); ++i)
-    EXPECT_EQ(channels_json[i], direct[i].to_json());
+    EXPECT_EQ(channels_json[i], io::to_json(direct[i]));
   EXPECT_EQ(via_sweep.find("aggregate_key_rate_bps")->number_value(),
             link.aggregate_key_rate_bps(25.0));
 }
@@ -373,7 +390,7 @@ TEST(ScenarioParity, TimebinChsh) {
   cfg.seed = 3;
   auto exp = comb.timebin(cfg);
   EXPECT_EQ(via_sweep.find("channels")->array_items()[0],
-            exp.run_channel(1).to_json());
+            io::to_json(exp.run_channel(1)));
 }
 
 TEST(ScenarioParity, Type2Car) {
@@ -382,7 +399,7 @@ TEST(ScenarioParity, Type2Car) {
   cfg.duration_s = 0.2;
   auto comb = QuantumFrequencyComb::for_configuration(PumpConfiguration::CrossPolarized);
   auto exp = comb.type2(cfg);
-  EXPECT_EQ(*via_sweep.find("car"), exp.run_car_measurement().to_json());
+  EXPECT_EQ(*via_sweep.find("car"), io::to_json(exp.run_car_measurement()));
   EXPECT_EQ(via_sweep.find("opo_threshold_w")->number_value(), exp.opo_threshold_w());
 }
 
@@ -393,7 +410,7 @@ TEST(ScenarioParity, StabilityComparison) {
   cfg.observation_days = 0.25;
   cfg.sample_interval_s = 900.0;
   auto comb = QuantumFrequencyComb::for_configuration(PumpConfiguration::SelfLockedCw);
-  EXPECT_EQ(via_sweep, comb.stability(cfg).run().to_json());
+  EXPECT_EQ(via_sweep, io::to_json(comb.stability(cfg).run()));
 }
 
 TEST(ScenarioParity, FourPhoton) {
@@ -406,7 +423,7 @@ TEST(ScenarioParity, FourPhoton) {
   cfg.tomo_shots_per_setting = 40.0;
   auto comb =
       QuantumFrequencyComb::for_configuration(PumpConfiguration::DoublePulseFourMode);
-  EXPECT_EQ(via_sweep, comb.four_photon(cfg).run().to_json());
+  EXPECT_EQ(via_sweep, io::to_json(comb.four_photon(cfg).run()));
 }
 
 TEST(ScenarioParity, QkdNetwork) {
@@ -419,7 +436,7 @@ TEST(ScenarioParity, QkdNetwork) {
   cfg.stream_window_s = 0.025;
   cfg.analysis_threads = 1;
   const core::QkdNetwork network(exp, cfg);
-  EXPECT_EQ(via_sweep, network.run(0.05).to_json());
+  EXPECT_EQ(via_sweep, io::to_json(network.run(0.05)));
 }
 
 TEST(ScenarioParity, QuditSource) {
