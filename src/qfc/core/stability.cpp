@@ -13,6 +13,19 @@
 
 namespace qfc::core {
 
+namespace {
+
+double observation_s(const StabilityConfig& cfg) { return cfg.observation_days * 24.0 * 3600.0; }
+
+}  // namespace
+
+void StabilityConfig::validate() const {
+  io::check_fields(*this, "StabilityConfig");
+  if (!(observation_s(*this) >= sample_interval_s))
+    throw std::invalid_argument(
+        "StabilityConfig.observation_days: must cover at least one sample_interval_s");
+}
+
 StabilityExperiment::StabilityExperiment(photonics::MicroringResonator device,
                                          StabilityConfig cfg)
     : device_(device), cfg_(cfg) {
@@ -40,8 +53,7 @@ StabilityTrace StabilityExperiment::run_scheme(photonics::PumpLocking locking,
                                      0.0);
 
   StabilityTrace trace;
-  const double total_s = cfg_.observation_days * 24.0 * 3600.0;
-  const auto n = static_cast<std::size_t>(total_s / cfg_.sample_interval_s);
+  const auto n = static_cast<std::size_t>(observation_s(cfg_) / cfg_.sample_interval_s);
   trace.time_s.reserve(n);
   trace.relative_rate.reserve(n);
 

@@ -42,8 +42,9 @@ struct StabilityConfig {
       QFC_FIELD(seed, io::kNonNegative, "drift RNG seed"))
 
   /// Throws std::invalid_argument("StabilityConfig.observation_days: must
-  /// be > 0"). Called by the constructor.
-  void validate() const { io::check_fields(*this, "StabilityConfig"); }
+  /// be > 0"), also when the observation is shorter than one sample
+  /// interval. Called by the constructor.
+  void validate() const;
 };
 
 struct StabilityTrace {

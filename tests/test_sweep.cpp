@@ -258,6 +258,25 @@ TEST(SweepRun, FailingInstanceIsIsolated) {
   EXPECT_EQ(entries[1].find("result"), nullptr);
 }
 
+TEST(SweepRun, StabilityObservationShorterThanOneSampleFailsOnlyItsInstance) {
+  // 0.001 days is 86.4 s, less than one 600 s sample: that instance fails
+  // validation (it used to divide 0/0 and abort the run).
+  const auto plan = sweep::expand_sweep_config(parse_config(R"({
+    "sweeps": [{
+      "scenario": "stability_comparison",
+      "base": { "sample_interval_s": 600.0 },
+      "axes": [{ "param": "observation_days", "values": [0.001, 0.1] }]
+    }]
+  })"));
+  const auto report = sweep::run_sweep(plan, 2);
+  EXPECT_EQ(report.num_failed, 1u);
+  const auto& entries = report.json.find("results")->array_items();
+  EXPECT_FALSE(entries[0].find("ok")->bool_value());
+  EXPECT_NE(entries[0].find("error")->string_value().find("StabilityConfig.observation_days"),
+            std::string::npos);
+  EXPECT_TRUE(entries[1].find("ok")->bool_value());
+}
+
 TEST(SweepRun, NoDataNetworkUserReportsNanQber) {
   // The user 2000 km out sees no coincidence in 10 ms: the instance still
   // succeeds and the report carries its QBER as "nan".
@@ -476,6 +495,23 @@ TEST(FacadeConfigs, ValidateNamesTheOffendingField) {
   qudit::FreqBinConfig qudit_cfg;
   qudit_cfg.dimension = 1;
   EXPECT_THROW(qudit_cfg.validate(), std::invalid_argument);
+}
+
+TEST(FacadeConfigs, StabilityObservationMustCoverOneSample) {
+  core::StabilityConfig cfg;
+  cfg.observation_days = 0.001;
+  cfg.sample_interval_s = 600.0;
+  auto comb = QuantumFrequencyComb::for_configuration(PumpConfiguration::SelfLockedCw);
+  try {
+    comb.stability(cfg);
+    FAIL() << "an observation shorter than one sample was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("StabilityConfig.observation_days"),
+              std::string::npos)
+        << e.what();
+  }
+  cfg.sample_interval_s = 80.0;  // one sample
+  EXPECT_EQ(comb.stability(cfg).run().self_locked.samples(), 1u);
 }
 
 /// Sets each number field of `valid` in turn to NaN, and to -inf / +inf
