@@ -492,45 +492,57 @@ int main(int argc, char** argv) {
                 r.events_per_sec, r.max_rss_kb, r.identical ? "yes" : "NO");
   }
 
-  std::vector<std::string> json_rows;
-  json_rows.reserve(rows.size() + mode_rows.size());
+  using qfc::io::Json;
+  Json json_rows = Json::make_array();
   for (const Row& r : rows)
-    json_rows.push_back(bench::format(
-        "{\"emission\": \"cw\", \"n\": %d, \"legacy_ms\": %.3f, \"engine_ms\": %.3f, "
-        "\"speedup\": %.3f, \"identical\": %s, \"events\": %zu, "
-        "\"events_per_sec\": %.1f, \"max_rss_kb\": %ld}",
-        r.n, r.legacy_ms, r.engine_ms, r.speedup, r.identical ? "true" : "false",
-        r.events, r.events_per_sec, r.max_rss_kb));
+    json_rows.push_back(Json::make_object({{"emission", "cw"},
+                                           {"n", r.n},
+                                           {"legacy_ms", r.legacy_ms},
+                                           {"engine_ms", r.engine_ms},
+                                           {"speedup", r.speedup},
+                                           {"identical", r.identical},
+                                           {"events", r.events},
+                                           {"events_per_sec", r.events_per_sec},
+                                           {"max_rss_kb", r.max_rss_kb}}));
   for (const ModeRow& r : mode_rows)
-    json_rows.push_back(bench::format(
-        "{\"emission\": \"%s\", \"n\": %d, \"engine_ms\": %.3f, \"deterministic\": %s}",
-        r.emission, r.n, r.engine_ms, r.deterministic ? "true" : "false"));
+    json_rows.push_back(Json::make_object({{"emission", r.emission},
+                                           {"n", r.n},
+                                           {"engine_ms", r.engine_ms},
+                                           {"deterministic", r.deterministic}}));
   for (const AnalysisRow& r : analysis_rows)
-    json_rows.push_back(bench::format(
-        "{\"kernel\": \"analysis\", \"threads\": %d, \"n\": %d, \"car_ms\": %.3f, "
-        "\"correlate_ms\": %.3f, \"speedup_vs_1t\": %.3f, \"deterministic\": %s}",
-        r.threads, n_analysis, r.car_ms, r.correlate_ms, r.speedup_vs_1t,
-        r.deterministic ? "true" : "false"));
-  json_rows.push_back(bench::format(
-      "{\"kernel\": \"streaming_rss\", \"n\": %d, \"window_s\": %.6f, "
-      "\"duration_s\": %.3f, \"base_ms\": %.3f, \"ten_x_ms\": %.3f, "
-      "\"rss_base_kb\": %ld, \"rss_10x_kb\": %ld, \"bounded_rss\": %s}",
-      probe_n, probe_window_s, probe_duration_s, probe_base_ms, probe_10x_ms,
-      rss_base_kb, rss_10x_kb, bounded_rss ? "true" : "false"));
+    json_rows.push_back(Json::make_object({{"kernel", "analysis"},
+                                           {"threads", r.threads},
+                                           {"n", n_analysis},
+                                           {"car_ms", r.car_ms},
+                                           {"correlate_ms", r.correlate_ms},
+                                           {"speedup_vs_1t", r.speedup_vs_1t},
+                                           {"deterministic", r.deterministic}}));
+  json_rows.push_back(Json::make_object({{"kernel", "streaming_rss"},
+                                         {"n", probe_n},
+                                         {"window_s", probe_window_s},
+                                         {"duration_s", probe_duration_s},
+                                         {"base_ms", probe_base_ms},
+                                         {"ten_x_ms", probe_10x_ms},
+                                         {"rss_base_kb", rss_base_kb},
+                                         {"rss_10x_kb", rss_10x_kb},
+                                         {"bounded_rss", bounded_rss}}));
   for (const StreamRow& r : stream_rows)
-    json_rows.push_back(bench::format(
-        "{\"kernel\": \"streaming\", \"n\": 10, \"window_s\": %.6f, "
-        "\"stream_ms\": %.3f, \"batch_ms\": %.3f, \"events\": %zu, "
-        "\"events_per_sec\": %.1f, \"max_rss_kb\": %ld, \"identical\": %s}",
-        r.window_s, r.stream_ms, batch_ms, r.events, r.events_per_sec, r.max_rss_kb,
-        r.identical ? "true" : "false"));
-  bench::write_json(json_path, "event_engine", smoke, json_rows,
-                    {bench::format("\"duration_s\": %.3f", duration_s),
-                     bench::format("\"speedup_n10\": %.3f", speedup_n10),
-                     bench::format("\"deterministic\": %s",
-                                   deterministic ? "true" : "false"),
-                     bench::format("\"max_rss_kb\": %ld", peak_rss_kb()),
-                     "\"obs\": " + obs_report.json_object()});
+    json_rows.push_back(Json::make_object({{"kernel", "streaming"},
+                                           {"n", 10},
+                                           {"window_s", r.window_s},
+                                           {"stream_ms", r.stream_ms},
+                                           {"batch_ms", batch_ms},
+                                           {"events", r.events},
+                                           {"events_per_sec", r.events_per_sec},
+                                           {"max_rss_kb", r.max_rss_kb},
+                                           {"identical", r.identical}}));
+  bench::write_envelope(json_path, "event_engine", smoke,
+                        {{"rows", std::move(json_rows)},
+                         {"duration_s", duration_s},
+                         {"speedup_n10", speedup_n10},
+                         {"deterministic", deterministic},
+                         {"max_rss_kb", peak_rss_kb()},
+                         {"obs", Json::parse(obs_report.json_object())}});
 
   // Exit code gates on correctness only (cell identity + thread-count
   // determinism in every emission mode and in the sharded analysis sweep +

@@ -126,13 +126,12 @@ int main(int argc, char** argv) {
   for (const auto& r : rows)
     std::printf("%-26s %8zu %6d %12.3f\n", r.name.c_str(), r.n, r.reps, r.ms_per_rep);
 
-  std::vector<std::string> json_rows;
-  json_rows.reserve(rows.size());
+  using qfc::io::Json;
+  Json json_rows = Json::make_array();
   for (const Row& r : rows)
-    json_rows.push_back(
-        bench::format("{\"kernel\": \"%s\", \"n\": %zu, \"reps\": %d, \"ms_per_rep\": %.3f}",
-                      r.name.c_str(), r.n, r.reps, r.ms_per_rep));
-  bench::write_json(json_path, "kernels", smoke, json_rows);
+    json_rows.push_back(Json::make_object(
+        {{"kernel", r.name}, {"n", r.n}, {"reps", r.reps}, {"ms_per_rep", r.ms_per_rep}}));
+  bench::write_envelope(json_path, "kernels", smoke, {{"rows", std::move(json_rows)}});
 
   bench::verdict(true, "kernel timings recorded (" + std::to_string(rows.size()) + " rows)");
   return 0;

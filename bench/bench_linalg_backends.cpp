@@ -279,21 +279,21 @@ int main(int argc, char** argv) {
               deterministic ? "bitwise identical" : "MISMATCH");
   const bool eig_n128_wins = speedup_eig_n128 >= 1.0;
 
-  std::vector<std::string> json_rows;
-  json_rows.reserve(rows.size());
+  using qfc::io::Json;
+  Json json_rows = Json::make_array();
   for (const Row& r : rows)
-    json_rows.push_back(bench::format(
-        "{\"kernel\": \"%s\", \"n\": %zu, \"reference_ms\": %.3f, "
-        "\"blocked_ms\": %.3f, \"speedup\": %.3f, \"match\": %s}",
-        r.kernel, r.n, r.reference_ms, r.blocked_ms, r.speedup,
-        r.match ? "true" : "false"));
-  bench::write_json(json_path, "linalg_backends", smoke, json_rows,
-                    {bench::format("\"speedup_eig_n128\": %.3f", speedup_eig_n128),
-                     bench::format("\"eig_n128_blocked_wins\": %s",
-                                   eig_n128_wins ? "true" : "false"),
-                     bench::format("\"deterministic\": %s",
-                                   deterministic ? "true" : "false"),
-                     "\"obs\": " + obs_report.json_object()});
+    json_rows.push_back(Json::make_object({{"kernel", r.kernel},
+                                           {"n", r.n},
+                                           {"reference_ms", r.reference_ms},
+                                           {"blocked_ms", r.blocked_ms},
+                                           {"speedup", r.speedup},
+                                           {"match", r.match}}));
+  bench::write_envelope(json_path, "linalg_backends", smoke,
+                        {{"rows", std::move(json_rows)},
+                         {"speedup_eig_n128", speedup_eig_n128},
+                         {"eig_n128_blocked_wins", eig_n128_wins},
+                         {"deterministic", deterministic},
+                         {"obs", Json::parse(obs_report.json_object())}});
 
   // Exit code gates on correctness only (value parity + thread-count
   // determinism); the speedup rows are gated in CI by check_bench.py's

@@ -173,30 +173,33 @@ int main(int argc, char** argv) {
                 row.deterministic ? "yes" : "NO");
   }
 
-  std::vector<std::string> json_rows;
-  json_rows.reserve(rows.size() + 1);
-  json_rows.push_back(bench::format(
-      "{\"kernel\": \"network_rss\", \"n\": 256, \"window_s\": %.6f, "
-      "\"duration_s\": %.3f, \"base_ms\": %.3f, \"ten_x_ms\": %.3f, "
-      "\"rss_base_kb\": %ld, \"rss_10x_kb\": %ld, \"bounded_rss\": %s}",
-      window_s, duration_s, probe_base_ms, probe_10x_ms, rss_base_kb,
-      rss_10x_kb, bounded_rss ? "true" : "false"));
+  using qfc::io::Json;
+  Json json_rows = Json::make_array();
+  json_rows.push_back(Json::make_object({{"kernel", "network_rss"},
+                                         {"n", 256},
+                                         {"window_s", window_s},
+                                         {"duration_s", duration_s},
+                                         {"base_ms", probe_base_ms},
+                                         {"ten_x_ms", probe_10x_ms},
+                                         {"rss_base_kb", rss_base_kb},
+                                         {"rss_10x_kb", rss_10x_kb},
+                                         {"bounded_rss", bounded_rss}}));
   for (const NetworkRow& r : rows)
-    json_rows.push_back(bench::format(
-        "{\"kernel\": \"network\", \"n\": %zu, \"run_ms\": %.3f, "
-        "\"windows\": %zu, \"users_with_key\": %zu, "
-        "\"total_key_rate_bps\": %.3f, \"worst_qber\": %.6f, "
-        "\"deterministic\": %s}",
-        r.users, r.run_ms, r.windows, r.users_with_key, r.total_key_rate_bps,
-        r.worst_qber, r.deterministic ? "true" : "false"));
-  bench::write_json(json_path, "qkd_network", smoke, json_rows,
-                    {bench::format("\"duration_s\": %.3f", duration_s),
-                     bench::format("\"bounded_rss\": %s",
-                                   bounded_rss ? "true" : "false"),
-                     bench::format("\"deterministic\": %s",
-                                   all_deterministic ? "true" : "false"),
-                     bench::format("\"max_rss_kb\": %ld", peak_rss_kb()),
-                     "\"obs\": " + obs_report.json_object()});
+    json_rows.push_back(Json::make_object({{"kernel", "network"},
+                                           {"n", r.users},
+                                           {"run_ms", r.run_ms},
+                                           {"windows", r.windows},
+                                           {"users_with_key", r.users_with_key},
+                                           {"total_key_rate_bps", r.total_key_rate_bps},
+                                           {"worst_qber", r.worst_qber},
+                                           {"deterministic", r.deterministic}}));
+  bench::write_envelope(json_path, "qkd_network", smoke,
+                        {{"rows", std::move(json_rows)},
+                         {"duration_s", duration_s},
+                         {"bounded_rss", bounded_rss},
+                         {"deterministic", all_deterministic},
+                         {"max_rss_kb", peak_rss_kb()},
+                         {"obs", Json::parse(obs_report.json_object())}});
 
   const bool ok = bounded_rss && all_deterministic &&
                   rows.back().users_with_key > 0;

@@ -127,20 +127,21 @@ int main(int argc, char** argv) {
                 row.num_failed, row.speedup_vs_1t, row.identical ? "yes" : "NO");
   }
 
-  std::vector<std::string> json_rows;
-  json_rows.reserve(rows.size());
+  using qfc::io::Json;
+  Json json_rows = Json::make_array();
   for (const Row& r : rows)
-    json_rows.push_back(bench::format(
-        "{\"kernel\": \"sweep\", \"n\": %d, \"instances\": %zu, "
-        "\"run_ms\": %.3f, \"num_failed\": %zu, \"speedup_vs_1t\": %.3f, "
-        "\"identical\": %s}",
-        r.workers, plan.instances.size(), r.run_ms, r.num_failed,
-        r.speedup_vs_1t, r.identical ? "true" : "false"));
-  bench::write_json(json_path, "sweep", smoke, json_rows,
-                    {bench::format("\"instances\": %zu", plan.instances.size()),
-                     bench::format("\"deterministic\": %s",
-                                   all_identical ? "true" : "false"),
-                     "\"obs\": " + obs_report.json_object()});
+    json_rows.push_back(Json::make_object({{"kernel", "sweep"},
+                                           {"n", r.workers},
+                                           {"instances", plan.instances.size()},
+                                           {"run_ms", r.run_ms},
+                                           {"num_failed", r.num_failed},
+                                           {"speedup_vs_1t", r.speedup_vs_1t},
+                                           {"identical", r.identical}}));
+  bench::write_envelope(json_path, "sweep", smoke,
+                        {{"rows", std::move(json_rows)},
+                         {"instances", plan.instances.size()},
+                         {"deterministic", all_identical},
+                         {"obs", Json::parse(obs_report.json_object())}});
 
   const bool ok = all_identical && !any_failed;
   bench::verdict(

@@ -9,8 +9,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <string>
-#include <vector>
+
+#include "qfc/io/json.hpp"
 
 namespace bench {
 
@@ -76,35 +78,20 @@ inline Flags parse_flags(int argc, char** argv, const char* default_json) {
   return f;
 }
 
-/// Write the shared JSON envelope. `rows` are pre-rendered JSON objects
-/// (no trailing commas); `extra` holds zero or more pre-rendered top-level
-/// members (e.g. "\"deterministic\": true") appended after the rows array.
-inline void write_json(const std::string& path, const char* bench_name, bool smoke,
-                       const std::vector<std::string>& rows,
-                       const std::vector<std::string>& extra = {}) {
+/// Writes the shared JSON envelope {"bench": name, "mode": "smoke" or
+/// "full", then `members` in order: "rows" first, then any top-level
+/// summary members}.
+inline void write_envelope(const std::string& path, const char* bench_name, bool smoke,
+                           qfc::io::Json::Object members) {
   if (path.empty()) return;
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
+  std::ofstream out(path);
+  if (!out) {
     std::printf("could not write %s\n", path.c_str());
     return;
   }
-  std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"mode\": \"%s\",\n  \"rows\": [\n",
-               bench_name, smoke ? "smoke" : "full");
-  for (std::size_t i = 0; i < rows.size(); ++i)
-    std::fprintf(f, "    %s%s\n", rows[i].c_str(), i + 1 < rows.size() ? "," : "");
-  std::fprintf(f, "  ]");
-  for (const auto& e : extra) std::fprintf(f, ",\n  %s", e.c_str());
-  std::fprintf(f, "\n}\n");
-  std::fclose(f);
+  members.insert(members.begin(), {{"bench", bench_name}, {"mode", smoke ? "smoke" : "full"}});
+  out << qfc::io::Json::make_object(std::move(members)).dump(2) << '\n';
   std::printf("wrote %s\n", path.c_str());
-}
-
-/// snprintf into a std::string, for rendering JSON rows/members.
-template <class... Ts>
-std::string format(const char* fmt, Ts... args) {
-  char buf[512];
-  std::snprintf(buf, sizeof(buf), fmt, args...);
-  return std::string(buf);
 }
 
 }  // namespace bench
