@@ -61,7 +61,9 @@ struct FourPhotonResult {
   int tomo_iterations_pair = 0;
   int tomo_iterations_four = 0;
 
-  QFC_JSON(FourPhotonResult, fringe, fringe_fit, analytic_visibility, bell_fidelity_a, bell_fidelity_b, four_photon_fidelity, four_photon_state_fidelity, tomo_iterations_pair, tomo_iterations_four)
+  QFC_JSON(FourPhotonResult, fringe, fringe_fit, analytic_visibility, bell_fidelity_a,
+           bell_fidelity_b, four_photon_fidelity, four_photon_state_fidelity, tomo_iterations_pair,
+           tomo_iterations_four)
 };
 
 class FourPhotonExperiment {

@@ -74,7 +74,8 @@ struct CoherenceResult {
   double deconvolved_linewidth_hz = 0;  ///< after jitter correction
   double ring_linewidth_hz = 0;         ///< ground truth of the device model
 
-  QFC_JSON(CoherenceResult, histogram, fitted_tau_s, measured_linewidth_hz, deconvolved_linewidth_hz, ring_linewidth_hz)
+  QFC_JSON(CoherenceResult, histogram, fitted_tau_s, measured_linewidth_hz,
+           deconvolved_linewidth_hz, ring_linewidth_hz)
 };
 
 class HeraldedPhotonExperiment {

@@ -99,7 +99,8 @@ struct QkdChannelPerformance {
   double key_rate_bps = 0;
   bool key_positive = false;
 
-  QFC_JSON(QkdChannelPerformance, k, distance_km, visibility, qber, sifted_rate_hz, secret_fraction, key_rate_bps, key_positive)
+  QFC_JSON(QkdChannelPerformance, k, distance_km, visibility, qber, sifted_rate_hz, secret_fraction,
+           key_rate_bps, key_positive)
 };
 
 /// Intrinsic (accidental-free) time-bin visibility of channel pair k over

@@ -101,7 +101,8 @@ struct QkdUserReport {
   double secret_key_rate_bps = 0;
   bool key_positive = false;
 
-  QFC_JSON(QkdUserReport, user, channel_pair, distance_km, car, visibility, qber, sifted_rate_hz, secret_fraction, secret_key_rate_bps, key_positive)
+  QFC_JSON(QkdUserReport, user, channel_pair, distance_km, car, visibility, qber, sifted_rate_hz,
+           secret_fraction, secret_key_rate_bps, key_positive)
 };
 
 /// One bin of the per-distance aggregate histogram: [lo_km, hi_km).

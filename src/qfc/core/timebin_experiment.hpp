@@ -67,7 +67,8 @@ struct TimebinChannelResult {
   timebin::ChshMeasurement chsh;        ///< CHSH at optimal settings
   timebin::FringeScan scan;             ///< raw fringe data
 
-  QFC_JSON(TimebinChannelResult, k, mu_per_double_pulse, fringe_fit, predicted_visibility, chsh, scan)
+  QFC_JSON(TimebinChannelResult, k, mu_per_double_pulse, fringe_fit, predicted_visibility, chsh,
+           scan)
 };
 
 class TimebinExperiment {

@@ -260,7 +260,7 @@ TEST(SweepRun, FailingInstanceIsIsolated) {
 
 TEST(SweepRun, StabilityObservationShorterThanOneSampleFailsOnlyItsInstance) {
   // 0.001 days is 86.4 s, less than one 600 s sample: that instance fails
-  // validation (it used to divide 0/0 and abort the run).
+  // validation and the other still runs.
   const auto plan = sweep::expand_sweep_config(parse_config(R"({
     "sweeps": [{
       "scenario": "stability_comparison",
