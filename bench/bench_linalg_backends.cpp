@@ -1,8 +1,9 @@
 // Perf bench for the linalg kernel-dispatch seam: Reference (naive
 // single-threaded loops) vs Blocked (SIMD micro-kernels, cache-blocked
-// GEMM, round-robin parallel Jacobi eig/SVD on the worker pool) across a
-// dimension sweep, plus the kron seam and the batched small-matrix eig
-// path (1000 d=16 matrices — the shape of a tomography sweep).
+// GEMM, round-robin Jacobi eig, cyclic one-sided Jacobi SVD — each one
+// serial kernel) across a dimension sweep, plus the kron seam and the
+// batched small-matrix eig path (1000 d=16 matrices — the shape of a
+// tomography sweep), the one row that fans out across the worker pool.
 // Timing is best-of-N (minimum over reps) so small-n rows are stable.
 // Also checks value parity (1e-10) and bitwise thread-count invariance,
 // which gate the exit code; the speedup is reported but never fails CI on
@@ -193,7 +194,7 @@ Row bench_eig_batch(std::size_t d, std::size_t count) {
 }
 
 /// Blocked results must be bitwise identical for every worker count —
-/// including the batch fan-out and the pooled kron.
+/// including the batch fan-out and kron.
 bool check_thread_invariance(std::size_t n) {
   const CMat h = random_hermitian(n, 77);
   const CMat r = random_matrix(n + 8, n, 78);
@@ -240,9 +241,10 @@ int main(int argc, char** argv) {
   const obs::RunReport obs_report;
 
   bench::header("P2  bench_linalg_backends",
-                "Blocked backend (SIMD micro-kernels + worker pool) at or above "
-                "Reference on every kernel and dimension, eigen/singular values "
-                "matching to 1e-10, bitwise thread-count invariant");
+                "Blocked backend (serial SIMD micro-kernels, batch fan-out on the "
+                "worker pool) at or above Reference on every kernel and dimension, "
+                "eigen/singular values matching to 1e-10, bitwise thread-count "
+                "invariant");
 
   const std::vector<std::size_t> dims =
       smoke ? std::vector<std::size_t>{8, 32, 64, 128}

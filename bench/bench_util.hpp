@@ -11,6 +11,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
 
 #include "qfc/io/json.hpp"
 
@@ -79,8 +80,9 @@ inline Flags parse_flags(int argc, char** argv, const char* default_json) {
 }
 
 /// Writes the shared JSON envelope {"bench": name, "mode": "smoke" or
-/// "full", then `members` in order: "rows" first, then any top-level
-/// summary members}.
+/// "full", "nproc": the host's hardware thread count, then `members` in
+/// order: "rows" first, then any top-level summary members}. "nproc" states
+/// the host a row was recorded on; scripts/check_bench.py does not gate it.
 inline void write_envelope(const std::string& path, const char* bench_name, bool smoke,
                            qfc::io::Json::Object members) {
   if (path.empty()) return;
@@ -89,7 +91,10 @@ inline void write_envelope(const std::string& path, const char* bench_name, bool
     std::printf("could not write %s\n", path.c_str());
     return;
   }
-  members.insert(members.begin(), {{"bench", bench_name}, {"mode", smoke ? "smoke" : "full"}});
+  members.insert(members.begin(),
+                 {{"bench", bench_name},
+                  {"mode", smoke ? "smoke" : "full"},
+                  {"nproc", std::thread::hardware_concurrency()}});
   out << qfc::io::Json::make_object(std::move(members)).dump(2) << '\n';
   std::printf("wrote %s\n", path.c_str());
 }

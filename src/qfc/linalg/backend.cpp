@@ -320,14 +320,11 @@ const char* to_string(BackendKind kind) {
 // Validate once (same checks as the per-matrix entry points), then hand the
 // whole batch to the active backend.
 
-std::vector<EigResult> hermitian_eig_batch(const std::vector<CMat>& as,
-                                           const EigOptions& opt,
-                                           double hermiticity_tol) {
-  for (const CMat& a : as) {
-    a.require_square("hermitian_eig_batch");
-    if (!is_hermitian(a, hermiticity_tol))
-      throw std::invalid_argument("hermitian_eig_batch: input is not Hermitian");
-  }
+namespace {
+
+std::vector<EigResult> validated_eig_batch(const std::vector<CMat>& as, const EigOptions& opt,
+                                           double hermiticity_tol, const char* who) {
+  for (const CMat& a : as) detail::validate_eig_input(a, hermiticity_tol, who);
   QFC_OBS_SPAN("linalg.eig_batch",
                {{"count", as.size()}, {"backend", backend().name()}});
   if (obs::metrics_enabled()) {
@@ -337,20 +334,30 @@ std::vector<EigResult> hermitian_eig_batch(const std::vector<CMat>& as,
   return backend().hermitian_eig_batch(as, opt);
 }
 
+}  // namespace
+
+std::vector<EigResult> hermitian_eig_batch(const std::vector<CMat>& as,
+                                           const EigOptions& opt,
+                                           double hermiticity_tol) {
+  return validated_eig_batch(as, opt, hermiticity_tol, "hermitian_eig_batch");
+}
+
 std::vector<RVec> hermitian_eigenvalues_batch(const std::vector<CMat>& as,
                                               int max_sweeps) {
   EigOptions opt;
   opt.max_sweeps = max_sweeps;
   opt.want_vectors = false;
-  auto full = hermitian_eig_batch(as, opt);
+  auto full = validated_eig_batch(as, opt, 1e-9, "hermitian_eigenvalues_batch");
   std::vector<RVec> out(full.size());
   for (std::size_t i = 0; i < full.size(); ++i) out[i] = std::move(full[i].values);
   return out;
 }
 
 std::vector<SvdResult> svd_batch(const std::vector<CMat>& as, int max_sweeps) {
-  for (const CMat& a : as)
+  for (const CMat& a : as) {
     if (a.empty()) throw std::invalid_argument("svd_batch: empty matrix");
+    a.require_finite("svd_batch");
+  }
   QFC_OBS_SPAN("linalg.svd_batch",
                {{"count", as.size()}, {"backend", backend().name()}});
   if (obs::metrics_enabled()) {

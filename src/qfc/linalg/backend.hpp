@@ -7,14 +7,14 @@
 ///
 ///  - Reference: the original hand-rolled single-threaded loops. Always
 ///    available, exhaustively tested, the accuracy baseline.
-///  - Blocked: cache-blocked GEMM with a transposed-B micro-kernel, and
-///    round-robin ("chess tournament") parallel Jacobi eig / one-sided
-///    Jacobi SVD on the shared qfc::parallel::WorkerPool (see
-///    src/qfc/parallel/README.md). Every rotation round partitions
-///    the matrix into disjoint row/column pairs, so the task-to-thread
-///    assignment cannot change any floating-point operation order: results
-///    are bitwise identical for every thread count (the same determinism
-///    contract as detect::EventEngine).
+///  - Blocked: SIMD micro-kernels, cache-blocked GEMM with a
+///    transposed-B micro-kernel, and cyclic / round-robin ("chess
+///    tournament") Jacobi eig plus one-sided Jacobi SVD. Each kernel is one
+///    serial code path; only the batch entry points thread, one matrix per
+///    task on the shared qfc::parallel::WorkerPool (see
+///    src/qfc/parallel/README.md), so results are bitwise identical for
+///    every thread count (the same determinism contract as
+///    detect::EventEngine).
 ///
 /// Selection: set_default_backend() programmatically, or the
 /// QFC_LINALG_BACKEND environment variable ("reference" | "blocked"),
@@ -104,9 +104,10 @@ const Backend& backend(BackendKind kind);
 
 const char* to_string(BackendKind kind);
 
-/// Worker threads used by the Blocked backend (0 = one per hardware thread,
-/// the default; initial value also settable via QFC_LINALG_THREADS).
-/// Changing the count never changes results — only wall-clock.
+/// Worker threads of the Blocked backend's batch fan-out (0 = one per
+/// hardware thread, the default; initial value also settable via
+/// QFC_LINALG_THREADS). Single-matrix kernels never thread. Changing the
+/// count never changes results — only wall-clock.
 void set_backend_threads(unsigned n);
 unsigned backend_threads();
 
@@ -130,19 +131,6 @@ void set_simd_enabled(bool on);
 bool simd_enabled();
 /// The raw on/off request, ignoring CPU support (for save/restore).
 bool simd_request();
-
-/// RAII: forces the Blocked backend's kernels on this thread to run their
-/// parallel rounds inline instead of dispatching to the worker pool (the
-/// arithmetic is unchanged, so results are bitwise identical). Batch
-/// drivers that fan out across problems on the shared pool enter this
-/// scope inside each task — nested pool use would deadlock. Nestable.
-class SerialKernelScope {
- public:
-  SerialKernelScope();
-  ~SerialKernelScope();
-  SerialKernelScope(const SerialKernelScope&) = delete;
-  SerialKernelScope& operator=(const SerialKernelScope&) = delete;
-};
 
 /// Validated batch entry points, routed through the active backend like
 /// hermitian_eig()/svd()/operator*. Entry i of the result corresponds to
@@ -185,12 +173,17 @@ std::uint64_t gemm_flops(std::size_t m, std::size_t k, std::size_t n, bool is_co
 std::uint64_t kron_flops(std::size_t out_elems, bool is_complex);
 
 /// Run fn(i) for every i in [0, count) with one task per index on the
-/// Blocked backend's worker pool, each task inside a SerialKernelScope.
-/// The fixed index-to-task assignment plus disjoint per-index outputs make
-/// this bitwise deterministic at any worker count. Used by the Blocked
-/// batch kernels and by higher-level batch drivers (tomo, qudit, sfwm).
-/// Nested calls (from inside a task) degrade to a plain serial loop.
+/// Blocked backend's worker pool — the only place linalg threads. The fixed
+/// index-to-task assignment plus disjoint per-index outputs make this
+/// bitwise deterministic at any worker count. Used by the Blocked batch
+/// kernels and by higher-level batch drivers (tomo, qudit, sfwm). Nested
+/// calls (from inside a task) run as a plain serial loop.
 void parallel_batch(std::size_t count, const std::function<void(std::size_t)>& fn);
+
+/// The checks every public eig entry point runs before dispatch: square,
+/// finite and Hermitian to `hermiticity_tol`; throws std::invalid_argument
+/// naming `who`.
+void validate_eig_input(const CMat& a, double hermiticity_tol, const char* who);
 
 /// Convergence threshold on off_diag_norm2 for an n x n Hermitian matrix of
 /// Frobenius norm `scale`.

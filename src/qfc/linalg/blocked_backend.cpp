@@ -1,17 +1,14 @@
 // Blocked backend kernels: SIMD (AVX2, runtime-dispatched) complex
-// micro-kernels feeding a planar-packed GEMM, cyclic/round-robin parallel
-// Jacobi eigendecomposition, one-sided Jacobi SVD, a cache-blocked kron,
-// and batch-of-matrices drivers on the shared qfc::parallel::WorkerPool
-// (see src/qfc/parallel/README.md and src/qfc/linalg/README.md).
+// micro-kernels feeding a planar-packed GEMM, cyclic/round-robin Jacobi
+// eigendecomposition, one-sided Jacobi SVD and a cache-blocked kron, each
+// one serial code path, plus batch-of-matrices drivers that fan out across
+// matrices on the shared qfc::parallel::WorkerPool (see
+// src/qfc/parallel/README.md and src/qfc/linalg/README.md).
 //
-// Determinism: every rotation round partitions the matrix into disjoint
-// row/column pairs, each updated by exactly one task reading only data no
-// other task of the round writes, and each GEMM/kron output element is
-// accumulated in a fixed order inside a single task. Thread count and
-// scheduling therefore cannot change any floating-point operation order —
-// results are bitwise identical from 1 thread to N. Batch kernels fan out
-// one task per matrix (disjoint result slots), so they inherit the same
-// guarantee.
+// Determinism: a single kernel never threads, so its floating-point
+// operation order is fixed. Batch kernels run one whole matrix per pool
+// task and write disjoint result slots, so results are bitwise identical
+// from 1 thread to N.
 //
 // SIMD policy: the rotation-pair / column-rotation / kron row-scale kernels
 // replicate the scalar std::complex arithmetic operation-for-operation
@@ -85,7 +82,7 @@ unsigned resolve_threads(unsigned requested) {
   return requested > 0 ? requested : std::max(1u, std::thread::hardware_concurrency());
 }
 
-/// Callers hold the returned shared_ptr for the duration of the kernel, so
+/// Callers hold the returned shared_ptr for the duration of the batch, so
 /// a concurrent set_backend_threads() swap cannot destroy a pool mid-run;
 /// concurrent runs on the same pool serialize inside WorkerPool::run.
 std::shared_ptr<WorkerPool> pool() {
@@ -95,50 +92,16 @@ std::shared_ptr<WorkerPool> pool() {
   return pool_instance;
 }
 
-// ----------------------------------------------------------- serial scope
+// True while this thread runs a parallel_batch task. WorkerPool::run from
+// inside a task would deadlock, so a nested batch runs inline instead.
+thread_local bool in_batch_task = false;
 
-// Depth of SerialKernelScope nesting on this thread. Non-zero means "do not
-// touch the pool": we are inside a pool task (WorkerPool::run from a task
-// would deadlock), so kernels run their rounds inline. The arithmetic is
-// identical either way, so results are bitwise unaffected.
-thread_local int serial_scope_depth = 0;
-
-bool serial_mode() { return serial_scope_depth > 0; }
-
-/// True when a kernel entered from here may dispatch rounds to the pool:
-/// not inside a SerialKernelScope and more than one worker resolved. On a
-/// 1-core host this skips pool dispatch (and its task-queue overhead)
-/// entirely, which is most of the small-n crossover fix.
-bool use_pool() {
-  if (serial_mode()) return false;
-  std::lock_guard<std::mutex> lock(pool_mutex);
-  return resolve_threads(thread_request()) > 1;
-}
-
-/// Run fn(task_index) for task_index in [0, count): on the pool when `wp`
-/// is non-null, inline (same index order) otherwise.
-template <class Fn>
-void run_tasks(const std::shared_ptr<WorkerPool>& wp, std::size_t count, Fn&& fn) {
-  if (wp) {
-    wp->run(count, fn);
-  } else {
-    for (std::size_t i = 0; i < count; ++i) fn(i);
-  }
-}
-
-/// parallel_for_chunks with the same fixed boundaries whether pooled or
-/// inline, so the chunk → data mapping never depends on the thread count.
-template <class Fn>
-void for_row_chunks(bool pooled, std::size_t n, std::size_t chunk, Fn&& fn) {
-  if (pooled) {
-    const auto wp = pool();
-    parallel::parallel_for_chunks(*wp, n, chunk, fn);
-  } else {
-    std::size_t c = 0;
-    for (std::size_t i0 = 0; i0 < n; i0 += chunk, ++c)
-      fn(c, i0, std::min(i0 + chunk, n));
-  }
-}
+struct BatchTaskScope {
+  BatchTaskScope() { in_batch_task = true; }
+  ~BatchTaskScope() { in_batch_task = false; }
+  BatchTaskScope(const BatchTaskScope&) = delete;
+  BatchTaskScope& operator=(const BatchTaskScope&) = delete;
+};
 
 // ------------------------------------------------------------ SIMD control
 
@@ -240,17 +203,18 @@ struct ColRot {
   cplx sp{0, 0};
 };
 
-void apply_col_rotations_scalar(cplx* base, std::size_t stride, std::size_t r0,
-                                std::size_t r1, const ColRot* rots, std::size_t nrots) {
-  for (std::size_t i = 0; i < nrots; ++i) {
-    const ColRot& r = rots[i];
-    const double c = r.c;
-    const cplx sp = r.sp, spc = std::conj(r.sp);
-    cplx* row = base + r0 * stride;
-    for (std::size_t k = r0; k < r1; ++k, row += stride) {
+/// Applies `rots` (disjoint column pairs) to the first `rows` rows of a
+/// row-major matrix, one row at a time. Each element is touched by exactly
+/// one rotation, so this equals a per-rotation column walk bit for bit.
+void apply_col_rotations_scalar(cplx* base, std::size_t stride, std::size_t rows,
+                                const ColRot* rots, std::size_t nrots) {
+  for (std::size_t k = 0; k < rows; ++k) {
+    cplx* row = base + k * stride;
+    for (std::size_t i = 0; i < nrots; ++i) {
+      const ColRot& r = rots[i];
       const cplx x = row[r.p], y = row[r.q];
-      row[r.p] = c * x - spc * y;
-      row[r.q] = sp * x + c * y;
+      row[r.p] = r.c * x - std::conj(r.sp) * y;
+      row[r.q] = r.sp * x + r.c * y;
     }
   }
 }
@@ -260,19 +224,19 @@ void apply_col_rotations_scalar(cplx* base, std::size_t stride, std::size_t r0,
 // register, and the per-128-bit-lane complex multiply is the same bitwise
 // mul/permute/addsub shape as rotate_pair_avx2.
 __attribute__((target("avx2"))) void apply_col_rotations_avx2(cplx* base, std::size_t stride,
-                                                              std::size_t r0, std::size_t r1,
+                                                              std::size_t rows,
                                                               const ColRot* rots,
                                                               std::size_t nrots) {
-  for (std::size_t i = 0; i < nrots; ++i) {
-    const ColRot& r = rots[i];
-    const __m256d cv = _mm256_set1_pd(r.c);
-    const __m256d spr = _mm256_set1_pd(r.sp.real());
-    const __m256d spi = _mm256_set1_pd(r.sp.imag());
-    const __m256d spi_neg = _mm256_set1_pd(-r.sp.imag());  // conj(sp).imag
-    std::size_t k = r0;
-    for (; k + 2 <= r1; k += 2) {
-      double* row0 = reinterpret_cast<double*>(base + k * stride);
-      double* row1 = reinterpret_cast<double*>(base + (k + 1) * stride);
+  std::size_t k = 0;
+  for (; k + 2 <= rows; k += 2) {
+    double* row0 = reinterpret_cast<double*>(base + k * stride);
+    double* row1 = reinterpret_cast<double*>(base + (k + 1) * stride);
+    for (std::size_t i = 0; i < nrots; ++i) {
+      const ColRot& r = rots[i];
+      const __m256d cv = _mm256_set1_pd(r.c);
+      const __m256d spr = _mm256_set1_pd(r.sp.real());
+      const __m256d spi = _mm256_set1_pd(r.sp.imag());
+      const __m256d spi_neg = _mm256_set1_pd(-r.sp.imag());  // conj(sp).imag
       const __m128d x0 = _mm_loadu_pd(row0 + 2 * r.p);
       const __m128d x1 = _mm_loadu_pd(row1 + 2 * r.p);
       const __m128d y0 = _mm_loadu_pd(row0 + 2 * r.q);
@@ -291,20 +255,20 @@ __attribute__((target("avx2"))) void apply_col_rotations_avx2(cplx* base, std::s
       _mm_storeu_pd(row0 + 2 * r.q, _mm256_castpd256_pd128(yp));
       _mm_storeu_pd(row1 + 2 * r.q, _mm256_extractf128_pd(yp, 1));
     }
-    if (k < r1) apply_col_rotations_scalar(base, stride, k, r1, &r, 1);
   }
+  if (k < rows) apply_col_rotations_scalar(base + k * stride, stride, rows - k, rots, nrots);
 }
 #endif
 
-void apply_col_rotations(cplx* base, std::size_t stride, std::size_t r0, std::size_t r1,
+void apply_col_rotations(cplx* base, std::size_t stride, std::size_t rows,
                          const ColRot* rots, std::size_t nrots) {
 #if QFC_SIMD_X86
   if (simd_active()) {
-    apply_col_rotations_avx2(base, stride, r0, r1, rots, nrots);
+    apply_col_rotations_avx2(base, stride, rows, rots, nrots);
     return;
   }
 #endif
-  apply_col_rotations_scalar(base, stride, r0, r1, rots, nrots);
+  apply_col_rotations_scalar(base, stride, rows, rots, nrots);
 }
 
 /// Gram entries of two length-m complex columns (stored as rows here):
@@ -429,8 +393,6 @@ void scale_row(double* dst, const double* src, std::size_t n, double s) {
 //  - complex<double>, scalar: an axpy panel kernel (crow += aik * brow) with
 //    k/j cache blocking — complex dots de-vectorize under generic -O3, so
 //    the contiguous axpy form is the faster scalar baseline.
-// All parallelize over disjoint C row chunks; each C entry accumulates in a
-// fixed k order inside one task, so results are bitwise thread-invariant.
 
 // Below this flop count the dispatch/packing overhead dominates the scalar
 // paths and the reference ikj loop (with its structural-sparsity skip) wins;
@@ -443,16 +405,22 @@ constexpr std::size_t kGemmFlopCutoff = std::size_t{48} * 48 * 48;
 // it the planar-FMA kernel's packing pays for itself.
 constexpr std::size_t kGemmAxpySimdCutoff = std::size_t{16} * 16 * 16;
 
-constexpr std::size_t kGemmRowChunk = 16;     // C rows per pool task
 constexpr std::size_t kGemmColBlock = 512;    // C cols per cache block
 constexpr std::size_t kGemmDepthBlock = 64;   // k extent per cache block
 
-void gemm_kernel_rows(const RMat& a, const std::vector<double>& bt, RMat& c,
-                      std::size_t i0, std::size_t i1) {
-  const std::size_t kk = a.cols(), n = c.cols();
+void blocked_gemm_scalar(const RMat& a, const RMat& b, RMat& c) {
+  const std::size_t m = a.rows(), kk = a.cols(), n = b.cols();
+  count_blocked_gemm(m, kk, n, false);
+  QFC_OBS_SPAN("linalg.gemm", {{"m", m}, {"n", n}});
+  // Pack B transposed once so the dot micro-kernel walks unit-stride.
+  std::vector<double> bt(n * kk);
+  for (std::size_t k = 0; k < kk; ++k) {
+    const double* brow = b.data() + k * n;
+    for (std::size_t j = 0; j < n; ++j) bt[j * kk + k] = brow[j];
+  }
   const double* pa = a.data();
   double* pc = c.data();
-  for (std::size_t i = i0; i < i1; ++i) {
+  for (std::size_t i = 0; i < m; ++i) {
     const double* arow = pa + i * kk;
     double* crow = pc + i * n;
     for (std::size_t j = 0; j < n; ++j) {
@@ -471,9 +439,10 @@ void gemm_kernel_rows(const RMat& a, const std::vector<double>& bt, RMat& c,
   }
 }
 
-void gemm_kernel_rows(const CMat& a, const CMat& b, CMat& c,
-                      std::size_t i0, std::size_t i1) {
-  const std::size_t kk = a.cols(), n = c.cols();
+void blocked_gemm_scalar(const CMat& a, const CMat& b, CMat& c) {
+  const std::size_t m = a.rows(), kk = a.cols(), n = b.cols();
+  count_blocked_gemm(m, kk, n, true);
+  QFC_OBS_SPAN("linalg.gemm", {{"m", m}, {"n", n}});
   const cplx* pa = a.data();
   const cplx* pb = b.data();
   cplx* pc = c.data();
@@ -481,7 +450,7 @@ void gemm_kernel_rows(const CMat& a, const CMat& b, CMat& c,
     const std::size_t k1 = std::min(kb + kGemmDepthBlock, kk);
     for (std::size_t jb = 0; jb < n; jb += kGemmColBlock) {
       const std::size_t j1 = std::min(jb + kGemmColBlock, n);
-      for (std::size_t i = i0; i < i1; ++i) {
+      for (std::size_t i = 0; i < m; ++i) {
         const cplx* arow = pa + i * kk;
         cplx* crow = pc + i * n;
         for (std::size_t k = kb; k < k1; ++k) {
@@ -529,10 +498,10 @@ __attribute__((target("avx2"))) void gemm_axpy_rows_avx2(const CMat& a, const CM
   }
 }
 
-__attribute__((target("avx2,fma"))) void gemm_planar_rows_avx2(
-    const cplx* pa, std::size_t kk, std::size_t n, const double* bre, const double* bim,
-    cplx* pc, std::size_t i0, std::size_t i1, double* cre, double* cim) {
-  for (std::size_t i = i0; i < i1; ++i) {
+__attribute__((target("avx2,fma"))) void gemm_planar_avx2(
+    const cplx* pa, std::size_t m, std::size_t kk, std::size_t n, const double* bre,
+    const double* bim, cplx* pc, double* cre, double* cim) {
+  for (std::size_t i = 0; i < m; ++i) {
     const cplx* arow = pa + i * kk;
     for (std::size_t j = 0; j < n; ++j) {
       cre[j] = 0;
@@ -583,40 +552,11 @@ void blocked_gemm_planar(const CMat& a, const CMat& b, CMat& c) {
       s[j] = brow[j].imag();
     }
   }
-  const bool pooled = m * kk * n > kGemmFlopCutoff && m >= 2 * kGemmRowChunk && use_pool();
-  for_row_chunks(pooled, m, kGemmRowChunk,
-                 [&](std::size_t, std::size_t i0, std::size_t i1) {
-                   std::vector<double> cre(n), cim(n);  // per-task accumulators
-                   gemm_planar_rows_avx2(a.data(), kk, n, bre.data(), bim.data(),
-                                         c.data(), i0, i1, cre.data(), cim.data());
-                 });
+  std::vector<double> cre(n), cim(n);  // one C row of planar accumulators
+  gemm_planar_avx2(a.data(), m, kk, n, bre.data(), bim.data(), c.data(), cre.data(),
+                   cim.data());
 }
 #endif
-
-void blocked_gemm_threaded(const RMat& a, const RMat& b, RMat& c) {
-  const std::size_t m = a.rows(), kk = a.cols(), n = b.cols();
-  count_blocked_gemm(m, kk, n, false);
-  QFC_OBS_SPAN("linalg.gemm", {{"m", m}, {"n", n}});
-  // Pack B transposed once so the dot micro-kernel walks unit-stride.
-  std::vector<double> bt(n * kk);
-  for (std::size_t k = 0; k < kk; ++k) {
-    const double* brow = b.data() + k * n;
-    for (std::size_t j = 0; j < n; ++j) bt[j * kk + k] = brow[j];
-  }
-  for_row_chunks(use_pool(), m, kGemmRowChunk,
-                 [&](std::size_t, std::size_t i0, std::size_t i1) {
-                   gemm_kernel_rows(a, bt, c, i0, i1);
-                 });
-}
-
-void blocked_gemm_threaded(const CMat& a, const CMat& b, CMat& c) {
-  count_blocked_gemm(a.rows(), a.cols(), b.cols(), true);
-  QFC_OBS_SPAN("linalg.gemm", {{"m", a.rows()}, {"n", b.cols()}});
-  for_row_chunks(use_pool(), a.rows(), kGemmRowChunk,
-                 [&](std::size_t, std::size_t i0, std::size_t i1) {
-                   gemm_kernel_rows(a, b, c, i0, i1);
-                 });
-}
 
 // ------------------------------------------- round-robin rotation schedule
 
@@ -633,8 +573,7 @@ class RoundRobin {
   std::size_t rounds() const noexcept { return m_ > 1 ? m_ - 1 : 0; }
   std::size_t pairs_per_round() const noexcept { return m_ / 2; }
 
-  /// Pair i of the current round, normalized so p < q. Const — safe to call
-  /// concurrently from pool tasks.
+  /// Pair i of the current round, normalized so p < q.
   std::pair<std::size_t, std::size_t> pair(std::size_t i) const {
     std::size_t x, y;
     if (i == 0) {
@@ -659,15 +598,12 @@ using detail::jacobi_params;
 using detail::JacobiParams;
 using detail::off_diag_norm2;
 
-// Below these dimensions the round-robin machinery (parameter snapshots,
-// two-phase rounds) costs more than it saves even with the pool disabled;
-// the cyclic path — the exact reference rotation order driven through the
-// SIMD kernels, bitwise identical to Reference — is faster there.
+// Below this dimension the round-robin bookkeeping (two-phase rounds)
+// costs more than it saves; the cyclic path — the exact reference rotation
+// order driven through the SIMD kernels, bitwise identical to Reference —
+// is faster there. Above it the round-robin row sweep's unit-stride access
+// wins.
 constexpr std::size_t kEigCyclicMaxDim = 40;
-constexpr std::size_t kSvdCyclicMaxDim = 40;
-
-constexpr std::size_t kEigRowChunk = 16;  // A rows per phase-2 pool task
-constexpr std::size_t kKronRowChunk = 1;  // A rows per kron pool task
 
 // ------------------------------------------------------------- cyclic eig
 
@@ -679,9 +615,12 @@ EigResult cyclic_hermitian_eig(const CMat& input, const EigOptions& opt) {
   const std::size_t n = input.rows();
   QFC_OBS_SPAN("linalg.eig.blocked", {{"n", n}});
   CMat a = hermitian_part(input);  // symmetrize away round-off
-  CMat v = opt.want_vectors ? CMat::identity(n) : CMat();
+  // V is accumulated transposed (row j of `vt` is column j of V), so its
+  // updates are unit-stride rotate_pair calls, bitwise equal to the
+  // reference column walk.
+  CMat vt = opt.want_vectors ? CMat::identity(n) : CMat();
   cplx* pa = a.data();
-  cplx* pv = opt.want_vectors ? v.data() : nullptr;
+  cplx* pvt = opt.want_vectors ? vt.data() : nullptr;
 
   const double stop =
       detail::jacobi_stop_threshold(std::max(a.frobenius_norm(), 1e-300), n);
@@ -705,13 +644,14 @@ EigResult cyclic_hermitian_eig(const CMat& input, const EigOptions& opt) {
         const ColRot rot{p, q, jp.c, jp.sp};
         // Same update sequence as the reference sweep: columns p,q over all
         // rows, then rows p,q, then the pivot/diagonal cleanup, then V.
-        apply_col_rotations(pa, n, 0, n, &rot, 1);
+        apply_col_rotations(pa, n, n, &rot, 1);
         rotate_pair(pa + p * n, pa + q * n, n, jp.c, jp.sp, std::conj(jp.sp));
         a(p, q) = cplx(0, 0);
         a(q, p) = cplx(0, 0);
         a(p, p) = cplx(std::real(a(p, p)), 0);
         a(q, q) = cplx(std::real(a(q, q)), 0);
-        if (pv != nullptr) apply_col_rotations(pv, n, 0, n, &rot, 1);
+        if (pvt != nullptr)
+          rotate_pair(pvt + p * n, pvt + q * n, n, jp.c, std::conj(jp.sp), jp.sp);
       }
     }
   }
@@ -723,6 +663,7 @@ EigResult cyclic_hermitian_eig(const CMat& input, const EigOptions& opt) {
     obs::counter("linalg.blocked.eig.sweeps").add(sweeps_done);
     obs::counter("linalg.blocked.eig.rotations").add(rotations_done);
   }
+  CMat v = opt.want_vectors ? vt.transpose() : CMat();
   return detail::finalize_eig(a, v, opt.want_vectors);
 }
 
@@ -733,7 +674,7 @@ EigResult cyclic_hermitian_eig(const CMat& input, const EigOptions& opt) {
 void set_backend_threads(unsigned n) {
   std::lock_guard<std::mutex> lock(pool_mutex);
   thread_request() = n;
-  pool_instance.reset();  // rebuilt lazily at the next kernel call
+  pool_instance.reset();  // rebuilt lazily at the next batch call
 }
 
 unsigned backend_threads() {
@@ -754,9 +695,6 @@ bool simd_enabled() { return simd_active(); }
 
 bool simd_request() { return simd_request_slot().load(std::memory_order_relaxed); }
 
-SerialKernelScope::SerialKernelScope() { ++serial_scope_depth; }
-SerialKernelScope::~SerialKernelScope() { --serial_scope_depth; }
-
 namespace detail {
 
 void blocked_gemm(const RMat& a, const RMat& b, RMat& c) {
@@ -764,7 +702,7 @@ void blocked_gemm(const RMat& a, const RMat& b, RMat& c) {
     reference_gemm(a, b, c);
     return;
   }
-  blocked_gemm_threaded(a, b, c);
+  blocked_gemm_scalar(a, b, c);
 }
 
 void blocked_gemm(const CMat& a, const CMat& b, CMat& c) {
@@ -783,7 +721,7 @@ void blocked_gemm(const CMat& a, const CMat& b, CMat& c) {
     reference_gemm(a, b, c);
     return;
   }
-  blocked_gemm_threaded(a, b, c);
+  blocked_gemm_scalar(a, b, c);
 }
 
 EigResult blocked_hermitian_eig(const CMat& input, const EigOptions& opt) {
@@ -791,7 +729,6 @@ EigResult blocked_hermitian_eig(const CMat& input, const EigOptions& opt) {
   if (n < kEigCyclicMaxDim) return cyclic_hermitian_eig(input, opt);
 
   QFC_OBS_SPAN("linalg.eig.blocked", {{"n", n}});
-  const bool count_metrics = obs::metrics_enabled();
   std::uint64_t sweeps_done = 0, rotations_done = 0;
 
   CMat a = hermitian_part(input);  // symmetrize away round-off
@@ -806,16 +743,8 @@ EigResult blocked_hermitian_eig(const CMat& input, const EigOptions& opt) {
       detail::jacobi_stop_threshold(std::max(a.frobenius_norm(), 1e-300), n);
 
   const std::size_t m = n + (n & 1);  // odd n: pad with a bye "player"
-  struct Rot {
-    std::size_t p = 0, q = 0;
-    JacobiParams jp;
-    bool active = false;
-  };
-  std::vector<Rot> rots(m / 2);
-  std::vector<ColRot> active_cols;
-  active_cols.reserve(m / 2);
-  const std::size_t nchunks = (n + kEigRowChunk - 1) / kEigRowChunk;
-  const auto wp = use_pool() ? pool() : std::shared_ptr<WorkerPool>();
+  std::vector<ColRot> rots;
+  rots.reserve(m / 2);
 
   bool converged = false;
   for (int sweep = 0; sweep < opt.max_sweeps; ++sweep) {
@@ -826,55 +755,34 @@ EigResult blocked_hermitian_eig(const CMat& input, const EigOptions& opt) {
     ++sweeps_done;
     RoundRobin rr(m);
     for (std::size_t round = 0; round < rr.rounds(); ++round, rr.advance()) {
-      // Parameters from the round-start snapshot. Each pair reads only its
+      // Parameters from the round-start matrix. Each pair reads only its
       // own (p,p), (q,q), (p,q) entries, which no other pair of the round
-      // touches, so the snapshot is consistent by construction.
-      active_cols.clear();
-      for (std::size_t i = 0; i < rots.size(); ++i) {
+      // touches.
+      rots.clear();
+      for (std::size_t i = 0; i < rr.pairs_per_round(); ++i) {
         const auto [p, q] = rr.pair(i);
-        Rot& r = rots[i];
-        r.p = p;
-        r.q = q;
-        r.active = false;
         if (q >= n) continue;  // bye pair
         const cplx apq = a(p, q);
         const double mag = std::abs(apq);
         if (mag < 1e-300) continue;
-        r.jp = jacobi_params(std::real(a(p, p)), std::real(a(q, q)), apq, mag);
-        r.active = true;
-        active_cols.push_back(ColRot{p, q, r.jp.c, r.jp.sp});
-        ++rotations_done;
+        const JacobiParams jp =
+            jacobi_params(std::real(a(p, p)), std::real(a(q, q)), apq, mag);
+        rots.push_back(ColRot{p, q, jp.c, jp.sp});
       }
+      rotations_done += rots.size();
 
-      // Phase 1 — left action J†A: rewrite rows p,q (contiguous memory,
-      // disjoint across the round's pairs).
-      run_tasks(wp, rots.size(), [&](std::size_t i) {
-        const Rot& r = rots[i];
-        if (!r.active) return;
-        rotate_pair(pa + r.p * n, pa + r.q * n, n, r.jp.c, r.jp.sp,
-                    std::conj(r.jp.sp));
-      });
-
-      // Phase 2 — right action (J†A)J, swept row-by-row: each A row applies
-      // every rotation of the round (disjoint column pairs, so each element
-      // is touched by exactly one rotation — bitwise identical to a per-pair
-      // column walk, but unit-stride). The transposed eigenvector rows ride
-      // in the same task batch.
-      const std::size_t nv = pvt != nullptr ? active_cols.size() : 0;
-      run_tasks(wp, nchunks + nv, [&](std::size_t t) {
-        if (t < nchunks) {
-          const std::size_t r0 = t * kEigRowChunk;
-          const std::size_t r1 = std::min(r0 + kEigRowChunk, n);
-          apply_col_rotations(pa, n, r0, r1, active_cols.data(), active_cols.size());
-        } else {
-          const ColRot& r = active_cols[t - nchunks];
+      // Left action J†A: rewrite rows p,q (contiguous memory).
+      for (const ColRot& r : rots)
+        rotate_pair(pa + r.p * n, pa + r.q * n, n, r.c, r.sp, std::conj(r.sp));
+      // Right action (J†A)J, swept row by row so every access is
+      // unit-stride; then the transposed eigenvector rows.
+      apply_col_rotations(pa, n, n, rots.data(), rots.size());
+      if (pvt != nullptr)
+        for (const ColRot& r : rots)
           rotate_pair(pvt + r.p * n, pvt + r.q * n, n, r.c, std::conj(r.sp), r.sp);
-        }
-      });
 
-      // Serial cleanup: zero the pivots exactly, enforce real diagonal
-      // (same values the per-pair tasks used to write).
-      for (const ColRot& r : active_cols) {
+      // Zero the pivots exactly and enforce a real diagonal.
+      for (const ColRot& r : rots) {
         a(r.p, r.q) = cplx(0, 0);
         a(r.q, r.p) = cplx(0, 0);
         a(r.p, r.p) = cplx(std::real(a(r.p, r.p)), 0);
@@ -883,9 +791,9 @@ EigResult blocked_hermitian_eig(const CMat& input, const EigOptions& opt) {
     }
   }
   if (!converged && off_diag_norm2(a) > stop)
-    throw NumericalError("hermitian_eig(blocked): parallel Jacobi did not converge");
+    throw NumericalError("hermitian_eig(blocked): round-robin Jacobi did not converge");
 
-  if (count_metrics) {
+  if (obs::metrics_enabled()) {
     obs::counter("linalg.blocked.eig.calls").increment();
     obs::counter("linalg.blocked.eig.sweeps").add(sweeps_done);
     obs::counter("linalg.blocked.eig.rotations").add(rotations_done);
@@ -895,19 +803,16 @@ EigResult blocked_hermitian_eig(const CMat& input, const EigOptions& opt) {
 }
 
 SvdResult blocked_svd(const CMat& a, int max_sweeps) {
-  const std::size_t m0 = a.rows(), n0 = a.cols();
+  const std::size_t m = a.rows(), n = a.cols();
   // Work on the orientation with fewer columns, like the reference kernel.
-  if (n0 > m0) {
+  if (n > m) {
     SvdResult t = blocked_svd(a.adjoint(), max_sweeps);
     return SvdResult{std::move(t.v), std::move(t.sigma), std::move(t.u)};
   }
 
-  QFC_OBS_SPAN("linalg.svd.blocked", {{"m", m0}, {"n", n0}});
-  const bool count_metrics = obs::metrics_enabled();
-  std::atomic<std::uint64_t> rotations_done{0};
-  std::uint64_t sweeps_done = 0;
+  QFC_OBS_SPAN("linalg.svd.blocked", {{"m", m}, {"n", n}});
+  std::uint64_t sweeps_done = 0, rotations_done = 0;
 
-  const std::size_t m = m0, n = n0;
   // Transposed working copies: row j of `wt` is column j of A and row j of
   // `vt` is column j of V, so every Gram dot product and rotation of the
   // one-sided Jacobi walks unit-stride memory.
@@ -916,64 +821,38 @@ SvdResult blocked_svd(const CMat& a, int max_sweeps) {
   cplx* pw = wt.data();
   cplx* pv = vt.data();
 
-  // One column-pair step: Gram entries, negligibility test (reference
-  // thresholds), then the rotation on both factors. Returns whether it
-  // rotated. In scalar SIMD mode the cyclic order below reproduces the
-  // reference SVD bitwise; the AVX2 Gram reduction relaxes that to 1e-10.
-  const auto process_pair = [&](std::size_t p, std::size_t q) -> bool {
-    cplx* rp = pw + p * m;
-    cplx* rq = pw + q * m;
-    const GramDot g = gram_dot(rp, rq, m);
-    const double mag = std::abs(g.apq);
-    const double threshold = 1e-15 * std::sqrt(g.app * g.aqq);
-    if (mag <= threshold || mag < 1e-300) return false;
-    if (count_metrics) rotations_done.fetch_add(1, std::memory_order_relaxed);
-    const JacobiParams jp = jacobi_params(g.app, g.aqq, g.apq, mag);
-    const cplx spc = std::conj(jp.sp);
-    rotate_pair(rp, rq, m, jp.c, spc, jp.sp);
-    rotate_pair(pv + p * n, pv + q * n, n, jp.c, spc, jp.sp);
-    return true;
-  };
-
+  // Cyclic pair order with the reference thresholds: in scalar SIMD mode
+  // this reproduces the reference SVD bitwise; the AVX2 Gram reduction
+  // relaxes that to 1e-10.
   bool converged = false;
-  if (n < kSvdCyclicMaxDim) {
-    // Cyclic pair order, serial — reference rotation order.
-    for (int sweep = 0; sweep < max_sweeps && !converged; ++sweep) {
-      ++sweeps_done;
-      bool rotated = false;
-      for (std::size_t p = 0; p + 1 < n; ++p)
-        for (std::size_t q = p + 1; q < n; ++q) rotated = process_pair(p, q) || rotated;
-      converged = !rotated;
-    }
-  } else {
-    const std::size_t mp = n + (n & 1);
-    const auto wp = use_pool() ? pool() : std::shared_ptr<WorkerPool>();
-    std::atomic<bool> any_rotation{false};
-    for (int sweep = 0; sweep < max_sweeps && !converged; ++sweep) {
-      ++sweeps_done;
-      any_rotation.store(false, std::memory_order_relaxed);
-      RoundRobin rr(mp);
-      for (std::size_t round = 0; round < rr.rounds(); ++round, rr.advance()) {
-        // One-sided rotations only touch their own two columns (= rows of
-        // the transposed copies), so a round needs no phase split at all.
-        run_tasks(wp, rr.pairs_per_round(), [&](std::size_t i) {
-          const auto [p, q] = rr.pair(i);
-          if (q >= n) return;  // bye pair
-          if (process_pair(p, q)) any_rotation.store(true, std::memory_order_relaxed);
-        });
+  for (int sweep = 0; sweep < max_sweeps && !converged; ++sweep) {
+    ++sweeps_done;
+    bool rotated = false;
+    for (std::size_t p = 0; p + 1 < n; ++p) {
+      for (std::size_t q = p + 1; q < n; ++q) {
+        cplx* rp = pw + p * m;
+        cplx* rq = pw + q * m;
+        const GramDot g = gram_dot(rp, rq, m);
+        const double mag = std::abs(g.apq);
+        const double threshold = 1e-15 * std::sqrt(g.app * g.aqq);
+        if (mag <= threshold || mag < 1e-300) continue;
+        rotated = true;
+        ++rotations_done;
+        const JacobiParams jp = jacobi_params(g.app, g.aqq, g.apq, mag);
+        const cplx spc = std::conj(jp.sp);
+        rotate_pair(rp, rq, m, jp.c, spc, jp.sp);
+        rotate_pair(pv + p * n, pv + q * n, n, jp.c, spc, jp.sp);
       }
-      converged = !any_rotation.load(std::memory_order_relaxed);
     }
+    converged = !rotated;
   }
   if (!converged) throw NumericalError("svd(blocked): one-sided Jacobi did not converge");
 
-  if (count_metrics) {
+  if (obs::metrics_enabled()) {
     obs::counter("linalg.blocked.svd.calls").increment();
     obs::counter("linalg.blocked.svd.sweeps").add(sweeps_done);
-    obs::counter("linalg.blocked.svd.rotations")
-        .add(rotations_done.load(std::memory_order_relaxed));
+    obs::counter("linalg.blocked.svd.rotations").add(rotations_done);
   }
-
   // Row norms of wt are the singular values; sort descending and transpose
   // the factors back into column-major-of-result form.
   RVec sigma(n);
@@ -1010,27 +889,22 @@ SvdResult blocked_svd(const CMat& a, int max_sweeps) {
 //
 // out(i*rb+k, j*cb+l) = a(i,j) * b(k,l): each A entry scales a full B row
 // into its output block (scale_row — SIMD complex, bitwise-identical
-// product). Parallel over A rows; every output element is written by
-// exactly one task with the same single multiply as the inline template,
-// so results are bitwise identical across backends, SIMD modes, and
-// thread counts.
+// product), so every output element gets the same single multiply as the
+// inline template and results are bitwise identical across backends and
+// SIMD modes.
 
 template <class T>
 void blocked_kron_impl(const Mat<T>& a, const Mat<T>& b, Mat<T>& out) {
   const std::size_t rb = b.rows(), cb = b.cols(), cols = out.cols();
   const T* pb = b.data();
   T* po = out.data();
-  const bool pooled = a.rows() >= 2 && use_pool();
-  for_row_chunks(pooled, a.rows(), kKronRowChunk,
-                 [&](std::size_t, std::size_t i0, std::size_t i1) {
-                   for (std::size_t i = i0; i < i1; ++i)
-                     for (std::size_t j = 0; j < a.cols(); ++j) {
-                       const T aij = a(i, j);
-                       if (aij == T{}) continue;  // block stays zero
-                       for (std::size_t k = 0; k < rb; ++k)
-                         scale_row(po + (i * rb + k) * cols + j * cb, pb + k * cb, cb, aij);
-                     }
-                 });
+  for (std::size_t i = 0; i < a.rows(); ++i)
+    for (std::size_t j = 0; j < a.cols(); ++j) {
+      const T aij = a(i, j);
+      if (aij == T{}) continue;  // block stays zero
+      for (std::size_t k = 0; k < rb; ++k)
+        scale_row(po + (i * rb + k) * cols + j * cb, pb + k * cb, cb, aij);
+    }
 }
 
 void blocked_kron(const RMat& a, const RMat& b, RMat& out) {
@@ -1046,20 +920,13 @@ void blocked_kron(const CMat& a, const CMat& b, CMat& out) {
 // ----------------------------------------------------------- batch drivers
 
 void parallel_batch(std::size_t count, const std::function<void(std::size_t)>& fn) {
-  if (count == 0) return;
-  if (count == 1) {
-    fn(0);  // single problem: let the per-matrix kernel use the pool itself
-    return;
-  }
-  if (!use_pool()) {
-    // Inside a pool task (or single-threaded): same index order, inline.
+  if (count <= 1 || in_batch_task || backend_threads() <= 1) {
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
   const auto wp = pool();
   wp->run(count, [&](std::size_t i) {
-    // Per-matrix kernels inside a task must not re-enter the pool.
-    SerialKernelScope scope;
+    BatchTaskScope scope;
     fn(i);
   });
 }

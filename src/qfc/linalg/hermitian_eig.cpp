@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
 
 #include "qfc/linalg/backend.hpp"
 #include "qfc/linalg/error.hpp"
@@ -90,6 +91,13 @@ EigResult finalize_eig(const CMat& diagonalized, const CMat& vectors, bool want_
   return res;
 }
 
+void validate_eig_input(const CMat& a, double hermiticity_tol, const char* who) {
+  a.require_square(who);
+  a.require_finite(who);
+  if (!is_hermitian(a, hermiticity_tol))
+    throw std::invalid_argument(std::string(who) + ": input is not Hermitian");
+}
+
 EigResult reference_hermitian_eig(const CMat& input, const EigOptions& opt) {
   const std::size_t n = input.rows();
   QFC_OBS_SPAN("linalg.eig.reference", {{"n", n}});
@@ -125,9 +133,7 @@ EigResult reference_hermitian_eig(const CMat& input, const EigOptions& opt) {
 // Public entry points: validate once, then dispatch to the active backend.
 
 EigResult hermitian_eig(const CMat& a, int max_sweeps, double hermiticity_tol) {
-  a.require_square("hermitian_eig");
-  if (!is_hermitian(a, hermiticity_tol))
-    throw std::invalid_argument("hermitian_eig: input is not Hermitian");
+  detail::validate_eig_input(a, hermiticity_tol, "hermitian_eig");
   QFC_OBS_SPAN("linalg.eig", {{"n", a.rows()}, {"backend", backend().name()}});
   EigOptions opt;
   opt.max_sweeps = max_sweeps;
@@ -136,9 +142,7 @@ EigResult hermitian_eig(const CMat& a, int max_sweeps, double hermiticity_tol) {
 }
 
 RVec hermitian_eigenvalues(const CMat& a, int max_sweeps) {
-  a.require_square("hermitian_eig");
-  if (!is_hermitian(a, 1e-9))
-    throw std::invalid_argument("hermitian_eig: input is not Hermitian");
+  detail::validate_eig_input(a, 1e-9, "hermitian_eigenvalues");
   QFC_OBS_SPAN("linalg.eig", {{"n", a.rows()}, {"backend", backend().name()}});
   EigOptions opt;
   opt.max_sweeps = max_sweeps;

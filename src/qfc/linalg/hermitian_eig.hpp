@@ -19,7 +19,7 @@ struct EigResult {
 
 /// Eigendecomposition of a Hermitian matrix (validated to tolerance
 /// `hermiticity_tol`). Throws NumericalError on non-convergence and
-/// std::invalid_argument for non-Hermitian/non-square input.
+/// std::invalid_argument for non-Hermitian, non-square or non-finite input.
 EigResult hermitian_eig(const CMat& a,
                         int max_sweeps = 64,
                         double hermiticity_tol = 1e-9);

@@ -6,9 +6,10 @@
 /// the quantum-state dimensions in this project are modest (<= a few
 /// hundred), so a simple, exhaustively-tested implementation beats an
 /// external dependency. Matrix products route through the kernel-dispatch
-/// seam in backend.hpp, so large multiplies pick up the cache-blocked /
-/// threaded backend without any call-site changes.
+/// seam in backend.hpp, so large multiplies pick up the cache-blocked SIMD
+/// backend without any call-site changes.
 
+#include <cmath>
 #include <complex>
 #include <cstddef>
 #include <initializer_list>
@@ -185,6 +186,13 @@ class Mat {
     if (!is_square()) throw std::invalid_argument(std::string(who) + ": matrix not square");
   }
 
+  /// Throws std::invalid_argument naming `who` if any entry is NaN or ±Inf.
+  void require_finite(const char* who) const {
+    for (const T& x : data_)
+      if (!std::isfinite(std::real(x)) || !std::isfinite(std::imag(x)))
+        throw std::invalid_argument(std::string(who) + ": non-finite entry");
+  }
+
  private:
   void check_index(std::size_t i, std::size_t j) const {
     if (i >= rows_ || j >= cols_) throw std::out_of_range("Mat: index out of range");
@@ -218,8 +226,8 @@ void kron_dispatch<cplx>(const CMat& a, const CMat& b, CMat& out);
 }  // namespace detail
 
 /// Kronecker (tensor) product: (a ⊗ b)(i*rb+k, j*cb+l) = a(i,j)*b(k,l).
-/// Large products route through the backend seam (cache-blocked, threaded,
-/// SIMD-scaled row copies); every path computes each element with the same
+/// Large products route through the backend seam (SIMD-scaled row
+/// copies); every path computes each element with the same
 /// single multiply, so the result is bitwise identical on either side of
 /// the cutoff and across backends.
 template <class T>

@@ -16,7 +16,8 @@ struct SvdResult {
 };
 
 /// Thin SVD A = U Σ V† with r = min(m, n). Throws NumericalError if the
-/// Jacobi orthogonalization fails to converge.
+/// Jacobi orthogonalization fails to converge and std::invalid_argument
+/// for an empty or non-finite input.
 SvdResult svd(const CMat& a, int max_sweeps = 96);
 
 }  // namespace qfc::linalg

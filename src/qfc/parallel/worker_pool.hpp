@@ -2,12 +2,12 @@
 
 /// \file worker_pool.hpp
 /// Persistent worker pool shared by every threaded subsystem: the Blocked
-/// linalg backend uses it for its parallel rotation rounds and GEMM row
-/// chunks, detect::EventEngine for its per-channel generation fan-out and
-/// the sharded merge-sweep analysis kernels. A pool is created once and
-/// reused across thousands of small fork/join rounds, so dispatch must be
-/// cheap: one mutex/condvar handshake per round, tasks claimed via an
-/// atomic counter.
+/// linalg backend uses it only for its batch fan-out across matrices (one
+/// task per matrix; single-matrix kernels never thread), detect::EventEngine
+/// for its per-channel generation fan-out and the sharded merge-sweep
+/// analysis kernels. A pool is created once and reused across many
+/// fork/join rounds, so dispatch must be cheap: one mutex/condvar handshake
+/// per round, tasks claimed via an atomic counter.
 ///
 /// Determinism contract: the pool itself guarantees nothing about ordering —
 /// callers must split work into tasks that write disjoint data and read only

@@ -6,6 +6,8 @@
 #include <cmath>
 #include <cstdlib>
 #include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -225,12 +227,10 @@ TEST(BackendDeterminism, BitwiseIdenticalAcrossThreadCounts) {
 }
 
 TEST(BackendDeterminism, BlockedKernelsUnchangedAfterPoolRelocation) {
-  // Regression pin for the WorkerPool move from src/qfc/linalg/ to the
-  // shared src/qfc/parallel/ module (and the GEMM fan-out's switch to
-  // parallel::parallel_for_chunks): on fresh seeded inputs, the Blocked
-  // kernels must still match Reference to 1e-10 and stay bitwise invariant
-  // from 1 worker to many, including a worker count that does not divide
-  // the row-chunk count.
+  // Pins that a single Blocked kernel never depends on the worker count:
+  // on fresh seeded inputs, eig (round-robin path), SVD and GEMM must match
+  // Reference to 1e-10 and be bitwise identical at 1 and 5 workers, a count
+  // that divides neither the matrix dimensions nor the round sizes.
   BackendGuard guard;
   const CMat h = random_hermitian(56, 71);
   const CMat a = random_matrix(83, 61, 72);
@@ -462,6 +462,34 @@ TEST(BackendBatch, BitwiseIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(BackendBatch, NestedBatchRunsInlineAndMatchesSerialLoop) {
+  // A batch call from inside a parallel_batch task must not re-enter the
+  // pool (WorkerPool::run from a task would deadlock); it runs inline and
+  // its results equal the plain serial loop bit for bit.
+  BackendGuard guard;
+  qfc::linalg::set_default_backend(BackendKind::Blocked);
+  qfc::linalg::set_backend_threads(4);
+  std::vector<std::vector<CMat>> groups(6);
+  for (unsigned g = 0; g < groups.size(); ++g)
+    for (unsigned i = 0; i < 5; ++i)
+      groups[g].push_back(random_hermitian(i % 2 == 0 ? 12 : 44, 880 + 10 * g + i));
+
+  std::vector<std::vector<qfc::linalg::EigResult>> nested(groups.size());
+  qfc::linalg::detail::parallel_batch(groups.size(), [&](std::size_t g) {
+    nested[g] = qfc::linalg::hermitian_eig_batch(groups[g]);
+  });
+
+  const auto& blk = backend(BackendKind::Blocked);
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    ASSERT_EQ(nested[g].size(), groups[g].size());
+    for (std::size_t i = 0; i < groups[g].size(); ++i) {
+      const auto serial = blk.hermitian_eig(groups[g][i], {});
+      EXPECT_EQ(serial.values, nested[g][i].values) << "g=" << g << " i=" << i;
+      EXPECT_EQ(serial.vectors, nested[g][i].vectors) << "g=" << g << " i=" << i;
+    }
+  }
+}
+
 // ------------------------------------------------------------ SIMD policy
 
 /// Restores the SIMD request on scope exit.
@@ -534,7 +562,8 @@ TEST(BackendSimd, GemmAndSvdStayWithinToleranceAcrossSimdModes) {
 
 TEST(BackendSimd, BlockedMatchesReferenceWithSimdDisabled) {
   // With SIMD off the Blocked eig below the cyclic cutoff IS the reference
-  // sweep: bitwise equality, not just 1e-10.
+  // sweep, and the Blocked SVD is the reference cyclic sweep at every size
+  // and orientation: bitwise equality, not just 1e-10.
   SimdGuard guard;
   qfc::linalg::set_simd_enabled(false);
   const CMat h = random_hermitian(24, 920);
@@ -542,6 +571,58 @@ TEST(BackendSimd, BlockedMatchesReferenceWithSimdDisabled) {
   const auto eb = backend(BackendKind::Blocked).hermitian_eig(h, {});
   EXPECT_EQ(er.values, eb.values);
   EXPECT_EQ(er.vectors, eb.vectors);
+
+  const std::vector<std::pair<std::size_t, std::size_t>> shapes = {
+      {20, 14}, {64, 64}, {96, 56}, {56, 96}};
+  for (const auto& [rows, cols] : shapes) {
+    const CMat a = random_matrix(rows, cols, 921 + static_cast<unsigned>(rows + cols));
+    const auto sr = backend(BackendKind::Reference).svd(a, 96);
+    const auto sb = backend(BackendKind::Blocked).svd(a, 96);
+    EXPECT_EQ(sr.sigma, sb.sigma) << rows << "x" << cols;
+    EXPECT_EQ(sr.u, sb.u) << rows << "x" << cols;
+    EXPECT_EQ(sr.v, sb.v) << rows << "x" << cols;
+  }
+}
+
+// ------------------------------------------------------------- validation
+
+TEST(BackendValidation, NonFiniteInputIsRejectedByEveryEigAndSvdEntryPoint) {
+  // A NaN or Inf entry used to run every Jacobi sweep silently (the stop
+  // threshold is NaN) and then sort a spectrum containing NaN. Both the
+  // cyclic (n = 2) and the round-robin (n = 50) sizes, on both backends.
+  BackendGuard guard;
+  const auto expect_rejected = [](const auto& call, const std::string& who) {
+    try {
+      call();
+      ADD_FAILURE() << who << " accepted a non-finite input";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(who + ": non-finite"), std::string::npos)
+          << e.what();
+    }
+  };
+  for (const BackendKind kind : {BackendKind::Reference, BackendKind::Blocked}) {
+    qfc::linalg::set_default_backend(kind);
+    for (const std::size_t n : {std::size_t{2}, std::size_t{50}}) {
+      for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+        CMat a = CMat::identity(n);
+        a(0, 0) = bad;
+        const std::vector<CMat> as = {CMat::identity(n), a};
+        expect_rejected([&] { qfc::linalg::hermitian_eig(a); }, "hermitian_eig");
+        expect_rejected([&] { qfc::linalg::hermitian_eigenvalues(a); },
+                        "hermitian_eigenvalues");
+        expect_rejected([&] { qfc::linalg::svd(a); }, "svd");
+        expect_rejected([&] { qfc::linalg::hermitian_eig_batch(as); },
+                        "hermitian_eig_batch");
+        expect_rejected([&] { qfc::linalg::hermitian_eigenvalues_batch(as); },
+                        "hermitian_eigenvalues_batch");
+        expect_rejected([&] { qfc::linalg::svd_batch(as); }, "svd_batch");
+      }
+      CMat off = CMat::identity(n);  // a non-finite imaginary part, off the diagonal
+      off(0, 1) = cplx(0, std::nan(""));
+      off(1, 0) = cplx(0, std::nan(""));
+      expect_rejected([&] { qfc::linalg::svd(off); }, "svd");
+    }
+  }
 }
 
 }  // namespace
