@@ -12,6 +12,8 @@
 
 #include "bench_util.hpp"
 #include "qfc/photonics/device_presets.hpp"
+#include "qfc/quantum/bell.hpp"
+#include "qfc/quantum/measures.hpp"
 #include "qfc/qudit/cglmp.hpp"
 #include "qfc/qudit/freq_bin_source.hpp"
 #include "qfc/qudit/measurement.hpp"
@@ -51,7 +53,7 @@ int main() {
   bool monotone = true;
   for (std::size_t d = 2; d <= 8; ++d) {
     const auto src = qudit::FreqBinSource::from_cw_source(cw, d);
-    const qudit::DDensityMatrix rho(src.flattened_state());
+    const quantum::DensityMatrix rho(src.flattened_state());
 
     auto t0 = std::chrono::steady_clock::now();
     const double exact = qudit::cglmp_value(rho);
@@ -93,19 +95,19 @@ int main() {
   // Ablation: violation vs isotropic-noise visibility at d = 4 — the noise
   // threshold rises slowly with d (the CGLMP robustness argument).
   std::printf("\nablation: I_4 vs visibility (classical bound 2)\n");
-  const qudit::DState phi4 = qudit::DState::maximally_entangled(4);
+  const quantum::StateVector phi4 = quantum::maximally_entangled(4);
   for (double v : {1.0, 0.9, 0.8, 0.7, 0.69, 0.6})
     std::printf("  V = %.2f -> I_4 = %.4f\n", v,
-                qudit::cglmp_value(qudit::isotropic_noise(phi4, v)));
+                qudit::cglmp_value(quantum::isotropic_noise(phi4, v)));
 
   // Ablation: unshaped (brightness-weighted) vs flattened bins at d = 6.
   const auto src6 = qudit::FreqBinSource::from_cw_source(cw, 6);
   std::printf("\nablation: amplitude shaping at d = 6\n");
   std::printf("  unshaped:  K = %.3f, I_6 = %.4f\n", src6.schmidt_number(),
-              qudit::cglmp_value(qudit::DDensityMatrix(src6.state())));
+              qudit::cglmp_value(quantum::DensityMatrix(src6.state())));
   std::printf("  flattened: K = %.3f, I_6 = %.4f (post-selection eff. %.3f)\n",
-              qudit::schmidt_number(src6.flattened_state()),
-              qudit::cglmp_value(qudit::DDensityMatrix(src6.flattened_state())),
+              quantum::schmidt_number(src6.flattened_state()),
+              qudit::cglmp_value(quantum::DensityMatrix(src6.flattened_state())),
               src6.shaping_efficiency(src6.flattening_mask()));
 
   bench::verdict(all_violate && monotone,

@@ -8,6 +8,8 @@
 #include <cstdio>
 
 #include "qfc/photonics/device_presets.hpp"
+#include "qfc/quantum/bell.hpp"
+#include "qfc/quantum/measures.hpp"
 #include "qfc/qudit/cglmp.hpp"
 #include "qfc/qudit/freq_bin_source.hpp"
 #include "qfc/qudit/measurement.hpp"
@@ -39,13 +41,13 @@ int main() {
               std::log2(static_cast<double>(d)));
 
   std::printf("\n== amplitude shaping (procrustean flattening) ==\n");
-  const qudit::DState flat = src.flattened_state();
+  const quantum::StateVector flat = src.flattened_state();
   std::printf("flattened overlap with |Phi_%zu>: %.6f, post-selection "
               "efficiency %.3f\n",
-              d, flat.overlap_probability(qudit::DState::maximally_entangled(d)),
+              d, flat.overlap_probability(quantum::maximally_entangled(d)),
               src.shaping_efficiency(src.flattening_mask()));
 
-  const qudit::DDensityMatrix rho(flat);
+  const quantum::DensityMatrix rho(flat);
   std::printf("\n== dimensionality witness ==\n");
   std::printf("certified Schmidt number: %zu of %zu\n",
               qudit::schmidt_number_witness(rho), d);
@@ -73,8 +75,8 @@ int main() {
   std::printf("MLE: %d iterations, converged = %s\n", mle.iterations,
               mle.converged ? "yes" : "no");
   std::printf("reconstruction fidelity with the true state: %.4f\n",
-              qudit::fidelity(mle.rho, flat));
+              quantum::fidelity(mle.rho, flat));
   std::printf("reconstructed negativity: %.3f (ideal (d-1)/2 = %.1f)\n",
-              qudit::negativity(mle.rho, 1), (static_cast<double>(d) - 1) / 2);
+              quantum::negativity(mle.rho, 1), (static_cast<double>(d) - 1) / 2);
   return 0;
 }

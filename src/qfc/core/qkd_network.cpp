@@ -8,7 +8,6 @@
 
 #include "qfc/detect/streaming.hpp"
 #include "qfc/obs/obs.hpp"
-#include "qfc/parallel/worker_pool.hpp"
 
 namespace qfc::core {
 
@@ -146,41 +145,29 @@ QkdNetworkReport QkdNetwork::run(double duration_s) const {
   report.peak_rss_kb = peak_rss;
   const detect::CarMatrix matrix = car.finish();
 
-  // ---- per-user reports, sharded over the worker pool. Each user's
-  // report reads only their diagonal matrix cell and writes only their
-  // slot, so the result is bitwise identical at every pool size.
-  report.users.assign(n, QkdUserReport{});
+  // ---- per-user reports: each reads only its diagonal matrix cell.
+  report.users.reserve(n);
   {
     QFC_OBS_SPAN("network.reports", {{"users", n}});
-    const unsigned pool_threads = cfg_.analysis_threads > 0
-                                      ? static_cast<unsigned>(cfg_.analysis_threads)
-                                      : detect::analysis_threads();
-    parallel::WorkerPool pool(std::max(1u, pool_threads));
-    parallel::parallel_for_chunks(
-        pool, n, /*chunk_size=*/32,
-        [&](std::size_t, std::size_t begin, std::size_t end) {
-          for (std::size_t u = begin; u < end; ++u) {
-            const QkdUserSpec& user = cfg_.users[u];
-            QkdUserReport r;
-            r.user = u;
-            r.channel_pair = assigned_[u];
-            r.distance_km = user.link.distance_km;
-            r.car = matrix.at(u, u);
-            const double total = r.car.coincidences;
-            const double true_c =
-                std::max(0.0, r.car.coincidences - r.car.accidentals);
-            const double v_intrinsic =
-                intrinsic_visibility(*experiment_, assigned_[u], user.link);
-            r.visibility = total > 0 ? v_intrinsic * true_c / total : 0.0;
-            r.qber = total > 0 ? qber_from_visibility(r.visibility)
-                               : std::numeric_limits<double>::quiet_NaN();
-            r.sifted_rate_hz = user.endpoint.sifting_factor * total / duration_s;
-            r.secret_fraction = total > 0 ? bbm92_secret_fraction(r.qber) : 0.0;
-            r.secret_key_rate_bps = r.sifted_rate_hz * r.secret_fraction;
-            r.key_positive = r.secret_key_rate_bps > 0;
-            report.users[u] = r;
-          }
-        });
+    for (std::size_t u = 0; u < n; ++u) {
+      const QkdUserSpec& user = cfg_.users[u];
+      QkdUserReport r;
+      r.user = u;
+      r.channel_pair = assigned_[u];
+      r.distance_km = user.link.distance_km;
+      r.car = matrix.at(u, u);
+      const double total = r.car.coincidences;
+      const double true_c = std::max(0.0, r.car.coincidences - r.car.accidentals);
+      const double v_intrinsic = intrinsic_visibility(*experiment_, assigned_[u], user.link);
+      r.visibility = total > 0 ? v_intrinsic * true_c / total : 0.0;
+      r.qber = total > 0 ? qber_from_visibility(r.visibility)
+                         : std::numeric_limits<double>::quiet_NaN();
+      r.sifted_rate_hz = user.endpoint.sifting_factor * total / duration_s;
+      r.secret_fraction = total > 0 ? bbm92_secret_fraction(r.qber) : 0.0;
+      r.secret_key_rate_bps = r.sifted_rate_hz * r.secret_fraction;
+      r.key_positive = r.secret_key_rate_bps > 0;
+      report.users.push_back(r);
+    }
   }
 
   // ---- aggregates, accumulated serially in user order (deterministic).

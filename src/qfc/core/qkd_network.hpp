@@ -17,9 +17,9 @@
 ///    `bounded_rss` flag).
 ///  - **Bitwise thread-count determinism**: generation forks one RNG per
 ///    user-channel in user order; analysis shards merge in fixed chunk
-///    order; per-user report assembly writes disjoint slots sharded over
-///    qfc::parallel. Every number in QkdNetworkReport is bitwise identical
-///    at every generation / analysis thread count and stream window size.
+///    order; per-user reports are assembled serially in user order. Every
+///    number in QkdNetworkReport is bitwise identical at every generation /
+///    analysis thread count and stream window size.
 ///  - **Cross-talk compositionality**: adjacent-bin leakage is injected at
 ///    the spec level (detect::apply_adjacent_crosstalk) into the
 ///    background-rate path; zero leakage is an exact no-op, so a
@@ -63,8 +63,8 @@ struct QkdNetworkConfig {
   /// bitwise independent of it.
   double stream_window_s = 1.0;
   std::uint64_t seed = 1176;
-  /// Worker threads for CAR merge-sweeps and per-user report assembly;
-  /// 0 = process-wide analysis setting. Results are bitwise independent.
+  /// Worker threads for the streaming CAR merge-sweeps; 0 = process-wide
+  /// analysis setting. Results are bitwise independent.
   int analysis_threads = 0;
   /// Bin width of QkdNetworkReport::distance_histogram.
   double histogram_bin_km = 10.0;
@@ -164,9 +164,8 @@ class QkdNetwork {
   std::vector<detect::ChannelPairSpec> engine_specs() const;
 
   /// One shared streaming run over all users: windowed generation, online
-  /// CAR accumulation, then per-user reports sharded over qfc::parallel
-  /// and network aggregates. See the file comment for the determinism and
-  /// bounded-memory contracts.
+  /// CAR accumulation, then per-user reports and network aggregates. See
+  /// the file comment for the determinism and bounded-memory contracts.
   QkdNetworkReport run(double duration_s) const;
 
  private:

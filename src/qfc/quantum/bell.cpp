@@ -24,11 +24,7 @@ StateVector bell_psi(double phase_rad) {
 }
 
 DensityMatrix werner_phi(double visibility, double phase_rad) {
-  if (visibility < 0 || visibility > 1)
-    throw std::invalid_argument("werner_phi: visibility outside [0,1]");
-  const DensityMatrix pure{bell_phi(phase_rad)};
-  const DensityMatrix mixed{std::size_t{2}};
-  return pure.mix(mixed, 1.0 - visibility);
+  return isotropic_noise(bell_phi(phase_rad), visibility);
 }
 
 StateVector bell_product(std::size_t num_pairs, double phase_rad) {
@@ -38,11 +34,24 @@ StateVector bell_product(std::size_t num_pairs, double phase_rad) {
   return out;
 }
 
-DensityMatrix isotropic_noise(const StateVector& target, double p) {
-  if (p < 0 || p > 1) throw std::invalid_argument("isotropic_noise: p outside [0,1]");
+StateVector maximally_entangled(std::size_t d) {
+  return from_pair_amplitudes(CVec(d, cplx(1, 0)));
+}
+
+StateVector from_pair_amplitudes(const CVec& pair_amplitudes) {
+  const std::size_t d = pair_amplitudes.size();
+  if (d < 2) throw std::invalid_argument("from_pair_amplitudes: need d >= 2");
+  CVec amps(d * d, cplx(0, 0));
+  for (std::size_t k = 0; k < d; ++k) amps[k * d + k] = pair_amplitudes[k];
+  return StateVector(std::move(amps), Dims{d, d});
+}
+
+DensityMatrix isotropic_noise(const StateVector& target, double visibility) {
+  if (!(visibility >= 0 && visibility <= 1))
+    throw std::invalid_argument("isotropic_noise: visibility outside [0,1]");
   const DensityMatrix pure{target};
-  const DensityMatrix mixed{target.num_qubits()};
-  return pure.mix(mixed, 1.0 - p);
+  const DensityMatrix mixed{target.dims()};
+  return pure.mix(mixed, 1.0 - visibility);
 }
 
 }  // namespace qfc::quantum

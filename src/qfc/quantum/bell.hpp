@@ -1,9 +1,10 @@
 #pragma once
 
 /// \file bell.hpp
-/// Bell states in the time-bin encoding |0> = |short>, |1> = |long>, plus
-/// the noise models (Werner mixing, colored/phase noise) used to emulate
-/// the experimentally observed visibilities and fidelities.
+/// Bell states in the time-bin encoding |0> = |short>, |1> = |long>, the
+/// two-qudit frequency-bin pair states Σ_k c_k |k>|k>, plus the noise models
+/// (Werner/isotropic mixing) used to emulate the experimentally observed
+/// visibilities and fidelities.
 
 #include "qfc/quantum/state.hpp"
 
@@ -24,7 +25,15 @@ DensityMatrix werner_phi(double visibility, double phase_rad = 0.0);
 /// multi-photon states of paper Sec. V (four-mode -> two Bell pairs).
 StateVector bell_product(std::size_t num_pairs, double phase_rad = 0.0);
 
-/// Isotropic-noise model for an n-qubit target: p |ψ><ψ| + (1−p) I/2^n.
-DensityMatrix isotropic_noise(const StateVector& target, double p);
+/// Two-qudit maximally entangled state (1/√d) Σ_k |k>|k>.
+StateVector maximally_entangled(std::size_t d);
+
+/// Two-qudit frequency-bin state Σ_k c_k |k>|k> from per-bin pair
+/// amplitudes (normalized internally; size sets d).
+StateVector from_pair_amplitudes(const CVec& pair_amplitudes);
+
+/// Isotropic-noise model V |ψ><ψ| + (1−V) I/dim for any register target —
+/// the standard noise family for Werner and CGLMP studies.
+DensityMatrix isotropic_noise(const StateVector& target, double visibility);
 
 }  // namespace qfc::quantum

@@ -66,7 +66,7 @@ StateVector apply_two_qubit(const StateVector& psi, const CMat& gate, std::size_
 StateVector graph_state(std::size_t num_qubits,
                         const std::vector<std::pair<std::size_t, std::size_t>>& edges) {
   StateVector psi(num_qubits);
-  for (std::size_t q = 0; q < num_qubits; ++q) psi = psi.apply_single(hadamard(), q);
+  for (std::size_t q = 0; q < num_qubits; ++q) psi = psi.apply_local(hadamard(), q);
   for (const auto& [i, j] : edges) psi = apply_two_qubit(psi, cz_gate(), i, j);
   return psi;
 }
@@ -82,8 +82,8 @@ StateVector cluster_from_bell_pairs(const StateVector& two_bell_pairs) {
     throw std::invalid_argument("cluster_from_bell_pairs: need a 4-qubit state");
   // |Φ>⊗|Φ> with H on qubits 1 and 3 equals the graph state of edges
   // {0-1, 2-3}; one more CZ on 1-2 links the pairs into a linear cluster.
-  StateVector psi = two_bell_pairs.apply_single(hadamard(), 1);
-  psi = psi.apply_single(hadamard(), 3);
+  StateVector psi = two_bell_pairs.apply_local(hadamard(), 1);
+  psi = psi.apply_local(hadamard(), 3);
   return apply_two_qubit(psi, cz_gate(), 1, 2);
 }
 

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "qfc/linalg/backend.hpp"
 #include "qfc/linalg/hermitian_eig.hpp"
@@ -14,7 +16,7 @@ namespace qfc::quantum {
 using linalg::cplx;
 
 // ------------------------------------------------------------------------
-// Matrix-level implementations (shared by the qubit and qudit layers).
+// Matrix-level implementations.
 
 double purity(const linalg::CMat& rho) {
   rho.require_square("purity");
@@ -138,7 +140,7 @@ std::vector<linalg::RVec> schmidt_coefficients_batch(
 }
 
 // ------------------------------------------------------------------------
-// Qubit-register convenience overloads.
+// Register overloads.
 
 double purity(const DensityMatrix& rho) { return purity(rho.matrix()); }
 
@@ -159,7 +161,7 @@ double trace_distance(const DensityMatrix& rho, const DensityMatrix& sigma) {
 }
 
 double concurrence(const DensityMatrix& rho) {
-  if (rho.dim() != 4) throw std::invalid_argument("concurrence: needs a two-qubit state");
+  if (rho.num_qubits() != 2) throw std::invalid_argument("concurrence: needs a two-qubit state");
   // Wootters: C = max(0, λ1 − λ2 − λ3 − λ4) with λi the descending square
   // roots of the eigenvalues of ρ (Y⊗Y) ρ* (Y⊗Y).
   const linalg::CMat yy = linalg::kron(pauli_y(), pauli_y());
@@ -174,21 +176,38 @@ double concurrence(const DensityMatrix& rho) {
   return std::max(0.0, c);
 }
 
-double negativity(const DensityMatrix& rho, std::size_t qubits_in_first_subsystem) {
-  const std::size_t n = rho.num_qubits();
-  if (qubits_in_first_subsystem == 0 || qubits_in_first_subsystem >= n)
-    throw std::invalid_argument("negativity: bad split");
-  const std::size_t d1 = std::size_t{1} << qubits_in_first_subsystem;
-  return negativity(rho.matrix(), d1, rho.dim() / d1);
+namespace {
+
+/// (d1, d2) of the bipartition after `first` particles.
+std::pair<std::size_t, std::size_t> split_dims(const Dims& dims, std::size_t first,
+                                               const char* who) {
+  if (first == 0 || first >= dims.size())
+    throw std::invalid_argument(std::string(who) + ": bad split");
+  std::size_t d1 = 1, d2 = 1;
+  for (std::size_t q = 0; q < first; ++q) d1 *= dims[q];
+  for (std::size_t q = first; q < dims.size(); ++q) d2 *= dims[q];
+  return {d1, d2};
+}
+
+}  // namespace
+
+double negativity(const DensityMatrix& rho, std::size_t particles_in_first_subsystem) {
+  const auto [d1, d2] = split_dims(rho.dims(), particles_in_first_subsystem, "negativity");
+  return negativity(rho.matrix(), d1, d2);
 }
 
 linalg::RVec schmidt_coefficients(const StateVector& psi,
-                                  std::size_t qubits_in_first_subsystem) {
-  const std::size_t n = psi.num_qubits();
-  if (qubits_in_first_subsystem == 0 || qubits_in_first_subsystem >= n)
-    throw std::invalid_argument("schmidt_coefficients: bad split");
-  const std::size_t d1 = std::size_t{1} << qubits_in_first_subsystem;
-  return schmidt_coefficients(psi.amplitudes(), d1, psi.dim() / d1);
+                                  std::size_t particles_in_first_subsystem) {
+  const auto [d1, d2] =
+      split_dims(psi.dims(), particles_in_first_subsystem, "schmidt_coefficients");
+  return schmidt_coefficients(psi.amplitudes(), d1, d2);
+}
+
+double schmidt_number(const StateVector& psi, std::size_t particles_in_first_subsystem) {
+  double sum4 = 0;
+  for (double l : schmidt_coefficients(psi, particles_in_first_subsystem)) sum4 += l * l * l * l;
+  if (sum4 <= 0) throw std::invalid_argument("schmidt_number: degenerate state");
+  return 1.0 / sum4;
 }
 
 }  // namespace qfc::quantum

@@ -5,11 +5,10 @@
 /// (two-qubit entanglement), and negativity (PPT criterion).
 ///
 /// Each metric comes in two flavors: a matrix-level overload operating on a
-/// raw density matrix / amplitude vector of *any* dimension (shared with the
-/// qudit layer in qfc::qudit), and a convenience overload on the validated
-/// qubit-register types. The matrix-level overloads assume the caller hands
-/// in a valid density matrix (Hermitian, unit trace, PSD); they do not
-/// re-validate.
+/// raw density matrix / amplitude vector of any dimension, and an overload
+/// on the validated register types (qubits and qudits alike). The
+/// matrix-level overloads assume the caller hands in a valid density matrix
+/// (Hermitian, unit trace, PSD); they do not re-validate.
 
 #include "qfc/quantum/state.hpp"
 
@@ -65,7 +64,7 @@ std::vector<linalg::RVec> schmidt_coefficients_batch(
     const std::vector<linalg::CVec>& amps, std::size_t d1, std::size_t d2);
 
 // ------------------------------------------------------------------------
-// Qubit-register convenience overloads.
+// Register overloads.
 
 double purity(const DensityMatrix& rho);
 double von_neumann_entropy_bits(const DensityMatrix& rho);
@@ -74,15 +73,20 @@ double fidelity(const DensityMatrix& rho, const StateVector& target);
 double trace_distance(const DensityMatrix& rho, const DensityMatrix& sigma);
 
 /// Wootters concurrence of a two-qubit state; 0 = separable, 1 = Bell.
+/// Throws std::invalid_argument unless rho is a register of two qubits.
 double concurrence(const DensityMatrix& rho);
 
-/// Negativity with the bipartition placed after the first
-/// `qubits_in_first_subsystem` qubits.
-double negativity(const DensityMatrix& rho, std::size_t qubits_in_first_subsystem);
+/// Negativity across the bipartition placed after the first
+/// `particles_in_first_subsystem` particles.
+double negativity(const DensityMatrix& rho, std::size_t particles_in_first_subsystem);
 
-/// Schmidt coefficients of a qubit-register pure state split after
-/// `qubits_in_first_subsystem` qubits.
+/// Schmidt coefficients of a pure state split after
+/// `particles_in_first_subsystem` particles (descending, squares sum to 1).
 linalg::RVec schmidt_coefficients(const StateVector& psi,
-                                  std::size_t qubits_in_first_subsystem);
+                                  std::size_t particles_in_first_subsystem);
+
+/// Schmidt number K = 1/Σ λ⁴ of a bipartite pure state (effective number of
+/// entangled dimensions; d for the maximally entangled qudit pair).
+double schmidt_number(const StateVector& psi, std::size_t particles_in_first_subsystem = 1);
 
 }  // namespace qfc::quantum

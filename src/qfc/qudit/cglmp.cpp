@@ -4,13 +4,15 @@
 #include <stdexcept>
 
 #include "qfc/linalg/backend.hpp"
+#include "qfc/quantum/bell.hpp"
+#include "qfc/quantum/measures.hpp"
 #include "qfc/qudit/measurement.hpp"
 
 namespace qfc::qudit {
 
 namespace {
 
-std::size_t checked_pair_dim(const DDensityMatrix& rho, const char* who) {
+std::size_t checked_pair_dim(const quantum::DensityMatrix& rho, const char* who) {
   if (rho.num_particles() != 2 || rho.dims()[0] != rho.dims()[1])
     throw std::invalid_argument(std::string(who) + ": need two equal-dimension qudits");
   return rho.dims()[0];
@@ -18,7 +20,7 @@ std::size_t checked_pair_dim(const DDensityMatrix& rho, const char* who) {
 
 /// All four setting pairs' joint probabilities, indexed [a][b][m*d+n].
 std::array<std::array<linalg::RVec, 2>, 2> all_joint_probabilities(
-    const DDensityMatrix& rho, const CglmpSettings& s) {
+    const quantum::DensityMatrix& rho, const CglmpSettings& s) {
   std::array<std::array<linalg::RVec, 2>, 2> p;
   for (std::size_t a = 0; a < 2; ++a)
     for (std::size_t b = 0; b < 2; ++b) p[a][b] = cglmp_joint_probabilities(rho, a, b, s);
@@ -104,7 +106,7 @@ SettingProjectors setting_projectors(std::size_t d, std::size_t a, std::size_t b
 
 }  // namespace
 
-linalg::RVec cglmp_joint_probabilities(const DDensityMatrix& rho, std::size_t a,
+linalg::RVec cglmp_joint_probabilities(const quantum::DensityMatrix& rho, std::size_t a,
                                        std::size_t b, const CglmpSettings& s) {
   const std::size_t d = checked_pair_dim(rho, "cglmp_joint_probabilities");
   const SettingProjectors proj = setting_projectors(d, a, b, s);
@@ -115,12 +117,12 @@ linalg::RVec cglmp_joint_probabilities(const DDensityMatrix& rho, std::size_t a,
   return p;
 }
 
-double cglmp_value(const DDensityMatrix& rho, const CglmpSettings& s) {
+double cglmp_value(const quantum::DensityMatrix& rho, const CglmpSettings& s) {
   const std::size_t d = checked_pair_dim(rho, "cglmp_value");
   return cglmp_from_probabilities(all_joint_probabilities(rho, s), d);
 }
 
-std::vector<double> cglmp_values(const std::vector<DDensityMatrix>& rhos,
+std::vector<double> cglmp_values(const std::vector<quantum::DensityMatrix>& rhos,
                                  const CglmpSettings& s) {
   std::vector<double> out(rhos.size(), 0.0);
   linalg::detail::parallel_batch(rhos.size(), [&](std::size_t i) {
@@ -130,10 +132,10 @@ std::vector<double> cglmp_values(const std::vector<DDensityMatrix>& rhos,
 }
 
 double cglmp_max_entangled_value(std::size_t d) {
-  return cglmp_value(DDensityMatrix(DState::maximally_entangled(d)));
+  return cglmp_value(quantum::DensityMatrix(quantum::maximally_entangled(d)));
 }
 
-CglmpMeasurement measure_cglmp(const DDensityMatrix& rho, double pairs_per_setting,
+CglmpMeasurement measure_cglmp(const quantum::DensityMatrix& rho, double pairs_per_setting,
                                double accidentals_per_outcome, rng::Xoshiro256& g,
                                const CglmpSettings& s) {
   const std::size_t d = checked_pair_dim(rho, "measure_cglmp");
@@ -165,9 +167,9 @@ CglmpMeasurement measure_cglmp(const DDensityMatrix& rho, double pairs_per_setti
   return m;
 }
 
-std::size_t schmidt_number_witness(const DDensityMatrix& rho) {
+std::size_t schmidt_number_witness(const quantum::DensityMatrix& rho) {
   const std::size_t d = checked_pair_dim(rho, "schmidt_number_witness");
-  const double f = fidelity(rho, DState::maximally_entangled(d));
+  const double f = fidelity(rho, quantum::maximally_entangled(d));
   // Schmidt number <= r implies F <= r/d; certify the smallest r consistent
   // with the observed fidelity (numerical slack keeps F = r/d exactly from
   // over-claiming).

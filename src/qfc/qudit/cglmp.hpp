@@ -13,7 +13,7 @@
 #include <cstddef>
 #include <vector>
 
-#include "qfc/qudit/dstate.hpp"
+#include "qfc/quantum/state.hpp"
 #include "qfc/rng/xoshiro.hpp"
 
 namespace qfc::qudit {
@@ -31,12 +31,12 @@ constexpr double cglmp_classical_bound() { return 2.0; }
 
 /// Joint outcome probabilities P(A_a = m, B_b = n) for one setting pair,
 /// row-major in (m, n), from ideal Fourier-basis projections.
-linalg::RVec cglmp_joint_probabilities(const DDensityMatrix& rho, std::size_t a,
+linalg::RVec cglmp_joint_probabilities(const quantum::DensityMatrix& rho, std::size_t a,
                                        std::size_t b, const CglmpSettings& s = {});
 
 /// Exact I_d from the density matrix of a two-qudit state (equal per-side
 /// dimensions required).
-double cglmp_value(const DDensityMatrix& rho, const CglmpSettings& s = {});
+double cglmp_value(const quantum::DensityMatrix& rho, const CglmpSettings& s = {});
 
 /// I_d of the maximally entangled qudit pair at the standard settings.
 double cglmp_max_entangled_value(std::size_t d);
@@ -44,7 +44,7 @@ double cglmp_max_entangled_value(std::size_t d);
 /// Batch CGLMP: element i equals cglmp_value(rhos[i], s) bitwise, with the
 /// independent evaluations fanned out across the linalg worker pool (one
 /// task per state — the shape of a visibility/noise sweep).
-std::vector<double> cglmp_values(const std::vector<DDensityMatrix>& rhos,
+std::vector<double> cglmp_values(const std::vector<quantum::DensityMatrix>& rhos,
                                  const CglmpSettings& s = {});
 
 /// Count-based CGLMP estimate with Poisson statistics.
@@ -59,7 +59,7 @@ struct CglmpMeasurement {
 
 /// Simulate a CGLMP measurement with `pairs_per_setting` detected pairs per
 /// setting combination and a flat accidental floor per outcome.
-CglmpMeasurement measure_cglmp(const DDensityMatrix& rho, double pairs_per_setting,
+CglmpMeasurement measure_cglmp(const quantum::DensityMatrix& rho, double pairs_per_setting,
                                double accidentals_per_outcome, rng::Xoshiro256& g,
                                const CglmpSettings& s = {});
 
@@ -67,6 +67,6 @@ CglmpMeasurement measure_cglmp(const DDensityMatrix& rho, double pairs_per_setti
 /// fidelity bound): any state with Schmidt number <= r satisfies
 /// ⟨Φ_d|ρ|Φ_d⟩ <= r/d, so F > r/d certifies Schmidt number >= r+1.
 /// Returns the certified lower bound (1 = no entanglement certified).
-std::size_t schmidt_number_witness(const DDensityMatrix& rho);
+std::size_t schmidt_number_witness(const quantum::DensityMatrix& rho);
 
 }  // namespace qfc::qudit

@@ -4,6 +4,9 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "qfc/quantum/bell.hpp"
+#include "qfc/quantum/measures.hpp"
+
 namespace qfc::qudit {
 
 void FreqBinConfig::validate() const {
@@ -54,14 +57,16 @@ CVec FreqBinSource::bin_amplitudes() const {
   return c;
 }
 
-DState FreqBinSource::state() const { return DState::from_pair_amplitudes(bin_amplitudes()); }
+quantum::StateVector FreqBinSource::state() const {
+  return quantum::from_pair_amplitudes(bin_amplitudes());
+}
 
-DState FreqBinSource::shaped_state(const CVec& mask) const {
+quantum::StateVector FreqBinSource::shaped_state(const CVec& mask) const {
   if (mask.size() != cfg_.dimension)
     throw std::invalid_argument("shaped_state: mask size != dimension");
   CVec c = bin_amplitudes();
   for (std::size_t k = 0; k < c.size(); ++k) c[k] *= mask[k];
-  return DState::from_pair_amplitudes(c);  // renormalizes (post-selection)
+  return quantum::from_pair_amplitudes(c);  // renormalizes (post-selection)
 }
 
 double FreqBinSource::shaping_efficiency(const CVec& mask) const {
@@ -90,14 +95,16 @@ CVec FreqBinSource::flattening_mask() const {
   return mask;
 }
 
-DState FreqBinSource::flattened_state() const { return shaped_state(flattening_mask()); }
+quantum::StateVector FreqBinSource::flattened_state() const {
+  return shaped_state(flattening_mask());
+}
 
 double FreqBinSource::schmidt_number() const {
-  return qudit::schmidt_number(state(), 1);
+  return quantum::schmidt_number(state(), 1);
 }
 
 double FreqBinSource::entanglement_entropy_bits() const {
-  const DDensityMatrix rho(state());
+  const quantum::DensityMatrix rho(state());
   return von_neumann_entropy_bits(rho.partial_trace_keep({0}));
 }
 

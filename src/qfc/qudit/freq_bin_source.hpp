@@ -14,10 +14,14 @@
 
 #include "qfc/io/fields.hpp"
 #include "qfc/photonics/comb_grid.hpp"
-#include "qfc/qudit/dstate.hpp"
+#include "qfc/quantum/state.hpp"
 #include "qfc/sfwm/pair_source.hpp"
 
 namespace qfc::qudit {
+
+using linalg::cplx;
+using linalg::CMat;
+using linalg::CVec;
 
 struct FreqBinConfig {
   std::size_t dimension = 2;  ///< d: uses comb channel pairs k = 1..d as bins
@@ -58,11 +62,11 @@ class FreqBinSource {
   CVec bin_amplitudes() const;
 
   /// The emitted two-qudit state Σ_k c_k |k⟩|k⟩.
-  DState state() const;
+  quantum::StateVector state() const;
 
   /// State after a pulse-shaper mask m_k (arbitrary complex per-bin
   /// transmission, |m_k| <= 1 physically): amplitudes ∝ m_k c_k.
-  DState shaped_state(const CVec& mask) const;
+  quantum::StateVector shaped_state(const CVec& mask) const;
 
   /// Post-selection probability of the mask: Σ|m_k c_k|² / Σ|c_k|².
   double shaping_efficiency(const CVec& mask) const;
@@ -72,7 +76,7 @@ class FreqBinSource {
   CVec flattening_mask() const;
 
   /// shaped_state(flattening_mask()) — the maximally entangled (1/√d)Σ|kk⟩.
-  DState flattened_state() const;
+  quantum::StateVector flattened_state() const;
 
   /// Schmidt number K of the unshaped state (effective dimensionality).
   double schmidt_number() const;

@@ -97,7 +97,7 @@ CMat FreqBinAnalyzer::ideal_projector(const CVec& target) {
 }
 
 std::vector<std::uint64_t> simulate_joint_counts(
-    const DDensityMatrix& rho, const std::vector<CMat>& alice_projectors,
+    const quantum::DensityMatrix& rho, const std::vector<CMat>& alice_projectors,
     const std::vector<CMat>& bob_projectors, double pairs,
     double accidentals_per_outcome, rng::Xoshiro256& g) {
   if (rho.num_particles() != 2)

@@ -13,10 +13,14 @@
 #include <cstdint>
 #include <vector>
 
-#include "qfc/qudit/dstate.hpp"
+#include "qfc/quantum/state.hpp"
 #include "qfc/rng/xoshiro.hpp"
 
 namespace qfc::qudit {
+
+using linalg::cplx;
+using linalg::CMat;
+using linalg::CVec;
 
 struct AnalyzerConfig {
   /// EOM RF modulation index m (radians); sideband n carries amplitude
@@ -65,7 +69,7 @@ class FreqBinAnalyzer {
 /// Poisson-fluctuating joint counts for a two-qudit state measured with one
 /// projector list per side: counts[a * bob.size() + b].
 std::vector<std::uint64_t> simulate_joint_counts(
-    const DDensityMatrix& rho, const std::vector<CMat>& alice_projectors,
+    const quantum::DensityMatrix& rho, const std::vector<CMat>& alice_projectors,
     const std::vector<CMat>& bob_projectors, double pairs,
     double accidentals_per_outcome, rng::Xoshiro256& g);
 

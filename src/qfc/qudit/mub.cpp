@@ -134,7 +134,7 @@ CMat invert_single(const std::vector<CMat>& mubs, const std::vector<linalg::RVec
 
 }  // namespace
 
-std::vector<MubSettingCounts> simulate_mub_counts(const DDensityMatrix& rho,
+std::vector<MubSettingCounts> simulate_mub_counts(const quantum::DensityMatrix& rho,
                                                   double shots_per_setting,
                                                   rng::Xoshiro256& g) {
   if (shots_per_setting <= 0)
@@ -247,8 +247,8 @@ MubMleResult mub_maximum_likelihood(const std::vector<MubSettingCounts>& data,
       mub_linear_inversion(data, d, num_particles));
   tomo::RrrResult core = tomo::rrr_reconstruct(terms, seed, opts);
 
-  Dims dims(num_particles, d);
-  MubMleResult res{DDensityMatrix(std::move(core.rho), std::move(dims), 1e-6),
+  quantum::Dims dims(num_particles, d);
+  MubMleResult res{quantum::DensityMatrix(std::move(core.rho), std::move(dims), 1e-6),
                    core.iterations, core.converged, core.log_likelihood};
   return res;
 }
@@ -256,7 +256,7 @@ MubMleResult mub_maximum_likelihood(const std::vector<MubSettingCounts>& data,
 std::vector<MubMleResult> mub_maximum_likelihood_batch(
     const std::vector<std::vector<MubSettingCounts>>& datasets, std::size_t d,
     std::size_t num_particles, const tomo::MleOptions& opts) {
-  // MubMleResult holds a DDensityMatrix (no default constructor), so build
+  // MubMleResult holds a DensityMatrix (no default constructor), so build
   // into optionals and unwrap once every slot is filled.
   std::vector<std::optional<MubMleResult>> slots(datasets.size());
   linalg::detail::parallel_batch(datasets.size(), [&](std::size_t i) {

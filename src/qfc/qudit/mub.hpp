@@ -11,11 +11,15 @@
 #include <cstdint>
 #include <vector>
 
-#include "qfc/qudit/dstate.hpp"
+#include "qfc/quantum/state.hpp"
 #include "qfc/rng/xoshiro.hpp"
 #include "qfc/tomo/tomography.hpp"
 
 namespace qfc::qudit {
+
+using linalg::cplx;
+using linalg::CMat;
+using linalg::CVec;
 
 bool is_prime(std::size_t d);
 
@@ -37,7 +41,7 @@ struct MubSettingCounts {
 
 /// Simulate MUB tomography data for a register of equal-dimension qudits
 /// (1 or 2 particles): Poisson counts for each of the (d+1)^n settings.
-std::vector<MubSettingCounts> simulate_mub_counts(const DDensityMatrix& rho,
+std::vector<MubSettingCounts> simulate_mub_counts(const quantum::DensityMatrix& rho,
                                                   double shots_per_setting,
                                                   rng::Xoshiro256& g);
 
@@ -48,7 +52,7 @@ CMat mub_linear_inversion(const std::vector<MubSettingCounts>& data, std::size_t
                           std::size_t num_particles);
 
 struct MubMleResult {
-  DDensityMatrix rho;
+  quantum::DensityMatrix rho;
   int iterations = 0;
   bool converged = false;
   double log_likelihood = 0;

@@ -47,7 +47,8 @@ struct NoiseKnobs {
 };
 
 /// Simulate tomography data: for each setting, Poisson counts around
-/// shots_per_setting x outcome probability (+ noise knobs).
+/// shots_per_setting x outcome probability (+ noise knobs). rho must be a
+/// qubit register (std::invalid_argument otherwise).
 std::vector<SettingCounts> simulate_counts(const quantum::DensityMatrix& rho,
                                            double shots_per_setting,
                                            const NoiseKnobs& noise, rng::Xoshiro256& g);

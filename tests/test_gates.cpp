@@ -33,7 +33,7 @@ TEST(Gates, CnotFlipsTarget) {
 
 TEST(Gates, CnotWithHadamardMakesBellState) {
   StateVector psi(2);
-  psi = psi.apply_single(hadamard(), 0);
+  psi = psi.apply_local(hadamard(), 0);
   psi = apply_two_qubit(psi, cnot_gate(), 0, 1);
   EXPECT_NEAR(psi.overlap_probability(bell_phi()), 1.0, 1e-12);
 }
@@ -110,7 +110,7 @@ TEST(Cluster, GraphStateOfTriangle) {
 TEST(Measurement, ZOnPlusIsFair) {
   qfc::rng::Xoshiro256 g(11);
   StateVector plus(1);
-  plus = plus.apply_single(hadamard(), 0);
+  plus = plus.apply_local(hadamard(), 0);
   int ones = 0;
   const int n = 4000;
   for (int i = 0; i < n; ++i) {

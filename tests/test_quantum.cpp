@@ -2,14 +2,19 @@
 // states, entanglement measures, Fock statistics.
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "qfc/quantum/bell.hpp"
 #include "qfc/quantum/fock.hpp"
+#include "qfc/quantum/gates.hpp"
 #include "qfc/quantum/measures.hpp"
 #include "qfc/quantum/pauli.hpp"
 #include "qfc/quantum/state.hpp"
+#include "qfc/timebin/chsh.hpp"
+#include "qfc/tomo/tomography.hpp"
 
 namespace {
 
@@ -37,6 +42,38 @@ TEST(StateVector, RejectsBadDimensions) {
   EXPECT_THROW(StateVector(0), std::invalid_argument);
 }
 
+/// True if `f` throws std::invalid_argument whose message names `who`.
+template <class F>
+bool throws_naming(F f, const std::string& who) {
+  try {
+    f();
+  } catch (const std::invalid_argument& e) {
+    return std::string(e.what()).find(who) != std::string::npos;
+  }
+  return false;
+}
+
+TEST(StateVector, RejectsNonFiniteAmplitudes) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_TRUE(throws_naming([&] { StateVector(CVec{cplx(nan, 0), cplx(1, 0)}); },
+                            "StateVector"));
+  EXPECT_TRUE(throws_naming([&] { StateVector(CVec{cplx(inf, 0), cplx(1, 0)}); },
+                            "StateVector"));
+  EXPECT_TRUE(throws_naming(
+      [&] { StateVector(CVec{cplx(1, 0), cplx(0, nan), cplx(1, 0)}, Dims{3}); },
+      "StateVector"));
+  EXPECT_TRUE(throws_naming(
+      [&] { from_pair_amplitudes(CVec{cplx(inf, 0), cplx(1, 0), cplx(1, 0)}); },
+      "StateVector"));
+
+  CMat rho = CMat::identity(2) * cplx(0.5, 0);
+  rho(0, 1) = cplx(nan, 0);
+  EXPECT_TRUE(throws_naming([&] { DensityMatrix{rho}; }, "DensityMatrix"));
+  rho(0, 1) = cplx(0, inf);
+  EXPECT_TRUE(throws_naming([&] { DensityMatrix(rho, Dims{2}); }, "DensityMatrix"));
+}
+
 TEST(StateVector, TensorStructure) {
   const StateVector zero(1);
   const StateVector one(CVec{cplx(0, 0), cplx(1, 0)});
@@ -47,14 +84,14 @@ TEST(StateVector, TensorStructure) {
 TEST(StateVector, ApplySingleQubitOnEachPosition) {
   // X on qubit 0 of |00> -> |10>; X on qubit 1 -> |01>.
   const StateVector psi(2);
-  EXPECT_NEAR(psi.apply_single(pauli_x(), 0).probability(2), 1.0, 1e-12);
-  EXPECT_NEAR(psi.apply_single(pauli_x(), 1).probability(1), 1.0, 1e-12);
-  EXPECT_THROW(psi.apply_single(pauli_x(), 2), std::out_of_range);
+  EXPECT_NEAR(psi.apply_local(pauli_x(), 0).probability(2), 1.0, 1e-12);
+  EXPECT_NEAR(psi.apply_local(pauli_x(), 1).probability(1), 1.0, 1e-12);
+  EXPECT_THROW(psi.apply_local(pauli_x(), 2), std::out_of_range);
 }
 
 TEST(StateVector, HadamardMakesUniform) {
   StateVector psi(1);
-  psi = psi.apply_single(hadamard(), 0);
+  psi = psi.apply_local(hadamard(), 0);
   EXPECT_NEAR(psi.probability(0), 0.5, 1e-12);
   EXPECT_NEAR(psi.probability(1), 0.5, 1e-12);
 }
@@ -64,6 +101,18 @@ TEST(StateVector, OverlapOfBellPair) {
   const StateVector phi_pi = bell_phi(3.14159265358979);
   EXPECT_NEAR(phi0.overlap_probability(phi0), 1.0, 1e-12);
   EXPECT_NEAR(phi0.overlap_probability(phi_pi), 0.0, 1e-12);
+}
+
+TEST(Register, QubitOnlyEntryPointsRejectNonQubitRegisters) {
+  qfc::rng::Xoshiro256 g(3);
+  EXPECT_THROW(concurrence(DensityMatrix(Dims{4})), std::invalid_argument);
+  const StateVector qubit_qutrit(Dims{2, 3});
+  EXPECT_THROW(apply_two_qubit(qubit_qutrit, cnot_gate(), 0, 1), std::invalid_argument);
+  EXPECT_THROW(measure_qubit_z(qubit_qutrit, 0, g), std::invalid_argument);
+  const DensityMatrix qutrits(Dims{3, 3});
+  EXPECT_THROW(qfc::timebin::chsh_s_value(qutrits, qfc::timebin::optimal_settings_for_phi(0)),
+               std::invalid_argument);
+  EXPECT_THROW(qfc::tomo::simulate_counts(qutrits, 100, {}, g), std::invalid_argument);
 }
 
 TEST(Pauli, AlgebraRelations) {

@@ -9,13 +9,14 @@
 
 #include "qfc/photonics/device_presets.hpp"
 #include "qfc/qudit/cglmp.hpp"
-#include "qfc/qudit/dstate.hpp"
 #include "qfc/qudit/freq_bin_source.hpp"
 #include "qfc/qudit/measurement.hpp"
 #include "qfc/qudit/mub.hpp"
 #include "qfc/qudit/operators.hpp"
 #include "qfc/quantum/bell.hpp"
 #include "qfc/quantum/measures.hpp"
+#include "qfc/quantum/pauli.hpp"
+#include "qfc/quantum/state.hpp"
 #include "qfc/timebin/chsh.hpp"
 
 namespace {
@@ -24,82 +25,115 @@ using qfc::linalg::cplx;
 using qfc::linalg::CMat;
 using qfc::linalg::CVec;
 using namespace qfc::qudit;
+using namespace qfc::quantum;
 
 constexpr double kPi = 3.14159265358979323846;
 
-TEST(DState, GroundStateAndValidation) {
-  const DState psi(Dims{3, 4});
+TEST(StateVector, GroundStateAndValidation) {
+  const StateVector psi(Dims{3, 4});
   EXPECT_EQ(psi.dim(), 12u);
   EXPECT_NEAR(psi.probability(0), 1.0, 1e-15);
-  EXPECT_THROW(DState(Dims{}), std::invalid_argument);
-  EXPECT_THROW(DState(Dims{1, 3}), std::invalid_argument);
-  EXPECT_THROW(DState(CVec(5, cplx(1, 0)), Dims{2, 3}), std::invalid_argument);
-  EXPECT_THROW(DState(CVec(6, cplx(0, 0)), Dims{2, 3}), std::invalid_argument);
+  EXPECT_THROW(StateVector(Dims{}), std::invalid_argument);
+  EXPECT_THROW(StateVector(Dims{1, 3}), std::invalid_argument);
+  EXPECT_THROW(StateVector(CVec(5, cplx(1, 0)), Dims{2, 3}), std::invalid_argument);
+  EXPECT_THROW(StateVector(CVec(6, cplx(0, 0)), Dims{2, 3}), std::invalid_argument);
 }
 
-TEST(DState, MaximallyEntangledStructure) {
-  const DState phi = DState::maximally_entangled(3);
+TEST(StateVector, MaximallyEntangledStructure) {
+  const StateVector phi = maximally_entangled(3);
   EXPECT_EQ(phi.dim(), 9u);
   for (std::size_t k = 0; k < 3; ++k)
     EXPECT_NEAR(phi.probability(k * 3 + k), 1.0 / 3.0, 1e-12);
   EXPECT_NEAR(phi.probability(1), 0.0, 1e-15);
 }
 
-TEST(DState, ApplyLocalMatchesFullKron) {
+TEST(StateVector, ApplyLocalMatchesFullKron) {
   // F on particle 0 and X on particle 1 of a random-ish state, applied both
   // locally and as a full-register kron, must agree.
   CVec amps(12);
   for (std::size_t i = 0; i < amps.size(); ++i)
     amps[i] = cplx(std::sin(1.0 + 0.7 * static_cast<double>(i)),
                    std::cos(0.3 * static_cast<double>(i)));
-  const DState psi(amps, Dims{3, 4});
+  const StateVector psi(amps, Dims{3, 4});
 
   const CMat f3 = fourier_matrix(3);
   const CMat x4 = shift_operator(4);
-  const DState via_local = psi.apply_local(f3, 0).apply_local(x4, 1);
-  const DState via_full = psi.apply(qfc::linalg::kron(f3, x4));
+  const StateVector via_local = psi.apply_local(f3, 0).apply_local(x4, 1);
+  const StateVector via_full = psi.apply(qfc::linalg::kron(f3, x4));
   for (std::size_t i = 0; i < psi.dim(); ++i)
     EXPECT_NEAR(std::abs(via_local.amplitude(i) - via_full.amplitude(i)), 0.0, 1e-12);
+
+  // The all-qubit register is one more input: R_y(θ_q) on each of 3 qubits.
+  CVec amps3(8);
+  for (std::size_t i = 0; i < amps3.size(); ++i)
+    amps3[i] = cplx(std::cos(0.4 + 1.1 * static_cast<double>(i)),
+                    std::sin(0.9 * static_cast<double>(i)));
+  const StateVector qubits(amps3);
+  const CMat ry[3] = {rotation_y(0.3), rotation_y(1.2), rotation_y(-0.7)};
+  const StateVector qubits_local =
+      qubits.apply_local(ry[0], 0).apply_local(ry[1], 1).apply_local(ry[2], 2);
+  const StateVector qubits_full =
+      qubits.apply(qfc::linalg::kron(qfc::linalg::kron(ry[0], ry[1]), ry[2]));
+  for (std::size_t i = 0; i < qubits.dim(); ++i)
+    EXPECT_NEAR(std::abs(qubits_local.amplitude(i) - qubits_full.amplitude(i)), 0.0, 1e-12);
 }
 
-TEST(DState, ApplyLocalValidation) {
-  const DState psi(Dims{3, 4});
+TEST(StateVector, ApplyLocalValidation) {
+  const StateVector psi(Dims{3, 4});
   EXPECT_THROW(psi.apply_local(fourier_matrix(3), 1), std::invalid_argument);
   EXPECT_THROW(psi.apply_local(fourier_matrix(3), 2), std::out_of_range);
 }
 
-TEST(DDensityMatrix, PartialTraceOfEntangledPairIsMixed) {
+TEST(DensityMatrix, PartialTraceOfEntangledPairIsMixed) {
   for (std::size_t d : {2u, 3u, 5u}) {
-    const DDensityMatrix rho(DState::maximally_entangled(d));
-    const DDensityMatrix reduced = rho.partial_trace_keep({0});
+    const DensityMatrix rho(maximally_entangled(d));
+    const DensityMatrix reduced = rho.partial_trace_keep({0});
     EXPECT_EQ(reduced.dim(), d);
     EXPECT_NEAR(purity(reduced), 1.0 / static_cast<double>(d), 1e-12);
   }
 }
 
-TEST(DDensityMatrix, PartialTraceOfProductRecoversFactors) {
-  const DState a(CVec{cplx(0.6, 0), cplx(0, 0.8)}, Dims{2});
-  const DState b(CVec{cplx(1, 0), cplx(1, 0), cplx(1, 0)}, Dims{3});
-  const DDensityMatrix ab = DDensityMatrix(a).tensor(DDensityMatrix(b));
-  EXPECT_LT((ab.partial_trace_keep({0}).matrix() - DDensityMatrix(a).matrix()).max_abs(),
+TEST(DensityMatrix, PartialTraceOfProductRecoversFactors) {
+  const StateVector a(CVec{cplx(0.6, 0), cplx(0, 0.8)}, Dims{2});
+  const StateVector b(CVec{cplx(1, 0), cplx(1, 0), cplx(1, 0)}, Dims{3});
+  const DensityMatrix ab = DensityMatrix(a).tensor(DensityMatrix(b));
+  EXPECT_LT((ab.partial_trace_keep({0}).matrix() - DensityMatrix(a).matrix()).max_abs(),
             1e-12);
-  EXPECT_LT((ab.partial_trace_keep({1}).matrix() - DDensityMatrix(b).matrix()).max_abs(),
+  EXPECT_LT((ab.partial_trace_keep({1}).matrix() - DensityMatrix(b).matrix()).max_abs(),
             1e-12);
 }
 
-TEST(DDensityMatrix, MixedRadixPartialTraceMiddleParticle) {
-  const DState psi = DState(Dims{2}).tensor(DState(Dims{3})).tensor(DState(Dims{2}));
-  const DDensityMatrix rho(psi);
-  const DDensityMatrix mid = rho.partial_trace_keep({1});
+TEST(DensityMatrix, MixedRadixPartialTraceMiddleParticle) {
+  const StateVector psi =
+      StateVector(Dims{2}).tensor(StateVector(Dims{3})).tensor(StateVector(Dims{2}));
+  const DensityMatrix rho(psi);
+  const DensityMatrix mid = rho.partial_trace_keep({1});
   EXPECT_EQ(mid.dim(), 3u);
   EXPECT_NEAR(std::real(mid.matrix()(0, 0)), 1.0, 1e-12);
+
+  // The all-qubit register is one more input: keep qubits {0, 2} of an
+  // entangled 3-qubit state, ρ_02(a0 a2, b0 b2) = Σ_t ρ(a0 t a2, b0 t b2).
+  CVec amps(8);
+  for (std::size_t i = 0; i < amps.size(); ++i)
+    amps[i] = cplx(std::sin(0.5 + 0.8 * static_cast<double>(i)),
+                   std::cos(1.3 * static_cast<double>(i)));
+  const DensityMatrix qubits{StateVector(amps)};
+  const DensityMatrix kept = qubits.partial_trace_keep({0, 2});
+  ASSERT_EQ(kept.dims(), (Dims{2, 2}));
+  for (std::size_t a = 0; a < 4; ++a)
+    for (std::size_t b = 0; b < 4; ++b) {
+      cplx s(0, 0);
+      for (std::size_t t = 0; t < 2; ++t)
+        s += qubits.matrix()((a / 2) * 4 + t * 2 + a % 2, (b / 2) * 4 + t * 2 + b % 2);
+      EXPECT_NEAR(std::abs(kept.matrix()(a, b) - s), 0.0, 1e-12);
+    }
 }
 
 // Satellite criterion: the maximally entangled qudit pair carries log₂d
 // ebits of entanglement entropy.
 TEST(Measures, MaxEntangledEntropyIsLog2D) {
   for (std::size_t d : {2u, 3u, 4u, 5u, 7u}) {
-    const DDensityMatrix rho(DState::maximally_entangled(d));
+    const DensityMatrix rho(maximally_entangled(d));
     const double e = von_neumann_entropy_bits(rho.partial_trace_keep({1}));
     EXPECT_NEAR(e, std::log2(static_cast<double>(d)), 1e-9) << "d=" << d;
   }
@@ -108,27 +142,15 @@ TEST(Measures, MaxEntangledEntropyIsLog2D) {
 TEST(Measures, MaxEntangledNegativityClosedForm) {
   // N(Φ_d) = (d−1)/2 under the PPT criterion.
   for (std::size_t d : {2u, 3u, 4u}) {
-    const DDensityMatrix rho(DState::maximally_entangled(d));
+    const DensityMatrix rho(maximally_entangled(d));
     EXPECT_NEAR(negativity(rho, 1), (static_cast<double>(d) - 1.0) / 2.0, 1e-9);
   }
 }
 
 TEST(Measures, SchmidtNumberCountsEntangledDimensions) {
-  EXPECT_NEAR(schmidt_number(DState::maximally_entangled(4)), 4.0, 1e-10);
-  const DState product = DState(Dims{3}).tensor(DState(Dims{3}));
+  EXPECT_NEAR(schmidt_number(maximally_entangled(4)), 4.0, 1e-10);
+  const StateVector product = StateVector(Dims{3}).tensor(StateVector(Dims{3}));
   EXPECT_NEAR(schmidt_number(product), 1.0, 1e-10);
-}
-
-TEST(Measures, QuditForwardsAgreeWithQubitLayer) {
-  // A two-qubit Bell state seen as a d=2 qudit pair must give identical
-  // metrics through both layers (they share the matrix-level code).
-  const qfc::quantum::StateVector bell = qfc::quantum::bell_phi(0.3);
-  const qfc::quantum::DensityMatrix qrho(bell);
-  const DDensityMatrix drho(qrho.matrix(), Dims{2, 2});
-  EXPECT_NEAR(purity(drho), qfc::quantum::purity(qrho), 1e-12);
-  EXPECT_NEAR(negativity(drho, 1), qfc::quantum::negativity(qrho, 1), 1e-12);
-  EXPECT_NEAR(von_neumann_entropy_bits(drho),
-              qfc::quantum::von_neumann_entropy_bits(qrho), 1e-12);
 }
 
 TEST(Operators, WeylAlgebra) {
@@ -182,8 +204,8 @@ TEST(Operators, GellMannBasisProperties) {
 
 TEST(Operators, BlochVectorRoundTrip) {
   // ρ = I/d + ½ Σ r_a λ_a reconstructs the state from its Bloch vector.
-  const DState psi(CVec{cplx(1, 0), cplx(0, 1), cplx(-0.5, 0.2)}, Dims{3});
-  const CMat rho = DDensityMatrix(psi).matrix();
+  const StateVector psi(CVec{cplx(1, 0), cplx(0, 1), cplx(-0.5, 0.2)}, Dims{3});
+  const CMat rho = DensityMatrix(psi).matrix();
   const auto r = bloch_vector(rho);
   const auto basis = gell_mann_basis(3);
   CMat rebuilt = qfc::linalg::to_complex(qfc::linalg::RMat::identity(3));
@@ -206,7 +228,7 @@ TEST(FreqBinSource, AmplitudesFollowBrightness) {
   ASSERT_EQ(c.size(), 4u);
   EXPECT_NEAR(std::norm(c[0]), 4.0 / 7.0, 1e-12);  // 4/(4+1+1+1)
   EXPECT_NEAR(std::norm(c[1]), 1.0 / 7.0, 1e-12);
-  const DState psi = src.state();
+  const StateVector psi = src.state();
   EXPECT_NEAR(psi.probability(0), 4.0 / 7.0, 1e-12);  // |0⟩|0⟩
   EXPECT_NEAR(psi.probability(5), 1.0 / 7.0, 1e-12);  // |1⟩|1⟩
 }
@@ -219,8 +241,8 @@ TEST(FreqBinSource, FlatteningYieldsMaximallyEntangled) {
   const FreqBinSource src(grid, {2.0, 1.0, 0.5, 0.1, 0.1}, cfg);
 
   EXPECT_LT(src.schmidt_number(), 3.0);
-  const DState flat = src.flattened_state();
-  EXPECT_NEAR(flat.overlap_probability(DState::maximally_entangled(3)), 1.0, 1e-12);
+  const StateVector flat = src.flattened_state();
+  EXPECT_NEAR(flat.overlap_probability(maximally_entangled(3)), 1.0, 1e-12);
   // Procrustean cost: kept fraction = d * weakest bin probability.
   const double weakest = 0.5 / 3.5;
   EXPECT_NEAR(src.shaping_efficiency(src.flattening_mask()), 3 * weakest, 1e-12);
@@ -287,7 +309,7 @@ TEST(Cglmp, ReducesToChshAtD2) {
   for (double v : {1.0, 0.9, 0.7071, 0.5, 0.2, 0.0}) {
     const qfc::quantum::DensityMatrix werner = qfc::quantum::werner_phi(v);
     const double s_chsh = qfc::timebin::chsh_s_value(werner, settings);
-    const DDensityMatrix as_qudit(werner.matrix(), Dims{2, 2});
+    const DensityMatrix as_qudit(werner.matrix(), Dims{2, 2});
     const double i2 = cglmp_value(as_qudit);
     EXPECT_NEAR(i2, s_chsh, 1e-9) << "V=" << v;
   }
@@ -312,7 +334,7 @@ TEST(Cglmp, ViolationGrowsWithDimension) {
   // maximally entangled state, P(m,n) = 1/(2d³ sin²[π((n−m)−(α+β))/d]),
   // must match the projector-based computation.
   const std::size_t d = 5;
-  const DDensityMatrix phi(DState::maximally_entangled(d));
+  const DensityMatrix phi(maximally_entangled(d));
   const auto p = cglmp_joint_probabilities(phi, 0, 0);  // α+β = 1/4
   for (std::size_t m = 0; m < d; ++m)
     for (std::size_t n = 0; n < d; ++n) {
@@ -327,14 +349,14 @@ TEST(Cglmp, ViolationGrowsWithDimension) {
 }
 
 TEST(Cglmp, MixedStateLosesViolation) {
-  const DState phi3 = DState::maximally_entangled(3);
+  const StateVector phi3 = maximally_entangled(3);
   // I_d is linear in ρ and vanishes on the maximally mixed state.
-  const double i_pure = cglmp_value(DDensityMatrix(phi3));
+  const double i_pure = cglmp_value(DensityMatrix(phi3));
   for (double v : {0.8, 0.5, 0.1}) {
     const double i_noisy = cglmp_value(isotropic_noise(phi3, v));
     EXPECT_NEAR(i_noisy, v * i_pure, 1e-9);
   }
-  EXPECT_NEAR(cglmp_value(DDensityMatrix(Dims{3, 3})), 0.0, 1e-12);
+  EXPECT_NEAR(cglmp_value(DensityMatrix(Dims{3, 3})), 0.0, 1e-12);
 }
 
 TEST(Analyzer, SimulateJointCountsValidation) {
@@ -343,11 +365,11 @@ TEST(Analyzer, SimulateJointCountsValidation) {
   std::vector<CMat> projs;
   for (std::size_t k = 0; k < 3; ++k)
     projs.push_back(FreqBinAnalyzer::ideal_projector(an.fourier_vector(k, 0.0)));
-  const DDensityMatrix pair(DState::maximally_entangled(3));
+  const DensityMatrix pair(maximally_entangled(3));
   const auto counts = simulate_joint_counts(pair, projs, projs, 1000, 0.0, g);
   EXPECT_EQ(counts.size(), 9u);
   // A single qudit is not a pair; negative knobs are rejected.
-  const DDensityMatrix single(Dims{3});
+  const DensityMatrix single(Dims{3});
   EXPECT_THROW(simulate_joint_counts(single, projs, projs, 1000, 0.0, g),
                std::invalid_argument);
   EXPECT_THROW(simulate_joint_counts(pair, projs, projs, 0, 0.0, g),
@@ -358,7 +380,7 @@ TEST(Analyzer, SimulateJointCountsValidation) {
 
 TEST(Cglmp, CountBasedMeasurementAgreesWithExact) {
   qfc::rng::Xoshiro256 g(42);
-  const DDensityMatrix rho(DState::maximally_entangled(3));
+  const DensityMatrix rho(maximally_entangled(3));
   const auto m = measure_cglmp(rho, 200000, 5.0, g);
   EXPECT_TRUE(m.violates_classical());
   EXPECT_NEAR(m.i_value, cglmp_max_entangled_value(3), 0.05);
@@ -366,13 +388,13 @@ TEST(Cglmp, CountBasedMeasurementAgreesWithExact) {
 }
 
 TEST(Cglmp, SchmidtNumberWitnessCertifiesDimension) {
-  EXPECT_EQ(schmidt_number_witness(DDensityMatrix(DState::maximally_entangled(4))), 4u);
-  EXPECT_EQ(schmidt_number_witness(DDensityMatrix(Dims{4, 4})), 1u);
+  EXPECT_EQ(schmidt_number_witness(DensityMatrix(maximally_entangled(4))), 4u);
+  EXPECT_EQ(schmidt_number_witness(DensityMatrix(Dims{4, 4})), 1u);
   // Product state: F = 1/d, certifies only Schmidt number 1.
-  const DState product = DState(Dims{3}).tensor(DState(Dims{3}));
-  EXPECT_EQ(schmidt_number_witness(DDensityMatrix(product)), 1u);
+  const StateVector product = StateVector(Dims{3}).tensor(StateVector(Dims{3}));
+  EXPECT_EQ(schmidt_number_witness(DensityMatrix(product)), 1u);
   // Lightly noisy Φ_4 still certifies the full dimension.
-  EXPECT_EQ(schmidt_number_witness(isotropic_noise(DState::maximally_entangled(4), 0.95)),
+  EXPECT_EQ(schmidt_number_witness(isotropic_noise(maximally_entangled(4), 0.95)),
             4u);
 }
 
@@ -404,8 +426,8 @@ TEST(Mub, RejectsNonPrime) {
 }
 
 TEST(Mub, SingleQuditLinearInversionRoundTrip) {
-  const DState psi(CVec{cplx(0.8, 0), cplx(0, 0.5), cplx(-0.3, 0.1)}, Dims{3});
-  const DDensityMatrix rho(psi);
+  const StateVector psi(CVec{cplx(0.8, 0), cplx(0, 0.5), cplx(-0.3, 0.1)}, Dims{3});
+  const DensityMatrix rho(psi);
   qfc::rng::Xoshiro256 g(7);
   const auto data = simulate_mub_counts(rho, 2e6, g);
   ASSERT_EQ(data.size(), 4u);
@@ -421,8 +443,8 @@ TEST(Mub, TwoQutritTomographyRoundTrip) {
   qfc::rng::Xoshiro256 amp_rng(2026);
   CVec amps(9);
   for (auto& a : amps) a = cplx(amp_rng.uniform(-1, 1), amp_rng.uniform(-1, 1));
-  const DState psi(amps, Dims{3, 3});
-  const DDensityMatrix rho(psi);
+  const StateVector psi(amps, Dims{3, 3});
+  const DensityMatrix rho(psi);
 
   qfc::rng::Xoshiro256 g(11);
   const auto data = simulate_mub_counts(rho, 50000, g);
@@ -438,7 +460,7 @@ TEST(Mub, TwoQutritTomographyRoundTrip) {
 }
 
 TEST(Mub, TomographyRecoversEntangledQutritPair) {
-  const DState phi = DState::maximally_entangled(3);
+  const StateVector phi = maximally_entangled(3);
   qfc::rng::Xoshiro256 g(99);
   const auto data = simulate_mub_counts(isotropic_noise(phi, 0.9), 50000, g);
   const auto mle = mub_maximum_likelihood(data, 3, 2);
@@ -450,8 +472,8 @@ TEST(Mub, TomographyRecoversEntangledQutritPair) {
 // ------------------------------------------------------ batch sweep seams
 
 TEST(Cglmp, BatchMatchesScalarBitwise) {
-  const DState phi3 = DState::maximally_entangled(3);
-  std::vector<DDensityMatrix> rhos;
+  const StateVector phi3 = maximally_entangled(3);
+  std::vector<DensityMatrix> rhos;
   for (double v : {1.0, 0.9, 0.7, 0.5, 0.1}) rhos.push_back(isotropic_noise(phi3, v));
   const auto batch = cglmp_values(rhos);
   ASSERT_EQ(batch.size(), rhos.size());
@@ -461,7 +483,7 @@ TEST(Cglmp, BatchMatchesScalarBitwise) {
 }
 
 TEST(Mub, MleBatchMatchesScalarBitwise) {
-  const DState phi = DState::maximally_entangled(3);
+  const StateVector phi = maximally_entangled(3);
   qfc::rng::Xoshiro256 g(123);
   std::vector<std::vector<MubSettingCounts>> datasets;
   for (double v : {0.95, 0.8})
