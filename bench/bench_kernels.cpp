@@ -1,9 +1,10 @@
 // Microbenchmarks of the numerical kernels that dominate the reproduction
 // runtime: Hermitian eigendecomposition, SVD / Schmidt decomposition,
-// Monte-Carlo stream generation, coincidence correlation, and one MLE
-// tomography cycle. Emits the same machine-readable JSON envelope as
-// bench_event_engine / bench_linalg_backends ({bench, mode, rows}) so the
-// perf trajectory accumulates run over run.
+// Monte-Carlo stream generation, coincidence correlation, and RρR MLE
+// tomography (2 and 4 qubits, and a two-qudit d = 7 MUB reconstruction).
+// Emits the same machine-readable JSON envelope as bench_event_engine /
+// bench_linalg_backends ({bench, mode, nproc, rows}) so the perf trajectory
+// accumulates run over run.
 //
 // Usage: bench_kernels [--smoke] [--json PATH]
 //   --smoke   fewer repetitions (CI)
@@ -15,11 +16,13 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "qfc/core/four_photon.hpp"
 #include "qfc/detect/coincidence.hpp"
 #include "qfc/detect/event_stream.hpp"
 #include "qfc/linalg/hermitian_eig.hpp"
 #include "qfc/linalg/svd.hpp"
 #include "qfc/quantum/bell.hpp"
+#include "qfc/qudit/mub.hpp"
 #include "qfc/rng/xoshiro.hpp"
 #include "qfc/sfwm/jsa.hpp"
 #include "qfc/tomo/tomography.hpp"
@@ -118,6 +121,32 @@ int main(int argc, char** argv) {
     const auto data = tomo::simulate_counts(rho, 200.0, {}, g2);
     rows.push_back(time_kernel("tomo_mle", 4, 2 * rep_scale, [&] {
       auto mle = tomo::maximum_likelihood(data);
+      (void)mle;
+    }));
+
+    // The four_photon scenario's tomography: 4 qubits, 60 shots per setting
+    // with its default analyzer-phase and accidental noise; the default
+    // options run to the 500-iteration cap.
+    rng::Xoshiro256 g4(11);
+    const quantum::DensityMatrix pair = quantum::werner_phi(0.9);
+    const auto data4 = tomo::simulate_counts(pair.tensor(pair), 60.0,
+                                             core::FourPhotonConfig{}.tomo_noise, g4);
+    rows.push_back(time_kernel("tomo_mle4", 16, 2 * rep_scale, [&] {
+      auto mle = tomo::maximum_likelihood(data4);
+      (void)mle;
+    }));
+  }
+
+  {
+    // bench_qudit_cglmp's d = 7 MUB tomography: two qudits, 20000 shots per
+    // setting, convergence_tol 1e-6.
+    rng::Xoshiro256 g(12);
+    const quantum::DensityMatrix rho(quantum::maximally_entangled(7));
+    const auto data = qudit::simulate_mub_counts(rho, 20000.0, g);
+    tomo::MleOptions opts;
+    opts.convergence_tol = 1e-6;
+    rows.push_back(time_kernel("mub_mle_d7", 49, rep_scale, [&] {
+      auto mle = qudit::mub_maximum_likelihood(data, 7, 2, opts);
       (void)mle;
     }));
   }

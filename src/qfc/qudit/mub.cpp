@@ -69,24 +69,40 @@ CVec basis_column(const CMat& basis, std::size_t k) {
   return v;
 }
 
-/// Projector onto joint outcome `o` (mixed-radix over d per particle) of
-/// the setting with the given per-particle MUB indices.
+/// The per-particle MUB basis columns whose Kronecker product is joint
+/// outcome `o` (mixed-radix over d per particle, particle 0 slowest) of the
+/// setting with the given per-particle MUB indices.
+std::vector<CVec> setting_factors(const std::vector<CMat>& mubs,
+                                  const std::vector<std::size_t>& bases, std::size_t d,
+                                  std::size_t o) {
+  std::vector<CVec> factors(bases.size());
+  std::size_t rem = o;
+  for (std::size_t q = bases.size(); q-- > 0;) {
+    factors[q] = basis_column(mubs[bases[q]], rem % d);
+    rem /= d;
+  }
+  return factors;
+}
+
+/// Dense projector onto that joint outcome.
 CMat setting_projector(const std::vector<CMat>& mubs,
                        const std::vector<std::size_t>& bases, std::size_t d,
                        std::size_t o) {
   CMat proj;
-  std::size_t rem = o;
-  std::vector<std::size_t> outcome(bases.size());
-  for (std::size_t q = bases.size(); q-- > 0;) {
-    outcome[q] = rem % d;
-    rem /= d;
-  }
-  for (std::size_t q = 0; q < bases.size(); ++q) {
-    const CVec v = basis_column(mubs[bases[q]], outcome[q]);
+  for (const CVec& v : setting_factors(mubs, bases, d, o)) {
     const CMat p1 = linalg::outer(v, v);
-    proj = (q == 0) ? p1 : linalg::kron(proj, p1);
+    proj = proj.empty() ? p1 : linalg::kron(proj, p1);
   }
   return proj;
+}
+
+/// Its unit vector: setting_projector(...) = |v⟩⟨v|.
+CVec setting_vector(const std::vector<CMat>& mubs, const std::vector<std::size_t>& bases,
+                    std::size_t d, std::size_t o) {
+  CVec vec;
+  for (const CVec& v : setting_factors(mubs, bases, d, o))
+    vec = vec.empty() ? v : linalg::kron(vec, v);
+  return vec;
 }
 
 std::size_t checked_particles(const std::vector<MubSettingCounts>& data, std::size_t d,
@@ -239,7 +255,7 @@ MubMleResult mub_maximum_likelihood(const std::vector<MubSettingCounts>& data,
   for (const auto& sc : data)
     for (std::size_t o = 0; o < sc.counts.size(); ++o) {
       if (sc.counts[o] == 0) continue;
-      terms.push_back(tomo::ProjectorTerm{setting_projector(mubs, sc.bases, d, o),
+      terms.push_back(tomo::ProjectorTerm{setting_vector(mubs, sc.bases, d, o),
                                           static_cast<double>(sc.counts[o])});
     }
 

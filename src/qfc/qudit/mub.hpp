@@ -6,7 +6,9 @@
 /// the minimal number of measurement settings; reconstruction uses the
 /// 2-design identity Σ_{b,k} p(k|b) Π_{b,k} = ρ + I (per subsystem) for
 /// linear inversion and then plugs into the shared iterative RρR
-/// maximum-likelihood core in qfc::tomo.
+/// maximum-likelihood core in qfc::tomo. Every MUB outcome is rank-1, so the
+/// core gets one Kronecker product of basis columns per outcome, never a
+/// dense projector.
 
 #include <cstdint>
 #include <vector>
@@ -59,7 +61,7 @@ struct MubMleResult {
 };
 
 /// Maximum-likelihood reconstruction: projected linear inversion seeds the
-/// shared tomo::rrr_reconstruct iteration.
+/// shared tomo::rrr_reconstruct iteration over the rank-1 outcome vectors.
 MubMleResult mub_maximum_likelihood(const std::vector<MubSettingCounts>& data,
                                     std::size_t d, std::size_t num_particles,
                                     const tomo::MleOptions& opts = {});

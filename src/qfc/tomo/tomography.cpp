@@ -1,5 +1,6 @@
 #include "qfc/tomo/tomography.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <stdexcept>
@@ -54,17 +55,29 @@ CVec basis_eigenstate(char basis, int sign, double phase_error_rad) {
   }
 }
 
-CMat setting_outcome_projector(const MeasurementSetting& s, std::size_t outcome,
-                               const std::vector<double>& phase_errors) {
+/// The single-qubit eigenvectors whose Kronecker product is outcome
+/// `outcome` of setting `s`, qubit 0 first.
+std::vector<CVec> outcome_factors(const MeasurementSetting& s, std::size_t outcome,
+                                  const std::vector<double>& phase_errors) {
   const std::size_t n = s.num_qubits();
   if (outcome >= (std::size_t{1} << n))
-    throw std::out_of_range("outcome_projector: outcome out of range");
-  CMat proj;
+    throw std::out_of_range("tomography: outcome out of range");
+  std::vector<CVec> factors;
+  factors.reserve(n);
   for (std::size_t q = 0; q < n; ++q) {
     const int bit = (outcome >> (n - 1 - q)) & 1;
     const double err = phase_errors.empty() ? 0.0 : phase_errors[q];
-    const CMat p1 = quantum::projector(basis_eigenstate(s.bases[q], bit ? -1 : +1, err));
-    proj = (q == 0) ? p1 : linalg::kron(proj, p1);
+    factors.push_back(basis_eigenstate(s.bases[q], bit ? -1 : +1, err));
+  }
+  return factors;
+}
+
+CMat setting_outcome_projector(const MeasurementSetting& s, std::size_t outcome,
+                               const std::vector<double>& phase_errors) {
+  CMat proj;
+  for (const CVec& v : outcome_factors(s, outcome, phase_errors)) {
+    const CMat p1 = quantum::projector(v);
+    proj = proj.empty() ? p1 : linalg::kron(proj, p1);
   }
   return proj;
 }
@@ -73,6 +86,13 @@ CMat setting_outcome_projector(const MeasurementSetting& s, std::size_t outcome,
 
 CMat outcome_projector(const MeasurementSetting& s, std::size_t outcome) {
   return setting_outcome_projector(s, outcome, {});
+}
+
+CVec outcome_vector(const MeasurementSetting& s, std::size_t outcome) {
+  CVec vec;
+  for (const CVec& v : outcome_factors(s, outcome, {}))
+    vec = vec.empty() ? v : linalg::kron(vec, v);
+  return vec;
 }
 
 std::uint64_t SettingCounts::total() const {
@@ -179,21 +199,73 @@ CMat linear_inversion(const std::vector<SettingCounts>& data) {
   return rho;
 }
 
+namespace {
+
+/// Re⟨v_k|ρ|v_k⟩ for every packed term k, from row k of w = A·ρ and row k
+/// of A = V† (Re Σ_j w(k,j)·conj(A(k,j)), summed in real arithmetic).
+void outcome_probabilities(const CMat& w, const CMat& a, double floor,
+                           std::vector<double>& p) {
+  const std::size_t dim = a.cols();
+  for (std::size_t k = 0; k < a.rows(); ++k) {
+    const cplx* wk = w.data() + k * dim;
+    const cplx* ak = a.data() + k * dim;
+    double s = 0;
+    for (std::size_t j = 0; j < dim; ++j)
+      s += std::real(wk[j]) * std::real(ak[j]) + std::imag(wk[j]) * std::imag(ak[j]);
+    p[k] = std::max(floor, s);
+  }
+}
+
+bool all_finite(const CVec& v) {
+  for (const cplx& x : v)
+    if (!std::isfinite(std::real(x)) || !std::isfinite(std::imag(x))) return false;
+  return true;
+}
+
+}  // namespace
+
 RrrResult rrr_reconstruct(const std::vector<ProjectorTerm>& terms,
                           const CMat& seed, const MleOptions& opts) {
   seed.require_square("rrr_reconstruct");
+  seed.require_finite("rrr_reconstruct");
+  if (opts.max_iterations < 0)
+    throw std::invalid_argument("rrr_reconstruct: negative max_iterations");
+  if (!(opts.convergence_tol >= 0))
+    throw std::invalid_argument("rrr_reconstruct: convergence_tol must be >= 0");
   const std::size_t dim = seed.rows();
   double grand_total = 0;
+  std::size_t active = 0;
   for (const auto& t : terms) {
-    if (t.projector.rows() != dim || t.projector.cols() != dim)
-      throw std::invalid_argument("rrr_reconstruct: projector dim mismatch");
+    if (t.vector.size() != dim)
+      throw std::invalid_argument("rrr_reconstruct: vector length mismatch");
+    if (!all_finite(t.vector))
+      throw std::invalid_argument("rrr_reconstruct: non-finite vector entry");
+    if (!std::isfinite(t.count))
+      throw std::invalid_argument("rrr_reconstruct: non-finite count");
     if (t.count < 0)
       throw std::invalid_argument(
           "rrr_reconstruct: negative count (background-subtracted data is not "
           "valid RρR input)");
     grand_total += t.count;
+    if (t.count > 0) ++active;
   }
   if (grand_total <= 0) throw std::invalid_argument("rrr_reconstruct: no counts");
+
+  // Pack the active terms once: row k of a = A = V† is ⟨v_k|, column k of
+  // v = V is |v_k⟩, so R = Σ_k c_k |v_k⟩⟨v_k| = V·diag(c)·A.
+  CMat a(active, dim), v(dim, active), b(active, dim);
+  std::vector<double> counts(active), p(active);
+  {
+    std::size_t k = 0;
+    for (const auto& t : terms) {
+      if (t.count <= 0) continue;
+      for (std::size_t j = 0; j < dim; ++j) {
+        a.data()[k * dim + j] = std::conj(t.vector[j]);
+        v.data()[j * active + k] = t.vector[j];
+      }
+      counts[k++] = t.count;
+    }
+  }
 
   // Mix a little identity into the seed so no projector starts at exactly
   // zero probability.
@@ -207,14 +279,14 @@ RrrResult rrr_reconstruct(const std::vector<ProjectorTerm>& terms,
 
   RrrResult res;
   for (int it = 0; it < opts.max_iterations; ++it) {
-    CMat r(dim, dim);
-    for (const auto& t : terms) {
-      if (t.count <= 0) continue;
-      const double p = std::max(1e-12, std::real(trace_product(rho, t.projector)));
-      CMat scaled = t.projector;
-      scaled *= cplx(t.count / (grand_total * p), 0);
-      r += scaled;
+    outcome_probabilities(a * rho, a, 1e-12, p);
+    for (std::size_t k = 0; k < active; ++k) {
+      const double c = counts[k] / (grand_total * p[k]);
+      const cplx* ak = a.data() + k * dim;
+      cplx* bk = b.data() + k * dim;
+      for (std::size_t j = 0; j < dim; ++j) bk[j] = ak[j] * c;
     }
+    const CMat r = v * b;
     CMat next = r * rho * r;
     const cplx tr = next.trace();
     if (std::abs(tr) < 1e-300)
@@ -234,12 +306,9 @@ RrrResult rrr_reconstruct(const std::vector<ProjectorTerm>& terms,
 
   // Final cleanup: enforce exact Hermiticity/PSD within tolerance.
   rho = linalg::project_to_density_matrix(rho);
+  outcome_probabilities(a * rho, a, 1e-300, p);
   double ll = 0;
-  for (const auto& t : terms) {
-    if (t.count <= 0) continue;
-    const double p = std::max(1e-300, std::real(trace_product(rho, t.projector)));
-    ll += t.count * std::log(p);
-  }
+  for (std::size_t k = 0; k < active; ++k) ll += counts[k] * std::log(p[k]);
   res.log_likelihood = ll;
   res.rho = std::move(rho);
   return res;
@@ -268,7 +337,7 @@ MleResult maximum_likelihood(const std::vector<SettingCounts>& data,
   for (const auto& d : data)
     for (std::size_t o = 0; o < d.counts.size(); ++o) {
       if (d.counts[o] == 0) continue;
-      terms.push_back(ProjectorTerm{outcome_projector(d.setting, o),
+      terms.push_back(ProjectorTerm{outcome_vector(d.setting, o),
                                     static_cast<double>(d.counts[o])});
     }
 

@@ -30,6 +30,10 @@ std::vector<MeasurementSetting> all_settings(std::size_t num_qubits);
 /// qubit q, with qubit 0 the most significant bit) of the given setting.
 linalg::CMat outcome_projector(const MeasurementSetting& s, std::size_t outcome);
 
+/// The unit vector |v⟩ of that outcome, outcome_projector(s, o) = |v⟩⟨v|:
+/// the Kronecker product of the single-qubit eigenvectors, qubit 0 first.
+linalg::CVec outcome_vector(const MeasurementSetting& s, std::size_t outcome);
+
 /// Counts observed for one setting: counts[outcome] for all 2^n outcomes.
 struct SettingCounts {
   MeasurementSetting setting;
@@ -81,9 +85,11 @@ MleResult maximum_likelihood(const std::vector<SettingCounts>& data,
 // Dimension-agnostic RρR core, shared by the qubit path above and by the
 // frequency-bin qudit MUB tomography in qfc::qudit.
 
-/// One measured projector with its observed count.
+/// One measured rank-1 projector |v⟩⟨v| with its observed count. Every
+/// Pauli and MUB outcome is a Kronecker product of single-particle basis
+/// vectors, so the core never needs the dense D x D projector.
 struct ProjectorTerm {
-  linalg::CMat projector;
+  linalg::CVec vector;  ///< |v⟩, length D
   double count = 0;
 };
 
@@ -95,9 +101,17 @@ struct RrrResult {
 };
 
 /// Iterative RρR maximum-likelihood reconstruction over an arbitrary list
-/// of projector/count terms in any dimension. `seed` must be a Hermitian
-/// unit-trace matrix of the right dimension (it is mixed with a sliver of
-/// identity internally so no term starts at zero probability).
+/// of rank-1 projector/count terms in any dimension D. `seed` must be a
+/// Hermitian unit-trace matrix of the right dimension (it is mixed with a
+/// sliver of identity internally so no term starts at zero probability).
+/// The K terms with count > 0 are packed once into A = V† (K x D) and V
+/// (D x K); each iteration is then p_k = ⟨v_k|ρ|v_k⟩ from W = A·ρ and
+/// R = V·diag(n_k/(N p_k))·A — two K x D x D GEMMs plus O(KD) — followed by
+/// the D x D products R·ρ·R. Throws std::invalid_argument naming
+/// rrr_reconstruct for a non-finite or non-square seed, a vector of the
+/// wrong length or with a non-finite entry, a negative or non-finite count,
+/// no counts at all, a negative max_iterations or a NaN/negative
+/// convergence_tol.
 RrrResult rrr_reconstruct(const std::vector<ProjectorTerm>& terms,
                           const linalg::CMat& seed, const MleOptions& opts = {});
 

@@ -2,6 +2,10 @@
 // simulation, linear inversion, maximum likelihood.
 
 #include <cmath>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -9,6 +13,7 @@
 #include "qfc/linalg/matrix_functions.hpp"
 #include "qfc/quantum/bell.hpp"
 #include "qfc/quantum/measures.hpp"
+#include "qfc/qudit/mub.hpp"
 #include "qfc/tomo/tomography.hpp"
 
 namespace {
@@ -37,9 +42,12 @@ TEST(Projectors, CompleteAndOrthogonal) {
     const auto p = tomo::outcome_projector(s, o);
     sum += p;
     EXPECT_LT((p * p - p).max_abs(), 1e-12);  // idempotent
+    const auto v = tomo::outcome_vector(s, o);  // its rank-1 factor
+    EXPECT_LT((linalg::outer(v, v) - p).max_abs(), 1e-15);
   }
   EXPECT_LT((sum - linalg::CMat::identity(4)).max_abs(), 1e-12);
   EXPECT_THROW(tomo::outcome_projector(s, 4), std::out_of_range);
+  EXPECT_THROW(tomo::outcome_vector(s, 4), std::out_of_range);
 }
 
 TEST(Projectors, ZBasisIsComputational) {
@@ -181,13 +189,12 @@ TEST(Tomography, RejectsBadInput) {
 
 TEST(Tomography, RrrCoreValidatesTerms) {
   const linalg::CMat seed = linalg::CMat::identity(2) * linalg::cplx(0.5, 0);
-  linalg::CMat p0(2, 2);
-  p0(0, 0) = linalg::cplx(1, 0);
+  const linalg::CVec p0{linalg::cplx(1, 0), linalg::cplx(0, 0)};
   // Empty / zero-count data has nothing to reconstruct from.
   EXPECT_THROW(tomo::rrr_reconstruct({}, seed), std::invalid_argument);
   // Mis-sized projectors and negative (background-subtracted) counts are
   // rejected rather than silently mis-normalizing the iteration.
-  EXPECT_THROW(tomo::rrr_reconstruct({{linalg::CMat::identity(3), 10.0}}, seed),
+  EXPECT_THROW(tomo::rrr_reconstruct({{linalg::CVec(3, linalg::cplx(1, 0)), 10.0}}, seed),
                std::invalid_argument);
   EXPECT_THROW(tomo::rrr_reconstruct({{p0, 10.0}, {p0, -1.0}}, seed),
                std::invalid_argument);
@@ -195,6 +202,127 @@ TEST(Tomography, RrrCoreValidatesTerms) {
   const auto res = tomo::rrr_reconstruct({{p0, 100.0}}, seed);
   EXPECT_TRUE(res.converged);
   EXPECT_NEAR(std::real(res.rho(0, 0)), 1.0, 1e-6);
+}
+
+TEST(Tomography, RrrCoreRejectsNonFiniteInputBeforeIterating) {
+  // Every malformed input throws std::invalid_argument from rrr_reconstruct
+  // itself, not from a downstream kernel after the iteration cap.
+  const linalg::CMat seed = linalg::CMat::identity(2) * linalg::cplx(0.5, 0);
+  const linalg::CVec z0{linalg::cplx(1, 0), linalg::cplx(0, 0)};
+  const linalg::CVec z1{linalg::cplx(0, 0), linalg::cplx(1, 0)};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto expect_rejected = [](const std::vector<tomo::ProjectorTerm>& terms,
+                                  const linalg::CMat& s, const tomo::MleOptions& opts) {
+    try {
+      tomo::rrr_reconstruct(terms, s, opts);
+      ADD_FAILURE() << "no exception";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("rrr_reconstruct", 0), 0u) << e.what();
+    }
+  };
+  const tomo::MleOptions defaults;
+  expect_rejected({{z0, nan}, {z1, 10.0}}, seed, defaults);
+  expect_rejected({{z0, inf}, {z1, 10.0}}, seed, defaults);
+  expect_rejected({{linalg::CVec{linalg::cplx(nan, 0), linalg::cplx(0, 0)}, 10.0},
+                   {z1, 10.0}},
+                  seed, defaults);
+  linalg::CMat nan_seed = seed;
+  nan_seed(0, 0) = linalg::cplx(nan, 0);
+  expect_rejected({{z0, 10.0}, {z1, 10.0}}, nan_seed, defaults);
+
+  tomo::MleOptions opts;
+  opts.max_iterations = -1;
+  expect_rejected({{z0, 10.0}, {z1, 10.0}}, seed, opts);
+  opts = {};
+  opts.convergence_tol = nan;
+  expect_rejected({{z0, 10.0}, {z1, 10.0}}, seed, opts);
+  opts.convergence_tol = -1e-6;
+  expect_rejected({{z0, 10.0}, {z1, 10.0}}, seed, opts);
+}
+
+// ------------------------------------------------- MLE optimality (KKT)
+
+/// For R = Σ_k n_k/(N p_k) P_k with p_k = Tr(ρ P_k), built from dense
+/// projectors: {‖Rρ − ρ‖_F, λ_max(R)}. The likelihood maximum over density
+/// matrices satisfies Rρ = ρ and R ≤ I, whatever algorithm found it.
+std::pair<double, double> likelihood_stationarity(
+    const linalg::CMat& rho, const std::vector<linalg::CMat>& projectors,
+    const std::vector<double>& counts) {
+  double total = 0;
+  for (double n : counts) total += n;
+  linalg::CMat r(rho.rows(), rho.cols());
+  for (std::size_t k = 0; k < projectors.size(); ++k) {
+    const double p = std::real(linalg::trace_product(rho, projectors[k]));
+    r += projectors[k] * linalg::cplx(counts[k] / (total * p), 0);
+  }
+  const double residual = (r * rho - rho).frobenius_norm();
+  return {residual, linalg::hermitian_eigenvalues(r).front()};
+}
+
+tomo::MleOptions tight_mle_options() {
+  tomo::MleOptions opts;
+  opts.convergence_tol = 1e-13;
+  opts.max_iterations = 20000;
+  return opts;
+}
+
+TEST(Mle, PauliEstimateIsTheLikelihoodMaximum) {
+  const DensityMatrix werner = werner_phi(0.83);
+  const quantum::StateVector pure_qubit(
+      linalg::CVec{linalg::cplx(std::cos(0.4), 0),
+                   std::sin(0.4) * std::exp(linalg::cplx(0, 0.9))});
+  for (const DensityMatrix& rho : {werner, werner.tensor(DensityMatrix(pure_qubit))}) {
+    rng::Xoshiro256 g(11);
+    const auto data = tomo::simulate_counts(rho, 200.0, {}, g);
+    const auto mle = tomo::maximum_likelihood(data, tight_mle_options());
+    ASSERT_TRUE(mle.converged) << "dim " << rho.dim();
+
+    std::vector<linalg::CMat> projectors;
+    std::vector<double> counts;
+    for (const auto& d : data)
+      for (std::size_t o = 0; o < d.counts.size(); ++o) {
+        if (d.counts[o] == 0) continue;
+        projectors.push_back(tomo::outcome_projector(d.setting, o));
+        counts.push_back(static_cast<double>(d.counts[o]));
+      }
+    const auto [residual, r_max] =
+        likelihood_stationarity(mle.rho.matrix(), projectors, counts);
+    EXPECT_LT(residual, 1e-9) << "dim " << rho.dim();
+    EXPECT_LT(r_max, 1.0 + 1e-9) << "dim " << rho.dim();
+  }
+}
+
+TEST(Mle, MubEstimateIsTheLikelihoodMaximum) {
+  constexpr std::size_t d = 3;
+  rng::Xoshiro256 g(12);
+  const auto data = qudit::simulate_mub_counts(
+      quantum::isotropic_noise(quantum::maximally_entangled(d), 0.9), 200.0, g);
+  const auto mle = qudit::mub_maximum_likelihood(data, d, 2, tight_mle_options());
+  ASSERT_TRUE(mle.converged);
+
+  const auto mubs = qudit::mub_bases(d);
+  const auto column = [&](std::size_t b, std::size_t k) {
+    linalg::CVec v(d);
+    for (std::size_t j = 0; j < d; ++j) v[j] = mubs[b](j, k);
+    return v;
+  };
+  std::vector<linalg::CMat> projectors;
+  std::vector<double> counts;
+  for (const auto& sc : data)
+    for (std::size_t k = 0; k < d; ++k)
+      for (std::size_t l = 0; l < d; ++l) {
+        const std::uint64_t n = sc.counts[k * d + l];
+        if (n == 0) continue;
+        const auto va = column(sc.bases[0], k);
+        const auto vb = column(sc.bases[1], l);
+        projectors.push_back(linalg::kron(linalg::outer(va, va), linalg::outer(vb, vb)));
+        counts.push_back(static_cast<double>(n));
+      }
+  const auto [residual, r_max] =
+      likelihood_stationarity(mle.rho.matrix(), projectors, counts);
+  EXPECT_LT(residual, 1e-9);
+  EXPECT_LT(r_max, 1.0 + 1e-9);
 }
 
 // ------------------------------------------------------ batch sweep seams
@@ -211,7 +339,7 @@ TEST(Tomography, RrrBatchMatchesScalarBitwise) {
     for (const auto& d : data)
       for (std::size_t o = 0; o < d.counts.size(); ++o) {
         if (d.counts[o] == 0) continue;
-        terms.push_back(tomo::ProjectorTerm{tomo::outcome_projector(d.setting, o),
+        terms.push_back(tomo::ProjectorTerm{tomo::outcome_vector(d.setting, o),
                                             static_cast<double>(d.counts[o])});
       }
     problems.push_back(std::move(terms));
