@@ -6,17 +6,20 @@
 // correlate_all sweeps at 1/2/4 workers), and streaming rows: a
 // bounded-memory probe (peak RSS must stay flat across a 10x run-length
 // increase — the bounded_rss flag) plus a window-size sweep of the
-// streamed generation + online CAR path. Also checks that the two CW
+// streamed generation + online CAR path, and car_pairs rows timing the
+// diagonal CAR accumulator against the full matrix. Also checks that the two CW
 // paths produce identical cells, that every emission mode is bitwise
 // invariant across generation thread counts, that the sharded analysis
 // sweeps are bitwise invariant across analysis worker counts, and that
-// every streamed CAR is bitwise identical to the batch one.
+// every streamed CAR (and every diagonal cell) is bitwise identical to the
+// batch one.
 //
 // Usage: bench_event_engine [--smoke] [--json PATH] [--help]
 //   --smoke   smaller durations / channel counts (CI)
 //   --json    write machine-readable results (default BENCH_event_engine.json;
 //             gated in CI by scripts/check_bench.py — see --help)
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -315,6 +318,57 @@ detect::CarMatrix run_streamed_car(const std::vector<detect::ChannelPairSpec>& s
   return car.finish();
 }
 
+/// Diagonal-CAR row: the same streamed windows folded at 1 analysis thread
+/// into the full-matrix StreamingCarAccumulator (matrix_ms) and into the
+/// diagonal StreamingCarPairsAccumulator (pairs_ms), push + finish, best of
+/// three; `identical` when every diagonal cell matches bitwise.
+struct CarPairsRow {
+  int n = 0;
+  double matrix_ms = 0;
+  double pairs_ms = 0;
+  double speedup = 0;
+  bool identical = false;
+};
+
+CarPairsRow bench_car_pairs(int n, double duration_s) {
+  detect::EngineConfig ec;
+  ec.duration_s = duration_s;
+  ec.seed = kSeed;
+  detect::StreamConfig sc;
+  sc.window_s = duration_s / 20.0;
+  detect::EventStreamer streamer(ec, sc, make_specs(n));
+  std::vector<detect::StreamWindow> windows;
+  for (detect::StreamWindow w; streamer.next(w);) windows.push_back(std::move(w));
+
+  CarPairsRow row;
+  row.n = n;
+  row.matrix_ms = row.pairs_ms = 1e300;
+  detect::CarMatrix matrix;
+  std::vector<detect::CarResult> pairs;
+  for (int rep = 0; rep < 3; ++rep) {
+    auto t0 = Clock::now();
+    detect::StreamingCarAccumulator full(kWindow, kSpacing, 10, /*num_threads=*/1);
+    for (const auto& w : windows) full.push(w);
+    matrix = full.finish();
+    row.matrix_ms = std::min(row.matrix_ms, ms_since(t0));
+
+    t0 = Clock::now();
+    detect::StreamingCarPairsAccumulator diag(kWindow, kSpacing, 10, /*num_threads=*/1);
+    for (const auto& w : windows) diag.push(w);
+    pairs = diag.finish();
+    row.pairs_ms = std::min(row.pairs_ms, ms_since(t0));
+  }
+  row.speedup = row.pairs_ms > 0 ? row.matrix_ms / row.pairs_ms : 0;
+  row.identical = pairs.size() == static_cast<std::size_t>(n);
+  for (std::size_t k = 0; row.identical && k < pairs.size(); ++k) {
+    const detect::CarResult& want = matrix.at(k, k);
+    row.identical = pairs[k].coincidences == want.coincidences &&
+                    pairs[k].accidentals == want.accidentals &&
+                    pairs[k].car == want.car && pairs[k].car_err == want.car_err;
+  }
+  return row;
+}
+
 /// Streaming window-size sweep row: streamed run wall time and throughput
 /// at one window size, with the bitwise CAR-parity flag vs the batch path.
 struct StreamRow {
@@ -492,6 +546,21 @@ int main(int argc, char** argv) {
                 r.events_per_sec, r.max_rss_kb, r.identical ? "yes" : "NO");
   }
 
+  // Diagonal CAR vs full matrix over the same streamed windows, at the
+  // 10-pair workload and at the 48-user QKD-network size.
+  std::vector<CarPairsRow> pairs_rows;
+  bool pairs_identical = true;
+  std::printf("\ndiagonal CAR vs full matrix (1 analysis thread, 20 windows)\n");
+  std::printf("%6s %12s %12s %9s %10s\n", "n", "matrix[ms]", "pairs[ms]", "speedup",
+              "identical");
+  for (const int n : {10, 48}) {
+    const CarPairsRow r = bench_car_pairs(n, duration_s);
+    pairs_identical = pairs_identical && r.identical;
+    pairs_rows.push_back(r);
+    std::printf("%6d %12.1f %12.1f %8.1fx %10s\n", r.n, r.matrix_ms, r.pairs_ms, r.speedup,
+                r.identical ? "yes" : "NO");
+  }
+
   using qfc::io::Json;
   Json json_rows = Json::make_array();
   for (const Row& r : rows)
@@ -536,6 +605,14 @@ int main(int argc, char** argv) {
                                            {"events_per_sec", r.events_per_sec},
                                            {"max_rss_kb", r.max_rss_kb},
                                            {"identical", r.identical}}));
+  for (const CarPairsRow& r : pairs_rows)
+    json_rows.push_back(Json::make_object({{"kernel", "car_pairs"},
+                                           {"n", r.n},
+                                           {"threads", 1},
+                                           {"matrix_ms", r.matrix_ms},
+                                           {"pairs_ms", r.pairs_ms},
+                                           {"speedup", r.speedup},
+                                           {"identical", r.identical}}));
   bench::write_envelope(json_path, "event_engine", smoke,
                         {{"rows", std::move(json_rows)},
                          {"duration_s", duration_s},
@@ -549,7 +626,8 @@ int main(int argc, char** argv) {
   // streaming parity and bounded RSS); the speedup target is reported but
   // not allowed to fail CI on a noisy shared runner.
   const bool correct = all_identical && deterministic && modes_deterministic &&
-                       analysis_deterministic && stream_identical && bounded_rss;
+                       analysis_deterministic && stream_identical && pairs_identical &&
+                       bounded_rss;
   const bool ok = correct && speedup_n10 >= 5.0;
   bench::verdict(ok, "n=10 speedup " + std::to_string(speedup_n10) + "x, cells " +
                          (all_identical ? "identical" : "DIFFER") + ", " +
@@ -558,6 +636,7 @@ int main(int argc, char** argv) {
                               : "NOT thread-invariant") +
                          ", streaming " +
                          (stream_identical ? "bitwise-parity" : "PARITY BROKEN") +
+                         ", CAR diagonal " + (pairs_identical ? "identical" : "DIFFERS") +
                          ", RSS " + (bounded_rss ? "bounded" : "UNBOUNDED"));
   return correct ? 0 : 1;
 }

@@ -96,7 +96,8 @@ std::vector<MatrixCell> HeraldedPhotonExperiment::run_coincidence_matrix() {
 
 std::vector<ChannelResult> HeraldedPhotonExperiment::run_channel_table() {
   const auto n = static_cast<std::size_t>(cfg_.num_channel_pairs);
-  detect::StreamingCarAccumulator car(cfg_.coincidence_window_s, cfg_.side_window_spacing_s);
+  detect::StreamingCarPairsAccumulator car(cfg_.coincidence_window_s,
+                                           cfg_.side_window_spacing_s);
   std::vector<std::size_t> singles_signal(n, 0), singles_idler(n, 0);
   stream_events(all_channel_specs(), cfg_.duration_s, cfg_.seed + 2,
                 [&](const detect::StreamWindow& w) {
@@ -106,11 +107,11 @@ std::vector<ChannelResult> HeraldedPhotonExperiment::run_channel_table() {
                     singles_idler[c] += w.events.idler.channel_size(c);
                   }
                 });
-  const detect::CarMatrix matrix = car.finish();
+  const std::vector<detect::CarResult> cars = car.finish();
 
   std::vector<ChannelResult> out;
   for (std::size_t c = 0; c < n; ++c) {
-    const detect::CarResult car_cell = matrix.at(c, c);
+    const detect::CarResult& car_cell = cars.at(c);
 
     ChannelResult r;
     r.k = static_cast<int>(c) + 1;

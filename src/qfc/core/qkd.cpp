@@ -168,12 +168,12 @@ std::vector<MultiplexedQkdLink::StreamCheck> MultiplexedQkdLink::stream_check(
 
   const double window = endpoint_.coincidence_window_s;
   detect::EventStreamer streamer(ec, sc, specs);
-  detect::StreamingCarAccumulator car(
+  detect::StreamingCarPairsAccumulator car(
       window, /*side_window_spacing_s=*/std::max(100e-9, 20.0 * window),
       /*num_side_windows=*/10, options.analysis_threads);
   detect::StreamWindow w;
   while (streamer.next(w)) car.push(w);
-  const detect::CarMatrix matrix = car.finish();
+  const std::vector<detect::CarResult> cars = car.finish();
 
   std::vector<StreamCheck> out;
   out.reserve(specs.size());
@@ -181,7 +181,7 @@ std::vector<MultiplexedQkdLink::StreamCheck> MultiplexedQkdLink::stream_check(
     const auto c = static_cast<std::size_t>(k - 1);
     StreamCheck r;
     r.k = k;
-    r.car = matrix.cells.empty() ? detect::CarResult{} : matrix.at(c, c);
+    r.car = cars.empty() ? detect::CarResult{} : cars[c];
     r.measured_coincidence_rate_hz =
         std::max(0.0, r.car.coincidences - r.car.accidentals) / duration_s;
     r.measured_accidental_rate_hz = r.car.accidentals / duration_s;

@@ -123,7 +123,7 @@ QkdNetworkReport QkdNetwork::run(double duration_s) const {
 
   const double window = cfg_.users.front().endpoint.coincidence_window_s;
   detect::EventStreamer streamer(ec, sc, engine_specs());
-  detect::StreamingCarAccumulator car(
+  detect::StreamingCarPairsAccumulator car(
       window, /*side_window_spacing_s=*/std::max(100e-9, 20.0 * window),
       /*num_side_windows=*/10, cfg_.analysis_threads);
 
@@ -143,9 +143,9 @@ QkdNetworkReport QkdNetwork::run(double duration_s) const {
     }
   }
   report.peak_rss_kb = peak_rss;
-  const detect::CarMatrix matrix = car.finish();
+  const std::vector<detect::CarResult> cars = car.finish();
 
-  // ---- per-user reports: each reads only its diagonal matrix cell.
+  // ---- per-user reports: each reads only its own channel pair's CAR.
   report.users.reserve(n);
   {
     QFC_OBS_SPAN("network.reports", {{"users", n}});
@@ -155,7 +155,7 @@ QkdNetworkReport QkdNetwork::run(double duration_s) const {
       r.user = u;
       r.channel_pair = assigned_[u];
       r.distance_km = user.link.distance_km;
-      r.car = matrix.at(u, u);
+      r.car = cars.at(u);
       const double total = r.car.coincidences;
       const double true_c = std::max(0.0, r.car.coincidences - r.car.accidentals);
       const double v_intrinsic = intrinsic_visibility(*experiment_, assigned_[u], user.link);

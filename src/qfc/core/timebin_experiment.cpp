@@ -123,18 +123,10 @@ std::vector<detect::CarResult> TimebinExperiment::run_car_check(double duration_
   detect::EngineConfig ec;
   ec.duration_s = duration_s;
   ec.seed = cfg_.seed + 4242;
-  detect::StreamingCarAccumulator car(window_s, /*side_window_spacing_s=*/100e-9);
+  detect::StreamingCarPairsAccumulator car(window_s, /*side_window_spacing_s=*/100e-9);
   detect::for_each_window(ec, std::move(specs),
                           [&](const detect::StreamWindow& w) { car.push(w); });
-  const detect::CarMatrix matrix = car.finish();
-
-  std::vector<detect::CarResult> out;
-  out.reserve(static_cast<std::size_t>(cfg_.num_channel_pairs));
-  for (int k = 1; k <= cfg_.num_channel_pairs; ++k) {
-    const auto c = static_cast<std::size_t>(k - 1);
-    out.push_back(matrix.at(c, c));
-  }
-  return out;
+  return car.finish();
 }
 
 detect::ChannelPairSpec TimebinExperiment::pulsed_spec(int k, double dark_rate_hz) const {
@@ -166,7 +158,7 @@ std::vector<TimebinExperiment::PulsedClickCheck> TimebinExperiment::run_pulsed_c
   // pulsed source the only physical accidental estimate is a neighboring
   // pulse slot, not an arbitrary CW offset.
   const double period = 1.0 / cfg_.pump.train.repetition_rate_hz;
-  detect::StreamingCarAccumulator car(window_s, period);
+  detect::StreamingCarPairsAccumulator car(window_s, period);
   // Δt histogram fine enough to resolve the early/late peak triplet.
   const double dt_bins = cfg_.pump.bin_separation_s;
   detect::StreamingCorrelatorAccumulator corr(/*bin_width_s=*/dt_bins / 16.0,
@@ -175,7 +167,7 @@ std::vector<TimebinExperiment::PulsedClickCheck> TimebinExperiment::run_pulsed_c
     car.push(w);
     corr.push(w);
   });
-  const detect::CarMatrix matrix = car.finish();
+  const std::vector<detect::CarResult> cars = car.finish();
   const auto hists = corr.finish();
 
   std::vector<PulsedClickCheck> out;
@@ -183,7 +175,7 @@ std::vector<TimebinExperiment::PulsedClickCheck> TimebinExperiment::run_pulsed_c
   for (int k = 1; k <= cfg_.num_channel_pairs; ++k) {
     const auto c = static_cast<std::size_t>(k - 1);
     PulsedClickCheck check;
-    check.car = matrix.at(c, c);
+    check.car = cars.at(c);
     check.histogram = hists[c];
     check.peaks =
         timebin::fold_timebin_peaks(hists[c], dt_bins, /*half_window_s=*/dt_bins / 4.0);

@@ -58,14 +58,15 @@ Type2CarResult Type2Experiment::measure_at(double total_power_w,
   detect::EngineConfig ec;
   ec.duration_s = cfg_.duration_s;
   ec.seed = cfg_.seed + seed_offset;
-  detect::StreamingCarAccumulator car(cfg_.coincidence_window_s, cfg_.side_window_spacing_s);
+  detect::StreamingCarPairsAccumulator car(cfg_.coincidence_window_s,
+                                           cfg_.side_window_spacing_s);
   detect::for_each_window(ec, {spec}, [&](const detect::StreamWindow& w) { car.push(w); });
-  const detect::CarMatrix matrix = car.finish();
+  const std::vector<detect::CarResult> cars = car.finish();
 
   Type2CarResult r;
   r.pump_power_w = total_power_w;
   r.pair_rate_on_chip_hz = src.pair_rate_hz(1);
-  r.car = matrix.at(0, 0);
+  r.car = cars.at(0);
   r.coincidence_rate_hz =
       std::max(0.0, r.car.coincidences - r.car.accidentals) / cfg_.duration_s;
   return r;

@@ -3,7 +3,7 @@
 /// \file analysis_sweep.hpp
 /// Internal core of the coincidence analyzers (streaming.cpp): the merged
 /// idler view, the CAR window grid, and the per-signal-event counting
-/// functions. Not installed API; include only from qfc::detect translation
+/// functions (merged-view and per-column variants). Not installed API; include only from qfc::detect translation
 /// units.
 
 #include <algorithm>
@@ -87,26 +87,42 @@ inline CarGrid make_car_grid(double window_s, double side_window_spacing_s,
   return g;
 }
 
-/// One signal event of the CAR sweep against a merged idler sequence:
-/// advance the monotone `lo` pointer, then bin every idler event within
-/// reach into its candidate window. The rounding to the nearest grid offset
+/// CAR window (0 = peak, 1..K = side) that idler time `tb` falls in for
+/// signal time `ta`, or -1 for none. The rounding to the nearest grid offset
 /// only *selects* the window — the membership test repeats measure_car's
 /// center-bounds arithmetic exactly.
+inline int car_window_of(double ta, double tb, const CarGrid& g) {
+  const auto m = static_cast<std::int64_t>(std::llround((ta - tb) / g.spacing));
+  if (m < -g.mmax || m > g.mmax) return -1;
+  const int w = g.window_of[static_cast<std::size_t>(m + g.mmax)];
+  if (w < 0) return -1;
+  const double center = ta - static_cast<double>(m) * g.spacing;
+  if (tb < center - g.half || tb > center + g.half) return -1;
+  return w;
+}
+
+/// One signal event of the full-matrix CAR sweep against a merged idler
+/// sequence: advance the monotone `lo` pointer, then bin every idler event
+/// within reach into its (idler channel, window) cell.
 inline void car_count_event(double ta, const std::vector<double>& it,
                             const std::vector<std::uint32_t>& ich,
                             std::size_t& lo, const CarGrid& g,
                             std::uint64_t* row) {
   while (lo < it.size() && it[lo] < ta - g.reach) ++lo;
   for (std::size_t j = lo; j < it.size() && it[j] <= ta + g.reach; ++j) {
-    const double tb = it[j];
-    const double dt = ta - tb;
-    const auto m = static_cast<std::int64_t>(std::llround(dt / g.spacing));
-    if (m < -g.mmax || m > g.mmax) continue;
-    const int w = g.window_of[static_cast<std::size_t>(m + g.mmax)];
-    if (w < 0) continue;
-    const double center = ta - static_cast<double>(m) * g.spacing;
-    if (tb < center - g.half || tb > center + g.half) continue;
-    ++row[ich[j] * g.stride + static_cast<std::size_t>(w)];
+    const int w = car_window_of(ta, it[j], g);
+    if (w >= 0) ++row[ich[j] * g.stride + static_cast<std::size_t>(w)];
+  }
+}
+
+/// One signal event of the diagonal CAR sweep over its own idler channel
+/// column [lo, ie): the same windows as car_count_event, one cell row.
+inline void car_pair_count_event(double ta, const double* ie, const double*& lo,
+                                 const CarGrid& g, std::uint64_t* row) {
+  while (lo != ie && *lo < ta - g.reach) ++lo;
+  for (const double* j = lo; j != ie && *j <= ta + g.reach; ++j) {
+    const int w = car_window_of(ta, *j, g);
+    if (w >= 0) ++row[static_cast<std::size_t>(w)];
   }
 }
 
@@ -140,13 +156,13 @@ inline void corr_count_event(double ta, const double* ie, const double*& lo,
   }
 }
 
-/// Turn the per-window integer counts into CarResults — the same counting
-/// and error semantics as measure_car.
-inline void finalize_car_cells(CarMatrix& result,
+/// Turn the per-window integer counts (g.stride per cell) into CarResults
+/// — the same counting and error semantics as measure_car.
+inline void finalize_car_cells(std::vector<CarResult>& cells,
                                const std::vector<std::uint64_t>& counts,
                                const CarGrid& g) {
-  for (std::size_t cell = 0; cell < result.cells.size(); ++cell) {
-    CarResult& r = result.cells[cell];
+  for (std::size_t cell = 0; cell < cells.size(); ++cell) {
+    CarResult& r = cells[cell];
     r.coincidences = static_cast<double>(counts[cell * g.stride]);
     double acc_total = 0;
     for (int w = 1; w <= g.K; ++w)

@@ -41,6 +41,7 @@ enum SnapshotKind : std::uint8_t {
   kKindCountMatrix = 2,
   kKindCorrelator = 3,
   kKindAllan = 4,
+  kKindCarPairs = 5,
 };
 
 struct ByteWriter {
@@ -771,12 +772,22 @@ void trim_below(std::vector<double>& t, std::vector<std::uint32_t>* ch, double t
   if (ch) ch->erase(ch->begin(), ch->begin() + cut);
 }
 
-/// CAR window grid and count of car_matrix.
+/// Throws std::invalid_argument("<who>: non-finite <what>") unless `v` is
+/// finite: NaN slips through every ordered comparison, and ±inf turns a
+/// grid or a scan reach into nonsense.
+void require_finite(double v, const char* who, const char* what) {
+  if (!std::isfinite(v))
+    throw std::invalid_argument(std::string(who) + ": non-finite " + what);
+}
+
+/// CAR window grid and counts of car_matrix: one row of grid.stride cells
+/// per idler channel against the merged view, or per own idler column.
 struct CarKernel {
-  static constexpr const char* kName = "StreamingCarAccumulator";
   analysis_detail::CarGrid grid;
 
   CarKernel(double window_s, double side_window_spacing_s, int num_side_windows) {
+    require_finite(window_s, "car_matrix", "window");
+    require_finite(side_window_spacing_s, "car_matrix", "side window spacing");
     if (window_s <= 0) throw std::invalid_argument("car_matrix: window <= 0");
     if (num_side_windows < 1)
       throw std::invalid_argument("car_matrix: need at least one side window");
@@ -791,14 +802,18 @@ struct CarKernel {
              std::size_t& lo, std::uint64_t* row) const {
     analysis_detail::car_count_event(ta, it, ich, lo, grid, row);
   }
+  void count(double ta, const double* ie, const double*& lo, std::uint64_t* row) const {
+    analysis_detail::car_pair_count_event(ta, ie, lo, grid, row);
+  }
 };
 
 /// Windowed coincidence count of coincidence_count_matrix.
 struct WindowKernel {
-  static constexpr const char* kName = "StreamingCountMatrixAccumulator";
   double half = 0, offset_s = 0, reach_s = 0;
 
   WindowKernel(double window_s, double offset) : offset_s(offset) {
+    require_finite(window_s, "coincidence_count_matrix", "window");
+    require_finite(offset_s, "coincidence_count_matrix", "offset");
     if (window_s <= 0)
       throw std::invalid_argument("coincidence_count_matrix: window <= 0");
     half = window_s / 2.0;
@@ -814,14 +829,37 @@ struct WindowKernel {
   }
 };
 
+/// Δt histogram bins of correlate_all, over one idler column.
+struct HistogramKernel {
+  double bin_width_s = 0, range_s = 0;
+  std::size_t half_bins = 0, num_bins = 0;
+
+  HistogramKernel(double bin_width, double range) : bin_width_s(bin_width), range_s(range) {
+    require_finite(bin_width_s, "correlate_all", "bin width");
+    require_finite(range_s, "correlate_all", "range");
+    if (bin_width_s <= 0 || range_s <= 0)
+      throw std::invalid_argument("correlate_all: non-positive bin width or range");
+    half_bins = static_cast<std::size_t>(std::ceil(range_s / bin_width_s));
+    num_bins = 2 * half_bins + 1;
+  }
+  double reach() const { return range_s; }
+  std::size_t cells() const { return num_bins; }
+  void count(double ta, const double* ie, const double*& lo, std::uint64_t* row) const {
+    analysis_detail::corr_count_event(ta, ie, lo, bin_width_s, range_s, half_bins, num_bins,
+                                      row);
+  }
+};
+
 /// Every signal channel against every idler channel: signal events are
 /// swept one contiguous channel column at a time against the merged
 /// (time, channel) idler view, which is trimmed below everything a future
 /// signal event can reach. `Kernel` supplies the reach, the count cells per
-/// (signal, idler) pair and the per-event count.
+/// (signal, idler) pair and the per-event count; `name` prefixes misuse
+/// errors.
 template <class Kernel>
 struct MergedSweep {
   Kernel kernel;
+  const char* name;
   std::shared_ptr<parallel::WorkerPool> pool;
   std::size_t ns = kNoChannels, ni = kNoChannels;
   SignalRoll signal;
@@ -830,11 +868,13 @@ struct MergedSweep {
   std::vector<std::uint64_t> counts;
   bool finished = false;
 
-  MergedSweep(Kernel k, int num_threads)
-      : kernel(std::move(k)), pool(analysis_detail::analysis_pool_for(num_threads)) {}
+  MergedSweep(Kernel k, int num_threads, const char* sweep_name)
+      : kernel(std::move(k)),
+        name(sweep_name),
+        pool(analysis_detail::analysis_pool_for(num_threads)) {}
 
   void push(const EventTable& sig, const EventTable& idl, double frontier) {
-    if (finished) throw std::logic_error(std::string(Kernel::kName) + ": push after finish");
+    if (finished) throw std::logic_error(std::string(name) + ": push after finish");
     if (ns == kNoChannels) {
       ns = sig.num_channels();
       ni = idl.num_channels();
@@ -870,8 +910,7 @@ struct MergedSweep {
 
   /// Resolves everything still carried; false when nothing was pushed.
   bool finish() {
-    if (finished)
-      throw std::logic_error(std::string(Kernel::kName) + ": finish called twice");
+    if (finished) throw std::logic_error(std::string(name) + ": finish called twice");
     finished = true;
     if (ns == kNoChannels) return false;
     resolve(nullptr, kInf);
@@ -879,8 +918,7 @@ struct MergedSweep {
   }
 
   std::vector<std::uint8_t> snapshot(SnapshotKind kind) const {
-    if (finished)
-      throw std::logic_error(std::string(Kernel::kName) + ": snapshot after finish");
+    if (finished) throw std::logic_error(std::string(name) + ": snapshot after finish");
     ByteWriter w;
     w.header(kind);
     w.u64(ns == kNoChannels ? std::uint64_t(-1) : ns);
@@ -906,55 +944,37 @@ struct MergedSweep {
   }
 };
 
-using CarSweep = MergedSweep<CarKernel>;
-using CountSweep = MergedSweep<WindowKernel>;
-
-CarMatrix finish_car(CarSweep& s) {
-  CarMatrix result;
-  if (!s.finish()) return result;
-  result.num_signal = s.ns;
-  result.num_idler = s.ni;
-  result.cells.assign(s.ns * s.ni, CarResult{});
-  analysis_detail::finalize_car_cells(result, s.counts, s.kernel.grid);
-  return result;
-}
-
-std::vector<std::uint64_t> finish_counts(CountSweep& s) {
-  if (!s.finish()) return {};
-  return std::move(s.counts);
-}
-
-/// The diagonal (signal k, idler k) Δt histograms of correlate_all: signal
-/// events are swept against their own idler channel's column.
-struct CorrelatorSweep {
-  double bin_width_s = 0, range_s = 0;
-  std::size_t half_bins = 0, num_bins = 0;
+/// Signal channel k against idler channel k only: signal events are swept
+/// against their own idler channel's column, which is trimmed below
+/// everything a future signal event of that channel can reach. No merged
+/// view is built, and each channel keeps one row of kernel.cells() counts.
+/// `Kernel` supplies the reach, the cells and the per-event column count;
+/// `name` prefixes misuse errors.
+template <class Kernel>
+struct DiagonalSweep {
+  Kernel kernel;
+  const char* name;
   std::shared_ptr<parallel::WorkerPool> pool;
   std::size_t nch = kNoChannels;
   std::vector<std::vector<double>> idler;  ///< per-channel columns, trimmed
   SignalRoll signal;
-  std::vector<std::uint64_t> counts;       ///< nch x num_bins
+  std::vector<std::uint64_t> counts;       ///< nch x kernel.cells()
   bool finished = false;
 
-  CorrelatorSweep(double bin_width, double range, int num_threads)
-      : bin_width_s(bin_width), range_s(range) {
-    if (bin_width_s <= 0 || range_s <= 0)
-      throw std::invalid_argument("correlate_all: non-positive bin width or range");
-    half_bins = static_cast<std::size_t>(std::ceil(range_s / bin_width_s));
-    num_bins = 2 * half_bins + 1;
-    pool = analysis_detail::analysis_pool_for(num_threads);
-  }
+  DiagonalSweep(Kernel k, int num_threads, const char* sweep_name)
+      : kernel(std::move(k)),
+        name(sweep_name),
+        pool(analysis_detail::analysis_pool_for(num_threads)) {}
 
   void push(const EventTable& sig, const EventTable& idl, double frontier) {
-    if (finished)
-      throw std::logic_error("StreamingCorrelatorAccumulator: push after finish");
+    if (finished) throw std::logic_error(std::string(name) + ": push after finish");
     if (sig.num_channels() != idl.num_channels())
-      throw std::invalid_argument("correlate_all: channel count mismatch");
+      throw std::invalid_argument(std::string(name) + ": channel count mismatch");
     if (nch == kNoChannels) {
       nch = sig.num_channels();
       idler.resize(nch);
       signal.pending.resize(nch);
-      counts.assign(nch * num_bins, 0);
+      counts.assign(nch * kernel.cells(), 0);
     } else if (sig.num_channels() != nch) {
       throw std::invalid_argument(
           "streaming accumulator: window channel count changed mid-run");
@@ -965,36 +985,90 @@ struct CorrelatorSweep {
   }
 
   void resolve(const EventTable* sig, double frontier) {
-    signal.resolve(sig, frontier, range_s, num_bins, pool.get(), counts,
+    const double reach = kernel.reach();
+    signal.resolve(sig, frontier, reach, kernel.cells(), pool.get(), counts,
                    [&](std::size_t c, const double* a0, const double* a1,
                        std::uint64_t* row) {
                      const double* ib = idler[c].data();
                      const double* ie = ib + idler[c].size();
-                     const double* lo = std::lower_bound(ib, ie, *a0 - range_s);
-                     for (const double* a = a0; a != a1; ++a)
-                       analysis_detail::corr_count_event(*a, ie, lo, bin_width_s, range_s,
-                                                         half_bins, num_bins, row);
+                     const double* lo = std::lower_bound(ib, ie, *a0 - reach);
+                     for (const double* a = a0; a != a1; ++a) kernel.count(*a, ie, lo, row);
                    });
     for (std::size_t c = 0; c < nch; ++c)
-      trim_below(idler[c], nullptr, signal.earliest(c, frontier) - range_s);
+      trim_below(idler[c], nullptr, signal.earliest(c, frontier) - reach);
   }
 
-  std::vector<CoincidenceHistogram> finish() {
-    if (finished)
-      throw std::logic_error("StreamingCorrelatorAccumulator: finish called twice");
+  /// Resolves everything still carried; false when nothing was pushed.
+  bool finish() {
+    if (finished) throw std::logic_error(std::string(name) + ": finish called twice");
     finished = true;
-    if (nch == kNoChannels) return {};
+    if (nch == kNoChannels) return false;
     resolve(nullptr, kInf);
-    std::vector<CoincidenceHistogram> hists(nch);
-    for (std::size_t c = 0; c < nch; ++c) {
-      hists[c].bin_width_s = bin_width_s;
-      hists[c].range_s = range_s;
-      hists[c].counts.assign(counts.begin() + static_cast<std::ptrdiff_t>(c * num_bins),
-                             counts.begin() + static_cast<std::ptrdiff_t>((c + 1) * num_bins));
-    }
-    return hists;
+    return true;
+  }
+
+  std::vector<std::uint8_t> snapshot(SnapshotKind kind) const {
+    if (finished) throw std::logic_error(std::string(name) + ": snapshot after finish");
+    ByteWriter w;
+    w.header(kind);
+    w.u64(nch == kNoChannels ? std::uint64_t(-1) : nch);
+    save_columns(w, idler);
+    save_columns(w, signal.pending);
+    w.vec_u64(counts);
+    return std::move(w.buf);
+  }
+  void restore(SnapshotKind kind, const std::vector<std::uint8_t>& blob) {
+    ByteReader r(blob);
+    r.header(kind);
+    const std::uint64_t rn = r.u64();
+    nch = rn == std::uint64_t(-1) ? kNoChannels : static_cast<std::size_t>(rn);
+    load_columns(r, idler);
+    load_columns(r, signal.pending);
+    counts = r.vec_u64();
+    finished = false;
+    r.expect_end();
   }
 };
+
+using CarSweep = MergedSweep<CarKernel>;
+using CountSweep = MergedSweep<WindowKernel>;
+using CarPairsSweep = DiagonalSweep<CarKernel>;
+using CorrelatorSweep = DiagonalSweep<HistogramKernel>;
+
+CarMatrix finish_car(CarSweep& s) {
+  CarMatrix result;
+  if (!s.finish()) return result;
+  result.num_signal = s.ns;
+  result.num_idler = s.ni;
+  result.cells.assign(s.ns * s.ni, CarResult{});
+  analysis_detail::finalize_car_cells(result.cells, s.counts, s.kernel.grid);
+  return result;
+}
+
+std::vector<CarResult> finish_car_pairs(CarPairsSweep& s) {
+  if (!s.finish()) return {};
+  std::vector<CarResult> cells(s.nch);
+  analysis_detail::finalize_car_cells(cells, s.counts, s.kernel.grid);
+  return cells;
+}
+
+std::vector<std::uint64_t> finish_counts(CountSweep& s) {
+  if (!s.finish()) return {};
+  return std::move(s.counts);
+}
+
+std::vector<CoincidenceHistogram> finish_histograms(CorrelatorSweep& s) {
+  if (!s.finish()) return {};
+  const std::size_t num_bins = s.kernel.num_bins;
+  std::vector<CoincidenceHistogram> hists(s.nch);
+  for (std::size_t c = 0; c < s.nch; ++c) {
+    hists[c].bin_width_s = s.kernel.bin_width_s;
+    hists[c].range_s = s.kernel.range_s;
+    hists[c].counts.assign(s.counts.begin() + static_cast<std::ptrdiff_t>(c * num_bins),
+                           s.counts.begin() + static_cast<std::ptrdiff_t>((c + 1) * num_bins));
+  }
+  return hists;
+}
 
 }  // namespace
 
@@ -1005,7 +1079,8 @@ struct CorrelatorSweep {
 
 CarMatrix car_matrix(const EventTable& signal, const EventTable& idler, double window_s,
                      double side_window_spacing_s, int num_side_windows, int num_threads) {
-  CarSweep s(CarKernel(window_s, side_window_spacing_s, num_side_windows), num_threads);
+  CarSweep s(CarKernel(window_s, side_window_spacing_s, num_side_windows), num_threads,
+             "car_matrix");
   QFC_OBS_SPAN("engine.car_matrix", {{"events", signal.size() + idler.size()}});
   s.push(signal, idler, kInf);
   return finish_car(s);
@@ -1015,7 +1090,7 @@ std::vector<std::uint64_t> coincidence_count_matrix(const EventTable& signal,
                                                     const EventTable& idler,
                                                     double window_s, double offset_s,
                                                     int num_threads) {
-  CountSweep s(WindowKernel(window_s, offset_s), num_threads);
+  CountSweep s(WindowKernel(window_s, offset_s), num_threads, "coincidence_count_matrix");
   QFC_OBS_SPAN("engine.count_matrix", {{"events", signal.size() + idler.size()}});
   s.push(signal, idler, kInf);
   return finish_counts(s);
@@ -1025,10 +1100,10 @@ std::vector<CoincidenceHistogram> correlate_all(const EventTable& signal,
                                                 const EventTable& idler,
                                                 double bin_width_s, double range_s,
                                                 int num_threads) {
-  CorrelatorSweep s(bin_width_s, range_s, num_threads);
+  CorrelatorSweep s(HistogramKernel(bin_width_s, range_s), num_threads, "correlate_all");
   QFC_OBS_SPAN("engine.correlate_all", {{"events", signal.size() + idler.size()}});
   s.push(signal, idler, kInf);
-  return s.finish();
+  return finish_histograms(s);
 }
 
 // ------------------------------------------------ StreamingCarAccumulator
@@ -1042,7 +1117,8 @@ StreamingCarAccumulator::StreamingCarAccumulator(double window_s,
                                                  int num_side_windows,
                                                  int num_threads)
     : impl_(std::make_unique<Impl>(
-          CarKernel(window_s, side_window_spacing_s, num_side_windows), num_threads)) {}
+          CarKernel(window_s, side_window_spacing_s, num_side_windows), num_threads,
+          "StreamingCarAccumulator")) {}
 StreamingCarAccumulator::~StreamingCarAccumulator() = default;
 StreamingCarAccumulator::StreamingCarAccumulator(
     StreamingCarAccumulator&&) noexcept = default;
@@ -1061,6 +1137,39 @@ void StreamingCarAccumulator::restore(const std::vector<std::uint8_t>& blob) {
   impl_->restore(kKindCar, blob);
 }
 
+// ------------------------------------------- StreamingCarPairsAccumulator
+
+struct StreamingCarPairsAccumulator::Impl : CarPairsSweep {
+  using CarPairsSweep::CarPairsSweep;
+};
+
+StreamingCarPairsAccumulator::StreamingCarPairsAccumulator(double window_s,
+                                                           double side_window_spacing_s,
+                                                           int num_side_windows,
+                                                           int num_threads)
+    : impl_(std::make_unique<Impl>(
+          CarKernel(window_s, side_window_spacing_s, num_side_windows), num_threads,
+          "StreamingCarPairsAccumulator")) {}
+StreamingCarPairsAccumulator::~StreamingCarPairsAccumulator() = default;
+StreamingCarPairsAccumulator::StreamingCarPairsAccumulator(
+    StreamingCarPairsAccumulator&&) noexcept = default;
+StreamingCarPairsAccumulator& StreamingCarPairsAccumulator::operator=(
+    StreamingCarPairsAccumulator&&) noexcept = default;
+
+void StreamingCarPairsAccumulator::push(const StreamWindow& w) {
+  QFC_OBS_SPAN("engine.stream.car_pairs_push", {{"events", w.events.signal.size()}});
+  impl_->push(w.events.signal, w.events.idler, w.t_end_s);
+}
+std::vector<CarResult> StreamingCarPairsAccumulator::finish() {
+  return finish_car_pairs(*impl_);
+}
+std::vector<std::uint8_t> StreamingCarPairsAccumulator::snapshot() const {
+  return impl_->snapshot(kKindCarPairs);
+}
+void StreamingCarPairsAccumulator::restore(const std::vector<std::uint8_t>& blob) {
+  impl_->restore(kKindCarPairs, blob);
+}
+
 // ---------------------------------------- StreamingCountMatrixAccumulator
 
 struct StreamingCountMatrixAccumulator::Impl : CountSweep {
@@ -1070,7 +1179,8 @@ struct StreamingCountMatrixAccumulator::Impl : CountSweep {
 StreamingCountMatrixAccumulator::StreamingCountMatrixAccumulator(double window_s,
                                                                  double offset_s,
                                                                  int num_threads)
-    : impl_(std::make_unique<Impl>(WindowKernel(window_s, offset_s), num_threads)) {}
+    : impl_(std::make_unique<Impl>(WindowKernel(window_s, offset_s), num_threads,
+                                   "StreamingCountMatrixAccumulator")) {}
 StreamingCountMatrixAccumulator::~StreamingCountMatrixAccumulator() = default;
 StreamingCountMatrixAccumulator::StreamingCountMatrixAccumulator(
     StreamingCountMatrixAccumulator&&) noexcept = default;
@@ -1099,7 +1209,8 @@ struct StreamingCorrelatorAccumulator::Impl : CorrelatorSweep {
 StreamingCorrelatorAccumulator::StreamingCorrelatorAccumulator(double bin_width_s,
                                                                double range_s,
                                                                int num_threads)
-    : impl_(std::make_unique<Impl>(bin_width_s, range_s, num_threads)) {}
+    : impl_(std::make_unique<Impl>(HistogramKernel(bin_width_s, range_s), num_threads,
+                                   "StreamingCorrelatorAccumulator")) {}
 StreamingCorrelatorAccumulator::~StreamingCorrelatorAccumulator() = default;
 StreamingCorrelatorAccumulator::StreamingCorrelatorAccumulator(
     StreamingCorrelatorAccumulator&&) noexcept = default;
@@ -1110,33 +1221,13 @@ void StreamingCorrelatorAccumulator::push(const StreamWindow& w) {
   impl_->push(w.events.signal, w.events.idler, w.t_end_s);
 }
 std::vector<CoincidenceHistogram> StreamingCorrelatorAccumulator::finish() {
-  return impl_->finish();
+  return finish_histograms(*impl_);
 }
-
 std::vector<std::uint8_t> StreamingCorrelatorAccumulator::snapshot() const {
-  if (impl_->finished)
-    throw std::logic_error(
-        "StreamingCorrelatorAccumulator: snapshot after finish");
-  ByteWriter w;
-  w.header(kKindCorrelator);
-  w.u64(impl_->nch == kNoChannels ? std::uint64_t(-1) : impl_->nch);
-  save_columns(w, impl_->idler);
-  save_columns(w, impl_->signal.pending);
-  w.vec_u64(impl_->counts);
-  return std::move(w.buf);
+  return impl_->snapshot(kKindCorrelator);
 }
-
-void StreamingCorrelatorAccumulator::restore(
-    const std::vector<std::uint8_t>& blob) {
-  ByteReader r(blob);
-  r.header(kKindCorrelator);
-  const std::uint64_t rn = r.u64();
-  impl_->nch = rn == std::uint64_t(-1) ? kNoChannels : static_cast<std::size_t>(rn);
-  load_columns(r, impl_->idler);
-  load_columns(r, impl_->signal.pending);
-  impl_->counts = r.vec_u64();
-  impl_->finished = false;
-  r.expect_end();
+void StreamingCorrelatorAccumulator::restore(const std::vector<std::uint8_t>& blob) {
+  impl_->restore(kKindCorrelator, blob);
 }
 
 // -------------------------------------------- StreamingAllanAccumulator
@@ -1156,6 +1247,8 @@ struct StreamingAllanAccumulator::Impl {
         dt(sample_interval_s),
         s_ch(signal_channel),
         i_ch(idler_channel) {
+    require_finite(window_s, "StreamingAllanAccumulator", "window");
+    require_finite(dt, "StreamingAllanAccumulator", "sample interval");
     if (window_s <= 0)
       throw std::invalid_argument("StreamingAllanAccumulator: window <= 0");
     if (dt <= 0)

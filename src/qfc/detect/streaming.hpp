@@ -4,7 +4,8 @@
 /// The detection pipeline: EventStreamer generates the click streams of a
 /// run in fixed time windows, and the Streaming*Accumulator classes fold
 /// each window into car_matrix / coincidence_count_matrix / correlate_all /
-/// Allan-deviation results, discarding consumed events as they resolve, so
+/// Allan-deviation results (and StreamingCarPairsAccumulator into the
+/// car_matrix diagonal), discarding consumed events as they resolve, so
 /// resident memory stays flat no matter how long the run.
 /// EventEngine::run is this pipeline drained in one window, and the
 /// whole-table analyzers of event_engine.hpp push one whole-run window.
@@ -31,6 +32,10 @@
 /// complete state (per-channel RNG streams, sampler positions, pending
 /// buffers, partial counts) to a versioned binary blob; a restored run
 /// continues bitwise identical to the uninterrupted one.
+///
+/// Validation: every accumulator constructor (and so every batch analyzer)
+/// throws std::invalid_argument for a NaN or ±inf window, spacing, offset,
+/// bin width, range or sample interval.
 
 #include <cstdint>
 #include <functional>
@@ -139,6 +144,39 @@ class StreamingCarAccumulator {
 
   void push(const StreamWindow& w);
   CarMatrix finish();
+
+  /// Partial-state blob; restore() into a freshly constructed accumulator
+  /// with the same constructor arguments.
+  std::vector<std::uint8_t> snapshot() const;
+  void restore(const std::vector<std::uint8_t>& blob);
+
+ private:
+  struct Impl;
+  std::unique_ptr<Impl> impl_;
+};
+
+/// Online diagonal of car_matrix: signal channel k against idler channel k
+/// only, the per-channel-pair CAR a comb experiment reports. finish()
+/// returns one CarResult per channel pair, element k bitwise equal to
+/// `car_matrix(signal, idler, ...).at(k, k)` for the whole run — at every
+/// window size and every `num_threads` (0 = the process-wide analysis
+/// setting). Each signal event is swept against its own idler column only,
+/// so the cost is O(events x own-channel idler density) instead of the full
+/// matrix's O(events x all-channel density), and no merged idler view is
+/// built. Constructor arguments and validation are StreamingCarAccumulator's;
+/// push() throws std::invalid_argument when a window's signal and idler
+/// channel counts differ. Use StreamingCarAccumulator when off-diagonal
+/// (cross-channel) cells are needed.
+class StreamingCarPairsAccumulator {
+ public:
+  StreamingCarPairsAccumulator(double window_s, double side_window_spacing_s,
+                               int num_side_windows = 10, int num_threads = 0);
+  ~StreamingCarPairsAccumulator();
+  StreamingCarPairsAccumulator(StreamingCarPairsAccumulator&&) noexcept;
+  StreamingCarPairsAccumulator& operator=(StreamingCarPairsAccumulator&&) noexcept;
+
+  void push(const StreamWindow& w);
+  std::vector<CarResult> finish();
 
   /// Partial-state blob; restore() into a freshly constructed accumulator
   /// with the same constructor arguments.

@@ -161,6 +161,22 @@ inline void expect_car(const detect::CarMatrix& m, detect::EmissionMode mode) {
   }
 }
 
+/// The car_matrix diagonal, one CarResult per channel pair: the diagonal
+/// cells of the same recorded counts.
+inline void expect_car_pairs(const std::vector<detect::CarResult>& pairs,
+                             detect::EmissionMode mode) {
+  const Expected& want = expected(mode);
+  ASSERT_EQ(pairs.size(), kChannels);
+  for (std::size_t k = 0; k < kChannels; ++k) {
+    const std::size_t i = k * kChannels + k;
+    EXPECT_EQ(static_cast<std::uint64_t>(pairs[k].coincidences), want.car_coincidences[i])
+        << mode_name(mode) << " car pair " << k;
+    const auto side = static_cast<std::uint64_t>(
+        std::llround(pairs[k].accidentals * kCarSideWindows));
+    EXPECT_EQ(side, want.car_side_counts[i]) << mode_name(mode) << " car side pair " << k;
+  }
+}
+
 inline void expect_count_matrix(const std::vector<std::uint64_t>& counts,
                                 detect::EmissionMode mode) {
   const Expected& want = expected(mode);

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -608,6 +609,22 @@ TEST(BatchedAnalysis, ValidationErrors) {
   EXPECT_THROW(detect::car_matrix(one, one, 1e-8, 1e-7, 10, /*num_threads=*/-1),
                std::invalid_argument);
   EXPECT_THROW(detect::correlate_all(one, one, 1e-9, 1e-8, -2), std::invalid_argument);
+
+  // Non-finite arguments: NaN passes every ordered comparison, ±inf breaks
+  // the window grid and the scan reach.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(detect::car_matrix(one, one, nan, 1e-7), std::invalid_argument);
+  EXPECT_THROW(detect::car_matrix(one, one, 1e-9, nan), std::invalid_argument);
+  EXPECT_THROW(detect::car_matrix(one, one, 1e-9, inf), std::invalid_argument);
+  EXPECT_THROW(detect::coincidence_count_matrix(one, one, nan), std::invalid_argument);
+  EXPECT_THROW(detect::coincidence_count_matrix(one, one, 1e-9, nan),
+               std::invalid_argument);
+  EXPECT_THROW(detect::coincidence_count_matrix(one, one, 1e-9, inf),
+               std::invalid_argument);
+  EXPECT_THROW(detect::correlate_all(one, one, 1e-9, nan), std::invalid_argument);
+  EXPECT_THROW(detect::correlate_all(one, one, nan, 1e-8), std::invalid_argument);
+  EXPECT_THROW(detect::correlate_all(one, one, 1e-9, inf), std::invalid_argument);
 }
 
 // ------------------------------------------------- engine-backed core checks

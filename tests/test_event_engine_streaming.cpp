@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -138,6 +139,20 @@ void expect_car_equal(const detect::CarMatrix& a, const detect::CarMatrix& b) {
   }
 }
 
+/// `pairs` is the diagonal of `m`, bitwise.
+void expect_car_diagonal(const std::vector<detect::CarResult>& pairs,
+                         const detect::CarMatrix& m) {
+  ASSERT_EQ(m.num_signal, m.num_idler);
+  ASSERT_EQ(pairs.size(), m.num_signal);
+  for (std::size_t k = 0; k < pairs.size(); ++k) {
+    const detect::CarResult& want = m.at(k, k);
+    EXPECT_EQ(pairs[k].coincidences, want.coincidences) << "pair " << k;
+    EXPECT_EQ(pairs[k].accidentals, want.accidentals) << "pair " << k;
+    EXPECT_EQ(pairs[k].car, want.car) << "pair " << k;
+    EXPECT_EQ(pairs[k].car_err, want.car_err) << "pair " << k;
+  }
+}
+
 /// Window sizes exercised by the parity sweep: several windows, a window
 /// not dividing the duration, a sub-millisecond window (thousands of
 /// boundaries, far below any analysis reach of interest), and the
@@ -162,10 +177,11 @@ class StreamingParity
     : public ::testing::TestWithParam<detect::EmissionMode> {};
 
 /// Stream `specs` in windows of `window_s`, folding every window into the
-/// three accumulators and concatenating the per-channel columns.
+/// four accumulators and concatenating the per-channel columns.
 struct StreamedRun {
   EngineResult events;
   detect::CarMatrix car;
+  std::vector<detect::CarResult> car_pairs;
   std::vector<std::uint64_t> counts;
   std::vector<detect::CoincidenceHistogram> hists;
   std::uint64_t boundary_violations = 0;
@@ -179,12 +195,14 @@ StreamedRun stream_run(const EngineConfig& ec, const std::vector<ChannelPairSpec
   sc.window_s = window_s;
   EventStreamer streamer(ec, sc, specs);
   detect::StreamingCarAccumulator car(car_window, car_spacing, 10, analysis_threads);
+  detect::StreamingCarPairsAccumulator pairs(car_window, car_spacing, 10, analysis_threads);
   detect::StreamingCountMatrixAccumulator cm(count_window, count_offset, analysis_threads);
   detect::StreamingCorrelatorAccumulator corr(corr_bin, corr_range, analysis_threads);
   std::vector<std::vector<double>> sig(specs.size()), idl(specs.size());
   StreamWindow w;
   while (streamer.next(w)) {
     car.push(w);
+    pairs.push(w);
     cm.push(w);
     corr.push(w);
     for (std::size_t c = 0; c < specs.size(); ++c) {
@@ -198,6 +216,7 @@ StreamedRun stream_run(const EngineConfig& ec, const std::vector<ChannelPairSpec
   r.events.signal = EventTable::from_columns(std::move(sig));
   r.events.idler = EventTable::from_columns(std::move(idl));
   r.car = car.finish();
+  r.car_pairs = pairs.finish();
   r.counts = cm.finish();
   r.hists = corr.finish();
   r.boundary_violations = streamer.boundary_violations();
@@ -229,6 +248,7 @@ TEST_P(StreamingParity, BitwiseInvariantAcrossWindowSizesAndThreads) {
       EXPECT_EQ(r.events.signal, one.signal);
       EXPECT_EQ(r.events.idler, one.idler);
       expect_car_equal(r.car, one_car);
+      expect_car_diagonal(r.car_pairs, one_car);
       EXPECT_EQ(r.counts, one_counts);
       ASSERT_EQ(r.hists.size(), one_hists.size());
       for (std::size_t c = 0; c < r.hists.size(); ++c)
@@ -242,6 +262,7 @@ TEST_P(StreamingParity, BitwiseInvariantAcrossWindowSizesAndThreads) {
       EXPECT_EQ(g.boundary_violations, 0u);
       golden::expect_events(g.events, mode);
       golden::expect_car(g.car, mode);
+      golden::expect_car_pairs(g.car_pairs, mode);
       golden::expect_count_matrix(g.counts, mode);
       golden::expect_histograms(g.hists, mode);
     }
@@ -312,20 +333,30 @@ TEST(EventStreamer, SnapshotRestoreContinuesBitwise) {
   sc.window_s = 0.07;
   EventStreamer original(engine_config(), sc, specs);
   detect::StreamingCarAccumulator car_orig(kCarWindow, kCarSpacing, 10, 2);
+  detect::StreamingCarPairsAccumulator pairs_orig(kCarWindow, kCarSpacing, 10, 2);
 
   StreamWindow w;
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(original.next(w));
     car_orig.push(w);
+    pairs_orig.push(w);
   }
   const auto streamer_blob = original.snapshot();
   const auto car_blob = car_orig.snapshot();
+  const auto pairs_blob = pairs_orig.snapshot();
+  // A full-matrix blob is not a diagonal one, nor the other way round.
+  detect::StreamingCarPairsAccumulator pairs_wrong(kCarWindow, kCarSpacing, 10, 2);
+  EXPECT_THROW(pairs_wrong.restore(car_blob), std::invalid_argument);
+  detect::StreamingCarAccumulator car_wrong(kCarWindow, kCarSpacing, 10, 2);
+  EXPECT_THROW(car_wrong.restore(pairs_blob), std::invalid_argument);
 
   EventStreamer restored = EventStreamer::restore(streamer_blob);
   EXPECT_EQ(restored.next_window(), original.next_window());
   EXPECT_EQ(restored.num_windows(), original.num_windows());
   detect::StreamingCarAccumulator car_rest(kCarWindow, kCarSpacing, 10, 2);
   car_rest.restore(car_blob);
+  detect::StreamingCarPairsAccumulator pairs_rest(kCarWindow, kCarSpacing, 10, 2);
+  pairs_rest.restore(pairs_blob);
 
   StreamWindow wo, wr;
   while (original.next(wo)) {
@@ -335,9 +366,15 @@ TEST(EventStreamer, SnapshotRestoreContinuesBitwise) {
     EXPECT_EQ(wr.events.idler, wo.events.idler);
     car_orig.push(wo);
     car_rest.push(wr);
+    pairs_orig.push(wo);
+    pairs_rest.push(wr);
   }
   EXPECT_FALSE(restored.next(wr));
-  expect_car_equal(car_rest.finish(), car_orig.finish());
+  const detect::CarMatrix car_full = car_orig.finish();
+  expect_car_equal(car_rest.finish(), car_full);
+  const auto pairs_full = pairs_orig.finish();
+  expect_car_diagonal(pairs_full, car_full);
+  expect_car_diagonal(pairs_rest.finish(), car_full);
 }
 
 TEST(EventStreamer, SnapshotRejectsCorruptBlobs) {
@@ -377,15 +414,18 @@ TEST(EventStreamer, TinySlackForcesCountedBoundaryViolations) {
   sc.slack_override_s = 1e-12;
   EventStreamer s(engine_config(1), sc, specs);
   detect::StreamingCarAccumulator car(kCarWindow, kCarSpacing, 10, 1);
+  detect::StreamingCarPairsAccumulator pairs(kCarWindow, kCarSpacing, 10, 1);
   StreamWindow w;
   std::size_t total = 0;
   while (s.next(w)) {
     total += w.events.signal.size() + w.events.idler.size();
     car.push(w);  // must tolerate out-of-order windows (repair paths)
+    pairs.push(w);
   }
   EXPECT_GT(total, 0u);
   EXPECT_GT(s.boundary_violations(), 0u);
-  (void)car.finish();
+  // Both repair paths sort the same events, so the cells still agree.
+  expect_car_diagonal(pairs.finish(), car.finish());
 }
 
 TEST(StreamingAllanAccumulator, MatchesDirectIntervalCounting) {
@@ -517,6 +557,57 @@ TEST(StreamingAccumulators, RejectMisuse) {
   EXPECT_THROW(detect::StreamingCorrelatorAccumulator(0, 1e-9, 1),
                std::invalid_argument);
   EXPECT_THROW(detect::StreamingAllanAccumulator(0, 1), std::invalid_argument);
+
+  // Non-finite windows, spacings, offsets, bin widths, ranges and sample
+  // intervals are rejected by every accumulator.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(detect::StreamingCarAccumulator(nan, 1e-7), std::invalid_argument);
+  EXPECT_THROW(detect::StreamingCarAccumulator(1e-9, nan), std::invalid_argument);
+  EXPECT_THROW(detect::StreamingCarAccumulator(1e-9, inf), std::invalid_argument);
+  EXPECT_THROW(detect::StreamingCarAccumulator(inf, 1e-7), std::invalid_argument);
+  EXPECT_THROW(detect::StreamingCarPairsAccumulator(nan, 1e-7), std::invalid_argument);
+  EXPECT_THROW(detect::StreamingCarPairsAccumulator(1e-9, nan), std::invalid_argument);
+  EXPECT_THROW(detect::StreamingCarPairsAccumulator(1e-9, inf), std::invalid_argument);
+  EXPECT_THROW(detect::StreamingCarPairsAccumulator(-inf, 1e-7), std::invalid_argument);
+  EXPECT_THROW((void)detect::StreamingCountMatrixAccumulator(nan), std::invalid_argument);
+  EXPECT_THROW((void)detect::StreamingCountMatrixAccumulator(inf), std::invalid_argument);
+  EXPECT_THROW(detect::StreamingCountMatrixAccumulator(1e-9, nan), std::invalid_argument);
+  EXPECT_THROW(detect::StreamingCountMatrixAccumulator(1e-9, -inf), std::invalid_argument);
+  EXPECT_THROW(detect::StreamingCorrelatorAccumulator(1e-9, nan), std::invalid_argument);
+  EXPECT_THROW(detect::StreamingCorrelatorAccumulator(1e-9, inf), std::invalid_argument);
+  EXPECT_THROW(detect::StreamingCorrelatorAccumulator(nan, 1e-8), std::invalid_argument);
+  EXPECT_THROW(detect::StreamingAllanAccumulator(nan, 1), std::invalid_argument);
+  EXPECT_THROW(detect::StreamingAllanAccumulator(40e-9, nan), std::invalid_argument);
+  EXPECT_THROW(detect::StreamingAllanAccumulator(40e-9, inf), std::invalid_argument);
+
+  // The diagonal accumulator: bad grids as the full matrix, misuse after
+  // finish, and windows whose signal and idler channel counts differ.
+  EXPECT_THROW(detect::StreamingCarPairsAccumulator(0, kCarSpacing, 10, 1),
+               std::invalid_argument);
+  EXPECT_THROW(detect::StreamingCarPairsAccumulator(kCarWindow, kCarWindow / 2, 10, 1),
+               std::invalid_argument);
+  EXPECT_THROW(detect::StreamingCarPairsAccumulator(kCarWindow, kCarSpacing, 0, 1),
+               std::invalid_argument);
+  StreamWindow w;
+  w.events.signal = EventTable::from_columns({{1e-3}, {2e-3}});
+  w.events.idler = EventTable::from_columns({{1e-3}, {2e-3}});
+  w.t_end_s = 0.1;
+  w.last = true;
+  detect::StreamingCarPairsAccumulator pairs(kCarWindow, kCarSpacing, 10, 1);
+  pairs.push(w);
+  const auto cells = pairs.finish();
+  ASSERT_EQ(cells.size(), 2u);
+  EXPECT_EQ(cells[0].coincidences, 1.0);
+  EXPECT_THROW(pairs.push(w), std::logic_error);
+  EXPECT_THROW((void)pairs.finish(), std::logic_error);
+  EXPECT_THROW((void)pairs.snapshot(), std::logic_error);
+  detect::StreamingCarPairsAccumulator empty(kCarWindow, kCarSpacing, 10, 1);
+  EXPECT_TRUE(empty.finish().empty());
+  StreamWindow mismatched = w;
+  mismatched.events.idler = EventTable::from_columns({{1e-3}, {2e-3}, {3e-3}});
+  detect::StreamingCarPairsAccumulator pairs_mm(kCarWindow, kCarSpacing, 10, 1);
+  EXPECT_THROW(pairs_mm.push(mismatched), std::invalid_argument);
 }
 
 }  // namespace
