@@ -1,7 +1,8 @@
-// Perf bench for the linalg kernel-dispatch seam: Reference (naive
-// single-threaded loops) vs Blocked (SIMD micro-kernels, cache-blocked
-// GEMM, round-robin Jacobi eig, cyclic one-sided Jacobi SVD — each one
-// serial kernel) across a dimension sweep, plus the kron seam and the
+// Perf bench for the linalg kernels: the detail::reference_* baseline
+// (naive single-threaded loops) vs the Blocked kernels the library runs
+// (SIMD micro-kernels, cache-blocked GEMM, round-robin Jacobi eig, cyclic
+// one-sided Jacobi SVD — each one serial kernel) across a dimension sweep,
+// plus kron and the
 // batched small-matrix eig path (1000 d=16 matrices — the shape of a
 // tomography sweep), the one row that fans out across the worker pool.
 // Timing is best-of-N (minimum over reps) so small-n rows are stable.
@@ -31,10 +32,17 @@
 namespace {
 
 using namespace qfc;
-using linalg::Backend;
-using linalg::BackendKind;
 using linalg::CMat;
 using linalg::cplx;
+using linalg::detail::blocked_gemm;
+using linalg::detail::blocked_hermitian_eig;
+using linalg::detail::blocked_hermitian_eig_batch;
+using linalg::detail::blocked_kron;
+using linalg::detail::blocked_svd;
+using linalg::detail::reference_gemm;
+using linalg::detail::reference_hermitian_eig;
+using linalg::detail::reference_kron;
+using linalg::detail::reference_svd;
 using Clock = std::chrono::steady_clock;
 
 CMat random_matrix(std::size_t r, std::size_t c, unsigned seed) {
@@ -98,12 +106,10 @@ Row bench_eig(std::size_t n) {
   const linalg::EigOptions opt;
   const int reps = reps_for(n);
 
-  const auto er = linalg::backend(BackendKind::Reference).hermitian_eig(a, opt);
-  const auto eb = linalg::backend(BackendKind::Blocked).hermitian_eig(a, opt);
-  const double ref_ms = best_ms(
-      reps, [&] { linalg::backend(BackendKind::Reference).hermitian_eig(a, opt); });
-  const double blk_ms = best_ms(
-      reps, [&] { linalg::backend(BackendKind::Blocked).hermitian_eig(a, opt); });
+  const auto er = reference_hermitian_eig(a, opt);
+  const auto eb = blocked_hermitian_eig(a, opt);
+  const double ref_ms = best_ms(reps, [&] { reference_hermitian_eig(a, opt); });
+  const double blk_ms = best_ms(reps, [&] { blocked_hermitian_eig(a, opt); });
 
   const double scale = std::max(1.0, std::abs(er.values.front()));
   const bool match = max_rvec_diff(er.values, eb.values) <= 1e-10 * scale;
@@ -115,12 +121,10 @@ Row bench_svd(std::size_t n) {
   const CMat a = random_matrix(n + n / 4, n, 2000 + static_cast<unsigned>(n));
   const int reps = reps_for(n);
 
-  const auto sr = linalg::backend(BackendKind::Reference).svd(a, 96);
-  const auto sb = linalg::backend(BackendKind::Blocked).svd(a, 96);
-  const double ref_ms =
-      best_ms(reps, [&] { linalg::backend(BackendKind::Reference).svd(a, 96); });
-  const double blk_ms =
-      best_ms(reps, [&] { linalg::backend(BackendKind::Blocked).svd(a, 96); });
+  const auto sr = reference_svd(a, 96);
+  const auto sb = blocked_svd(a, 96);
+  const double ref_ms = best_ms(reps, [&] { reference_svd(a, 96); });
+  const double blk_ms = best_ms(reps, [&] { blocked_svd(a, 96); });
 
   const double scale = std::max(1.0, sr.sigma.front());
   const bool match = max_rvec_diff(sr.sigma, sb.sigma) <= 1e-10 * scale;
@@ -138,28 +142,26 @@ Row bench_gemm(std::size_t n) {
   const auto zero = [n](CMat& c) { std::fill(c.data(), c.data() + n * n, cplx{}); };
   const double ref_ms = best_ms(reps, [&] {
     zero(cr);
-    linalg::backend(BackendKind::Reference).gemm(a, b, cr);
+    reference_gemm(a, b, cr);
   });
   const double blk_ms = best_ms(reps, [&] {
     zero(cb);
-    linalg::backend(BackendKind::Blocked).gemm(a, b, cb);
+    blocked_gemm(a, b, cb);
   });
 
   const bool match = (cr - cb).max_abs() <= 1e-10;
   return make_row("gemm", n, ref_ms, blk_ms, match);
 }
 
-/// Tensor product through the seam: n x n (x) n x n complex.
+/// Tensor product kernels: n x n (x) n x n complex.
 Row bench_kron(std::size_t n) {
   const CMat a = random_matrix(n, n, 5000 + static_cast<unsigned>(n));
   const CMat b = random_matrix(n, n, 6000 + static_cast<unsigned>(n));
   CMat cr(n * n, n * n), cb(n * n, n * n);
   const int reps = reps_for(n);
 
-  const double ref_ms =
-      best_ms(reps, [&] { linalg::backend(BackendKind::Reference).kron(a, b, cr); });
-  const double blk_ms =
-      best_ms(reps, [&] { linalg::backend(BackendKind::Blocked).kron(a, b, cb); });
+  const double ref_ms = best_ms(reps, [&] { reference_kron(a, b, cr); });
+  const double blk_ms = best_ms(reps, [&] { blocked_kron(a, b, cb); });
 
   // The kron micro-kernel is in the bitwise SIMD tier; hold it to that.
   const bool match = (cr - cb).max_abs() == 0.0;
@@ -175,21 +177,19 @@ Row bench_eig_batch(std::size_t d, std::size_t count) {
   for (std::size_t i = 0; i < count; ++i)
     as.push_back(random_hermitian(d, 7000 + static_cast<unsigned>(i)));
   const linalg::EigOptions opt;
-  const auto& ref = linalg::backend(BackendKind::Reference);
-  const auto& blk = linalg::backend(BackendKind::Blocked);
 
-  const auto eb = blk.hermitian_eig_batch(as, opt);
+  const auto eb = blocked_hermitian_eig_batch(as, opt);
   bool match = eb.size() == count;
   for (std::size_t i = 0; match && i < count; ++i) {
-    const auto er = ref.hermitian_eig(as[i], opt);
+    const auto er = reference_hermitian_eig(as[i], opt);
     const double scale = std::max(1.0, std::abs(er.values.front()));
     match = max_rvec_diff(er.values, eb[i].values) <= 1e-10 * scale;
   }
 
   const double ref_ms = best_ms(3, [&] {
-    for (const CMat& a : as) ref.hermitian_eig(a, opt);
+    for (const CMat& a : as) reference_hermitian_eig(a, opt);
   });
-  const double blk_ms = best_ms(3, [&] { blk.hermitian_eig_batch(as, opt); });
+  const double blk_ms = best_ms(3, [&] { blocked_hermitian_eig_batch(as, opt); });
   return make_row("eig_batch", d, ref_ms, blk_ms, match);
 }
 
@@ -201,24 +201,23 @@ bool check_thread_invariance(std::size_t n) {
   std::vector<CMat> batch;
   for (unsigned i = 0; i < 8; ++i) batch.push_back(random_hermitian(16, 80 + i));
   const CMat ka = random_matrix(16, 16, 90), kb = random_matrix(16, 16, 91);
-  const auto& blk = linalg::backend(BackendKind::Blocked);
   const unsigned saved_request = linalg::backend_thread_request();
 
   linalg::set_backend_threads(1);
-  const auto eig1 = blk.hermitian_eig(h, {});
-  const auto svd1 = blk.svd(r, 96);
-  const auto batch1 = blk.hermitian_eig_batch(batch, {});
+  const auto eig1 = blocked_hermitian_eig(h, {});
+  const auto svd1 = blocked_svd(r, 96);
+  const auto batch1 = blocked_hermitian_eig_batch(batch, {});
   CMat kron1(256, 256);
-  blk.kron(ka, kb, kron1);
+  blocked_kron(ka, kb, kron1);
 
   bool ok = true;
   for (const unsigned threads : {2u, 4u}) {
     linalg::set_backend_threads(threads);
-    const auto eig = blk.hermitian_eig(h, {});
-    const auto svd = blk.svd(r, 96);
-    const auto eb = blk.hermitian_eig_batch(batch, {});
+    const auto eig = blocked_hermitian_eig(h, {});
+    const auto svd = blocked_svd(r, 96);
+    const auto eb = blocked_hermitian_eig_batch(batch, {});
     CMat kr(256, 256);
-    blk.kron(ka, kb, kr);
+    blocked_kron(ka, kb, kr);
     ok = ok && eig1.values == eig.values && eig1.vectors == eig.vectors &&
          svd1.sigma == svd.sigma && svd1.u == svd.u && svd1.v == svd.v &&
          kron1 == kr;
@@ -241,7 +240,7 @@ int main(int argc, char** argv) {
   const obs::RunReport obs_report;
 
   bench::header("P2  bench_linalg_backends",
-                "Blocked backend (serial SIMD micro-kernels, batch fan-out on the "
+                "Blocked kernels (serial SIMD micro-kernels, batch fan-out on the "
                 "worker pool) at or above Reference on every kernel and dimension, "
                 "eigen/singular values matching to 1e-10, bitwise thread-count "
                 "invariant");

@@ -1,9 +1,6 @@
 #include "qfc/linalg/backend.hpp"
 
-#include <atomic>
-#include <cctype>
 #include <cmath>
-#include <cstdlib>
 #include <string>
 
 #include "qfc/obs/obs.hpp"
@@ -14,7 +11,7 @@ namespace detail {
 // Nominal flop count of an m x k by k x n product: 2mkn real flops, with a
 // 4x factor for complex (each complex multiply-add is 4 real multiplies +
 // 4 real adds ~ 8 flops vs 2). Counted where a concrete kernel runs, so
-// blocked-backend fallbacks to the reference kernel bill as reference.
+// blocked_gemm's fallback to the reference kernel bills as reference.
 std::uint64_t gemm_flops(std::size_t m, std::size_t k, std::size_t n, bool is_complex) {
   const std::uint64_t base = 2ull * m * k * n;
   return is_complex ? 4ull * base : base;
@@ -48,15 +45,6 @@ double off_diag_norm2(const CMat& a) {
 
 double jacobi_stop_threshold(double scale, std::size_t n) {
   return (1e-14 * scale) * (1e-14 * scale) * static_cast<double>(n * n);
-}
-
-std::optional<BackendKind> parse_backend(std::string_view name) {
-  std::string lower;
-  lower.reserve(name.size());
-  for (char c : name) lower.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-  if (lower == "reference" || lower == "ref") return BackendKind::Reference;
-  if (lower == "blocked") return BackendKind::Blocked;
-  return std::nullopt;
 }
 
 template <class T>
@@ -150,167 +138,28 @@ CMat reference_scaled_congruence(const CMat& v, const RVec& d) {
 }
 
 // gemm_dispatch / kron_dispatch (declared in matrix.hpp) are the seams
-// Mat<T>::operator* and kron() call through; only the two scalar types
-// used in the library exist.
+// Mat<T>::operator* and kron() call above their inline cutoffs; only the
+// two scalar types used in the library exist.
 template <>
 void gemm_dispatch<double>(const RMat& a, const RMat& b, RMat& c) {
-  backend().gemm(a, b, c);
+  blocked_gemm(a, b, c);
 }
 template <>
 void gemm_dispatch<cplx>(const CMat& a, const CMat& b, CMat& c) {
-  backend().gemm(a, b, c);
+  blocked_gemm(a, b, c);
 }
 template <>
 void kron_dispatch<double>(const RMat& a, const RMat& b, RMat& out) {
-  backend().kron(a, b, out);
+  blocked_kron(a, b, out);
 }
 template <>
 void kron_dispatch<cplx>(const CMat& a, const CMat& b, CMat& out) {
-  backend().kron(a, b, out);
+  blocked_kron(a, b, out);
 }
 
 }  // namespace detail
 
-// ------------------------------------------------- Backend base defaults
-// Serial loops over the per-matrix virtuals: always correct, inherited by
-// the Reference backend. The Blocked backend overrides them with pool
-// fan-outs that are bitwise identical to these loops (fixed index-to-task
-// assignment, one result slot per index).
-
-void Backend::kron(const RMat& a, const RMat& b, RMat& out) const {
-  detail::reference_kron(a, b, out);
-}
-void Backend::kron(const CMat& a, const CMat& b, CMat& out) const {
-  detail::reference_kron(a, b, out);
-}
-
-std::vector<EigResult> Backend::hermitian_eig_batch(const std::vector<CMat>& as,
-                                                    const EigOptions& opt) const {
-  std::vector<EigResult> out(as.size());
-  for (std::size_t i = 0; i < as.size(); ++i) out[i] = hermitian_eig(as[i], opt);
-  return out;
-}
-
-std::vector<SvdResult> Backend::svd_batch(const std::vector<CMat>& as,
-                                          int max_sweeps) const {
-  std::vector<SvdResult> out(as.size());
-  for (std::size_t i = 0; i < as.size(); ++i) out[i] = svd(as[i], max_sweeps);
-  return out;
-}
-
-std::vector<CMat> Backend::gemm_batch(const std::vector<CMat>& as,
-                                      const std::vector<CMat>& bs) const {
-  std::vector<CMat> out(as.size());
-  for (std::size_t i = 0; i < as.size(); ++i) {
-    out[i] = CMat(as[i].rows(), bs[i].cols());
-    gemm(as[i], bs[i], out[i]);
-  }
-  return out;
-}
-
-namespace {
-
-class ReferenceBackend final : public Backend {
- public:
-  const char* name() const noexcept override { return "reference"; }
-  void gemm(const RMat& a, const RMat& b, RMat& c) const override {
-    detail::reference_gemm(a, b, c);
-  }
-  void gemm(const CMat& a, const CMat& b, CMat& c) const override {
-    detail::reference_gemm(a, b, c);
-  }
-  CMat scaled_congruence(const CMat& v, const RVec& d) const override {
-    return detail::reference_scaled_congruence(v, d);
-  }
-  EigResult hermitian_eig(const CMat& a, const EigOptions& opt) const override {
-    return detail::reference_hermitian_eig(a, opt);
-  }
-  SvdResult svd(const CMat& a, int max_sweeps) const override {
-    return detail::reference_svd(a, max_sweeps);
-  }
-};
-
-class BlockedBackend final : public Backend {
- public:
-  const char* name() const noexcept override { return "blocked"; }
-  void gemm(const RMat& a, const RMat& b, RMat& c) const override {
-    detail::blocked_gemm(a, b, c);
-  }
-  void gemm(const CMat& a, const CMat& b, CMat& c) const override {
-    detail::blocked_gemm(a, b, c);
-  }
-  CMat scaled_congruence(const CMat& v, const RVec& d) const override {
-    // diag-scale the columns once, then one blocked GEMM against V†.
-    const std::size_t n = d.size();
-    CMat w(n, n);
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t k = 0; k < n; ++k) w(i, k) = v(i, k) * d[k];
-    CMat out(n, n);
-    detail::blocked_gemm(w, v.adjoint(), out);
-    return out;
-  }
-  EigResult hermitian_eig(const CMat& a, const EigOptions& opt) const override {
-    return detail::blocked_hermitian_eig(a, opt);
-  }
-  SvdResult svd(const CMat& a, int max_sweeps) const override {
-    return detail::blocked_svd(a, max_sweeps);
-  }
-  void kron(const RMat& a, const RMat& b, RMat& out) const override {
-    detail::blocked_kron(a, b, out);
-  }
-  void kron(const CMat& a, const CMat& b, CMat& out) const override {
-    detail::blocked_kron(a, b, out);
-  }
-  std::vector<EigResult> hermitian_eig_batch(const std::vector<CMat>& as,
-                                             const EigOptions& opt) const override {
-    return detail::blocked_hermitian_eig_batch(as, opt);
-  }
-  std::vector<SvdResult> svd_batch(const std::vector<CMat>& as,
-                                   int max_sweeps) const override {
-    return detail::blocked_svd_batch(as, max_sweeps);
-  }
-  std::vector<CMat> gemm_batch(const std::vector<CMat>& as,
-                               const std::vector<CMat>& bs) const override {
-    return detail::blocked_gemm_batch(as, bs);
-  }
-};
-
-// Blocked is the process default since its SIMD micro-kernels win at every
-// benched shape (see BENCH_linalg.json); QFC_LINALG_BACKEND=reference
-// restores the naive baseline for A/B runs.
-BackendKind initial_backend() {
-  if (const char* env = std::getenv("QFC_LINALG_BACKEND")) {
-    if (auto kind = detail::parse_backend(env)) return *kind;
-  }
-  return BackendKind::Blocked;
-}
-
-std::atomic<BackendKind>& default_backend_slot() {
-  static std::atomic<BackendKind> kind{initial_backend()};
-  return kind;
-}
-
-}  // namespace
-
-BackendKind default_backend() { return default_backend_slot().load(std::memory_order_relaxed); }
-
-void set_default_backend(BackendKind kind) {
-  default_backend_slot().store(kind, std::memory_order_relaxed);
-}
-
-const Backend& backend(BackendKind kind) {
-  static const ReferenceBackend reference;
-  static const BlockedBackend blocked;
-  switch (kind) {
-    case BackendKind::Blocked:
-      return blocked;
-    case BackendKind::Reference:
-    default:
-      return reference;
-  }
-}
-
-const Backend& backend() { return backend(default_backend()); }
+BackendKind default_backend() { return BackendKind::Blocked; }
 
 const char* to_string(BackendKind kind) {
   return kind == BackendKind::Blocked ? "blocked" : "reference";
@@ -318,20 +167,19 @@ const char* to_string(BackendKind kind) {
 
 // ------------------------------------------------- batch entry points
 // Validate once (same checks as the per-matrix entry points), then hand the
-// whole batch to the active backend.
+// whole batch to the Blocked batch driver.
 
 namespace {
 
 std::vector<EigResult> validated_eig_batch(const std::vector<CMat>& as, const EigOptions& opt,
                                            double hermiticity_tol, const char* who) {
   for (const CMat& a : as) detail::validate_eig_input(a, hermiticity_tol, who);
-  QFC_OBS_SPAN("linalg.eig_batch",
-               {{"count", as.size()}, {"backend", backend().name()}});
+  QFC_OBS_SPAN("linalg.eig_batch", {{"count", as.size()}});
   if (obs::metrics_enabled()) {
     obs::counter("linalg.eig_batch.calls").increment();
     obs::counter("linalg.eig_batch.matrices").add(as.size());
   }
-  return backend().hermitian_eig_batch(as, opt);
+  return detail::blocked_hermitian_eig_batch(as, opt);
 }
 
 }  // namespace
@@ -358,13 +206,12 @@ std::vector<SvdResult> svd_batch(const std::vector<CMat>& as, int max_sweeps) {
     if (a.empty()) throw std::invalid_argument("svd_batch: empty matrix");
     a.require_finite("svd_batch");
   }
-  QFC_OBS_SPAN("linalg.svd_batch",
-               {{"count", as.size()}, {"backend", backend().name()}});
+  QFC_OBS_SPAN("linalg.svd_batch", {{"count", as.size()}});
   if (obs::metrics_enabled()) {
     obs::counter("linalg.svd_batch.calls").increment();
     obs::counter("linalg.svd_batch.matrices").add(as.size());
   }
-  return backend().svd_batch(as, max_sweeps);
+  return detail::blocked_svd_batch(as, max_sweeps);
 }
 
 std::vector<CMat> gemm_batch(const std::vector<CMat>& as, const std::vector<CMat>& bs) {
@@ -373,13 +220,12 @@ std::vector<CMat> gemm_batch(const std::vector<CMat>& as, const std::vector<CMat
   for (std::size_t i = 0; i < as.size(); ++i)
     if (as[i].cols() != bs[i].rows())
       throw std::invalid_argument("gemm_batch: shape mismatch");
-  QFC_OBS_SPAN("linalg.gemm_batch",
-               {{"count", as.size()}, {"backend", backend().name()}});
+  QFC_OBS_SPAN("linalg.gemm_batch", {{"count", as.size()}});
   if (obs::metrics_enabled()) {
     obs::counter("linalg.gemm_batch.calls").increment();
     obs::counter("linalg.gemm_batch.matrices").add(as.size());
   }
-  return backend().gemm_batch(as, bs);
+  return detail::blocked_gemm_batch(as, bs);
 }
 
 }  // namespace qfc::linalg

@@ -1,35 +1,26 @@
 #pragma once
 
 /// \file backend.hpp
-/// Kernel-dispatch seam for the dense linear algebra every layer above
-/// bottoms out in: Schmidt purity in `sfwm`, the qudit CGLMP/MUB stack,
-/// `tomo::rrr_reconstruct`, and `quantum::measures`. Two backends ship:
+/// The kernel set behind the dense linear algebra every layer above bottoms
+/// out in: Schmidt purity in `sfwm`, the qudit CGLMP/MUB stack,
+/// `tomo::rrr_reconstruct`, and `quantum::measures`. Mat<T>::operator*,
+/// kron(), hermitian_eig(), svd(), the spectral matrix functions and the
+/// batch entry points below call the Blocked kernels (`detail::blocked_*`)
+/// directly: SIMD micro-kernels, cache-blocked GEMM with a transposed-B
+/// micro-kernel, cyclic / round-robin ("chess tournament") Jacobi eig and
+/// one-sided Jacobi SVD. Each kernel is one serial code path; only the batch
+/// entry points thread, one matrix per task on the shared
+/// qfc::parallel::WorkerPool (see src/qfc/parallel/README.md), so results
+/// are bitwise identical for every thread count (the same determinism
+/// contract as detect::EventEngine).
 ///
-///  - Reference: the original hand-rolled single-threaded loops. Always
-///    available, exhaustively tested, the accuracy baseline.
-///  - Blocked: SIMD micro-kernels, cache-blocked GEMM with a
-///    transposed-B micro-kernel, and cyclic / round-robin ("chess
-///    tournament") Jacobi eig plus one-sided Jacobi SVD. Each kernel is one
-///    serial code path; only the batch entry points thread, one matrix per
-///    task on the shared qfc::parallel::WorkerPool (see
-///    src/qfc/parallel/README.md), so results are bitwise identical for
-///    every thread count (the same determinism contract as
-///    detect::EventEngine).
-///
-/// Selection: set_default_backend() programmatically, or the
-/// QFC_LINALG_BACKEND environment variable ("reference" | "blocked"),
-/// consulted once at first dispatch. Mat<T>::operator*, hermitian_eig(),
-/// svd(), and the spectral matrix functions all route through the active
-/// backend, so consumers upgrade with zero call-site changes.
-///
-/// Adding a backend (e.g. BLAS/LAPACK): implement the Backend interface,
-/// add a BackendKind enumerator, register the instance in backend(kind) and
-/// the name in to_string()/parse_backend(). See src/qfc/linalg/README.md.
+/// The Reference kernels (`detail::reference_*`) are the original
+/// hand-rolled single-threaded loops. The library runs them only as
+/// blocked_gemm's below-cutoff fallback; tests and benches call them
+/// directly as the accuracy and speed baseline. See src/qfc/linalg/README.md.
 
 #include <cstdint>
 #include <functional>
-#include <optional>
-#include <string_view>
 #include <vector>
 
 #include "qfc/linalg/hermitian_eig.hpp"
@@ -46,61 +37,10 @@ struct EigOptions {
   bool want_vectors = true;
 };
 
-/// Abstract kernel set. Kernels assume pre-validated shapes (the public
-/// entry points in matrix.hpp / hermitian_eig.hpp / svd.hpp validate);
-/// eig kernels symmetrize their input, so round-off-level non-Hermiticity
-/// is tolerated.
-class Backend {
- public:
-  virtual ~Backend() = default;
-  virtual const char* name() const noexcept = 0;
-
-  /// c = a * b; the caller provides c zero-initialized with conforming
-  /// shape (kernels may accumulate into it or overwrite it).
-  virtual void gemm(const RMat& a, const RMat& b, RMat& c) const = 0;
-  virtual void gemm(const CMat& a, const CMat& b, CMat& c) const = 0;
-
-  /// herk-style congruence v · diag(d) · v† — the rebuild step of every
-  /// spectral matrix function. Result is Hermitian to round-off.
-  virtual CMat scaled_congruence(const CMat& v, const RVec& d) const = 0;
-
-  virtual EigResult hermitian_eig(const CMat& a, const EigOptions& opt) const = 0;
-  virtual SvdResult svd(const CMat& a, int max_sweeps) const = 0;
-
-  /// Kronecker (tensor) product out = a ⊗ b; the caller provides `out`
-  /// sized (a.rows*b.rows) x (a.cols*b.cols). Every backend computes each
-  /// element with the single multiply a(i,j)*b(k,l), so kron results are
-  /// bitwise identical across backends and SIMD modes.
-  virtual void kron(const RMat& a, const RMat& b, RMat& out) const;
-  virtual void kron(const CMat& a, const CMat& b, CMat& out) const;
-
-  /// Batch-of-matrices kernels. Entry i of the result corresponds to input
-  /// i; dimensions may differ per entry (each matrix is an independent
-  /// problem). The base-class defaults are plain serial loops over the
-  /// per-matrix virtuals; the Blocked backend overrides them to fan out
-  /// *across* matrices on the shared worker pool with a fixed
-  /// matrix-to-task assignment (one task per index, results written to
-  /// per-index slots), so batch results are bitwise identical to the
-  /// per-matrix calls at any worker count.
-  virtual std::vector<EigResult> hermitian_eig_batch(const std::vector<CMat>& as,
-                                                     const EigOptions& opt) const;
-  virtual std::vector<SvdResult> svd_batch(const std::vector<CMat>& as,
-                                           int max_sweeps) const;
-  virtual std::vector<CMat> gemm_batch(const std::vector<CMat>& as,
-                                       const std::vector<CMat>& bs) const;
-};
-
-/// Active default backend (initialized from QFC_LINALG_BACKEND, else
-/// Blocked — it wins on every benched kernel and dimension).
-/// set_default_backend overrides for the rest of the process.
+/// The kernel set the library runs: always Blocked. Kept, with no setter,
+/// only because the repository benchmark records
+/// to_string(default_backend()) in its result envelope.
 BackendKind default_backend();
-void set_default_backend(BackendKind kind);
-
-/// The active backend instance / a specific backend instance. Instances are
-/// stateless singletons; both remain valid for the process lifetime, so
-/// benches can time one against the other directly.
-const Backend& backend();
-const Backend& backend(BackendKind kind);
 
 const char* to_string(BackendKind kind);
 
@@ -132,10 +72,10 @@ bool simd_enabled();
 /// The raw on/off request, ignoring CPU support (for save/restore).
 bool simd_request();
 
-/// Validated batch entry points, routed through the active backend like
-/// hermitian_eig()/svd()/operator*. Entry i of the result corresponds to
-/// input i; dimensions may differ per entry. Results are bitwise identical
-/// to the equivalent serial loop of per-matrix calls.
+/// Validated batch entry points over the Blocked batch drivers. Entry i of
+/// the result corresponds to input i; dimensions may differ per entry.
+/// Results are bitwise identical to the equivalent serial loop of
+/// per-matrix calls.
 std::vector<EigResult> hermitian_eig_batch(const std::vector<CMat>& as,
                                            const EigOptions& opt = {},
                                            double hermiticity_tol = 1e-9);
@@ -146,13 +86,10 @@ std::vector<CMat> gemm_batch(const std::vector<CMat>& as, const std::vector<CMat
 
 namespace detail {
 
-/// "reference" / "blocked" (case-insensitive) -> kind; nullopt otherwise.
-std::optional<BackendKind> parse_backend(std::string_view name);
-
 /// Complex Jacobi rotation parameters (c real, sp = sin·phase) for a pivot
 /// with diagonal entries app/aqq and off-diagonal apq of magnitude mag > 0.
-/// Single shared formula: every solver in every backend zeroes its pivot
-/// with exactly the same arithmetic, which is what the cross-backend 1e-10
+/// Single shared formula: every Reference and Blocked solver zeroes its
+/// pivot with exactly the same arithmetic, which is what their 1e-10
 /// parity contract leans on.
 struct JacobiParams {
   double c = 1.0;
@@ -189,18 +126,27 @@ void validate_eig_input(const CMat& a, double hermiticity_tol, const char* who);
 /// Frobenius norm `scale`.
 double jacobi_stop_threshold(double scale, std::size_t n);
 
-// Reference kernels: the original naive loops, kept as the always-available
-// baseline and as the small-dimension fallback of the Blocked backend.
+// Reference kernels: the original naive loops, kept as the test and bench
+// baseline and as blocked_gemm's small-dimension fallback. Kernels assume
+// pre-validated shapes (the public entry points validate); eig kernels
+// symmetrize their input, so round-off-level non-Hermiticity is tolerated.
 void reference_gemm(const RMat& a, const RMat& b, RMat& c);
 void reference_gemm(const CMat& a, const CMat& b, CMat& c);
+/// herk-style congruence v · diag(d) · v† — the rebuild step of every
+/// spectral matrix function. Result is Hermitian to round-off.
+CMat reference_scaled_congruence(const CMat& v, const RVec& d);
 EigResult reference_hermitian_eig(const CMat& a, const EigOptions& opt);
 SvdResult reference_svd(const CMat& a, int max_sweeps);
 void reference_kron(const RMat& a, const RMat& b, RMat& out);
 void reference_kron(const CMat& a, const CMat& b, CMat& out);
 
-// Blocked kernels (blocked_backend.cpp).
+// Blocked kernels (blocked_backend.cpp): the ones the library runs. gemm
+// and kron write into a caller-provided, zero-initialized, conforming
+// output. kron computes each element with the single multiply
+// a(i,j)*b(k,l), bitwise equal to reference_kron and the inline loop.
 void blocked_gemm(const RMat& a, const RMat& b, RMat& c);
 void blocked_gemm(const CMat& a, const CMat& b, CMat& c);
+CMat blocked_scaled_congruence(const CMat& v, const RVec& d);
 EigResult blocked_hermitian_eig(const CMat& a, const EigOptions& opt);
 SvdResult blocked_svd(const CMat& a, int max_sweeps);
 void blocked_kron(const RMat& a, const RMat& b, RMat& out);

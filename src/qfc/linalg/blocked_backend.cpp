@@ -724,6 +724,17 @@ void blocked_gemm(const CMat& a, const CMat& b, CMat& c) {
   blocked_gemm_scalar(a, b, c);
 }
 
+CMat blocked_scaled_congruence(const CMat& v, const RVec& d) {
+  // diag-scale the columns once, then one blocked GEMM against V†.
+  const std::size_t n = d.size();
+  CMat w(n, n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t k = 0; k < n; ++k) w(i, k) = v(i, k) * d[k];
+  CMat out(n, n);
+  blocked_gemm(w, v.adjoint(), out);
+  return out;
+}
+
 EigResult blocked_hermitian_eig(const CMat& input, const EigOptions& opt) {
   const std::size_t n = input.rows();
   if (n < kEigCyclicMaxDim) return cyclic_hermitian_eig(input, opt);

@@ -130,24 +130,24 @@ EigResult reference_hermitian_eig(const CMat& input, const EigOptions& opt) {
 
 }  // namespace detail
 
-// Public entry points: validate once, then dispatch to the active backend.
+// Public entry points: validate once, then run the Blocked eigensolver.
 
 EigResult hermitian_eig(const CMat& a, int max_sweeps, double hermiticity_tol) {
   detail::validate_eig_input(a, hermiticity_tol, "hermitian_eig");
-  QFC_OBS_SPAN("linalg.eig", {{"n", a.rows()}, {"backend", backend().name()}});
+  QFC_OBS_SPAN("linalg.eig", {{"n", a.rows()}});
   EigOptions opt;
   opt.max_sweeps = max_sweeps;
   opt.want_vectors = true;
-  return backend().hermitian_eig(a, opt);
+  return detail::blocked_hermitian_eig(a, opt);
 }
 
 RVec hermitian_eigenvalues(const CMat& a, int max_sweeps) {
   detail::validate_eig_input(a, 1e-9, "hermitian_eigenvalues");
-  QFC_OBS_SPAN("linalg.eig", {{"n", a.rows()}, {"backend", backend().name()}});
+  QFC_OBS_SPAN("linalg.eig", {{"n", a.rows()}});
   EigOptions opt;
   opt.max_sweeps = max_sweeps;
   opt.want_vectors = false;
-  return backend().hermitian_eig(a, opt).values;
+  return detail::blocked_hermitian_eig(a, opt).values;
 }
 
 }  // namespace qfc::linalg

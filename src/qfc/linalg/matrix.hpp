@@ -5,9 +5,8 @@
 /// of vector helpers used throughout the library. Hand-rolled on purpose:
 /// the quantum-state dimensions in this project are modest (<= a few
 /// hundred), so a simple, exhaustively-tested implementation beats an
-/// external dependency. Matrix products route through the kernel-dispatch
-/// seam in backend.hpp, so large multiplies pick up the cache-blocked SIMD
-/// backend without any call-site changes.
+/// external dependency. Large matrix products run the cache-blocked SIMD
+/// kernels declared in backend.hpp.
 
 #include <cmath>
 #include <complex>
@@ -31,13 +30,13 @@ inline cplx conj_if_complex(const cplx& x) { return std::conj(x); }
 inline double abs2(double x) { return x * x; }
 inline double abs2(const cplx& x) { return std::norm(x); }
 
-/// c = a·b through the active linalg backend (see backend.hpp); c must be
+/// c = a·b through detail::blocked_gemm (see backend.hpp); c must be
 /// zero-initialized (kernels may accumulate into it or overwrite it).
 /// Defined in backend.cpp for the two scalar types the library instantiates.
 template <class T>
 void gemm_dispatch(const Mat<T>& a, const Mat<T>& b, Mat<T>& c);
 
-/// out = a ⊗ b through the active linalg backend; out is pre-sized and
+/// out = a ⊗ b through detail::blocked_kron; out is pre-sized and
 /// zero-initialized. Same explicit-specialization pattern as gemm_dispatch.
 template <class T>
 void kron_dispatch(const Mat<T>& a, const Mat<T>& b, Mat<T>& out);
@@ -114,8 +113,8 @@ class Mat {
     if (a.cols_ != b.rows_) throw std::invalid_argument("Mat::mul: shape mismatch");
     Mat c(a.rows_, b.cols_);
     // Tiny products (gates, Paulis, few-level ops) keep the fully inlined
-    // loop — the cross-TU dispatch would cost more than the flops. The loop
-    // is identical to the Reference backend's ikj kernel, so results do not
+    // loop — the cross-TU call would cost more than the flops. The loop
+    // is identical to the reference ikj kernel, so results do not
     // depend on which side of the cutoff a product lands.
     if (a.rows_ * a.cols_ * b.cols_ <= 4096) {
       for (std::size_t i = 0; i < a.rows_; ++i) {
@@ -214,7 +213,7 @@ namespace detail {
 // The only gemm_dispatch / kron_dispatch instantiations, defined in
 // backend.cpp and declared here so every use of operator* / kron sees the
 // explicit specialization before implicit instantiation ([temp.expl.spec]).
-// Other scalar types have no backend and fail at link.
+// Other scalar types have no kernels and fail at link.
 template <>
 void gemm_dispatch<double>(const RMat& a, const RMat& b, RMat& c);
 template <>
@@ -226,10 +225,10 @@ void kron_dispatch<cplx>(const CMat& a, const CMat& b, CMat& out);
 }  // namespace detail
 
 /// Kronecker (tensor) product: (a ⊗ b)(i*rb+k, j*cb+l) = a(i,j)*b(k,l).
-/// Large products route through the backend seam (SIMD-scaled row
-/// copies); every path computes each element with the same
-/// single multiply, so the result is bitwise identical on either side of
-/// the cutoff and across backends.
+/// Large products run detail::blocked_kron (SIMD-scaled row copies); every
+/// path computes each element with the same single multiply, so the result
+/// is bitwise identical on either side of the cutoff and to
+/// detail::reference_kron.
 template <class T>
 Mat<T> kron(const Mat<T>& a, const Mat<T>& b) {
   Mat<T> out(a.rows() * b.rows(), a.cols() * b.cols());

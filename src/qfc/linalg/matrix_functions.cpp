@@ -12,7 +12,7 @@ namespace qfc::linalg {
 namespace {
 
 CMat rebuild(const EigResult& e, const RVec& mapped) {
-  return backend().scaled_congruence(e.vectors, mapped);
+  return detail::blocked_scaled_congruence(e.vectors, mapped);
 }
 
 }  // namespace
@@ -47,13 +47,15 @@ CMat project_to_density_matrix(const CMat& a) {
   const EigResult e = hermitian_eig(h);
   const std::size_t n = e.values.size();
 
-  // Normalize trace to 1 first, then project eigenvalues onto the simplex
-  // (Smolin et al., "Efficient method for computing the maximum-likelihood
-  // quantum state from measurements with additive Gaussian noise").
+  // Normalize a positive trace to 1 first, then project eigenvalues onto the
+  // simplex (Smolin et al., "Efficient method for computing the
+  // maximum-likelihood quantum state from measurements with additive
+  // Gaussian noise"). Dividing by a negative trace would reverse the
+  // eigenvalue order, so such inputs go to the simplex projection as is.
   double tr = 0;
   for (double v : e.values) tr += v;
   RVec lam = e.values;
-  if (std::abs(tr) > 1e-12)
+  if (tr > 1e-12)
     for (auto& v : lam) v /= tr;
 
   // Simplex projection on an index view sorted descending (lam itself must

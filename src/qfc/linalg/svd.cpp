@@ -127,8 +127,8 @@ SvdResult reference_svd(const CMat& a, int max_sweeps) {
 SvdResult svd(const CMat& a, int max_sweeps) {
   if (a.empty()) throw std::invalid_argument("svd: empty matrix");
   a.require_finite("svd");
-  QFC_OBS_SPAN("linalg.svd", {{"n", a.cols()}, {"backend", backend().name()}});
-  return backend().svd(a, max_sweeps);
+  QFC_OBS_SPAN("linalg.svd", {{"n", a.cols()}});
+  return detail::blocked_svd(a, max_sweeps);
 }
 
 }  // namespace qfc::linalg

@@ -399,6 +399,18 @@ TEST(MatrixFunctions, ProjectToDensityMatrixProperties) {
   for (double v : evals) EXPECT_GE(v, -1e-10);
 }
 
+TEST(MatrixFunctions, ProjectToDensityMatrixKeepsOrderOfNegativeTraceInput) {
+  // Dividing diag(-0.9, -0.1) by its trace would swap which eigenvalue is
+  // larger; the Frobenius-nearest density matrix is diag(0.1, 0.9).
+  CMat h(2, 2);
+  h(0, 0) = cplx(-0.9, 0);
+  h(1, 1) = cplx(-0.1, 0);
+  const CMat rho = qfc::linalg::project_to_density_matrix(h);
+  EXPECT_NEAR(std::real(rho(0, 0)), 0.1, 1e-12);
+  EXPECT_NEAR(std::real(rho(1, 1)), 0.9, 1e-12);
+  EXPECT_LT(std::abs(rho(0, 1)), 1e-12);
+}
+
 TEST(MatrixFunctions, ProjectionIsIdempotentOnDensityMatrices) {
   // A valid density matrix must be returned (almost) unchanged.
   CMat rho(2, 2);

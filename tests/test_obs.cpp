@@ -358,12 +358,11 @@ TEST(Obs, WorkerPoolRecordsBusyNsAndRounds) {
 
 TEST(Obs, LinalgKernelCountersAndFlops) {
   ObsStateGuard guard;
-  const linalg::BackendKind saved = linalg::default_backend();
-  linalg::set_default_backend(linalg::BackendKind::Reference);
   obs::enable_metrics(true);
 
-  // 32x32 real product: above matrix.hpp's tiny-product inline cutoff, so
-  // it reaches the dispatched reference kernel. Nominal flops = 2 n^3.
+  // 32x32 real product: above matrix.hpp's tiny-product inline cutoff but
+  // below blocked_gemm's flop cutoff, so it runs (and bills as) the
+  // reference kernel. Nominal flops = 2 n^3.
   const std::size_t n = 32;
   linalg::RMat a(n, n), b(n, n);
   for (std::size_t i = 0; i < n; ++i)
@@ -383,11 +382,9 @@ TEST(Obs, LinalgKernelCountersAndFlops) {
       h(i, j) = linalg::cplx(1.0 / (1.0 + static_cast<double>(i + j)),
                              i == j ? 0.0 : 0.1 * (static_cast<double>(i) - static_cast<double>(j)));
   (void)linalg::hermitian_eig(h);
-  EXPECT_EQ(obs::counter("linalg.reference.eig.calls").value(), 1u);
-  EXPECT_GT(obs::counter("linalg.reference.eig.sweeps").value(), 0u);
-  EXPECT_GT(obs::counter("linalg.reference.eig.rotations").value(), 0u);
-
-  linalg::set_default_backend(saved);
+  EXPECT_EQ(obs::counter("linalg.blocked.eig.calls").value(), 1u);
+  EXPECT_GT(obs::counter("linalg.blocked.eig.sweeps").value(), 0u);
+  EXPECT_GT(obs::counter("linalg.blocked.eig.rotations").value(), 0u);
 }
 
 TEST(Obs, EnablingObsNeverChangesEngineResults) {
