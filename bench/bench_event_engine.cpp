@@ -2,17 +2,15 @@
 // CAR (coincidence) matrix, legacy per-channel path (per-channel streams +
 // n² pairwise measure_car re-scans) vs EventEngine + single merge-sweep
 // car_matrix, engine-only rows for the pulsed and piecewise-rate emission
-// modes, analysis thread-scaling rows (the sharded car_matrix /
-// correlate_all sweeps at 1/2/4 workers), and streaming rows: a
+// modes, an analysis row (the serial car_matrix / correlate_all sweeps over
+// the largest table), and streaming rows: a
 // bounded-memory probe (peak RSS must stay flat across a 10x run-length
 // increase — the bounded_rss flag) plus a window-size sweep of the
 // streamed generation + online CAR path, and car_pairs rows timing the
 // diagonal CAR accumulator against the full matrix. Also checks that the two CW
 // paths produce identical cells, that every emission mode is bitwise
-// invariant across generation thread counts, that the sharded analysis
-// sweeps are bitwise invariant across analysis worker counts, and that
-// every streamed CAR (and every diagonal cell) is bitwise identical to the
-// batch one.
+// invariant across generation thread counts, and that every streamed CAR
+// (and every diagonal cell) is bitwise identical to the batch one.
 //
 // Usage: bench_event_engine [--smoke] [--json PATH] [--help]
 //   --smoke   smaller durations / channel counts (CI)
@@ -228,63 +226,23 @@ ModeRow bench_mode(const char* emission, const std::vector<detect::ChannelPairSp
   return row;
 }
 
-/// Analysis thread-scaling row: the sharded car_matrix + correlate_all
-/// sweeps over one fixed table at an explicit worker count, with a bitwise
-/// determinism flag vs the 1-worker sweep and the speedup ratio vs the
-/// 1-worker time (the quantity the CI ratio gate watches).
+/// Analysis row: the car_matrix + correlate_all sweeps over one fixed
+/// table. The sweeps are serial; `threads` stays 1 as the baseline row key.
 struct AnalysisRow {
-  int threads = 0;
+  int threads = 1;
   double car_ms = 0;
   double correlate_ms = 0;
-  double speedup_vs_1t = 0;
-  bool deterministic = false;
 };
 
-std::vector<AnalysisRow> bench_analysis_threads(const detect::EngineResult& events) {
-  std::vector<AnalysisRow> rows;
-  detect::CarMatrix cells_1t;
-  std::vector<detect::CoincidenceHistogram> hists_1t;
-  const unsigned saved_request = detect::analysis_thread_request();
-  for (const int threads : {1, 2, 4}) {
-    AnalysisRow row;
-    row.threads = threads;
-
-    // Route through the process-wide cached pool (num_threads = 0) and
-    // build it with an untimed warm-up sweep, so the timed region measures
-    // the sharded sweep only — never worker spawn/teardown, which would
-    // bias speedup_vs_1t toward whichever leg matches the cached pool size.
-    detect::set_analysis_threads(static_cast<unsigned>(threads));
-    detect::car_matrix(events.signal, events.idler, kWindow, kSpacing);
-
-    auto t0 = Clock::now();
-    const auto cells =
-        detect::car_matrix(events.signal, events.idler, kWindow, kSpacing);
-    row.car_ms = ms_since(t0);
-
-    t0 = Clock::now();
-    const auto hists = detect::correlate_all(events.signal, events.idler, 1e-9, 50e-9);
-    row.correlate_ms = ms_since(t0);
-
-    if (threads == 1) {
-      cells_1t = cells;
-      hists_1t = hists;
-      row.deterministic = true;
-      row.speedup_vs_1t = 1.0;
-    } else {
-      bool same = cells.cells.size() == cells_1t.cells.size() &&
-                  hists.size() == hists_1t.size();
-      for (std::size_t i = 0; same && i < cells.cells.size(); ++i)
-        same = cells.cells[i].coincidences == cells_1t.cells[i].coincidences &&
-               cells.cells[i].accidentals == cells_1t.cells[i].accidentals;
-      for (std::size_t c = 0; same && c < hists.size(); ++c)
-        same = hists[c].counts == hists_1t[c].counts;
-      row.deterministic = same;
-      row.speedup_vs_1t = row.car_ms > 0 ? rows[0].car_ms / row.car_ms : 0;
-    }
-    rows.push_back(row);
-  }
-  detect::set_analysis_threads(saved_request);
-  return rows;
+AnalysisRow bench_analysis(const detect::EngineResult& events) {
+  AnalysisRow row;
+  auto t0 = Clock::now();
+  detect::car_matrix(events.signal, events.idler, kWindow, kSpacing);
+  row.car_ms = ms_since(t0);
+  t0 = Clock::now();
+  detect::correlate_all(events.signal, events.idler, 1e-9, 50e-9);
+  row.correlate_ms = ms_since(t0);
+  return row;
 }
 
 bool car_cells_identical(const detect::CarMatrix& a, const detect::CarMatrix& b) {
@@ -318,8 +276,7 @@ detect::CarMatrix run_streamed_car(const std::vector<detect::ChannelPairSpec>& s
   return car.finish();
 }
 
-/// Diagonal-CAR row: the same streamed windows folded at 1 analysis thread
-/// into the full-matrix StreamingCarAccumulator (matrix_ms) and into the
+/// Diagonal-CAR row: the same streamed windows folded into the full-matrix StreamingCarAccumulator (matrix_ms) and into the
 /// diagonal StreamingCarPairsAccumulator (pairs_ms), push + finish, best of
 /// three; `identical` when every diagonal cell matches bitwise.
 struct CarPairsRow {
@@ -347,13 +304,13 @@ CarPairsRow bench_car_pairs(int n, double duration_s) {
   std::vector<detect::CarResult> pairs;
   for (int rep = 0; rep < 3; ++rep) {
     auto t0 = Clock::now();
-    detect::StreamingCarAccumulator full(kWindow, kSpacing, 10, /*num_threads=*/1);
+    detect::StreamingCarAccumulator full(kWindow, kSpacing);
     for (const auto& w : windows) full.push(w);
     matrix = full.finish();
     row.matrix_ms = std::min(row.matrix_ms, ms_since(t0));
 
     t0 = Clock::now();
-    detect::StreamingCarPairsAccumulator diag(kWindow, kSpacing, 10, /*num_threads=*/1);
+    detect::StreamingCarPairsAccumulator diag(kWindow, kSpacing);
     for (const auto& w : windows) diag.push(w);
     pairs = diag.finish();
     row.pairs_ms = std::min(row.pairs_ms, ms_since(t0));
@@ -497,25 +454,16 @@ int main(int argc, char** argv) {
                 r.deterministic ? "yes" : "NO");
   }
 
-  // Analysis thread-scaling rows: sharded merge-sweep at 1/2/4 workers over
-  // the largest CW table of the sweep.
+  // Analysis row: the merge-sweeps over the largest CW table of the sweep.
   const int n_analysis = channel_counts.back();
   detect::EngineConfig analysis_ec;
   analysis_ec.duration_s = duration_s;
   analysis_ec.seed = kSeed;
   const auto analysis_events =
       detect::EventEngine(analysis_ec).run(make_specs(n_analysis));
-  const auto analysis_rows = bench_analysis_threads(analysis_events);
-  bool analysis_deterministic = true;
-  std::printf("\nanalysis thread scaling (n=%d, sharded car_matrix/correlate_all)\n",
-              n_analysis);
-  std::printf("%8s %12s %14s %12s %14s\n", "threads", "car[ms]", "correlate[ms]",
-              "speedup", "deterministic");
-  for (const AnalysisRow& r : analysis_rows) {
-    analysis_deterministic = analysis_deterministic && r.deterministic;
-    std::printf("%8d %12.1f %14.1f %11.2fx %14s\n", r.threads, r.car_ms,
-                r.correlate_ms, r.speedup_vs_1t, r.deterministic ? "yes" : "NO");
-  }
+  const AnalysisRow analysis = bench_analysis(analysis_events);
+  std::printf("\nanalysis (n=%d): car_matrix %.1f ms, correlate_all %.1f ms\n", n_analysis,
+              analysis.car_ms, analysis.correlate_ms);
 
   // Streaming window-size sweep: streamed generation + online CAR at
   // several window sizes over the n=10 CW workload, each row checked
@@ -550,7 +498,7 @@ int main(int argc, char** argv) {
   // 10-pair workload and at the 48-user QKD-network size.
   std::vector<CarPairsRow> pairs_rows;
   bool pairs_identical = true;
-  std::printf("\ndiagonal CAR vs full matrix (1 analysis thread, 20 windows)\n");
+  std::printf("\ndiagonal CAR vs full matrix (20 windows)\n");
   std::printf("%6s %12s %12s %9s %10s\n", "n", "matrix[ms]", "pairs[ms]", "speedup",
               "identical");
   for (const int n : {10, 48}) {
@@ -578,14 +526,11 @@ int main(int argc, char** argv) {
                                            {"n", r.n},
                                            {"engine_ms", r.engine_ms},
                                            {"deterministic", r.deterministic}}));
-  for (const AnalysisRow& r : analysis_rows)
-    json_rows.push_back(Json::make_object({{"kernel", "analysis"},
-                                           {"threads", r.threads},
-                                           {"n", n_analysis},
-                                           {"car_ms", r.car_ms},
-                                           {"correlate_ms", r.correlate_ms},
-                                           {"speedup_vs_1t", r.speedup_vs_1t},
-                                           {"deterministic", r.deterministic}}));
+  json_rows.push_back(Json::make_object({{"kernel", "analysis"},
+                                         {"threads", analysis.threads},
+                                         {"n", n_analysis},
+                                         {"car_ms", analysis.car_ms},
+                                         {"correlate_ms", analysis.correlate_ms}}));
   json_rows.push_back(Json::make_object({{"kernel", "streaming_rss"},
                                          {"n", probe_n},
                                          {"window_s", probe_window_s},
@@ -622,18 +567,16 @@ int main(int argc, char** argv) {
                          {"obs", Json::parse(obs_report.json_object())}});
 
   // Exit code gates on correctness only (cell identity + thread-count
-  // determinism in every emission mode and in the sharded analysis sweep +
-  // streaming parity and bounded RSS); the speedup target is reported but
+  // determinism in every emission mode + streaming parity and bounded
+  // RSS); the speedup target is reported but
   // not allowed to fail CI on a noisy shared runner.
   const bool correct = all_identical && deterministic && modes_deterministic &&
-                       analysis_deterministic && stream_identical && pairs_identical &&
-                       bounded_rss;
+                       stream_identical && pairs_identical && bounded_rss;
   const bool ok = correct && speedup_n10 >= 5.0;
   bench::verdict(ok, "n=10 speedup " + std::to_string(speedup_n10) + "x, cells " +
                          (all_identical ? "identical" : "DIFFER") + ", " +
-                         (deterministic && modes_deterministic && analysis_deterministic
-                              ? "thread-invariant (generation + analysis)"
-                              : "NOT thread-invariant") +
+                         (deterministic && modes_deterministic ? "thread-invariant"
+                                                               : "NOT thread-invariant") +
                          ", streaming " +
                          (stream_identical ? "bitwise-parity" : "PARITY BROKEN") +
                          ", CAR diagonal " + (pairs_identical ? "identical" : "DIFFERS") +

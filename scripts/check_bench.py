@@ -25,7 +25,7 @@ Instead it gates on what stays meaningful across machines:
     top-level: a candidate ratio falling below
     baseline * (1 - --max-ratio-drop) (default 0.5 = may halve) fails —
     catching e.g. the batched engine collapsing back to legacy speed or the
-    sharded analysis sweep losing its multi-worker scaling. Rows whose
+    blocked linalg kernels losing their lead over the reference ones. Rows whose
     baseline ``*_ms`` fields all sit below --min-ms are skipped: a ratio of
     two sub-noise-floor timings is itself timer noise, and
 

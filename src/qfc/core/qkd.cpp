@@ -159,7 +159,6 @@ std::vector<MultiplexedQkdLink::StreamCheck> MultiplexedQkdLink::stream_check(
   detect::EngineConfig ec;
   ec.duration_s = duration_s;
   ec.seed = options.seed;
-  ec.analysis_threads = options.analysis_threads;
   detect::StreamConfig sc;
   // window <= 0: one window spanning the run — the old batch path. The
   // streaming engine is bitwise identical at every window size, so this
@@ -170,7 +169,7 @@ std::vector<MultiplexedQkdLink::StreamCheck> MultiplexedQkdLink::stream_check(
   detect::EventStreamer streamer(ec, sc, specs);
   detect::StreamingCarPairsAccumulator car(
       window, /*side_window_spacing_s=*/std::max(100e-9, 20.0 * window),
-      /*num_side_windows=*/10, options.analysis_threads);
+      /*num_side_windows=*/10);
   detect::StreamWindow w;
   while (streamer.next(w)) car.push(w);
   const std::vector<detect::CarResult> cars = car.finish();

@@ -130,17 +130,15 @@ detect::ChannelPairSpec link_channel_spec(const TimebinExperiment& experiment,
                                           const LinkGeometry& geometry);
 
 /// Knobs of a Monte-Carlo stream check that are about the *run*, not the
-/// link: generation window (memory bound), seed, analysis worker count.
-/// Every knob is result-neutral except the seed — the streaming engine is
-/// bitwise identical to a batch run at every window size and thread count.
+/// link: generation window (memory bound) and seed. The window is
+/// result-neutral — the streaming engine is bitwise identical to a batch
+/// run at every window size.
 struct StreamOptions {
   /// Streaming generation window; resident memory scales with this, not
   /// with duration. <= 0 means one window spanning the whole run (the old
   /// batch behavior — same bits either way).
   double window_s = 1.0;
   std::uint64_t seed = 1176;
-  /// Worker threads for the CAR merge-sweep; 0 = process-wide setting.
-  int analysis_threads = 0;
 };
 
 /// QKD link built on a time-bin entanglement experiment: channel pair k
@@ -186,8 +184,7 @@ class MultiplexedQkdLink {
   /// each arm and the endpoint's dark rate on each detector, and an online
   /// accumulator measures all CARs in one pass. Resident memory is set by
   /// StreamOptions::window_s — not duration — while every reported number
-  /// is bitwise identical at any window size or analysis thread count
-  /// (streaming parity contract). Validates the accidental floor the
+  /// is bitwise identical at any window size (streaming parity contract). Validates the accidental floor the
   /// analytic channel_performance assumes.
   std::vector<StreamCheck> stream_check(double distance_km, double duration_s,
                                         const StreamOptions& options = {}) const;

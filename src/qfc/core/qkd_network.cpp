@@ -117,7 +117,6 @@ QkdNetworkReport QkdNetwork::run(double duration_s) const {
   detect::EngineConfig ec;
   ec.duration_s = duration_s;
   ec.seed = cfg_.seed;
-  ec.analysis_threads = cfg_.analysis_threads;
   detect::StreamConfig sc;
   sc.window_s = cfg_.stream_window_s;
 
@@ -125,7 +124,7 @@ QkdNetworkReport QkdNetwork::run(double duration_s) const {
   detect::EventStreamer streamer(ec, sc, engine_specs());
   detect::StreamingCarPairsAccumulator car(
       window, /*side_window_spacing_s=*/std::max(100e-9, 20.0 * window),
-      /*num_side_windows=*/10, cfg_.analysis_threads);
+      /*num_side_windows=*/10);
 
   long long peak_rss = 0;
   detect::StreamWindow w;

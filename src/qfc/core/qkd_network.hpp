@@ -16,10 +16,10 @@
 ///    user count × duration (bench_qkd_network gates this in CI via its
 ///    `bounded_rss` flag).
 ///  - **Bitwise thread-count determinism**: generation forks one RNG per
-///    user-channel in user order; analysis shards merge in fixed chunk
-///    order; per-user reports are assembled serially in user order. Every
-///    number in QkdNetworkReport is bitwise identical at every generation /
-///    analysis thread count and stream window size.
+///    user-channel in user order; the CAR sweep is serial; per-user reports
+///    are assembled serially in user order. Every number in
+///    QkdNetworkReport is bitwise identical at every generation thread
+///    count and stream window size.
 ///  - **Cross-talk compositionality**: adjacent-bin leakage is injected at
 ///    the spec level (detect::apply_adjacent_crosstalk) into the
 ///    background-rate path; zero leakage is an exact no-op, so a
@@ -63,8 +63,8 @@ struct QkdNetworkConfig {
   /// bitwise independent of it.
   double stream_window_s = 1.0;
   std::uint64_t seed = 1176;
-  /// Worker threads for the streaming CAR merge-sweeps; 0 = process-wide
-  /// analysis setting. Results are bitwise independent.
+  /// Inert: the CAR sweeps are serial. Kept, and still rejected when
+  /// negative, only because the repository benchmark sets it.
   int analysis_threads = 0;
   /// Bin width of QkdNetworkReport::distance_histogram.
   double histogram_bin_km = 10.0;

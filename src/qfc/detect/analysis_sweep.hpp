@@ -9,28 +9,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "qfc/detect/event_engine.hpp"
 
-namespace qfc::parallel {
-class WorkerPool;
-}
-
 namespace qfc::detect::analysis_detail {
-
-/// Largest chunk of signal events one analysis worker sweeps at a time.
-constexpr std::size_t kAnalysisChunkEvents = 16384;
-
-/// Pool for one analysis call or accumulator (event_engine.cpp). `num_threads` <= 0 uses
-/// (and lazily builds) the cached process-wide pool at the current
-/// set_analysis_threads request; a positive explicit count that matches the
-/// cached size reuses it, any other explicit count gets a transient pool.
-/// Callers hold the shared_ptr for the whole sweep (or, for streaming
-/// accumulators, for their whole lifetime), so a concurrent
-/// set_analysis_threads() swap cannot destroy a pool mid-run.
-std::shared_ptr<parallel::WorkerPool> analysis_pool_for(int num_threads);
 
 /// Time-ordered view over all channels of a table: one (time, channel)
 /// sequence merged across the per-channel columns.
@@ -40,16 +23,11 @@ struct MergedView {
 };
 
 /// Bottom-up pairwise merge of the per-channel columns (event_engine.cpp).
-/// When `pool` is non-null and the table is large enough, the independent
-/// pair-merges of each pass run over `parallel_for_chunks` — their output
-/// ranges are disjoint and the pass layout depends only on the offsets, so
-/// the result is bitwise identical at every pool size.
-MergedView merge_channels(const EventTable& table,
-                          parallel::WorkerPool* pool = nullptr);
+MergedView merge_channels(const EventTable& table);
 
 /// Index of the first merged-view event with t >= first signal time - reach:
 /// exactly where the monotone `lo` pointer of the full sweep would stand
-/// when it reaches this shard's first event.
+/// when it reaches that signal event.
 inline std::size_t sweep_start(const std::vector<double>& t, double first_ta,
                                double reach) {
   return static_cast<std::size_t>(

@@ -57,16 +57,18 @@ std::vector<double> SinglePhotonDetector::detect(const std::vector<double>& arri
   const std::vector<double> darks =
       generate_poisson_arrivals(params_.dark_rate_hz, duration_s, g_dark);
   double dead_last = detail::kNoClick;
-  return detail::finalize_clicks(clicks, std::numeric_limits<double>::infinity(), darks,
-                                 extra_darks, params_.dead_time_s, dead_last);
+  std::vector<double> out;
+  detail::finalize_clicks(clicks, std::numeric_limits<double>::infinity(), darks,
+                          extra_darks, params_.dead_time_s, dead_last, out);
+  return out;
 }
 
 namespace detail {
 
-std::vector<double> finalize_clicks(std::vector<double>& pending, double until_s,
-                                    const std::vector<double>& darks,
-                                    const std::vector<double>& extra_darks,
-                                    double dead_time_s, double& dead_last_s) {
+void finalize_clicks(std::vector<double>& pending, double until_s,
+                     const std::vector<double>& darks,
+                     const std::vector<double>& extra_darks, double dead_time_s,
+                     double& dead_last_s, std::vector<double>& clicks) {
   // Photon clicks are nearly sorted already (jitter is tiny vs typical
   // arrival spacing), so the is_sorted probe usually skips the sort.
   if (!std::is_sorted(pending.begin(), pending.end()))
@@ -76,16 +78,15 @@ std::vector<double> finalize_clicks(std::vector<double>& pending, double until_s
   // Darks are generated in time order, so linear merges replace
   // concatenate-and-resort; on ties photon clicks come first, then the
   // internal darks, then the schedule darks.
-  std::vector<double> clicks(static_cast<std::size_t>(split - pending.begin()) +
-                             darks.size());
+  const std::size_t head = static_cast<std::size_t>(split - pending.begin()) + darks.size();
+  clicks.resize(head + extra_darks.size());
   std::merge(pending.begin(), split, darks.begin(), darks.end(), clicks.begin());
   pending.erase(pending.begin(), split);
-  if (!extra_darks.empty()) {
-    std::vector<double> merged(clicks.size() + extra_darks.size());
-    std::merge(clicks.begin(), clicks.end(), extra_darks.begin(), extra_darks.end(),
-               merged.begin());
-    clicks.swap(merged);
-  }
+  // Schedule darks merge in from the back, in place: the write index never
+  // passes the next unread head element.
+  for (std::size_t i = head, j = extra_darks.size(), o = clicks.size(); j > 0;)
+    clicks[--o] = (i > 0 && clicks[i - 1] > extra_darks[j - 1]) ? clicks[--i]
+                                                                  : extra_darks[--j];
   if (obs::metrics_enabled() && !(darks.empty() && extra_darks.empty()))
     obs::counter("detect.darks_injected").add(darks.size() + extra_darks.size());
 
@@ -100,7 +101,6 @@ std::vector<double> finalize_clicks(std::vector<double>& pending, double until_s
     }
     clicks.resize(kept);
   }
-  return clicks;
 }
 
 }  // namespace detail

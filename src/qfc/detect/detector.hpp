@@ -96,11 +96,13 @@ constexpr double kNoClick = -1e18;
 /// internal darks and then the sorted schedule darks (ties keep that
 /// order), and drops clicks closer than `dead_time_s` to the previous kept
 /// one. `dead_last_s` carries the last kept click across calls; start it at
-/// kNoClick.
-std::vector<double> finalize_clicks(std::vector<double>& pending, double until_s,
-                                    const std::vector<double>& darks,
-                                    const std::vector<double>& extra_darks,
-                                    double dead_time_s, double& dead_last_s);
+/// kNoClick. The result replaces the contents of `clicks`, whose capacity is
+/// reused, so a windowed caller that keeps `clicks` allocates nothing once
+/// it has grown.
+void finalize_clicks(std::vector<double>& pending, double until_s,
+                     const std::vector<double>& darks,
+                     const std::vector<double>& extra_darks, double dead_time_s,
+                     double& dead_last_s, std::vector<double>& clicks);
 
 }  // namespace detail
 

@@ -1,18 +1,13 @@
 #include "qfc/detect/event_engine.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "qfc/detect/analysis_sweep.hpp"
 #include "qfc/detect/streaming.hpp"
 #include "qfc/obs/obs.hpp"
-#include "qfc/parallel/worker_pool.hpp"
 
 namespace qfc::detect {
 
@@ -85,12 +80,7 @@ EngineResult EventEngine::run(const std::vector<ChannelPairSpec>& channels) cons
 
 namespace analysis_detail {
 
-/// Minimum table size before merge_channels fans its pair-merges out over
-/// the pool: below this the per-round dispatch handshake costs more than
-/// the merge itself.
-constexpr std::size_t kMergeParallelMinEvents = std::size_t{1} << 15;
-
-MergedView merge_channels(const EventTable& table, parallel::WorkerPool* pool) {
+MergedView merge_channels(const EventTable& table) {
   QFC_OBS_SPAN("engine.analysis.merge", {{"events", table.size()}});
   MergedView m;
   const std::size_t n = table.size();
@@ -106,19 +96,14 @@ MergedView merge_channels(const EventTable& table, parallel::WorkerPool* pool) {
   // Bottom-up pairwise merge of the already-sorted channel columns:
   // ceil(log2 C) sequential passes over the data, far more cache-friendly
   // than a per-event heap. Ties take the left (lower-id) channel first.
-  // Within one pass the pair-merges read and write disjoint index ranges
-  // ([bounds[s], bounds[s+2]) each) and the next pass's bounds depend only
-  // on the current bounds, so the pairs of a pass can run in parallel
-  // without changing a single output bit (the qfc::parallel contract).
   m.t = table.time_s;
   m.ch = table.channel;
   std::vector<std::size_t> bounds = table.offsets;
   std::vector<double> tb(n);
   std::vector<std::uint32_t> cb(n);
-  const bool threaded = pool && pool->size() > 1 && n >= kMergeParallelMinEvents;
   while (bounds.size() > 2) {
     const std::size_t npairs = (bounds.size() - 1) / 2;
-    const auto merge_pair = [&](std::size_t pair) {
+    for (std::size_t pair = 0; pair < npairs; ++pair) {
       const std::size_t s = 2 * pair;
       std::size_t i = bounds[s], j = bounds[s + 1], o = bounds[s];
       const std::size_t iend = bounds[s + 1], jend = bounds[s + 2];
@@ -140,16 +125,6 @@ MergedView merge_channels(const EventTable& table, parallel::WorkerPool* pool) {
         tb[o] = m.t[j];
         cb[o] = m.ch[j];
       }
-    };
-    if (threaded && npairs > 1) {
-      parallel::parallel_for_chunks(*pool, npairs, 1,
-                                    [&](std::size_t, std::size_t begin,
-                                        std::size_t end) {
-                                      for (std::size_t p = begin; p < end; ++p)
-                                        merge_pair(p);
-                                    });
-    } else {
-      for (std::size_t p = 0; p < npairs; ++p) merge_pair(p);
     }
 
     std::vector<std::size_t> next_bounds;
@@ -176,69 +151,10 @@ MergedView merge_channels(const EventTable& table, parallel::WorkerPool* pool) {
 
 }  // namespace analysis_detail
 
-namespace {
-
-// --------------------------------------------------- analysis worker pool
-
-std::mutex analysis_pool_mutex;
-std::shared_ptr<parallel::WorkerPool> analysis_pool_instance;
-
-unsigned initial_analysis_request() {
-  if (const char* env = std::getenv("QFC_ENGINE_ANALYSIS_THREADS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 0) return static_cast<unsigned>(v);
-  }
-  return 0;  // auto
-}
-
-unsigned& analysis_request() {
-  static unsigned n = initial_analysis_request();
-  return n;
-}
-
-unsigned resolve_analysis_threads(unsigned requested) {
-  return requested > 0 ? requested : std::max(1u, std::thread::hardware_concurrency());
-}
-
-}  // namespace
-
-namespace analysis_detail {
-
-// Declared in analysis_sweep.hpp; a positive explicit count that differs
-// from the cached pool's size gets a transient pool so bench-style 1/2/4
-// sweeps cannot evict the default pool.
-std::shared_ptr<parallel::WorkerPool> analysis_pool_for(int num_threads) {
-  if (num_threads < 0)
-    throw std::invalid_argument("analysis sweep: negative thread count");
-  std::lock_guard<std::mutex> lock(analysis_pool_mutex);
-  const unsigned want = num_threads > 0
-                            ? static_cast<unsigned>(num_threads)
-                            : resolve_analysis_threads(analysis_request());
-  if (analysis_pool_instance && analysis_pool_instance->size() == want)
-    return analysis_pool_instance;
-  if (num_threads > 0)
-    return std::make_shared<parallel::WorkerPool>(want);
-  analysis_pool_instance = std::make_shared<parallel::WorkerPool>(want);
-  return analysis_pool_instance;
-}
-
-}  // namespace analysis_detail
-
-void set_analysis_threads(unsigned n) {
-  std::lock_guard<std::mutex> lock(analysis_pool_mutex);
-  analysis_request() = n;
-  analysis_pool_instance.reset();  // rebuilt lazily at the next sweep
-}
-
-unsigned analysis_threads() {
-  std::lock_guard<std::mutex> lock(analysis_pool_mutex);
-  return resolve_analysis_threads(analysis_request());
-}
-
-unsigned analysis_thread_request() {
-  std::lock_guard<std::mutex> lock(analysis_pool_mutex);
-  return analysis_request();
-}
+// The analysis sweeps are serial, so the thread knob has nothing to set.
+void set_analysis_threads(unsigned) {}
+unsigned analysis_threads() { return 1; }
+unsigned analysis_thread_request() { return 1; }
 
 const CarResult& CarMatrix::at(std::size_t s, std::size_t i) const {
   if (s >= num_signal || i >= num_idler)

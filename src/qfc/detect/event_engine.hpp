@@ -16,8 +16,8 @@
 /// car_matrix / coincidence_count_matrix / correlate_all push one
 /// whole-run window through the matching streaming accumulator. So the
 /// determinism contract is the streaming one: output is bitwise identical
-/// at every window size, generation thread count (EngineConfig::num_threads)
-/// and analysis thread count.
+/// at every window size and generation thread count
+/// (EngineConfig::num_threads). The analysis sweeps are serial.
 
 #include <cstdint>
 #include <vector>
@@ -104,11 +104,8 @@ struct EngineConfig {
   /// Worker threads for the per-channel passes; 0 = hardware concurrency.
   /// Output is bitwise independent of this value (see file comment).
   int num_threads = 0;
-  /// Analysis worker threads that travel with the run's config, for callers
-  /// to pass as the `num_threads` of the analysis helpers below or of the
-  /// streaming accumulators; 0 = the process-wide setting
-  /// (QFC_ENGINE_ANALYSIS_THREADS, else hardware concurrency). The engine
-  /// only validates it. Output is bitwise independent of this value.
+  /// Inert: the analysis sweeps are serial. Kept, and still rejected when
+  /// negative, only because the repository benchmark sets it.
   int analysis_threads = 0;
 };
 
@@ -135,25 +132,18 @@ class EventEngine {
   EngineConfig cfg_;
 };
 
-/// Process-wide worker-thread request for the merge-sweep analysis kernels
-/// (0 = auto: one per hardware thread; initial value settable via the
-/// QFC_ENGINE_ANALYSIS_THREADS environment variable, read once at first
-/// use). Changing the count never changes results — only wall-clock.
+/// Inert shims: the analysis sweeps are serial. The setter accepts any
+/// value and does nothing; both getters return 1. Kept only because the
+/// repository benchmark sets and records them.
 void set_analysis_threads(unsigned n);
-
-/// Resolved analysis worker count (the request, or hardware concurrency
-/// when the request is 0).
 unsigned analysis_threads();
-
-/// The raw request last passed to set_analysis_threads (or
-/// QFC_ENGINE_ANALYSIS_THREADS at startup): 0 means auto.
 unsigned analysis_thread_request();
 
 /// Δt histograms for the diagonal (signal k, idler k) channel pairs, all
 /// built in one merge-sweep over the two tables (one whole-run window
-/// through StreamingCorrelatorAccumulator). `num_threads` selects the
-/// sharded-sweep worker count (0 = the process-wide analysis setting);
-/// counts are bitwise identical at every thread count.
+/// through StreamingCorrelatorAccumulator). `num_threads` is inert (the
+/// sweep is serial), kept only because the repository benchmark passes it;
+/// a negative value is still rejected.
 std::vector<CoincidenceHistogram> correlate_all(const EventTable& signal,
                                                 const EventTable& idler,
                                                 double bin_width_s, double range_s,
@@ -161,8 +151,8 @@ std::vector<CoincidenceHistogram> correlate_all(const EventTable& signal,
 
 /// Windowed coincidence counts (|t_s - t_i - offset| <= window/2) for every
 /// (signal channel, idler channel) combination in a single merge-sweep.
-/// Row-major: count[s * idler.num_channels() + i]. Threading as in
-/// correlate_all.
+/// Row-major: count[s * idler.num_channels() + i]. `num_threads` is inert,
+/// as in correlate_all.
 std::vector<std::uint64_t> coincidence_count_matrix(const EventTable& signal,
                                                     const EventTable& idler,
                                                     double window_s,
@@ -180,9 +170,8 @@ struct CarMatrix {
 /// measure_car for every signal x idler combination in a single
 /// merge-sweep: peak window plus `num_side_windows` accidental windows at
 /// multiples of `side_window_spacing_s` (alternating sides), with the same
-/// counting and error semantics as measure_car. The sweep shards the signal
-/// columns across `num_threads` workers (0 = the process-wide analysis
-/// setting); every cell is bitwise identical at every thread count.
+/// counting and error semantics as measure_car. `num_threads` is inert, as
+/// in correlate_all.
 CarMatrix car_matrix(const EventTable& signal, const EventTable& idler,
                      double window_s, double side_window_spacing_s,
                      int num_side_windows = 10, int num_threads = 0);

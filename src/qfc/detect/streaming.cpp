@@ -160,6 +160,21 @@ struct ByteReader {
 
 // ----------------------------------------------------- per-channel state
 
+/// Window-sized buffers of one channel task: the arm arrivals (carried,
+/// then freshly emitted, then backgrounds) and the dark clicks. One set per
+/// thread, reused across channels and windows, so that a channel's own
+/// state holds only what carries over between windows and the generation
+/// threads allocate nothing once the largest channel window has been seen.
+struct WindowScratch {
+  PairStreams arrivals;
+  std::vector<double> darks, pwdarks;
+};
+
+WindowScratch& window_scratch() {
+  thread_local WindowScratch scratch;
+  return scratch;
+}
+
 /// One detector arm's carried state: arrivals generated but not yet pushed
 /// through detection (>= last window's arrival watermark) and clicks
 /// detected but not yet finalized (>= last window's click watermark).
@@ -171,6 +186,9 @@ struct ArmState {
   std::vector<double> pending_arrivals;
   std::vector<double> pending_clicks;
   double dead_last = detail::kNoClick;  ///< dead-time filter carry
+  /// This window's finalized clicks (not part of the snapshot); refilled
+  /// every window, keeping its capacity.
+  std::vector<double> clicks;
 
   void save(ByteWriter& w) const {
     bg.save(w);
@@ -366,7 +384,7 @@ struct EventStreamer::Impl {
     chans.reserve(n);
     for (std::size_t c = 0; c < n; ++c) {
       rng::Xoshiro256 ch = master.fork(static_cast<std::uint64_t>(c + 1));
-      chans.push_back(ChannelState{detail::fork_channel_rngs(ch), {}, {}, {}, {}, {}});
+      chans.emplace_back().rng = detail::fork_channel_rngs(ch);
     }
 
     num_windows = std::max<std::size_t>(
@@ -385,57 +403,56 @@ struct EventStreamer::Impl {
     pool = std::make_unique<parallel::WorkerPool>(num_threads);
   }
 
-  /// One arm of one channel for one window: advance backgrounds to the
-  /// arrival watermark `theta`, detect the sorted arrival prefix < theta,
-  /// advance dark schedules to the click watermark `C`, and finalize all
-  /// clicks < C through the shared merge + dead-time pass.
-  std::vector<double> process_arm(ArmState& arm, const DetectorParams& params,
-                                  double bg_rate_hz, double RateSegment::*pwbg_member,
-                                  double RateSegment::*pwdark_member,
-                                  const detail::ChannelPlan& plan, double theta, double C,
-                                  double prev_theta, double prev_c, rng::Xoshiro256& g_bg,
-                                  rng::Xoshiro256& g_pwbg, rng::Xoshiro256& g_det,
-                                  rng::Xoshiro256& g_dark, rng::Xoshiro256& g_pwdark,
-                                  std::uint64_t& violations) {
+  /// One arm of one channel for one window: `arrivals` holds the arm's
+  /// carried and freshly emitted arrivals. Advance backgrounds into it up to
+  /// the arrival watermark `theta`, detect its sorted prefix < theta (the
+  /// rest carries over), advance dark schedules to the click watermark `C`,
+  /// and finalize all clicks < C through the shared merge + dead-time pass
+  /// into arm.clicks.
+  void process_arm(ArmState& arm, std::vector<double>& arrivals, WindowScratch& scratch,
+                   const DetectorParams& params, double bg_rate_hz,
+                   double RateSegment::*pwbg_member, double RateSegment::*pwdark_member,
+                   const detail::ChannelPlan& plan, double theta, double C,
+                   double prev_theta, double prev_c, rng::Xoshiro256& g_bg,
+                   rng::Xoshiro256& g_pwbg, rng::Xoshiro256& g_det, rng::Xoshiro256& g_dark,
+                   rng::Xoshiro256& g_pwdark, std::uint64_t& violations) {
     const double T = cfg.duration_s;
     // Piecewise schedules are empty unless the spec is PiecewiseRates.
     const std::vector<RateSegment>& segments = plan.piecewise.segments;
 
     // Backgrounds are complete below theta by construction of their
-    // advance target, so they feed straight into the pending arrivals.
-    auto& pending = arm.pending_arrivals;
-    arm.bg.advance(bg_rate_hz, T, theta, g_bg, detail::push_into(pending));
-    arm.pwbg.advance(segments, pwbg_member, T, theta, g_pwbg, detail::push_into(pending));
+    // advance target, so they feed straight into the arrivals.
+    arm.bg.advance(bg_rate_hz, T, theta, g_bg, detail::push_into(arrivals));
+    arm.pwbg.advance(segments, pwbg_member, T, theta, g_pwbg, detail::push_into(arrivals));
 
     // Detect the sorted arrival prefix < theta. Concatenated across
     // windows this visits every arrival in fully sorted order, so the
     // detection stream's draws do not depend on the window size.
-    if (!std::is_sorted(pending.begin(), pending.end()))
-      std::sort(pending.begin(), pending.end());
-    const auto arr_split = std::lower_bound(pending.begin(), pending.end(), theta);
-    for (auto it = pending.begin(); it != arr_split; ++it) {
+    if (!std::is_sorted(arrivals.begin(), arrivals.end()))
+      std::sort(arrivals.begin(), arrivals.end());
+    const auto arr_split = std::lower_bound(arrivals.begin(), arrivals.end(), theta);
+    for (auto it = arrivals.begin(); it != arr_split; ++it) {
       if (*it < prev_theta) ++violations;
       double click;
       if (detect_photon_click(*it, params, T, g_det, click))
         arm.pending_clicks.push_back(click);
     }
-    pending.erase(pending.begin(), arr_split);
+    arm.pending_arrivals.assign(arr_split, arrivals.end());
 
     // Dark clicks carry no jitter, so the click watermark C is exact for
     // them: generate straight up to C and finalize everything.
-    std::vector<double> darks, pwdarks;
-    arm.dark.advance(params.dark_rate_hz, T, C, g_dark, detail::push_into(darks));
-    arm.pwdark.advance(segments, pwdark_member, T, C, g_pwdark, detail::push_into(pwdarks));
-    std::vector<double> clicks = detail::finalize_clicks(
-        arm.pending_clicks, C, darks, pwdarks, params.dead_time_s, arm.dead_last);
-    for (double t : clicks)
+    scratch.darks.clear();
+    scratch.pwdarks.clear();
+    arm.dark.advance(params.dark_rate_hz, T, C, g_dark, detail::push_into(scratch.darks));
+    arm.pwdark.advance(segments, pwdark_member, T, C, g_pwdark,
+                       detail::push_into(scratch.pwdarks));
+    detail::finalize_clicks(arm.pending_clicks, C, scratch.darks, scratch.pwdarks,
+                            params.dead_time_s, arm.dead_last, arm.clicks);
+    for (double t : arm.clicks)
       if (t < prev_c) ++violations;
-    return clicks;
   }
 
-  void process_channel(std::size_t c, double C, bool last,
-                       std::vector<double>& sig_col,
-                       std::vector<double>& idl_col) {
+  void process_channel(std::size_t c, double C, bool last) {
     QFC_OBS_SPAN("engine.stream.channel", {{"channel", c}});
     ChannelState& st = chans[c];
     const ChannelPairSpec& spec = specs[c];
@@ -446,41 +463,43 @@ struct EventStreamer::Impl {
     const double theta = last ? kInf : C + spill_jit[c];
     const double E = last ? kInf : theta + spill_pair[c];
 
-    PairStreams fresh;
+    // The carried arrivals come first; emission appends the fresh ones.
+    WindowScratch& scratch = window_scratch();
+    PairStreams& arrivals = scratch.arrivals;
+    arrivals.a.assign(st.a.pending_arrivals.begin(), st.a.pending_arrivals.end());
+    arrivals.b.assign(st.b.pending_arrivals.begin(), st.b.pending_arrivals.end());
+    const std::size_t carried = arrivals.a.size() + arrivals.b.size();
     switch (plan.mode) {
       case EmissionMode::Cw:
         st.cw.advance(plan.cw.pair_rate_hz, plan.cw.duration_s, E, st.rng.pair,
-                      detail::pair_emitter(plan.cw, fresh, st.rng.pair));
+                      detail::pair_emitter(plan.cw, arrivals, st.rng.pair));
         break;
       case EmissionMode::Pulsed:
         st.pulsed.advance(plan.pulsed, E, st.rng.pair,
-                          detail::pair_emitter(plan.pulsed, fresh, st.rng.pair));
+                          detail::pair_emitter(plan.pulsed, arrivals, st.rng.pair));
         break;
       case EmissionMode::PiecewiseRates:
         st.pw.advance(plan.piecewise.segments, &RateSegment::pair_rate_hz,
                       plan.piecewise.duration_s, E, st.rng.pair,
-                      detail::pair_emitter(plan.piecewise, fresh, st.rng.pair));
+                      detail::pair_emitter(plan.piecewise, arrivals, st.rng.pair));
         break;
     }
     if (obs::metrics_enabled())
-      obs::counter("engine.events_generated").add(fresh.a.size() + fresh.b.size());
-    st.a.pending_arrivals.insert(st.a.pending_arrivals.end(), fresh.a.begin(),
-                                 fresh.a.end());
-    st.b.pending_arrivals.insert(st.b.pending_arrivals.end(), fresh.b.begin(),
-                                 fresh.b.end());
+      obs::counter("engine.events_generated")
+          .add(arrivals.a.size() + arrivals.b.size() - carried);
 
-    sig_col = process_arm(st.a, spec.detector_signal, spec.background_rate_signal_hz,
-                          &RateSegment::background_rate_signal_hz,
-                          &RateSegment::dark_rate_signal_hz, plan, theta, C,
-                          st.prev_theta, st.prev_c, st.rng.bg_a, st.rng.pwbg_a,
-                          st.rng.det_a, st.rng.dark_a, st.rng.pwdark_a, st.violations);
-    idl_col = process_arm(st.b, spec.detector_idler, spec.background_rate_idler_hz,
-                          &RateSegment::background_rate_idler_hz,
-                          &RateSegment::dark_rate_idler_hz, plan, theta, C,
-                          st.prev_theta, st.prev_c, st.rng.bg_b, st.rng.pwbg_b,
-                          st.rng.det_b, st.rng.dark_b, st.rng.pwdark_b, st.violations);
+    process_arm(st.a, arrivals.a, scratch, spec.detector_signal,
+                spec.background_rate_signal_hz, &RateSegment::background_rate_signal_hz,
+                &RateSegment::dark_rate_signal_hz, plan, theta, C, st.prev_theta, st.prev_c,
+                st.rng.bg_a, st.rng.pwbg_a, st.rng.det_a, st.rng.dark_a, st.rng.pwdark_a,
+                st.violations);
+    process_arm(st.b, arrivals.b, scratch, spec.detector_idler,
+                spec.background_rate_idler_hz, &RateSegment::background_rate_idler_hz,
+                &RateSegment::dark_rate_idler_hz, plan, theta, C, st.prev_theta, st.prev_c,
+                st.rng.bg_b, st.rng.pwbg_b, st.rng.det_b, st.rng.dark_b, st.rng.pwdark_b,
+                st.violations);
     if (obs::metrics_enabled())
-      obs::counter("engine.clicks_kept").add(sig_col.size() + idl_col.size());
+      obs::counter("engine.clicks_kept").add(st.a.clicks.size() + st.b.clicks.size());
     st.prev_theta = theta;
     st.prev_c = C;
   }
@@ -495,14 +514,9 @@ struct EventStreamer::Impl {
         last ? cfg.duration_s
              : std::min(static_cast<double>(k + 1) * W, cfg.duration_s);
 
-    const std::size_t n = chans.size();
-    std::vector<std::vector<double>> sig_cols(n), idl_cols(n);
-    pool->run(n, [&](std::size_t c) {
-      process_channel(c, C, last, sig_cols[c], idl_cols[c]);
-    });
-
-    out.events.signal = EventTable::from_columns(std::move(sig_cols));
-    out.events.idler = EventTable::from_columns(std::move(idl_cols));
+    pool->run(chans.size(), [&](std::size_t c) { process_channel(c, C, last); });
+    collect_clicks(out.events.signal, &ChannelState::a);
+    collect_clicks(out.events.idler, &ChannelState::b);
     out.index = k;
     out.t_begin_s = t_begin;
     out.t_end_s = C;
@@ -525,6 +539,21 @@ struct EventStreamer::Impl {
     }
     reported_violations = viol;
     return true;
+  }
+
+  /// Refill `table` with every channel's finalized clicks of arm `arm`,
+  /// keeping the table's capacity across windows. The columns are sorted by
+  /// construction (finalize_clicks).
+  void collect_clicks(EventTable& table, ArmState ChannelState::*arm) const {
+    table.time_s.clear();
+    table.channel.clear();
+    table.offsets.assign(1, 0);
+    for (std::size_t c = 0; c < chans.size(); ++c) {
+      const std::vector<double>& col = (chans[c].*arm).clicks;
+      table.time_s.insert(table.time_s.end(), col.begin(), col.end());
+      table.channel.insert(table.channel.end(), col.size(), static_cast<std::uint32_t>(c));
+      table.offsets.push_back(table.time_s.size());
+    }
   }
 
   std::uint64_t total_violations() const {
@@ -625,8 +654,6 @@ void for_each_window(const EngineConfig& cfg, std::vector<ChannelPairSpec> chann
 
 namespace {
 
-using analysis_detail::kAnalysisChunkEvents;
-
 /// Repair co-sorted (time, channel) arrays after a boundary violation made
 /// an append non-monotone. Rare path (never taken at default slack).
 void co_sort(std::vector<double>& t, std::vector<std::uint32_t>& ch) {
@@ -667,41 +694,27 @@ void load_columns(ByteReader& r, std::vector<std::vector<double>>& cols) {
   for (auto& col : cols) col = r.vec_f64();
 }
 
-/// Signal events not yet resolved, per channel, and the one sharded count
-/// sweep of every coincidence analysis, batch or streamed.
+/// Signal events not yet resolved, per channel, and the one count sweep of
+/// every coincidence analysis, batch or streamed.
 struct SignalRoll {
   std::vector<std::vector<double>> pending;
 
-  /// Counts, through `count_chunk(channel, first, last, row)`, every signal
-  /// event — carried, or in the columns of `signal` (may be null) — whose
-  /// full reach lies behind `frontier`, and carries the rest. Resolved
-  /// events are swept straight from the window's columns; only the
-  /// unresolved tail is copied. The events are cut into chunks of at most
-  /// kAnalysisChunkEvents, swept in parallel into per-chunk partial rows of
-  /// `row_size` cells when the pool has more than one worker, and added into
-  /// `counts` (row `channel`) in chunk order. Counts are integers, so the
-  /// result is bitwise identical at every worker count and window size.
-  template <class ChunkFn>
+  /// Counts, through `count(channel, first, last, row)`, every signal event
+  /// — carried, or in the columns of `signal` (may be null) — whose full
+  /// reach lies behind `frontier`, into row `channel` of `counts` (rows of
+  /// `row_size` cells), and carries the rest. Resolved events are swept
+  /// straight from the window's columns; only the unresolved tail is copied.
+  /// Each channel is one serial sweep over at most two ranges (carried, then
+  /// fresh) of integer counts, so the result is bitwise identical at every
+  /// window size.
+  template <class CountFn>
   void resolve(const EventTable* signal, double frontier, double reach,
-               std::size_t row_size, parallel::WorkerPool* pool,
-               std::vector<std::uint64_t>& counts, const ChunkFn& count_chunk) {
-    struct Chunk {
-      std::size_t ch;
-      const double* first;
-      const double* last;
-    };
-    const std::size_t n = pending.size();
-    std::vector<Chunk> chunks;
-    std::vector<std::size_t> carried_resolved(n);
-    std::vector<const double*> tail(n), tail_end(n);
+               std::size_t row_size, std::vector<std::uint64_t>& counts,
+               const CountFn& count) {
     const auto resolved_end = [&](const double* b, const double* e) {
       return std::partition_point(b, e, [&](double ta) { return ta + reach < frontier; });
     };
-    const auto add_chunks = [&](std::size_t c, const double* b, const double* e) {
-      for (; b != e; b += std::min<std::ptrdiff_t>(e - b, kAnalysisChunkEvents))
-        chunks.push_back({c, b, b + std::min<std::ptrdiff_t>(e - b, kAnalysisChunkEvents)});
-    };
-    for (std::size_t c = 0; c < n; ++c) {
+    for (std::size_t c = 0; c < pending.size(); ++c) {
       auto& p = pending[c];
       const double* b = signal ? signal->channel_begin(c) : nullptr;
       const double* e = signal ? signal->channel_end(c) : nullptr;
@@ -709,45 +722,13 @@ struct SignalRoll {
         append_sorted(p, b, e);
         b = e;
       }
+      std::uint64_t* row = counts.data() + c * row_size;
       const double* p_end = resolved_end(p.data(), p.data() + p.size());
-      carried_resolved[c] = static_cast<std::size_t>(p_end - p.data());
-      add_chunks(c, p.data(), p_end);
-      tail[c] = carried_resolved[c] == p.size() ? resolved_end(b, e) : b;
-      tail_end[c] = e;
-      add_chunks(c, b, tail[c]);
-    }
-
-    const auto sweep = [&](const Chunk& ck, std::uint64_t* row) {
-      QFC_OBS_SPAN("engine.analysis.shard",
-                   {{"channel", ck.ch},
-                    {"events", static_cast<std::size_t>(ck.last - ck.first)}});
-      if (!obs::metrics_enabled()) {
-        count_chunk(ck.ch, ck.first, ck.last, row);
-        return;
-      }
-      const std::uint64_t t0 = obs::detail::now_ns();
-      count_chunk(ck.ch, ck.first, ck.last, row);
-      obs::histogram("engine.analysis.shard_ns").observe(obs::detail::now_ns() - t0);
-      obs::counter("engine.analysis.shards").increment();
-    };
-    if (!pool || pool->size() <= 1 || chunks.size() <= 1) {
-      for (const Chunk& ck : chunks) sweep(ck, counts.data() + ck.ch * row_size);
-    } else {
-      std::vector<std::vector<std::uint64_t>> partials(chunks.size());
-      pool->run(chunks.size(), [&](std::size_t i) {
-        partials[i].assign(row_size, 0);
-        sweep(chunks[i], partials[i].data());
-      });
-      for (std::size_t i = 0; i < chunks.size(); ++i) {
-        std::uint64_t* row = counts.data() + chunks[i].ch * row_size;
-        for (std::size_t j = 0; j < row_size; ++j) row[j] += partials[i][j];
-      }
-    }
-
-    for (std::size_t c = 0; c < n; ++c) {
-      auto& p = pending[c];
-      p.erase(p.begin(), p.begin() + static_cast<std::ptrdiff_t>(carried_resolved[c]));
-      p.insert(p.end(), tail[c], tail_end[c]);
+      if (p_end != p.data()) count(c, p.data(), p_end, row);
+      const double* tail = p_end == p.data() + p.size() ? resolved_end(b, e) : b;
+      if (tail != b) count(c, b, tail, row);
+      p.erase(p.begin(), p.begin() + (p_end - p.data()));
+      p.insert(p.end(), tail, e);
     }
   }
 
@@ -778,6 +759,12 @@ void trim_below(std::vector<double>& t, std::vector<std::uint32_t>* ch, double t
 void require_finite(double v, const char* who, const char* what) {
   if (!std::isfinite(v))
     throw std::invalid_argument(std::string(who) + ": non-finite " + what);
+}
+
+/// The analysis `num_threads` arguments are inert (the sweeps are serial)
+/// but a negative count is still rejected.
+void reject_negative_threads(int num_threads) {
+  if (num_threads < 0) throw std::invalid_argument("analysis sweep: negative thread count");
 }
 
 /// CAR window grid and counts of car_matrix: one row of grid.stride cells
@@ -860,7 +847,6 @@ template <class Kernel>
 struct MergedSweep {
   Kernel kernel;
   const char* name;
-  std::shared_ptr<parallel::WorkerPool> pool;
   std::size_t ns = kNoChannels, ni = kNoChannels;
   SignalRoll signal;
   std::vector<double> it;           ///< merged idler times
@@ -869,9 +855,9 @@ struct MergedSweep {
   bool finished = false;
 
   MergedSweep(Kernel k, int num_threads, const char* sweep_name)
-      : kernel(std::move(k)),
-        name(sweep_name),
-        pool(analysis_detail::analysis_pool_for(num_threads)) {}
+      : kernel(std::move(k)), name(sweep_name) {
+    reject_negative_threads(num_threads);
+  }
 
   void push(const EventTable& sig, const EventTable& idl, double frontier) {
     if (finished) throw std::logic_error(std::string(name) + ": push after finish");
@@ -884,7 +870,7 @@ struct MergedSweep {
       throw std::invalid_argument(
           "streaming accumulator: window channel count changed mid-run");
     }
-    analysis_detail::MergedView mv = analysis_detail::merge_channels(idl, pool.get());
+    analysis_detail::MergedView mv = analysis_detail::merge_channels(idl);
     if (it.empty()) {
       it.swap(mv.t);
       ich.swap(mv.ch);
@@ -899,7 +885,7 @@ struct MergedSweep {
 
   void resolve(const EventTable* sig, double frontier) {
     const double reach = kernel.reach();
-    signal.resolve(sig, frontier, reach, ni * kernel.cells(), pool.get(), counts,
+    signal.resolve(sig, frontier, reach, ni * kernel.cells(), counts,
                    [&](std::size_t, const double* a0, const double* a1, std::uint64_t* row) {
                      std::size_t lo = analysis_detail::sweep_start(it, *a0, reach);
                      for (const double* a = a0; a != a1; ++a)
@@ -954,7 +940,6 @@ template <class Kernel>
 struct DiagonalSweep {
   Kernel kernel;
   const char* name;
-  std::shared_ptr<parallel::WorkerPool> pool;
   std::size_t nch = kNoChannels;
   std::vector<std::vector<double>> idler;  ///< per-channel columns, trimmed
   SignalRoll signal;
@@ -962,9 +947,9 @@ struct DiagonalSweep {
   bool finished = false;
 
   DiagonalSweep(Kernel k, int num_threads, const char* sweep_name)
-      : kernel(std::move(k)),
-        name(sweep_name),
-        pool(analysis_detail::analysis_pool_for(num_threads)) {}
+      : kernel(std::move(k)), name(sweep_name) {
+    reject_negative_threads(num_threads);
+  }
 
   void push(const EventTable& sig, const EventTable& idl, double frontier) {
     if (finished) throw std::logic_error(std::string(name) + ": push after finish");
@@ -986,7 +971,7 @@ struct DiagonalSweep {
 
   void resolve(const EventTable* sig, double frontier) {
     const double reach = kernel.reach();
-    signal.resolve(sig, frontier, reach, kernel.cells(), pool.get(), counts,
+    signal.resolve(sig, frontier, reach, kernel.cells(), counts,
                    [&](std::size_t c, const double* a0, const double* a1,
                        std::uint64_t* row) {
                      const double* ib = idler[c].data();

@@ -13,9 +13,9 @@
 /// Determinism contract: every per-stage RNG sub-stream (channel_rng.hpp)
 /// is paused — never re-seeded or reordered — at window boundaries, and
 /// every analysis count goes through the same inline per-event functions
-/// (analysis_sweep.hpp) in integer partials. Consequently output is
-/// **bitwise identical** at every window size, and at every generation /
-/// analysis thread count.
+/// (analysis_sweep.hpp) in integer counts. Consequently output is
+/// **bitwise identical** at every window size and every generation thread
+/// count (EngineConfig::num_threads, one task per channel pair).
 ///
 /// Window boundary handling: the delay and jitter distributions have
 /// unbounded support, so a photon born inside window k can click inside
@@ -132,8 +132,9 @@ void for_each_window(const EngineConfig& cfg, std::vector<ChannelPairSpec> chann
 
 /// Online car_matrix: push every window, then finish() returns exactly
 /// what `car_matrix(signal, idler, ...)` returns for the whole run —
-/// bitwise, at every window size and every `num_threads` (0 = the
-/// process-wide analysis setting).
+/// bitwise, at every window size. The trailing `num_threads` of this and
+/// the other Streaming*Accumulator constructors is inert, as in
+/// correlate_all.
 class StreamingCarAccumulator {
  public:
   StreamingCarAccumulator(double window_s, double side_window_spacing_s,
@@ -159,8 +160,7 @@ class StreamingCarAccumulator {
 /// only, the per-channel-pair CAR a comb experiment reports. finish()
 /// returns one CarResult per channel pair, element k bitwise equal to
 /// `car_matrix(signal, idler, ...).at(k, k)` for the whole run — at every
-/// window size and every `num_threads` (0 = the process-wide analysis
-/// setting). Each signal event is swept against its own idler column only,
+/// window size. Each signal event is swept against its own idler column only,
 /// so the cost is O(events x own-channel idler density) instead of the full
 /// matrix's O(events x all-channel density), and no merged idler view is
 /// built. Constructor arguments and validation are StreamingCarAccumulator's;

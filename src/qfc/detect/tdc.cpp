@@ -19,12 +19,4 @@ double TimeToDigitalConverter::time_of(std::int64_t bin) const {
   return (static_cast<double>(bin) + 0.5) * bin_width_;
 }
 
-std::vector<std::int64_t> TimeToDigitalConverter::quantize(
-    const std::vector<double>& clicks_s) const {
-  std::vector<std::int64_t> out;
-  out.reserve(clicks_s.size());
-  for (double t : clicks_s) out.push_back(bin_of(t));
-  return out;
-}
-
 }  // namespace qfc::detect

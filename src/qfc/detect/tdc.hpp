@@ -6,7 +6,6 @@
 /// for time-bin post-selection).
 
 #include <cstdint>
-#include <vector>
 
 namespace qfc::detect {
 
@@ -21,9 +20,6 @@ class TimeToDigitalConverter {
 
   /// Bin center time.
   double time_of(std::int64_t bin) const;
-
-  /// Quantize a sorted click stream to bin indices (keeps duplicates).
-  std::vector<std::int64_t> quantize(const std::vector<double>& clicks_s) const;
 
  private:
   double bin_width_;

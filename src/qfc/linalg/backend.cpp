@@ -165,67 +165,4 @@ const char* to_string(BackendKind kind) {
   return kind == BackendKind::Blocked ? "blocked" : "reference";
 }
 
-// ------------------------------------------------- batch entry points
-// Validate once (same checks as the per-matrix entry points), then hand the
-// whole batch to the Blocked batch driver.
-
-namespace {
-
-std::vector<EigResult> validated_eig_batch(const std::vector<CMat>& as, const EigOptions& opt,
-                                           double hermiticity_tol, const char* who) {
-  for (const CMat& a : as) detail::validate_eig_input(a, hermiticity_tol, who);
-  QFC_OBS_SPAN("linalg.eig_batch", {{"count", as.size()}});
-  if (obs::metrics_enabled()) {
-    obs::counter("linalg.eig_batch.calls").increment();
-    obs::counter("linalg.eig_batch.matrices").add(as.size());
-  }
-  return detail::blocked_hermitian_eig_batch(as, opt);
-}
-
-}  // namespace
-
-std::vector<EigResult> hermitian_eig_batch(const std::vector<CMat>& as,
-                                           const EigOptions& opt,
-                                           double hermiticity_tol) {
-  return validated_eig_batch(as, opt, hermiticity_tol, "hermitian_eig_batch");
-}
-
-std::vector<RVec> hermitian_eigenvalues_batch(const std::vector<CMat>& as,
-                                              int max_sweeps) {
-  EigOptions opt;
-  opt.max_sweeps = max_sweeps;
-  opt.want_vectors = false;
-  auto full = validated_eig_batch(as, opt, 1e-9, "hermitian_eigenvalues_batch");
-  std::vector<RVec> out(full.size());
-  for (std::size_t i = 0; i < full.size(); ++i) out[i] = std::move(full[i].values);
-  return out;
-}
-
-std::vector<SvdResult> svd_batch(const std::vector<CMat>& as, int max_sweeps) {
-  for (const CMat& a : as) {
-    if (a.empty()) throw std::invalid_argument("svd_batch: empty matrix");
-    a.require_finite("svd_batch");
-  }
-  QFC_OBS_SPAN("linalg.svd_batch", {{"count", as.size()}});
-  if (obs::metrics_enabled()) {
-    obs::counter("linalg.svd_batch.calls").increment();
-    obs::counter("linalg.svd_batch.matrices").add(as.size());
-  }
-  return detail::blocked_svd_batch(as, max_sweeps);
-}
-
-std::vector<CMat> gemm_batch(const std::vector<CMat>& as, const std::vector<CMat>& bs) {
-  if (as.size() != bs.size())
-    throw std::invalid_argument("gemm_batch: operand count mismatch");
-  for (std::size_t i = 0; i < as.size(); ++i)
-    if (as[i].cols() != bs[i].rows())
-      throw std::invalid_argument("gemm_batch: shape mismatch");
-  QFC_OBS_SPAN("linalg.gemm_batch", {{"count", as.size()}});
-  if (obs::metrics_enabled()) {
-    obs::counter("linalg.gemm_batch.calls").increment();
-    obs::counter("linalg.gemm_batch.matrices").add(as.size());
-  }
-  return detail::blocked_gemm_batch(as, bs);
-}
-
 }  // namespace qfc::linalg

@@ -4,15 +4,12 @@
 /// The kernel set behind the dense linear algebra every layer above bottoms
 /// out in: Schmidt purity in `sfwm`, the qudit CGLMP/MUB stack,
 /// `tomo::rrr_reconstruct`, and `quantum::measures`. Mat<T>::operator*,
-/// kron(), hermitian_eig(), svd(), the spectral matrix functions and the
-/// batch entry points below call the Blocked kernels (`detail::blocked_*`)
-/// directly: SIMD micro-kernels, cache-blocked GEMM with a transposed-B
-/// micro-kernel, cyclic / round-robin ("chess tournament") Jacobi eig and
-/// one-sided Jacobi SVD. Each kernel is one serial code path; only the batch
-/// entry points thread, one matrix per task on the shared
-/// qfc::parallel::WorkerPool (see src/qfc/parallel/README.md), so results
-/// are bitwise identical for every thread count (the same determinism
-/// contract as detect::EventEngine).
+/// kron(), hermitian_eig(), svd() and the spectral matrix functions call the
+/// Blocked kernels (`detail::blocked_*`) directly: SIMD micro-kernels,
+/// cache-blocked GEMM with a transposed-B micro-kernel, cyclic / round-robin
+/// ("chess tournament") Jacobi eig and one-sided Jacobi SVD. Each kernel is
+/// one serial code path, and linalg never threads: callers that need
+/// parallelism run independent instances (see src/qfc/parallel/README.md).
 ///
 /// The Reference kernels (`detail::reference_*`) are the original
 /// hand-rolled single-threaded loops. The library runs them only as
@@ -20,8 +17,6 @@
 /// directly as the accuracy and speed baseline. See src/qfc/linalg/README.md.
 
 #include <cstdint>
-#include <functional>
-#include <vector>
 
 #include "qfc/linalg/hermitian_eig.hpp"
 #include "qfc/linalg/matrix.hpp"
@@ -44,16 +39,11 @@ BackendKind default_backend();
 
 const char* to_string(BackendKind kind);
 
-/// Worker threads of the Blocked backend's batch fan-out (0 = one per
-/// hardware thread, the default; initial value also settable via
-/// QFC_LINALG_THREADS). Single-matrix kernels never thread. Changing the
-/// count never changes results — only wall-clock.
+/// Inert shims: linalg never threads. The setter accepts any value and does
+/// nothing; both getters return 1. Kept only because the repository
+/// benchmark sets and records them.
 void set_backend_threads(unsigned n);
 unsigned backend_threads();
-
-/// The raw request last passed to set_backend_threads (or QFC_LINALG_THREADS
-/// at startup): 0 means auto. Lets callers save/restore the setting without
-/// collapsing "auto" to a concrete count.
 unsigned backend_thread_request();
 
 /// SIMD policy of the Blocked backend (see src/qfc/linalg/README.md).
@@ -64,25 +54,12 @@ unsigned backend_thread_request();
 /// Rotation/kron kernels replicate the scalar complex arithmetic exactly
 /// (mul/addsub, no FMA), so eig and kron are bitwise identical across SIMD
 /// modes; the planar-FMA GEMM and the vectorized SVD Gram reductions are
-/// relaxed (1e-10 parity across modes). Thread-count invariance is bitwise
-/// within any fixed mode.
+/// relaxed (1e-10 parity across modes).
 void set_simd_enabled(bool on);
 /// True when the vector path is active (requested AND CPU-supported).
 bool simd_enabled();
 /// The raw on/off request, ignoring CPU support (for save/restore).
 bool simd_request();
-
-/// Validated batch entry points over the Blocked batch drivers. Entry i of
-/// the result corresponds to input i; dimensions may differ per entry.
-/// Results are bitwise identical to the equivalent serial loop of
-/// per-matrix calls.
-std::vector<EigResult> hermitian_eig_batch(const std::vector<CMat>& as,
-                                           const EigOptions& opt = {},
-                                           double hermiticity_tol = 1e-9);
-std::vector<RVec> hermitian_eigenvalues_batch(const std::vector<CMat>& as,
-                                              int max_sweeps = 64);
-std::vector<SvdResult> svd_batch(const std::vector<CMat>& as, int max_sweeps = 96);
-std::vector<CMat> gemm_batch(const std::vector<CMat>& as, const std::vector<CMat>& bs);
 
 namespace detail {
 
@@ -108,14 +85,6 @@ std::uint64_t gemm_flops(std::size_t m, std::size_t k, std::size_t n, bool is_co
 /// multiply per element; 6 real flops for complex). Feeds the
 /// `linalg.<backend>.kron.flops` obs counters.
 std::uint64_t kron_flops(std::size_t out_elems, bool is_complex);
-
-/// Run fn(i) for every i in [0, count) with one task per index on the
-/// Blocked backend's worker pool — the only place linalg threads. The fixed
-/// index-to-task assignment plus disjoint per-index outputs make this
-/// bitwise deterministic at any worker count. Used by the Blocked batch
-/// kernels and by higher-level batch drivers (tomo, qudit, sfwm). Nested
-/// calls (from inside a task) run as a plain serial loop.
-void parallel_batch(std::size_t count, const std::function<void(std::size_t)>& fn);
 
 /// The checks every public eig entry point runs before dispatch: square,
 /// finite and Hermitian to `hermiticity_tol`; throws std::invalid_argument
@@ -151,11 +120,6 @@ EigResult blocked_hermitian_eig(const CMat& a, const EigOptions& opt);
 SvdResult blocked_svd(const CMat& a, int max_sweeps);
 void blocked_kron(const RMat& a, const RMat& b, RMat& out);
 void blocked_kron(const CMat& a, const CMat& b, CMat& out);
-std::vector<EigResult> blocked_hermitian_eig_batch(const std::vector<CMat>& as,
-                                                   const EigOptions& opt);
-std::vector<SvdResult> blocked_svd_batch(const std::vector<CMat>& as, int max_sweeps);
-std::vector<CMat> blocked_gemm_batch(const std::vector<CMat>& as,
-                                     const std::vector<CMat>& bs);
 
 /// Shared eig finalization: read the (real) diagonal of the rotated matrix,
 /// sort descending, permute the accumulated eigenvector columns alongside.

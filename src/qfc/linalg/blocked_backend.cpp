@@ -1,14 +1,10 @@
 // Blocked backend kernels: SIMD (AVX2, runtime-dispatched) complex
 // micro-kernels feeding a planar-packed GEMM, cyclic/round-robin Jacobi
 // eigendecomposition, one-sided Jacobi SVD and a cache-blocked kron, each
-// one serial code path, plus batch-of-matrices drivers that fan out across
-// matrices on the shared qfc::parallel::WorkerPool (see
-// src/qfc/parallel/README.md and src/qfc/linalg/README.md).
+// one serial code path (see src/qfc/linalg/README.md).
 //
-// Determinism: a single kernel never threads, so its floating-point
-// operation order is fixed. Batch kernels run one whole matrix per pool
-// task and write disjoint result slots, so results are bitwise identical
-// from 1 thread to N.
+// Determinism: no kernel threads, so its floating-point operation order is
+// fixed.
 //
 // SIMD policy: the rotation-pair / column-rotation / kron row-scale kernels
 // replicate the scalar std::complex arithmetic operation-for-operation
@@ -24,18 +20,14 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
-#include <memory>
-#include <mutex>
 #include <numeric>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "qfc/linalg/backend.hpp"
 #include "qfc/linalg/error.hpp"
 #include "qfc/obs/obs.hpp"
-#include "qfc/parallel/worker_pool.hpp"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define QFC_SIMD_X86 1
@@ -57,51 +49,6 @@ void count_blocked_kron(std::size_t out_elems, bool is_complex) {
   obs::counter("linalg.blocked.kron.calls").increment();
   obs::counter("linalg.blocked.kron.flops").add(detail::kron_flops(out_elems, is_complex));
 }
-
-// ------------------------------------------------------------- worker pool
-
-using parallel::WorkerPool;
-
-std::mutex pool_mutex;
-std::shared_ptr<WorkerPool> pool_instance;
-
-unsigned initial_thread_request() {
-  if (const char* env = std::getenv("QFC_LINALG_THREADS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 0) return static_cast<unsigned>(v);
-  }
-  return 0;  // auto
-}
-
-unsigned& thread_request() {
-  static unsigned n = initial_thread_request();
-  return n;
-}
-
-unsigned resolve_threads(unsigned requested) {
-  return requested > 0 ? requested : std::max(1u, std::thread::hardware_concurrency());
-}
-
-/// Callers hold the returned shared_ptr for the duration of the batch, so
-/// a concurrent set_backend_threads() swap cannot destroy a pool mid-run;
-/// concurrent runs on the same pool serialize inside WorkerPool::run.
-std::shared_ptr<WorkerPool> pool() {
-  std::lock_guard<std::mutex> lock(pool_mutex);
-  if (!pool_instance)
-    pool_instance = std::make_shared<WorkerPool>(resolve_threads(thread_request()));
-  return pool_instance;
-}
-
-// True while this thread runs a parallel_batch task. WorkerPool::run from
-// inside a task would deadlock, so a nested batch runs inline instead.
-thread_local bool in_batch_task = false;
-
-struct BatchTaskScope {
-  BatchTaskScope() { in_batch_task = true; }
-  ~BatchTaskScope() { in_batch_task = false; }
-  BatchTaskScope(const BatchTaskScope&) = delete;
-  BatchTaskScope& operator=(const BatchTaskScope&) = delete;
-};
 
 // ------------------------------------------------------------ SIMD control
 
@@ -671,21 +618,10 @@ EigResult cyclic_hermitian_eig(const CMat& input, const EigOptions& opt) {
 
 // -------------------------------------------------------------- public API
 
-void set_backend_threads(unsigned n) {
-  std::lock_guard<std::mutex> lock(pool_mutex);
-  thread_request() = n;
-  pool_instance.reset();  // rebuilt lazily at the next batch call
-}
-
-unsigned backend_threads() {
-  std::lock_guard<std::mutex> lock(pool_mutex);
-  return resolve_threads(thread_request());
-}
-
-unsigned backend_thread_request() {
-  std::lock_guard<std::mutex> lock(pool_mutex);
-  return thread_request();
-}
+// The kernels are serial, so the thread knob has nothing to set.
+void set_backend_threads(unsigned) {}
+unsigned backend_threads() { return 1; }
+unsigned backend_thread_request() { return 1; }
 
 void set_simd_enabled(bool on) {
   simd_request_slot().store(on, std::memory_order_relaxed);
@@ -926,45 +862,6 @@ void blocked_kron(const RMat& a, const RMat& b, RMat& out) {
 void blocked_kron(const CMat& a, const CMat& b, CMat& out) {
   count_blocked_kron(out.size(), true);
   blocked_kron_impl(a, b, out);
-}
-
-// ----------------------------------------------------------- batch drivers
-
-void parallel_batch(std::size_t count, const std::function<void(std::size_t)>& fn) {
-  if (count <= 1 || in_batch_task || backend_threads() <= 1) {
-    for (std::size_t i = 0; i < count; ++i) fn(i);
-    return;
-  }
-  const auto wp = pool();
-  wp->run(count, [&](std::size_t i) {
-    BatchTaskScope scope;
-    fn(i);
-  });
-}
-
-std::vector<EigResult> blocked_hermitian_eig_batch(const std::vector<CMat>& as,
-                                                   const EigOptions& opt) {
-  std::vector<EigResult> out(as.size());
-  parallel_batch(as.size(),
-                 [&](std::size_t i) { out[i] = blocked_hermitian_eig(as[i], opt); });
-  return out;
-}
-
-std::vector<SvdResult> blocked_svd_batch(const std::vector<CMat>& as, int max_sweeps) {
-  std::vector<SvdResult> out(as.size());
-  parallel_batch(as.size(),
-                 [&](std::size_t i) { out[i] = blocked_svd(as[i], max_sweeps); });
-  return out;
-}
-
-std::vector<CMat> blocked_gemm_batch(const std::vector<CMat>& as,
-                                     const std::vector<CMat>& bs) {
-  std::vector<CMat> out(as.size());
-  parallel_batch(as.size(), [&](std::size_t i) {
-    out[i] = CMat(as[i].rows(), bs[i].cols());
-    blocked_gemm(as[i], bs[i], out[i]);
-  });
-  return out;
 }
 
 }  // namespace detail

@@ -1,13 +1,11 @@
 #pragma once
 
 /// \file worker_pool.hpp
-/// Persistent worker pool shared by every threaded subsystem: the Blocked
-/// linalg backend uses it only for its batch fan-out across matrices (one
-/// task per matrix; single-matrix kernels never thread), detect::EventEngine
-/// for its per-channel generation fan-out and the sharded merge-sweep
-/// analysis kernels. A pool is created once and reused across many
-/// fork/join rounds, so dispatch must be cheap: one mutex/condvar handshake
-/// per round, tasks claimed via an atomic counter.
+/// Persistent worker pool of the library's two threaded layers: the sweep
+/// runner across scenario instances and detect::EventStreamer across comb
+/// channel pairs. A pool is created once and reused across many fork/join
+/// rounds, so dispatch must be cheap: one mutex/condvar handshake per
+/// round, tasks claimed via an atomic counter.
 ///
 /// Determinism contract: the pool itself guarantees nothing about ordering —
 /// callers must split work into tasks that write disjoint data and read only

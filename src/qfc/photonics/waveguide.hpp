@@ -28,9 +28,6 @@ namespace qfc::photonics {
 
 enum class Polarization { TE, TM };
 
-constexpr const char* polarization_name(Polarization p) {
-  return p == Polarization::TE ? "TE" : "TM";
-}
 constexpr Polarization orthogonal(Polarization p) {
   return p == Polarization::TE ? Polarization::TM : Polarization::TE;
 }

@@ -32,10 +32,6 @@ class TwoModeSqueezedVacuum {
   /// P(n pairs) = μⁿ/(1+μ)^{n+1}.
   double pair_number_probability(std::size_t n) const;
 
-  /// Unheralded second-order autocorrelation of one arm: exactly 2 for a
-  /// thermal state (useful as a test invariant).
-  double unheralded_g2() const;
-
   /// Heralded g²(0) of the signal arm given a bucket (non-number-resolving)
   /// herald detector of efficiency eta on the idler arm. For μ -> 0 this
   /// tends to 0 (single photons); multi-pair emission raises it ~ 4μ.

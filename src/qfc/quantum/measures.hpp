@@ -46,24 +46,6 @@ linalg::RVec schmidt_coefficients(const linalg::CVec& amps, std::size_t d1,
                                   std::size_t d2);
 
 // ------------------------------------------------------------------------
-// Batch variants: element i of the result equals the scalar metric applied
-// to input i (bitwise — see the linalg batch contract in
-// src/qfc/linalg/README.md), but the eig/SVD work is handed to the linalg
-// batch seam in one call, so the Blocked backend fans the matrices out
-// across its worker pool. Use these in sweeps that evaluate many small
-// states at once (witness scans, tomography/ablation sweeps).
-
-std::vector<double> von_neumann_entropy_bits_batch(const std::vector<linalg::CMat>& rhos);
-
-/// Negativity of each state over the same d1 x d2 bipartition.
-std::vector<double> negativity_batch(const std::vector<linalg::CMat>& rhos,
-                                     std::size_t d1, std::size_t d2);
-
-/// Schmidt coefficients of each pure state over the same d1 x d2 split.
-std::vector<linalg::RVec> schmidt_coefficients_batch(
-    const std::vector<linalg::CVec>& amps, std::size_t d1, std::size_t d2);
-
-// ------------------------------------------------------------------------
 // Register overloads.
 
 double purity(const DensityMatrix& rho);

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "qfc/linalg/backend.hpp"
 #include "qfc/quantum/bell.hpp"
 #include "qfc/quantum/measures.hpp"
 #include "qfc/qudit/measurement.hpp"
@@ -120,15 +119,6 @@ linalg::RVec cglmp_joint_probabilities(const quantum::DensityMatrix& rho, std::s
 double cglmp_value(const quantum::DensityMatrix& rho, const CglmpSettings& s) {
   const std::size_t d = checked_pair_dim(rho, "cglmp_value");
   return cglmp_from_probabilities(all_joint_probabilities(rho, s), d);
-}
-
-std::vector<double> cglmp_values(const std::vector<quantum::DensityMatrix>& rhos,
-                                 const CglmpSettings& s) {
-  std::vector<double> out(rhos.size(), 0.0);
-  linalg::detail::parallel_batch(rhos.size(), [&](std::size_t i) {
-    out[i] = cglmp_value(rhos[i], s);
-  });
-  return out;
 }
 
 double cglmp_max_entangled_value(std::size_t d) {

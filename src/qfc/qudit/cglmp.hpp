@@ -41,12 +41,6 @@ double cglmp_value(const quantum::DensityMatrix& rho, const CglmpSettings& s = {
 /// I_d of the maximally entangled qudit pair at the standard settings.
 double cglmp_max_entangled_value(std::size_t d);
 
-/// Batch CGLMP: element i equals cglmp_value(rhos[i], s) bitwise, with the
-/// independent evaluations fanned out across the linalg worker pool (one
-/// task per state — the shape of a visibility/noise sweep).
-std::vector<double> cglmp_values(const std::vector<quantum::DensityMatrix>& rhos,
-                                 const CglmpSettings& s = {});
-
 /// Count-based CGLMP estimate with Poisson statistics.
 struct CglmpMeasurement {
   double i_value = 0;

@@ -1,11 +1,9 @@
 #include "qfc/qudit/mub.hpp"
 
 #include <cmath>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
-#include "qfc/linalg/backend.hpp"
 #include "qfc/linalg/matrix_functions.hpp"
 #include "qfc/photonics/constants.hpp"
 #include "qfc/rng/distributions.hpp"
@@ -267,21 +265,6 @@ MubMleResult mub_maximum_likelihood(const std::vector<MubSettingCounts>& data,
   MubMleResult res{quantum::DensityMatrix(std::move(core.rho), std::move(dims), 1e-6),
                    core.iterations, core.converged, core.log_likelihood};
   return res;
-}
-
-std::vector<MubMleResult> mub_maximum_likelihood_batch(
-    const std::vector<std::vector<MubSettingCounts>>& datasets, std::size_t d,
-    std::size_t num_particles, const tomo::MleOptions& opts) {
-  // MubMleResult holds a DensityMatrix (no default constructor), so build
-  // into optionals and unwrap once every slot is filled.
-  std::vector<std::optional<MubMleResult>> slots(datasets.size());
-  linalg::detail::parallel_batch(datasets.size(), [&](std::size_t i) {
-    slots[i] = mub_maximum_likelihood(datasets[i], d, num_particles, opts);
-  });
-  std::vector<MubMleResult> out;
-  out.reserve(slots.size());
-  for (auto& s : slots) out.push_back(std::move(*s));
-  return out;
 }
 
 }  // namespace qfc::qudit

@@ -66,12 +66,4 @@ MubMleResult mub_maximum_likelihood(const std::vector<MubSettingCounts>& data,
                                     std::size_t d, std::size_t num_particles,
                                     const tomo::MleOptions& opts = {});
 
-/// Batch MUB MLE: element i equals mub_maximum_likelihood(datasets[i], d,
-/// num_particles, opts) bitwise, with independent reconstructions fanned
-/// out across the linalg worker pool — the shape of a Monte-Carlo error
-/// analysis or a noise-level sweep.
-std::vector<MubMleResult> mub_maximum_likelihood_batch(
-    const std::vector<std::vector<MubSettingCounts>>& datasets, std::size_t d,
-    std::size_t num_particles, const tomo::MleOptions& opts = {});
-
 }  // namespace qfc::qudit

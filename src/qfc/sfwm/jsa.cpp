@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "qfc/linalg/backend.hpp"
 #include "qfc/linalg/svd.hpp"
 #include "qfc/photonics/microring.hpp"
 
@@ -53,19 +52,13 @@ CMat sample_jsa(const JsaParams& p) {
   return a;
 }
 
-namespace {
-
-CMat normalized_jsa(const CMat& jsa) {
+SchmidtResult schmidt_decompose(const CMat& jsa) {
   CMat a = jsa;
   const double norm = a.frobenius_norm();
   if (norm <= 0) throw std::invalid_argument("schmidt_decompose: zero matrix");
   a *= cplx(1.0 / norm, 0);
-  return a;
-}
-
-SchmidtResult schmidt_from_sigma(linalg::RVec sigma) {
   SchmidtResult res;
-  res.coefficients = std::move(sigma);
+  res.coefficients = linalg::svd(a).sigma;
   double sum4 = 0;
   double entropy = 0;
   for (double lam : res.coefficients) {
@@ -77,23 +70,6 @@ SchmidtResult schmidt_from_sigma(linalg::RVec sigma) {
   res.purity = sum4;
   res.entropy_bits = entropy;
   return res;
-}
-
-}  // namespace
-
-SchmidtResult schmidt_decompose(const CMat& jsa) {
-  return schmidt_from_sigma(linalg::svd(normalized_jsa(jsa)).sigma);
-}
-
-std::vector<SchmidtResult> schmidt_decompose_batch(const std::vector<CMat>& jsas) {
-  std::vector<CMat> normed;
-  normed.reserve(jsas.size());
-  for (const auto& jsa : jsas) normed.push_back(normalized_jsa(jsa));
-  auto svds = linalg::svd_batch(normed);
-  std::vector<SchmidtResult> out;
-  out.reserve(svds.size());
-  for (auto& s : svds) out.push_back(schmidt_from_sigma(std::move(s.sigma)));
-  return out;
 }
 
 double heralded_purity(double pump_bandwidth_hz, double ring_linewidth_hz,

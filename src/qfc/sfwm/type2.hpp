@@ -36,9 +36,6 @@ class Type2PairSource {
   /// Suppression of stimulated FWM enforced by the TE/TM grid offset, dB.
   double stimulated_suppression_db() const;
 
-  /// TE/TM resonance offset at the pump (the design parameter).
-  double grid_offset_hz() const;
-
   double photon_linewidth_hz() const;
   double coherence_time_s() const;
 

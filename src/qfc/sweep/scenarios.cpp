@@ -233,7 +233,6 @@ ScenarioRegistry::ScenarioRegistry() {
             p, core::QkdNetworkConfig::uniform(static_cast<std::size_t>(args.num_users),
                                                args.max_distance_km,
                                                read<core::UserEndpointParams>(p)));
-        cfg.analysis_threads = 1;  // sweep workers own the parallelism
         const core::QkdNetwork network(exp, cfg);
         return io::to_json(network.run(args.duration_s));
       });

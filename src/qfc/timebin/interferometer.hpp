@@ -22,7 +22,6 @@ class UnbalancedMichelson {
 
   double delay_s() const noexcept { return delay_; }
   double phase_rad() const noexcept { return phase_; }
-  void set_phase(double phase_rad) noexcept { phase_ = phase_rad; }
 
   /// Amplitudes (a_short, a_long) a single photon acquires for taking the
   /// short/long path toward the output port: each 1/2 in a Michelson

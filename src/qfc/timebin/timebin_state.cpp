@@ -31,10 +31,4 @@ quantum::DensityMatrix noisy_pair_state(const TimebinNoiseModel& m, double pump_
   return quantum::werner_phi(state_visibility(m), pump_phase_rad);
 }
 
-quantum::DensityMatrix noisy_four_photon_state(const TimebinNoiseModel& m,
-                                               double pump_phase_rad) {
-  const quantum::DensityMatrix pair = noisy_pair_state(m, pump_phase_rad);
-  return pair.tensor(pair);
-}
-
 }  // namespace qfc::timebin

@@ -115,14 +115,4 @@ struct RrrResult {
 RrrResult rrr_reconstruct(const std::vector<ProjectorTerm>& terms,
                           const linalg::CMat& seed, const MleOptions& opts = {});
 
-/// Batch RρR: element i equals rrr_reconstruct(problems[i], seeds[i], opts)
-/// bitwise, but independent reconstructions fan out across the linalg
-/// worker pool (one task per problem, fixed assignment — see the batch
-/// contract in src/qfc/linalg/README.md). The R·ρ·R products *inside* one
-/// iteration are data-dependent and stay sequential; this parallelizes
-/// across problems, the shape of a tomography sweep.
-std::vector<RrrResult> rrr_reconstruct_batch(
-    const std::vector<std::vector<ProjectorTerm>>& problems,
-    const std::vector<linalg::CMat>& seeds, const MleOptions& opts = {});
-
 }  // namespace qfc::tomo

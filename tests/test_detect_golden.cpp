@@ -1,8 +1,7 @@
 // Golden-value test of the detection pipeline (tests/detect_golden.hpp):
 // EventEngine::run and the car_matrix / coincidence_count_matrix /
 // correlate_all analyzers must reproduce the recorded click tables and
-// counts in every emission mode, at every generation and analysis thread
-// count.
+// counts in every emission mode, at every generation thread count.
 
 #include <string>
 
@@ -24,21 +23,16 @@ TEST_P(DetectGolden, EngineAndAnalyzersReproduceRecordedValues) {
     const detect::EngineResult events =
         detect::EventEngine(golden::engine_config(gen_threads)).run(golden::specs(mode));
     golden::expect_events(events, mode);
-    for (int analysis_threads : {1, 4}) {
-      SCOPED_TRACE("analysis threads = " + std::to_string(analysis_threads));
-      golden::expect_car(
-          detect::car_matrix(events.signal, events.idler, golden::kCarWindow,
-                             golden::kCarSpacing, golden::kCarSideWindows, analysis_threads),
-          mode);
-      golden::expect_count_matrix(
-          detect::coincidence_count_matrix(events.signal, events.idler, golden::kCountWindow,
-                                           golden::kCountOffset, analysis_threads),
-          mode);
-      golden::expect_histograms(
-          detect::correlate_all(events.signal, events.idler, golden::kCorrBin,
-                                golden::kCorrRange, analysis_threads),
-          mode);
-    }
+    golden::expect_car(detect::car_matrix(events.signal, events.idler, golden::kCarWindow,
+                                          golden::kCarSpacing, golden::kCarSideWindows),
+                       mode);
+    golden::expect_count_matrix(
+        detect::coincidence_count_matrix(events.signal, events.idler, golden::kCountWindow,
+                                         golden::kCountOffset),
+        mode);
+    golden::expect_histograms(detect::correlate_all(events.signal, events.idler,
+                                                    golden::kCorrBin, golden::kCorrRange),
+                              mode);
   }
 }
 

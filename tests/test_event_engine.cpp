@@ -13,9 +13,11 @@
 #include "qfc/core/comb_source.hpp"
 #include "qfc/core/hbt.hpp"
 #include "qfc/core/qkd.hpp"
+#include "qfc/core/qkd_network.hpp"
 #include "qfc/detect/channel_rng.hpp"
 #include "qfc/detect/event_engine.hpp"
 #include "qfc/detect/event_stream.hpp"
+#include "qfc/linalg/backend.hpp"
 #include "qfc/timebin/arrival_histogram.hpp"
 
 namespace {
@@ -474,15 +476,7 @@ TEST(BatchedAnalysis, CountMatrixMatchesLegacy) {
   }
 }
 
-// ------------------------------------------------- sharded analysis threading
-
-/// Restores the process-wide analysis thread request on scope exit so tests
-/// cannot leak configuration into each other (or clobber an operator's
-/// QFC_ENGINE_ANALYSIS_THREADS setting).
-struct AnalysisThreadsGuard {
-  unsigned request = detect::analysis_thread_request();
-  ~AnalysisThreadsGuard() { detect::set_analysis_threads(request); }
-};
+// ------------------------------------------- inert analysis thread knobs
 
 void expect_car_matrices_equal(const detect::CarMatrix& a, const detect::CarMatrix& b,
                                const char* what) {
@@ -490,8 +484,8 @@ void expect_car_matrices_equal(const detect::CarMatrix& a, const detect::CarMatr
   ASSERT_EQ(a.num_idler, b.num_idler) << what;
   ASSERT_EQ(a.cells.size(), b.cells.size()) << what;
   for (std::size_t i = 0; i < a.cells.size(); ++i) {
-    // Exact (bitwise) double comparison on purpose: the sharded sweep must
-    // reproduce the single-threaded counts, not approximate them.
+    // Exact (bitwise) double comparison on purpose: the inert thread
+    // argument must not move a single count.
     EXPECT_EQ(a.cells[i].coincidences, b.cells[i].coincidences) << what << " cell " << i;
     EXPECT_EQ(a.cells[i].accidentals, b.cells[i].accidentals) << what << " cell " << i;
     EXPECT_EQ(a.cells[i].car, b.cells[i].car) << what << " cell " << i;
@@ -499,9 +493,9 @@ void expect_car_matrices_equal(const detect::CarMatrix& a, const detect::CarMatr
   }
 }
 
-/// Long enough that each busy channel spans several 16384-event shards, and
-/// with an empty channel so the zero-shard edge case is exercised too.
-EngineResult sharded_analysis_table() {
+/// A long table with an empty channel, so the zero-event sweep edge case is
+/// exercised too.
+EngineResult long_analysis_table() {
   auto specs = test_specs(3);
   ChannelPairSpec empty;
   empty.pair_rate_hz = 0;
@@ -515,8 +509,8 @@ EngineResult sharded_analysis_table() {
   return EventEngine(ec).run(specs);
 }
 
-TEST(ShardedAnalysis, CarMatrixBitwiseInvariantAcrossThreadCounts) {
-  const EngineResult res = sharded_analysis_table();
+TEST(InertAnalysisThreads, CarMatrixBitwiseInvariantAcrossThreadCounts) {
+  const EngineResult res = long_analysis_table();
   const double window = 8e-9, spacing = 100e-9;
   const auto one = detect::car_matrix(res.signal, res.idler, window, spacing, 10,
                                       /*num_threads=*/1);
@@ -528,8 +522,8 @@ TEST(ShardedAnalysis, CarMatrixBitwiseInvariantAcrossThreadCounts) {
   }
 }
 
-TEST(ShardedAnalysis, CorrelateAllBitwiseInvariantAcrossThreadCounts) {
-  const EngineResult res = sharded_analysis_table();
+TEST(InertAnalysisThreads, CorrelateAllBitwiseInvariantAcrossThreadCounts) {
+  const EngineResult res = long_analysis_table();
   const auto one = detect::correlate_all(res.signal, res.idler, 1e-9, 50e-9,
                                          /*num_threads=*/1);
   for (const int threads : {2, 4}) {
@@ -541,8 +535,8 @@ TEST(ShardedAnalysis, CorrelateAllBitwiseInvariantAcrossThreadCounts) {
   }
 }
 
-TEST(ShardedAnalysis, CountMatrixBitwiseInvariantAcrossThreadCounts) {
-  const EngineResult res = sharded_analysis_table();
+TEST(InertAnalysisThreads, CountMatrixBitwiseInvariantAcrossThreadCounts) {
+  const EngineResult res = long_analysis_table();
   const auto one =
       detect::coincidence_count_matrix(res.signal, res.idler, 8e-9, 50e-9, 1);
   for (const int threads : {2, 4})
@@ -551,48 +545,25 @@ TEST(ShardedAnalysis, CountMatrixBitwiseInvariantAcrossThreadCounts) {
         << threads << " threads";
 }
 
-TEST(ShardedAnalysis, ProcessWideSettingControlsTheDefaultPath) {
-  AnalysisThreadsGuard guard;
-  detect::set_analysis_threads(3);
-  EXPECT_EQ(detect::analysis_thread_request(), 3u);
-  EXPECT_EQ(detect::analysis_threads(), 3u);
+TEST(InertAnalysisThreads, ThreadShimsAcceptAnyRequestAndReportOne) {
+  // The analysis sweeps and linalg kernels are serial: the setters accept
+  // any request and do nothing, the getters report 1.
+  for (const unsigned n : {0u, 3u, 64u}) {
+    detect::set_analysis_threads(n);
+    linalg::set_backend_threads(n);
+    EXPECT_EQ(detect::analysis_threads(), 1u);
+    EXPECT_EQ(detect::analysis_thread_request(), 1u);
+    EXPECT_EQ(linalg::backend_threads(), 1u);
+    EXPECT_EQ(linalg::backend_thread_request(), 1u);
+  }
 
-  const EngineResult res = sharded_analysis_table();
-  const auto pinned = detect::car_matrix(res.signal, res.idler, 8e-9, 100e-9, 10, 1);
-  // num_threads = 0 routes through the process-wide request (the façades'
-  // zero-call-site-change path) and must produce the same cells.
-  const auto via_default = detect::car_matrix(res.signal, res.idler, 8e-9, 100e-9);
-  expect_car_matrices_equal(pinned, via_default, "process-wide default");
-
-  detect::set_analysis_threads(0);
-  EXPECT_EQ(detect::analysis_thread_request(), 0u);
-  EXPECT_GE(detect::analysis_threads(), 1u);  // auto resolves to hardware
-}
-
-TEST(ShardedAnalysis, ConfigAnalysisThreadsFeedTheFreeFunctions) {
-  EngineConfig ec;
-  ec.duration_s = 4.0;
-  ec.seed = 77;
-  ec.analysis_threads = 2;
-  const EngineResult res = EventEngine(ec).run(test_specs(3));
-
-  expect_car_matrices_equal(
-      detect::car_matrix(res.signal, res.idler, 8e-9, 100e-9, 10, 1),
-      detect::car_matrix(res.signal, res.idler, 8e-9, 100e-9, 10, ec.analysis_threads),
-      "config analysis threads");
-  const auto hists =
-      detect::correlate_all(res.signal, res.idler, 1e-9, 50e-9, ec.analysis_threads);
-  const auto hists1 = detect::correlate_all(res.signal, res.idler, 1e-9, 50e-9, 1);
-  ASSERT_EQ(hists.size(), hists1.size());
-  for (std::size_t c = 0; c < hists.size(); ++c)
-    EXPECT_EQ(hists[c].counts, hists1[c].counts);
-  EXPECT_EQ(
-      detect::coincidence_count_matrix(res.signal, res.idler, 8e-9, 0.0, ec.analysis_threads),
-      detect::coincidence_count_matrix(res.signal, res.idler, 8e-9, 0.0, 1));
-
+  // Negative config counts are still rejected.
   EngineConfig bad;
   bad.analysis_threads = -1;
   EXPECT_THROW(EventEngine{bad}, std::invalid_argument);
+  core::QkdNetworkConfig net = core::QkdNetworkConfig::uniform(2, 10.0);
+  net.analysis_threads = -1;
+  EXPECT_THROW(net.validate(/*num_channel_pairs=*/2), std::invalid_argument);
 }
 
 TEST(BatchedAnalysis, ValidationErrors) {

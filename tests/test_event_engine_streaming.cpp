@@ -190,14 +190,14 @@ struct StreamedRun {
 StreamedRun stream_run(const EngineConfig& ec, const std::vector<ChannelPairSpec>& specs,
                        double window_s, double car_window, double car_spacing,
                        double count_window, double count_offset, double corr_bin,
-                       double corr_range, int analysis_threads) {
+                       double corr_range) {
   StreamConfig sc;
   sc.window_s = window_s;
   EventStreamer streamer(ec, sc, specs);
-  detect::StreamingCarAccumulator car(car_window, car_spacing, 10, analysis_threads);
-  detect::StreamingCarPairsAccumulator pairs(car_window, car_spacing, 10, analysis_threads);
-  detect::StreamingCountMatrixAccumulator cm(count_window, count_offset, analysis_threads);
-  detect::StreamingCorrelatorAccumulator corr(corr_bin, corr_range, analysis_threads);
+  detect::StreamingCarAccumulator car(car_window, car_spacing);
+  detect::StreamingCarPairsAccumulator pairs(car_window, car_spacing);
+  detect::StreamingCountMatrixAccumulator cm(count_window, count_offset);
+  detect::StreamingCorrelatorAccumulator corr(corr_bin, corr_range);
   std::vector<std::vector<double>> sig(specs.size()), idl(specs.size());
   StreamWindow w;
   while (streamer.next(w)) {
@@ -223,49 +223,43 @@ StreamedRun stream_run(const EngineConfig& ec, const std::vector<ChannelPairSpec
   return r;
 }
 
-TEST_P(StreamingParity, BitwiseInvariantAcrossWindowSizesAndThreads) {
+TEST_P(StreamingParity, BitwiseInvariantAcrossWindowSizes) {
   const detect::EmissionMode mode = GetParam();
   // Reference: the whole run as one window (EventEngine::run + the
   // whole-table analyzers) on specs with an empty channel.
   const auto specs = specs_for(mode);
   const EngineConfig ec = engine_config();
   const EngineResult one = EventEngine(ec).run(specs);
-  const auto one_car =
-      detect::car_matrix(one.signal, one.idler, kCarWindow, kCarSpacing, 10, 1);
-  const auto one_counts = detect::coincidence_count_matrix(
-      one.signal, one.idler, kCarWindow, kCountOffset, 1);
-  const auto one_hists =
-      detect::correlate_all(one.signal, one.idler, kCorrBin, kCorrRange, 1);
+  const auto one_car = detect::car_matrix(one.signal, one.idler, kCarWindow, kCarSpacing);
+  const auto one_counts =
+      detect::coincidence_count_matrix(one.signal, one.idler, kCarWindow, kCountOffset);
+  const auto one_hists = detect::correlate_all(one.signal, one.idler, kCorrBin, kCorrRange);
 
   for (double window_s : parity_windows()) {
     SCOPED_TRACE("window_s = " + std::to_string(window_s));
-    for (int analysis_threads : {1, 2, 4}) {
-      SCOPED_TRACE("analysis_threads = " + std::to_string(analysis_threads));
-      const StreamedRun r = stream_run(ec, specs, window_s, kCarWindow, kCarSpacing,
-                                       kCarWindow, kCountOffset, kCorrBin, kCorrRange,
-                                       analysis_threads);
-      EXPECT_EQ(r.boundary_violations, 0u);
-      EXPECT_EQ(r.events.signal, one.signal);
-      EXPECT_EQ(r.events.idler, one.idler);
-      expect_car_equal(r.car, one_car);
-      expect_car_diagonal(r.car_pairs, one_car);
-      EXPECT_EQ(r.counts, one_counts);
-      ASSERT_EQ(r.hists.size(), one_hists.size());
-      for (std::size_t c = 0; c < r.hists.size(); ++c)
-        EXPECT_EQ(r.hists[c].counts, one_hists[c].counts) << "channel " << c;
+    const StreamedRun r = stream_run(ec, specs, window_s, kCarWindow, kCarSpacing, kCarWindow,
+                                     kCountOffset, kCorrBin, kCorrRange);
+    EXPECT_EQ(r.boundary_violations, 0u);
+    EXPECT_EQ(r.events.signal, one.signal);
+    EXPECT_EQ(r.events.idler, one.idler);
+    expect_car_equal(r.car, one_car);
+    expect_car_diagonal(r.car_pairs, one_car);
+    EXPECT_EQ(r.counts, one_counts);
+    ASSERT_EQ(r.hists.size(), one_hists.size());
+    for (std::size_t c = 0; c < r.hists.size(); ++c)
+      EXPECT_EQ(r.hists[c].counts, one_hists[c].counts) << "channel " << c;
 
-      // The same windows and thread counts reproduce the recorded values.
-      const StreamedRun g = stream_run(
-          golden::engine_config(), golden::specs(mode), window_s, golden::kCarWindow,
-          golden::kCarSpacing, golden::kCountWindow, golden::kCountOffset,
-          golden::kCorrBin, golden::kCorrRange, analysis_threads);
-      EXPECT_EQ(g.boundary_violations, 0u);
-      golden::expect_events(g.events, mode);
-      golden::expect_car(g.car, mode);
-      golden::expect_car_pairs(g.car_pairs, mode);
-      golden::expect_count_matrix(g.counts, mode);
-      golden::expect_histograms(g.hists, mode);
-    }
+    // The same windows reproduce the recorded values.
+    const StreamedRun g = stream_run(golden::engine_config(), golden::specs(mode), window_s,
+                                     golden::kCarWindow, golden::kCarSpacing,
+                                     golden::kCountWindow, golden::kCountOffset,
+                                     golden::kCorrBin, golden::kCorrRange);
+    EXPECT_EQ(g.boundary_violations, 0u);
+    golden::expect_events(g.events, mode);
+    golden::expect_car(g.car, mode);
+    golden::expect_car_pairs(g.car_pairs, mode);
+    golden::expect_count_matrix(g.counts, mode);
+    golden::expect_histograms(g.hists, mode);
   }
 }
 

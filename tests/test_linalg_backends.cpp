@@ -25,13 +25,10 @@ using qfc::linalg::EigOptions;
 using qfc::linalg::RMat;
 using qfc::linalg::RVec;
 using qfc::linalg::detail::blocked_gemm;
-using qfc::linalg::detail::blocked_gemm_batch;
 using qfc::linalg::detail::blocked_hermitian_eig;
-using qfc::linalg::detail::blocked_hermitian_eig_batch;
 using qfc::linalg::detail::blocked_kron;
 using qfc::linalg::detail::blocked_scaled_congruence;
 using qfc::linalg::detail::blocked_svd;
-using qfc::linalg::detail::blocked_svd_batch;
 using qfc::linalg::detail::reference_gemm;
 using qfc::linalg::detail::reference_hermitian_eig;
 using qfc::linalg::detail::reference_kron;
@@ -61,14 +58,6 @@ RMat random_real(std::size_t r, std::size_t c, unsigned seed) {
 }
 
 double max_abs_diff(const CMat& a, const CMat& b) { return (a - b).max_abs(); }
-
-/// Restores the thread request on scope exit so tests cannot leak
-/// configuration into each other (or clobber an operator's
-/// QFC_LINALG_THREADS setting).
-struct BackendGuard {
-  unsigned threads = qfc::linalg::backend_thread_request();
-  ~BackendGuard() { qfc::linalg::set_backend_threads(threads); }
-};
 
 // ------------------------------------------------------------- dispatch
 
@@ -208,7 +197,8 @@ TEST(BackendParity, ScaledCongruence) {
 // ----------------------------------------------- thread-count invariance
 
 TEST(BackendDeterminism, BitwiseIdenticalAcrossThreadCounts) {
-  BackendGuard guard;
+  // set_backend_threads is an inert shim: any request is accepted, the
+  // kernels stay serial and their bits do not move.
   const CMat h = random_hermitian(80, 21);
   const CMat r = random_matrix(96, 56, 22);
   const CMat ga = random_matrix(90, 70, 23);
@@ -222,7 +212,8 @@ TEST(BackendDeterminism, BitwiseIdenticalAcrossThreadCounts) {
 
   for (const unsigned threads : {2u, 4u}) {
     qfc::linalg::set_backend_threads(threads);
-    EXPECT_EQ(qfc::linalg::backend_threads(), threads);
+    EXPECT_EQ(qfc::linalg::backend_threads(), 1u);
+    EXPECT_EQ(qfc::linalg::backend_thread_request(), 1u);
     const auto eig = blocked_hermitian_eig(h, {});
     const auto svd = blocked_svd(r, 96);
     CMat gemm(90, 85);
@@ -243,7 +234,6 @@ TEST(BackendDeterminism, BlockedKernelsUnchangedAfterPoolRelocation) {
   // on fresh seeded inputs, eig (round-robin path), SVD and GEMM must match
   // Reference to 1e-10 and be bitwise identical at 1 and 5 workers, a count
   // that divides neither the matrix dimensions nor the round sizes.
-  BackendGuard guard;
   const CMat h = random_hermitian(56, 71);
   const CMat a = random_matrix(83, 61, 72);
   const CMat b = random_matrix(61, 77, 73);
@@ -335,144 +325,6 @@ TEST(BackendParity, KronDispatchCutoffIsSeamless) {
           for (std::size_t l = 0; l < b.cols(); ++l)
             ASSERT_EQ(out(i * b.rows() + k, j * b.cols() + l), a(i, j) * b(k, l))
                 << "nb=" << nb;
-  }
-}
-
-// ----------------------------------------------------------------- batch
-
-TEST(BackendBatch, EigBatchMatchesPerMatrixBitwise) {
-  const EigOptions opt;
-  std::vector<CMat> as;
-  for (unsigned i = 0; i < 12; ++i) as.push_back(random_hermitian(16, 600 + i));
-  const auto batch = blocked_hermitian_eig_batch(as, opt);
-  ASSERT_EQ(batch.size(), as.size());
-  for (std::size_t i = 0; i < as.size(); ++i) {
-    const auto single = blocked_hermitian_eig(as[i], opt);
-    EXPECT_EQ(single.values, batch[i].values) << "i=" << i;
-    EXPECT_EQ(single.vectors, batch[i].vectors) << "i=" << i;
-    const auto ref = reference_hermitian_eig(as[i], opt);
-    for (std::size_t k = 0; k < ref.values.size(); ++k)
-      EXPECT_NEAR(ref.values[k], batch[i].values[k], 1e-10) << "i=" << i;
-  }
-}
-
-TEST(BackendBatch, SvdBatchMatchesPerMatrixBitwise) {
-  std::vector<CMat> as;
-  for (unsigned i = 0; i < 8; ++i) as.push_back(random_matrix(20, 14, 640 + i));
-  const auto batch = blocked_svd_batch(as, 96);
-  ASSERT_EQ(batch.size(), as.size());
-  for (std::size_t i = 0; i < as.size(); ++i) {
-    const auto single = blocked_svd(as[i], 96);
-    EXPECT_EQ(single.sigma, batch[i].sigma) << "i=" << i;
-    EXPECT_EQ(single.u, batch[i].u) << "i=" << i;
-    EXPECT_EQ(single.v, batch[i].v) << "i=" << i;
-    const auto ref = reference_svd(as[i], 96);
-    for (std::size_t k = 0; k < ref.sigma.size(); ++k)
-      EXPECT_NEAR(ref.sigma[k], batch[i].sigma[k], 1e-10) << "i=" << i;
-  }
-}
-
-TEST(BackendBatch, GemmBatchMatchesPerMatrix) {
-  std::vector<CMat> as, bs;
-  for (unsigned i = 0; i < 6; ++i) {
-    as.push_back(random_matrix(10 + i, 8, 660 + i));
-    bs.push_back(random_matrix(8, 12 + i, 680 + i));
-  }
-  const auto batch = blocked_gemm_batch(as, bs);
-  ASSERT_EQ(batch.size(), as.size());
-  for (std::size_t i = 0; i < as.size(); ++i) {
-    CMat single(as[i].rows(), bs[i].cols());
-    blocked_gemm(as[i], bs[i], single);
-    EXPECT_EQ(single, batch[i]) << "i=" << i;
-  }
-}
-
-TEST(BackendBatch, EmptyAndMixedDimensionBatches) {
-  EXPECT_TRUE(blocked_hermitian_eig_batch({}, {}).empty());
-  EXPECT_TRUE(blocked_svd_batch({}, 96).empty());
-  EXPECT_TRUE(blocked_gemm_batch({}, {}).empty());
-
-  // Mixed dimensions in one batch: each element follows its own shape.
-  std::vector<CMat> as = {random_hermitian(4, 700), random_hermitian(17, 701),
-                          random_hermitian(48, 702)};
-  const auto eig = blocked_hermitian_eig_batch(as, {});
-  ASSERT_EQ(eig.size(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) {
-    ASSERT_EQ(eig[i].values.size(), as[i].rows()) << "i=" << i;
-    const CMat rec = blocked_scaled_congruence(eig[i].vectors, eig[i].values);
-    EXPECT_LT(max_abs_diff(rec, as[i]), 1e-10) << "i=" << i;
-  }
-
-  std::vector<CMat> rect = {random_matrix(6, 10, 710), random_matrix(30, 12, 711)};
-  const auto svds = blocked_svd_batch(rect, 96);
-  ASSERT_EQ(svds.size(), 2u);
-  EXPECT_EQ(svds[0].sigma.size(), 6u);
-  EXPECT_EQ(svds[1].sigma.size(), 12u);
-}
-
-TEST(BackendBatch, FreeFunctionsValidate) {
-  // The free entry points validate like their scalar counterparts.
-  std::vector<CMat> bad = {random_matrix(8, 8, 720)};  // not Hermitian
-  EXPECT_THROW(qfc::linalg::hermitian_eig_batch(bad), std::invalid_argument);
-  std::vector<CMat> as = {random_matrix(4, 5, 721)};
-  std::vector<CMat> bs = {random_matrix(6, 3, 722)};  // inner-dim mismatch
-  EXPECT_THROW(qfc::linalg::gemm_batch(as, bs), std::invalid_argument);
-}
-
-TEST(BackendBatch, BitwiseIdenticalAcrossThreadCounts) {
-  BackendGuard guard;
-  std::vector<CMat> hs, rects, gas, gbs;
-  for (unsigned i = 0; i < 10; ++i) {
-    hs.push_back(random_hermitian(16, 800 + i));
-    rects.push_back(random_matrix(12, 9, 820 + i));
-    gas.push_back(random_matrix(11, 7, 840 + i));
-    gbs.push_back(random_matrix(7, 13, 860 + i));
-  }
-
-  qfc::linalg::set_backend_threads(1);
-  const auto eig1 = blocked_hermitian_eig_batch(hs, {});
-  const auto svd1 = blocked_svd_batch(rects, 96);
-  const auto gemm1 = blocked_gemm_batch(gas, gbs);
-
-  for (const unsigned threads : {2u, 4u}) {
-    qfc::linalg::set_backend_threads(threads);
-    const auto eig = blocked_hermitian_eig_batch(hs, {});
-    const auto svd = blocked_svd_batch(rects, 96);
-    const auto gemm = blocked_gemm_batch(gas, gbs);
-    for (std::size_t i = 0; i < hs.size(); ++i) {
-      EXPECT_EQ(eig1[i].values, eig[i].values) << threads << " threads, i=" << i;
-      EXPECT_EQ(eig1[i].vectors, eig[i].vectors) << threads << " threads, i=" << i;
-      EXPECT_EQ(svd1[i].sigma, svd[i].sigma) << threads << " threads, i=" << i;
-      EXPECT_EQ(svd1[i].u, svd[i].u) << threads << " threads, i=" << i;
-      EXPECT_EQ(svd1[i].v, svd[i].v) << threads << " threads, i=" << i;
-      EXPECT_EQ(gemm1[i], gemm[i]) << threads << " threads, i=" << i;
-    }
-  }
-}
-
-TEST(BackendBatch, NestedBatchRunsInlineAndMatchesSerialLoop) {
-  // A batch call from inside a parallel_batch task must not re-enter the
-  // pool (WorkerPool::run from a task would deadlock); it runs inline and
-  // its results equal the plain serial loop bit for bit.
-  BackendGuard guard;
-  qfc::linalg::set_backend_threads(4);
-  std::vector<std::vector<CMat>> groups(6);
-  for (unsigned g = 0; g < groups.size(); ++g)
-    for (unsigned i = 0; i < 5; ++i)
-      groups[g].push_back(random_hermitian(i % 2 == 0 ? 12 : 44, 880 + 10 * g + i));
-
-  std::vector<std::vector<qfc::linalg::EigResult>> nested(groups.size());
-  qfc::linalg::detail::parallel_batch(groups.size(), [&](std::size_t g) {
-    nested[g] = qfc::linalg::hermitian_eig_batch(groups[g]);
-  });
-
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    ASSERT_EQ(nested[g].size(), groups[g].size());
-    for (std::size_t i = 0; i < groups[g].size(); ++i) {
-      const auto serial = blocked_hermitian_eig(groups[g][i], {});
-      EXPECT_EQ(serial.values, nested[g][i].values) << "g=" << g << " i=" << i;
-      EXPECT_EQ(serial.vectors, nested[g][i].vectors) << "g=" << g << " i=" << i;
-    }
   }
 }
 
@@ -588,16 +440,10 @@ TEST(BackendValidation, NonFiniteInputIsRejectedByEveryEigAndSvdEntryPoint) {
     for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
       CMat a = CMat::identity(n);
       a(0, 0) = bad;
-      const std::vector<CMat> as = {CMat::identity(n), a};
       expect_rejected([&] { qfc::linalg::hermitian_eig(a); }, "hermitian_eig");
       expect_rejected([&] { qfc::linalg::hermitian_eigenvalues(a); },
                       "hermitian_eigenvalues");
       expect_rejected([&] { qfc::linalg::svd(a); }, "svd");
-      expect_rejected([&] { qfc::linalg::hermitian_eig_batch(as); },
-                      "hermitian_eig_batch");
-      expect_rejected([&] { qfc::linalg::hermitian_eigenvalues_batch(as); },
-                      "hermitian_eigenvalues_batch");
-      expect_rejected([&] { qfc::linalg::svd_batch(as); }, "svd_batch");
     }
     CMat off = CMat::identity(n);  // a non-finite imaginary part, off the diagonal
     off(0, 1) = cplx(0, std::nan(""));

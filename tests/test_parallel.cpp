@@ -1,7 +1,7 @@
 // Tests for the shared qfc::parallel module: WorkerPool task execution,
 // exception propagation, round reuse, and the deterministic
-// parallel_for_chunks boundaries both threaded subsystems (linalg Blocked
-// backend, detect::EventEngine) lean on.
+// parallel_for_chunks boundaries the two pool owners (the sweep runner and
+// detect::EventStreamer) lean on.
 
 #include <algorithm>
 #include <array>

@@ -298,30 +298,4 @@ TEST(OpoModel, AboveThresholdDominatesSpontaneous) {
   EXPECT_GT(opo.output_power_w(2 * pth), 1e4 * opo.output_power_w(0.99 * pth));
 }
 
-// ------------------------------------------------------ batch sweep seams
-
-TEST(Jsa, SchmidtDecomposeBatchMatchesScalarBitwise) {
-  // The batch path normalizes each JSA and routes the SVDs through the
-  // linalg batch seam, which is bitwise identical to per-matrix svd calls.
-  std::vector<linalg::CMat> jsas;
-  for (double ratio : {0.2, 1.0, 5.0}) {
-    sfwm::JsaParams p;
-    p.pump_bandwidth_hz = ratio * 820e6;
-    p.ring_linewidth_s_hz = 820e6;
-    p.ring_linewidth_i_hz = 820e6;
-    p.grid_points = 32;
-    jsas.push_back(sfwm::sample_jsa(p));
-  }
-  const auto batch = sfwm::schmidt_decompose_batch(jsas);
-  ASSERT_EQ(batch.size(), jsas.size());
-  for (std::size_t i = 0; i < jsas.size(); ++i) {
-    const auto single = sfwm::schmidt_decompose(jsas[i]);
-    EXPECT_EQ(single.coefficients, batch[i].coefficients) << "i=" << i;
-    EXPECT_EQ(single.schmidt_number, batch[i].schmidt_number) << "i=" << i;
-    EXPECT_EQ(single.purity, batch[i].purity) << "i=" << i;
-    EXPECT_EQ(single.entropy_bits, batch[i].entropy_bits) << "i=" << i;
-  }
-  EXPECT_TRUE(sfwm::schmidt_decompose_batch({}).empty());
-}
-
 }  // namespace

@@ -325,43 +325,4 @@ TEST(Mle, MubEstimateIsTheLikelihoodMaximum) {
   EXPECT_LT(r_max, 1.0 + 1e-9);
 }
 
-// ------------------------------------------------------ batch sweep seams
-
-TEST(Tomography, RrrBatchMatchesScalarBitwise) {
-  // Each batch element must equal the scalar reconstruction exactly (the
-  // fan-out only distributes whole problems over disjoint result slots).
-  qfc::rng::Xoshiro256 g(55);
-  std::vector<std::vector<tomo::ProjectorTerm>> problems;
-  std::vector<linalg::CMat> seeds;
-  for (double v : {1.0, 0.8, 0.6}) {
-    const auto data = tomo::simulate_counts(werner_phi(v), 20000, {}, g);
-    std::vector<tomo::ProjectorTerm> terms;
-    for (const auto& d : data)
-      for (std::size_t o = 0; o < d.counts.size(); ++o) {
-        if (d.counts[o] == 0) continue;
-        terms.push_back(tomo::ProjectorTerm{tomo::outcome_vector(d.setting, o),
-                                            static_cast<double>(d.counts[o])});
-      }
-    problems.push_back(std::move(terms));
-    seeds.push_back(
-        linalg::project_to_density_matrix(tomo::linear_inversion(data)));
-  }
-
-  tomo::MleOptions opts;
-  opts.convergence_tol = 1e-6;
-  const auto batch = tomo::rrr_reconstruct_batch(problems, seeds, opts);
-  ASSERT_EQ(batch.size(), problems.size());
-  for (std::size_t i = 0; i < problems.size(); ++i) {
-    const auto single = tomo::rrr_reconstruct(problems[i], seeds[i], opts);
-    EXPECT_EQ(single.iterations, batch[i].iterations) << "i=" << i;
-    EXPECT_EQ(single.converged, batch[i].converged) << "i=" << i;
-    EXPECT_EQ(single.log_likelihood, batch[i].log_likelihood) << "i=" << i;
-    EXPECT_EQ(single.rho, batch[i].rho) << "i=" << i;
-  }
-
-  EXPECT_TRUE(tomo::rrr_reconstruct_batch({}, {}).empty());
-  EXPECT_THROW(tomo::rrr_reconstruct_batch(problems, {}, opts),
-               std::invalid_argument);
-}
-
 }  // namespace
