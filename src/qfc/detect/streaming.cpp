@@ -162,9 +162,11 @@ struct ByteReader {
 
 /// Window-sized buffers of one channel task: the arm arrivals (carried,
 /// then freshly emitted, then backgrounds) and the dark clicks. One set per
-/// thread, reused across channels and windows, so that a channel's own
-/// state holds only what carries over between windows and the generation
-/// threads allocate nothing once the largest channel window has been seen.
+/// thread, reused across channels and windows, so a channel's own state
+/// holds only its carry-over and its click columns. Per-channel copies
+/// would keep the sum of every channel's largest window resident, which
+/// grows with run length; per-thread ones stop growing once the largest
+/// channel window has been seen.
 struct WindowScratch {
   PairStreams arrivals;
   std::vector<double> darks, pwdarks;
