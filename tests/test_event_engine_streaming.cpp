@@ -4,6 +4,8 @@
 // boundary-violation accounting; and the streaming-backed core façades.
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <string>
@@ -321,36 +323,88 @@ TEST(EventStreamer, RejectsBadConfigsLikeBatch) {
   EXPECT_THROW(EventStreamer(ec, sc, bad), std::invalid_argument);
 }
 
-TEST(EventStreamer, SnapshotRestoreContinuesBitwise) {
-  const auto specs = specs_for(detect::EmissionMode::PiecewiseRates);
+/// One of each streaming accumulator, pushed, snapshotted and restored as
+/// a set; `allan` watches channel pair 0.
+struct AccumulatorSet {
+  detect::StreamingCarAccumulator car{kCarWindow, kCarSpacing, 10, 2};
+  detect::StreamingCarPairsAccumulator pairs{kCarWindow, kCarSpacing, 10, 2};
+  detect::StreamingCountMatrixAccumulator counts{kCarWindow, kCountOffset};
+  detect::StreamingCorrelatorAccumulator corr{kCorrBin, kCorrRange};
+  detect::StreamingAllanAccumulator allan{40e-9, 0.05, 0, 0};
+
+  void push(const StreamWindow& w) {
+    car.push(w);
+    pairs.push(w);
+    counts.push(w);
+    corr.push(w);
+    allan.push(w);
+  }
+  std::vector<std::vector<std::uint8_t>> snapshot() const {
+    return {car.snapshot(), pairs.snapshot(), counts.snapshot(), corr.snapshot(),
+            allan.snapshot()};
+  }
+  void restore(const std::vector<std::vector<std::uint8_t>>& blobs) {
+    car.restore(blobs.at(0));
+    pairs.restore(blobs.at(1));
+    counts.restore(blobs.at(2));
+    corr.restore(blobs.at(3));
+    allan.restore(blobs.at(4));
+  }
+};
+
+/// Every finish() of `a` equals the matching finish() of `b`, bitwise.
+void expect_same_finish(AccumulatorSet& a, AccumulatorSet& b) {
+  const detect::CarMatrix car = a.car.finish();
+  expect_car_equal(b.car.finish(), car);
+  expect_car_diagonal(a.pairs.finish(), car);
+  expect_car_diagonal(b.pairs.finish(), car);
+  EXPECT_EQ(a.counts.finish(), b.counts.finish());
+  const auto ha = a.corr.finish();
+  const auto hb = b.corr.finish();
+  ASSERT_EQ(ha.size(), hb.size());
+  for (std::size_t c = 0; c < ha.size(); ++c)
+    EXPECT_EQ(ha[c].counts, hb[c].counts) << "channel " << c;
+  const detect::StreamingAllanResult aa = a.allan.finish();
+  const detect::StreamingAllanResult ab = b.allan.finish();
+  EXPECT_EQ(aa.counts, ab.counts);
+  EXPECT_EQ(aa.mean_counts, ab.mean_counts);
+  ASSERT_EQ(aa.allan.size(), ab.allan.size());
+  for (std::size_t i = 0; i < aa.allan.size(); ++i) {
+    EXPECT_EQ(aa.allan[i].tau_s, ab.allan[i].tau_s);
+    EXPECT_EQ(aa.allan[i].sigma, ab.allan[i].sigma);
+    EXPECT_EQ(aa.allan[i].pairs, ab.allan[i].pairs);
+  }
+}
+
+class EventStreamerModes : public ::testing::TestWithParam<detect::EmissionMode> {};
+
+TEST_P(EventStreamerModes, SnapshotRestoreContinuesBitwise) {
+  const auto specs = specs_for(GetParam());
   StreamConfig sc;
   sc.window_s = 0.07;
   EventStreamer original(engine_config(), sc, specs);
-  detect::StreamingCarAccumulator car_orig(kCarWindow, kCarSpacing, 10, 2);
-  detect::StreamingCarPairsAccumulator pairs_orig(kCarWindow, kCarSpacing, 10, 2);
+  AccumulatorSet acc_orig;
 
   StreamWindow w;
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(original.next(w));
-    car_orig.push(w);
-    pairs_orig.push(w);
+    acc_orig.push(w);
   }
   const auto streamer_blob = original.snapshot();
-  const auto car_blob = car_orig.snapshot();
-  const auto pairs_blob = pairs_orig.snapshot();
+  const auto acc_blobs = acc_orig.snapshot();
   // A full-matrix blob is not a diagonal one, nor the other way round.
   detect::StreamingCarPairsAccumulator pairs_wrong(kCarWindow, kCarSpacing, 10, 2);
-  EXPECT_THROW(pairs_wrong.restore(car_blob), std::invalid_argument);
+  EXPECT_THROW(pairs_wrong.restore(acc_blobs[0]), std::invalid_argument);
   detect::StreamingCarAccumulator car_wrong(kCarWindow, kCarSpacing, 10, 2);
-  EXPECT_THROW(car_wrong.restore(pairs_blob), std::invalid_argument);
+  EXPECT_THROW(car_wrong.restore(acc_blobs[1]), std::invalid_argument);
 
   EventStreamer restored = EventStreamer::restore(streamer_blob);
   EXPECT_EQ(restored.next_window(), original.next_window());
   EXPECT_EQ(restored.num_windows(), original.num_windows());
-  detect::StreamingCarAccumulator car_rest(kCarWindow, kCarSpacing, 10, 2);
-  car_rest.restore(car_blob);
-  detect::StreamingCarPairsAccumulator pairs_rest(kCarWindow, kCarSpacing, 10, 2);
-  pairs_rest.restore(pairs_blob);
+  EXPECT_EQ(restored.snapshot(), streamer_blob);
+  AccumulatorSet acc_rest;
+  acc_rest.restore(acc_blobs);
+  EXPECT_EQ(acc_rest.snapshot(), acc_blobs);
 
   StreamWindow wo, wr;
   while (original.next(wo)) {
@@ -358,17 +412,108 @@ TEST(EventStreamer, SnapshotRestoreContinuesBitwise) {
     EXPECT_EQ(wr.index, wo.index);
     EXPECT_EQ(wr.events.signal, wo.events.signal);
     EXPECT_EQ(wr.events.idler, wo.events.idler);
-    car_orig.push(wo);
-    car_rest.push(wr);
-    pairs_orig.push(wo);
-    pairs_rest.push(wr);
+    acc_orig.push(wo);
+    acc_rest.push(wr);
   }
   EXPECT_FALSE(restored.next(wr));
-  const detect::CarMatrix car_full = car_orig.finish();
-  expect_car_equal(car_rest.finish(), car_full);
-  const auto pairs_full = pairs_orig.finish();
-  expect_car_diagonal(pairs_full, car_full);
-  expect_car_diagonal(pairs_rest.finish(), car_full);
+  EXPECT_EQ(restored.boundary_violations(), original.boundary_violations());
+  expect_same_finish(acc_orig, acc_rest);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllEmissionModes, EventStreamerModes,
+                         ::testing::Values(detect::EmissionMode::Cw,
+                                           detect::EmissionMode::Pulsed,
+                                           detect::EmissionMode::PiecewiseRates));
+
+/// FNV-1a-64 of a blob.
+std::uint64_t fnv1a64(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(EventStreamer, SnapshotBlobFormatIsPinned) {
+  // Blobs are host-endian; the recorded bytes are little-endian.
+  if constexpr (std::endian::native != std::endian::little)
+    GTEST_SKIP() << "snapshot blobs are host-endian";
+
+  // Streamer: one channel pair per emission mode, every field distinct and
+  // every rate zero, snapshotted after one window. Nothing is sampled, so
+  // the blob holds no libm-derived value and pins the same bytes on every
+  // little-endian host, while the forked RNG streams, the finished
+  // samplers, the piecewise segment counters and the watermarks are all
+  // non-trivial.
+  std::vector<ChannelPairSpec> specs(3);
+  for (std::size_t c = 0; c < specs.size(); ++c) {
+    ChannelPairSpec& s = specs[c];
+    const double k = static_cast<double>(c + 1);
+    s.linewidth_hz = 100e6 * k;
+    s.transmission_signal = 0.5 + 0.1 * k;
+    s.transmission_idler = 0.25 + 0.1 * k;
+    s.detector_signal = {0.2 * k, 0.0, 50e-12 * k, 1e-6 * k};
+    s.detector_idler = {0.1 * k, 0.0, 70e-12 * k, 2e-6 * k};
+  }
+  specs[1].emission = detect::EmissionMode::Pulsed;
+  specs[1].pulsed = {1e6, 0.0, 20e-12, 300e-12, 0.375};
+  specs[2].emission = detect::EmissionMode::PiecewiseRates;
+  specs[2].segments = {{0.125, 0, 0, 0, 0, 0}, {0.5, 0, 0, 0, 0, 0}};
+  EngineConfig ec = engine_config(2);
+  StreamConfig sc;
+  sc.window_s = 0.2;
+  EventStreamer streamer(ec, sc, specs);
+  StreamWindow w;
+  ASSERT_TRUE(streamer.next(w));
+
+  // Accumulators: two hand-made windows of exactly given click times over
+  // two channel pairs, so each blob has resolved counts and carried events.
+  const auto window = [](std::size_t index, double t_end,
+                         std::vector<std::vector<double>> sig,
+                         std::vector<std::vector<double>> idl) {
+    StreamWindow out;
+    out.index = index;
+    out.t_end_s = t_end;
+    out.events.signal = EventTable::from_columns(std::move(sig));
+    out.events.idler = EventTable::from_columns(std::move(idl));
+    return out;
+  };
+  const StreamWindow w0 = window(0, 1e-6, {{100e-9, 300e-9, 900e-9}, {150e-9, 950e-9}},
+                                 {{102e-9, 420e-9, 905e-9}, {149e-9, 700e-9}});
+  const StreamWindow w1 = window(1, 2e-6, {{1.1e-6, 1.9e-6}, {1.5e-6, 1.95e-6}},
+                                 {{1.103e-6, 1.6e-6, 1.899e-6}, {1.52e-6, 1.99e-6}});
+  detect::StreamingCarAccumulator car(kCarWindow, kCarSpacing, 10, 1);
+  detect::StreamingCarPairsAccumulator pairs(kCarWindow, kCarSpacing, 10, 1);
+  detect::StreamingCountMatrixAccumulator counts(100e-9, 400e-9);
+  detect::StreamingCorrelatorAccumulator corr(1e-9, 20e-9);
+  detect::StreamingAllanAccumulator allan(4e-9, 0.75e-6, 0, 1);
+  for (const StreamWindow* win : {&w0, &w1}) {
+    car.push(*win);
+    pairs.push(*win);
+    counts.push(*win);
+    corr.push(*win);
+    allan.push(*win);
+  }
+
+  struct Pin {
+    const char* kind;
+    std::vector<std::uint8_t> blob;
+    std::size_t size;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {
+      {"streamer", streamer.snapshot(), 2502, 0x957cfc05b4b1a99eull},
+      {"car", car.snapshot(), 509, 0x517026c1762fb82bull},
+      {"count_matrix", counts.snapshot(), 189, 0x47e44add2c3972c8ull},
+      {"correlator", corr.snapshot(), 737, 0x55354776287647e2ull},
+      {"allan", allan.snapshot(), 89, 0x3fe995dc07938787ull},
+      {"car_pairs", pairs.snapshot(), 305, 0x492618eb22133394ull},
+  };
+  for (const Pin& p : pins) {
+    EXPECT_EQ(p.blob.size(), p.size) << p.kind;
+    EXPECT_EQ(fnv1a64(p.blob), p.hash) << p.kind;
+  }
 }
 
 TEST(EventStreamer, SnapshotRejectsCorruptBlobs) {
