@@ -1,6 +1,7 @@
 #include "qfc/detect/detector.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -11,11 +12,16 @@
 namespace qfc::detect {
 
 void DetectorParams::validate() const {
-  if (efficiency < 0 || efficiency > 1)
+  // Written so that NaN fails each check; rates and times must be finite.
+  const auto non_negative = [](double x) { return std::isfinite(x) && x >= 0; };
+  if (!(efficiency >= 0 && efficiency <= 1))
     throw std::invalid_argument("DetectorParams: efficiency outside [0,1]");
-  if (dark_rate_hz < 0) throw std::invalid_argument("DetectorParams: negative dark rate");
-  if (jitter_sigma_s < 0) throw std::invalid_argument("DetectorParams: negative jitter");
-  if (dead_time_s < 0) throw std::invalid_argument("DetectorParams: negative dead time");
+  if (!non_negative(dark_rate_hz))
+    throw std::invalid_argument("DetectorParams: negative or non-finite dark rate");
+  if (!non_negative(jitter_sigma_s))
+    throw std::invalid_argument("DetectorParams: negative or non-finite jitter");
+  if (!non_negative(dead_time_s))
+    throw std::invalid_argument("DetectorParams: negative or non-finite dead time");
 }
 
 SinglePhotonDetector::SinglePhotonDetector(DetectorParams params) : params_(params) {

@@ -12,9 +12,9 @@
 ///
 /// `emit(t)` receives each event time in order. Pair emission passes
 /// pair_emitter(), whose per-pair draws come from the same stream right
-/// after the time draw, exactly as in one uninterrupted loop. save()/load()
-/// serialize the sampler position through any writer/reader with
-/// f64/u64/boolean members (the snapshot blobs of streaming.cpp).
+/// after the time draw, exactly as in one uninterrupted loop. Each sampler's
+/// `fields` lists its position once, in snapshot order; the blob writer and
+/// reader of streaming.cpp both visit that list.
 
 #include <algorithm>
 #include <cmath>
@@ -53,15 +53,8 @@ struct ExpState {
     if (next >= duration_s) done = true;
   }
 
-  template <class W> void save(W& w) const {
-    w.f64(next);
-    w.boolean(primed);
-    w.boolean(done);
-  }
-  template <class R> void load(R& r) {
-    next = r.f64();
-    primed = r.boolean();
-    done = r.boolean();
+  template <class Self, class Ar> static void fields(Self& s, Ar& ar) {
+    ar(s.next, s.primed, s.done);
   }
 };
 
@@ -108,19 +101,8 @@ struct PwState {
     }
   }
 
-  template <class W> void save(W& w) const {
-    w.u64(seg);
-    w.f64(seg_start);
-    w.f64(next);
-    w.boolean(primed);
-    w.boolean(done);
-  }
-  template <class R> void load(R& r) {
-    seg = r.u64();
-    seg_start = r.f64();
-    next = r.f64();
-    primed = r.boolean();
-    done = r.boolean();
+  template <class Self, class Ar> static void fields(Self& s, Ar& ar) {
+    ar(s.seg, s.seg_start, s.next, s.primed, s.done);
   }
 };
 
@@ -172,15 +154,8 @@ struct PulsedState {
     }
   }
 
-  template <class W> void save(W& w) const {
-    w.f64(pulse);
-    w.boolean(primed);
-    w.boolean(done);
-  }
-  template <class R> void load(R& r) {
-    pulse = r.f64();
-    primed = r.boolean();
-    done = r.boolean();
+  template <class Self, class Ar> static void fields(Self& s, Ar& ar) {
+    ar(s.pulse, s.primed, s.done);
   }
 };
 

@@ -6,14 +6,24 @@
 /// validated kernel-parameter structs for a ChannelPairSpec. Not installed
 /// API; include only from qfc::detect translation units.
 
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "qfc/detect/event_engine.hpp"
 #include "qfc/detect/event_stream.hpp"
 
-#include <string>
-
 namespace qfc::detect::detail {
+
+/// The EngineConfig checks of EventEngine and EventStreamer. The duration
+/// must be finite: it sets the window count.
+inline void check_engine_config(const EngineConfig& cfg) {
+  if (!(std::isfinite(cfg.duration_s) && cfg.duration_s > 0))
+    throw std::invalid_argument("EngineConfig: duration <= 0 or non-finite");
+  if (cfg.num_threads < 0) throw std::invalid_argument("EngineConfig: negative thread count");
+  if (cfg.analysis_threads < 0)
+    throw std::invalid_argument("EngineConfig: negative analysis thread count");
+}
 
 /// Per-channel generation plan, fully validated before any parallel work.
 struct ChannelPlan {
@@ -74,8 +84,9 @@ inline ChannelPlan make_plan(const ChannelPairSpec& spec, double duration_s) {
 inline ChannelPlan make_checked_plan(const ChannelPairSpec& spec, double duration_s,
                                      std::size_t channel) {
   try {
-    if (spec.background_rate_signal_hz < 0 || spec.background_rate_idler_hz < 0)
-      throw std::invalid_argument("ChannelPairSpec: negative background rate");
+    for (double rate : {spec.background_rate_signal_hz, spec.background_rate_idler_hz})
+      if (!(std::isfinite(rate) && rate >= 0))
+        throw std::invalid_argument("ChannelPairSpec: negative or non-finite background rate");
     spec.detector_signal.validate();
     spec.detector_idler.validate();
     return make_plan(spec, duration_s);

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "qfc/detect/analysis_sweep.hpp"
+#include "qfc/detect/engine_plan.hpp"
 #include "qfc/detect/streaming.hpp"
 #include "qfc/obs/obs.hpp"
 
@@ -55,14 +56,7 @@ EventTable EventTable::from_columns(std::vector<std::vector<double>> per_channel
 
 // --------------------------------------------------------------- EventEngine
 
-EventEngine::EventEngine(EngineConfig cfg) : cfg_(cfg) {
-  if (cfg_.duration_s <= 0)
-    throw std::invalid_argument("EngineConfig: duration <= 0");
-  if (cfg_.num_threads < 0)
-    throw std::invalid_argument("EngineConfig: negative thread count");
-  if (cfg_.analysis_threads < 0)
-    throw std::invalid_argument("EngineConfig: negative analysis thread count");
-}
+EventEngine::EventEngine(EngineConfig cfg) : cfg_(cfg) { detail::check_engine_config(cfg_); }
 
 EngineResult EventEngine::run(const std::vector<ChannelPairSpec>& channels) const {
   QFC_OBS_SPAN("engine.run", {{"channels", channels.size()}});

@@ -1,20 +1,42 @@
 #include "qfc/detect/event_stream.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "qfc/detect/emission_samplers.hpp"
 #include "qfc/rng/distributions.hpp"
 
 namespace qfc::detect {
 
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// Each check is written so that NaN fails it; a rate, width or duration
+// must also be finite (an infinite rate never advances a Poisson clock).
+bool non_negative(double x) { return std::isfinite(x) && x >= 0; }
+bool positive(double x) { return std::isfinite(x) && x > 0; }
+bool fraction(double x) { return x >= 0 && x <= 1; }
+
+/// The checks the three pair-stream parameter structs share.
+template <class Params>
+void validate_pair_stream(const Params& p, const std::string& who) {
+  if (!positive(p.linewidth_hz))
+    throw std::invalid_argument(who + ": linewidth <= 0 or non-finite");
+  if (!positive(p.duration_s)) throw std::invalid_argument(who + ": duration <= 0 or non-finite");
+  if (!fraction(p.transmission_a) || !fraction(p.transmission_b))
+    throw std::invalid_argument(who + ": transmission outside [0,1]");
+}
+
+}  // namespace
+
 void PairStreamParams::validate() const {
-  if (pair_rate_hz < 0) throw std::invalid_argument("PairStreamParams: negative rate");
-  if (linewidth_hz <= 0) throw std::invalid_argument("PairStreamParams: linewidth <= 0");
-  if (duration_s <= 0) throw std::invalid_argument("PairStreamParams: duration <= 0");
-  if (transmission_a < 0 || transmission_a > 1 || transmission_b < 0 || transmission_b > 1)
-    throw std::invalid_argument("PairStreamParams: transmission outside [0,1]");
+  if (!non_negative(pair_rate_hz))
+    throw std::invalid_argument("PairStreamParams: negative or non-finite rate");
+  validate_pair_stream(*this, "PairStreamParams");
 }
 
 namespace detail {
@@ -35,8 +57,6 @@ void emit_pair(double t0, double delay_scale, double duration_s, double transmis
 }  // namespace detail
 
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// The pair emission times are generated in order and the signal-idler
 /// delay is ~1/(2π δν), usually far below the mean pair spacing: both
@@ -62,31 +82,30 @@ PairStreams generate_pair_arrivals(const PairStreamParams& p, rng::Xoshiro256& g
 
 std::vector<double> generate_poisson_arrivals(double rate_hz, double duration_s,
                                               rng::Xoshiro256& g) {
-  if (rate_hz < 0) throw std::invalid_argument("generate_poisson_arrivals: negative rate");
-  if (duration_s <= 0) throw std::invalid_argument("generate_poisson_arrivals: duration <= 0");
+  if (!non_negative(rate_hz))
+    throw std::invalid_argument("generate_poisson_arrivals: negative or non-finite rate");
+  if (!positive(duration_s))
+    throw std::invalid_argument("generate_poisson_arrivals: duration <= 0 or non-finite");
   std::vector<double> out;
   detail::ExpState{}.advance(rate_hz, duration_s, kInf, g, detail::push_into(out));
   return out;
 }
 
 void PulsedStreamParams::validate() const {
-  if (repetition_rate_hz <= 0)
-    throw std::invalid_argument("PulsedStreamParams: repetition rate <= 0");
-  if (mean_pairs_per_pulse < 0)
-    throw std::invalid_argument("PulsedStreamParams: negative mean pairs per pulse");
-  if (pulse_sigma_s < 0)
-    throw std::invalid_argument("PulsedStreamParams: negative pulse jitter");
-  if (bin_separation_s < 0)
-    throw std::invalid_argument("PulsedStreamParams: negative bin separation");
+  if (!positive(repetition_rate_hz))
+    throw std::invalid_argument("PulsedStreamParams: repetition rate <= 0 or non-finite");
+  if (!non_negative(mean_pairs_per_pulse))
+    throw std::invalid_argument("PulsedStreamParams: negative or non-finite mean pairs per pulse");
+  if (!non_negative(pulse_sigma_s))
+    throw std::invalid_argument("PulsedStreamParams: negative or non-finite pulse jitter");
+  if (!non_negative(bin_separation_s))
+    throw std::invalid_argument("PulsedStreamParams: negative or non-finite bin separation");
   if (bin_separation_s >= 1.0 / repetition_rate_hz)
     throw std::invalid_argument(
         "PulsedStreamParams: bin separation >= repetition period");
-  if (late_fraction < 0 || late_fraction > 1)
+  if (!fraction(late_fraction))
     throw std::invalid_argument("PulsedStreamParams: late fraction outside [0,1]");
-  if (linewidth_hz <= 0) throw std::invalid_argument("PulsedStreamParams: linewidth <= 0");
-  if (duration_s <= 0) throw std::invalid_argument("PulsedStreamParams: duration <= 0");
-  if (transmission_a < 0 || transmission_a > 1 || transmission_b < 0 || transmission_b > 1)
-    throw std::invalid_argument("PulsedStreamParams: transmission outside [0,1]");
+  validate_pair_stream(*this, "PulsedStreamParams");
 }
 
 PairStreams generate_pulsed_pair_arrivals(const PulsedStreamParams& p,
@@ -105,12 +124,12 @@ void validate_segments(const std::vector<RateSegment>& segments, double duration
     throw std::invalid_argument("RateSegment schedule: no segments");
   double total = 0;
   for (const RateSegment& seg : segments) {
-    if (seg.duration_s <= 0)
-      throw std::invalid_argument("RateSegment: segment duration <= 0");
-    if (seg.pair_rate_hz < 0 || seg.background_rate_signal_hz < 0 ||
-        seg.background_rate_idler_hz < 0 || seg.dark_rate_signal_hz < 0 ||
-        seg.dark_rate_idler_hz < 0)
-      throw std::invalid_argument("RateSegment: negative rate");
+    if (!positive(seg.duration_s))
+      throw std::invalid_argument("RateSegment: segment duration <= 0 or non-finite");
+    if (!non_negative(seg.pair_rate_hz) || !non_negative(seg.background_rate_signal_hz) ||
+        !non_negative(seg.background_rate_idler_hz) ||
+        !non_negative(seg.dark_rate_signal_hz) || !non_negative(seg.dark_rate_idler_hz))
+      throw std::invalid_argument("RateSegment: negative or non-finite rate");
     total += seg.duration_s;
   }
   // Tiny relative slack so schedules assembled as duration/n sums are not
@@ -124,11 +143,7 @@ void validate_segments(const std::vector<RateSegment>& segments, double duration
 
 void PiecewiseStreamParams::validate() const {
   validate_segments(segments, duration_s);
-  if (linewidth_hz <= 0)
-    throw std::invalid_argument("PiecewiseStreamParams: linewidth <= 0");
-  if (duration_s <= 0) throw std::invalid_argument("PiecewiseStreamParams: duration <= 0");
-  if (transmission_a < 0 || transmission_a > 1 || transmission_b < 0 || transmission_b > 1)
-    throw std::invalid_argument("PiecewiseStreamParams: transmission outside [0,1]");
+  validate_pair_stream(*this, "PiecewiseStreamParams");
 }
 
 PairStreams generate_piecewise_pair_arrivals(const PiecewiseStreamParams& p,
@@ -144,8 +159,8 @@ PairStreams generate_piecewise_pair_arrivals(const PiecewiseStreamParams& p,
 std::vector<double> generate_piecewise_poisson_arrivals(
     const std::vector<RateSegment>& segments, double RateSegment::*rate,
     double duration_s, rng::Xoshiro256& g) {
-  if (duration_s <= 0)
-    throw std::invalid_argument("generate_piecewise_poisson_arrivals: duration <= 0");
+  if (!positive(duration_s))
+    throw std::invalid_argument("generate_piecewise_poisson_arrivals: duration <= 0 or non-finite");
   validate_segments(segments, duration_s);
   std::vector<double> out;
   detail::PwState{}.advance(segments, rate, duration_s, kInf, g, detail::push_into(out));

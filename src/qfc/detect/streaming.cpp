@@ -1,14 +1,20 @@
 #include "qfc/detect/streaming.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
+#include <concepts>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <numeric>
+#include <ranges>
+#include <span>
 #include <string>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
 #include "qfc/detect/analysis_sweep.hpp"
@@ -31,8 +37,11 @@ constexpr std::size_t kNoChannels = static_cast<std::size_t>(-1);
 // ------------------------------------------------------------- snapshots
 //
 // Versioned host-endian binary blobs: "QFCS" magic, u32 version, u8 kind,
-// then the kind-specific state. Restore re-validates configs through the
-// normal constructors, then overwrites the mutable state.
+// then the kind-specific state. Every snapshotted struct declares its
+// fields once, in blob order, as a field list that both ByteWriter and
+// ByteReader visit, so snapshot and restore cannot disagree. Restore
+// re-validates configs through the normal constructors, then overwrites
+// the mutable state.
 
 constexpr std::uint32_t kSnapshotVersion = 1;
 enum SnapshotKind : std::uint8_t {
@@ -44,47 +53,104 @@ enum SnapshotKind : std::uint8_t {
   kKindCarPairs = 5,
 };
 
+/// `Self` is `T`, const or not: a field list serves writing and reading.
+template <class Self, class T>
+concept Either = std::same_as<std::remove_const_t<Self>, T>;
+
+// Field lists of the public config types, kept here so the snapshot
+// layout stays private.
+template <Either<DetectorParams> Self, class Ar> void fields(Self& s, Ar& ar) {
+  ar(s.efficiency, s.dark_rate_hz, s.jitter_sigma_s, s.dead_time_s);
+}
+template <Either<PulsedEmission> Self, class Ar> void fields(Self& s, Ar& ar) {
+  ar(s.repetition_rate_hz, s.mean_pairs_per_pulse, s.pulse_sigma_s, s.bin_separation_s,
+     s.late_fraction);
+}
+template <Either<RateSegment> Self, class Ar> void fields(Self& s, Ar& ar) {
+  ar(s.duration_s, s.pair_rate_hz, s.background_rate_signal_hz, s.background_rate_idler_hz,
+     s.dark_rate_signal_hz, s.dark_rate_idler_hz);
+}
+template <Either<ChannelPairSpec> Self, class Ar> void fields(Self& s, Ar& ar) {
+  ar(s.pair_rate_hz, s.linewidth_hz, s.transmission_signal, s.transmission_idler,
+     s.background_rate_signal_hz, s.background_rate_idler_hz, s.detector_signal,
+     s.detector_idler, s.emission, s.pulsed, s.segments);
+}
+template <Either<EngineConfig> Self, class Ar> void fields(Self& s, Ar& ar) {
+  ar(s.duration_s, s.seed, s.num_threads, s.analysis_threads);
+}
+template <Either<StreamConfig> Self, class Ar> void fields(Self& s, Ar& ar) {
+  ar(s.window_s, s.slack_override_s);
+}
+
+/// Visits the field list of `s`: its static member `fields` (internal
+/// state types), else the free overload above (public config types).
+template <class Self, class Ar>
+void visit_fields(Self& s, Ar& ar) {
+  if constexpr (requires { std::remove_const_t<Self>::fields(s, ar); })
+    std::remove_const_t<Self>::fields(s, ar);
+  else
+    fields(s, ar);
+}
+
+template <class T> constexpr bool kIsVector = false;
+template <class T> constexpr bool kIsVector<std::vector<T>> = true;
+
+/// Encodes field lists. Unsigned integers are stored as themselves, int as
+/// u64, double as its bit pattern, bool and EmissionMode as u8, a generator
+/// as its 4×u64 state, a vector as a u64 length and its elements, any other
+/// range (a span, an array) as its elements alone, and a struct as its
+/// field list.
 struct ByteWriter {
   std::vector<std::uint8_t> buf;
 
-  void u8(std::uint8_t v) { buf.push_back(v); }
-  void u32(std::uint32_t v) {
-    const auto old = buf.size();
-    buf.resize(old + sizeof v);
-    std::memcpy(buf.data() + old, &v, sizeof v);
+  template <class... Ts>
+  void operator()(const Ts&... values) {
+    (put(values), ...);
   }
-  void u64(std::uint64_t v) {
-    const auto old = buf.size();
-    buf.resize(old + sizeof v);
-    std::memcpy(buf.data() + old, &v, sizeof v);
-  }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-  void boolean(bool v) { u8(v ? 1 : 0); }
-  void vec_f64(const std::vector<double>& v) {
-    u64(v.size());
-    for (double x : v) f64(x);
-  }
-  void vec_u64(const std::vector<std::uint64_t>& v) {
-    u64(v.size());
-    for (std::uint64_t x : v) u64(x);
-  }
-  void vec_u32(const std::vector<std::uint32_t>& v) {
-    u64(v.size());
-    for (std::uint32_t x : v) u32(x);
-  }
-  void rng(const rng::Xoshiro256& g) {
-    for (std::uint64_t s : g.state()) u64(s);
-  }
+
   void header(SnapshotKind kind) {
-    buf.push_back('Q');
-    buf.push_back('F');
-    buf.push_back('C');
-    buf.push_back('S');
-    u32(kSnapshotVersion);
-    u8(static_cast<std::uint8_t>(kind));
+    buf.insert(buf.end(), {'Q', 'F', 'C', 'S'});
+    (*this)(kSnapshotVersion, static_cast<std::uint8_t>(kind));
+  }
+
+ private:
+  template <class T>
+  void put(const T& v) {
+    if constexpr (std::is_same_v<T, bool> || std::is_same_v<T, EmissionMode>) {
+      put(static_cast<std::uint8_t>(v));
+    } else if constexpr (std::is_same_v<T, double>) {
+      put(std::bit_cast<std::uint64_t>(v));
+    } else if constexpr (std::is_same_v<T, int>) {
+      put(static_cast<std::uint64_t>(v));
+    } else if constexpr (std::is_unsigned_v<T>) {
+      const auto old = buf.size();
+      buf.resize(old + sizeof v);
+      std::memcpy(buf.data() + old, &v, sizeof v);
+    } else if constexpr (std::is_same_v<T, rng::Xoshiro256>) {
+      put(v.state());
+    } else if constexpr (std::ranges::range<T>) {
+      if constexpr (kIsVector<T>) put(static_cast<std::uint64_t>(v.size()));
+      for (const auto& x : v) put(x);
+    } else {
+      visit_fields(v, *this);
+    }
   }
 };
 
+/// Fewest blob bytes one T takes: its encoding with every vector empty.
+template <class T>
+std::size_t min_encoded_size() {
+  static const std::size_t n = [] {
+    ByteWriter w;
+    w(T{});
+    return w.buf.size();
+  }();
+  return n;
+}
+
+/// Decodes what ByteWriter encodes. Every failure, including a length
+/// field larger than the rest of the blob can hold, throws
+/// std::invalid_argument before anything is allocated for it.
 struct ByteReader {
   const std::uint8_t* data;
   std::size_t size;
@@ -93,70 +159,105 @@ struct ByteReader {
   explicit ByteReader(const std::vector<std::uint8_t>& b)
       : data(b.data()), size(b.size()) {}
 
-  void need(std::size_t n) const {
-    if (pos + n > size) throw std::invalid_argument("snapshot: truncated blob");
+  template <class... Ts>
+  void operator()(Ts&&... values) {
+    (get(values), ...);
   }
-  std::uint8_t u8() {
-    need(1);
-    return data[pos++];
-  }
-  std::uint32_t u32() {
-    need(sizeof(std::uint32_t));
-    std::uint32_t v;
-    std::memcpy(&v, data + pos, sizeof v);
-    pos += sizeof v;
-    return v;
-  }
-  std::uint64_t u64() {
-    need(sizeof(std::uint64_t));
-    std::uint64_t v;
-    std::memcpy(&v, data + pos, sizeof v);
-    pos += sizeof v;
-    return v;
-  }
-  double f64() { return std::bit_cast<double>(u64()); }
-  bool boolean() { return u8() != 0; }
-  std::vector<double> vec_f64() {
-    const std::uint64_t n = u64();
-    need(n * sizeof(std::uint64_t));
-    std::vector<double> v(n);
-    for (auto& x : v) x = f64();
-    return v;
-  }
-  std::vector<std::uint64_t> vec_u64() {
-    const std::uint64_t n = u64();
-    need(n * sizeof(std::uint64_t));
-    std::vector<std::uint64_t> v(n);
-    for (auto& x : v) x = u64();
-    return v;
-  }
-  std::vector<std::uint32_t> vec_u32() {
-    const std::uint64_t n = u64();
-    need(n * sizeof(std::uint32_t));
-    std::vector<std::uint32_t> v(n);
-    for (auto& x : v) x = u32();
-    return v;
-  }
-  void rng(rng::Xoshiro256& g) {
-    std::array<std::uint64_t, 4> s;
-    for (auto& x : s) x = u64();
-    g.set_state(s);
-  }
+
   void header(SnapshotKind kind) {
     need(4);
-    if (data[pos] != 'Q' || data[pos + 1] != 'F' || data[pos + 2] != 'C' ||
-        data[pos + 3] != 'S')
+    if (std::memcmp(data + pos, "QFCS", 4) != 0)
       throw std::invalid_argument("snapshot: bad magic");
     pos += 4;
-    if (u32() != kSnapshotVersion)
+    if (take<std::uint32_t>() != kSnapshotVersion)
       throw std::invalid_argument("snapshot: unsupported version");
-    if (u8() != static_cast<std::uint8_t>(kind))
+    if (take<std::uint8_t>() != static_cast<std::uint8_t>(kind))
       throw std::invalid_argument("snapshot: wrong snapshot kind for this class");
   }
   void expect_end() const {
     if (pos != size) throw std::invalid_argument("snapshot: trailing bytes");
   }
+
+ private:
+  void need(std::size_t n) const {
+    if (n > size - pos) throw std::invalid_argument("snapshot: truncated blob");
+  }
+  template <class U>
+  U take() {
+    need(sizeof(U));
+    U v;
+    std::memcpy(&v, data + pos, sizeof v);
+    pos += sizeof v;
+    return v;
+  }
+
+  template <class T>
+  void get(T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      v = take<std::uint8_t>() != 0;
+    } else if constexpr (std::is_same_v<T, EmissionMode>) {
+      v = static_cast<EmissionMode>(take<std::uint8_t>());
+      if (v != EmissionMode::Cw && v != EmissionMode::Pulsed &&
+          v != EmissionMode::PiecewiseRates)
+        throw std::invalid_argument("snapshot: bad emission mode");
+    } else if constexpr (std::is_same_v<T, double>) {
+      v = std::bit_cast<double>(take<std::uint64_t>());
+    } else if constexpr (std::is_same_v<T, int>) {
+      v = static_cast<int>(take<std::uint64_t>());
+    } else if constexpr (std::is_unsigned_v<T>) {
+      v = take<T>();
+    } else if constexpr (std::is_same_v<T, rng::Xoshiro256>) {
+      std::array<std::uint64_t, 4> s;
+      get(s);
+      v.set_state(s);
+    } else if constexpr (kIsVector<T>) {
+      const std::uint64_t n = take<std::uint64_t>();
+      if (n > (size - pos) / min_encoded_size<typename T::value_type>())
+        throw std::invalid_argument("snapshot: length field exceeds the blob");
+      v.resize(static_cast<std::size_t>(n));
+      for (auto& x : v) get(x);
+    } else if constexpr (std::ranges::range<T>) {
+      for (auto& x : v) get(x);
+    } else {
+      visit_fields(v, *this);
+    }
+  }
 };
+
+/// Whether `n` is the product of `factors`, without overflowing.
+bool is_product(std::size_t n, std::initializer_list<std::size_t> factors) {
+  std::size_t p = 1;
+  for (std::size_t f : factors) {
+    if (f != 0 && p > n / f) return false;
+    p *= f;
+  }
+  return p == n;
+}
+
+/// Blob of an accumulator's field list.
+template <class Acc>
+std::vector<std::uint8_t> snapshot_blob(const Acc& acc, SnapshotKind kind) {
+  if (acc.finished) throw std::logic_error(std::string(acc.name) + ": snapshot after finish");
+  ByteWriter w;
+  w.header(kind);
+  w(acc);
+  return std::move(w.buf);
+}
+
+/// Replaces an accumulator's fields with a blob's, all or nothing: the
+/// blob is read into a copy whose table shapes must fit the accumulator
+/// (check_shape), so a rejected blob leaves `acc` untouched.
+template <class Acc>
+void restore_blob(Acc& acc, SnapshotKind kind, const std::vector<std::uint8_t>& blob) {
+  ByteReader r(blob);
+  r.header(kind);
+  Acc next = acc;
+  r(next);
+  r.expect_end();
+  next.check_shape();
+  next.finished = false;
+  acc = std::move(next);
+}
 
 // ----------------------------------------------------- per-channel state
 
@@ -192,23 +293,8 @@ struct ArmState {
   /// every window, keeping its capacity.
   std::vector<double> clicks;
 
-  void save(ByteWriter& w) const {
-    bg.save(w);
-    pwbg.save(w);
-    dark.save(w);
-    pwdark.save(w);
-    w.vec_f64(pending_arrivals);
-    w.vec_f64(pending_clicks);
-    w.f64(dead_last);
-  }
-  void load(ByteReader& r) {
-    bg.load(r);
-    pwbg.load(r);
-    dark.load(r);
-    pwdark.load(r);
-    pending_arrivals = r.vec_f64();
-    pending_clicks = r.vec_f64();
-    dead_last = r.f64();
+  template <class Self, class Ar> static void fields(Self& s, Ar& ar) {
+    ar(s.bg, s.pwbg, s.dark, s.pwdark, s.pending_arrivals, s.pending_clicks, s.dead_last);
   }
 };
 
@@ -222,124 +308,32 @@ struct ChannelState {
   double prev_c = 0;      ///< previous window's click watermark
   std::uint64_t violations = 0;
 
-  void save(ByteWriter& w) const {
-    w.rng(rng.pair);
-    w.rng(rng.bg_a);
-    w.rng(rng.bg_b);
-    w.rng(rng.pwbg_a);
-    w.rng(rng.pwbg_b);
-    w.rng(rng.det_a);
-    w.rng(rng.dark_a);
-    w.rng(rng.pwdark_a);
-    w.rng(rng.det_b);
-    w.rng(rng.dark_b);
-    w.rng(rng.pwdark_b);
-    cw.save(w);
-    pulsed.save(w);
-    pw.save(w);
-    a.save(w);
-    b.save(w);
-    w.f64(prev_theta);
-    w.f64(prev_c);
-    w.u64(violations);
-  }
-  void load(ByteReader& r) {
-    r.rng(rng.pair);
-    r.rng(rng.bg_a);
-    r.rng(rng.bg_b);
-    r.rng(rng.pwbg_a);
-    r.rng(rng.pwbg_b);
-    r.rng(rng.det_a);
-    r.rng(rng.dark_a);
-    r.rng(rng.pwdark_a);
-    r.rng(rng.det_b);
-    r.rng(rng.dark_b);
-    r.rng(rng.pwdark_b);
-    cw.load(r);
-    pulsed.load(r);
-    pw.load(r);
-    a.load(r);
-    b.load(r);
-    prev_theta = r.f64();
-    prev_c = r.f64();
-    violations = r.u64();
+  template <class Self, class Ar> static void fields(Self& s, Ar& ar) {
+    auto& g = s.rng;
+    ar(g.pair, g.bg_a, g.bg_b, g.pwbg_a, g.pwbg_b, g.det_a, g.dark_a, g.pwdark_a, g.det_b,
+       g.dark_b, g.pwdark_b, s.cw, s.pulsed, s.pw, s.a, s.b, s.prev_theta, s.prev_c,
+       s.violations);
   }
 };
 
-void save_spec(ByteWriter& w, const ChannelPairSpec& s) {
-  w.f64(s.pair_rate_hz);
-  w.f64(s.linewidth_hz);
-  w.f64(s.transmission_signal);
-  w.f64(s.transmission_idler);
-  w.f64(s.background_rate_signal_hz);
-  w.f64(s.background_rate_idler_hz);
-  for (const DetectorParams* d : {&s.detector_signal, &s.detector_idler}) {
-    w.f64(d->efficiency);
-    w.f64(d->dark_rate_hz);
-    w.f64(d->jitter_sigma_s);
-    w.f64(d->dead_time_s);
-  }
-  w.u8(static_cast<std::uint8_t>(s.emission));
-  w.f64(s.pulsed.repetition_rate_hz);
-  w.f64(s.pulsed.mean_pairs_per_pulse);
-  w.f64(s.pulsed.pulse_sigma_s);
-  w.f64(s.pulsed.bin_separation_s);
-  w.f64(s.pulsed.late_fraction);
-  w.u64(s.segments.size());
-  for (const RateSegment& seg : s.segments) {
-    w.f64(seg.duration_s);
-    w.f64(seg.pair_rate_hz);
-    w.f64(seg.background_rate_signal_hz);
-    w.f64(seg.background_rate_idler_hz);
-    w.f64(seg.dark_rate_signal_hz);
-    w.f64(seg.dark_rate_idler_hz);
-  }
-}
+/// What an EventStreamer is constructed from: the first field list of its
+/// blob, read before construction so restore re-validates it through the
+/// constructor.
+struct StreamerSetup {
+  EngineConfig cfg;
+  StreamConfig stream;
+  std::vector<ChannelPairSpec> specs;
 
-ChannelPairSpec load_spec(ByteReader& r) {
-  ChannelPairSpec s;
-  s.pair_rate_hz = r.f64();
-  s.linewidth_hz = r.f64();
-  s.transmission_signal = r.f64();
-  s.transmission_idler = r.f64();
-  s.background_rate_signal_hz = r.f64();
-  s.background_rate_idler_hz = r.f64();
-  for (DetectorParams* d : {&s.detector_signal, &s.detector_idler}) {
-    d->efficiency = r.f64();
-    d->dark_rate_hz = r.f64();
-    d->jitter_sigma_s = r.f64();
-    d->dead_time_s = r.f64();
+  template <class Self, class Ar> static void fields(Self& s, Ar& ar) {
+    ar(s.cfg, s.stream, s.specs);
   }
-  s.emission = static_cast<EmissionMode>(r.u8());
-  if (s.emission != EmissionMode::Cw && s.emission != EmissionMode::Pulsed &&
-      s.emission != EmissionMode::PiecewiseRates)
-    throw std::invalid_argument("snapshot: bad emission mode");
-  s.pulsed.repetition_rate_hz = r.f64();
-  s.pulsed.mean_pairs_per_pulse = r.f64();
-  s.pulsed.pulse_sigma_s = r.f64();
-  s.pulsed.bin_separation_s = r.f64();
-  s.pulsed.late_fraction = r.f64();
-  const std::uint64_t nseg = r.u64();
-  s.segments.resize(nseg);
-  for (RateSegment& seg : s.segments) {
-    seg.duration_s = r.f64();
-    seg.pair_rate_hz = r.f64();
-    seg.background_rate_signal_hz = r.f64();
-    seg.background_rate_idler_hz = r.f64();
-    seg.dark_rate_signal_hz = r.f64();
-    seg.dark_rate_idler_hz = r.f64();
-  }
-  return s;
-}
+};
 
 }  // namespace
 
 // -------------------------------------------------------- EventStreamer
 
-struct EventStreamer::Impl {
-  EngineConfig cfg;
-  StreamConfig stream;
-  std::vector<ChannelPairSpec> specs;
+struct EventStreamer::Impl : StreamerSetup {
   std::vector<detail::ChannelPlan> plans;
   std::vector<double> spill_pair;   ///< emission look-ahead past the watermark
   std::vector<double> spill_jit;    ///< arrival watermark past the click one
@@ -351,15 +345,12 @@ struct EventStreamer::Impl {
 
   Impl(const EngineConfig& c, const StreamConfig& s,
        std::vector<ChannelPairSpec> channels)
-      : cfg(c), stream(s), specs(std::move(channels)) {
-    if (cfg.duration_s <= 0)
-      throw std::invalid_argument("EngineConfig: duration <= 0");
-    if (cfg.num_threads < 0)
-      throw std::invalid_argument("EngineConfig: negative thread count");
-    if (cfg.analysis_threads < 0)
-      throw std::invalid_argument("EngineConfig: negative analysis thread count");
+      : StreamerSetup{c, s, std::move(channels)} {
+    detail::check_engine_config(cfg);
     if (!(stream.window_s > 0))
       throw std::invalid_argument("StreamConfig: window <= 0");
+    if (!(cfg.duration_s / stream.window_s < 0x1p53))
+      throw std::invalid_argument("StreamConfig: window too short for the duration");
 
     const std::size_t n = specs.size();
     plans.reserve(n);
@@ -403,6 +394,12 @@ struct EventStreamer::Impl {
     num_threads = static_cast<unsigned>(
         std::min<std::size_t>(num_threads, std::max<std::size_t>(n, 1)));
     pool = std::make_unique<parallel::WorkerPool>(num_threads);
+  }
+
+  /// The mutable state, the second field list of the blob, read into a
+  /// streamer constructed from the first.
+  template <class Self, class Ar> static void fields(Self& s, Ar& ar) {
+    ar(s.k, s.reported_violations, std::span(s.chans));
   }
 
   /// One arm of one channel for one window: `arrivals` holds the arm's
@@ -587,42 +584,17 @@ const StreamConfig& EventStreamer::stream_config() const { return impl_->stream;
 std::vector<std::uint8_t> EventStreamer::snapshot() const {
   ByteWriter w;
   w.header(kKindStreamer);
-  w.f64(impl_->cfg.duration_s);
-  w.u64(impl_->cfg.seed);
-  w.u64(static_cast<std::uint64_t>(impl_->cfg.num_threads));
-  w.u64(static_cast<std::uint64_t>(impl_->cfg.analysis_threads));
-  w.f64(impl_->stream.window_s);
-  w.f64(impl_->stream.slack_override_s);
-  w.u64(impl_->specs.size());
-  for (const ChannelPairSpec& s : impl_->specs) save_spec(w, s);
-  w.u64(impl_->k);
-  w.u64(impl_->reported_violations);
-  for (const ChannelState& st : impl_->chans) st.save(w);
+  w(static_cast<const StreamerSetup&>(*impl_), *impl_);
   return std::move(w.buf);
 }
 
 EventStreamer EventStreamer::restore(const std::vector<std::uint8_t>& blob) {
   ByteReader r(blob);
   r.header(kKindStreamer);
-  EngineConfig cfg;
-  cfg.duration_s = r.f64();
-  cfg.seed = r.u64();
-  cfg.num_threads = static_cast<int>(r.u64());
-  cfg.analysis_threads = static_cast<int>(r.u64());
-  StreamConfig stream;
-  stream.window_s = r.f64();
-  stream.slack_override_s = r.f64();
-  const std::uint64_t n = r.u64();
-  std::vector<ChannelPairSpec> specs;
-  specs.reserve(n);
-  for (std::uint64_t c = 0; c < n; ++c) specs.push_back(load_spec(r));
-
-  // Reconstruct through the normal constructor (full validation), then
-  // overwrite the mutable state with the serialized one.
-  EventStreamer out(cfg, stream, std::move(specs));
-  out.impl_->k = r.u64();
-  out.impl_->reported_violations = r.u64();
-  for (ChannelState& st : out.impl_->chans) st.load(r);
+  StreamerSetup setup;
+  r(setup);
+  EventStreamer out(setup.cfg, setup.stream, std::move(setup.specs));
+  r(*out.impl_);
   r.expect_end();
   return out;
 }
@@ -684,16 +656,6 @@ void append_sorted(std::vector<double>& dst, const double* begin,
   if (!clean)
     std::inplace_merge(dst.begin(),
                        dst.begin() + static_cast<std::ptrdiff_t>(old), dst.end());
-}
-
-void save_columns(ByteWriter& w, const std::vector<std::vector<double>>& cols) {
-  w.u64(cols.size());
-  for (const auto& col : cols) w.vec_f64(col);
-}
-
-void load_columns(ByteReader& r, std::vector<std::vector<double>>& cols) {
-  cols.resize(r.u64());
-  for (auto& col : cols) col = r.vec_f64();
 }
 
 /// Signal events not yet resolved, per channel, and the one count sweep of
@@ -905,30 +867,19 @@ struct MergedSweep {
     return true;
   }
 
-  std::vector<std::uint8_t> snapshot(SnapshotKind kind) const {
-    if (finished) throw std::logic_error(std::string(name) + ": snapshot after finish");
-    ByteWriter w;
-    w.header(kind);
-    w.u64(ns == kNoChannels ? std::uint64_t(-1) : ns);
-    w.u64(ni == kNoChannels ? std::uint64_t(-1) : ni);
-    w.vec_f64(it);
-    w.vec_u32(ich);
-    save_columns(w, signal.pending);
-    w.vec_u64(counts);
-    return std::move(w.buf);
+  template <class Self, class Ar> static void fields(Self& s, Ar& ar) {
+    ar(s.ns, s.ni, s.it, s.ich, s.signal.pending, s.counts);
   }
-  void restore(SnapshotKind kind, const std::vector<std::uint8_t>& blob) {
-    ByteReader r(blob);
-    r.header(kind);
-    const std::uint64_t rns = r.u64(), rni = r.u64();
-    ns = rns == std::uint64_t(-1) ? kNoChannels : static_cast<std::size_t>(rns);
-    ni = rni == std::uint64_t(-1) ? kNoChannels : static_cast<std::size_t>(rni);
-    it = r.vec_f64();
-    ich = r.vec_u32();
-    load_columns(r, signal.pending);
-    counts = r.vec_u64();
-    finished = false;
-    r.expect_end();
+
+  /// Throws std::invalid_argument unless the tables fit the channel counts
+  /// and the kernel: a restored blob is outside input.
+  void check_shape() const {
+    const bool fresh = ns == kNoChannels;
+    const std::size_t rows = fresh ? 0 : ns;
+    if ((fresh && ni != kNoChannels) || signal.pending.size() != rows ||
+        !is_product(counts.size(), {rows, ni, kernel.cells()}) || ich.size() != it.size() ||
+        std::any_of(ich.begin(), ich.end(), [&](std::uint32_t c) { return c >= ni; }))
+      throw std::invalid_argument(std::string(name) + ": snapshot does not fit this accumulator");
   }
 };
 
@@ -994,26 +945,17 @@ struct DiagonalSweep {
     return true;
   }
 
-  std::vector<std::uint8_t> snapshot(SnapshotKind kind) const {
-    if (finished) throw std::logic_error(std::string(name) + ": snapshot after finish");
-    ByteWriter w;
-    w.header(kind);
-    w.u64(nch == kNoChannels ? std::uint64_t(-1) : nch);
-    save_columns(w, idler);
-    save_columns(w, signal.pending);
-    w.vec_u64(counts);
-    return std::move(w.buf);
+  template <class Self, class Ar> static void fields(Self& s, Ar& ar) {
+    ar(s.nch, s.idler, s.signal.pending, s.counts);
   }
-  void restore(SnapshotKind kind, const std::vector<std::uint8_t>& blob) {
-    ByteReader r(blob);
-    r.header(kind);
-    const std::uint64_t rn = r.u64();
-    nch = rn == std::uint64_t(-1) ? kNoChannels : static_cast<std::size_t>(rn);
-    load_columns(r, idler);
-    load_columns(r, signal.pending);
-    counts = r.vec_u64();
-    finished = false;
-    r.expect_end();
+
+  /// Throws std::invalid_argument unless the tables fit the channel count
+  /// and the kernel: a restored blob is outside input.
+  void check_shape() const {
+    const std::size_t n = nch == kNoChannels ? 0 : nch;
+    if (idler.size() != n || signal.pending.size() != n ||
+        !is_product(counts.size(), {n, kernel.cells()}))
+      throw std::invalid_argument(std::string(name) + ": snapshot does not fit this accumulator");
   }
 };
 
@@ -1118,10 +1060,10 @@ void StreamingCarAccumulator::push(const StreamWindow& w) {
 }
 CarMatrix StreamingCarAccumulator::finish() { return finish_car(*impl_); }
 std::vector<std::uint8_t> StreamingCarAccumulator::snapshot() const {
-  return impl_->snapshot(kKindCar);
+  return snapshot_blob(*impl_, kKindCar);
 }
 void StreamingCarAccumulator::restore(const std::vector<std::uint8_t>& blob) {
-  impl_->restore(kKindCar, blob);
+  restore_blob(*impl_, kKindCar, blob);
 }
 
 // ------------------------------------------- StreamingCarPairsAccumulator
@@ -1151,10 +1093,10 @@ std::vector<CarResult> StreamingCarPairsAccumulator::finish() {
   return finish_car_pairs(*impl_);
 }
 std::vector<std::uint8_t> StreamingCarPairsAccumulator::snapshot() const {
-  return impl_->snapshot(kKindCarPairs);
+  return snapshot_blob(*impl_, kKindCarPairs);
 }
 void StreamingCarPairsAccumulator::restore(const std::vector<std::uint8_t>& blob) {
-  impl_->restore(kKindCarPairs, blob);
+  restore_blob(*impl_, kKindCarPairs, blob);
 }
 
 // ---------------------------------------- StreamingCountMatrixAccumulator
@@ -1181,10 +1123,10 @@ std::vector<std::uint64_t> StreamingCountMatrixAccumulator::finish() {
   return finish_counts(*impl_);
 }
 std::vector<std::uint8_t> StreamingCountMatrixAccumulator::snapshot() const {
-  return impl_->snapshot(kKindCountMatrix);
+  return snapshot_blob(*impl_, kKindCountMatrix);
 }
 void StreamingCountMatrixAccumulator::restore(const std::vector<std::uint8_t>& blob) {
-  impl_->restore(kKindCountMatrix, blob);
+  restore_blob(*impl_, kKindCountMatrix, blob);
 }
 
 // ---------------------------------------- StreamingCorrelatorAccumulator
@@ -1211,15 +1153,16 @@ std::vector<CoincidenceHistogram> StreamingCorrelatorAccumulator::finish() {
   return finish_histograms(*impl_);
 }
 std::vector<std::uint8_t> StreamingCorrelatorAccumulator::snapshot() const {
-  return impl_->snapshot(kKindCorrelator);
+  return snapshot_blob(*impl_, kKindCorrelator);
 }
 void StreamingCorrelatorAccumulator::restore(const std::vector<std::uint8_t>& blob) {
-  impl_->restore(kKindCorrelator, blob);
+  restore_blob(*impl_, kKindCorrelator, blob);
 }
 
 // -------------------------------------------- StreamingAllanAccumulator
 
 struct StreamingAllanAccumulator::Impl {
+  static constexpr const char* name = "StreamingAllanAccumulator";
   double window_s = 0, dt = 0;
   std::size_t s_ch = 0, i_ch = 0;
   std::size_t idx = 0;  ///< next interval to flush
@@ -1241,6 +1184,16 @@ struct StreamingAllanAccumulator::Impl {
     if (dt <= 0)
       throw std::invalid_argument(
           "StreamingAllanAccumulator: sample interval <= 0");
+  }
+
+  template <class Self, class Ar> static void fields(Self& s, Ar& ar) {
+    ar(s.idx, s.buf_a, s.buf_b, s.counts, s.frontier);
+  }
+
+  /// Every flushed interval holds one count.
+  void check_shape() const {
+    if (counts.size() != idx)
+      throw std::invalid_argument(std::string(name) + ": snapshot does not fit this accumulator");
   }
 
   void push(const StreamWindow& w) {
@@ -1307,28 +1260,10 @@ StreamingAllanResult StreamingAllanAccumulator::finish() {
 }
 
 std::vector<std::uint8_t> StreamingAllanAccumulator::snapshot() const {
-  if (impl_->finished)
-    throw std::logic_error("StreamingAllanAccumulator: snapshot after finish");
-  ByteWriter w;
-  w.header(kKindAllan);
-  w.u64(impl_->idx);
-  w.vec_f64(impl_->buf_a);
-  w.vec_f64(impl_->buf_b);
-  w.vec_f64(impl_->counts);
-  w.f64(impl_->frontier);
-  return std::move(w.buf);
+  return snapshot_blob(*impl_, kKindAllan);
 }
-
 void StreamingAllanAccumulator::restore(const std::vector<std::uint8_t>& blob) {
-  ByteReader r(blob);
-  r.header(kKindAllan);
-  impl_->idx = r.u64();
-  impl_->buf_a = r.vec_f64();
-  impl_->buf_b = r.vec_f64();
-  impl_->counts = r.vec_f64();
-  impl_->frontier = r.f64();
-  impl_->finished = false;
-  r.expect_end();
+  restore_blob(*impl_, kKindAllan, blob);
 }
 
 }  // namespace qfc::detect

@@ -31,7 +31,13 @@
 /// Snapshot / restore: EventStreamer and every accumulator serialize their
 /// complete state (per-channel RNG streams, sampler positions, pending
 /// buffers, partial counts) to a versioned binary blob; a restored run
-/// continues bitwise identical to the uninterrupted one.
+/// continues bitwise identical to the uninterrupted one. Each snapshotted
+/// struct declares its fields once, in one list that both the blob writer
+/// and the reader visit. restore() throws std::invalid_argument for a
+/// corrupt blob (bad header, truncation, trailing bytes, a length field
+/// larger than the blob can hold) and, for an accumulator, for tables whose
+/// shape does not fit its constructor arguments; a rejected blob leaves the
+/// accumulator unchanged.
 ///
 /// Validation: every accumulator constructor (and so every batch analyzer)
 /// throws std::invalid_argument for a NaN or ±inf window, spacing, offset,

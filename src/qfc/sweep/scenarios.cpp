@@ -62,12 +62,6 @@ struct StabilityArgs {
       QFC_FIELD(include_series, {}, "embed the full time series in the result"))
 };
 
-struct LinkBudgetArgs {
-  double distance_km = 0.0;
-  QFC_FIELDS(LinkBudgetArgs,
-      QFC_FIELD(distance_km, io::kNonNegative, "total Alice-Bob separation [km]"))
-};
-
 /// QkdNetworkConfig::uniform()'s inputs and the run duration.
 struct NetworkArgs {
   int num_users = 0;
@@ -205,10 +199,10 @@ ScenarioRegistry::ScenarioRegistry() {
   add("qkd_link_budget",
       "Analytic BBM92 link budget over every comb channel pair at one "
       "Alice-Bob distance",
-      specs<LinkBudgetArgs, core::UserEndpointParams, DoublePulseArgs,
+      specs<core::LinkGeometry, core::UserEndpointParams, DoublePulseArgs,
             core::TimebinConfig>(),
       [](const io::JsonView& p) {
-        const double distance_km = read<LinkBudgetArgs>(p).distance_km;
+        const double distance_km = read<core::LinkGeometry>(p).distance_km;
         const auto pump = read<DoublePulseArgs>(p);
         auto comb = QuantumFrequencyComb::for_configuration(PumpConfiguration::DoublePulse);
         auto exp = comb.timebin(read<core::TimebinConfig>(

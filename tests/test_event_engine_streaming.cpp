@@ -7,8 +7,10 @@
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -321,6 +323,61 @@ TEST(EventStreamer, RejectsBadConfigsLikeBatch) {
   auto bad = specs;
   bad[0].pair_rate_hz = -5;
   EXPECT_THROW(EventStreamer(ec, sc, bad), std::invalid_argument);
+
+  // NaN and ±inf fail every generation-parameter check. Only construct:
+  // an infinite rate would never let a Poisson clock advance.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double d : {nan, inf}) {
+    ec.duration_s = d;
+    EXPECT_THROW(EventStreamer(ec, sc, specs), std::invalid_argument) << d;
+    EXPECT_THROW((void)EventEngine(ec), std::invalid_argument) << d;
+  }
+  ec = engine_config();
+  sc.window_s = 1e-300;  // more windows than a count can hold
+  EXPECT_THROW(EventStreamer(ec, sc, specs), std::invalid_argument);
+  sc.window_s = 0.1;
+  using detect::DetectorParams;
+  using detect::PulsedEmission;
+  using detect::RateSegment;
+  for (const double v : {nan, inf, -inf}) {
+    SCOPED_TRACE("value = " + std::to_string(v));
+    for (double ChannelPairSpec::*field :
+         {&ChannelPairSpec::pair_rate_hz, &ChannelPairSpec::linewidth_hz,
+          &ChannelPairSpec::transmission_signal, &ChannelPairSpec::transmission_idler,
+          &ChannelPairSpec::background_rate_signal_hz,
+          &ChannelPairSpec::background_rate_idler_hz}) {
+      auto bad_spec = specs;
+      bad_spec[1].*field = v;
+      EXPECT_THROW(EventStreamer(ec, sc, bad_spec), std::invalid_argument);
+    }
+    for (DetectorParams ChannelPairSpec::*arm :
+         {&ChannelPairSpec::detector_signal, &ChannelPairSpec::detector_idler}) {
+      for (double DetectorParams::*field :
+           {&DetectorParams::efficiency, &DetectorParams::dark_rate_hz,
+            &DetectorParams::jitter_sigma_s, &DetectorParams::dead_time_s}) {
+        auto bad_spec = specs;
+        bad_spec[1].*arm.*field = v;
+        EXPECT_THROW(EventStreamer(ec, sc, bad_spec), std::invalid_argument);
+      }
+    }
+    for (double PulsedEmission::*field :
+         {&PulsedEmission::repetition_rate_hz, &PulsedEmission::mean_pairs_per_pulse,
+          &PulsedEmission::pulse_sigma_s, &PulsedEmission::bin_separation_s,
+          &PulsedEmission::late_fraction}) {
+      auto bad_spec = specs_for(detect::EmissionMode::Pulsed);
+      bad_spec[0].pulsed.*field = v;
+      EXPECT_THROW(EventStreamer(ec, sc, bad_spec), std::invalid_argument);
+    }
+    for (double RateSegment::*field :
+         {&RateSegment::duration_s, &RateSegment::pair_rate_hz,
+          &RateSegment::background_rate_signal_hz, &RateSegment::background_rate_idler_hz,
+          &RateSegment::dark_rate_signal_hz, &RateSegment::dark_rate_idler_hz}) {
+      auto bad_spec = specs_for(detect::EmissionMode::PiecewiseRates);
+      bad_spec[0].segments[1].*field = v;
+      EXPECT_THROW(EventStreamer(ec, sc, bad_spec), std::invalid_argument);
+    }
+  }
 }
 
 /// One of each streaming accumulator, pushed, snapshotted and restored as
@@ -424,6 +481,20 @@ INSTANTIATE_TEST_SUITE_P(AllEmissionModes, EventStreamerModes,
                          ::testing::Values(detect::EmissionMode::Cw,
                                            detect::EmissionMode::Pulsed,
                                            detect::EmissionMode::PiecewiseRates));
+
+/// The u64 at byte `offset` of a blob.
+std::uint64_t read_u64(const std::vector<std::uint8_t>& blob, std::size_t offset) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, blob.data() + offset, sizeof v);
+  return v;
+}
+
+/// `blob` with the u64 at byte `offset` replaced by `value`.
+std::vector<std::uint8_t> patch_u64(std::vector<std::uint8_t> blob, std::size_t offset,
+                                    std::uint64_t value) {
+  std::memcpy(blob.data() + offset, &value, sizeof value);
+  return blob;
+}
 
 /// FNV-1a-64 of a blob.
 std::uint64_t fnv1a64(const std::vector<std::uint8_t>& bytes) {
@@ -532,6 +603,114 @@ TEST(EventStreamer, SnapshotRejectsCorruptBlobs) {
   // An accumulator blob is not a streamer blob.
   detect::StreamingAllanAccumulator allan(40e-9, 0.1);
   EXPECT_THROW(EventStreamer::restore(allan.snapshot()), std::invalid_argument);
+
+  // Every kind of length field, patched to a count no blob can hold, is
+  // rejected before anything is allocated for it.
+  const auto piecewise = specs_for(detect::EmissionMode::PiecewiseRates);
+  const auto streamer_blob = EventStreamer(engine_config(), sc, piecewise).snapshot();
+  // Layout: 9-byte header, EngineConfig (4 x 8), StreamConfig (2 x 8), the
+  // spec count, then each spec: 6 doubles, 2 detectors of 4 doubles, the
+  // mode byte, 5 pulsed doubles, the segment count and 6 doubles a segment.
+  const std::size_t spec_count = 9 + 32 + 16;
+  const std::size_t segment_count = spec_count + 8 + 48 + 64 + 1 + 40;
+  const std::size_t spec_bytes = 48 + 64 + 1 + 40 + 8 + 3 * 48;
+  // After the specs: k, the reported violations, then channel 0: 11
+  // generators, the three pair samplers and arm a's four samplers.
+  const std::size_t pending_arrivals =
+      spec_count + 8 + 3 * spec_bytes + 16 + 11 * 32 + 10 + 10 + 26 + 10 + 26 + 10 + 26;
+  ASSERT_EQ(read_u64(streamer_blob, spec_count), 3u);
+  ASSERT_EQ(read_u64(streamer_blob, segment_count), 3u);
+  ASSERT_EQ(read_u64(streamer_blob, pending_arrivals), 0u);
+
+  // Accumulator layouts after the header: the merged sweep holds ns, ni,
+  // the merged idler times and channels, the pending columns and the
+  // counts; the diagonal one nch, the idler columns, the pending columns
+  // and the counts; the Allan one the interval index, then its buffers.
+  StreamWindow w;
+  w.events.signal = EventTable::from_columns({{1e-3, 2e-3}, {5e-3}});
+  w.events.idler = EventTable::from_columns({{1e-3}, {2e-3, 7e-3}});
+  w.t_end_s = 1e-3;  // every signal event still pending
+  detect::StreamingCarAccumulator car(kCarWindow, kCarSpacing, 10, 1);
+  car.push(w);
+  const auto car_blob = car.snapshot();
+  const std::size_t merged_times = 9 + 16;
+  const std::size_t merged_channels = merged_times + 8 + 8 * read_u64(car_blob, merged_times);
+  const std::size_t merged_columns = merged_channels + 8 + 4 * read_u64(car_blob, merged_channels);
+  ASSERT_EQ(read_u64(car_blob, merged_columns), 2u);
+  const std::size_t merged_counts = car_blob.size() - 8 - 8 * 2 * 2 * 11;  // 2 x 2 cells of 11
+  ASSERT_EQ(read_u64(car_blob, merged_counts), 44u);
+  detect::StreamingCarPairsAccumulator pairs(kCarWindow, kCarSpacing, 10, 1);
+  pairs.push(w);
+  const auto pairs_blob = pairs.snapshot();
+  ASSERT_EQ(read_u64(pairs_blob, 17), 2u);  // idler columns
+  ASSERT_EQ(read_u64(pairs_blob, 25), 1u);  // idler column 0
+  detect::StreamingAllanAccumulator allan_w(40e-9, 0.1, 0, 1);
+  allan_w.push(w);
+  const auto allan_blob = allan_w.snapshot();
+  ASSERT_EQ(read_u64(allan_blob, 17), 2u);  // signal buffer
+
+  for (const std::uint64_t n : {std::uint64_t{1} << 61, ~std::uint64_t{0}}) {
+    SCOPED_TRACE("count = " + std::to_string(n));
+    for (const std::size_t at : {spec_count, segment_count, pending_arrivals})
+      EXPECT_THROW(EventStreamer::restore(patch_u64(streamer_blob, at, n)),
+                   std::invalid_argument) << "streamer offset " << at;
+    for (const std::size_t at :
+         {merged_times, merged_channels, merged_columns, merged_columns + 8, merged_counts}) {
+      detect::StreamingCarAccumulator fresh(kCarWindow, kCarSpacing, 10, 1);
+      EXPECT_THROW(fresh.restore(patch_u64(car_blob, at, n)), std::invalid_argument)
+          << "car offset " << at;
+    }
+    for (const std::size_t at : {std::size_t{17}, std::size_t{25}}) {
+      detect::StreamingCarPairsAccumulator fresh(kCarWindow, kCarSpacing, 10, 1);
+      EXPECT_THROW(fresh.restore(patch_u64(pairs_blob, at, n)), std::invalid_argument)
+          << "car pairs offset " << at;
+    }
+    detect::StreamingAllanAccumulator fresh(40e-9, 0.1, 0, 1);
+    EXPECT_THROW(fresh.restore(patch_u64(allan_blob, 17, n)), std::invalid_argument);
+  }
+}
+
+TEST(EventStreamer, SnapshotRejectsMismatchedShapes) {
+  // A blob only fits an accumulator whose tables have its shape: a CAR
+  // blob of 2 side windows per cell does not restore into one of 10, nor
+  // the other way round, and merged idler channels must be in range.
+  // Nothing is pushed after a restore.
+  StreamWindow w;
+  w.events.signal = EventTable::from_columns({{1e-3, 2e-3}, {5e-3}});
+  w.events.idler = EventTable::from_columns({{1e-3}, {2e-3, 7e-3}});
+  w.t_end_s = 2e-3;
+  for (const auto& [from, into] : {std::pair{2, 10}, std::pair{10, 2}}) {
+    SCOPED_TRACE(std::to_string(from) + " -> " + std::to_string(into) + " side windows");
+    detect::StreamingCarAccumulator car(kCarWindow, kCarSpacing, from, 1);
+    car.push(w);
+    detect::StreamingCarAccumulator car_into(kCarWindow, kCarSpacing, into, 1);
+    const auto car_before = car_into.snapshot();
+    EXPECT_THROW(car_into.restore(car.snapshot()), std::invalid_argument);
+    EXPECT_EQ(car_into.snapshot(), car_before);  // a rejected blob changes nothing
+
+    detect::StreamingCarPairsAccumulator pairs(kCarWindow, kCarSpacing, from, 1);
+    pairs.push(w);
+    detect::StreamingCarPairsAccumulator pairs_into(kCarWindow, kCarSpacing, into, 1);
+    const auto pairs_before = pairs_into.snapshot();
+    EXPECT_THROW(pairs_into.restore(pairs.snapshot()), std::invalid_argument);
+    EXPECT_EQ(pairs_into.snapshot(), pairs_before);
+  }
+
+  // A merged idler event must name an idler channel the counts have.
+  detect::StreamingCarAccumulator car(kCarWindow, kCarSpacing, 10, 1);
+  w.t_end_s = 1e-3;  // keep idler events carried
+  car.push(w);
+  const auto blob = car.snapshot();
+  const std::size_t times = 9 + 16;  // after the header, ns and ni
+  const std::size_t first_channel = times + 8 + 8 * read_u64(blob, times) + 8;
+  ASSERT_GT(read_u64(blob, times), 0u);
+  auto bad = blob;
+  const std::uint32_t past_last = 2;  // two idler channels
+  std::memcpy(bad.data() + first_channel, &past_last, sizeof past_last);
+  detect::StreamingCarAccumulator car_into(kCarWindow, kCarSpacing, 10, 1);
+  EXPECT_THROW(car_into.restore(bad), std::invalid_argument);
+  car_into.restore(blob);
+  EXPECT_EQ(car_into.snapshot(), blob);
 }
 
 TEST(EventStreamer, TinySlackForcesCountedBoundaryViolations) {
