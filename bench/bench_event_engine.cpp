@@ -564,7 +564,7 @@ int main(int argc, char** argv) {
                          {"speedup_n10", speedup_n10},
                          {"deterministic", deterministic},
                          {"max_rss_kb", peak_rss_kb()},
-                         {"obs", Json::parse(obs_report.json_object())}});
+                         {"obs", obs_report.json()}});
 
   // Exit code gates on correctness only (cell identity + thread-count
   // determinism in every emission mode + streaming parity and bounded

@@ -222,7 +222,7 @@ int main(int argc, char** argv) {
                         {{"rows", std::move(json_rows)},
                          {"speedup_eig_n128", speedup_eig_n128},
                          {"eig_n128_blocked_wins", eig_n128_wins},
-                         {"obs", Json::parse(obs_report.json_object())}});
+                         {"obs", obs_report.json()}});
 
   // Exit code gates on correctness only (value parity); the speedup rows are gated in CI by check_bench.py's
   // ratio comparison against the committed baseline, which also pins the

@@ -194,7 +194,7 @@ int main(int argc, char** argv) {
                          {"bounded_rss", bounded_rss},
                          {"deterministic", all_deterministic},
                          {"max_rss_kb", peak_rss_kb()},
-                         {"obs", Json::parse(obs_report.json_object())}});
+                         {"obs", obs_report.json()}});
 
   const bool ok = bounded_rss && all_deterministic &&
                   rows.back().users_with_key > 0;

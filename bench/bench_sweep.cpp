@@ -141,7 +141,7 @@ int main(int argc, char** argv) {
                         {{"rows", std::move(json_rows)},
                          {"instances", plan.instances.size()},
                          {"deterministic", all_identical},
-                         {"obs", Json::parse(obs_report.json_object())}});
+                         {"obs", obs_report.json()}});
 
   const bool ok = all_identical && !any_failed;
   bench::verdict(

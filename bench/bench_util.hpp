@@ -64,7 +64,7 @@ inline Flags parse_flags(int argc, char** argv, const char* default_json) {
           "                        pool.work, linalg kernels, ...) and write a\n"
           "                        Chrome trace-event JSON to PATH at exit;\n"
           "                        open it in chrome://tracing or Perfetto.\n"
-          "  QFC_OBS_METRICS=PATH  record counters/gauges/histograms (per-worker\n"
+          "  QFC_OBS_METRICS=PATH  record counters and gauges (per-worker\n"
           "                        busy-ns, GEMM flops, Jacobi rotations, ...)\n"
           "                        and write the registry JSON to PATH at exit.\n"
           "Either variable also embeds a run-scoped \"obs\" metrics snapshot in\n"

@@ -37,6 +37,10 @@ fields are ignored by the gate. Observability fields the benches emit —
 ``events_per_sec``/``max_rss_kb`` row columns and the run-scoped ``obs``
 metrics snapshot (see src/qfc/obs/README.md) — are *surfaced* as info lines
 but never gated: they are context for reading a regression, not a gate.
+The same holds for ``nproc``, the host's hardware thread count each bench
+envelope records: an info line names the baseline's and the candidate's
+(``not recorded`` for a baseline written before the field existed), so a
+reader can tell when the two ran on different core counts. It never gates.
 stdlib only — runs anywhere python3 exists.
 
 Usage:
@@ -176,6 +180,16 @@ def surface_observability(cand):
     return lines
 
 
+def nproc_line(base, cand):
+    """Info line with the baseline's and the candidate's ``nproc``."""
+
+    def fmt(doc):
+        v = doc.get("nproc")
+        return str(v) if isinstance(v, int) and not isinstance(v, bool) else "not recorded"
+
+    return f"nproc baseline {fmt(base)}, candidate {fmt(cand)}"
+
+
 def check(args):
     base = load(args.baseline)
     cand = load(args.candidate)
@@ -215,7 +229,7 @@ def check(args):
             warnings.append(f"row [{fmt_key(key)}] is new (not in baseline)")
 
     name = base.get("bench", args.baseline)
-    for line in surface_observability(cand):
+    for line in [nproc_line(base, cand)] + surface_observability(cand):
         print(f"check_bench[{name}]: info: {line}")
     for w in warnings:
         print(f"check_bench[{name}]: warning: {w}")

@@ -17,13 +17,6 @@ CMat rebuild(const EigResult& e, const RVec& mapped) {
 
 }  // namespace
 
-CMat hermitian_function(const CMat& a, double (*f)(double)) {
-  const EigResult e = hermitian_eig(a);
-  RVec mapped(e.values.size());
-  for (std::size_t i = 0; i < mapped.size(); ++i) mapped[i] = f(e.values[i]);
-  return rebuild(e, mapped);
-}
-
 CMat sqrtm_psd(const CMat& a, double clip_tol) {
   const EigResult e = hermitian_eig(a);
   RVec mapped(e.values.size());
@@ -38,8 +31,6 @@ CMat sqrtm_psd(const CMat& a, double clip_tol) {
   }
   return rebuild(e, mapped);
 }
-
-CMat expm_hermitian(const CMat& a) { return hermitian_function(a, [](double x) { return std::exp(x); }); }
 
 CMat project_to_density_matrix(const CMat& a) {
   a.require_square("project_to_density_matrix");

@@ -1,23 +1,17 @@
 #pragma once
 
 /// \file matrix_functions.hpp
-/// Spectral functions of Hermitian matrices: sqrt, exp, log, power, and
-/// the projection onto the PSD cone used by tomography reconstruction.
+/// Spectral functions of Hermitian matrices: the PSD square root and the
+/// projection onto the PSD cone used by tomography reconstruction.
 
 #include "qfc/linalg/matrix.hpp"
 
 namespace qfc::linalg {
 
-/// f(A) = V f(diag) V† for Hermitian A with eigenvalue map `f`.
-CMat hermitian_function(const CMat& a, double (*f)(double));
-
 /// Principal square root of a positive semidefinite Hermitian matrix.
 /// Small negative eigenvalues (|λ| <= clip_tol) are clipped to zero;
 /// larger negative ones throw NumericalError.
 CMat sqrtm_psd(const CMat& a, double clip_tol = 1e-9);
-
-/// exp(A) for Hermitian A.
-CMat expm_hermitian(const CMat& a);
 
 /// Project a Hermitian matrix onto the closest (Frobenius) unit-trace PSD
 /// matrix — the standard step for turning a linear-inversion tomography

@@ -1,110 +1,10 @@
 #include "qfc/linalg/solve.hpp"
 
 #include <cmath>
-#include <numeric>
 
 #include "qfc/linalg/error.hpp"
 
 namespace qfc::linalg {
-
-LuDecomposition lu_decompose(const CMat& a) {
-  a.require_square("lu_decompose");
-  const std::size_t n = a.rows();
-  LuDecomposition d;
-  d.lu = a;
-  d.piv.resize(n);
-  std::iota(d.piv.begin(), d.piv.end(), std::size_t{0});
-
-  for (std::size_t k = 0; k < n; ++k) {
-    // Partial pivot: largest |.| in column k at/below the diagonal.
-    std::size_t pivot = k;
-    double best = std::abs(d.lu(k, k));
-    for (std::size_t i = k + 1; i < n; ++i) {
-      const double m = std::abs(d.lu(i, k));
-      if (m > best) {
-        best = m;
-        pivot = i;
-      }
-    }
-    if (best < 1e-300) throw NumericalError("lu_decompose: singular matrix");
-    if (pivot != k) {
-      for (std::size_t j = 0; j < n; ++j) std::swap(d.lu(k, j), d.lu(pivot, j));
-      std::swap(d.piv[k], d.piv[pivot]);
-      d.sign = -d.sign;
-    }
-    const cplx inv_pivot = cplx(1, 0) / d.lu(k, k);
-    for (std::size_t i = k + 1; i < n; ++i) {
-      d.lu(i, k) *= inv_pivot;
-      const cplx lik = d.lu(i, k);
-      if (lik == cplx(0, 0)) continue;
-      for (std::size_t j = k + 1; j < n; ++j) d.lu(i, j) -= lik * d.lu(k, j);
-    }
-  }
-  return d;
-}
-
-CVec LuDecomposition::solve(const CVec& b) const {
-  const std::size_t n = lu.rows();
-  if (b.size() != n) throw std::invalid_argument("LuDecomposition::solve: size mismatch");
-  CVec x(n);
-  for (std::size_t i = 0; i < n; ++i) x[i] = b[piv[i]];
-  // Forward substitution (L has unit diagonal).
-  for (std::size_t i = 1; i < n; ++i)
-    for (std::size_t j = 0; j < i; ++j) x[i] -= lu(i, j) * x[j];
-  // Back substitution.
-  for (std::size_t ii = n; ii-- > 0;) {
-    for (std::size_t j = ii + 1; j < n; ++j) x[ii] -= lu(ii, j) * x[j];
-    x[ii] /= lu(ii, ii);
-  }
-  return x;
-}
-
-cplx LuDecomposition::determinant() const {
-  cplx det(static_cast<double>(sign), 0);
-  for (std::size_t i = 0; i < lu.rows(); ++i) det *= lu(i, i);
-  return det;
-}
-
-CVec solve(const CMat& a, const CVec& b) { return lu_decompose(a).solve(b); }
-
-CMat inverse(const CMat& a) {
-  const LuDecomposition d = lu_decompose(a);
-  const std::size_t n = a.rows();
-  CMat inv(n, n);
-  CVec e(n, cplx(0, 0));
-  for (std::size_t j = 0; j < n; ++j) {
-    e[j] = cplx(1, 0);
-    const CVec col = d.solve(e);
-    e[j] = cplx(0, 0);
-    for (std::size_t i = 0; i < n; ++i) inv(i, j) = col[i];
-  }
-  return inv;
-}
-
-cplx determinant(const CMat& a) { return lu_decompose(a).determinant(); }
-
-CMat cholesky(const CMat& a) {
-  a.require_square("cholesky");
-  if (!is_hermitian(a, 1e-9))
-    throw std::invalid_argument("cholesky: matrix is not Hermitian");
-  const std::size_t n = a.rows();
-  CMat l(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j <= i; ++j) {
-      cplx s = a(i, j);
-      for (std::size_t k = 0; k < j; ++k) s -= l(i, k) * std::conj(l(j, k));
-      if (i == j) {
-        const double d = std::real(s);
-        if (d <= 0 || std::abs(std::imag(s)) > 1e-9 * std::max(1.0, d))
-          throw NumericalError("cholesky: matrix not positive definite");
-        l(i, j) = cplx(std::sqrt(d), 0);
-      } else {
-        l(i, j) = s / l(j, j);
-      }
-    }
-  }
-  return l;
-}
 
 RVec least_squares(const RMat& a, const RVec& b) {
   const std::size_t m = a.rows();

@@ -1,38 +1,12 @@
 #pragma once
 
 /// \file solve.hpp
-/// Direct solvers: LU with partial pivoting (complex), Cholesky (Hermitian
-/// positive definite), inverse and determinant helpers.
+/// Real linear least squares (Householder QR), used by the detect fits and
+/// the dispersion extraction.
 
 #include "qfc/linalg/matrix.hpp"
 
 namespace qfc::linalg {
-
-struct LuDecomposition {
-  CMat lu;                       ///< packed L (unit diag) and U factors
-  std::vector<std::size_t> piv;  ///< row permutation
-  int sign = 1;                  ///< permutation parity
-
-  /// Solve A x = b for the A this decomposition was built from.
-  CVec solve(const CVec& b) const;
-  cplx determinant() const;
-};
-
-/// LU factorization with partial pivoting. Throws NumericalError when the
-/// matrix is numerically singular.
-LuDecomposition lu_decompose(const CMat& a);
-
-/// Convenience: solve A x = b.
-CVec solve(const CMat& a, const CVec& b);
-
-/// Matrix inverse via LU. Throws NumericalError when singular.
-CMat inverse(const CMat& a);
-
-cplx determinant(const CMat& a);
-
-/// Cholesky factor L (lower-triangular, A = L L†) of a Hermitian positive
-/// definite matrix. Throws NumericalError when A is not positive definite.
-CMat cholesky(const CMat& a);
 
 /// Solve the real overdetermined least-squares problem min ||A x - b||_2
 /// via Householder QR. Requires rows >= cols and full column rank.

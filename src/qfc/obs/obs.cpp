@@ -79,10 +79,9 @@ ThreadBuffer& this_thread_buffer() {
 struct Registry {
   std::mutex mu;
   // node-based maps: element addresses are stable, so the references handed
-  // out by counter()/gauge()/histogram() survive any later registration.
+  // out by counter()/gauge() survive any later registration.
   std::map<std::string, Counter, std::less<>> counters;
   std::map<std::string, Gauge, std::less<>> gauges;
-  std::map<std::string, Histogram, std::less<>> histograms;
 };
 
 Registry& registry() {
@@ -97,57 +96,11 @@ auto& get_or_create(Map& m, std::string_view name) {
   return it->second;
 }
 
-// ---------------------------------------------------------- JSON helpers
-
-void append_escaped(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
-void append_args_object(std::string& out, const std::array<SpanArg, 2>& args,
-                        std::uint8_t num_args) {
-  out += "{";
-  for (std::uint8_t a = 0; a < num_args; ++a) {
-    if (a > 0) out += ", ";
-    append_escaped(out, args[a].key != nullptr ? args[a].key : "");
-    out += ": ";
-    if (args[a].kind == SpanArg::Kind::Str)
-      append_escaped(out, args[a].s != nullptr ? args[a].s : "");
-    else
-      out += std::to_string(args[a].i);
-  }
-  out += "}";
-}
-
 // ------------------------------------------------------ metrics snapshot
-
-struct HistogramSnapshot {
-  std::uint64_t count = 0;
-  std::uint64_t sum = 0;
-  std::array<std::uint64_t, Histogram::kNumBuckets> buckets{};
-};
 
 struct MetricsSnapshot {
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, long long> gauges;
-  std::map<std::string, HistogramSnapshot> histograms;
 };
 
 MetricsSnapshot snapshot_metrics() {
@@ -156,95 +109,62 @@ MetricsSnapshot snapshot_metrics() {
   std::lock_guard<std::mutex> lock(reg.mu);
   for (const auto& [name, c] : reg.counters) snap.counters[name] = c.value();
   for (const auto& [name, g] : reg.gauges) snap.gauges[name] = g.value();
-  for (const auto& [name, h] : reg.histograms) {
-    HistogramSnapshot& hs = snap.histograms[name];
-    hs.count = h.count();
-    hs.sum = h.sum();
-    for (std::size_t b = 0; b < Histogram::kNumBuckets; ++b)
-      hs.buckets[b] = h.bucket_count(b);
-  }
   return snap;
 }
 
-/// Render a snapshot (minus an optional baseline) as one JSON object.
-/// Counter/histogram values are deltas when `base` is given; gauges are
-/// always instantaneous.
-std::string render_metrics(const MetricsSnapshot& cur, const MetricsSnapshot* base) {
-  std::string out = "{\n  \"counters\": {";
-  bool first = true;
+/// Set the "counters" and "gauges" members of `out`. Counters are deltas
+/// against `base` when given; one below its baseline (obs::reset() ran in
+/// between) reports its current value. Gauges are always instantaneous.
+void set_metrics(io::Json& out, const MetricsSnapshot& cur, const MetricsSnapshot* base) {
+  io::Json::Object counters;
   for (const auto& [name, v] : cur.counters) {
     std::uint64_t value = v;
     if (base != nullptr) {
       const auto it = base->counters.find(name);
-      value -= it != base->counters.end() ? it->second : 0;
+      if (it != base->counters.end() && it->second <= v) value -= it->second;
     }
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    ";
-    append_escaped(out, name);
-    out += ": " + std::to_string(value);
+    counters.emplace_back(name, value);
   }
-  out += first ? "},\n" : "\n  },\n";
+  io::Json::Object gauges;
+  for (const auto& [name, v] : cur.gauges) gauges.emplace_back(name, v);
+  out.set("counters", io::Json::make_object(std::move(counters)));
+  out.set("gauges", io::Json::make_object(std::move(gauges)));
+}
 
-  out += "  \"gauges\": {";
-  first = true;
-  for (const auto& [name, v] : cur.gauges) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    ";
-    append_escaped(out, name);
-    out += ": " + std::to_string(v);
-  }
-  out += first ? "},\n" : "\n  },\n";
-
-  out += "  \"histograms\": {";
-  first = true;
-  for (const auto& [name, h] : cur.histograms) {
-    HistogramSnapshot d = h;
-    if (base != nullptr) {
-      const auto it = base->histograms.find(name);
-      if (it != base->histograms.end()) {
-        d.count -= it->second.count;
-        d.sum -= it->second.sum;
-        for (std::size_t b = 0; b < Histogram::kNumBuckets; ++b)
-          d.buckets[b] -= it->second.buckets[b];
-      }
+/// One Chrome "complete" event. ts/dur are microseconds; the ns resolution
+/// survives as decimals.
+io::Json event_json(const TraceEvent& ev, std::uint32_t tid) {
+  io::Json j = io::Json::make_object({{"name", ev.name},
+                                      {"cat", "qfc"},
+                                      {"ph", "X"},
+                                      {"pid", 1},
+                                      {"tid", tid},
+                                      {"ts", static_cast<double>(ev.t0) / 1000.0},
+                                      {"dur", static_cast<double>(ev.dur) / 1000.0}});
+  if (ev.num_args > 0) {
+    io::Json args = io::Json::make_object();
+    for (std::uint8_t a = 0; a < ev.num_args; ++a) {
+      const SpanArg& arg = ev.args[a];
+      args.set(arg.key != nullptr ? arg.key : "",
+               arg.kind == SpanArg::Kind::Str ? io::Json(arg.s != nullptr ? arg.s : "")
+                                              : io::Json(arg.i));
     }
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    ";
-    append_escaped(out, name);
-    out += ": {\"count\": " + std::to_string(d.count) +
-           ", \"sum\": " + std::to_string(d.sum) + ", \"buckets\": [";
-    bool bfirst = true;
-    for (std::size_t b = 0; b < Histogram::kNumBuckets; ++b) {
-      if (d.buckets[b] == 0) continue;  // nonzero buckets only (sparse export)
-      if (!bfirst) out += ", ";
-      bfirst = false;
-      // Bucket b spans [2^(b-1), 2^b); "lt" is the exclusive upper bound
-      // (the last bucket is unbounded).
-      out += "{\"bucket\": " + std::to_string(b);
-      if (b + 1 < Histogram::kNumBuckets)
-        out += ", \"lt\": " + std::to_string(std::uint64_t{1} << b);
-      out += ", \"count\": " + std::to_string(d.buckets[b]) + "}";
-    }
-    out += "]}";
+    j.set("args", std::move(args));
   }
-  out += first ? "}\n}" : "\n  }\n}";
-  return out;
+  return j;
 }
 
 bool write_string(const std::string& path, const std::string& body,
                   const char* what) {
   std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "qfc-obs: cannot write %s to %s\n", what, path.c_str());
-    return false;
+  bool ok = f != nullptr;
+  if (ok) {
+    ok = std::fwrite(body.data(), 1, body.size(), f) == body.size() &&
+         std::fputc('\n', f) != EOF;
+    ok = std::fclose(f) == 0 && ok;  // a full disk shows up at the flush
   }
-  std::fwrite(body.data(), 1, body.size(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
-  return true;
+  if (!ok) std::fprintf(stderr, "qfc-obs: cannot write %s to %s\n", what, path.c_str());
+  return ok;
 }
 
 // ----------------------------------------------------------- env control
@@ -325,7 +245,6 @@ void reset() {
   std::lock_guard<std::mutex> lock(reg.mu);
   for (auto& [name, c] : reg.counters) c.reset_value();
   for (auto& [name, g] : reg.gauges) g.reset_value();
-  for (auto& [name, h] : reg.histograms) h.reset_value();
 }
 
 // ---------------------------------------------------------------- tracing
@@ -373,29 +292,17 @@ std::string trace_json() {
   std::stable_sort(flat.begin(), flat.end(),
                    [](const Flat& a, const Flat& b) { return a.ev.t0 < b.ev.t0; });
 
-  std::string out = "{\"traceEvents\": [";
-  char num[160];
+  // Rendered one event at a time, after the buffer locks are released:
+  // beyond the flat copy and the output, the export holds one event.
+  std::string out = "{\"traceEvents\":[";
   for (std::size_t i = 0; i < flat.size(); ++i) {
-    const TraceEvent& ev = flat[i].ev;
     out += i == 0 ? "\n" : ",\n";
-    out += "{\"name\": ";
-    append_escaped(out, ev.name != nullptr ? ev.name : "");
-    // Chrome trace ts/dur are microseconds; keep ns resolution as decimals.
-    std::snprintf(num, sizeof(num),
-                  ", \"cat\": \"qfc\", \"ph\": \"X\", \"pid\": 1, \"tid\": %u, "
-                  "\"ts\": %.3f, \"dur\": %.3f",
-                  flat[i].tid, static_cast<double>(ev.t0) / 1000.0,
-                  static_cast<double>(ev.dur) / 1000.0);
-    out += num;
-    if (ev.num_args > 0) {
-      out += ", \"args\": ";
-      append_args_object(out, ev.args, ev.num_args);
-    }
-    out += "}";
+    out += event_json(flat[i].ev, flat[i].tid).dump();
   }
   out += flat.empty() ? "]" : "\n]";
-  out += ", \"displayTimeUnit\": \"ns\", \"otherData\": {\"dropped_events\": " +
-         std::to_string(dropped) + "}}";
+  out += ",\"displayTimeUnit\":\"ns\",\"otherData\":";
+  out += io::Json::make_object({{"dropped_events", dropped}}).dump();
+  out += "}";
   return out;
 }
 
@@ -417,15 +324,10 @@ Gauge& gauge(std::string_view name) {
   return get_or_create(reg.gauges, name);
 }
 
-Histogram& histogram(std::string_view name) {
-  Registry& reg = registry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  return get_or_create(reg.histograms, name);
-}
-
 std::string metrics_json() {
-  const MetricsSnapshot snap = snapshot_metrics();
-  return render_metrics(snap, nullptr);
+  io::Json out = io::Json::make_object();
+  set_metrics(out, snapshot_metrics(), nullptr);
+  return out.dump(2);
 }
 
 bool write_metrics(const std::string& path) {
@@ -462,17 +364,12 @@ RunReport::RunReport() : impl_(std::make_unique<Impl>()) {
 
 RunReport::~RunReport() = default;
 
-std::string RunReport::json_object() const {
-  const double wall_ms =
-      static_cast<double>(detail::now_ns() - impl_->t0_ns) / 1e6;
-  const MetricsSnapshot cur = snapshot_metrics();
-  std::string body = render_metrics(cur, &impl_->baseline);
-  // Splice the report header into the rendered object: {"enabled": ...,
-  // "wall_ms": ..., "counters": {...}, ...}.
-  char head[96];
-  std::snprintf(head, sizeof(head), "{\n  \"enabled\": %s,\n  \"wall_ms\": %.3f,",
-                metrics_enabled() ? "true" : "false", wall_ms);
-  return std::string(head) + body.substr(1);
+io::Json RunReport::json() const {
+  io::Json out = io::Json::make_object(
+      {{"enabled", metrics_enabled()},
+       {"wall_ms", static_cast<double>(detail::now_ns() - impl_->t0_ns) / 1e6}});
+  set_metrics(out, snapshot_metrics(), &impl_->baseline);
+  return out;
 }
 
 }  // namespace qfc::obs

@@ -8,13 +8,17 @@
 ///    records a scoped begin/end event into a per-thread buffer; the whole
 ///    trace exports as Chrome trace-event JSON (`write_trace` /
 ///    `trace_json`), loadable in chrome://tracing or Perfetto.
-///  - **Metrics registry** — process-wide named monotonic `Counter`s,
-///    `Gauge`s, and `Histogram`s (fixed log-spaced power-of-two buckets, so
-///    bucket boundaries are deterministic across runs and machines), dumped
-///    as JSON (`write_metrics` / `metrics_json`).
+///  - **Metrics registry** — process-wide named monotonic `Counter`s and
+///    last-write-wins `Gauge`s, dumped as JSON (`write_metrics` /
+///    `metrics_json`).
 ///  - **RunReport** — snapshots the metrics registry at construction and
-///    renders the *delta* as a JSON object, so a bench can embed exactly the
-///    counters its own run produced even when earlier phases already ran.
+///    renders the *delta* as an `io::Json` object, so a bench can embed
+///    exactly the counters its own run produced even when earlier phases
+///    already ran.
+///
+/// Every export is written by `io::Json`: the trace is one compact event
+/// object per line between a fixed header and footer (perfbench and the
+/// tests parse it line by line), the metrics are one pretty-printed object.
 ///
 /// Overhead contract: when disabled (the default), every span macro and
 /// every metric update compiles down to a branch on ONE relaxed atomic load
@@ -32,12 +36,11 @@
 ///
 /// Lifetime notes: span names and argument keys/string values must be
 /// string literals (or otherwise outlive the trace export) — they are
-/// stored as pointers, not copied. References returned by
-/// `counter`/`gauge`/`histogram` stay valid for the process lifetime.
+/// stored as pointers, not copied. References returned by `counter`/`gauge`
+/// stay valid for the process lifetime.
 
 #include <array>
 #include <atomic>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
@@ -45,6 +48,8 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
+
+#include "qfc/io/json.hpp"
 
 namespace qfc::obs {
 
@@ -140,7 +145,11 @@ class SpanGuard {
       ::qfc::obs::tracing_enabled() ? ::qfc::obs::SpanGuard(__VA_ARGS__) \
                                     : ::qfc::obs::SpanGuard()
 
-/// The full trace as Chrome trace-event JSON ({"traceEvents": [...]}).
+/// The full trace as Chrome trace-event JSON: the header `{"traceEvents":[`,
+/// then one compact event object per line in start-time order (keys name,
+/// cat, ph, pid, tid, ts, dur and, when the span has any, args), then a
+/// footer with displayTimeUnit and otherData.dropped_events. Each event line
+/// starts with `{"name"` and parses alone once its trailing comma is cut.
 std::string trace_json();
 /// Write trace_json() to `path`; false (with a stderr note) on I/O failure.
 bool write_trace(const std::string& path);
@@ -168,9 +177,6 @@ class Gauge {
   void set(long long v) noexcept {
     if (metrics_enabled()) v_.store(v, std::memory_order_relaxed);
   }
-  void add(long long d) noexcept {
-    if (metrics_enabled()) v_.fetch_add(d, std::memory_order_relaxed);
-  }
   long long value() const noexcept { return v_.load(std::memory_order_relaxed); }
   void reset_value() noexcept { v_.store(0, std::memory_order_relaxed); }
 
@@ -178,53 +184,14 @@ class Gauge {
   std::atomic<long long> v_{0};
 };
 
-/// Latency/size histogram with fixed log-spaced (power-of-two) buckets:
-/// bucket 0 holds the value 0, bucket b (1 <= b < kNumBuckets-1) holds
-/// [2^(b-1), 2^b), and the last bucket holds everything above. Boundaries
-/// depend on nothing but the value, so exported histograms are
-/// deterministic and comparable across runs and machines.
-class Histogram {
- public:
-  static constexpr std::size_t kNumBuckets = 64;
-
-  static constexpr unsigned bucket_of(std::uint64_t v) noexcept {
-    const unsigned w = static_cast<unsigned>(std::bit_width(v));  // 0 for v==0
-    return w < kNumBuckets ? w : static_cast<unsigned>(kNumBuckets - 1);
-  }
-
-  void observe(std::uint64_t v) noexcept {
-    if (!metrics_enabled()) return;
-    buckets_[bucket_of(v)].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(v, std::memory_order_relaxed);
-  }
-
-  std::uint64_t count() const noexcept { return count_.load(std::memory_order_relaxed); }
-  std::uint64_t sum() const noexcept { return sum_.load(std::memory_order_relaxed); }
-  std::uint64_t bucket_count(std::size_t b) const noexcept {
-    return buckets_[b].load(std::memory_order_relaxed);
-  }
-  void reset_value() noexcept {
-    for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-    count_.store(0, std::memory_order_relaxed);
-    sum_.store(0, std::memory_order_relaxed);
-  }
-
- private:
-  std::array<std::atomic<std::uint64_t>, kNumBuckets> buckets_{};
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> sum_{0};
-};
-
 /// Get-or-create a metric by name. The returned reference is stable for the
 /// process lifetime; hot paths should cache it (e.g. in a function-local
 /// static) instead of looking the name up per update.
 Counter& counter(std::string_view name);
 Gauge& gauge(std::string_view name);
-Histogram& histogram(std::string_view name);
 
-/// The whole registry as one JSON object:
-/// {"counters": {...}, "gauges": {...}, "histograms": {...}}.
+/// The whole registry as one JSON object, {"counters": {...}, "gauges":
+/// {...}}, in `io::Json::dump(2)` form.
 std::string metrics_json();
 /// Write metrics_json() to `path`; false (with a stderr note) on failure.
 bool write_metrics(const std::string& path);
@@ -236,10 +203,11 @@ bool write_metrics(const std::string& path);
 /// released.
 long long current_rss_kb();
 
-/// Snapshots the metrics registry at construction; json_object() renders
-/// the delta since then (counters/histograms as differences, gauges as
-/// current values) plus the wall-clock span, as one JSON object — the
-/// run-scoped aggregate engines and benches attach to their own reports.
+/// Snapshots the metrics registry at construction; json() renders the delta
+/// since then as {"enabled", "wall_ms", "counters", "gauges"} — the
+/// run-scoped aggregate benches embed in their own reports. Counters are
+/// differences (a counter below its baseline, because `reset()` ran in
+/// between, reports its current value); gauges are current values.
 class RunReport {
  public:
   RunReport();
@@ -247,7 +215,7 @@ class RunReport {
   RunReport(const RunReport&) = delete;
   RunReport& operator=(const RunReport&) = delete;
 
-  std::string json_object() const;
+  io::Json json() const;
 
  private:
   struct Impl;

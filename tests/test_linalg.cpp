@@ -283,45 +283,7 @@ TEST(Svd, RankDeficient) {
   EXPECT_NEAR(s.sigma[1], 0.0, 1e-10);
 }
 
-// ------------------------------------------------------------- Solve
-
-TEST(Lu, SolveRoundTrip) {
-  const CMat a = random_matrix(6, 6, 20);
-  CVec x_true(6);
-  for (std::size_t i = 0; i < 6; ++i) x_true[i] = cplx(static_cast<double>(i) + 1, -2.0);
-  const CVec b = a * x_true;
-  const CVec x = qfc::linalg::solve(a, b);
-  for (std::size_t i = 0; i < 6; ++i) EXPECT_NEAR(std::abs(x[i] - x_true[i]), 0.0, 1e-9);
-}
-
-TEST(Lu, SingularThrows) {
-  CMat a(3, 3);  // all zeros
-  CVec b(3, cplx(1, 0));
-  EXPECT_THROW(qfc::linalg::solve(a, b), qfc::NumericalError);
-}
-
-TEST(Lu, DeterminantKnown) {
-  const CMat a{{cplx(2, 0), cplx(0, 0)}, {cplx(5, 0), cplx(3, 0)}};
-  EXPECT_NEAR(std::abs(qfc::linalg::determinant(a) - cplx(6, 0)), 0.0, 1e-12);
-}
-
-TEST(Lu, InverseTimesSelfIsIdentity) {
-  const CMat a = random_matrix(5, 5, 21);
-  const CMat inv = qfc::linalg::inverse(a);
-  EXPECT_LT((a * inv - CMat::identity(5)).max_abs(), 1e-9);
-}
-
-TEST(Cholesky, FactorizesAndRejects) {
-  const CMat m = random_matrix(4, 4, 22);
-  CMat psd = m * m.adjoint();  // PSD (PD with prob. 1)
-  for (std::size_t i = 0; i < 4; ++i) psd(i, i) += cplx(0.5, 0);
-  const CMat l = qfc::linalg::cholesky(psd);
-  EXPECT_LT((l * l.adjoint() - psd).max_abs(), 1e-9);
-
-  CMat neg = CMat::identity(3);
-  neg(2, 2) = cplx(-1, 0);
-  EXPECT_THROW(qfc::linalg::cholesky(neg), qfc::NumericalError);
-}
+// ------------------------------------------------------- Least squares
 
 TEST(LeastSquares, ExactLineFit) {
   // y = 2 + 3x fitted exactly through 5 points.
@@ -380,12 +342,6 @@ TEST(MatrixFunctions, SqrtmRejectsNegative) {
   CMat neg = CMat::identity(2);
   neg(1, 1) = cplx(-0.5, 0);
   EXPECT_THROW(qfc::linalg::sqrtm_psd(neg), qfc::NumericalError);
-}
-
-TEST(MatrixFunctions, ExpmOfZeroIsIdentity) {
-  const CMat z(3, 3);
-  const CMat e = qfc::linalg::expm_hermitian(z);
-  EXPECT_LT((e - CMat::identity(3)).max_abs(), 1e-12);
 }
 
 TEST(MatrixFunctions, ProjectToDensityMatrixProperties) {

@@ -1,19 +1,22 @@
 // Tests for qfc::obs — the zero-overhead-when-disabled observability layer:
 // span recording/nesting/thread attribution in the Chrome trace export,
-// counter/gauge/histogram correctness (including under 4-thread contention),
-// valid-JSON round-trips of both exports, RunReport deltas, the worker-pool
-// and linalg instrumentation hooks, and the contract that matters most:
-// enabling or disabling obs never changes a single computed bit.
+// counter correctness under 4-thread contention, the line-per-event trace
+// layout perfbench parses, io::Json round-trips of both exports, RunReport
+// deltas, file-export failures, the worker-pool and linalg instrumentation
+// hooks, and the contract that matters most: enabling or disabling obs never
+// changes a single computed bit.
 
 #include <atomic>
-#include <cctype>
+#include <filesystem>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "qfc/detect/event_engine.hpp"
+#include "qfc/io/json.hpp"
 #include "qfc/linalg/backend.hpp"
 #include "qfc/linalg/hermitian_eig.hpp"
 #include "qfc/obs/obs.hpp"
@@ -41,141 +44,36 @@ class ObsStateGuard {
   std::uint32_t saved_;
 };
 
-// ------------------------------------------------- minimal JSON validation
-
-/// Tiny recursive-descent JSON syntax checker (no values materialized), so
-/// the round-trip tests do not depend on any external parser.
-class JsonChecker {
- public:
-  explicit JsonChecker(const std::string& s) : s_(s) {}
-
-  bool valid() {
-    skip_ws();
-    if (!value()) return false;
-    skip_ws();
-    return pos_ == s_.size();
-  }
-
- private:
-  bool value() {
-    if (pos_ >= s_.size()) return false;
-    switch (s_[pos_]) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return string();
-      case 't': return literal("true");
-      case 'f': return literal("false");
-      case 'n': return literal("null");
-      default: return number();
-    }
-  }
-  bool object() {
-    ++pos_;  // '{'
-    skip_ws();
-    if (peek() == '}') { ++pos_; return true; }
-    for (;;) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (peek() != ':') return false;
-      ++pos_;
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == '}') { ++pos_; return true; }
-      return false;
-    }
-  }
-  bool array() {
-    ++pos_;  // '['
-    skip_ws();
-    if (peek() == ']') { ++pos_; return true; }
-    for (;;) {
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == ']') { ++pos_; return true; }
-      return false;
-    }
-  }
-  bool string() {
-    if (peek() != '"') return false;
-    ++pos_;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      if (s_[pos_] == '\\') {
-        if (pos_ + 1 >= s_.size()) return false;
-        pos_ += 2;
-      } else {
-        ++pos_;
-      }
-    }
-    if (pos_ >= s_.size()) return false;
-    ++pos_;
-    return true;
-  }
-  bool number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) || s_[pos_] == '.' ||
-            s_[pos_] == 'e' || s_[pos_] == 'E' || s_[pos_] == '+' || s_[pos_] == '-'))
-      ++pos_;
-    return pos_ > start;
-  }
-  bool literal(const char* lit) {
-    const std::size_t len = std::string_view(lit).size();
-    if (s_.compare(pos_, len, lit) != 0) return false;
-    pos_ += len;
-    return true;
-  }
-  char peek() const { return pos_ < s_.size() ? s_[pos_] : '\0'; }
-  void skip_ws() {
-    while (pos_ < s_.size() && std::isspace(static_cast<unsigned char>(s_[pos_]))) ++pos_;
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
-
 // ------------------------------------------------------ trace-line parsing
 
-/// One parsed trace event. trace_json() emits one event object per line, so
-/// the tests can scan lines instead of building a full JSON reader.
-struct ParsedEvent {
-  std::string name;
-  unsigned tid = 0;
-  double ts = 0;   // µs
-  double dur = 0;  // µs
-  std::string raw;
-};
+/// The lines of a trace_json() export.
+std::vector<std::string_view> lines_of(const std::string& text) {
+  std::vector<std::string_view> lines;
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    std::size_t end = text.find('\n', pos);
+    if (end == std::string::npos) end = text.size();
+    lines.emplace_back(text.data() + pos, end - pos);
+    pos = end + 1;
+  }
+  return lines;
+}
 
-std::vector<ParsedEvent> parse_events(const std::string& trace) {
-  std::vector<ParsedEvent> events;
-  std::size_t line_start = 0;
-  while (line_start < trace.size()) {
-    std::size_t line_end = trace.find('\n', line_start);
-    if (line_end == std::string::npos) line_end = trace.size();
-    const std::string line = trace.substr(line_start, line_end - line_start);
-    line_start = line_end + 1;
-    if (line.rfind("{\"name\": \"", 0) != 0) continue;
-    ParsedEvent ev;
-    ev.raw = line;
-    const std::size_t name_end = line.find('"', 10);
-    ev.name = line.substr(10, name_end - 10);
-    const auto field = [&](const char* key) {
-      const std::size_t at = line.find(key);
-      EXPECT_NE(at, std::string::npos) << key << " missing in: " << line;
-      return at == std::string::npos ? 0.0 : std::stod(line.substr(at + std::string_view(key).size()));
-    };
-    ev.tid = static_cast<unsigned>(field("\"tid\": "));
-    ev.ts = field("\"ts\": ");
-    ev.dur = field("\"dur\": ");
-    events.push_back(ev);
+/// The trace's events, each parsed alone from its own line the way perfbench
+/// reads them: a line starting with {"name" is one event object, followed by
+/// a comma unless it is the last.
+std::vector<io::Json> parse_events(const std::string& trace) {
+  std::vector<io::Json> events;
+  for (std::string_view line : lines_of(trace)) {
+    if (line.rfind("{\"name\"", 0) != 0) continue;
+    if (line.back() == ',') line.remove_suffix(1);
+    events.push_back(io::Json::parse(line));
   }
   return events;
 }
+
+std::string name_of(const io::Json& ev) { return ev.find("name")->string_value(); }
+double number_of(const io::Json& ev, const char* key) { return ev.find(key)->number_value(); }
 
 // ----------------------------------------------------------------- tests
 
@@ -191,8 +89,6 @@ TEST(Obs, DisabledMeansNoRecordingAnywhere) {
   EXPECT_EQ(c.value(), 0u) << "disabled counter must not accumulate";
   obs::gauge("test.disabled.gauge").set(7);
   EXPECT_EQ(obs::gauge("test.disabled.gauge").value(), 0);
-  obs::histogram("test.disabled.hist").observe(3);
-  EXPECT_EQ(obs::histogram("test.disabled.hist").count(), 0u);
 
   { QFC_OBS_SPAN("test.disabled.span"); }
   EXPECT_EQ(parse_events(obs::trace_json()).size(), 0u);
@@ -213,47 +109,22 @@ TEST(Obs, EnableFlagsAreIndependent) {
   EXPECT_FALSE(obs::enabled());
 }
 
-TEST(Obs, HistogramBucketBoundariesAreFixed) {
-  // bucket 0 = {0}; bucket b = [2^(b-1), 2^b) for 1 <= b < 63; bucket 63
-  // holds everything >= 2^62 — pure functions of the value, so exported
-  // histograms are deterministic across runs and machines.
-  EXPECT_EQ(obs::Histogram::bucket_of(0), 0u);
-  EXPECT_EQ(obs::Histogram::bucket_of(1), 1u);
-  EXPECT_EQ(obs::Histogram::bucket_of(2), 2u);
-  EXPECT_EQ(obs::Histogram::bucket_of(3), 2u);
-  EXPECT_EQ(obs::Histogram::bucket_of(4), 3u);
-  EXPECT_EQ(obs::Histogram::bucket_of(1023), 10u);
-  EXPECT_EQ(obs::Histogram::bucket_of(1024), 11u);
-  EXPECT_EQ(obs::Histogram::bucket_of(std::uint64_t{1} << 62), 63u);
-  EXPECT_EQ(obs::Histogram::bucket_of(~std::uint64_t{0}), 63u);
-}
-
-TEST(Obs, CountersAndHistogramsExactUnderContention) {
+TEST(Obs, CountersExactUnderContention) {
   ObsStateGuard guard;
   obs::enable_metrics(true);
   obs::Counter& c = obs::counter("test.contention.counter");
-  obs::Histogram& h = obs::histogram("test.contention.hist");
 
   constexpr int kThreads = 4;
   constexpr std::uint64_t kPerThread = 50000;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (std::uint64_t i = 0; i < kPerThread; ++i) {
-        c.increment();
-        h.observe(static_cast<std::uint64_t>(t));  // thread t -> one bucket
-      }
+    threads.emplace_back([&] {
+      for (std::uint64_t i = 0; i < kPerThread; ++i) c.increment();
     });
   }
   for (auto& t : threads) t.join();
 
   EXPECT_EQ(c.value(), kThreads * kPerThread);
-  EXPECT_EQ(h.count(), kThreads * kPerThread);
-  EXPECT_EQ(h.sum(), kPerThread * (0 + 1 + 2 + 3));
-  EXPECT_EQ(h.bucket_count(obs::Histogram::bucket_of(0)), kPerThread);  // t=0
-  EXPECT_EQ(h.bucket_count(obs::Histogram::bucket_of(1)), kPerThread);  // t=1
-  // t=2 and t=3 share bucket 2 = [2, 4).
-  EXPECT_EQ(h.bucket_count(2), 2 * kPerThread);
 }
 
 TEST(Obs, SpanNestingAndThreadAttribution) {
@@ -270,50 +141,79 @@ TEST(Obs, SpanNestingAndThreadAttribution) {
   const auto events = parse_events(obs::trace_json());
   ASSERT_EQ(events.size(), 3u);
 
-  const auto find = [&](const char* name) -> const ParsedEvent& {
+  const auto find = [&](const char* name) -> const io::Json& {
     for (const auto& ev : events)
-      if (ev.name == name) return ev;
+      if (name_of(ev) == name) return ev;
     ADD_FAILURE() << name << " span missing";
     return events.front();
   };
-  const ParsedEvent& outer = find("test.outer");
-  const ParsedEvent& inner = find("test.inner");
-  const ParsedEvent& remote = find("test.worker");
+  const io::Json& outer = find("test.outer");
+  const io::Json& inner = find("test.inner");
+  const io::Json& remote = find("test.worker");
 
   // Nesting: the inner complete-event interval sits inside the outer one,
   // on the same thread.
-  EXPECT_EQ(inner.tid, outer.tid);
-  EXPECT_GE(inner.ts, outer.ts);
-  EXPECT_LE(inner.ts + inner.dur, outer.ts + outer.dur);
+  EXPECT_EQ(*inner.find("tid"), *outer.find("tid"));
+  EXPECT_GE(number_of(inner, "ts"), number_of(outer, "ts"));
+  EXPECT_LE(number_of(inner, "ts") + number_of(inner, "dur"),
+            number_of(outer, "ts") + number_of(outer, "dur"));
 
   // Thread attribution: the worker's span carries a different tid.
-  EXPECT_NE(remote.tid, outer.tid);
+  EXPECT_NE(*remote.find("tid"), *outer.find("tid"));
 
-  // Arguments round-trip.
-  EXPECT_NE(outer.raw.find("\"answer\": 42"), std::string::npos);
-  EXPECT_NE(remote.raw.find("\"who\": \"worker\""), std::string::npos);
+  // Arguments round-trip; a span without arguments has no args member.
+  EXPECT_EQ(*outer.find("args"), io::Json::make_object({{"answer", 42}}));
+  EXPECT_EQ(*remote.find("args"), io::Json::make_object({{"who", "worker"}}));
+  EXPECT_EQ(inner.find("args"), nullptr);
+}
+
+TEST(Obs, TraceIsOneParseableEventPerLine) {
+  // The layout perfbench's parse_trace relies on, with names that need
+  // escaping: every line between the header and the footer is one event
+  // that starts with {"name" and parses alone.
+  ObsStateGuard guard;
+  obs::enable_tracing(true);
+  static constexpr const char* kNames[] = {"test.quote\"d", "test.back\\slash",
+                                           "test.new\nline", "test.control\x01" "char"};
+  { QFC_OBS_SPAN(kNames[0], {{"mode", "a\"b\\c\n"}, {"n", -3}}); }
+  for (std::size_t i = 1; i < std::size(kNames); ++i) { QFC_OBS_SPAN(kNames[i]); }
+
+  const std::string trace = obs::trace_json();
+  const auto lines = lines_of(trace);
+  ASSERT_EQ(lines.size(), std::size(kNames) + 2) << trace;
+  EXPECT_EQ(lines.front(), "{\"traceEvents\":[");
+  EXPECT_EQ(lines.back().rfind("]", 0), 0u) << lines.back();
+  for (std::size_t i = 1; i + 1 < lines.size(); ++i)
+    EXPECT_EQ(lines[i].rfind("{\"name\"", 0), 0u) << lines[i];
+
+  const auto events = parse_events(trace);
+  ASSERT_EQ(events.size(), std::size(kNames));
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(name_of(events[i]), kNames[i]);
+    EXPECT_TRUE(events[i].find("tid")->is_int());
+  }
+  EXPECT_EQ(*events[0].find("args"),
+            io::Json::make_object({{"mode", "a\"b\\c\n"}, {"n", -3}}));
+
+  const io::Json doc = io::Json::parse(trace);
+  EXPECT_EQ(doc.find("traceEvents")->array_items().size(), std::size(kNames));
+  EXPECT_EQ(*doc.find("otherData"), io::Json::make_object({{"dropped_events", 0}}));
 }
 
 TEST(Obs, ExportsAreValidJson) {
   ObsStateGuard guard;
-  obs::enable();
-  {
-    QFC_OBS_SPAN("test.json \"quoted\\name\"", {{"mode", "a\"b"}, {"n", -3}});
-  }
+  obs::enable_metrics(true);
   obs::counter("test.json.counter \"escaped\"").add(5);
   obs::gauge("test.json.gauge").set(-12);
-  obs::histogram("test.json.hist").observe(1000);
 
-  const std::string trace = obs::trace_json();
-  EXPECT_TRUE(JsonChecker(trace).valid()) << trace;
-  const std::string metrics = obs::metrics_json();
-  EXPECT_TRUE(JsonChecker(metrics).valid()) << metrics;
-  EXPECT_NE(metrics.find("\"test.json.counter \\\"escaped\\\"\": 5"), std::string::npos);
+  const io::Json metrics = io::Json::parse(obs::metrics_json());
+  EXPECT_EQ(*metrics.find("counters")->find("test.json.counter \"escaped\""), io::Json(5));
+  EXPECT_EQ(*metrics.find("gauges")->find("test.json.gauge"), io::Json(-12));
 
   // Empty registry/trace exports are valid JSON too.
   obs::reset();
-  EXPECT_TRUE(JsonChecker(obs::trace_json()).valid());
-  EXPECT_TRUE(JsonChecker(obs::metrics_json()).valid());
+  EXPECT_TRUE(io::Json::parse(obs::trace_json()).find("traceEvents")->array_items().empty());
+  EXPECT_NO_THROW(io::Json::parse(obs::metrics_json()));
 }
 
 TEST(Obs, RunReportRendersDeltas) {
@@ -324,11 +224,36 @@ TEST(Obs, RunReportRendersDeltas) {
   const obs::RunReport report;
   obs::counter("test.report.counter").add(7);
 
-  const std::string json = report.json_object();
-  EXPECT_TRUE(JsonChecker(json).valid()) << json;
-  EXPECT_NE(json.find("\"enabled\": true"), std::string::npos);
-  EXPECT_NE(json.find("\"test.report.counter\": 7"), std::string::npos)
-      << "RunReport must render the delta since construction, got: " << json;
+  const io::Json json = report.json();
+  EXPECT_EQ(*json.find("enabled"), io::Json(true));
+  EXPECT_TRUE(json.find("wall_ms")->is_number());
+  EXPECT_EQ(*json.find("counters")->find("test.report.counter"), io::Json(7))
+      << "RunReport must render the delta since construction, got: " << json.dump();
+}
+
+TEST(Obs, RunReportAfterResetReportsCurrentValue) {
+  // A reset between construction and render leaves the counter below its
+  // baseline; the delta would wrap to 2^64 - 7.
+  ObsStateGuard guard;
+  obs::enable_metrics(true);
+  obs::counter("test.report.reset").add(10);
+
+  const obs::RunReport report;
+  obs::reset();
+  obs::counter("test.report.reset").add(3);
+
+  const io::Json json = report.json();
+  EXPECT_EQ(*json.find("counters")->find("test.report.reset"), io::Json(3)) << json.dump();
+}
+
+TEST(Obs, FileExportReportsWriteFailure) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full on this host";
+  ObsStateGuard guard;
+  obs::enable();
+  obs::counter("test.full.counter").add(1);
+  { QFC_OBS_SPAN("test.full.span"); }
+  EXPECT_FALSE(obs::write_metrics("/dev/full"));
+  EXPECT_FALSE(obs::write_trace("/dev/full"));
 }
 
 TEST(Obs, WorkerPoolRecordsBusyNsAndRounds) {
@@ -352,7 +277,7 @@ TEST(Obs, WorkerPoolRecordsBusyNsAndRounds) {
 
   const auto events = parse_events(obs::trace_json());
   bool saw_run = false;
-  for (const auto& ev : events) saw_run = saw_run || ev.name == "pool.run";
+  for (const auto& ev : events) saw_run = saw_run || name_of(ev) == "pool.run";
   EXPECT_TRUE(saw_run);
 }
 
