@@ -2,6 +2,8 @@
 // simulation, linear inversion, maximum likelihood.
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <string>
 #include <utility>
@@ -323,6 +325,123 @@ TEST(Mle, MubEstimateIsTheLikelihoodMaximum) {
       likelihood_stationarity(mle.rho.matrix(), projectors, counts);
   EXPECT_LT(residual, 1e-9);
   EXPECT_LT(r_max, 1.0 + 1e-9);
+}
+
+// ------------------------------------------------------------- bit pins
+
+/// FNV-1a over every count of every setting, in setting order.
+template <typename Data>
+std::uint64_t count_digest(const Data& data) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const auto& sc : data)
+    for (std::uint64_t c : sc.counts)
+      for (int b = 0; b < 8; ++b) {
+        h ^= (c >> (8 * b)) & 0xffu;
+        h *= 1099511628211ull;
+      }
+  return h;
+}
+
+/// What a pin holds of one simulate + MLE run: exact counts (digest),
+/// iteration count and convergence flag, the log-likelihood, and two
+/// weighted sums over every ρ entry (row-major entry k weighted k + 1 and
+/// 1/(k + 1)), which move if any one entry moves.
+struct Pin {
+  const char* name;
+  std::uint64_t counts;
+  int iterations;
+  bool converged;
+  double log_likelihood;
+  double f1_re, f1_im, f2_re, f2_im;
+};
+
+template <typename Data, typename Mle>
+void expect_pinned(const Pin& want, const Data& data, const Mle& mle) {
+  const linalg::CMat& rho = mle.rho.matrix();
+  linalg::cplx f1, f2;
+  double scale1 = 0, scale2 = 0;
+  for (std::size_t k = 0; k < rho.size(); ++k) {
+    const double w = static_cast<double>(k + 1);
+    f1 += rho.data()[k] * w;
+    f2 += rho.data()[k] / w;
+    scale1 += std::abs(rho.data()[k]) * w;
+    scale2 += std::abs(rho.data()[k]) / w;
+  }
+  // Integers exactly; doubles to 1e-12 of their scale, which leaves room
+  // for the GEMM's SIMD-dependent summation order (QFC_LINALG_SIMD=off)
+  // and nothing more.
+  const double tol1 = 1e-12 * scale1, tol2 = 1e-12 * scale2;
+  const bool same =
+      count_digest(data) == want.counts && mle.iterations == want.iterations &&
+      mle.converged == want.converged &&
+      std::abs(mle.log_likelihood - want.log_likelihood) <=
+          1e-12 * std::abs(want.log_likelihood) &&
+      std::abs(f1.real() - want.f1_re) <= tol1 && std::abs(f1.imag() - want.f1_im) <= tol1 &&
+      std::abs(f2.real() - want.f2_re) <= tol2 && std::abs(f2.imag() - want.f2_im) <= tol2;
+  char got[512];
+  std::snprintf(got, sizeof got,
+                "{\"%s\", %lluull, %d, %s, %.17g, %.17g, %.17g, %.17g, %.17g}", want.name,
+                static_cast<unsigned long long>(count_digest(data)), mle.iterations,
+                mle.converged ? "true" : "false", mle.log_likelihood, f1.real(), f1.imag(),
+                f2.real(), f2.imag());
+  EXPECT_TRUE(same) << "got " << got;
+}
+
+TEST(Pin, PauliTomographyOutputs) {
+  const quantum::StateVector pure_qubit(
+      linalg::CVec{linalg::cplx(std::cos(0.4), 0),
+                   std::sin(0.4) * std::exp(linalg::cplx(0, 0.9))});
+  const DensityMatrix pair = werner_phi(0.9);
+  const std::vector<std::pair<DensityMatrix, double>> cases = {
+      {DensityMatrix(pure_qubit), 300.0}, {werner_phi(0.83), 200.0}, {pair.tensor(pair), 60.0}};
+  const Pin pins[] = {
+      {"n1", 17809315873939459574ull, 97, true, -438.14178052889827, 2.6222343420413559, 0.30263230000555985, 1.0579143023501156, -0.050438716667593309},
+      {"n1 noisy", 13710317891451855327ull, 500, false, -475.56127505528002, 2.8322978867914337, 0.20569607644069998, 1.1242233760438489, -0.034282679406783326},
+      {"n2", 10836562860066124018ull, 472, true, -2311.6566746188723, 15.278560549486386, 0.31185164457594655, 0.6181030762821027, -0.012793466191158566},
+      {"n2 noisy", 402094767900601023ull, 401, true, -2328.9739325535843, 15.954868240291869, 0.054599535895123619, 0.57664103228765051, -0.010901767356750379},
+      {"n4", 13611408935159203195ull, 500, false, -11749.144460290734, 446.27266924385947, -0.40971858109465753, 0.34327931234539172, -0.00071130177567877123},
+      {"n4 noisy", 18074667496569185761ull, 500, false, -16070.910186546867, 331.29959986209144, 11.947008489624789, 0.26357306411571141, 0.00096300439854677907},
+  };
+  const tomo::NoiseKnobs four_photon_noise{0.38, 1.0};
+  std::size_t i = 0;
+  for (const auto& [rho, shots] : cases)
+    for (const tomo::NoiseKnobs& noise : {tomo::NoiseKnobs{}, four_photon_noise}) {
+      rng::Xoshiro256 g(2024 + i);
+      const auto data = tomo::simulate_counts(rho, shots, noise, g);
+      expect_pinned(pins[i++], data, tomo::maximum_likelihood(data));
+    }
+}
+
+TEST(Pin, MubTomographyOutputs) {
+  tomo::MleOptions opts;
+  opts.convergence_tol = 1e-6;
+  const Pin pins[] = {
+      {"d2 n1", 16465951872363356157ull, 48, true, -303.94484557185024, 4.7715150360373091, 0.30945842344181496, 0.80632579241457236, -0.051576403906969132},
+      {"d2 n2", 11559571154907190275ull, 110, true, -2281.4111837676728, 16.133221623603433, 0.17410450359149793, 0.65455572138257989, 0.0032668868184300044},
+      {"d3 n1", 10689741185409011196ull, 145, true, -626.07175505462055, 12.043271490823637, 1.9699708244179697, 0.48868142593281122, -0.10756993015919919},
+      {"d3 n2", 1200835872944465540ull, 190, true, -6459.6069823139906, 108.66273632375946, 0.19089927205940738, 0.4304909195736969, 0.0082094551393140005},
+      {"d5 n1", 7238015058182282458ull, 200, false, -1572.2449039877683, 28.824672129944634, 10.021249388934727, 0.16779524107318611, -0.098748933310192841},
+      {"d5 n2", 5213999884755260382ull, 200, false, -21791.86621327134, 1318.1853199936368, -11.368439619100187, 0.24619980310047057, 0.00034631131997483582},
+      {"d7 n1", 16909275202140708553ull, 40, false, -2573.8375758313364, 36.525301835537803, 13.841492624386845, 0.036668254643796146, -0.043106313753921377},
+      {"d7 n2", 7030668372711917228ull, 40, false, -47495.686753483715, 7224.9977942510877, -53.715774686862559, 0.16497606266322654, -0.0033598938851142103},
+  };
+  std::size_t i = 0;
+  for (std::size_t d : {2, 3, 5, 7}) {
+    linalg::CVec amps(d);
+    for (std::size_t j = 0; j < d; ++j)
+      amps[j] = std::polar(1.0 + 0.3 * static_cast<double>(j), 0.7 * static_cast<double>(j));
+    linalg::vnormalize(amps);
+    const quantum::StateVector psi(amps, quantum::Dims{d});
+    const std::vector<DensityMatrix> states = {
+        DensityMatrix(psi),
+        quantum::isotropic_noise(quantum::maximally_entangled(d), 0.9)};
+    opts.max_iterations = d < 7 ? 200 : 40;  // d = 7, n = 2 costs 60 ms per 10 iterations
+    for (std::size_t n = 1; n <= 2; ++n) {
+      rng::Xoshiro256 g(77 + i);
+      const auto data = qudit::simulate_mub_counts(states[n - 1], 200.0, g);
+      expect_pinned(pins[i++], data, qudit::mub_maximum_likelihood(data, d, n, opts));
+    }
+  }
 }
 
 }  // namespace
