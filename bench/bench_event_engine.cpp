@@ -367,6 +367,11 @@ int main(int argc, char** argv) {
   const double probe_window_s = probe_duration_s / 20.0;
   const auto probe_specs = make_specs(probe_n);
   std::size_t probe_events = 0, probe_events_10x = 0;
+  // Untraced, like bench_qkd_network's probe: the obs trace buffers would
+  // count against the flat-RSS bound, so these spans are absent from a
+  // QFC_OBS_TRACE trace.
+  const bool tracing = obs::tracing_enabled();
+  obs::enable_tracing(false);
   auto t_probe = Clock::now();
   run_streamed_car(probe_specs, probe_duration_s, probe_window_s, &probe_events);
   const double probe_base_ms = ms_since(t_probe);
@@ -376,6 +381,7 @@ int main(int argc, char** argv) {
                    &probe_events_10x);
   const double probe_10x_ms = ms_since(t_probe);
   const long rss_10x_kb = peak_rss_kb();
+  obs::enable_tracing(tracing);
   const bool bounded_rss =
       rss_base_kb > 0 && rss_10x_kb <= rss_base_kb + rss_base_kb / 10;
   std::printf(

@@ -117,6 +117,11 @@ int main(int argc, char** argv) {
   // Bounded-memory probe at 256 users, multi-distance (0..100 km spread):
   // the duration-D run sets the RSS peak; the 10x-D run with the same
   // stream window must not move it by more than 10%.
+  // The probe runs untraced: obs trace buffers grow with the run's duration
+  // and would count against the flat-RSS bound. Its spans are therefore
+  // absent from a QFC_OBS_TRACE trace.
+  const bool tracing = obs::tracing_enabled();
+  obs::enable_tracing(false);
   const core::QkdNetwork probe(exp, make_network(256, window_s));
   auto t0 = Clock::now();
   const auto probe_base = probe.run(duration_s);
@@ -126,6 +131,7 @@ int main(int argc, char** argv) {
   const auto probe_10x = probe.run(10.0 * duration_s);
   const double probe_10x_ms = ms_since(t0);
   const long rss_10x_kb = peak_rss_kb();
+  obs::enable_tracing(tracing);
   const bool bounded_rss =
       rss_base_kb > 0 && rss_10x_kb <= rss_base_kb + rss_base_kb / 10;
   std::printf(

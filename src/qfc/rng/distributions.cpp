@@ -72,6 +72,8 @@ std::uint64_t poisson_ptrs(Xoshiro256& g, double mu) {
 }  // namespace
 
 std::uint64_t sample_poisson(Xoshiro256& g, double mu) {
+  // PTRS never accepts a NaN or infinite mean: reject it instead of looping.
+  if (!std::isfinite(mu)) throw std::invalid_argument("sample_poisson: non-finite mean");
   if (mu < 0) throw std::invalid_argument("sample_poisson: negative mean");
   if (mu == 0) return 0;
   if (mu < 30.0) return poisson_inversion(g, mu);
@@ -79,8 +81,8 @@ std::uint64_t sample_poisson(Xoshiro256& g, double mu) {
 }
 
 std::uint64_t sample_zero_truncated_poisson(Xoshiro256& g, double mu) {
-  if (mu <= 0)
-    throw std::invalid_argument("sample_zero_truncated_poisson: mean must be > 0");
+  if (!(mu > 0) || !std::isfinite(mu))
+    throw std::invalid_argument("sample_zero_truncated_poisson: mean must be finite and > 0");
   if (mu >= 30.0) {
     // P(0) = e^-mu is astronomically small here; plain rejection of the
     // zero class virtually never loops.

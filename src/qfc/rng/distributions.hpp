@@ -24,11 +24,12 @@ double sample_exponential(Xoshiro256& g, double lambda);
 /// ~ exp(-lambda |x|). Models cavity-filtered photon arrival-time offsets.
 double sample_double_exponential(Xoshiro256& g, double lambda);
 
-/// Poisson with mean mu >= 0. Uses inversion for small mu and the
-/// transformed-rejection method (PTRS, Hörmann 1993) for large mu.
+/// Poisson with finite mean mu >= 0 (std::invalid_argument otherwise). Uses
+/// inversion for small mu and the transformed-rejection method (PTRS,
+/// Hörmann 1993) for large mu.
 std::uint64_t sample_poisson(Xoshiro256& g, double mu);
 
-/// Poisson with mean mu > 0 conditioned on k >= 1. Used by the sparse
+/// Poisson with finite mean mu > 0 conditioned on k >= 1. Used by the sparse
 /// pulsed-emission kernel, which visits only the occupied pulse slots of
 /// a pulse train (occupancy probability 1 - e^-mu per slot) and therefore
 /// needs the per-visited-slot pair number without the zero class.

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <stdexcept>
+#include <string>
 
 #include "qfc/linalg/error.hpp"
 #include "qfc/linalg/matrix_functions.hpp"
@@ -17,82 +17,27 @@ using linalg::cplx;
 using linalg::CMat;
 using linalg::CVec;
 
-std::vector<MeasurementSetting> all_settings(std::size_t num_qubits) {
-  if (num_qubits == 0 || num_qubits > 8)
-    throw std::invalid_argument("all_settings: unsupported qubit count");
-  std::vector<MeasurementSetting> out;
-  std::size_t total = 1;
-  for (std::size_t i = 0; i < num_qubits; ++i) total *= 3;
-  out.reserve(total);
-  const char bases[3] = {'X', 'Y', 'Z'};
-  for (std::size_t idx = 0; idx < total; ++idx) {
-    std::string s(num_qubits, 'X');
-    std::size_t rem = idx;
-    for (std::size_t q = num_qubits; q-- > 0;) {
-      s[q] = bases[rem % 3];
-      rem /= 3;
-    }
-    out.push_back(MeasurementSetting{std::move(s)});
-  }
-  return out;
-}
-
 namespace {
 
-/// Single-qubit eigenstate of basis b with sign (+1 for outcome bit 0).
-CVec basis_eigenstate(char basis, int sign, double phase_error_rad) {
-  switch (basis) {
-    case 'X': return quantum::xy_eigenstate(0.0 + phase_error_rad, sign);
-    case 'Y':
-      return quantum::xy_eigenstate(photonics::pi / 2.0 + phase_error_rad, sign);
-    case 'Z': {
-      CVec v(2, cplx(0, 0));
-      v[sign > 0 ? 0 : 1] = cplx(1, 0);
-      return v;
-    }
-    default: throw std::invalid_argument("basis_eigenstate: basis must be X, Y or Z");
-  }
+std::size_t power(std::size_t base, std::size_t n) {
+  std::size_t r = 1;
+  while (n-- > 0) r *= base;
+  return r;
 }
 
-/// The single-qubit eigenvectors whose Kronecker product is outcome
-/// `outcome` of setting `s`, qubit 0 first.
-std::vector<CVec> outcome_factors(const MeasurementSetting& s, std::size_t outcome,
-                                  const std::vector<double>& phase_errors) {
-  const std::size_t n = s.num_qubits();
-  if (outcome >= (std::size_t{1} << n))
-    throw std::out_of_range("tomography: outcome out of range");
-  std::vector<CVec> factors;
-  factors.reserve(n);
-  for (std::size_t q = 0; q < n; ++q) {
-    const int bit = (outcome >> (n - 1 - q)) & 1;
-    const double err = phase_errors.empty() ? 0.0 : phase_errors[q];
-    factors.push_back(basis_eigenstate(s.bases[q], bit ? -1 : +1, err));
+/// Column (digit q of `outcome`) of bases[q] for every particle q.
+std::vector<CVec> outcome_factors(const std::vector<CMat>& bases, std::size_t outcome) {
+  std::vector<CVec> factors(bases.size());
+  for (std::size_t q = bases.size(); q-- > 0; outcome /= bases[q].cols()) {
+    factors[q].resize(bases[q].rows());
+    for (std::size_t j = 0; j < bases[q].rows(); ++j)
+      factors[q][j] = bases[q](j, outcome % bases[q].cols());
   }
+  if (outcome != 0) throw std::out_of_range("tomography: outcome out of range");
   return factors;
 }
 
-CMat setting_outcome_projector(const MeasurementSetting& s, std::size_t outcome,
-                               const std::vector<double>& phase_errors) {
-  CMat proj;
-  for (const CVec& v : outcome_factors(s, outcome, phase_errors)) {
-    const CMat p1 = quantum::projector(v);
-    proj = proj.empty() ? p1 : linalg::kron(proj, p1);
-  }
-  return proj;
-}
-
 }  // namespace
-
-CMat outcome_projector(const MeasurementSetting& s, std::size_t outcome) {
-  return setting_outcome_projector(s, outcome, {});
-}
-
-CVec outcome_vector(const MeasurementSetting& s, std::size_t outcome) {
-  CVec vec;
-  for (const CVec& v : outcome_factors(s, outcome, {}))
-    vec = vec.empty() ? v : linalg::kron(vec, v);
-  return vec;
-}
 
 std::uint64_t SettingCounts::total() const {
   std::uint64_t t = 0;
@@ -100,102 +45,76 @@ std::uint64_t SettingCounts::total() const {
   return t;
 }
 
+std::vector<CMat> setting_bases(const BasisSet& set, const std::vector<std::size_t>& setting) {
+  std::vector<CMat> bases;
+  for (std::size_t b : setting) bases.push_back(set.at(b));
+  return bases;
+}
+
+CVec outcome_vector(const std::vector<CMat>& bases, std::size_t outcome) {
+  CVec vec;
+  for (const CVec& v : outcome_factors(bases, outcome))
+    vec = vec.empty() ? v : linalg::kron(vec, v);
+  return vec;
+}
+
+CMat outcome_projector(const std::vector<CMat>& bases, std::size_t outcome) {
+  CMat proj;
+  for (const CVec& v : outcome_factors(bases, outcome)) {
+    const CMat p1 = linalg::outer(v, v);
+    proj = proj.empty() ? p1 : linalg::kron(proj, p1);
+  }
+  return proj;
+}
+
 std::vector<SettingCounts> simulate_counts(const quantum::DensityMatrix& rho,
-                                           double shots_per_setting,
-                                           const NoiseKnobs& noise, rng::Xoshiro256& g) {
-  if (shots_per_setting <= 0)
-    throw std::invalid_argument("simulate_counts: shots_per_setting <= 0");
-  const std::size_t n = rho.num_qubits();
-  const std::size_t num_outcomes = std::size_t{1} << n;
+                                           const BasisSet& set, double shots_per_setting,
+                                           double accidentals_per_outcome,
+                                           rng::Xoshiro256& g, const Analyzer& analyzer) {
+  if (!(shots_per_setting > 0) || !std::isfinite(shots_per_setting))
+    throw std::invalid_argument("simulate_counts: shots_per_setting must be finite and > 0");
+  if (!std::isfinite(accidentals_per_outcome))
+    throw std::invalid_argument("simulate_counts: accidentals_per_outcome must be finite");
+  for (std::size_t d : rho.dims())
+    if (d != set.at(0).rows())
+      throw std::invalid_argument("simulate_counts: particle dimension is not the basis set's");
 
-  std::vector<SettingCounts> out;
-  for (const auto& s : all_settings(n)) {
-    // Systematic analyzer phase error per qubit, fixed within the setting.
-    std::vector<double> errs(n, 0.0);
-    if (noise.analyzer_phase_rms_rad > 0)
-      for (auto& e : errs) e = rng::sample_normal(g, 0.0, noise.analyzer_phase_rms_rad);
-
-    SettingCounts sc;
-    sc.setting = s;
-    sc.counts.resize(num_outcomes);
-    for (std::size_t o = 0; o < num_outcomes; ++o) {
-      const double p = rho.probability(setting_outcome_projector(s, o, errs));
-      const double mean = shots_per_setting * p + noise.accidentals_per_outcome;
-      sc.counts[o] = rng::sample_poisson(g, mean);
+  const std::size_t n = rho.num_particles();
+  std::vector<SettingCounts> out(power(set.size(), n));
+  for (std::size_t s = 0; s < out.size(); ++s) {
+    SettingCounts& sc = out[s];
+    sc.bases.resize(n);
+    for (std::size_t q = n, rem = s; q-- > 0; rem /= set.size()) sc.bases[q] = rem % set.size();
+    const auto measured = analyzer ? analyzer(sc.bases) : setting_bases(set, sc.bases);
+    sc.counts.resize(rho.dim());
+    for (std::size_t o = 0; o < sc.counts.size(); ++o) {
+      const double p = rho.probability(outcome_projector(measured, o));
+      sc.counts[o] = rng::sample_poisson(g, shots_per_setting * p + accidentals_per_outcome);
     }
-    out.push_back(std::move(sc));
   }
   return out;
 }
 
-namespace {
-
-std::size_t checked_num_qubits(const std::vector<SettingCounts>& data) {
+std::size_t checked_particles(const std::vector<SettingCounts>& data, const BasisSet& set) {
   if (data.empty()) throw std::invalid_argument("tomography: empty data");
-  const std::size_t n = data.front().setting.num_qubits();
-  for (const auto& d : data) {
-    if (d.setting.num_qubits() != n)
-      throw std::invalid_argument("tomography: inconsistent setting widths");
-    if (d.counts.size() != (std::size_t{1} << n))
-      throw std::invalid_argument("tomography: wrong outcome count");
+  const std::size_t n = data.front().bases.size();
+  const std::size_t dim = quantum::total_dim(quantum::Dims(n, set.at(0).rows()));
+  const std::size_t num_settings = power(set.size(), n);
+  if (data.size() != num_settings)
+    throw std::invalid_argument("tomography: need every setting exactly once");
+  std::vector<bool> seen(num_settings, false);
+  for (const auto& sc : data) {
+    if (sc.bases.size() != n || sc.counts.size() != dim)
+      throw std::invalid_argument("tomography: malformed setting");
+    std::size_t key = 0;
+    for (std::size_t b : sc.bases) {
+      if (b >= set.size()) throw std::invalid_argument("tomography: basis index out of range");
+      key = key * set.size() + b;
+    }
+    if (seen[key]) throw std::invalid_argument("tomography: need every setting exactly once");
+    seen[key] = true;
   }
   return n;
-}
-
-}  // namespace
-
-CMat linear_inversion(const std::vector<SettingCounts>& data) {
-  const std::size_t n = checked_num_qubits(data);
-  const std::size_t dim = std::size_t{1} << n;
-
-  std::map<std::string, const SettingCounts*> by_setting;
-  for (const auto& d : data) by_setting[d.setting.bases] = &d;
-
-  CMat rho(dim, dim);
-  // Identity term.
-  for (std::size_t i = 0; i < dim; ++i) rho(i, i) = cplx(1.0, 0);
-
-  // Enumerate all 4^n Pauli strings except the all-identity one.
-  std::size_t total = 1;
-  for (std::size_t i = 0; i < n; ++i) total *= 4;
-  const char letters[4] = {'I', 'X', 'Y', 'Z'};
-
-  for (std::size_t idx = 1; idx < total; ++idx) {
-    std::string pstr(n, 'I');
-    std::size_t rem = idx;
-    for (std::size_t q = n; q-- > 0;) {
-      pstr[q] = letters[rem % 4];
-      rem /= 4;
-    }
-    // Compatible setting: replace I by Z.
-    std::string setting = pstr;
-    for (auto& c : setting)
-      if (c == 'I') c = 'Z';
-    const auto it = by_setting.find(setting);
-    if (it == by_setting.end())
-      throw std::invalid_argument("linear_inversion: missing setting " + setting);
-    const SettingCounts& sc = *it->second;
-    const double tot = static_cast<double>(sc.total());
-    if (tot <= 0) continue;
-
-    double expectation = 0;
-    for (std::size_t o = 0; o < sc.counts.size(); ++o) {
-      int sign = 1;
-      for (std::size_t q = 0; q < n; ++q) {
-        if (pstr[q] == 'I') continue;
-        if ((o >> (n - 1 - q)) & 1) sign = -sign;
-      }
-      expectation += sign * static_cast<double>(sc.counts[o]);
-    }
-    expectation /= tot;
-
-    CMat term = quantum::pauli_string(pstr);
-    term *= cplx(expectation, 0);
-    rho += term;
-  }
-
-  rho *= cplx(1.0 / static_cast<double>(dim), 0);
-  return rho;
 }
 
 namespace {
@@ -223,15 +142,17 @@ bool all_finite(const CVec& v) {
 
 }  // namespace
 
-RrrResult rrr_reconstruct(const std::vector<ProjectorTerm>& terms,
-                          const CMat& seed, const MleOptions& opts) {
+MleResult rrr_reconstruct(const std::vector<ProjectorTerm>& terms, const CMat& seed,
+                          quantum::Dims dims, const MleOptions& opts) {
   seed.require_square("rrr_reconstruct");
   seed.require_finite("rrr_reconstruct");
+  const std::size_t dim = seed.rows();
+  if (quantum::total_dim(dims) != dim)
+    throw std::invalid_argument("rrr_reconstruct: seed size does not match dims");
   if (opts.max_iterations < 0)
     throw std::invalid_argument("rrr_reconstruct: negative max_iterations");
   if (!(opts.convergence_tol >= 0))
     throw std::invalid_argument("rrr_reconstruct: convergence_tol must be >= 0");
-  const std::size_t dim = seed.rows();
   double grand_total = 0;
   std::size_t active = 0;
   for (const auto& t : terms) {
@@ -276,8 +197,9 @@ RrrResult rrr_reconstruct(const std::vector<ProjectorTerm>& terms,
     rho += eye;
   }
 
-  RrrResult res;
-  for (int it = 0; it < opts.max_iterations; ++it) {
+  int iterations = 0;
+  bool converged = false;
+  while (iterations < opts.max_iterations && !converged) {
     outcome_probabilities(a * rho, a, 1e-12, p);
     for (std::size_t k = 0; k < active; ++k) {
       const double c = counts[k] / (grand_total * p[k]);
@@ -294,13 +216,9 @@ RrrResult rrr_reconstruct(const std::vector<ProjectorTerm>& terms,
 
     CMat diff = next;
     diff -= rho;
-    const double delta = diff.frobenius_norm();
+    converged = diff.frobenius_norm() < opts.convergence_tol;
     rho = std::move(next);
-    res.iterations = it + 1;
-    if (delta < opts.convergence_tol) {
-      res.converged = true;
-      break;
-    }
+    ++iterations;
   }
 
   // Final cleanup: enforce exact Hermiticity/PSD within tolerance.
@@ -308,30 +226,111 @@ RrrResult rrr_reconstruct(const std::vector<ProjectorTerm>& terms,
   outcome_probabilities(a * rho, a, 1e-300, p);
   double ll = 0;
   for (std::size_t k = 0; k < active; ++k) ll += counts[k] * std::log(p[k]);
-  res.log_likelihood = ll;
-  res.rho = std::move(rho);
-  return res;
+  return MleResult{quantum::DensityMatrix(std::move(rho), std::move(dims), 1e-6), iterations,
+                   converged, ll};
+}
+
+MleResult maximum_likelihood(const std::vector<SettingCounts>& data, const BasisSet& set,
+                             const CMat& linear_estimate, const MleOptions& opts) {
+  const std::size_t n = checked_particles(data, set);
+  std::vector<ProjectorTerm> terms;
+  for (const auto& sc : data) {
+    const auto measured = setting_bases(set, sc.bases);
+    for (std::size_t o = 0; o < sc.counts.size(); ++o)
+      if (sc.counts[o] > 0)
+        terms.push_back(
+            ProjectorTerm{outcome_vector(measured, o), static_cast<double>(sc.counts[o])});
+  }
+  return rrr_reconstruct(terms, linalg::project_to_density_matrix(linear_estimate),
+                         quantum::Dims(n, set.at(0).rows()), opts);
+}
+
+// ------------------------------------------------------------------------
+// Qubit Pauli path.
+
+BasisSet pauli_bases(double phase_error_rad) {
+  const auto xy_basis = [](double phi) {
+    const CVec plus = quantum::xy_eigenstate(phi, +1), minus = quantum::xy_eigenstate(phi, -1);
+    return CMat{{plus[0], minus[0]}, {plus[1], minus[1]}};
+  };
+  return {xy_basis(0.0 + phase_error_rad), xy_basis(photonics::pi / 2.0 + phase_error_rad),
+          CMat::identity(2)};
+}
+
+std::vector<SettingCounts> simulate_counts(const quantum::DensityMatrix& rho,
+                                           double shots_per_setting,
+                                           const NoiseKnobs& noise, rng::Xoshiro256& g) {
+  const double rms = noise.analyzer_phase_rms_rad;
+  if (!std::isfinite(rms))
+    throw std::invalid_argument("simulate_counts: analyzer_phase_rms_rad must be finite");
+  Analyzer analyzer;
+  if (rms > 0)
+    // Systematic analyzer phase error per qubit, fixed within the setting.
+    analyzer = [&](const std::vector<std::size_t>& setting) {
+      std::vector<CMat> measured;
+      for (std::size_t b : setting)
+        measured.push_back(pauli_bases(rng::sample_normal(g, 0.0, rms))[b]);
+      return measured;
+    };
+  return simulate_counts(rho, pauli_bases(), shots_per_setting,
+                         noise.accidentals_per_outcome, g, analyzer);
+}
+
+CMat linear_inversion(const std::vector<SettingCounts>& data) {
+  const std::size_t n = checked_particles(data, pauli_bases());
+  const std::size_t dim = std::size_t{1} << n;
+
+  // The settings by mixed-radix index over {X, Y, Z}; checked_particles
+  // guarantees each appears once.
+  std::vector<const SettingCounts*> by_setting(data.size());
+  for (const auto& sc : data) {
+    std::size_t key = 0;
+    for (std::size_t b : sc.bases) key = key * 3 + b;
+    by_setting[key] = &sc;
+  }
+
+  CMat rho(dim, dim);
+  // Identity term.
+  for (std::size_t i = 0; i < dim; ++i) rho(i, i) = cplx(1.0, 0);
+
+  // Enumerate all 4^n Pauli strings except the all-identity one.
+  const std::size_t num_strings = power(4, n);
+  for (std::size_t idx = 1; idx < num_strings; ++idx) {
+    // The string, and its compatible setting: I measured as Z, so letter
+    // i of "IXYZ" is basis (i + 2) % 3 of {X, Y, Z}.
+    std::string pstr(n, 'I');
+    std::size_t key = 0, rem = idx, place = 1;
+    for (std::size_t q = n; q-- > 0; rem /= 4, place *= 3) {
+      pstr[q] = "IXYZ"[rem % 4];
+      key += (rem % 4 + 2) % 3 * place;
+    }
+    const SettingCounts& sc = *by_setting[key];
+    const double tot = static_cast<double>(sc.total());
+    if (tot <= 0) continue;
+
+    double expectation = 0;
+    for (std::size_t o = 0; o < sc.counts.size(); ++o) {
+      int sign = 1;
+      for (std::size_t q = 0; q < n; ++q) {
+        if (pstr[q] == 'I') continue;
+        if ((o >> (n - 1 - q)) & 1) sign = -sign;
+      }
+      expectation += sign * static_cast<double>(sc.counts[o]);
+    }
+    expectation /= tot;
+
+    CMat term = quantum::pauli_string(pstr);
+    term *= cplx(expectation, 0);
+    rho += term;
+  }
+
+  rho *= cplx(1.0 / static_cast<double>(dim), 0);
+  return rho;
 }
 
 MleResult maximum_likelihood(const std::vector<SettingCounts>& data,
                              const MleOptions& opts) {
-  checked_num_qubits(data);
-
-  std::vector<ProjectorTerm> terms;
-  for (const auto& d : data)
-    for (std::size_t o = 0; o < d.counts.size(); ++o) {
-      if (d.counts[o] == 0) continue;
-      terms.push_back(ProjectorTerm{outcome_vector(d.setting, o),
-                                    static_cast<double>(d.counts[o])});
-    }
-
-  // Seed: physical projection of the linear-inversion estimate.
-  const CMat seed = linalg::project_to_density_matrix(linear_inversion(data));
-  RrrResult core = rrr_reconstruct(terms, seed, opts);
-
-  MleResult res{quantum::DensityMatrix(std::move(core.rho), 1e-6), core.iterations,
-                core.converged, core.log_likelihood};
-  return res;
+  return maximum_likelihood(data, pauli_bases(), linear_inversion(data), opts);
 }
 
 }  // namespace qfc::tomo

@@ -1,13 +1,18 @@
 #pragma once
 
 /// \file tomography.hpp
-/// Quantum state tomography of time-bin qubit registers (paper Sec. V):
-/// measurement-setting generation (each qubit in Z, X or Y — arrival time
-/// or interferometer phase 0 / π/2), count simulation, linear-inversion
-/// and maximum-likelihood (iterative RρR) reconstruction.
+/// Product-basis quantum state tomography: the one stack behind qubit Pauli
+/// tomography of time-bin registers (paper Sec. V: each qubit in Z, X or Y —
+/// arrival time or interferometer phase 0 / π/2) and frequency-bin qudit
+/// MUB tomography (qfc::qudit, mub.hpp). A setting picks one basis per
+/// particle from a basis set, and every outcome is the Kronecker product of
+/// one basis column per particle, so it is rank 1. The two paths share the
+/// settings/counts type, the outcome builder, the Poisson count loop, the
+/// data check and the iterative RρR maximum likelihood; they differ in the
+/// basis set, the linear-inversion seed, and the qubit analyzer-phase noise.
 
 #include <cstdint>
-#include <string>
+#include <functional>
 #include <vector>
 
 #include "qfc/quantum/state.hpp"
@@ -15,32 +20,105 @@
 
 namespace qfc::tomo {
 
-/// One measurement setting: a basis label per qubit, e.g. "XY" for a
-/// two-qubit setting measuring X on qubit 0 and Y on qubit 1.
-struct MeasurementSetting {
-  std::string bases;  ///< characters from {X, Y, Z}
+/// Single-particle bases: element [b] is a d x d matrix whose column k is
+/// the vector of outcome k in basis b.
+using BasisSet = std::vector<linalg::CMat>;
 
-  std::size_t num_qubits() const { return bases.size(); }
-};
-
-/// All 3^n settings for n qubits, in lexicographic order (X < Y < Z).
-std::vector<MeasurementSetting> all_settings(std::size_t num_qubits);
-
-/// Projector onto outcome o (bitmask, bit q = 1 means the −1 eigenstate on
-/// qubit q, with qubit 0 the most significant bit) of the given setting.
-linalg::CMat outcome_projector(const MeasurementSetting& s, std::size_t outcome);
-
-/// The unit vector |v⟩ of that outcome, outcome_projector(s, o) = |v⟩⟨v|:
-/// the Kronecker product of the single-qubit eigenvectors, qubit 0 first.
-linalg::CVec outcome_vector(const MeasurementSetting& s, std::size_t outcome);
-
-/// Counts observed for one setting: counts[outcome] for all 2^n outcomes.
+/// Counts observed in one setting.
 struct SettingCounts {
-  MeasurementSetting setting;
-  std::vector<std::uint64_t> counts;
+  std::vector<std::size_t> bases;     ///< basis index per particle
+  std::vector<std::uint64_t> counts;  ///< all d^n outcomes, particle 0 slowest
 
   std::uint64_t total() const;
 };
+
+/// The matrices one setting measures, set[setting[q]] for particle q.
+std::vector<linalg::CMat> setting_bases(const BasisSet& set,
+                                        const std::vector<std::size_t>& setting);
+
+/// The unit vector |v⟩ of outcome `outcome` (mixed radix, particle 0 the
+/// most significant digit): the Kronecker product of column (digit q) of
+/// bases[q], particle 0 first. std::out_of_range past the last outcome.
+linalg::CVec outcome_vector(const std::vector<linalg::CMat>& bases, std::size_t outcome);
+
+/// Its projector |v⟩⟨v|, as the Kronecker product of per-particle projectors.
+linalg::CMat outcome_projector(const std::vector<linalg::CMat>& bases,
+                               std::size_t outcome);
+
+/// The matrices a setting actually measures, when they are not the nominal
+/// setting_bases (e.g. an analyzer with phase errors).
+using Analyzer =
+    std::function<std::vector<linalg::CMat>(const std::vector<std::size_t>& setting)>;
+
+/// Simulate a complete product-basis measurement: for each of the |set|^n
+/// settings (mixed radix, particle 0 slowest), Poisson counts around
+/// shots_per_setting x probability + accidentals_per_outcome. `analyzer`,
+/// if set, is called once per setting, before its counts are drawn. Throws
+/// std::invalid_argument for shots_per_setting not finite and > 0, a
+/// non-finite accidentals_per_outcome, or a particle whose dimension is not
+/// the basis set's.
+std::vector<SettingCounts> simulate_counts(const quantum::DensityMatrix& rho,
+                                           const BasisSet& set, double shots_per_setting,
+                                           double accidentals_per_outcome,
+                                           rng::Xoshiro256& g, const Analyzer& analyzer = {});
+
+/// Number of particles n of `data`, after checking that it holds each of
+/// the |set|^n settings exactly once, each with d^n counts
+/// (std::invalid_argument otherwise).
+std::size_t checked_particles(const std::vector<SettingCounts>& data, const BasisSet& set);
+
+struct MleOptions {
+  int max_iterations = 500;
+  /// Stop once the Frobenius norm of one RρR update falls below this. A
+  /// small update does not bound the likelihood gap.
+  double convergence_tol = 1e-10;
+};
+
+/// A maximum-likelihood estimate, from either path.
+struct MleResult {
+  quantum::DensityMatrix rho;  ///< physical: Hermitian, unit trace, PSD
+  int iterations = 0;          ///< RρR iterations run
+  bool converged = false;      ///< an update fell below convergence_tol
+  double log_likelihood = 0;   ///< Σ_k n_k log p_k over outcomes with counts
+};
+
+/// One measured rank-1 projector |v⟩⟨v| with its observed count. Every
+/// outcome of a product-basis setting is a Kronecker product of basis
+/// columns, so the core never needs the dense D x D projector.
+struct ProjectorTerm {
+  linalg::CVec vector;  ///< |v⟩, length D
+  double count = 0;
+};
+
+/// Iterative RρR maximum-likelihood reconstruction (Lvovsky 2004) over an
+/// arbitrary list of rank-1 projector/count terms in any dimension D =
+/// total_dim(dims). `seed` must be a Hermitian unit-trace D x D matrix (it
+/// is mixed with a sliver of identity internally so no term starts at zero
+/// probability). The K terms with count > 0 are packed once into A = V†
+/// (K x D) and V (D x K); each iteration is then p_k = ⟨v_k|ρ|v_k⟩ from
+/// W = A·ρ and R = V·diag(n_k/(N p_k))·A — two K x D x D GEMMs plus O(KD) —
+/// followed by the D x D products R·ρ·R. Throws std::invalid_argument naming
+/// rrr_reconstruct for a non-finite or non-square seed, a seed that does not
+/// match dims, a vector of the wrong length or with a non-finite entry, a
+/// negative or non-finite count, no counts at all, a negative
+/// max_iterations or a NaN/negative convergence_tol.
+MleResult rrr_reconstruct(const std::vector<ProjectorTerm>& terms, const linalg::CMat& seed,
+                          quantum::Dims dims, const MleOptions& opts = {});
+
+/// The maximum-likelihood driver both paths share: checks `data`, packs
+/// every outcome with counts, and runs rrr_reconstruct from the physical
+/// projection of the path's `linear_estimate`.
+MleResult maximum_likelihood(const std::vector<SettingCounts>& data, const BasisSet& set,
+                             const linalg::CMat& linear_estimate,
+                             const MleOptions& opts = {});
+
+// ------------------------------------------------------------------------
+// Qubit Pauli path.
+
+/// The qubit basis set {X, Y, Z}, in that order; column 0 is the +1
+/// eigenvector. X and Y are the interferometer at phase 0 and π/2, both
+/// shifted by `phase_error_rad`; Z is the arrival time.
+BasisSet pauli_bases(double phase_error_rad = 0.0);
 
 struct NoiseKnobs {
   /// RMS analyzer-phase error applied to X/Y bases per setting (systematic
@@ -50,9 +128,10 @@ struct NoiseKnobs {
   double accidentals_per_outcome = 0.0;
 };
 
-/// Simulate tomography data: for each setting, Poisson counts around
-/// shots_per_setting x outcome probability (+ noise knobs). rho must be a
-/// qubit register (std::invalid_argument otherwise).
+/// Simulate Pauli tomography data: all 3^n settings in lexicographic order
+/// (X < Y < Z), each qubit's analyzer phase drawn per setting from `noise`.
+/// rho must be a qubit register, and every knob finite
+/// (std::invalid_argument otherwise).
 std::vector<SettingCounts> simulate_counts(const quantum::DensityMatrix& rho,
                                            double shots_per_setting,
                                            const NoiseKnobs& noise, rng::Xoshiro256& g);
@@ -64,55 +143,8 @@ std::vector<SettingCounts> simulate_counts(const quantum::DensityMatrix& rho,
 /// it to MLE.
 linalg::CMat linear_inversion(const std::vector<SettingCounts>& data);
 
-struct MleOptions {
-  int max_iterations = 500;
-  double convergence_tol = 1e-10;  ///< Frobenius norm of ρ update
-};
-
-struct MleResult {
-  quantum::DensityMatrix rho;
-  int iterations = 0;
-  bool converged = false;
-  double log_likelihood = 0;
-};
-
-/// Maximum-likelihood reconstruction via the iterative RρR algorithm
-/// (Lvovsky 2004), seeded from the projected linear-inversion estimate.
+/// Maximum likelihood over the Pauli set, seeded from linear_inversion.
 MleResult maximum_likelihood(const std::vector<SettingCounts>& data,
                              const MleOptions& opts = {});
-
-// ------------------------------------------------------------------------
-// Dimension-agnostic RρR core, shared by the qubit path above and by the
-// frequency-bin qudit MUB tomography in qfc::qudit.
-
-/// One measured rank-1 projector |v⟩⟨v| with its observed count. Every
-/// Pauli and MUB outcome is a Kronecker product of single-particle basis
-/// vectors, so the core never needs the dense D x D projector.
-struct ProjectorTerm {
-  linalg::CVec vector;  ///< |v⟩, length D
-  double count = 0;
-};
-
-struct RrrResult {
-  linalg::CMat rho;  ///< physical (Hermitian, unit-trace, PSD) estimate
-  int iterations = 0;
-  bool converged = false;
-  double log_likelihood = 0;
-};
-
-/// Iterative RρR maximum-likelihood reconstruction over an arbitrary list
-/// of rank-1 projector/count terms in any dimension D. `seed` must be a
-/// Hermitian unit-trace matrix of the right dimension (it is mixed with a
-/// sliver of identity internally so no term starts at zero probability).
-/// The K terms with count > 0 are packed once into A = V† (K x D) and V
-/// (D x K); each iteration is then p_k = ⟨v_k|ρ|v_k⟩ from W = A·ρ and
-/// R = V·diag(n_k/(N p_k))·A — two K x D x D GEMMs plus O(KD) — followed by
-/// the D x D products R·ρ·R. Throws std::invalid_argument naming
-/// rrr_reconstruct for a non-finite or non-square seed, a vector of the
-/// wrong length or with a non-finite entry, a negative or non-finite count,
-/// no counts at all, a negative max_iterations or a NaN/negative
-/// convergence_tol.
-RrrResult rrr_reconstruct(const std::vector<ProjectorTerm>& terms,
-                          const linalg::CMat& seed, const MleOptions& opts = {});
 
 }  // namespace qfc::tomo

@@ -4,6 +4,7 @@
 // CHSH at d = 2), and MUB tomography for prime d.
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -375,6 +376,10 @@ TEST(Analyzer, SimulateJointCountsValidation) {
   EXPECT_THROW(simulate_joint_counts(pair, projs, projs, 0, 0.0, g),
                std::invalid_argument);
   EXPECT_THROW(simulate_joint_counts(pair, projs, projs, 1000, -1.0, g),
+               std::invalid_argument);
+  // A NaN pair number passes the `<= 0` check and used to hang the sampler.
+  EXPECT_THROW(simulate_joint_counts(pair, projs, projs,
+                                     std::numeric_limits<double>::quiet_NaN(), 0.0, g),
                std::invalid_argument);
 }
 

@@ -2,6 +2,7 @@
 // use wide (5+ sigma) tolerances so they are deterministic in practice.
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -146,6 +147,16 @@ TEST(Poisson, ZeroMeanGivesZero) {
 TEST(Poisson, NegativeThrows) {
   Xoshiro256 g(17);
   EXPECT_THROW(qfc::rng::sample_poisson(g, -1.0), std::invalid_argument);
+}
+
+TEST(Poisson, NonFiniteMeanThrowsInsteadOfHanging) {
+  Xoshiro256 g(18);
+  for (double mu : {std::numeric_limits<double>::quiet_NaN(),
+                    std::numeric_limits<double>::infinity(),
+                    -std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(qfc::rng::sample_poisson(g, mu), std::invalid_argument) << mu;
+    EXPECT_THROW(qfc::rng::sample_zero_truncated_poisson(g, mu), std::invalid_argument) << mu;
+  }
 }
 
 TEST(ZeroTruncatedPoisson, NeverZeroAndMeanMatches) {

@@ -25,36 +25,38 @@ using quantum::bell_phi;
 using quantum::DensityMatrix;
 using quantum::werner_phi;
 
-TEST(Settings, CountAndContent) {
-  const auto s1 = tomo::all_settings(1);
+TEST(Settings, CountAndOrder) {
+  // All 3^n settings, lexicographic over {X, Y, Z} with qubit 0 slowest.
+  rng::Xoshiro256 g(1);
+  const DensityMatrix one{quantum::StateVector(1)}, two{bell_phi()};
+  const auto s1 = tomo::simulate_counts(one, 10.0, {}, g);
   ASSERT_EQ(s1.size(), 3u);
-  EXPECT_EQ(s1[0].bases, "X");
-  EXPECT_EQ(s1[2].bases, "Z");
-
-  const auto s2 = tomo::all_settings(2);
-  EXPECT_EQ(s2.size(), 9u);
-  const auto s4 = tomo::all_settings(4);
-  EXPECT_EQ(s4.size(), 81u);
+  EXPECT_EQ(s1[0].bases, std::vector<std::size_t>{0});
+  EXPECT_EQ(s1[2].bases, std::vector<std::size_t>{2});
+  const auto s2 = tomo::simulate_counts(two, 10.0, {}, g);
+  ASSERT_EQ(s2.size(), 9u);
+  EXPECT_EQ(s2[1].bases, (std::vector<std::size_t>{0, 1}));
+  EXPECT_EQ(s2[5].bases, (std::vector<std::size_t>{1, 2}));
+  EXPECT_EQ(tomo::simulate_counts(two.tensor(two), 10.0, {}, g).size(), 81u);
 }
 
 TEST(Projectors, CompleteAndOrthogonal) {
-  const tomo::MeasurementSetting s{"XY"};
+  const auto xy = tomo::setting_bases(tomo::pauli_bases(), {0, 1});
   linalg::CMat sum(4, 4);
   for (std::size_t o = 0; o < 4; ++o) {
-    const auto p = tomo::outcome_projector(s, o);
+    const auto p = tomo::outcome_projector(xy, o);
     sum += p;
     EXPECT_LT((p * p - p).max_abs(), 1e-12);  // idempotent
-    const auto v = tomo::outcome_vector(s, o);  // its rank-1 factor
+    const auto v = tomo::outcome_vector(xy, o);  // its rank-1 factor
     EXPECT_LT((linalg::outer(v, v) - p).max_abs(), 1e-15);
   }
   EXPECT_LT((sum - linalg::CMat::identity(4)).max_abs(), 1e-12);
-  EXPECT_THROW(tomo::outcome_projector(s, 4), std::out_of_range);
-  EXPECT_THROW(tomo::outcome_vector(s, 4), std::out_of_range);
+  EXPECT_THROW(tomo::outcome_projector(xy, 4), std::out_of_range);
+  EXPECT_THROW(tomo::outcome_vector(xy, 4), std::out_of_range);
 }
 
 TEST(Projectors, ZBasisIsComputational) {
-  const tomo::MeasurementSetting s{"Z"};
-  const auto p0 = tomo::outcome_projector(s, 0);
+  const auto p0 = tomo::outcome_projector(tomo::setting_bases(tomo::pauli_bases(), {2}), 0);
   EXPECT_NEAR(std::real(p0(0, 0)), 1.0, 1e-12);
   EXPECT_NEAR(std::real(p0(1, 1)), 0.0, 1e-12);
 }
@@ -73,7 +75,7 @@ TEST(SimulateCounts, ZZOnBellIsCorrelated) {
   const DensityMatrix rho{bell_phi()};
   const auto data = tomo::simulate_counts(rho, 4000.0, {}, g);
   for (const auto& d : data) {
-    if (d.setting.bases != "ZZ") continue;
+    if (d.bases != std::vector<std::size_t>{2, 2}) continue;
     // Outcomes 00 and 11 only.
     EXPECT_GT(d.counts[0], 1500u);
     EXPECT_GT(d.counts[3], 1500u);
@@ -173,7 +175,7 @@ TEST(Mle, LikelihoodIncreasesVsSeed) {
   for (const auto& d : data)
     for (std::size_t o = 0; o < d.counts.size(); ++o) {
       if (d.counts[o] == 0) continue;
-      const auto p = tomo::outcome_projector(d.setting, o);
+      const auto p = tomo::outcome_projector(tomo::setting_bases(tomo::pauli_bases(), d.bases), o);
       const double prob = std::max(1e-12, std::real((seed_mat * p).trace()));
       ll_seed += static_cast<double>(d.counts[o]) * std::log(prob);
     }
@@ -183,27 +185,66 @@ TEST(Mle, LikelihoodIncreasesVsSeed) {
 
 TEST(Tomography, RejectsBadInput) {
   EXPECT_THROW(tomo::linear_inversion({}), std::invalid_argument);
-  EXPECT_THROW(tomo::all_settings(0), std::invalid_argument);
   rng::Xoshiro256 g(11);
   const DensityMatrix rho{bell_phi()};
-  EXPECT_THROW(tomo::simulate_counts(rho, 0.0, {}, g), std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // A NaN or infinite Poisson mean used to hang the sampler, and a NaN rms
+  // read as "no noise": every knob must be finite.
+  for (double shots : {0.0, -1.0, nan, inf}) {
+    EXPECT_THROW(tomo::simulate_counts(rho, shots, {}, g), std::invalid_argument) << shots;
+    EXPECT_THROW(qudit::simulate_mub_counts(rho, shots, g), std::invalid_argument) << shots;
+  }
+  for (const tomo::NoiseKnobs& knobs : {tomo::NoiseKnobs{nan, 0.0}, tomo::NoiseKnobs{inf, 0.0},
+                                        tomo::NoiseKnobs{0.0, nan}, tomo::NoiseKnobs{0.0, inf}})
+    EXPECT_THROW(tomo::simulate_counts(rho, 100.0, knobs, g), std::invalid_argument);
+}
+
+TEST(Tomography, BothPathsRejectIncompleteOrRepeatedSettings) {
+  // One data check serves both paths: each of the |set|^n settings exactly
+  // once, with d^n counts. A repeated qubit setting used to reach the linear
+  // inversion as its last copy and the MLE as the sum of all copies.
+  rng::Xoshiro256 g(12);
+  const auto pauli = tomo::simulate_counts(DensityMatrix{bell_phi()}, 100.0, {}, g);
+  const auto mub = qudit::simulate_mub_counts(
+      quantum::isotropic_noise(quantum::maximally_entangled(3), 0.9), 100.0, g);
+  const auto corrupted = [](const std::vector<tomo::SettingCounts>& data) {
+    std::vector<std::vector<tomo::SettingCounts>> out(5, data);
+    out[0].push_back(data[0]);         // repeated
+    out[1][1] = data[0];               // repeated, one missing
+    out[2].pop_back();                 // missing
+    out[3][0].counts.pop_back();       // too few outcomes
+    out[4][0].bases[0] = 99;           // no such basis
+    return out;
+  };
+  for (const auto& data : corrupted(pauli)) {
+    EXPECT_THROW(tomo::linear_inversion(data), std::invalid_argument);
+    EXPECT_THROW(tomo::maximum_likelihood(data), std::invalid_argument);
+  }
+  for (const auto& data : corrupted(mub)) {
+    EXPECT_THROW(qudit::mub_linear_inversion(data, 3, 2), std::invalid_argument);
+    EXPECT_THROW(qudit::mub_maximum_likelihood(data, 3, 2), std::invalid_argument);
+  }
+  EXPECT_THROW(qudit::mub_linear_inversion(mub, 3, 1), std::invalid_argument);
+  EXPECT_THROW(qudit::mub_linear_inversion(mub, 5, 2), std::invalid_argument);
 }
 
 TEST(Tomography, RrrCoreValidatesTerms) {
   const linalg::CMat seed = linalg::CMat::identity(2) * linalg::cplx(0.5, 0);
   const linalg::CVec p0{linalg::cplx(1, 0), linalg::cplx(0, 0)};
   // Empty / zero-count data has nothing to reconstruct from.
-  EXPECT_THROW(tomo::rrr_reconstruct({}, seed), std::invalid_argument);
+  EXPECT_THROW(tomo::rrr_reconstruct({}, seed, {2}), std::invalid_argument);
   // Mis-sized projectors and negative (background-subtracted) counts are
   // rejected rather than silently mis-normalizing the iteration.
-  EXPECT_THROW(tomo::rrr_reconstruct({{linalg::CVec(3, linalg::cplx(1, 0)), 10.0}}, seed),
-               std::invalid_argument);
-  EXPECT_THROW(tomo::rrr_reconstruct({{p0, 10.0}, {p0, -1.0}}, seed),
+  EXPECT_THROW(
+      tomo::rrr_reconstruct({{linalg::CVec(3, linalg::cplx(1, 0)), 10.0}}, seed, {2}),
+      std::invalid_argument);
+  EXPECT_THROW(tomo::rrr_reconstruct({{p0, 10.0}, {p0, -1.0}}, seed, {2}),
                std::invalid_argument);
   // A well-posed single-projector problem converges to that projector.
-  const auto res = tomo::rrr_reconstruct({{p0, 100.0}}, seed);
+  const auto res = tomo::rrr_reconstruct({{p0, 100.0}}, seed, {2});
   EXPECT_TRUE(res.converged);
-  EXPECT_NEAR(std::real(res.rho(0, 0)), 1.0, 1e-6);
+  EXPECT_NEAR(std::real(res.rho.matrix()(0, 0)), 1.0, 1e-6);
 }
 
 TEST(Tomography, RrrCoreRejectsNonFiniteInputBeforeIterating) {
@@ -215,9 +256,10 @@ TEST(Tomography, RrrCoreRejectsNonFiniteInputBeforeIterating) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   const auto expect_rejected = [](const std::vector<tomo::ProjectorTerm>& terms,
-                                  const linalg::CMat& s, const tomo::MleOptions& opts) {
+                                  const linalg::CMat& s, const tomo::MleOptions& opts,
+                                  const quantum::Dims& dims = {2}) {
     try {
-      tomo::rrr_reconstruct(terms, s, opts);
+      tomo::rrr_reconstruct(terms, s, dims, opts);
       ADD_FAILURE() << "no exception";
     } catch (const std::invalid_argument& e) {
       EXPECT_EQ(std::string(e.what()).rfind("rrr_reconstruct", 0), 0u) << e.what();
@@ -232,6 +274,7 @@ TEST(Tomography, RrrCoreRejectsNonFiniteInputBeforeIterating) {
   linalg::CMat nan_seed = seed;
   nan_seed(0, 0) = linalg::cplx(nan, 0);
   expect_rejected({{z0, 10.0}, {z1, 10.0}}, nan_seed, defaults);
+  expect_rejected({{z0, 10.0}, {z1, 10.0}}, seed, defaults, {3});
 
   tomo::MleOptions opts;
   opts.max_iterations = -1;
@@ -269,62 +312,47 @@ tomo::MleOptions tight_mle_options() {
   return opts;
 }
 
-TEST(Mle, PauliEstimateIsTheLikelihoodMaximum) {
+TEST(Mle, ProductBasisEstimateIsTheLikelihoodMaximum) {
+  // Both paths: Pauli tomography of two and three qubits, MUB tomography of
+  // two qutrits.
+  struct Case {
+    tomo::BasisSet set;
+    std::vector<tomo::SettingCounts> data;
+    tomo::MleResult mle;
+  };
+  std::vector<Case> cases;
   const DensityMatrix werner = werner_phi(0.83);
   const quantum::StateVector pure_qubit(
       linalg::CVec{linalg::cplx(std::cos(0.4), 0),
                    std::sin(0.4) * std::exp(linalg::cplx(0, 0.9))});
   for (const DensityMatrix& rho : {werner, werner.tensor(DensityMatrix(pure_qubit))}) {
     rng::Xoshiro256 g(11);
-    const auto data = tomo::simulate_counts(rho, 200.0, {}, g);
-    const auto mle = tomo::maximum_likelihood(data, tight_mle_options());
-    ASSERT_TRUE(mle.converged) << "dim " << rho.dim();
+    auto data = tomo::simulate_counts(rho, 200.0, {}, g);
+    auto mle = tomo::maximum_likelihood(data, tight_mle_options());
+    cases.push_back({tomo::pauli_bases(), std::move(data), std::move(mle)});
+  }
+  rng::Xoshiro256 g(12);
+  auto data = qudit::simulate_mub_counts(
+      quantum::isotropic_noise(quantum::maximally_entangled(3), 0.9), 200.0, g);
+  auto mle = qudit::mub_maximum_likelihood(data, 3, 2, tight_mle_options());
+  cases.push_back({qudit::mub_bases(3), std::move(data), std::move(mle)});
 
+  for (const auto& [set, data, mle] : cases) {
+    const std::size_t dim = mle.rho.dim();
+    ASSERT_TRUE(mle.converged) << "dim " << dim;
     std::vector<linalg::CMat> projectors;
     std::vector<double> counts;
-    for (const auto& d : data)
-      for (std::size_t o = 0; o < d.counts.size(); ++o) {
-        if (d.counts[o] == 0) continue;
-        projectors.push_back(tomo::outcome_projector(d.setting, o));
-        counts.push_back(static_cast<double>(d.counts[o]));
+    for (const auto& sc : data)
+      for (std::size_t o = 0; o < sc.counts.size(); ++o) {
+        if (sc.counts[o] == 0) continue;
+        projectors.push_back(tomo::outcome_projector(tomo::setting_bases(set, sc.bases), o));
+        counts.push_back(static_cast<double>(sc.counts[o]));
       }
     const auto [residual, r_max] =
         likelihood_stationarity(mle.rho.matrix(), projectors, counts);
-    EXPECT_LT(residual, 1e-9) << "dim " << rho.dim();
-    EXPECT_LT(r_max, 1.0 + 1e-9) << "dim " << rho.dim();
+    EXPECT_LT(residual, 1e-9) << "dim " << dim;
+    EXPECT_LT(r_max, 1.0 + 1e-9) << "dim " << dim;
   }
-}
-
-TEST(Mle, MubEstimateIsTheLikelihoodMaximum) {
-  constexpr std::size_t d = 3;
-  rng::Xoshiro256 g(12);
-  const auto data = qudit::simulate_mub_counts(
-      quantum::isotropic_noise(quantum::maximally_entangled(d), 0.9), 200.0, g);
-  const auto mle = qudit::mub_maximum_likelihood(data, d, 2, tight_mle_options());
-  ASSERT_TRUE(mle.converged);
-
-  const auto mubs = qudit::mub_bases(d);
-  const auto column = [&](std::size_t b, std::size_t k) {
-    linalg::CVec v(d);
-    for (std::size_t j = 0; j < d; ++j) v[j] = mubs[b](j, k);
-    return v;
-  };
-  std::vector<linalg::CMat> projectors;
-  std::vector<double> counts;
-  for (const auto& sc : data)
-    for (std::size_t k = 0; k < d; ++k)
-      for (std::size_t l = 0; l < d; ++l) {
-        const std::uint64_t n = sc.counts[k * d + l];
-        if (n == 0) continue;
-        const auto va = column(sc.bases[0], k);
-        const auto vb = column(sc.bases[1], l);
-        projectors.push_back(linalg::kron(linalg::outer(va, va), linalg::outer(vb, vb)));
-        counts.push_back(static_cast<double>(n));
-      }
-  const auto [residual, r_max] =
-      likelihood_stationarity(mle.rho.matrix(), projectors, counts);
-  EXPECT_LT(residual, 1e-9);
-  EXPECT_LT(r_max, 1.0 + 1e-9);
 }
 
 // ------------------------------------------------------------- bit pins
