@@ -1,10 +1,12 @@
 // Microbenchmarks of the numerical kernels that dominate the reproduction
 // runtime: Hermitian eigendecomposition, SVD / Schmidt decomposition,
-// Monte-Carlo stream generation, coincidence correlation, and RρR MLE
+// Monte-Carlo stream generation, coincidence correlation, and MLE
 // tomography (2 and 4 qubits, and a two-qudit d = 7 MUB reconstruction).
 // Emits the same machine-readable JSON envelope as bench_event_engine /
 // bench_linalg_backends ({bench, mode, nproc, rows}) so the perf trajectory
-// accumulates run over run.
+// accumulates run over run. Each MLE row also records its solver steps,
+// certified likelihood gap and convergence flag; the bench exits 1 when an
+// MLE row did not converge.
 //
 // Usage: bench_kernels [--smoke] [--json PATH]
 //   --smoke   fewer repetitions (CI)
@@ -12,6 +14,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -46,6 +49,8 @@ struct Row {
   std::size_t n = 0;
   int reps = 0;
   double ms_per_rep = 0;
+  /// Set on MLE rows: the health of the last repetition's estimate.
+  std::optional<tomo::MleResult> mle;
 };
 
 /// Time `fn` over `reps` repetitions, returning mean ms per repetition.
@@ -55,7 +60,16 @@ Row time_kernel(const std::string& name, std::size_t n, int reps, F&& fn) {
   for (int r = 0; r < reps; ++r) fn();
   const double total_ms =
       std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-  return Row{name, n, reps, total_ms / reps};
+  return Row{name, n, reps, total_ms / reps, std::nullopt};
+}
+
+/// time_kernel for an MLE: `fn` returns a tomo::MleResult, kept on the row.
+template <class F>
+Row time_mle(const std::string& name, std::size_t n, int reps, F&& fn) {
+  std::optional<tomo::MleResult> last;
+  Row row = time_kernel(name, n, reps, [&] { last = fn(); });
+  row.mle = std::move(last);
+  return row;
 }
 
 }  // namespace
@@ -119,49 +133,55 @@ int main(int argc, char** argv) {
 
     rng::Xoshiro256 g2(10);
     const auto data = tomo::simulate_counts(rho, 200.0, {}, g2);
-    rows.push_back(time_kernel("tomo_mle", 4, 2 * rep_scale, [&] {
-      auto mle = tomo::maximum_likelihood(data);
-      (void)mle;
-    }));
+    rows.push_back(time_mle("tomo_mle", 4, 2 * rep_scale,
+                            [&] { return tomo::maximum_likelihood(data); }));
 
     // The four_photon scenario's tomography: 4 qubits, 60 shots per setting
-    // with its default analyzer-phase and accidental noise; the default
-    // options run to the 500-iteration cap.
+    // with its default analyzer-phase and accidental noise.
     rng::Xoshiro256 g4(11);
     const quantum::DensityMatrix pair = quantum::werner_phi(0.9);
     const auto data4 = tomo::simulate_counts(pair.tensor(pair), 60.0,
                                              core::FourPhotonConfig{}.tomo_noise, g4);
-    rows.push_back(time_kernel("tomo_mle4", 16, 2 * rep_scale, [&] {
-      auto mle = tomo::maximum_likelihood(data4);
-      (void)mle;
-    }));
+    rows.push_back(time_mle("tomo_mle4", 16, 2 * rep_scale,
+                            [&] { return tomo::maximum_likelihood(data4); }));
   }
 
   {
     // bench_qudit_cglmp's d = 7 MUB tomography: two qudits, 20000 shots per
-    // setting, convergence_tol 1e-6.
+    // setting, default options.
     rng::Xoshiro256 g(12);
     const quantum::DensityMatrix rho(quantum::maximally_entangled(7));
     const auto data = qudit::simulate_mub_counts(rho, 20000.0, g);
-    tomo::MleOptions opts;
-    opts.convergence_tol = 1e-6;
-    rows.push_back(time_kernel("mub_mle_d7", 49, rep_scale, [&] {
-      auto mle = qudit::mub_maximum_likelihood(data, 7, 2, opts);
-      (void)mle;
-    }));
+    rows.push_back(time_mle("mub_mle_d7", 49, rep_scale,
+                            [&] { return qudit::mub_maximum_likelihood(data, 7, 2); }));
   }
 
-  std::printf("%-26s %8s %6s %12s\n", "kernel", "n", "reps", "ms/rep");
-  for (const auto& r : rows)
-    std::printf("%-26s %8zu %6d %12.3f\n", r.name.c_str(), r.n, r.reps, r.ms_per_rep);
+  std::printf("%-26s %8s %6s %12s %6s %10s\n", "kernel", "n", "reps", "ms/rep", "steps",
+              "MLE gap");
+  bool all_converged = true;
+  for (const auto& r : rows) {
+    std::printf("%-26s %8zu %6d %12.3f", r.name.c_str(), r.n, r.reps, r.ms_per_rep);
+    if (r.mle) std::printf(" %6d %10.1e%s", r.mle->iterations, r.mle->likelihood_gap,
+                           r.mle->converged ? "" : "  NOT CONVERGED");
+    std::printf("\n");
+    all_converged &= !r.mle || r.mle->converged;
+  }
 
   using qfc::io::Json;
   Json json_rows = Json::make_array();
-  for (const Row& r : rows)
-    json_rows.push_back(Json::make_object(
-        {{"kernel", r.name}, {"n", r.n}, {"reps", r.reps}, {"ms_per_rep", r.ms_per_rep}}));
+  for (const Row& r : rows) {
+    Json row = Json::make_object(
+        {{"kernel", r.name}, {"n", r.n}, {"reps", r.reps}, {"ms_per_rep", r.ms_per_rep}});
+    if (r.mle) {
+      row.set("iterations", r.mle->iterations);
+      row.set("likelihood_gap", r.mle->likelihood_gap);
+      row.set("converged", r.mle->converged);
+    }
+    json_rows.push_back(std::move(row));
+  }
   bench::write_envelope(json_path, "kernels", smoke, {{"rows", std::move(json_rows)}});
 
-  bench::verdict(true, "kernel timings recorded (" + std::to_string(rows.size()) + " rows)");
-  return 0;
+  bench::verdict(all_converged, "kernel timings recorded (" + std::to_string(rows.size()) +
+                                    " rows); every MLE row converged");
+  return all_converged ? 0 : 1;
 }

@@ -34,6 +34,10 @@ int main() {
               r.four_photon_state_fidelity);
   std::printf("  MLE iterations (pair / four-photon):   %d / %d\n",
               r.tomo_iterations_pair, r.tomo_iterations_four);
+  std::printf("  MLE converged (pairs / four-photon):   %s / %s\n",
+              r.converged_pair ? "yes" : "no", r.converged_four ? "yes" : "no");
+  std::printf("  four-photon likelihood gap per count:  %.1e (certified bound)\n",
+              r.likelihood_gap_four);
 
   // Ablation: MLE vs projected linear inversion at several shot counts.
   std::printf("\nablation: reconstruction method vs shots per setting (2-qubit "

@@ -69,11 +69,9 @@ int main() {
 
   std::printf("\n== MUB tomography (d = %zu is prime -> %zu bases) ==\n", d, d + 1);
   const auto data = qudit::simulate_mub_counts(rho, 10000, g);
-  tomo::MleOptions opts;
-  opts.convergence_tol = 1e-6;
-  const auto mle = qudit::mub_maximum_likelihood(data, d, 2, opts);
-  std::printf("MLE: %d iterations, converged = %s\n", mle.iterations,
-              mle.converged ? "yes" : "no");
+  const auto mle = qudit::mub_maximum_likelihood(data, d, 2);
+  std::printf("MLE: %d iterations, converged = %s, likelihood gap %.1e per count\n",
+              mle.iterations, mle.converged ? "yes" : "no", mle.likelihood_gap);
   std::printf("reconstruction fidelity with the true state: %.4f\n",
               quantum::fidelity(mle.rho, flat));
   std::printf("reconstructed negativity: %.3f (ideal (d-1)/2 = %.1f)\n",

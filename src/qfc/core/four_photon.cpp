@@ -7,6 +7,20 @@
 
 namespace qfc::core {
 
+namespace {
+
+/// A likelihood gap to two significant digits, rounded up so it stays a
+/// bound. The certificate log λ_max(R) carries ~1e-15 of round-off that
+/// follows the GEMM summation order, which at a gap of ~1e-8 moves its
+/// seventh digit between SIMD settings; two digits are reproducible.
+double two_digits_up(double gap) {
+  if (!(gap > 0) || !std::isfinite(gap)) return gap;
+  const double unit = std::pow(10.0, std::floor(std::log10(gap)) - 1);
+  return std::ceil(gap / unit) * unit;
+}
+
+}  // namespace
+
 void FourPhotonConfig::validate() const {
   io::check_fields(*this, "FourPhotonConfig");
   if (pair_a == pair_b)
@@ -83,6 +97,7 @@ FourPhotonResult FourPhotonExperiment::run() {
       tomo::simulate_counts(rho_b, cfg_.tomo_shots_per_setting, cfg_.tomo_noise, g);
   const auto mle_b = tomo::maximum_likelihood(counts_b);
   res.bell_fidelity_b = quantum::fidelity(mle_b.rho, bell);
+  res.converged_pair = mle_a.converged && mle_b.converged;
 
   const auto counts4 =
       tomo::simulate_counts(rho4, cfg_.tomo_shots_per_setting, cfg_.tomo_noise, g);
@@ -90,6 +105,8 @@ FourPhotonResult FourPhotonExperiment::run() {
   res.four_photon_fidelity = quantum::fidelity(mle4.rho, bell4);
   res.four_photon_state_fidelity = quantum::fidelity(rho4, bell4);
   res.tomo_iterations_four = mle4.iterations;
+  res.converged_four = mle4.converged;
+  res.likelihood_gap_four = two_digits_up(mle4.likelihood_gap);
 
   return res;
 }

@@ -58,12 +58,17 @@ struct FourPhotonResult {
   double bell_fidelity_b = 0;
   double four_photon_fidelity = 0;      ///< tomographic vs |Φ>⊗|Φ>
   double four_photon_state_fidelity = 0;  ///< of the true (noise-model) state
-  int tomo_iterations_pair = 0;
+  int tomo_iterations_pair = 0;          ///< pair A's solver steps
   int tomo_iterations_four = 0;
+  bool converged_pair = false;           ///< both pair MLEs reached the default gap
+  bool converged_four = false;
+  /// The four-photon MLE's likelihood_gap, rounded up to two significant
+  /// digits (the rest is round-off that varies with the SIMD setting).
+  double likelihood_gap_four = 0;
 
   QFC_JSON(FourPhotonResult, fringe, fringe_fit, analytic_visibility, bell_fidelity_a,
            bell_fidelity_b, four_photon_fidelity, four_photon_state_fidelity, tomo_iterations_pair,
-           tomo_iterations_four)
+           tomo_iterations_four, converged_pair, converged_four, likelihood_gap_four)
 };
 
 class FourPhotonExperiment {

@@ -3,7 +3,7 @@
 /// \file backend.hpp
 /// The kernel set behind the dense linear algebra every layer above bottoms
 /// out in: Schmidt purity in `sfwm`, the qudit CGLMP/MUB stack,
-/// `tomo::rrr_reconstruct`, and `quantum::measures`. Mat<T>::operator*,
+/// `tomo::ml_reconstruct`, and `quantum::measures`. Mat<T>::operator*,
 /// kron(), hermitian_eig(), svd() and the spectral matrix functions call the
 /// Blocked kernels (`detail::blocked_*`) directly: SIMD micro-kernels,
 /// cache-blocked GEMM with a transposed-B micro-kernel, cyclic / round-robin

@@ -38,38 +38,22 @@ CMat project_to_density_matrix(const CMat& a) {
   const EigResult e = hermitian_eig(h);
   const std::size_t n = e.values.size();
 
-  // Normalize a positive trace to 1 first, then project eigenvalues onto the
-  // simplex (Smolin et al., "Efficient method for computing the
-  // maximum-likelihood quantum state from measurements with additive
-  // Gaussian noise"). Dividing by a negative trace would reverse the
-  // eigenvalue order, so such inputs go to the simplex projection as is.
-  double tr = 0;
-  for (double v : e.values) tr += v;
-  RVec lam = e.values;
-  if (tr > 1e-12)
-    for (auto& v : lam) v /= tr;
-
-  // Simplex projection on an index view sorted descending (lam itself must
-  // keep its position to stay paired with its eigenvector).
-  std::vector<std::size_t> idx(n);
-  for (std::size_t i = 0; i < n; ++i) idx[i] = i;
-  std::sort(idx.begin(), idx.end(),
-            [&](std::size_t a_, std::size_t b_) { return lam[a_] > lam[b_]; });
-
-  RVec out(n, 0.0);
-  double acc = 0;
-  std::size_t k = n;
-  for (std::size_t i = 0; i < n; ++i) {
-    acc += lam[idx[i]];
-    const double water = (acc - 1.0) / static_cast<double>(i + 1);
-    if (lam[idx[i]] - water <= 0) {
-      k = i;
-      acc -= lam[idx[i]];
-      break;
-    }
+  // The nearest unit-trace PSD matrix keeps the eigenvectors and projects
+  // the eigenvalues onto the probability simplex (Smolin, Gambetta and
+  // Smith, PRL 108, 070502, 2012): subtract one water level from every
+  // eigenvalue and clip at zero, with the level that restores trace 1. The
+  // eigenvalues come sorted descending; the level is set by the largest k
+  // that stay positive.
+  const RVec& lam = e.values;
+  double acc = 0, water = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    const double level = (acc + lam[k] - 1.0) / static_cast<double>(k + 1);
+    if (lam[k] - level <= 0) break;
+    acc += lam[k];
+    water = level;
   }
-  const double water = (acc - 1.0) / static_cast<double>(k == 0 ? 1 : k);
-  for (std::size_t i = 0; i < k; ++i) out[idx[i]] = std::max(0.0, lam[idx[i]] - water);
+  RVec out(n);
+  for (std::size_t i = 0; i < n; ++i) out[i] = std::max(0.0, lam[i] - water);
 
   return rebuild(e, out);
 }

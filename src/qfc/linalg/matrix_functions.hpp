@@ -13,9 +13,10 @@ namespace qfc::linalg {
 /// larger negative ones throw NumericalError.
 CMat sqrtm_psd(const CMat& a, double clip_tol = 1e-9);
 
-/// Project a Hermitian matrix onto the closest (Frobenius) unit-trace PSD
-/// matrix — the standard step for turning a linear-inversion tomography
-/// estimate into a physical density matrix (Smolin–Gambetta–Smith).
+/// The closest unit-trace PSD matrix, in Frobenius norm, to the Hermitian
+/// part of `a`, whatever its trace (Smolin–Gambetta–Smith): the step that
+/// turns a linear-inversion estimate into a density matrix, and the
+/// projection of each maximum-likelihood gradient step.
 CMat project_to_density_matrix(const CMat& a);
 
 }  // namespace qfc::linalg

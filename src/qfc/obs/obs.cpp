@@ -146,8 +146,9 @@ io::Json event_json(const TraceEvent& ev, std::uint32_t tid) {
     for (std::uint8_t a = 0; a < ev.num_args; ++a) {
       const SpanArg& arg = ev.args[a];
       args.set(arg.key != nullptr ? arg.key : "",
-               arg.kind == SpanArg::Kind::Str ? io::Json(arg.s != nullptr ? arg.s : "")
-                                              : io::Json(arg.i));
+               arg.kind == SpanArg::Kind::Str      ? io::Json(arg.s != nullptr ? arg.s : "")
+               : arg.kind == SpanArg::Kind::Double ? io::Json(arg.d)
+                                                   : io::Json(arg.i));
     }
     j.set("args", std::move(args));
   }
@@ -251,9 +252,13 @@ void reset() {
 
 void SpanGuard::open(const char* name, const SpanArg* args, std::size_t n) {
   name_ = name;
+  set(args, n);
+  t0_ = detail::now_ns();
+}
+
+void SpanGuard::set(const SpanArg* args, std::size_t n) {
   num_args_ = static_cast<std::uint8_t>(std::min(n, kMaxSpanArgs));
   for (std::uint8_t a = 0; a < num_args_; ++a) args_[a] = args[a];
-  t0_ = detail::now_ns();
 }
 
 void SpanGuard::close() {

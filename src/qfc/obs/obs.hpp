@@ -88,19 +88,23 @@ void reset();
 
 // ------------------------------------------------------------------ tracing
 
-/// One key/value argument attached to a span. Values are 64-bit integers or
-/// static strings; keys must be string literals.
+/// One key/value argument attached to a span. Values are 64-bit integers,
+/// doubles or static strings; keys must be string literals.
 struct SpanArg {
-  enum class Kind : std::uint8_t { Int, Str };
+  enum class Kind : std::uint8_t { Int, Double, Str };
   const char* key = nullptr;
   Kind kind = Kind::Int;
-  long long i = 0;
-  const char* s = nullptr;
+  union {  // the member `kind` names
+    long long i = 0;
+    double d;
+    const char* s;
+  };
 
   constexpr SpanArg() = default;
   template <class T, std::enable_if_t<std::is_integral_v<T>, int> = 0>
   constexpr SpanArg(const char* k, T v)
       : key(k), kind(Kind::Int), i(static_cast<long long>(v)) {}
+  constexpr SpanArg(const char* k, double v) : key(k), kind(Kind::Double), d(v) {}
   constexpr SpanArg(const char* k, const char* v) : key(k), kind(Kind::Str), s(v) {}
 };
 
@@ -110,7 +114,7 @@ struct SpanArg {
 /// kMaxSpanArgs arguments are kept (extras are dropped silently).
 class SpanGuard {
  public:
-  static constexpr std::size_t kMaxSpanArgs = 2;
+  static constexpr std::size_t kMaxSpanArgs = 3;
 
   SpanGuard() = default;
   explicit SpanGuard(const char* name) { open(name, nullptr, 0); }
@@ -123,8 +127,15 @@ class SpanGuard {
     if (name_ != nullptr) close();
   }
 
+  /// Replace the arguments of an open span, for results known only at its
+  /// end; an inert guard ignores them.
+  void set_args(std::initializer_list<SpanArg> args) {
+    if (name_ != nullptr) set(args.begin(), args.size());
+  }
+
  private:
   void open(const char* name, const SpanArg* args, std::size_t n);
+  void set(const SpanArg* args, std::size_t n);
   void close();
 
   const char* name_ = nullptr;

@@ -5,8 +5,9 @@
 #include <stdexcept>
 #include <string>
 
-#include "qfc/linalg/error.hpp"
+#include "qfc/linalg/hermitian_eig.hpp"
 #include "qfc/linalg/matrix_functions.hpp"
+#include "qfc/obs/obs.hpp"
 #include "qfc/photonics/constants.hpp"
 #include "qfc/quantum/pauli.hpp"
 #include "qfc/rng/distributions.hpp"
@@ -119,115 +120,226 @@ std::size_t checked_particles(const std::vector<SettingCounts>& data, const Basi
 
 namespace {
 
-/// Re⟨v_k|ρ|v_k⟩ for every packed term k, from row k of w = A·ρ and row k
-/// of A = V† (Re Σ_j w(k,j)·conj(A(k,j)), summed in real arithmetic).
-void outcome_probabilities(const CMat& w, const CMat& a, double floor,
-                           std::vector<double>& p) {
-  const std::size_t dim = a.cols();
-  for (std::size_t k = 0; k < a.rows(); ++k) {
-    const cplx* wk = w.data() + k * dim;
-    const cplx* ak = a.data() + k * dim;
-    double s = 0;
-    for (std::size_t j = 0; j < dim; ++j)
-      s += std::real(wk[j]) * std::real(ak[j]) + std::imag(wk[j]) * std::imag(ak[j]);
-    p[k] = std::max(floor, s);
-  }
-}
-
 bool all_finite(const CVec& v) {
   for (const cplx& x : v)
     if (!std::isfinite(std::real(x)) || !std::isfinite(std::imag(x))) return false;
   return true;
 }
 
-}  // namespace
+/// Re Tr(x·y) for Hermitian x and y: the Frobenius inner product.
+double real_inner(const CMat& x, const CMat& y) {
+  double s = 0;
+  for (std::size_t i = 0; i < x.size(); ++i)
+    s += std::real(x.data()[i]) * std::real(y.data()[i]) +
+         std::imag(x.data()[i]) * std::imag(y.data()[i]);
+  return s;
+}
 
-MleResult rrr_reconstruct(const std::vector<ProjectorTerm>& terms, const CMat& seed,
-                          quantum::Dims dims, const MleOptions& opts) {
-  seed.require_square("rrr_reconstruct");
-  seed.require_finite("rrr_reconstruct");
-  const std::size_t dim = seed.rows();
-  if (quantum::total_dim(dims) != dim)
-    throw std::invalid_argument("rrr_reconstruct: seed size does not match dims");
-  if (opts.max_iterations < 0)
-    throw std::invalid_argument("rrr_reconstruct: negative max_iterations");
-  if (!(opts.convergence_tol >= 0))
-    throw std::invalid_argument("rrr_reconstruct: convergence_tol must be >= 0");
-  double grand_total = 0;
-  std::size_t active = 0;
-  for (const auto& t : terms) {
-    if (t.vector.size() != dim)
-      throw std::invalid_argument("rrr_reconstruct: vector length mismatch");
-    if (!all_finite(t.vector))
-      throw std::invalid_argument("rrr_reconstruct: non-finite vector entry");
-    if (!std::isfinite(t.count))
-      throw std::invalid_argument("rrr_reconstruct: non-finite count");
-    if (t.count < 0)
-      throw std::invalid_argument(
-          "rrr_reconstruct: negative count (background-subtracted data is not "
-          "valid RρR input)");
-    grand_total += t.count;
-    if (t.count > 0) ++active;
-  }
-  if (grand_total <= 0) throw std::invalid_argument("rrr_reconstruct: no counts");
-
-  // Pack the active terms once: row k of a = A = V† is ⟨v_k|, column k of
-  // v = V is |v_k⟩, so R = Σ_k c_k |v_k⟩⟨v_k| = V·diag(c)·A.
-  CMat a(active, dim), v(dim, active), b(active, dim);
-  std::vector<double> counts(active), p(active);
-  {
+/// The likelihood over the active terms, packed once: row k of a = A = V†
+/// is ⟨v_k|, column k of v = V is |v_k⟩, f_k = n_k/N. One K x D work
+/// matrix, allocated once per solve, holds W = A·m or diag(c)·A in turn.
+class PackedLikelihood {
+ public:
+  PackedLikelihood(const std::vector<ProjectorTerm>& terms, std::size_t active,
+                   double grand_total, std::size_t dim)
+      : a_(active, dim), v_(dim, active), w_(active, dim), f_(active) {
     std::size_t k = 0;
     for (const auto& t : terms) {
       if (t.count <= 0) continue;
       for (std::size_t j = 0; j < dim; ++j) {
-        a.data()[k * dim + j] = std::conj(t.vector[j]);
-        v.data()[j * active + k] = t.vector[j];
+        a_.data()[k * dim + j] = std::conj(t.vector[j]);
+        v_.data()[j * active + k] = t.vector[j];
       }
-      counts[k++] = t.count;
+      f_[k++] = t.count / grand_total;
     }
   }
 
-  // Mix a little identity into the seed so no projector starts at exactly
-  // zero probability.
-  CMat rho = seed;
+  std::size_t size() const { return f_.size(); }
+  double f(std::size_t k) const { return f_[k]; }
+
+  /// out_k = Re⟨v_k|m|v_k⟩ for Hermitian m, from row k of W = A·m and row
+  /// k of A (Re Σ_j W(k,j)·conj(A(k,j)), summed in real arithmetic).
+  void diagonal(const CMat& m, std::vector<double>& out) {
+    std::fill(w_.data(), w_.data() + w_.size(), cplx(0, 0));
+    linalg::detail::gemm_dispatch(a_, m, w_);
+    const std::size_t dim = a_.cols();
+    for (std::size_t k = 0; k < size(); ++k) {
+      const cplx* wk = w_.data() + k * dim;
+      const cplx* ak = a_.data() + k * dim;
+      double s = 0;
+      for (std::size_t j = 0; j < dim; ++j)
+        s += std::real(wk[j]) * std::real(ak[j]) + std::imag(wk[j]) * std::imag(ak[j]);
+      out[k] = s;
+    }
+  }
+
+  /// R = Σ_k f_k/p_k |v_k⟩⟨v_k| = V·diag(f/p)·A, minus the gradient of the
+  /// negative log-likelihood per count at probabilities p.
+  CMat r_operator(const std::vector<double>& p) {
+    const std::size_t dim = a_.cols();
+    for (std::size_t k = 0; k < size(); ++k) {
+      const double c = f_[k] / p[k];
+      const cplx* ak = a_.data() + k * dim;
+      cplx* bk = w_.data() + k * dim;
+      for (std::size_t j = 0; j < dim; ++j) bk[j] = ak[j] * c;
+    }
+    CMat r(dim, dim);
+    linalg::detail::gemm_dispatch(v_, w_, r);
+    return linalg::hermitian_part(r);
+  }
+
+ private:
+  CMat a_, v_, w_;
+  std::vector<double> f_;
+};
+
+/// The certified bound on L* − L(ρ) per count: with p_k = ⟨v_k|ρ|v_k⟩ and
+/// any state σ, Σ f_k log(⟨v_k|σ|v_k⟩/p_k) ≤ log Tr(R σ) ≤ log λ_max(R)
+/// (Jensen). A full eigenvalue solve, because an estimate of λ_max from
+/// below would not bound anything.
+double likelihood_gap(const CMat& r) {
+  return std::log(linalg::hermitian_eigenvalues(r).front());
+}
+
+}  // namespace
+
+MleResult ml_reconstruct(const std::vector<ProjectorTerm>& terms, const CMat& seed,
+                         quantum::Dims dims, const MleOptions& opts) {
+  seed.require_square("ml_reconstruct");
+  seed.require_finite("ml_reconstruct");
+  const std::size_t dim = seed.rows();
+  if (quantum::total_dim(dims) != dim)
+    throw std::invalid_argument("ml_reconstruct: seed size does not match dims");
+  if (opts.max_iterations < 0)
+    throw std::invalid_argument("ml_reconstruct: negative max_iterations");
+  if (!(opts.convergence_tol >= 0))
+    throw std::invalid_argument("ml_reconstruct: convergence_tol must be >= 0");
+  double grand_total = 0;
+  std::size_t active = 0;
+  for (const auto& t : terms) {
+    if (t.vector.size() != dim)
+      throw std::invalid_argument("ml_reconstruct: vector length mismatch");
+    if (!all_finite(t.vector))
+      throw std::invalid_argument("ml_reconstruct: non-finite vector entry");
+    if (!std::isfinite(t.count))
+      throw std::invalid_argument("ml_reconstruct: non-finite count");
+    if (t.count < 0)
+      throw std::invalid_argument(
+          "ml_reconstruct: negative count (background-subtracted data is not "
+          "valid maximum-likelihood input)");
+    grand_total += t.count;
+    if (t.count > 0) ++active;
+  }
+  if (grand_total <= 0) throw std::invalid_argument("ml_reconstruct: no counts");
+  obs::SpanGuard span =
+      obs::tracing_enabled() ? obs::SpanGuard("tomo.solve") : obs::SpanGuard();
+
+  PackedLikelihood like(terms, active, grand_total, dim);
+
+  // Start from the projected seed with a little identity mixed in, so no
+  // term starts at zero probability.
+  CMat x = linalg::project_to_density_matrix(seed);
   {
     CMat eye = CMat::identity(dim);
     eye *= cplx(1e-3 / static_cast<double>(dim), 0);
-    rho *= cplx(1.0 - 1e-3, 0);
-    rho += eye;
+    x *= cplx(1.0 - 1e-3, 0);
+    x += eye;
   }
+  std::vector<double> px(active), p_prev(active), py(active), dp(active);
+  like.diagonal(x, px);
+  CMat rx = like.r_operator(px);
+  double gap = likelihood_gap(rx);
 
+  // Accelerated projected gradient on the negative log-likelihood per count
+  // (Shang, Zhang and Ng, PRA 95, 062336, 2017): FISTA momentum from x to
+  // the extrapolated point y, a backtracking step θ from y along R(y), and
+  // a gradient restart (O'Donoghue and Candès) that drops the momentum when
+  // the step turns against the last move. Probabilities are linear in ρ, so
+  // p at y and at each accepted point follow from the step's dp = diag(A Δ A†)
+  // alone.
+  CMat x_prev = x, y = x;
+  py = px;
+  double momentum = 1, theta = 1;
+  bool y_is_x = true;
   int iterations = 0;
-  bool converged = false;
-  while (iterations < opts.max_iterations && !converged) {
-    outcome_probabilities(a * rho, a, 1e-12, p);
-    for (std::size_t k = 0; k < active; ++k) {
-      const double c = counts[k] / (grand_total * p[k]);
-      const cplx* ak = a.data() + k * dim;
-      cplx* bk = b.data() + k * dim;
-      for (std::size_t j = 0; j < dim; ++j) bk[j] = ak[j] * c;
-    }
-    const CMat r = v * b;
-    CMat next = r * rho * r;
-    const cplx tr = next.trace();
-    if (std::abs(tr) < 1e-300)
-      throw qfc::NumericalError("rrr_reconstruct: degenerate iterate");
-    next *= cplx(1.0, 0) / tr;
+  while (!(gap <= opts.convergence_tol) && iterations < opts.max_iterations) {
+    const CMat ry = y_is_x ? rx : like.r_operator(py);
 
-    CMat diff = next;
-    diff -= rho;
-    converged = diff.frobenius_norm() < opts.convergence_tol;
-    rho = std::move(next);
+    // Backtracking: accept x_next = Proj(y + θ R(y)) once the likelihood
+    // change, −Σ f_k log1p(dp_k/p_k) summed term by term, is at most its
+    // linearisation −Σ f_k dp_k/p_k plus ‖Δ‖²/(2θ). A difference of two
+    // O(1) likelihood sums would lose everything below √ε.
+    CMat x_next, delta;
+    bool accepted = false;
+    for (int trial = 0; trial < 60; ++trial, theta *= 0.5) {
+      CMat step = ry;
+      step *= cplx(theta, 0);
+      step += y;
+      x_next = linalg::project_to_density_matrix(step);
+      delta = x_next;
+      delta -= y;
+      like.diagonal(delta, dp);
+      double excess = 0;
+      bool positive = true;
+      for (std::size_t k = 0; k < active && positive; ++k) {
+        const double u = dp[k] / py[k];
+        positive = u > -1;
+        excess += like.f(k) * (u - std::log1p(u));
+      }
+      accepted = positive && excess <= real_inner(delta, delta) / (2 * theta);
+      if (accepted) break;
+    }
+    if (!accepted) break;  // no step of any size passes: stalled at round-off
+    theta *= 1.4;          // let the next step try a longer one
+
+    // Restart (O'Donoghue and Candès) when the gradient step y -> x_next
+    // points against the move x -> x_next: the momentum overshot.
+    CMat move = x_next;
+    move -= x;
+    const bool restart = real_inner(delta, move) < 0;
+    for (std::size_t k = 0; k < active; ++k) dp[k] += py[k];  // p at x_next
+    x_prev = std::move(x);
+    x = std::move(x_next);
+    p_prev.swap(px);
+    px.swap(dp);
+    rx = like.r_operator(px);
+    gap = likelihood_gap(rx);
     ++iterations;
+
+    double beta = 0;
+    if (restart) {
+      momentum = 1;
+    } else {
+      const double next = (1 + std::sqrt(1 + 4 * momentum * momentum)) / 2;
+      beta = (momentum - 1) / next;
+      momentum = next;
+      // An extrapolated y with a term at zero probability has no
+      // likelihood: restart instead.
+      for (std::size_t k = 0; k < active && beta > 0; ++k)
+        if (!(px[k] + beta * (px[k] - p_prev[k]) > 0)) beta = 0, momentum = 1;
+    }
+    if (beta > 0) {
+      y = x_prev;
+      y *= cplx(-beta, 0);
+      CMat ahead = x;
+      ahead *= cplx(1 + beta, 0);
+      y += ahead;
+      for (std::size_t k = 0; k < active; ++k) py[k] = px[k] + beta * (px[k] - p_prev[k]);
+    } else {
+      y = x;
+      py = px;
+    }
+    y_is_x = !(beta > 0);
   }
 
-  // Final cleanup: enforce exact Hermiticity/PSD within tolerance.
-  rho = linalg::project_to_density_matrix(rho);
-  outcome_probabilities(a * rho, a, 1e-300, p);
+  like.diagonal(x, px);
   double ll = 0;
-  for (std::size_t k = 0; k < active; ++k) ll += counts[k] * std::log(p[k]);
-  return MleResult{quantum::DensityMatrix(std::move(rho), std::move(dims), 1e-6), iterations,
-                   converged, ll};
+  for (std::size_t k = 0; k < active; ++k)
+    ll += like.f(k) * grand_total * std::log(std::max(1e-300, px[k]));
+  const bool converged = gap <= opts.convergence_tol;
+  span.set_args({{"iterations", iterations}, {"gap", gap}, {"converged", converged}});
+  return MleResult{quantum::DensityMatrix(std::move(x), std::move(dims), 1e-6), iterations,
+                   converged, ll, gap};
 }
 
 MleResult maximum_likelihood(const std::vector<SettingCounts>& data, const BasisSet& set,
@@ -241,8 +353,7 @@ MleResult maximum_likelihood(const std::vector<SettingCounts>& data, const Basis
         terms.push_back(
             ProjectorTerm{outcome_vector(measured, o), static_cast<double>(sc.counts[o])});
   }
-  return rrr_reconstruct(terms, linalg::project_to_density_matrix(linear_estimate),
-                         quantum::Dims(n, set.at(0).rows()), opts);
+  return ml_reconstruct(terms, linear_estimate, quantum::Dims(n, set.at(0).rows()), opts);
 }
 
 // ------------------------------------------------------------------------

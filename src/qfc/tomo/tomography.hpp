@@ -8,7 +8,8 @@
 /// particle from a basis set, and every outcome is the Kronecker product of
 /// one basis column per particle, so it is rank 1. The two paths share the
 /// settings/counts type, the outcome builder, the Poisson count loop, the
-/// data check and the iterative RρR maximum likelihood; they differ in the
+/// data check and the maximum-likelihood solver, an accelerated projected
+/// gradient that stops at a certified likelihood gap; they differ in the
 /// basis set, the linear-inversion seed, and the qubit analyzer-phase noise.
 
 #include <cstdint>
@@ -68,18 +69,24 @@ std::vector<SettingCounts> simulate_counts(const quantum::DensityMatrix& rho,
 std::size_t checked_particles(const std::vector<SettingCounts>& data, const BasisSet& set);
 
 struct MleOptions {
+  /// Cap on accepted solver steps; the estimate at the cap is returned with
+  /// converged = false.
   int max_iterations = 500;
-  /// Stop once the Frobenius norm of one RρR update falls below this. A
-  /// small update does not bound the likelihood gap.
-  double convergence_tol = 1e-10;
+  /// Stop once the certified likelihood gap (MleResult::likelihood_gap) is
+  /// at most this: a bound on how far the log-likelihood per count is below
+  /// its maximum.
+  double convergence_tol = 1e-8;
 };
 
 /// A maximum-likelihood estimate, from either path.
 struct MleResult {
   quantum::DensityMatrix rho;  ///< physical: Hermitian, unit trace, PSD
-  int iterations = 0;          ///< RρR iterations run
-  bool converged = false;      ///< an update fell below convergence_tol
+  int iterations = 0;          ///< accepted solver steps
+  bool converged = false;      ///< likelihood_gap <= convergence_tol
   double log_likelihood = 0;   ///< Σ_k n_k log p_k over outcomes with counts
+  /// Certificate at rho: log λ_max(R) with R = Σ_k f_k/p_k |v_k⟩⟨v_k| and
+  /// f_k = n_k/N, an upper bound on (L_max − log_likelihood)/N.
+  double likelihood_gap = 0;
 };
 
 /// One measured rank-1 projector |v⟩⟨v| with its observed count. Every
@@ -90,24 +97,29 @@ struct ProjectorTerm {
   double count = 0;
 };
 
-/// Iterative RρR maximum-likelihood reconstruction (Lvovsky 2004) over an
-/// arbitrary list of rank-1 projector/count terms in any dimension D =
-/// total_dim(dims). `seed` must be a Hermitian unit-trace D x D matrix (it
-/// is mixed with a sliver of identity internally so no term starts at zero
-/// probability). The K terms with count > 0 are packed once into A = V†
-/// (K x D) and V (D x K); each iteration is then p_k = ⟨v_k|ρ|v_k⟩ from
-/// W = A·ρ and R = V·diag(n_k/(N p_k))·A — two K x D x D GEMMs plus O(KD) —
-/// followed by the D x D products R·ρ·R. Throws std::invalid_argument naming
-/// rrr_reconstruct for a non-finite or non-square seed, a seed that does not
-/// match dims, a vector of the wrong length or with a non-finite entry, a
-/// negative or non-finite count, no counts at all, a negative
-/// max_iterations or a NaN/negative convergence_tol.
-MleResult rrr_reconstruct(const std::vector<ProjectorTerm>& terms, const linalg::CMat& seed,
-                          quantum::Dims dims, const MleOptions& opts = {});
+/// Maximum-likelihood reconstruction over an arbitrary list of rank-1
+/// projector/count terms in any dimension D = total_dim(dims), by
+/// accelerated projected gradient with restarts (Shang, Zhang and Ng, PRA
+/// 95, 062336, 2017). `seed` is projected onto the density matrices and
+/// mixed with a sliver of identity, so no term starts at zero probability.
+/// The K terms with count > 0 are packed once into A = V† (K x D) and V
+/// (D x K). Each likelihood evaluation is then p_k = ⟨v_k|ρ|v_k⟩ from
+/// W = A·ρ plus O(KD), and each gradient R = V·diag(n_k/(N p_k))·A, both
+/// K x D x D GEMMs; a step also costs one D x D eigendecomposition for the
+/// projection and one eigenvalue solve for the certificate, and may take
+/// several likelihood evaluations while it backtracks. Stops once
+/// likelihood_gap <= convergence_tol or after max_iterations steps. Throws
+/// std::invalid_argument naming ml_reconstruct for a non-finite or
+/// non-square seed, a seed that does not match dims, a vector of the wrong
+/// length or with a non-finite entry, a negative or non-finite count, no
+/// counts at all, a negative max_iterations or a NaN/negative
+/// convergence_tol.
+MleResult ml_reconstruct(const std::vector<ProjectorTerm>& terms, const linalg::CMat& seed,
+                         quantum::Dims dims, const MleOptions& opts = {});
 
 /// The maximum-likelihood driver both paths share: checks `data`, packs
-/// every outcome with counts, and runs rrr_reconstruct from the physical
-/// projection of the path's `linear_estimate`.
+/// every outcome with counts, and runs ml_reconstruct from the path's
+/// `linear_estimate`.
 MleResult maximum_likelihood(const std::vector<SettingCounts>& data, const BasisSet& set,
                              const linalg::CMat& linear_estimate,
                              const MleOptions& opts = {});

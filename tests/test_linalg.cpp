@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <random>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -365,6 +366,37 @@ TEST(MatrixFunctions, ProjectToDensityMatrixKeepsOrderOfNegativeTraceInput) {
   EXPECT_NEAR(std::real(rho(0, 0)), 0.1, 1e-12);
   EXPECT_NEAR(std::real(rho(1, 1)), 0.9, 1e-12);
   EXPECT_LT(std::abs(rho(0, 1)), 1e-12);
+}
+
+TEST(MatrixFunctions, ProjectToDensityMatrixIsTheFrobeniusNearestState) {
+  // Normalising the trace first used to map diag(2, 0.5) to diag(0.8, 0.2)
+  // and diag(0.3, 0.1) to diag(0.75, 0.25).
+  const auto project_diag = [](double a, double b) {
+    CMat h(2, 2);
+    h(0, 0) = cplx(a, 0);
+    h(1, 1) = cplx(b, 0);
+    return qfc::linalg::project_to_density_matrix(h);
+  };
+  for (const auto& [in, want] : {std::pair{std::pair{2.0, 0.5}, std::pair{1.0, 0.0}},
+                                 std::pair{std::pair{0.3, 0.1}, std::pair{0.6, 0.4}}}) {
+    const CMat rho = project_diag(in.first, in.second);
+    EXPECT_NEAR(std::real(rho(0, 0)), want.first, 1e-12) << in.first;
+    EXPECT_NEAR(std::real(rho(1, 1)), want.second, 1e-12) << in.first;
+    EXPECT_LT(std::abs(rho(0, 1)), 1e-12);
+  }
+  // The projection P of h onto a convex set satisfies Re Tr[(h − P)(σ − P)]
+  // <= 0 for every σ in the set; check it against random pure states.
+  const CMat h = random_hermitian(4, 32) * cplx(3.0, 0);
+  const CMat p = qfc::linalg::project_to_density_matrix(h);
+  for (unsigned s = 0; s < 20; ++s) {
+    const CMat m = random_hermitian(4, 100 + s);
+    const auto e = qfc::linalg::hermitian_eig(m);
+    CMat sigma(4, 4);
+    for (std::size_t i = 0; i < 4; ++i)
+      for (std::size_t j = 0; j < 4; ++j)
+        sigma(i, j) = e.vectors(i, 0) * std::conj(e.vectors(j, 0));
+    EXPECT_LE(std::real(qfc::linalg::trace_product(h - p, sigma - p)), 1e-12) << s;
+  }
 }
 
 TEST(MatrixFunctions, ProjectionIsIdempotentOnDensityMatrices) {

@@ -3,7 +3,8 @@
 // counter correctness under 4-thread contention, the line-per-event trace
 // layout perfbench parses, io::Json round-trips of both exports, RunReport
 // deltas, file-export failures, the worker-pool and linalg instrumentation
-// hooks, and the contract that matters most: enabling or disabling obs never
+// hooks, the one tomo.solve span per maximum-likelihood solve, and the
+// contract that matters most: enabling or disabling obs never
 // changes a single computed bit.
 
 #include <atomic>
@@ -21,6 +22,8 @@
 #include "qfc/linalg/hermitian_eig.hpp"
 #include "qfc/obs/obs.hpp"
 #include "qfc/parallel/worker_pool.hpp"
+#include "qfc/quantum/bell.hpp"
+#include "qfc/tomo/tomography.hpp"
 
 namespace {
 
@@ -358,6 +361,32 @@ TEST(Obs, EnablingObsNeverChangesEngineResults) {
   for (std::size_t c = 0; c < hists_off.size(); ++c)
     EXPECT_EQ(hists_off[c].counts, hists_on[c].counts);
   EXPECT_GT(res_off.signal.size() + res_off.idler.size(), 0u);
+}
+
+TEST(Obs, TomoSolveIsOneSpanWithItsHealth) {
+  // One span per maximum-likelihood solve, none per step; its arguments
+  // are set at the end, and the estimate is bitwise the same with obs on.
+  ObsStateGuard guard;
+  rng::Xoshiro256 g(5);
+  const auto data = tomo::simulate_counts(quantum::werner_phi(0.9), 200.0, {}, g);
+
+  const tomo::MleResult off = tomo::maximum_likelihood(data);
+  obs::enable_tracing(true);
+  const tomo::MleResult on = tomo::maximum_likelihood(data);
+  obs::disable();
+
+  EXPECT_TRUE(off.rho.matrix() == on.rho.matrix());
+  EXPECT_EQ(off.iterations, on.iterations);
+  EXPECT_EQ(off.likelihood_gap, on.likelihood_gap);
+  ASSERT_TRUE(on.converged);
+  std::vector<io::Json> solves;
+  for (auto& ev : parse_events(obs::trace_json()))
+    if (name_of(ev) == "tomo.solve") solves.push_back(std::move(ev));
+  ASSERT_EQ(solves.size(), 1u);
+  EXPECT_EQ(*solves[0].find("args"),
+            io::Json::make_object({{"iterations", on.iterations},
+                                   {"gap", on.likelihood_gap},
+                                   {"converged", 1}}));
 }
 
 }  // namespace

@@ -455,11 +455,7 @@ TEST(Mub, TwoQutritTomographyRoundTrip) {
   const auto data = simulate_mub_counts(rho, 50000, g);
   ASSERT_EQ(data.size(), 16u);  // (d+1)² settings
 
-  // RρR converges linearly; 1e-6 on the Frobenius update is far below the
-  // shot-noise floor of 50k-count data and keeps the iteration count sane.
-  qfc::tomo::MleOptions opts;
-  opts.convergence_tol = 1e-6;
-  const auto mle = mub_maximum_likelihood(data, 3, 2, opts);
+  const auto mle = mub_maximum_likelihood(data, 3, 2);
   EXPECT_TRUE(mle.converged);
   EXPECT_GT(fidelity(mle.rho, psi), 0.99);
 }

@@ -165,7 +165,7 @@ TEST(Mle, FourQubitProductStateReconstruction) {
 }
 
 TEST(Mle, LikelihoodIncreasesVsSeed) {
-  // The RρR fixed point must beat (or match) the projected linear seed.
+  // The estimate must beat (or match) the projected linear seed.
   rng::Xoshiro256 g(10);
   const DensityMatrix rho = werner_phi(0.6);
   const auto data = tomo::simulate_counts(rho, 200.0, {}, g);
@@ -229,26 +229,26 @@ TEST(Tomography, BothPathsRejectIncompleteOrRepeatedSettings) {
   EXPECT_THROW(qudit::mub_linear_inversion(mub, 5, 2), std::invalid_argument);
 }
 
-TEST(Tomography, RrrCoreValidatesTerms) {
+TEST(Tomography, MlCoreValidatesTerms) {
   const linalg::CMat seed = linalg::CMat::identity(2) * linalg::cplx(0.5, 0);
   const linalg::CVec p0{linalg::cplx(1, 0), linalg::cplx(0, 0)};
   // Empty / zero-count data has nothing to reconstruct from.
-  EXPECT_THROW(tomo::rrr_reconstruct({}, seed, {2}), std::invalid_argument);
+  EXPECT_THROW(tomo::ml_reconstruct({}, seed, {2}), std::invalid_argument);
   // Mis-sized projectors and negative (background-subtracted) counts are
   // rejected rather than silently mis-normalizing the iteration.
   EXPECT_THROW(
-      tomo::rrr_reconstruct({{linalg::CVec(3, linalg::cplx(1, 0)), 10.0}}, seed, {2}),
+      tomo::ml_reconstruct({{linalg::CVec(3, linalg::cplx(1, 0)), 10.0}}, seed, {2}),
       std::invalid_argument);
-  EXPECT_THROW(tomo::rrr_reconstruct({{p0, 10.0}, {p0, -1.0}}, seed, {2}),
+  EXPECT_THROW(tomo::ml_reconstruct({{p0, 10.0}, {p0, -1.0}}, seed, {2}),
                std::invalid_argument);
   // A well-posed single-projector problem converges to that projector.
-  const auto res = tomo::rrr_reconstruct({{p0, 100.0}}, seed, {2});
+  const auto res = tomo::ml_reconstruct({{p0, 100.0}}, seed, {2});
   EXPECT_TRUE(res.converged);
   EXPECT_NEAR(std::real(res.rho.matrix()(0, 0)), 1.0, 1e-6);
 }
 
-TEST(Tomography, RrrCoreRejectsNonFiniteInputBeforeIterating) {
-  // Every malformed input throws std::invalid_argument from rrr_reconstruct
+TEST(Tomography, MlCoreRejectsNonFiniteInputBeforeIterating) {
+  // Every malformed input throws std::invalid_argument from ml_reconstruct
   // itself, not from a downstream kernel after the iteration cap.
   const linalg::CMat seed = linalg::CMat::identity(2) * linalg::cplx(0.5, 0);
   const linalg::CVec z0{linalg::cplx(1, 0), linalg::cplx(0, 0)};
@@ -259,10 +259,10 @@ TEST(Tomography, RrrCoreRejectsNonFiniteInputBeforeIterating) {
                                   const linalg::CMat& s, const tomo::MleOptions& opts,
                                   const quantum::Dims& dims = {2}) {
     try {
-      tomo::rrr_reconstruct(terms, s, dims, opts);
+      tomo::ml_reconstruct(terms, s, dims, opts);
       ADD_FAILURE() << "no exception";
     } catch (const std::invalid_argument& e) {
-      EXPECT_EQ(std::string(e.what()).rfind("rrr_reconstruct", 0), 0u) << e.what();
+      EXPECT_EQ(std::string(e.what()).rfind("ml_reconstruct", 0), 0u) << e.what();
     }
   };
   const tomo::MleOptions defaults;
@@ -288,39 +288,16 @@ TEST(Tomography, RrrCoreRejectsNonFiniteInputBeforeIterating) {
 
 // ------------------------------------------------- MLE optimality (KKT)
 
-/// For R = Σ_k n_k/(N p_k) P_k with p_k = Tr(ρ P_k), built from dense
-/// projectors: {‖Rρ − ρ‖_F, λ_max(R)}. The likelihood maximum over density
-/// matrices satisfies Rρ = ρ and R ≤ I, whatever algorithm found it.
-std::pair<double, double> likelihood_stationarity(
-    const linalg::CMat& rho, const std::vector<linalg::CMat>& projectors,
-    const std::vector<double>& counts) {
-  double total = 0;
-  for (double n : counts) total += n;
-  linalg::CMat r(rho.rows(), rho.cols());
-  for (std::size_t k = 0; k < projectors.size(); ++k) {
-    const double p = std::real(linalg::trace_product(rho, projectors[k]));
-    r += projectors[k] * linalg::cplx(counts[k] / (total * p), 0);
-  }
-  const double residual = (r * rho - rho).frobenius_norm();
-  return {residual, linalg::hermitian_eigenvalues(r).front()};
-}
+/// The three optimality cases, covering both paths: Pauli tomography of two
+/// and three qubits, MUB tomography of two qutrits.
+struct OptimalityCase {
+  tomo::BasisSet set;
+  std::vector<tomo::SettingCounts> data;
+  linalg::CMat linear_estimate;
+};
 
-tomo::MleOptions tight_mle_options() {
-  tomo::MleOptions opts;
-  opts.convergence_tol = 1e-13;
-  opts.max_iterations = 20000;
-  return opts;
-}
-
-TEST(Mle, ProductBasisEstimateIsTheLikelihoodMaximum) {
-  // Both paths: Pauli tomography of two and three qubits, MUB tomography of
-  // two qutrits.
-  struct Case {
-    tomo::BasisSet set;
-    std::vector<tomo::SettingCounts> data;
-    tomo::MleResult mle;
-  };
-  std::vector<Case> cases;
+std::vector<OptimalityCase> optimality_cases() {
+  std::vector<OptimalityCase> cases;
   const DensityMatrix werner = werner_phi(0.83);
   const quantum::StateVector pure_qubit(
       linalg::CVec{linalg::cplx(std::cos(0.4), 0),
@@ -328,30 +305,130 @@ TEST(Mle, ProductBasisEstimateIsTheLikelihoodMaximum) {
   for (const DensityMatrix& rho : {werner, werner.tensor(DensityMatrix(pure_qubit))}) {
     rng::Xoshiro256 g(11);
     auto data = tomo::simulate_counts(rho, 200.0, {}, g);
-    auto mle = tomo::maximum_likelihood(data, tight_mle_options());
-    cases.push_back({tomo::pauli_bases(), std::move(data), std::move(mle)});
+    auto linear = tomo::linear_inversion(data);
+    cases.push_back({tomo::pauli_bases(), std::move(data), std::move(linear)});
   }
   rng::Xoshiro256 g(12);
   auto data = qudit::simulate_mub_counts(
       quantum::isotropic_noise(quantum::maximally_entangled(3), 0.9), 200.0, g);
-  auto mle = qudit::mub_maximum_likelihood(data, 3, 2, tight_mle_options());
-  cases.push_back({qudit::mub_bases(3), std::move(data), std::move(mle)});
+  auto linear = qudit::mub_linear_inversion(data, 3, 2);
+  cases.push_back({qudit::mub_bases(3), std::move(data), std::move(linear)});
+  return cases;
+}
 
-  for (const auto& [set, data, mle] : cases) {
+/// Every outcome with counts of `c`, as dense projectors and counts.
+std::pair<std::vector<linalg::CMat>, std::vector<double>> dense_terms(
+    const OptimalityCase& c) {
+  std::vector<linalg::CMat> projectors;
+  std::vector<double> counts;
+  for (const auto& sc : c.data)
+    for (std::size_t o = 0; o < sc.counts.size(); ++o) {
+      if (sc.counts[o] == 0) continue;
+      projectors.push_back(tomo::outcome_projector(tomo::setting_bases(c.set, sc.bases), o));
+      counts.push_back(static_cast<double>(sc.counts[o]));
+    }
+  return {std::move(projectors), std::move(counts)};
+}
+
+/// R = Σ_k n_k/(N p_k) P_k with p_k = Tr(ρ P_k), built from dense projectors.
+linalg::CMat r_operator(const linalg::CMat& rho, const std::vector<linalg::CMat>& projectors,
+                        const std::vector<double>& counts) {
+  double total = 0;
+  for (double n : counts) total += n;
+  linalg::CMat r(rho.rows(), rho.cols());
+  for (std::size_t k = 0; k < projectors.size(); ++k) {
+    const double p = std::real(linalg::trace_product(rho, projectors[k]));
+    r += projectors[k] * linalg::cplx(counts[k] / (total * p), 0);
+  }
+  return r;
+}
+
+/// {‖Rρ − ρ‖_F, λ_max(R)}. The likelihood maximum over density matrices
+/// satisfies Rρ = ρ and R ≤ I, whatever algorithm found it.
+std::pair<double, double> likelihood_stationarity(
+    const linalg::CMat& rho, const std::vector<linalg::CMat>& projectors,
+    const std::vector<double>& counts) {
+  const linalg::CMat r = r_operator(rho, projectors, counts);
+  const double residual = (r * rho - rho).frobenius_norm();
+  return {residual, linalg::hermitian_eigenvalues(r).front()};
+}
+
+/// Σ_k n_k log Tr(ρ P_k).
+double log_likelihood(const linalg::CMat& rho, const std::vector<linalg::CMat>& projectors,
+                      const std::vector<double>& counts) {
+  double ll = 0;
+  for (std::size_t k = 0; k < projectors.size(); ++k)
+    ll += counts[k] * std::log(std::real(linalg::trace_product(rho, projectors[k])));
+  return ll;
+}
+
+/// A reference maximum likelihood independent of the library's solver: the
+/// RρR iteration (Lvovsky 2004), ρ -> RρR / Tr(RρR), from the projected
+/// linear estimate, run until its certified gap log λ_max(R) is at most
+/// `gap_tol`. Returns {ρ, gap}.
+std::pair<linalg::CMat, double> rrr_reference(const linalg::CMat& linear_estimate,
+                                              const std::vector<linalg::CMat>& projectors,
+                                              const std::vector<double>& counts,
+                                              double gap_tol) {
+  const std::size_t dim = linear_estimate.rows();
+  linalg::CMat rho = linalg::project_to_density_matrix(linear_estimate) *
+                     linalg::cplx(1.0 - 1e-3, 0);
+  rho += linalg::CMat::identity(dim) * linalg::cplx(1e-3 / static_cast<double>(dim), 0);
+  double gap = 0;
+  for (int it = 0; it < 200000; ++it) {
+    const linalg::CMat r = r_operator(rho, projectors, counts);
+    gap = std::log(linalg::hermitian_eigenvalues(r).front());
+    if (gap <= gap_tol) break;
+    linalg::CMat next = r * rho * r;
+    rho = linalg::hermitian_part(next * (linalg::cplx(1.0, 0) / next.trace()));
+  }
+  return {rho, gap};
+}
+
+tomo::MleOptions tight_mle_options() {
+  tomo::MleOptions opts;
+  opts.convergence_tol = 1e-12;
+  return opts;
+}
+
+tomo::MleResult mle_of(const OptimalityCase& c, const tomo::MleOptions& opts) {
+  return tomo::maximum_likelihood(c.data, c.set, c.linear_estimate, opts);
+}
+
+TEST(Mle, ProductBasisEstimateIsTheLikelihoodMaximum) {
+  for (const auto& c : optimality_cases()) {
+    const auto mle = mle_of(c, tight_mle_options());
     const std::size_t dim = mle.rho.dim();
     ASSERT_TRUE(mle.converged) << "dim " << dim;
-    std::vector<linalg::CMat> projectors;
-    std::vector<double> counts;
-    for (const auto& sc : data)
-      for (std::size_t o = 0; o < sc.counts.size(); ++o) {
-        if (sc.counts[o] == 0) continue;
-        projectors.push_back(tomo::outcome_projector(tomo::setting_bases(set, sc.bases), o));
-        counts.push_back(static_cast<double>(sc.counts[o]));
-      }
+    EXPECT_LE(mle.likelihood_gap, 1e-12) << "dim " << dim;
+    const auto [projectors, counts] = dense_terms(c);
     const auto [residual, r_max] =
         likelihood_stationarity(mle.rho.matrix(), projectors, counts);
     EXPECT_LT(residual, 1e-9) << "dim " << dim;
     EXPECT_LT(r_max, 1.0 + 1e-9) << "dim " << dim;
+  }
+}
+
+TEST(Mle, MatchesLongReference) {
+  // The default-tolerance estimate against an RρR run to a certified gap of
+  // 1e-12: within 1e-6 in trace distance, and short of the reference's
+  // log-likelihood by no more than its own certificate allows.
+  for (const auto& c : optimality_cases()) {
+    const auto mle = mle_of(c, {});
+    const std::size_t dim = mle.rho.dim();
+    ASSERT_TRUE(mle.converged) << "dim " << dim;
+    EXPECT_LE(mle.likelihood_gap, tomo::MleOptions{}.convergence_tol) << "dim " << dim;
+    const auto [projectors, counts] = dense_terms(c);
+    const auto [ref, ref_gap] = rrr_reference(c.linear_estimate, projectors, counts, 1e-12);
+    ASSERT_LE(ref_gap, 1e-12) << "dim " << dim;
+    EXPECT_LT(quantum::trace_distance(mle.rho.matrix(), ref), 1e-6) << "dim " << dim;
+    double total = 0;
+    for (double n : counts) total += n;
+    const double ll_ref = log_likelihood(ref, projectors, counts);
+    EXPECT_NEAR(mle.log_likelihood, log_likelihood(mle.rho.matrix(), projectors, counts),
+                1e-9 * std::abs(ll_ref))
+        << "dim " << dim;
+    EXPECT_LE(ll_ref - mle.log_likelihood, total * mle.likelihood_gap) << "dim " << dim;
   }
 }
 
@@ -441,8 +518,6 @@ TEST(Pin, PauliTomographyOutputs) {
 }
 
 TEST(Pin, MubTomographyOutputs) {
-  tomo::MleOptions opts;
-  opts.convergence_tol = 1e-6;
   const Pin pins[] = {
       {"d2 n1", 16465951872363356157ull, 48, true, -303.94484557185024, 4.7715150360373091, 0.30945842344181496, 0.80632579241457236, -0.051576403906969132},
       {"d2 n2", 11559571154907190275ull, 110, true, -2281.4111837676728, 16.133221623603433, 0.17410450359149793, 0.65455572138257989, 0.0032668868184300044},
@@ -463,11 +538,10 @@ TEST(Pin, MubTomographyOutputs) {
     const std::vector<DensityMatrix> states = {
         DensityMatrix(psi),
         quantum::isotropic_noise(quantum::maximally_entangled(d), 0.9)};
-    opts.max_iterations = d < 7 ? 200 : 40;  // d = 7, n = 2 costs 60 ms per 10 iterations
     for (std::size_t n = 1; n <= 2; ++n) {
       rng::Xoshiro256 g(77 + i);
       const auto data = qudit::simulate_mub_counts(states[n - 1], 200.0, g);
-      expect_pinned(pins[i++], data, qudit::mub_maximum_likelihood(data, d, n, opts));
+      expect_pinned(pins[i++], data, qudit::mub_maximum_likelihood(data, d, n));
     }
   }
 }
