@@ -500,12 +500,12 @@ TEST(Pin, PauliTomographyOutputs) {
   const std::vector<std::pair<DensityMatrix, double>> cases = {
       {DensityMatrix(pure_qubit), 300.0}, {werner_phi(0.83), 200.0}, {pair.tensor(pair), 60.0}};
   const Pin pins[] = {
-      {"n1", 17809315873939459574ull, 97, true, -438.14178052889827, 2.6222343420413559, 0.30263230000555985, 1.0579143023501156, -0.050438716667593309},
-      {"n1 noisy", 13710317891451855327ull, 500, false, -475.56127505528002, 2.8322978867914337, 0.20569607644069998, 1.1242233760438489, -0.034282679406783326},
-      {"n2", 10836562860066124018ull, 472, true, -2311.6566746188723, 15.278560549486386, 0.31185164457594655, 0.6181030762821027, -0.012793466191158566},
-      {"n2 noisy", 402094767900601023ull, 401, true, -2328.9739325535843, 15.954868240291869, 0.054599535895123619, 0.57664103228765051, -0.010901767356750379},
-      {"n4", 13611408935159203195ull, 500, false, -11749.144460290734, 446.27266924385947, -0.40971858109465753, 0.34327931234539172, -0.00071130177567877123},
-      {"n4 noisy", 18074667496569185761ull, 500, false, -16070.910186546867, 331.29959986209144, 11.947008489624789, 0.26357306411571141, 0.00096300439854677907},
+      {"n1", 17809315873939459574ull, 3, true, -438.14178098938135, 2.6223601533965741, 0.30262251984984379, 1.0579281565336562, -0.050437086641640635},
+      {"n1 noisy", 13710317891451855327ull, 9, true, -475.56127505522574, 2.8322981364913993, 0.20569618973053677, 1.1242236021480154, -0.0342826982884228},
+      {"n2", 10836562860066124018ull, 28, true, -2311.6566745607879, 15.278560436435598, 0.31185171213565094, 0.61810307808386311, -0.012793467435893128},
+      {"n2 noisy", 402094767900601023ull, 28, true, -2328.9739325535852, 15.954868199577302, 0.054599606119438093, 0.57664101977829074, -0.010901769160278907},
+      {"n4", 13611408935159203195ull, 63, true, -11749.143986019884, 446.27444962890519, -0.42766841408783984, 0.34326355864761321, -0.00071392411098644996},
+      {"n4 noisy", 18074667496569185761ull, 84, true, -16070.909605218261, 331.30656016412735, 11.947493519248338, 0.26355406854498137, 0.00095852257476377353},
   };
   const tomo::NoiseKnobs four_photon_noise{0.38, 1.0};
   std::size_t i = 0;
@@ -519,14 +519,14 @@ TEST(Pin, PauliTomographyOutputs) {
 
 TEST(Pin, MubTomographyOutputs) {
   const Pin pins[] = {
-      {"d2 n1", 16465951872363356157ull, 48, true, -303.94484557185024, 4.7715150360373091, 0.30945842344181496, 0.80632579241457236, -0.051576403906969132},
-      {"d2 n2", 11559571154907190275ull, 110, true, -2281.4111837676728, 16.133221623603433, 0.17410450359149793, 0.65455572138257989, 0.0032668868184300044},
-      {"d3 n1", 10689741185409011196ull, 145, true, -626.07175505462055, 12.043271490823637, 1.9699708244179697, 0.48868142593281122, -0.10756993015919919},
-      {"d3 n2", 1200835872944465540ull, 190, true, -6459.6069823139906, 108.66273632375946, 0.19089927205940738, 0.4304909195736969, 0.0082094551393140005},
-      {"d5 n1", 7238015058182282458ull, 200, false, -1572.2449039877683, 28.824672129944634, 10.021249388934727, 0.16779524107318611, -0.098748933310192841},
-      {"d5 n2", 5213999884755260382ull, 200, false, -21791.86621327134, 1318.1853199936368, -11.368439619100187, 0.24619980310047057, 0.00034631131997483582},
-      {"d7 n1", 16909275202140708553ull, 40, false, -2573.8375758313364, 36.525301835537803, 13.841492624386845, 0.036668254643796146, -0.043106313753921377},
-      {"d7 n2", 7030668372711917228ull, 40, false, -47495.686753483715, 7224.9977942510877, -53.715774686862559, 0.16497606266322654, -0.0033598938851142103},
+      {"d2 n1", 16465951872363356157ull, 5, true, -303.94466324602251, 4.7715079190901983, 0.309469979954761, 0.80633258276862863, -0.051578329992460162},
+      {"d2 n2", 11559571154907190275ull, 30, true, -2281.4111760925125, 16.133179635908043, 0.17407906623001324, 0.65455496543246949, 0.0032685495396207122},
+      {"d3 n1", 10689741185409011196ull, 40, true, -626.07175236036653, 12.04308300277253, 1.9699195497055042, 0.48866840537406936, -0.10756543161826292},
+      {"d3 n2", 1200835872944465540ull, 37, true, -6459.6065318323836, 108.66305478760862, 0.19109506558033162, 0.43049637743646874, 0.0082074182681707488},
+      {"d5 n1", 7238015058182282458ull, 35, true, -1572.244184176039, 28.842913275292446, 10.014213812353717, 0.16835439183992046, -0.098702162164207352},
+      {"d5 n2", 5213999884755260382ull, 33, true, -21791.854867247006, 1318.3445217344329, -11.610481069346754, 0.24626954073870791, 0.00037711492547635778},
+      {"d7 n1", 16909275202140708553ull, 27, true, -2573.5990915003172, 36.525528062932374, 13.777785866085249, 0.037500201332800895, -0.043621477269057171},
+      {"d7 n2", 7030668372711917228ull, 32, true, -47494.832368847688, 7240.8183851891636, -55.340346780786895, 0.1653655944275669, -0.0034247630104043384},
   };
   std::size_t i = 0;
   for (std::size_t d : {2, 3, 5, 7}) {
