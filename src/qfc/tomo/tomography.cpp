@@ -188,18 +188,23 @@ class PackedLikelihood {
     return linalg::hermitian_part(r);
   }
 
+  /// ⟨u|R|u⟩ = Σ_k f_k/p_k |⟨v_k|u⟩|² for R at probabilities p, in O(KD).
+  double r_expectation(const std::vector<double>& p, const CVec& u) const {
+    const std::size_t dim = a_.cols();
+    double s = 0;
+    for (std::size_t k = 0; k < size(); ++k) {
+      const cplx* ak = a_.data() + k * dim;
+      cplx vu = 0;
+      for (std::size_t j = 0; j < dim; ++j) vu += ak[j] * u[j];
+      s += f_[k] / p[k] * std::norm(vu);
+    }
+    return s;
+  }
+
  private:
   CMat a_, v_, w_;
   std::vector<double> f_;
 };
-
-/// The certified bound on L* − L(ρ) per count: with p_k = ⟨v_k|ρ|v_k⟩ and
-/// any state σ, Σ f_k log(⟨v_k|σ|v_k⟩/p_k) ≤ log Tr(R σ) ≤ log λ_max(R)
-/// (Jensen). A full eigenvalue solve, because an estimate of λ_max from
-/// below would not bound anything.
-double likelihood_gap(const CMat& r) {
-  return std::log(linalg::hermitian_eigenvalues(r).front());
-}
 
 }  // namespace
 
@@ -247,8 +252,26 @@ MleResult ml_reconstruct(const std::vector<ProjectorTerm>& terms, const CMat& se
   }
   std::vector<double> px(active), p_prev(active), py(active), dp(active);
   like.diagonal(x, px);
-  CMat rx = like.r_operator(px);
-  double gap = likelihood_gap(rx);
+
+  // The certificate at x bounds L* − L(x) per count: for any state σ,
+  // Σ f_k log(⟨v_k|σ|v_k⟩/p_k) ≤ log Tr(R σ) ≤ log λ_max(R) (Jensen). It
+  // takes R(x) and a full eigenvalue solve, because an estimate of λ_max
+  // from below bounds nothing. Such an estimate can still prove that x is
+  // not converged: ⟨u|R(x)|u⟩ with u the top eigenvector of the last
+  // certificate costs O(KD), and while its log is above the tolerance the
+  // certificate waits.
+  CMat rx;
+  CVec top(dim);
+  double gap = 0;
+  bool certified = false;  // gap is the certificate at x, and rx is R(x)
+  const auto certify = [&] {
+    rx = like.r_operator(px);
+    const linalg::EigResult e = linalg::hermitian_eig(rx);
+    gap = std::log(e.values.front());
+    for (std::size_t j = 0; j < dim; ++j) top[j] = e.vectors(j, 0);
+    certified = true;
+  };
+  certify();
 
   // Accelerated projected gradient on the negative log-likelihood per count
   // (Shang, Zhang and Ng, PRA 95, 062336, 2017): FISTA momentum from x to
@@ -262,8 +285,8 @@ MleResult ml_reconstruct(const std::vector<ProjectorTerm>& terms, const CMat& se
   double momentum = 1, theta = 1;
   bool y_is_x = true;
   int iterations = 0;
-  while (!(gap <= opts.convergence_tol) && iterations < opts.max_iterations) {
-    const CMat ry = y_is_x ? rx : like.r_operator(py);
+  while (!(certified && gap <= opts.convergence_tol) && iterations < opts.max_iterations) {
+    const CMat ry = y_is_x && certified ? rx : like.r_operator(py);
 
     // Backtracking: accept x_next = Proj(y + θ R(y)) once the likelihood
     // change, −Σ f_k log1p(dp_k/p_k) summed term by term, is at most its
@@ -302,8 +325,8 @@ MleResult ml_reconstruct(const std::vector<ProjectorTerm>& terms, const CMat& se
     x = std::move(x_next);
     p_prev.swap(px);
     px.swap(dp);
-    rx = like.r_operator(px);
-    gap = likelihood_gap(rx);
+    certified = false;
+    if (!(std::log(like.r_expectation(px, top)) > opts.convergence_tol)) certify();
     ++iterations;
 
     double beta = 0;
@@ -332,6 +355,7 @@ MleResult ml_reconstruct(const std::vector<ProjectorTerm>& terms, const CMat& se
     y_is_x = !(beta > 0);
   }
 
+  if (!certified) certify();
   like.diagonal(x, px);
   double ll = 0;
   for (std::size_t k = 0; k < active; ++k)
