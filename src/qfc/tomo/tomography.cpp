@@ -126,15 +126,6 @@ bool all_finite(const CVec& v) {
   return true;
 }
 
-/// Re Tr(x·y) for Hermitian x and y: the Frobenius inner product.
-double real_inner(const CMat& x, const CMat& y) {
-  double s = 0;
-  for (std::size_t i = 0; i < x.size(); ++i)
-    s += std::real(x.data()[i]) * std::real(y.data()[i]) +
-         std::imag(x.data()[i]) * std::imag(y.data()[i]);
-  return s;
-}
-
 /// The likelihood over the active terms, packed once: row k of a = A = V†
 /// is ⟨v_k|, column k of v = V is |v_k⟩, f_k = n_k/N. One K x D work
 /// matrix, allocated once per solve, holds W = A·m or diag(c)·A in turn.
@@ -309,7 +300,7 @@ MleResult ml_reconstruct(const std::vector<ProjectorTerm>& terms, const CMat& se
         positive = u > -1;
         excess += like.f(k) * (u - std::log1p(u));
       }
-      accepted = positive && excess <= real_inner(delta, delta) / (2 * theta);
+      accepted = positive && excess <= std::real(linalg::trace_product(delta, delta)) / (2 * theta);
       if (accepted) break;
     }
     if (!accepted) break;  // no step of any size passes: stalled at round-off
@@ -319,7 +310,7 @@ MleResult ml_reconstruct(const std::vector<ProjectorTerm>& terms, const CMat& se
     // points against the move x -> x_next: the momentum overshot.
     CMat move = x_next;
     move -= x;
-    const bool restart = real_inner(delta, move) < 0;
+    const bool restart = std::real(linalg::trace_product(delta, move)) < 0;
     for (std::size_t k = 0; k < active; ++k) dp[k] += py[k];  // p at x_next
     x_prev = std::move(x);
     x = std::move(x_next);

@@ -103,12 +103,16 @@ struct ProjectorTerm {
 /// 95, 062336, 2017). `seed` is projected onto the density matrices and
 /// mixed with a sliver of identity, so no term starts at zero probability.
 /// The K terms with count > 0 are packed once into A = V† (K x D) and V
-/// (D x K). Each likelihood evaluation is then p_k = ⟨v_k|ρ|v_k⟩ from
-/// W = A·ρ plus O(KD), and each gradient R = V·diag(n_k/(N p_k))·A, both
-/// K x D x D GEMMs; a step also costs one D x D eigendecomposition for the
-/// projection and one eigenvalue solve for the certificate, and may take
-/// several likelihood evaluations while it backtracks. Stops once
-/// likelihood_gap <= convergence_tol or after max_iterations steps. Throws
+/// (D x K). Probabilities p_k = ⟨v_k|ρ|v_k⟩ are linear in ρ, so each
+/// likelihood evaluation is W = A·Δ for the trial step Δ plus O(KD), and
+/// each gradient R = V·diag(n_k/(N p_k))·A, both K x D x D GEMMs. The cost
+/// is per evaluation, not per step: a step takes the gradient at the
+/// extrapolated point, then one likelihood evaluation and one D x D
+/// eigendecomposition (the projection) per backtracking trial; the
+/// certificate at the accepted point (a gradient and an eigenvalue solve)
+/// waits while an O(KD) lower bound already rules convergence out. Stops
+/// once likelihood_gap <= convergence_tol or after max_iterations steps.
+/// Throws
 /// std::invalid_argument naming ml_reconstruct for a non-finite or
 /// non-square seed, a seed that does not match dims, a vector of the wrong
 /// length or with a non-finite entry, a negative or non-finite count, no
