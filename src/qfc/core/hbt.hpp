@@ -46,36 +46,6 @@ struct HbtResult {
 /// Monte-Carlo HBT run with thermal (SFWM) photon-number statistics.
 HbtResult run_hbt(const HbtParams& p, rng::Xoshiro256& g);
 
-/// Continuous-time variant of HbtParams: the source is a CW click-stream
-/// generated by the batched EventEngine instead of discrete trials.
-struct HbtStreamParams {
-  double pair_rate_hz = 100e3;       ///< on-chip generated pair rate
-  double linewidth_hz = 110e6;       ///< photon Lorentzian FWHM
-  double duration_s = 10.0;
-  double herald_efficiency = 0.2;    ///< idler (herald) arm
-  double signal_efficiency = 0.2;    ///< signal arm, before the 50/50 BS
-  double dark_rate_hz = 100.0;       ///< per detector
-  double coincidence_window_s = 8e-9;
-  std::uint64_t seed = 8236;
-
-  QFC_FIELDS(HbtStreamParams,
-      QFC_FIELD(pair_rate_hz, io::kNonNegative, "on-chip generated pair rate [Hz]"),
-      QFC_FIELD(linewidth_hz, io::kPositive, "photon Lorentzian FWHM [Hz]"),
-      QFC_FIELD(duration_s, io::kPositive, "run duration [s]"),
-      QFC_FIELD(herald_efficiency, io::kEfficiency, "idler (herald) arm detection probability"),
-      QFC_FIELD(signal_efficiency, io::kEfficiency, "signal-arm detection probability"),
-      QFC_FIELD(dark_rate_hz, io::kNonNegative, "per-detector dark rate [Hz]"),
-      QFC_FIELD(coincidence_window_s, io::kPositive, "herald coincidence window [s]"),
-      QFC_FIELD(seed, io::kNonNegative, "engine seed"))
-
-  void validate() const { io::check_fields(*this, "HbtStreamParams"); }
-};
-
-/// Time-domain heralded HBT on engine-generated click streams: the idler
-/// column heralds, the signal column is split 50/50 onto two detectors,
-/// and g²_h(0) is formed from windowed herald/signal coincidences.
-HbtResult run_hbt_time_domain(const HbtStreamParams& p);
-
 /// Analytic expectation from the two-mode squeezed vacuum model, ignoring
 /// darks (cross-check for the MC).
 double analytic_heralded_g2(const HbtParams& p);

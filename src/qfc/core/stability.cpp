@@ -4,9 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "qfc/detect/coincidence.hpp"
-#include "qfc/detect/event_engine.hpp"
-#include "qfc/detect/streaming.hpp"
 #include "qfc/photonics/constants.hpp"
 #include "qfc/photonics/device_presets.hpp"
 #include "qfc/rng/distributions.hpp"
@@ -92,65 +89,6 @@ StabilityTrace StabilityExperiment::run_scheme(photonics::PumpLocking locking,
   trace.rms_fluctuation_percent = mean > 0 ? 100.0 * std::sqrt(var) / mean : 0.0;
   trace.peak_to_peak_percent = mean > 0 ? 100.0 * (mx - mn) / mean : 0.0;
   return trace;
-}
-
-CountedStabilityTrace StabilityExperiment::run_counted_scheme(
-    photonics::PumpLocking locking, double mean_coincidence_rate_hz) {
-  if (mean_coincidence_rate_hz <= 0)
-    throw std::invalid_argument("run_counted_scheme: mean rate <= 0");
-
-  CountedStabilityTrace out;
-  out.trace = run_scheme(locking, locking == photonics::PumpLocking::SelfLocked
-                                      ? cfg_.seed
-                                      : cfg_.seed + 1);
-  const std::size_t n = out.trace.relative_rate.size();
-  if (n == 0) return out;
-
-  // Ideal collection chain: unit efficiency/transmission, no darks, no
-  // jitter or dead time — every generated pair is one coincidence
-  // candidate, so the segment pair rate IS the drifting coincidence rate.
-  detect::ChannelPairSpec spec;
-  spec.emission = detect::EmissionMode::PiecewiseRates;
-  spec.linewidth_hz =
-      device_.linewidth_hz(photonics::itu_anchor_hz, photonics::Polarization::TE);
-  spec.detector_signal.efficiency = 1.0;
-  spec.detector_signal.dark_rate_hz = 0.0;
-  spec.detector_signal.jitter_sigma_s = 0.0;
-  spec.detector_signal.dead_time_s = 0.0;
-  spec.detector_idler = spec.detector_signal;
-
-  // The signal-idler Laplace delay scale is 1/(2π δν) ~ ns; a window many
-  // delay scales wide loses a negligible fraction of true pairs, while
-  // accidentals at Hz-level rates are vanishing.
-  const double window_s = 40e-9;
-  // One piecewise schedule covering the whole observation: the drifting
-  // relative-rate trace becomes the segment pair rates, and the windowed
-  // streaming engine generates it one sample interval at a time, so click
-  // memory stays bounded by the busiest interval even for multi-week runs.
-  spec.segments.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    detect::RateSegment seg;
-    seg.duration_s = cfg_.sample_interval_s;
-    seg.pair_rate_hz = mean_coincidence_rate_hz * out.trace.relative_rate[i];
-    spec.segments.push_back(seg);
-  }
-
-  detect::EngineConfig ec;
-  ec.duration_s = static_cast<double>(n) * cfg_.sample_interval_s;
-  ec.seed = cfg_.seed + 77 +
-            (locking == photonics::PumpLocking::SelfLocked ? 0 : 1);
-  detect::StreamConfig sc;
-  sc.window_s = cfg_.sample_interval_s;
-  detect::EventStreamer streamer(ec, sc, {spec});
-  detect::StreamingAllanAccumulator allan(window_s, cfg_.sample_interval_s);
-  detect::StreamWindow w;
-  while (streamer.next(w)) allan.push(w);
-
-  detect::StreamingAllanResult res = allan.finish();
-  out.counts = std::move(res.counts);
-  out.mean_counts = res.mean_counts;
-  out.allan = std::move(res.allan);
-  return out;
 }
 
 StabilityComparison StabilityExperiment::run() {

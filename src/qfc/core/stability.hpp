@@ -11,7 +11,6 @@
 
 #include "qfc/io/fields.hpp"
 
-#include "qfc/detect/allan.hpp"
 #include "qfc/photonics/microring.hpp"
 #include "qfc/photonics/pump.hpp"
 #include "qfc/photonics/self_locked.hpp"
@@ -68,44 +67,12 @@ struct StabilityComparison {
   QFC_JSON(StabilityComparison, self_locked, external)
 };
 
-/// Counting-statistics form of a stability run, derived from raw engine
-/// click streams: the drifting relative rate becomes a piecewise-constant
-/// emission schedule (detect::EmissionMode::PiecewiseRates, one
-/// RateSegment per sample interval), the engine generates the signal/idler
-/// click streams, and the per-interval counts are windowed coincidences of
-/// those clicks. The overlapping Allan deviation of the fractional count
-/// series is the metrology-grade statement of the "< 5% for weeks" claim.
-struct CountedStabilityTrace {
-  StabilityTrace trace;                   ///< underlying relative-rate series
-  std::vector<double> counts;             ///< coincidences per interval, from clicks
-  std::vector<detect::AllanPoint> allan;  ///< of counts / mean(counts)
-  double mean_counts = 0;
-
-  QFC_JSON(CountedStabilityTrace, trace, mean_counts, allan)
-};
-
 class StabilityExperiment {
  public:
   StabilityExperiment(photonics::MicroringResonator device, StabilityConfig cfg);
 
   /// Run both schemes over the configured observation window.
   StabilityComparison run();
-
-  /// Counting-statistics run of one scheme: the scheme's relative-rate
-  /// trace becomes a drifting PiecewiseRates emission schedule (pair rate
-  /// = mean on-resonance coincidence rate x relative rate per interval),
-  /// the event engine generates the click streams with ideal collection
-  /// (unit efficiency, no darks — the counted quantity is the coincidence
-  /// rate itself), each sample interval's count is the windowed
-  /// signal-idler coincidence count of the raw clicks, and the fractional
-  /// counts go through the overlapping Allan deviation. The run streams
-  /// through the windowed engine (detect::EventStreamer, one window per
-  /// sample interval) into a detect::StreamingAllanAccumulator, so click
-  /// memory stays bounded by the busiest interval for multi-week
-  /// observations; results are deterministic in cfg.seed (and independent
-  /// of thread counts) by the streaming parity contract.
-  CountedStabilityTrace run_counted_scheme(photonics::PumpLocking locking,
-                                           double mean_coincidence_rate_hz);
 
   /// Pair rate relative to on-resonance for a given pump-resonance
   /// detuning: SFWM needs the pump resonant, so the rate follows the

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "qfc/detect/streaming.hpp"
 #include "qfc/photonics/device_presets.hpp"
 
 namespace qfc::core {
@@ -110,78 +109,6 @@ detect::ChannelPairSpec TimebinExperiment::cw_equivalent_spec(int k,
   spec.detector_signal = det;
   spec.detector_idler = det;
   return spec;
-}
-
-std::vector<detect::CarResult> TimebinExperiment::run_car_check(double duration_s,
-                                                                double dark_rate_hz,
-                                                                double window_s) const {
-  std::vector<detect::ChannelPairSpec> specs;
-  specs.reserve(static_cast<std::size_t>(cfg_.num_channel_pairs));
-  for (int k = 1; k <= cfg_.num_channel_pairs; ++k)
-    specs.push_back(cw_equivalent_spec(k, dark_rate_hz));
-
-  detect::EngineConfig ec;
-  ec.duration_s = duration_s;
-  ec.seed = cfg_.seed + 4242;
-  detect::StreamingCarPairsAccumulator car(window_s, /*side_window_spacing_s=*/100e-9);
-  detect::for_each_window(ec, std::move(specs),
-                          [&](const detect::StreamWindow& w) { car.push(w); });
-  return car.finish();
-}
-
-detect::ChannelPairSpec TimebinExperiment::pulsed_spec(int k, double dark_rate_hz) const {
-  detect::ChannelPairSpec spec = cw_equivalent_spec(k, dark_rate_hz);
-  spec.pair_rate_hz = 0;  // the pulse train carries the rate
-  spec.emission = detect::EmissionMode::Pulsed;
-  spec.pulsed.repetition_rate_hz = cfg_.pump.train.repetition_rate_hz;
-  // Both bins together: twice the per-pulse mean per repetition period.
-  spec.pulsed.mean_pairs_per_pulse = 2.0 * source_.mean_pairs_per_pulse(k);
-  spec.pulsed.bin_separation_s = cfg_.pump.bin_separation_s;
-  // Pairs are born over the pulse envelope: intensity FWHM -> 1σ.
-  spec.pulsed.pulse_sigma_s =
-      cfg_.pump.train.pulse_fwhm_s / (2.0 * std::sqrt(2.0 * std::log(2.0)));
-  return spec;
-}
-
-std::vector<TimebinExperiment::PulsedClickCheck> TimebinExperiment::run_pulsed_car_check(
-    double duration_s, double dark_rate_hz, double window_s) const {
-  std::vector<detect::ChannelPairSpec> specs;
-  specs.reserve(static_cast<std::size_t>(cfg_.num_channel_pairs));
-  for (int k = 1; k <= cfg_.num_channel_pairs; ++k)
-    specs.push_back(pulsed_spec(k, dark_rate_hz));
-
-  detect::EngineConfig ec;
-  ec.duration_s = duration_s;
-  ec.seed = cfg_.seed + 8484;
-
-  // Accidental windows at multiples of the repetition period: for a
-  // pulsed source the only physical accidental estimate is a neighboring
-  // pulse slot, not an arbitrary CW offset.
-  const double period = 1.0 / cfg_.pump.train.repetition_rate_hz;
-  detect::StreamingCarPairsAccumulator car(window_s, period);
-  // Δt histogram fine enough to resolve the early/late peak triplet.
-  const double dt_bins = cfg_.pump.bin_separation_s;
-  detect::StreamingCorrelatorAccumulator corr(/*bin_width_s=*/dt_bins / 16.0,
-                                              /*range_s=*/1.5 * dt_bins);
-  detect::for_each_window(ec, std::move(specs), [&](const detect::StreamWindow& w) {
-    car.push(w);
-    corr.push(w);
-  });
-  const std::vector<detect::CarResult> cars = car.finish();
-  const auto hists = corr.finish();
-
-  std::vector<PulsedClickCheck> out;
-  out.reserve(static_cast<std::size_t>(cfg_.num_channel_pairs));
-  for (int k = 1; k <= cfg_.num_channel_pairs; ++k) {
-    const auto c = static_cast<std::size_t>(k - 1);
-    PulsedClickCheck check;
-    check.car = cars.at(c);
-    check.histogram = hists[c];
-    check.peaks =
-        timebin::fold_timebin_peaks(hists[c], dt_bins, /*half_window_s=*/dt_bins / 4.0);
-    out.push_back(std::move(check));
-  }
-  return out;
 }
 
 std::vector<TimebinChannelResult> TimebinExperiment::run_all_channels() {

@@ -14,7 +14,6 @@
 #include "qfc/photonics/microring.hpp"
 #include "qfc/photonics/pump.hpp"
 #include "qfc/sfwm/pair_source.hpp"
-#include "qfc/timebin/arrival_histogram.hpp"
 #include "qfc/timebin/chsh.hpp"
 #include "qfc/timebin/franson.hpp"
 #include "qfc/timebin/timebin_state.hpp"
@@ -93,40 +92,9 @@ class TimebinExperiment {
 
   /// CW-equivalent engine spec for channel pair k: pair rate = both-bin
   /// emission rate, linewidth from the ring, per-arm detection efficiency
-  /// as the detector efficiency, unit channel transmission. Shared by
-  /// run_car_check and the QKD layer's link_channel_spec.
+  /// as the detector efficiency, unit channel transmission. Used by the QKD
+  /// layer's link_channel_spec.
   detect::ChannelPairSpec cw_equivalent_spec(int k, double dark_rate_hz) const;
-
-  /// Engine-backed Monte-Carlo cross-check of the coincidence statistics
-  /// behind the analytic fringe model: CW-equivalent click streams for all
-  /// channel pairs generated in one batched pass, with each channel's CAR
-  /// measured in a single merge-sweep.
-  std::vector<detect::CarResult> run_car_check(double duration_s,
-                                               double dark_rate_hz = 1000.0,
-                                               double window_s = 4e-9) const;
-
-  /// Pulse-train-locked engine spec for channel pair k: per-double-pulse
-  /// mean pair number from the pulsed source, early/late bins at the
-  /// pump's interferometer imbalance, envelope jitter from the pulse
-  /// width. Detector chain as cw_equivalent_spec.
-  detect::ChannelPairSpec pulsed_spec(int k, double dark_rate_hz) const;
-
-  /// Click-level result for one channel pair of the pulsed cross-check.
-  struct PulsedClickCheck {
-    detect::CarResult car;                  ///< peak CAR (side windows at ±nT_rep)
-    detect::CoincidenceHistogram histogram; ///< raw Δt histogram around the bins
-    timebin::TimebinPeaks peaks;            ///< folded early/late peak structure
-  };
-
-  /// Genuinely pulsed click-level path of the CAR cross-check: pair times
-  /// locked to the double-pulse train, so the Δt histogram resolves the
-  /// early/early + late/late central peak and the early/late, late/early
-  /// side peaks at ±ΔT (multi-pair accidentals). Accidental windows for
-  /// the CAR sit at multiples of the repetition period, as in the pulsed
-  /// experiments of Sec. IV.
-  std::vector<PulsedClickCheck> run_pulsed_car_check(double duration_s,
-                                                     double dark_rate_hz = 1000.0,
-                                                     double window_s = 4e-9) const;
 
  private:
   photonics::MicroringResonator device_;

@@ -104,20 +104,6 @@ inline void car_pair_count_event(double ta, const double* ie, const double*& lo,
   }
 }
 
-/// One signal event of the windowed-coincidence sweep: same center-bounds
-/// arithmetic as count_coincidences.
-inline void window_count_event(double ta, const std::vector<double>& it,
-                               const std::vector<std::uint32_t>& ich,
-                               std::size_t& lo, double half, double offset_s,
-                               double reach, std::uint64_t* row) {
-  const double center = ta - offset_s;
-  while (lo < it.size() && it[lo] < ta - reach) ++lo;
-  for (std::size_t j = lo; j < it.size() && it[j] <= ta + reach; ++j) {
-    const double tb = it[j];
-    if (tb >= center - half && tb <= center + half) ++row[ich[j]];
-  }
-}
-
 /// One signal event of the diagonal Δt-histogram sweep over one idler
 /// channel column [ib, ie).
 inline void corr_count_event(double ta, const double* ie, const double*& lo,

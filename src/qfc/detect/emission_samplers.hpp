@@ -12,9 +12,7 @@
 ///
 /// `emit(t)` receives each event time in order. Pair emission passes
 /// pair_emitter(), whose per-pair draws come from the same stream right
-/// after the time draw, exactly as in one uninterrupted loop. Each sampler's
-/// `fields` lists its position once, in snapshot order; the blob writer and
-/// reader of streaming.cpp both visit that list.
+/// after the time draw, exactly as in one uninterrupted loop.
 
 #include <algorithm>
 #include <cmath>
@@ -51,10 +49,6 @@ struct ExpState {
       next += rng::sample_exponential(g, rate_hz);
     }
     if (next >= duration_s) done = true;
-  }
-
-  template <class Self, class Ar> static void fields(Self& s, Ar& ar) {
-    ar(s.next, s.primed, s.done);
   }
 };
 
@@ -99,10 +93,6 @@ struct PwState {
       ++seg;
       primed = false;
     }
-  }
-
-  template <class Self, class Ar> static void fields(Self& s, Ar& ar) {
-    ar(s.seg, s.seg_start, s.next, s.primed, s.done);
   }
 };
 
@@ -152,10 +142,6 @@ struct PulsedState {
       }
       pulse += 1.0 + std::floor(rng::sample_exponential(g, mu));
     }
-  }
-
-  template <class Self, class Ar> static void fields(Self& s, Ar& ar) {
-    ar(s.pulse, s.primed, s.done);
   }
 };
 

@@ -187,7 +187,7 @@ void apply_adjacent_crosstalk(std::vector<ChannelPairSpec>& specs,
                                   std::to_string(i) +
                                   ": leakage fraction outside [0, 1]");
 
-  // Neighbor flux is read from a pre-crosstalk snapshot of the specs, so
+  // Neighbor flux is read from a pre-crosstalk copy of the specs, so
   // the result is independent of channel order and leakage never cascades
   // through a chain of bins.
   std::vector<double> flux(specs.size());

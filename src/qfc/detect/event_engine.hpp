@@ -13,7 +13,7 @@
 ///
 /// There is one detection pipeline, the windowed one of streaming.hpp.
 /// EventEngine::run is that pipeline drained in a single window, and
-/// car_matrix / coincidence_count_matrix / correlate_all push one
+/// car_matrix / correlate_all push one
 /// whole-run window through the matching streaming accumulator. So the
 /// determinism contract is the streaming one: output is bitwise identical
 /// at every window size and generation thread count
@@ -148,16 +148,6 @@ std::vector<CoincidenceHistogram> correlate_all(const EventTable& signal,
                                                 const EventTable& idler,
                                                 double bin_width_s, double range_s,
                                                 int num_threads = 0);
-
-/// Windowed coincidence counts (|t_s - t_i - offset| <= window/2) for every
-/// (signal channel, idler channel) combination in a single merge-sweep.
-/// Row-major: count[s * idler.num_channels() + i]. `num_threads` is inert,
-/// as in correlate_all.
-std::vector<std::uint64_t> coincidence_count_matrix(const EventTable& signal,
-                                                    const EventTable& idler,
-                                                    double window_s,
-                                                    double offset_s = 0.0,
-                                                    int num_threads = 0);
 
 struct CarMatrix {
   std::size_t num_signal = 0;

@@ -156,15 +156,4 @@ PairStreams generate_piecewise_pair_arrivals(const PiecewiseStreamParams& p,
   return s;
 }
 
-std::vector<double> generate_piecewise_poisson_arrivals(
-    const std::vector<RateSegment>& segments, double RateSegment::*rate,
-    double duration_s, rng::Xoshiro256& g) {
-  if (!positive(duration_s))
-    throw std::invalid_argument("generate_piecewise_poisson_arrivals: duration <= 0 or non-finite");
-  validate_segments(segments, duration_s);
-  std::vector<double> out;
-  detail::PwState{}.advance(segments, rate, duration_s, kInf, g, detail::push_into(out));
-  return out;
-}
-
 }  // namespace qfc::detect

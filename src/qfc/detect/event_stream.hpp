@@ -96,13 +96,6 @@ struct PiecewiseStreamParams {
 PairStreams generate_piecewise_pair_arrivals(const PiecewiseStreamParams& p,
                                              rng::Xoshiro256& g);
 
-/// Inhomogeneous (piecewise-constant rate) Poisson arrivals over
-/// [0, duration): `rate` selects which RateSegment member drives each
-/// segment (e.g. `&RateSegment::dark_rate_signal_hz`).
-std::vector<double> generate_piecewise_poisson_arrivals(
-    const std::vector<RateSegment>& segments, double RateSegment::*rate,
-    double duration_s, rng::Xoshiro256& g);
-
 namespace detail {
 
 /// Emit one correlated pair born at t0: Laplace-split the signal-idler

@@ -1,20 +1,12 @@
 #include "qfc/detect/streaming.hpp"
 
 #include <algorithm>
-#include <array>
-#include <bit>
 #include <cmath>
-#include <concepts>
-#include <cstring>
-#include <initializer_list>
 #include <limits>
 #include <numeric>
-#include <ranges>
-#include <span>
 #include <string>
 #include <stdexcept>
 #include <thread>
-#include <type_traits>
 #include <utility>
 
 #include "qfc/detect/analysis_sweep.hpp"
@@ -33,231 +25,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr std::size_t kNoChannels = static_cast<std::size_t>(-1);
-
-// ------------------------------------------------------------- snapshots
-//
-// Versioned host-endian binary blobs: "QFCS" magic, u32 version, u8 kind,
-// then the kind-specific state. Every snapshotted struct declares its
-// fields once, in blob order, as a field list that both ByteWriter and
-// ByteReader visit, so snapshot and restore cannot disagree. Restore
-// re-validates configs through the normal constructors, then overwrites
-// the mutable state.
-
-constexpr std::uint32_t kSnapshotVersion = 1;
-enum SnapshotKind : std::uint8_t {
-  kKindStreamer = 0,
-  kKindCar = 1,
-  kKindCountMatrix = 2,
-  kKindCorrelator = 3,
-  kKindAllan = 4,
-  kKindCarPairs = 5,
-};
-
-/// `Self` is `T`, const or not: a field list serves writing and reading.
-template <class Self, class T>
-concept Either = std::same_as<std::remove_const_t<Self>, T>;
-
-// Field lists of the public config types, kept here so the snapshot
-// layout stays private.
-template <Either<DetectorParams> Self, class Ar> void fields(Self& s, Ar& ar) {
-  ar(s.efficiency, s.dark_rate_hz, s.jitter_sigma_s, s.dead_time_s);
-}
-template <Either<PulsedEmission> Self, class Ar> void fields(Self& s, Ar& ar) {
-  ar(s.repetition_rate_hz, s.mean_pairs_per_pulse, s.pulse_sigma_s, s.bin_separation_s,
-     s.late_fraction);
-}
-template <Either<RateSegment> Self, class Ar> void fields(Self& s, Ar& ar) {
-  ar(s.duration_s, s.pair_rate_hz, s.background_rate_signal_hz, s.background_rate_idler_hz,
-     s.dark_rate_signal_hz, s.dark_rate_idler_hz);
-}
-template <Either<ChannelPairSpec> Self, class Ar> void fields(Self& s, Ar& ar) {
-  ar(s.pair_rate_hz, s.linewidth_hz, s.transmission_signal, s.transmission_idler,
-     s.background_rate_signal_hz, s.background_rate_idler_hz, s.detector_signal,
-     s.detector_idler, s.emission, s.pulsed, s.segments);
-}
-template <Either<EngineConfig> Self, class Ar> void fields(Self& s, Ar& ar) {
-  ar(s.duration_s, s.seed, s.num_threads, s.analysis_threads);
-}
-template <Either<StreamConfig> Self, class Ar> void fields(Self& s, Ar& ar) {
-  ar(s.window_s, s.slack_override_s);
-}
-
-/// Visits the field list of `s`: its static member `fields` (internal
-/// state types), else the free overload above (public config types).
-template <class Self, class Ar>
-void visit_fields(Self& s, Ar& ar) {
-  if constexpr (requires { std::remove_const_t<Self>::fields(s, ar); })
-    std::remove_const_t<Self>::fields(s, ar);
-  else
-    fields(s, ar);
-}
-
-template <class T> constexpr bool kIsVector = false;
-template <class T> constexpr bool kIsVector<std::vector<T>> = true;
-
-/// Encodes field lists. Unsigned integers are stored as themselves, int as
-/// u64, double as its bit pattern, bool and EmissionMode as u8, a generator
-/// as its 4×u64 state, a vector as a u64 length and its elements, any other
-/// range (a span, an array) as its elements alone, and a struct as its
-/// field list.
-struct ByteWriter {
-  std::vector<std::uint8_t> buf;
-
-  template <class... Ts>
-  void operator()(const Ts&... values) {
-    (put(values), ...);
-  }
-
-  void header(SnapshotKind kind) {
-    buf.insert(buf.end(), {'Q', 'F', 'C', 'S'});
-    (*this)(kSnapshotVersion, static_cast<std::uint8_t>(kind));
-  }
-
- private:
-  template <class T>
-  void put(const T& v) {
-    if constexpr (std::is_same_v<T, bool> || std::is_same_v<T, EmissionMode>) {
-      put(static_cast<std::uint8_t>(v));
-    } else if constexpr (std::is_same_v<T, double>) {
-      put(std::bit_cast<std::uint64_t>(v));
-    } else if constexpr (std::is_same_v<T, int>) {
-      put(static_cast<std::uint64_t>(v));
-    } else if constexpr (std::is_unsigned_v<T>) {
-      const auto old = buf.size();
-      buf.resize(old + sizeof v);
-      std::memcpy(buf.data() + old, &v, sizeof v);
-    } else if constexpr (std::is_same_v<T, rng::Xoshiro256>) {
-      put(v.state());
-    } else if constexpr (std::ranges::range<T>) {
-      if constexpr (kIsVector<T>) put(static_cast<std::uint64_t>(v.size()));
-      for (const auto& x : v) put(x);
-    } else {
-      visit_fields(v, *this);
-    }
-  }
-};
-
-/// Fewest blob bytes one T takes: its encoding with every vector empty.
-template <class T>
-std::size_t min_encoded_size() {
-  static const std::size_t n = [] {
-    ByteWriter w;
-    w(T{});
-    return w.buf.size();
-  }();
-  return n;
-}
-
-/// Decodes what ByteWriter encodes. Every failure, including a length
-/// field larger than the rest of the blob can hold, throws
-/// std::invalid_argument before anything is allocated for it.
-struct ByteReader {
-  const std::uint8_t* data;
-  std::size_t size;
-  std::size_t pos = 0;
-
-  explicit ByteReader(const std::vector<std::uint8_t>& b)
-      : data(b.data()), size(b.size()) {}
-
-  template <class... Ts>
-  void operator()(Ts&&... values) {
-    (get(values), ...);
-  }
-
-  void header(SnapshotKind kind) {
-    need(4);
-    if (std::memcmp(data + pos, "QFCS", 4) != 0)
-      throw std::invalid_argument("snapshot: bad magic");
-    pos += 4;
-    if (take<std::uint32_t>() != kSnapshotVersion)
-      throw std::invalid_argument("snapshot: unsupported version");
-    if (take<std::uint8_t>() != static_cast<std::uint8_t>(kind))
-      throw std::invalid_argument("snapshot: wrong snapshot kind for this class");
-  }
-  void expect_end() const {
-    if (pos != size) throw std::invalid_argument("snapshot: trailing bytes");
-  }
-
- private:
-  void need(std::size_t n) const {
-    if (n > size - pos) throw std::invalid_argument("snapshot: truncated blob");
-  }
-  template <class U>
-  U take() {
-    need(sizeof(U));
-    U v;
-    std::memcpy(&v, data + pos, sizeof v);
-    pos += sizeof v;
-    return v;
-  }
-
-  template <class T>
-  void get(T& v) {
-    if constexpr (std::is_same_v<T, bool>) {
-      v = take<std::uint8_t>() != 0;
-    } else if constexpr (std::is_same_v<T, EmissionMode>) {
-      v = static_cast<EmissionMode>(take<std::uint8_t>());
-      if (v != EmissionMode::Cw && v != EmissionMode::Pulsed &&
-          v != EmissionMode::PiecewiseRates)
-        throw std::invalid_argument("snapshot: bad emission mode");
-    } else if constexpr (std::is_same_v<T, double>) {
-      v = std::bit_cast<double>(take<std::uint64_t>());
-    } else if constexpr (std::is_same_v<T, int>) {
-      v = static_cast<int>(take<std::uint64_t>());
-    } else if constexpr (std::is_unsigned_v<T>) {
-      v = take<T>();
-    } else if constexpr (std::is_same_v<T, rng::Xoshiro256>) {
-      std::array<std::uint64_t, 4> s;
-      get(s);
-      v.set_state(s);
-    } else if constexpr (kIsVector<T>) {
-      const std::uint64_t n = take<std::uint64_t>();
-      if (n > (size - pos) / min_encoded_size<typename T::value_type>())
-        throw std::invalid_argument("snapshot: length field exceeds the blob");
-      v.resize(static_cast<std::size_t>(n));
-      for (auto& x : v) get(x);
-    } else if constexpr (std::ranges::range<T>) {
-      for (auto& x : v) get(x);
-    } else {
-      visit_fields(v, *this);
-    }
-  }
-};
-
-/// Whether `n` is the product of `factors`, without overflowing.
-bool is_product(std::size_t n, std::initializer_list<std::size_t> factors) {
-  std::size_t p = 1;
-  for (std::size_t f : factors) {
-    if (f != 0 && p > n / f) return false;
-    p *= f;
-  }
-  return p == n;
-}
-
-/// Blob of an accumulator's field list.
-template <class Acc>
-std::vector<std::uint8_t> snapshot_blob(const Acc& acc, SnapshotKind kind) {
-  if (acc.finished) throw std::logic_error(std::string(acc.name) + ": snapshot after finish");
-  ByteWriter w;
-  w.header(kind);
-  w(acc);
-  return std::move(w.buf);
-}
-
-/// Replaces an accumulator's fields with a blob's, all or nothing: the
-/// blob is read into a copy whose table shapes must fit the accumulator
-/// (check_shape), so a rejected blob leaves `acc` untouched.
-template <class Acc>
-void restore_blob(Acc& acc, SnapshotKind kind, const std::vector<std::uint8_t>& blob) {
-  ByteReader r(blob);
-  r.header(kind);
-  Acc next = acc;
-  r(next);
-  r.expect_end();
-  next.check_shape();
-  next.finished = false;
-  acc = std::move(next);
-}
 
 // ----------------------------------------------------- per-channel state
 
@@ -289,13 +56,9 @@ struct ArmState {
   std::vector<double> pending_arrivals;
   std::vector<double> pending_clicks;
   double dead_last = detail::kNoClick;  ///< dead-time filter carry
-  /// This window's finalized clicks (not part of the snapshot); refilled
-  /// every window, keeping its capacity.
+  /// This window's finalized clicks; refilled every window, keeping its
+  /// capacity.
   std::vector<double> clicks;
-
-  template <class Self, class Ar> static void fields(Self& s, Ar& ar) {
-    ar(s.bg, s.pwbg, s.dark, s.pwdark, s.pending_arrivals, s.pending_clicks, s.dead_last);
-  }
 };
 
 struct ChannelState {
@@ -307,33 +70,16 @@ struct ChannelState {
   double prev_theta = 0;  ///< previous window's arrival watermark
   double prev_c = 0;      ///< previous window's click watermark
   std::uint64_t violations = 0;
-
-  template <class Self, class Ar> static void fields(Self& s, Ar& ar) {
-    auto& g = s.rng;
-    ar(g.pair, g.bg_a, g.bg_b, g.pwbg_a, g.pwbg_b, g.det_a, g.dark_a, g.pwdark_a, g.det_b,
-       g.dark_b, g.pwdark_b, s.cw, s.pulsed, s.pw, s.a, s.b, s.prev_theta, s.prev_c,
-       s.violations);
-  }
-};
-
-/// What an EventStreamer is constructed from: the first field list of its
-/// blob, read before construction so restore re-validates it through the
-/// constructor.
-struct StreamerSetup {
-  EngineConfig cfg;
-  StreamConfig stream;
-  std::vector<ChannelPairSpec> specs;
-
-  template <class Self, class Ar> static void fields(Self& s, Ar& ar) {
-    ar(s.cfg, s.stream, s.specs);
-  }
 };
 
 }  // namespace
 
 // -------------------------------------------------------- EventStreamer
 
-struct EventStreamer::Impl : StreamerSetup {
+struct EventStreamer::Impl {
+  EngineConfig cfg;
+  StreamConfig stream;
+  std::vector<ChannelPairSpec> specs;
   std::vector<detail::ChannelPlan> plans;
   std::vector<double> spill_pair;   ///< emission look-ahead past the watermark
   std::vector<double> spill_jit;    ///< arrival watermark past the click one
@@ -345,7 +91,7 @@ struct EventStreamer::Impl : StreamerSetup {
 
   Impl(const EngineConfig& c, const StreamConfig& s,
        std::vector<ChannelPairSpec> channels)
-      : StreamerSetup{c, s, std::move(channels)} {
+      : cfg(c), stream(s), specs(std::move(channels)) {
     detail::check_engine_config(cfg);
     if (!(stream.window_s > 0))
       throw std::invalid_argument("StreamConfig: window <= 0");
@@ -394,12 +140,6 @@ struct EventStreamer::Impl : StreamerSetup {
     num_threads = static_cast<unsigned>(
         std::min<std::size_t>(num_threads, std::max<std::size_t>(n, 1)));
     pool = std::make_unique<parallel::WorkerPool>(num_threads);
-  }
-
-  /// The mutable state, the second field list of the blob, read into a
-  /// streamer constructed from the first.
-  template <class Self, class Ar> static void fields(Self& s, Ar& ar) {
-    ar(s.k, s.reported_violations, std::span(s.chans));
   }
 
   /// One arm of one channel for one window: `arrivals` holds the arm's
@@ -566,37 +306,11 @@ EventStreamer::EventStreamer(const EngineConfig& cfg, const StreamConfig& stream
                              std::vector<ChannelPairSpec> channels)
     : impl_(std::make_unique<Impl>(cfg, stream, std::move(channels))) {}
 
-EventStreamer::EventStreamer(std::unique_ptr<Impl> impl) : impl_(std::move(impl)) {}
 EventStreamer::~EventStreamer() = default;
-EventStreamer::EventStreamer(EventStreamer&&) noexcept = default;
-EventStreamer& EventStreamer::operator=(EventStreamer&&) noexcept = default;
 
 bool EventStreamer::next(StreamWindow& out) { return impl_->next(out); }
-bool EventStreamer::done() const { return impl_->k >= impl_->num_windows; }
-std::size_t EventStreamer::next_window() const { return impl_->k; }
-std::size_t EventStreamer::num_windows() const { return impl_->num_windows; }
 std::uint64_t EventStreamer::boundary_violations() const {
   return impl_->total_violations();
-}
-const EngineConfig& EventStreamer::config() const { return impl_->cfg; }
-const StreamConfig& EventStreamer::stream_config() const { return impl_->stream; }
-
-std::vector<std::uint8_t> EventStreamer::snapshot() const {
-  ByteWriter w;
-  w.header(kKindStreamer);
-  w(static_cast<const StreamerSetup&>(*impl_), *impl_);
-  return std::move(w.buf);
-}
-
-EventStreamer EventStreamer::restore(const std::vector<std::uint8_t>& blob) {
-  ByteReader r(blob);
-  r.header(kKindStreamer);
-  StreamerSetup setup;
-  r(setup);
-  EventStreamer out(setup.cfg, setup.stream, std::move(setup.specs));
-  r(*out.impl_);
-  r.expect_end();
-  return out;
 }
 
 double bounded_window_s(const std::vector<ChannelPairSpec>& channels, double duration_s) {
@@ -758,28 +472,6 @@ struct CarKernel {
   }
 };
 
-/// Windowed coincidence count of coincidence_count_matrix.
-struct WindowKernel {
-  double half = 0, offset_s = 0, reach_s = 0;
-
-  WindowKernel(double window_s, double offset) : offset_s(offset) {
-    require_finite(window_s, "coincidence_count_matrix", "window");
-    require_finite(offset_s, "coincidence_count_matrix", "offset");
-    if (window_s <= 0)
-      throw std::invalid_argument("coincidence_count_matrix: window <= 0");
-    half = window_s / 2.0;
-    // Conservative scan reach (one extra window of slack): membership uses
-    // the same center-bounds arithmetic as count_coincidences.
-    reach_s = std::abs(offset_s) + window_s;
-  }
-  double reach() const { return reach_s; }
-  std::size_t cells() const { return 1; }
-  void count(double ta, const std::vector<double>& it, const std::vector<std::uint32_t>& ich,
-             std::size_t& lo, std::uint64_t* row) const {
-    analysis_detail::window_count_event(ta, it, ich, lo, half, offset_s, reach_s, row);
-  }
-};
-
 /// Δt histogram bins of correlate_all, over one idler column.
 struct HistogramKernel {
   double bin_width_s = 0, range_s = 0;
@@ -866,21 +558,6 @@ struct MergedSweep {
     resolve(nullptr, kInf);
     return true;
   }
-
-  template <class Self, class Ar> static void fields(Self& s, Ar& ar) {
-    ar(s.ns, s.ni, s.it, s.ich, s.signal.pending, s.counts);
-  }
-
-  /// Throws std::invalid_argument unless the tables fit the channel counts
-  /// and the kernel: a restored blob is outside input.
-  void check_shape() const {
-    const bool fresh = ns == kNoChannels;
-    const std::size_t rows = fresh ? 0 : ns;
-    if ((fresh && ni != kNoChannels) || signal.pending.size() != rows ||
-        !is_product(counts.size(), {rows, ni, kernel.cells()}) || ich.size() != it.size() ||
-        std::any_of(ich.begin(), ich.end(), [&](std::uint32_t c) { return c >= ni; }))
-      throw std::invalid_argument(std::string(name) + ": snapshot does not fit this accumulator");
-  }
 };
 
 /// Signal channel k against idler channel k only: signal events are swept
@@ -944,23 +621,9 @@ struct DiagonalSweep {
     resolve(nullptr, kInf);
     return true;
   }
-
-  template <class Self, class Ar> static void fields(Self& s, Ar& ar) {
-    ar(s.nch, s.idler, s.signal.pending, s.counts);
-  }
-
-  /// Throws std::invalid_argument unless the tables fit the channel count
-  /// and the kernel: a restored blob is outside input.
-  void check_shape() const {
-    const std::size_t n = nch == kNoChannels ? 0 : nch;
-    if (idler.size() != n || signal.pending.size() != n ||
-        !is_product(counts.size(), {n, kernel.cells()}))
-      throw std::invalid_argument(std::string(name) + ": snapshot does not fit this accumulator");
-  }
 };
 
 using CarSweep = MergedSweep<CarKernel>;
-using CountSweep = MergedSweep<WindowKernel>;
 using CarPairsSweep = DiagonalSweep<CarKernel>;
 using CorrelatorSweep = DiagonalSweep<HistogramKernel>;
 
@@ -979,11 +642,6 @@ std::vector<CarResult> finish_car_pairs(CarPairsSweep& s) {
   std::vector<CarResult> cells(s.nch);
   analysis_detail::finalize_car_cells(cells, s.counts, s.kernel.grid);
   return cells;
-}
-
-std::vector<std::uint64_t> finish_counts(CountSweep& s) {
-  if (!s.finish()) return {};
-  return std::move(s.counts);
 }
 
 std::vector<CoincidenceHistogram> finish_histograms(CorrelatorSweep& s) {
@@ -1015,16 +673,6 @@ CarMatrix car_matrix(const EventTable& signal, const EventTable& idler, double w
   return finish_car(s);
 }
 
-std::vector<std::uint64_t> coincidence_count_matrix(const EventTable& signal,
-                                                    const EventTable& idler,
-                                                    double window_s, double offset_s,
-                                                    int num_threads) {
-  CountSweep s(WindowKernel(window_s, offset_s), num_threads, "coincidence_count_matrix");
-  QFC_OBS_SPAN("engine.count_matrix", {{"events", signal.size() + idler.size()}});
-  s.push(signal, idler, kInf);
-  return finish_counts(s);
-}
-
 std::vector<CoincidenceHistogram> correlate_all(const EventTable& signal,
                                                 const EventTable& idler,
                                                 double bin_width_s, double range_s,
@@ -1049,22 +697,12 @@ StreamingCarAccumulator::StreamingCarAccumulator(double window_s,
           CarKernel(window_s, side_window_spacing_s, num_side_windows), num_threads,
           "StreamingCarAccumulator")) {}
 StreamingCarAccumulator::~StreamingCarAccumulator() = default;
-StreamingCarAccumulator::StreamingCarAccumulator(
-    StreamingCarAccumulator&&) noexcept = default;
-StreamingCarAccumulator& StreamingCarAccumulator::operator=(
-    StreamingCarAccumulator&&) noexcept = default;
 
 void StreamingCarAccumulator::push(const StreamWindow& w) {
   QFC_OBS_SPAN("engine.stream.car_push", {{"events", w.events.signal.size()}});
   impl_->push(w.events.signal, w.events.idler, w.t_end_s);
 }
 CarMatrix StreamingCarAccumulator::finish() { return finish_car(*impl_); }
-std::vector<std::uint8_t> StreamingCarAccumulator::snapshot() const {
-  return snapshot_blob(*impl_, kKindCar);
-}
-void StreamingCarAccumulator::restore(const std::vector<std::uint8_t>& blob) {
-  restore_blob(*impl_, kKindCar, blob);
-}
 
 // ------------------------------------------- StreamingCarPairsAccumulator
 
@@ -1080,10 +718,6 @@ StreamingCarPairsAccumulator::StreamingCarPairsAccumulator(double window_s,
           CarKernel(window_s, side_window_spacing_s, num_side_windows), num_threads,
           "StreamingCarPairsAccumulator")) {}
 StreamingCarPairsAccumulator::~StreamingCarPairsAccumulator() = default;
-StreamingCarPairsAccumulator::StreamingCarPairsAccumulator(
-    StreamingCarPairsAccumulator&&) noexcept = default;
-StreamingCarPairsAccumulator& StreamingCarPairsAccumulator::operator=(
-    StreamingCarPairsAccumulator&&) noexcept = default;
 
 void StreamingCarPairsAccumulator::push(const StreamWindow& w) {
   QFC_OBS_SPAN("engine.stream.car_pairs_push", {{"events", w.events.signal.size()}});
@@ -1091,42 +725,6 @@ void StreamingCarPairsAccumulator::push(const StreamWindow& w) {
 }
 std::vector<CarResult> StreamingCarPairsAccumulator::finish() {
   return finish_car_pairs(*impl_);
-}
-std::vector<std::uint8_t> StreamingCarPairsAccumulator::snapshot() const {
-  return snapshot_blob(*impl_, kKindCarPairs);
-}
-void StreamingCarPairsAccumulator::restore(const std::vector<std::uint8_t>& blob) {
-  restore_blob(*impl_, kKindCarPairs, blob);
-}
-
-// ---------------------------------------- StreamingCountMatrixAccumulator
-
-struct StreamingCountMatrixAccumulator::Impl : CountSweep {
-  using CountSweep::CountSweep;
-};
-
-StreamingCountMatrixAccumulator::StreamingCountMatrixAccumulator(double window_s,
-                                                                 double offset_s,
-                                                                 int num_threads)
-    : impl_(std::make_unique<Impl>(WindowKernel(window_s, offset_s), num_threads,
-                                   "StreamingCountMatrixAccumulator")) {}
-StreamingCountMatrixAccumulator::~StreamingCountMatrixAccumulator() = default;
-StreamingCountMatrixAccumulator::StreamingCountMatrixAccumulator(
-    StreamingCountMatrixAccumulator&&) noexcept = default;
-StreamingCountMatrixAccumulator& StreamingCountMatrixAccumulator::operator=(
-    StreamingCountMatrixAccumulator&&) noexcept = default;
-
-void StreamingCountMatrixAccumulator::push(const StreamWindow& w) {
-  impl_->push(w.events.signal, w.events.idler, w.t_end_s);
-}
-std::vector<std::uint64_t> StreamingCountMatrixAccumulator::finish() {
-  return finish_counts(*impl_);
-}
-std::vector<std::uint8_t> StreamingCountMatrixAccumulator::snapshot() const {
-  return snapshot_blob(*impl_, kKindCountMatrix);
-}
-void StreamingCountMatrixAccumulator::restore(const std::vector<std::uint8_t>& blob) {
-  restore_blob(*impl_, kKindCountMatrix, blob);
 }
 
 // ---------------------------------------- StreamingCorrelatorAccumulator
@@ -1141,129 +739,12 @@ StreamingCorrelatorAccumulator::StreamingCorrelatorAccumulator(double bin_width_
     : impl_(std::make_unique<Impl>(HistogramKernel(bin_width_s, range_s), num_threads,
                                    "StreamingCorrelatorAccumulator")) {}
 StreamingCorrelatorAccumulator::~StreamingCorrelatorAccumulator() = default;
-StreamingCorrelatorAccumulator::StreamingCorrelatorAccumulator(
-    StreamingCorrelatorAccumulator&&) noexcept = default;
-StreamingCorrelatorAccumulator& StreamingCorrelatorAccumulator::operator=(
-    StreamingCorrelatorAccumulator&&) noexcept = default;
 
 void StreamingCorrelatorAccumulator::push(const StreamWindow& w) {
   impl_->push(w.events.signal, w.events.idler, w.t_end_s);
 }
 std::vector<CoincidenceHistogram> StreamingCorrelatorAccumulator::finish() {
   return finish_histograms(*impl_);
-}
-std::vector<std::uint8_t> StreamingCorrelatorAccumulator::snapshot() const {
-  return snapshot_blob(*impl_, kKindCorrelator);
-}
-void StreamingCorrelatorAccumulator::restore(const std::vector<std::uint8_t>& blob) {
-  restore_blob(*impl_, kKindCorrelator, blob);
-}
-
-// -------------------------------------------- StreamingAllanAccumulator
-
-struct StreamingAllanAccumulator::Impl {
-  static constexpr const char* name = "StreamingAllanAccumulator";
-  double window_s = 0, dt = 0;
-  std::size_t s_ch = 0, i_ch = 0;
-  std::size_t idx = 0;  ///< next interval to flush
-  std::vector<double> buf_a, buf_b;
-  std::vector<double> counts;
-  double frontier = 0;
-  bool finished = false;
-
-  Impl(double coincidence_window_s, double sample_interval_s,
-       std::size_t signal_channel, std::size_t idler_channel)
-      : window_s(coincidence_window_s),
-        dt(sample_interval_s),
-        s_ch(signal_channel),
-        i_ch(idler_channel) {
-    require_finite(window_s, "StreamingAllanAccumulator", "window");
-    require_finite(dt, "StreamingAllanAccumulator", "sample interval");
-    if (window_s <= 0)
-      throw std::invalid_argument("StreamingAllanAccumulator: window <= 0");
-    if (dt <= 0)
-      throw std::invalid_argument(
-          "StreamingAllanAccumulator: sample interval <= 0");
-  }
-
-  template <class Self, class Ar> static void fields(Self& s, Ar& ar) {
-    ar(s.idx, s.buf_a, s.buf_b, s.counts, s.frontier);
-  }
-
-  /// Every flushed interval holds one count.
-  void check_shape() const {
-    if (counts.size() != idx)
-      throw std::invalid_argument(std::string(name) + ": snapshot does not fit this accumulator");
-  }
-
-  void push(const StreamWindow& w) {
-    if (finished)
-      throw std::logic_error("StreamingAllanAccumulator: push after finish");
-    if (s_ch >= w.events.signal.num_channels() ||
-        i_ch >= w.events.idler.num_channels())
-      throw std::invalid_argument("StreamingAllanAccumulator: bad channel index");
-    append_sorted(buf_a, w.events.signal.channel_begin(s_ch),
-                  w.events.signal.channel_end(s_ch));
-    append_sorted(buf_b, w.events.idler.channel_begin(i_ch),
-                  w.events.idler.channel_end(i_ch));
-    frontier = w.t_end_s;
-    flush();
-  }
-
-  void flush() {
-    while (frontier >= static_cast<double>(idx + 1) * dt) {
-      const double t1 = static_cast<double>(idx + 1) * dt;
-      const auto ea = std::lower_bound(buf_a.begin(), buf_a.end(), t1);
-      const auto eb = std::lower_bound(buf_b.begin(), buf_b.end(), t1);
-      const std::vector<double> a(buf_a.begin(), ea);
-      const std::vector<double> b(buf_b.begin(), eb);
-      counts.push_back(static_cast<double>(count_coincidences(a, b, window_s)));
-      buf_a.erase(buf_a.begin(), ea);
-      buf_b.erase(buf_b.begin(), eb);
-      ++idx;
-    }
-  }
-
-  StreamingAllanResult finish() {
-    if (finished)
-      throw std::logic_error("StreamingAllanAccumulator: finish called twice");
-    finished = true;
-    StreamingAllanResult r;
-    r.counts = counts;
-    if (r.counts.empty()) return r;
-    r.mean_counts =
-        std::accumulate(r.counts.begin(), r.counts.end(), 0.0) /
-        static_cast<double>(r.counts.size());
-    std::vector<double> fractional(r.counts.size());
-    for (std::size_t i = 0; i < r.counts.size(); ++i)
-      fractional[i] = r.counts[i] / r.mean_counts;
-    r.allan = allan_curve(fractional, dt);
-    return r;
-  }
-};
-
-StreamingAllanAccumulator::StreamingAllanAccumulator(double coincidence_window_s,
-                                                     double sample_interval_s,
-                                                     std::size_t signal_channel,
-                                                     std::size_t idler_channel)
-    : impl_(std::make_unique<Impl>(coincidence_window_s, sample_interval_s,
-                                   signal_channel, idler_channel)) {}
-StreamingAllanAccumulator::~StreamingAllanAccumulator() = default;
-StreamingAllanAccumulator::StreamingAllanAccumulator(
-    StreamingAllanAccumulator&&) noexcept = default;
-StreamingAllanAccumulator& StreamingAllanAccumulator::operator=(
-    StreamingAllanAccumulator&&) noexcept = default;
-
-void StreamingAllanAccumulator::push(const StreamWindow& w) { impl_->push(w); }
-StreamingAllanResult StreamingAllanAccumulator::finish() {
-  return impl_->finish();
-}
-
-std::vector<std::uint8_t> StreamingAllanAccumulator::snapshot() const {
-  return snapshot_blob(*impl_, kKindAllan);
-}
-void StreamingAllanAccumulator::restore(const std::vector<std::uint8_t>& blob) {
-  restore_blob(*impl_, kKindAllan, blob);
 }
 
 }  // namespace qfc::detect

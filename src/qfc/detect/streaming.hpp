@@ -3,10 +3,10 @@
 /// \file streaming.hpp
 /// The detection pipeline: EventStreamer generates the click streams of a
 /// run in fixed time windows, and the Streaming*Accumulator classes fold
-/// each window into car_matrix / coincidence_count_matrix / correlate_all /
-/// Allan-deviation results (and StreamingCarPairsAccumulator into the
-/// car_matrix diagonal), discarding consumed events as they resolve, so
-/// resident memory stays flat no matter how long the run.
+/// each window into car_matrix / correlate_all results (and
+/// StreamingCarPairsAccumulator into the car_matrix diagonal), discarding
+/// consumed events as they resolve, so resident memory stays flat no matter
+/// how long the run.
 /// EventEngine::run is this pipeline drained in one window, and the
 /// whole-table analyzers of event_engine.hpp push one whole-run window.
 ///
@@ -28,27 +28,15 @@
 /// current window, keeping every column sorted, instead of being dropped).
 /// StreamConfig::slack_override_s exists so tests can force that path.
 ///
-/// Snapshot / restore: EventStreamer and every accumulator serialize their
-/// complete state (per-channel RNG streams, sampler positions, pending
-/// buffers, partial counts) to a versioned binary blob; a restored run
-/// continues bitwise identical to the uninterrupted one. Each snapshotted
-/// struct declares its fields once, in one list that both the blob writer
-/// and the reader visit. restore() throws std::invalid_argument for a
-/// corrupt blob (bad header, truncation, trailing bytes, a length field
-/// larger than the blob can hold) and, for an accumulator, for tables whose
-/// shape does not fit its constructor arguments; a rejected blob leaves the
-/// accumulator unchanged.
-///
 /// Validation: every accumulator constructor (and so every batch analyzer)
-/// throws std::invalid_argument for a NaN or ±inf window, spacing, offset,
-/// bin width, range or sample interval.
+/// throws std::invalid_argument for a NaN or ±inf window, spacing, bin
+/// width or range.
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
 
-#include "qfc/detect/allan.hpp"
 #include "qfc/detect/event_engine.hpp"
 
 namespace qfc::detect {
@@ -91,16 +79,10 @@ class EventStreamer {
   EventStreamer(const EngineConfig& cfg, const StreamConfig& stream,
                 std::vector<ChannelPairSpec> channels);
   ~EventStreamer();
-  EventStreamer(EventStreamer&&) noexcept;
-  EventStreamer& operator=(EventStreamer&&) noexcept;
 
   /// Produce the next window into `out`. Returns false (leaving `out`
   /// untouched) once every window has been emitted.
   bool next(StreamWindow& out);
-
-  bool done() const;
-  std::size_t next_window() const;   ///< index the next next() call emits
-  std::size_t num_windows() const;   ///< ceil(duration / window)
 
   /// Clicks or arrivals that materialized behind an already-finalized
   /// window boundary (see file comment). Always 0 at the default slack in
@@ -108,18 +90,8 @@ class EventStreamer {
   /// bitwise comparable across window sizes.
   std::uint64_t boundary_violations() const;
 
-  const EngineConfig& config() const;
-  const StreamConfig& stream_config() const;
-
-  /// Serialize the complete generator state (configs, specs, per-channel
-  /// RNG streams, sampler positions, pending events). restore() rebuilds a
-  /// streamer that continues bitwise identically to the original.
-  std::vector<std::uint8_t> snapshot() const;
-  static EventStreamer restore(const std::vector<std::uint8_t>& blob);
-
  private:
   struct Impl;
-  explicit EventStreamer(std::unique_ptr<Impl> impl);
   std::unique_ptr<Impl> impl_;
 };
 
@@ -146,16 +118,9 @@ class StreamingCarAccumulator {
   StreamingCarAccumulator(double window_s, double side_window_spacing_s,
                           int num_side_windows = 10, int num_threads = 0);
   ~StreamingCarAccumulator();
-  StreamingCarAccumulator(StreamingCarAccumulator&&) noexcept;
-  StreamingCarAccumulator& operator=(StreamingCarAccumulator&&) noexcept;
 
   void push(const StreamWindow& w);
   CarMatrix finish();
-
-  /// Partial-state blob; restore() into a freshly constructed accumulator
-  /// with the same constructor arguments.
-  std::vector<std::uint8_t> snapshot() const;
-  void restore(const std::vector<std::uint8_t>& blob);
 
  private:
   struct Impl;
@@ -178,37 +143,9 @@ class StreamingCarPairsAccumulator {
   StreamingCarPairsAccumulator(double window_s, double side_window_spacing_s,
                                int num_side_windows = 10, int num_threads = 0);
   ~StreamingCarPairsAccumulator();
-  StreamingCarPairsAccumulator(StreamingCarPairsAccumulator&&) noexcept;
-  StreamingCarPairsAccumulator& operator=(StreamingCarPairsAccumulator&&) noexcept;
 
   void push(const StreamWindow& w);
   std::vector<CarResult> finish();
-
-  /// Partial-state blob; restore() into a freshly constructed accumulator
-  /// with the same constructor arguments.
-  std::vector<std::uint8_t> snapshot() const;
-  void restore(const std::vector<std::uint8_t>& blob);
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
-
-/// Online coincidence_count_matrix (row-major signal x idler counts).
-class StreamingCountMatrixAccumulator {
- public:
-  explicit StreamingCountMatrixAccumulator(double window_s, double offset_s = 0,
-                                           int num_threads = 0);
-  ~StreamingCountMatrixAccumulator();
-  StreamingCountMatrixAccumulator(StreamingCountMatrixAccumulator&&) noexcept;
-  StreamingCountMatrixAccumulator& operator=(
-      StreamingCountMatrixAccumulator&&) noexcept;
-
-  void push(const StreamWindow& w);
-  std::vector<std::uint64_t> finish();
-
-  std::vector<std::uint8_t> snapshot() const;
-  void restore(const std::vector<std::uint8_t>& blob);
 
  private:
   struct Impl;
@@ -221,48 +158,9 @@ class StreamingCorrelatorAccumulator {
   StreamingCorrelatorAccumulator(double bin_width_s, double range_s,
                                  int num_threads = 0);
   ~StreamingCorrelatorAccumulator();
-  StreamingCorrelatorAccumulator(StreamingCorrelatorAccumulator&&) noexcept;
-  StreamingCorrelatorAccumulator& operator=(
-      StreamingCorrelatorAccumulator&&) noexcept;
 
   void push(const StreamWindow& w);
   std::vector<CoincidenceHistogram> finish();
-
-  std::vector<std::uint8_t> snapshot() const;
-  void restore(const std::vector<std::uint8_t>& blob);
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
-
-struct StreamingAllanResult {
-  std::vector<double> counts;  ///< per-interval coincidence counts
-  double mean_counts = 0;
-  std::vector<AllanPoint> allan;  ///< Allan deviation of counts / mean
-};
-
-/// Online Allan-deviation pipeline for one (signal, idler) channel pair:
-/// buffers only the clicks of the current `sample_interval_s` interval,
-/// counts coincidences (|Δt| <= window/2 via count_coincidences) per
-/// interval as windows flush past it, and finish() returns the interval
-/// counts, their mean, and the Allan curve of the fractional counts.
-/// Intervals are [i*dt, (i+1)*dt); a trailing partial interval is dropped.
-class StreamingAllanAccumulator {
- public:
-  StreamingAllanAccumulator(double coincidence_window_s,
-                            double sample_interval_s,
-                            std::size_t signal_channel = 0,
-                            std::size_t idler_channel = 0);
-  ~StreamingAllanAccumulator();
-  StreamingAllanAccumulator(StreamingAllanAccumulator&&) noexcept;
-  StreamingAllanAccumulator& operator=(StreamingAllanAccumulator&&) noexcept;
-
-  void push(const StreamWindow& w);
-  StreamingAllanResult finish();
-
-  std::vector<std::uint8_t> snapshot() const;
-  void restore(const std::vector<std::uint8_t>& blob);
 
  private:
   struct Impl;

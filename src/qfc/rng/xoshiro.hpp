@@ -69,13 +69,6 @@ class Xoshiro256 {
     return Xoshiro256((*this)() ^ (0xA0761D6478BD642FULL * (stream + 1)));
   }
 
-  /// Raw 256-bit state, for snapshot/restore of long-running simulations
-  /// (detect::EventStreamer). A generator whose state is copied out and
-  /// later restored with set_state() resumes the exact same sequence.
-  const std::array<std::uint64_t, 4>& state() const noexcept { return state_; }
-
-  void set_state(const std::array<std::uint64_t, 4>& s) noexcept { state_ = s; }
-
  private:
   static std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

@@ -1,7 +1,7 @@
 // Golden-value test of the detection pipeline (tests/detect_golden.hpp):
-// EventEngine::run and the car_matrix / coincidence_count_matrix /
-// correlate_all analyzers must reproduce the recorded click tables and
-// counts in every emission mode, at every generation thread count.
+// EventEngine::run and the car_matrix / correlate_all analyzers must
+// reproduce the recorded click tables and counts in every emission mode, at
+// every generation thread count.
 
 #include <string>
 
@@ -26,10 +26,6 @@ TEST_P(DetectGolden, EngineAndAnalyzersReproduceRecordedValues) {
     golden::expect_car(detect::car_matrix(events.signal, events.idler, golden::kCarWindow,
                                           golden::kCarSpacing, golden::kCarSideWindows),
                        mode);
-    golden::expect_count_matrix(
-        detect::coincidence_count_matrix(events.signal, events.idler, golden::kCountWindow,
-                                         golden::kCountOffset),
-        mode);
     golden::expect_histograms(detect::correlate_all(events.signal, events.idler,
                                                     golden::kCorrBin, golden::kCorrRange),
                               mode);

@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include "qfc/core/comb_source.hpp"
-#include "qfc/core/hbt.hpp"
 #include "qfc/core/qkd.hpp"
 #include "qfc/core/qkd_network.hpp"
 #include "qfc/detect/channel_rng.hpp"
@@ -456,26 +455,6 @@ TEST(BatchedAnalysis, CorrelateAllMatchesCorrelate) {
   }
 }
 
-TEST(BatchedAnalysis, CountMatrixMatchesLegacy) {
-  const auto specs = test_specs(2);
-  EngineConfig ec;
-  ec.duration_s = 5.0;
-  ec.seed = 63;
-  const EngineResult res = EventEngine(ec).run(specs);
-
-  for (const double offset : {0.0, 100e-9}) {
-    const auto counts =
-        detect::coincidence_count_matrix(res.signal, res.idler, 8e-9, offset);
-    ASSERT_EQ(counts.size(), 4u);
-    for (std::size_t s = 0; s < 2; ++s)
-      for (std::size_t i = 0; i < 2; ++i)
-        EXPECT_EQ(counts[s * 2 + i],
-                  detect::count_coincidences(res.signal.channel_clicks(s),
-                                             res.idler.channel_clicks(i), 8e-9, offset))
-            << s << "," << i << " offset " << offset;
-  }
-}
-
 // ------------------------------------------- inert analysis thread knobs
 
 void expect_car_matrices_equal(const detect::CarMatrix& a, const detect::CarMatrix& b,
@@ -535,16 +514,6 @@ TEST(InertAnalysisThreads, CorrelateAllBitwiseInvariantAcrossThreadCounts) {
   }
 }
 
-TEST(InertAnalysisThreads, CountMatrixBitwiseInvariantAcrossThreadCounts) {
-  const EngineResult res = long_analysis_table();
-  const auto one =
-      detect::coincidence_count_matrix(res.signal, res.idler, 8e-9, 50e-9, 1);
-  for (const int threads : {2, 4})
-    EXPECT_EQ(one, detect::coincidence_count_matrix(res.signal, res.idler, 8e-9, 50e-9,
-                                                    threads))
-        << threads << " threads";
-}
-
 TEST(InertAnalysisThreads, ThreadShimsAcceptAnyRequestAndReportOne) {
   // The analysis sweeps and linalg kernels are serial: the setters accept
   // any request and do nothing, the getters report 1.
@@ -574,8 +543,6 @@ TEST(BatchedAnalysis, ValidationErrors) {
   EXPECT_THROW(detect::correlate_all(empty, empty, 0.0, 1e-9), std::invalid_argument);
   const EventTable two = EventTable::from_columns({{}, {}});
   EXPECT_THROW(detect::correlate_all(empty, two, 1e-9, 1e-8), std::invalid_argument);
-  EXPECT_THROW(detect::coincidence_count_matrix(empty, empty, -1e-9),
-               std::invalid_argument);
   const EventTable one = EventTable::from_columns({{1.0}});
   EXPECT_THROW(detect::car_matrix(one, one, 1e-8, 1e-7, 10, /*num_threads=*/-1),
                std::invalid_argument);
@@ -588,42 +555,12 @@ TEST(BatchedAnalysis, ValidationErrors) {
   EXPECT_THROW(detect::car_matrix(one, one, nan, 1e-7), std::invalid_argument);
   EXPECT_THROW(detect::car_matrix(one, one, 1e-9, nan), std::invalid_argument);
   EXPECT_THROW(detect::car_matrix(one, one, 1e-9, inf), std::invalid_argument);
-  EXPECT_THROW(detect::coincidence_count_matrix(one, one, nan), std::invalid_argument);
-  EXPECT_THROW(detect::coincidence_count_matrix(one, one, 1e-9, nan),
-               std::invalid_argument);
-  EXPECT_THROW(detect::coincidence_count_matrix(one, one, 1e-9, inf),
-               std::invalid_argument);
   EXPECT_THROW(detect::correlate_all(one, one, 1e-9, nan), std::invalid_argument);
   EXPECT_THROW(detect::correlate_all(one, one, nan, 1e-8), std::invalid_argument);
   EXPECT_THROW(detect::correlate_all(one, one, 1e-9, inf), std::invalid_argument);
 }
 
 // ------------------------------------------------- engine-backed core checks
-
-TEST(CoreStreamChecks, TimebinCarCheckShowsCorrelations) {
-  const auto comb = core::QuantumFrequencyComb::for_configuration(
-      core::PumpConfiguration::DoublePulse);
-  auto exp = comb.timebin_default();
-  const auto cars = exp.run_car_check(/*duration_s=*/0.2);
-  ASSERT_EQ(cars.size(), 5u);
-  for (const auto& car : cars) EXPECT_GT(car.car, 3.0);
-}
-
-TEST(CoreStreamChecks, PulsedCarCheckResolvesTimebinPeaks) {
-  const auto comb = core::QuantumFrequencyComb::for_configuration(
-      core::PumpConfiguration::DoublePulse);
-  auto exp = comb.timebin_default();
-  const auto checks = exp.run_pulsed_car_check(/*duration_s=*/0.15);
-  ASSERT_EQ(checks.size(), 5u);
-  for (const auto& c : checks) {
-    EXPECT_GT(c.car.car, 3.0);
-    // Central (same-bin) peak dominates; cross-bin multi-pair accidentals
-    // populate the ±ΔT side peaks without overwhelming it.
-    EXPECT_GT(c.peaks.same_bin, 100u);
-    EXPECT_GT(c.peaks.central_to_side_ratio(), 3.0);
-    EXPECT_EQ(c.histogram.counts.size(), 2 * 24 + 1u);  // range 1.5ΔT / width ΔT/16
-  }
-}
 
 TEST(CoreStreamChecks, QkdStreamCheckAccidentalFloor) {
   const auto comb = core::QuantumFrequencyComb::for_configuration(
@@ -637,39 +574,6 @@ TEST(CoreStreamChecks, QkdStreamCheckAccidentalFloor) {
     EXPECT_GT(c.measured_coincidence_rate_hz, 0.0) << "k=" << c.k;
   }
   EXPECT_THROW(link.stream_check(-1.0, 1.0), std::invalid_argument);
-}
-
-TEST(CoreStreamChecks, StabilityCountedTraceAllan) {
-  const auto comb = core::QuantumFrequencyComb::for_configuration(
-      core::PumpConfiguration::SelfLockedCw);
-  core::StabilityConfig cfg;
-  cfg.observation_days = 2.0;
-  auto exp = comb.stability(cfg);
-  const auto counted =
-      exp.run_counted_scheme(photonics::PumpLocking::SelfLocked,
-                             /*mean_coincidence_rate_hz=*/20.0);
-  ASSERT_EQ(counted.counts.size(), counted.trace.relative_rate.size());
-  ASSERT_FALSE(counted.allan.empty());
-  // ~20 Hz * 3600 s per interval, near-resonant rate ~ 1.
-  EXPECT_NEAR(counted.mean_counts, 72000.0, 3000.0);
-  // Fractional stability at one interval: shot noise + residual drift.
-  EXPECT_LT(counted.allan.front().sigma, 0.05);
-  EXPECT_THROW(exp.run_counted_scheme(photonics::PumpLocking::SelfLocked, 0.0),
-               std::invalid_argument);
-}
-
-TEST(CoreStreamChecks, HbtTimeDomainAntibunched) {
-  core::HbtStreamParams p;
-  const auto r = core::run_hbt_time_domain(p);
-  // 100 kHz pairs * 0.2 herald efficiency * 10 s.
-  EXPECT_NEAR(static_cast<double>(r.heralds), 200e3, 3e3);
-  EXPECT_GT(r.coincidences_1, 1000u);
-  EXPECT_GT(r.coincidences_2, 1000u);
-  // Single photons split 50/50 cannot fire both detectors: g2 << 1.
-  EXPECT_LT(r.g2, 0.5);
-  core::HbtStreamParams bad;
-  bad.coincidence_window_s = 0;
-  EXPECT_THROW(core::run_hbt_time_domain(bad), std::invalid_argument);
 }
 
 }  // namespace

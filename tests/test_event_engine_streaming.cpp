@@ -1,13 +1,11 @@
 // Tests for the windowed streaming engine and its online accumulators:
 // bitwise window-size and thread-count invariance across emission modes,
-// anchored to the golden values of detect_golden.hpp; snapshot/restore;
-// boundary-violation accounting; and the streaming-backed core façades.
+// anchored to the golden values of detect_golden.hpp; boundary-violation
+// accounting; and the streaming-backed core façades.
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <string>
 #include <utility>
@@ -19,7 +17,6 @@
 #include "qfc/core/comb_source.hpp"
 #include "qfc/core/heralded.hpp"
 #include "qfc/core/qkd.hpp"
-#include "qfc/core/stability.hpp"
 #include "qfc/detect/event_engine.hpp"
 #include "qfc/detect/streaming.hpp"
 
@@ -173,7 +170,6 @@ std::vector<double> parity_windows() {
 
 constexpr double kCarWindow = 8e-9;
 constexpr double kCarSpacing = 100e-9;
-constexpr double kCountOffset = 50e-9;
 constexpr double kCorrBin = 1e-9;
 constexpr double kCorrRange = 40e-9;
 
@@ -181,33 +177,29 @@ class StreamingParity
     : public ::testing::TestWithParam<detect::EmissionMode> {};
 
 /// Stream `specs` in windows of `window_s`, folding every window into the
-/// four accumulators and concatenating the per-channel columns.
+/// three accumulators and concatenating the per-channel columns.
 struct StreamedRun {
   EngineResult events;
   detect::CarMatrix car;
   std::vector<detect::CarResult> car_pairs;
-  std::vector<std::uint64_t> counts;
   std::vector<detect::CoincidenceHistogram> hists;
   std::uint64_t boundary_violations = 0;
 };
 
 StreamedRun stream_run(const EngineConfig& ec, const std::vector<ChannelPairSpec>& specs,
                        double window_s, double car_window, double car_spacing,
-                       double count_window, double count_offset, double corr_bin,
-                       double corr_range) {
+                       double corr_bin, double corr_range) {
   StreamConfig sc;
   sc.window_s = window_s;
   EventStreamer streamer(ec, sc, specs);
   detect::StreamingCarAccumulator car(car_window, car_spacing);
   detect::StreamingCarPairsAccumulator pairs(car_window, car_spacing);
-  detect::StreamingCountMatrixAccumulator cm(count_window, count_offset);
   detect::StreamingCorrelatorAccumulator corr(corr_bin, corr_range);
   std::vector<std::vector<double>> sig(specs.size()), idl(specs.size());
   StreamWindow w;
   while (streamer.next(w)) {
     car.push(w);
     pairs.push(w);
-    cm.push(w);
     corr.push(w);
     for (std::size_t c = 0; c < specs.size(); ++c) {
       const auto col_s = w.events.signal.channel_clicks(c);
@@ -221,7 +213,6 @@ StreamedRun stream_run(const EngineConfig& ec, const std::vector<ChannelPairSpec
   r.events.idler = EventTable::from_columns(std::move(idl));
   r.car = car.finish();
   r.car_pairs = pairs.finish();
-  r.counts = cm.finish();
   r.hists = corr.finish();
   r.boundary_violations = streamer.boundary_violations();
   return r;
@@ -235,20 +226,17 @@ TEST_P(StreamingParity, BitwiseInvariantAcrossWindowSizes) {
   const EngineConfig ec = engine_config();
   const EngineResult one = EventEngine(ec).run(specs);
   const auto one_car = detect::car_matrix(one.signal, one.idler, kCarWindow, kCarSpacing);
-  const auto one_counts =
-      detect::coincidence_count_matrix(one.signal, one.idler, kCarWindow, kCountOffset);
   const auto one_hists = detect::correlate_all(one.signal, one.idler, kCorrBin, kCorrRange);
 
   for (double window_s : parity_windows()) {
     SCOPED_TRACE("window_s = " + std::to_string(window_s));
-    const StreamedRun r = stream_run(ec, specs, window_s, kCarWindow, kCarSpacing, kCarWindow,
-                                     kCountOffset, kCorrBin, kCorrRange);
+    const StreamedRun r =
+        stream_run(ec, specs, window_s, kCarWindow, kCarSpacing, kCorrBin, kCorrRange);
     EXPECT_EQ(r.boundary_violations, 0u);
     EXPECT_EQ(r.events.signal, one.signal);
     EXPECT_EQ(r.events.idler, one.idler);
     expect_car_equal(r.car, one_car);
     expect_car_diagonal(r.car_pairs, one_car);
-    EXPECT_EQ(r.counts, one_counts);
     ASSERT_EQ(r.hists.size(), one_hists.size());
     for (std::size_t c = 0; c < r.hists.size(); ++c)
       EXPECT_EQ(r.hists[c].counts, one_hists[c].counts) << "channel " << c;
@@ -256,13 +244,11 @@ TEST_P(StreamingParity, BitwiseInvariantAcrossWindowSizes) {
     // The same windows reproduce the recorded values.
     const StreamedRun g = stream_run(golden::engine_config(), golden::specs(mode), window_s,
                                      golden::kCarWindow, golden::kCarSpacing,
-                                     golden::kCountWindow, golden::kCountOffset,
                                      golden::kCorrBin, golden::kCorrRange);
     EXPECT_EQ(g.boundary_violations, 0u);
     golden::expect_events(g.events, mode);
     golden::expect_car(g.car, mode);
     golden::expect_car_pairs(g.car_pairs, mode);
-    golden::expect_count_matrix(g.counts, mode);
     golden::expect_histograms(g.hists, mode);
   }
 }
@@ -289,13 +275,13 @@ TEST(EventStreamer, WindowMetadataAndScheduling) {
   StreamConfig sc;
   sc.window_s = 0.2;
   EventStreamer s(engine_config(), sc, specs);
-  EXPECT_EQ(s.num_windows(), 3u);  // 0.5 / 0.2
+  const std::size_t num_windows = 3;  // ceil(0.5 / 0.2)
   StreamWindow w;
   std::size_t k = 0;
   while (s.next(w)) {
     EXPECT_EQ(w.index, k);
     EXPECT_DOUBLE_EQ(w.t_begin_s, 0.2 * static_cast<double>(k));
-    EXPECT_EQ(w.last, k + 1 == s.num_windows());
+    EXPECT_EQ(w.last, k + 1 == num_windows);
     EXPECT_EQ(w.t_end_s, w.last ? kDuration : 0.2 * static_cast<double>(k + 1));
     for (std::size_t c = 0; c < specs.size(); ++c) {
       for (double t : w.events.signal.channel_clicks(c)) {
@@ -305,8 +291,7 @@ TEST(EventStreamer, WindowMetadataAndScheduling) {
     }
     ++k;
   }
-  EXPECT_EQ(k, 3u);
-  EXPECT_TRUE(s.done());
+  EXPECT_EQ(k, num_windows);
   EXPECT_FALSE(s.next(w));
 }
 
@@ -380,339 +365,6 @@ TEST(EventStreamer, RejectsBadConfigsLikeBatch) {
   }
 }
 
-/// One of each streaming accumulator, pushed, snapshotted and restored as
-/// a set; `allan` watches channel pair 0.
-struct AccumulatorSet {
-  detect::StreamingCarAccumulator car{kCarWindow, kCarSpacing, 10, 2};
-  detect::StreamingCarPairsAccumulator pairs{kCarWindow, kCarSpacing, 10, 2};
-  detect::StreamingCountMatrixAccumulator counts{kCarWindow, kCountOffset};
-  detect::StreamingCorrelatorAccumulator corr{kCorrBin, kCorrRange};
-  detect::StreamingAllanAccumulator allan{40e-9, 0.05, 0, 0};
-
-  void push(const StreamWindow& w) {
-    car.push(w);
-    pairs.push(w);
-    counts.push(w);
-    corr.push(w);
-    allan.push(w);
-  }
-  std::vector<std::vector<std::uint8_t>> snapshot() const {
-    return {car.snapshot(), pairs.snapshot(), counts.snapshot(), corr.snapshot(),
-            allan.snapshot()};
-  }
-  void restore(const std::vector<std::vector<std::uint8_t>>& blobs) {
-    car.restore(blobs.at(0));
-    pairs.restore(blobs.at(1));
-    counts.restore(blobs.at(2));
-    corr.restore(blobs.at(3));
-    allan.restore(blobs.at(4));
-  }
-};
-
-/// Every finish() of `a` equals the matching finish() of `b`, bitwise.
-void expect_same_finish(AccumulatorSet& a, AccumulatorSet& b) {
-  const detect::CarMatrix car = a.car.finish();
-  expect_car_equal(b.car.finish(), car);
-  expect_car_diagonal(a.pairs.finish(), car);
-  expect_car_diagonal(b.pairs.finish(), car);
-  EXPECT_EQ(a.counts.finish(), b.counts.finish());
-  const auto ha = a.corr.finish();
-  const auto hb = b.corr.finish();
-  ASSERT_EQ(ha.size(), hb.size());
-  for (std::size_t c = 0; c < ha.size(); ++c)
-    EXPECT_EQ(ha[c].counts, hb[c].counts) << "channel " << c;
-  const detect::StreamingAllanResult aa = a.allan.finish();
-  const detect::StreamingAllanResult ab = b.allan.finish();
-  EXPECT_EQ(aa.counts, ab.counts);
-  EXPECT_EQ(aa.mean_counts, ab.mean_counts);
-  ASSERT_EQ(aa.allan.size(), ab.allan.size());
-  for (std::size_t i = 0; i < aa.allan.size(); ++i) {
-    EXPECT_EQ(aa.allan[i].tau_s, ab.allan[i].tau_s);
-    EXPECT_EQ(aa.allan[i].sigma, ab.allan[i].sigma);
-    EXPECT_EQ(aa.allan[i].pairs, ab.allan[i].pairs);
-  }
-}
-
-class EventStreamerModes : public ::testing::TestWithParam<detect::EmissionMode> {};
-
-TEST_P(EventStreamerModes, SnapshotRestoreContinuesBitwise) {
-  const auto specs = specs_for(GetParam());
-  StreamConfig sc;
-  sc.window_s = 0.07;
-  EventStreamer original(engine_config(), sc, specs);
-  AccumulatorSet acc_orig;
-
-  StreamWindow w;
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(original.next(w));
-    acc_orig.push(w);
-  }
-  const auto streamer_blob = original.snapshot();
-  const auto acc_blobs = acc_orig.snapshot();
-  // A full-matrix blob is not a diagonal one, nor the other way round.
-  detect::StreamingCarPairsAccumulator pairs_wrong(kCarWindow, kCarSpacing, 10, 2);
-  EXPECT_THROW(pairs_wrong.restore(acc_blobs[0]), std::invalid_argument);
-  detect::StreamingCarAccumulator car_wrong(kCarWindow, kCarSpacing, 10, 2);
-  EXPECT_THROW(car_wrong.restore(acc_blobs[1]), std::invalid_argument);
-
-  EventStreamer restored = EventStreamer::restore(streamer_blob);
-  EXPECT_EQ(restored.next_window(), original.next_window());
-  EXPECT_EQ(restored.num_windows(), original.num_windows());
-  EXPECT_EQ(restored.snapshot(), streamer_blob);
-  AccumulatorSet acc_rest;
-  acc_rest.restore(acc_blobs);
-  EXPECT_EQ(acc_rest.snapshot(), acc_blobs);
-
-  StreamWindow wo, wr;
-  while (original.next(wo)) {
-    ASSERT_TRUE(restored.next(wr));
-    EXPECT_EQ(wr.index, wo.index);
-    EXPECT_EQ(wr.events.signal, wo.events.signal);
-    EXPECT_EQ(wr.events.idler, wo.events.idler);
-    acc_orig.push(wo);
-    acc_rest.push(wr);
-  }
-  EXPECT_FALSE(restored.next(wr));
-  EXPECT_EQ(restored.boundary_violations(), original.boundary_violations());
-  expect_same_finish(acc_orig, acc_rest);
-}
-
-INSTANTIATE_TEST_SUITE_P(AllEmissionModes, EventStreamerModes,
-                         ::testing::Values(detect::EmissionMode::Cw,
-                                           detect::EmissionMode::Pulsed,
-                                           detect::EmissionMode::PiecewiseRates));
-
-/// The u64 at byte `offset` of a blob.
-std::uint64_t read_u64(const std::vector<std::uint8_t>& blob, std::size_t offset) {
-  std::uint64_t v = 0;
-  std::memcpy(&v, blob.data() + offset, sizeof v);
-  return v;
-}
-
-/// `blob` with the u64 at byte `offset` replaced by `value`.
-std::vector<std::uint8_t> patch_u64(std::vector<std::uint8_t> blob, std::size_t offset,
-                                    std::uint64_t value) {
-  std::memcpy(blob.data() + offset, &value, sizeof value);
-  return blob;
-}
-
-/// FNV-1a-64 of a blob.
-std::uint64_t fnv1a64(const std::vector<std::uint8_t>& bytes) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-TEST(EventStreamer, SnapshotBlobFormatIsPinned) {
-  // Blobs are host-endian; the recorded bytes are little-endian.
-  if constexpr (std::endian::native != std::endian::little)
-    GTEST_SKIP() << "snapshot blobs are host-endian";
-
-  // Streamer: one channel pair per emission mode, every field distinct and
-  // every rate zero, snapshotted after one window. Nothing is sampled, so
-  // the blob holds no libm-derived value and pins the same bytes on every
-  // little-endian host, while the forked RNG streams, the finished
-  // samplers, the piecewise segment counters and the watermarks are all
-  // non-trivial.
-  std::vector<ChannelPairSpec> specs(3);
-  for (std::size_t c = 0; c < specs.size(); ++c) {
-    ChannelPairSpec& s = specs[c];
-    const double k = static_cast<double>(c + 1);
-    s.linewidth_hz = 100e6 * k;
-    s.transmission_signal = 0.5 + 0.1 * k;
-    s.transmission_idler = 0.25 + 0.1 * k;
-    s.detector_signal = {0.2 * k, 0.0, 50e-12 * k, 1e-6 * k};
-    s.detector_idler = {0.1 * k, 0.0, 70e-12 * k, 2e-6 * k};
-  }
-  specs[1].emission = detect::EmissionMode::Pulsed;
-  specs[1].pulsed = {1e6, 0.0, 20e-12, 300e-12, 0.375};
-  specs[2].emission = detect::EmissionMode::PiecewiseRates;
-  specs[2].segments = {{0.125, 0, 0, 0, 0, 0}, {0.5, 0, 0, 0, 0, 0}};
-  EngineConfig ec = engine_config(2);
-  StreamConfig sc;
-  sc.window_s = 0.2;
-  EventStreamer streamer(ec, sc, specs);
-  StreamWindow w;
-  ASSERT_TRUE(streamer.next(w));
-
-  // Accumulators: two hand-made windows of exactly given click times over
-  // two channel pairs, so each blob has resolved counts and carried events.
-  const auto window = [](std::size_t index, double t_end,
-                         std::vector<std::vector<double>> sig,
-                         std::vector<std::vector<double>> idl) {
-    StreamWindow out;
-    out.index = index;
-    out.t_end_s = t_end;
-    out.events.signal = EventTable::from_columns(std::move(sig));
-    out.events.idler = EventTable::from_columns(std::move(idl));
-    return out;
-  };
-  const StreamWindow w0 = window(0, 1e-6, {{100e-9, 300e-9, 900e-9}, {150e-9, 950e-9}},
-                                 {{102e-9, 420e-9, 905e-9}, {149e-9, 700e-9}});
-  const StreamWindow w1 = window(1, 2e-6, {{1.1e-6, 1.9e-6}, {1.5e-6, 1.95e-6}},
-                                 {{1.103e-6, 1.6e-6, 1.899e-6}, {1.52e-6, 1.99e-6}});
-  detect::StreamingCarAccumulator car(kCarWindow, kCarSpacing, 10, 1);
-  detect::StreamingCarPairsAccumulator pairs(kCarWindow, kCarSpacing, 10, 1);
-  detect::StreamingCountMatrixAccumulator counts(100e-9, 400e-9);
-  detect::StreamingCorrelatorAccumulator corr(1e-9, 20e-9);
-  detect::StreamingAllanAccumulator allan(4e-9, 0.75e-6, 0, 1);
-  for (const StreamWindow* win : {&w0, &w1}) {
-    car.push(*win);
-    pairs.push(*win);
-    counts.push(*win);
-    corr.push(*win);
-    allan.push(*win);
-  }
-
-  struct Pin {
-    const char* kind;
-    std::vector<std::uint8_t> blob;
-    std::size_t size;
-    std::uint64_t hash;
-  };
-  const Pin pins[] = {
-      {"streamer", streamer.snapshot(), 2502, 0x957cfc05b4b1a99eull},
-      {"car", car.snapshot(), 509, 0x517026c1762fb82bull},
-      {"count_matrix", counts.snapshot(), 189, 0x47e44add2c3972c8ull},
-      {"correlator", corr.snapshot(), 737, 0x55354776287647e2ull},
-      {"allan", allan.snapshot(), 89, 0x3fe995dc07938787ull},
-      {"car_pairs", pairs.snapshot(), 305, 0x492618eb22133394ull},
-  };
-  for (const Pin& p : pins) {
-    EXPECT_EQ(p.blob.size(), p.size) << p.kind;
-    EXPECT_EQ(fnv1a64(p.blob), p.hash) << p.kind;
-  }
-}
-
-TEST(EventStreamer, SnapshotRejectsCorruptBlobs) {
-  const auto specs = specs_for(detect::EmissionMode::Cw);
-  StreamConfig sc;
-  sc.window_s = 0.1;
-  EventStreamer s(engine_config(), sc, specs);
-  auto blob = s.snapshot();
-  EXPECT_THROW(EventStreamer::restore({}), std::invalid_argument);
-  auto truncated = blob;
-  truncated.resize(truncated.size() / 2);
-  EXPECT_THROW(EventStreamer::restore(truncated), std::invalid_argument);
-  auto bad_magic = blob;
-  bad_magic[0] = 'X';
-  EXPECT_THROW(EventStreamer::restore(bad_magic), std::invalid_argument);
-  // An accumulator blob is not a streamer blob.
-  detect::StreamingAllanAccumulator allan(40e-9, 0.1);
-  EXPECT_THROW(EventStreamer::restore(allan.snapshot()), std::invalid_argument);
-
-  // Every kind of length field, patched to a count no blob can hold, is
-  // rejected before anything is allocated for it.
-  const auto piecewise = specs_for(detect::EmissionMode::PiecewiseRates);
-  const auto streamer_blob = EventStreamer(engine_config(), sc, piecewise).snapshot();
-  // Layout: 9-byte header, EngineConfig (4 x 8), StreamConfig (2 x 8), the
-  // spec count, then each spec: 6 doubles, 2 detectors of 4 doubles, the
-  // mode byte, 5 pulsed doubles, the segment count and 6 doubles a segment.
-  const std::size_t spec_count = 9 + 32 + 16;
-  const std::size_t segment_count = spec_count + 8 + 48 + 64 + 1 + 40;
-  const std::size_t spec_bytes = 48 + 64 + 1 + 40 + 8 + 3 * 48;
-  // After the specs: k, the reported violations, then channel 0: 11
-  // generators, the three pair samplers and arm a's four samplers.
-  const std::size_t pending_arrivals =
-      spec_count + 8 + 3 * spec_bytes + 16 + 11 * 32 + 10 + 10 + 26 + 10 + 26 + 10 + 26;
-  ASSERT_EQ(read_u64(streamer_blob, spec_count), 3u);
-  ASSERT_EQ(read_u64(streamer_blob, segment_count), 3u);
-  ASSERT_EQ(read_u64(streamer_blob, pending_arrivals), 0u);
-
-  // Accumulator layouts after the header: the merged sweep holds ns, ni,
-  // the merged idler times and channels, the pending columns and the
-  // counts; the diagonal one nch, the idler columns, the pending columns
-  // and the counts; the Allan one the interval index, then its buffers.
-  StreamWindow w;
-  w.events.signal = EventTable::from_columns({{1e-3, 2e-3}, {5e-3}});
-  w.events.idler = EventTable::from_columns({{1e-3}, {2e-3, 7e-3}});
-  w.t_end_s = 1e-3;  // every signal event still pending
-  detect::StreamingCarAccumulator car(kCarWindow, kCarSpacing, 10, 1);
-  car.push(w);
-  const auto car_blob = car.snapshot();
-  const std::size_t merged_times = 9 + 16;
-  const std::size_t merged_channels = merged_times + 8 + 8 * read_u64(car_blob, merged_times);
-  const std::size_t merged_columns = merged_channels + 8 + 4 * read_u64(car_blob, merged_channels);
-  ASSERT_EQ(read_u64(car_blob, merged_columns), 2u);
-  const std::size_t merged_counts = car_blob.size() - 8 - 8 * 2 * 2 * 11;  // 2 x 2 cells of 11
-  ASSERT_EQ(read_u64(car_blob, merged_counts), 44u);
-  detect::StreamingCarPairsAccumulator pairs(kCarWindow, kCarSpacing, 10, 1);
-  pairs.push(w);
-  const auto pairs_blob = pairs.snapshot();
-  ASSERT_EQ(read_u64(pairs_blob, 17), 2u);  // idler columns
-  ASSERT_EQ(read_u64(pairs_blob, 25), 1u);  // idler column 0
-  detect::StreamingAllanAccumulator allan_w(40e-9, 0.1, 0, 1);
-  allan_w.push(w);
-  const auto allan_blob = allan_w.snapshot();
-  ASSERT_EQ(read_u64(allan_blob, 17), 2u);  // signal buffer
-
-  for (const std::uint64_t n : {std::uint64_t{1} << 61, ~std::uint64_t{0}}) {
-    SCOPED_TRACE("count = " + std::to_string(n));
-    for (const std::size_t at : {spec_count, segment_count, pending_arrivals})
-      EXPECT_THROW(EventStreamer::restore(patch_u64(streamer_blob, at, n)),
-                   std::invalid_argument) << "streamer offset " << at;
-    for (const std::size_t at :
-         {merged_times, merged_channels, merged_columns, merged_columns + 8, merged_counts}) {
-      detect::StreamingCarAccumulator fresh(kCarWindow, kCarSpacing, 10, 1);
-      EXPECT_THROW(fresh.restore(patch_u64(car_blob, at, n)), std::invalid_argument)
-          << "car offset " << at;
-    }
-    for (const std::size_t at : {std::size_t{17}, std::size_t{25}}) {
-      detect::StreamingCarPairsAccumulator fresh(kCarWindow, kCarSpacing, 10, 1);
-      EXPECT_THROW(fresh.restore(patch_u64(pairs_blob, at, n)), std::invalid_argument)
-          << "car pairs offset " << at;
-    }
-    detect::StreamingAllanAccumulator fresh(40e-9, 0.1, 0, 1);
-    EXPECT_THROW(fresh.restore(patch_u64(allan_blob, 17, n)), std::invalid_argument);
-  }
-}
-
-TEST(EventStreamer, SnapshotRejectsMismatchedShapes) {
-  // A blob only fits an accumulator whose tables have its shape: a CAR
-  // blob of 2 side windows per cell does not restore into one of 10, nor
-  // the other way round, and merged idler channels must be in range.
-  // Nothing is pushed after a restore.
-  StreamWindow w;
-  w.events.signal = EventTable::from_columns({{1e-3, 2e-3}, {5e-3}});
-  w.events.idler = EventTable::from_columns({{1e-3}, {2e-3, 7e-3}});
-  w.t_end_s = 2e-3;
-  for (const auto& [from, into] : {std::pair{2, 10}, std::pair{10, 2}}) {
-    SCOPED_TRACE(std::to_string(from) + " -> " + std::to_string(into) + " side windows");
-    detect::StreamingCarAccumulator car(kCarWindow, kCarSpacing, from, 1);
-    car.push(w);
-    detect::StreamingCarAccumulator car_into(kCarWindow, kCarSpacing, into, 1);
-    const auto car_before = car_into.snapshot();
-    EXPECT_THROW(car_into.restore(car.snapshot()), std::invalid_argument);
-    EXPECT_EQ(car_into.snapshot(), car_before);  // a rejected blob changes nothing
-
-    detect::StreamingCarPairsAccumulator pairs(kCarWindow, kCarSpacing, from, 1);
-    pairs.push(w);
-    detect::StreamingCarPairsAccumulator pairs_into(kCarWindow, kCarSpacing, into, 1);
-    const auto pairs_before = pairs_into.snapshot();
-    EXPECT_THROW(pairs_into.restore(pairs.snapshot()), std::invalid_argument);
-    EXPECT_EQ(pairs_into.snapshot(), pairs_before);
-  }
-
-  // A merged idler event must name an idler channel the counts have.
-  detect::StreamingCarAccumulator car(kCarWindow, kCarSpacing, 10, 1);
-  w.t_end_s = 1e-3;  // keep idler events carried
-  car.push(w);
-  const auto blob = car.snapshot();
-  const std::size_t times = 9 + 16;  // after the header, ns and ni
-  const std::size_t first_channel = times + 8 + 8 * read_u64(blob, times) + 8;
-  ASSERT_GT(read_u64(blob, times), 0u);
-  auto bad = blob;
-  const std::uint32_t past_last = 2;  // two idler channels
-  std::memcpy(bad.data() + first_channel, &past_last, sizeof past_last);
-  detect::StreamingCarAccumulator car_into(kCarWindow, kCarSpacing, 10, 1);
-  EXPECT_THROW(car_into.restore(bad), std::invalid_argument);
-  car_into.restore(blob);
-  EXPECT_EQ(car_into.snapshot(), blob);
-}
-
 TEST(EventStreamer, TinySlackForcesCountedBoundaryViolations) {
   // A pathological configuration — huge detector jitter, narrow linewidth,
   // and the look-ahead slack overridden to 1 ps — guarantees clicks and
@@ -744,42 +396,6 @@ TEST(EventStreamer, TinySlackForcesCountedBoundaryViolations) {
   EXPECT_GT(s.boundary_violations(), 0u);
   // Both repair paths sort the same events, so the cells still agree.
   expect_car_diagonal(pairs.finish(), car.finish());
-}
-
-TEST(StreamingAllanAccumulator, MatchesDirectIntervalCounting) {
-  const auto specs = specs_for(detect::EmissionMode::Cw);
-  const EngineConfig ec = engine_config();
-  const EngineResult batch = EventEngine(ec).run(specs);
-
-  const double dt = 0.05;
-  const double window = 40e-9;
-  StreamConfig sc;
-  sc.window_s = 0.02;  // windows do not align with the intervals
-  EventStreamer s(ec, sc, specs);
-  detect::StreamingAllanAccumulator acc(window, dt, 0, 0);
-  StreamWindow w;
-  while (s.next(w)) acc.push(w);
-  const auto res = acc.finish();
-
-  const auto sig = batch.signal.channel_clicks(0);
-  const auto idl = batch.idler.channel_clicks(0);
-  const auto n = static_cast<std::size_t>(kDuration / dt);
-  ASSERT_EQ(res.counts.size(), n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double t0 = static_cast<double>(i) * dt;
-    const double t1 = static_cast<double>(i + 1) * dt;
-    const std::vector<double> a(
-        std::lower_bound(sig.begin(), sig.end(), t0),
-        std::lower_bound(sig.begin(), sig.end(), t1));
-    const std::vector<double> b(
-        std::lower_bound(idl.begin(), idl.end(), t0),
-        std::lower_bound(idl.begin(), idl.end(), t1));
-    EXPECT_EQ(res.counts[i],
-              static_cast<double>(detect::count_coincidences(a, b, window)))
-        << "interval " << i;
-  }
-  EXPECT_GT(res.mean_counts, 0.0);
-  EXPECT_FALSE(res.allan.empty());
 }
 
 TEST(StreamingFacades, QkdStreamCheckWindowSizeInvariant) {
@@ -874,10 +490,9 @@ TEST(StreamingAccumulators, RejectMisuse) {
                std::invalid_argument);
   EXPECT_THROW(detect::StreamingCorrelatorAccumulator(0, 1e-9, 1),
                std::invalid_argument);
-  EXPECT_THROW(detect::StreamingAllanAccumulator(0, 1), std::invalid_argument);
 
-  // Non-finite windows, spacings, offsets, bin widths, ranges and sample
-  // intervals are rejected by every accumulator.
+  // Non-finite windows, spacings, bin widths and ranges are rejected by
+  // every accumulator.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   EXPECT_THROW(detect::StreamingCarAccumulator(nan, 1e-7), std::invalid_argument);
@@ -888,16 +503,9 @@ TEST(StreamingAccumulators, RejectMisuse) {
   EXPECT_THROW(detect::StreamingCarPairsAccumulator(1e-9, nan), std::invalid_argument);
   EXPECT_THROW(detect::StreamingCarPairsAccumulator(1e-9, inf), std::invalid_argument);
   EXPECT_THROW(detect::StreamingCarPairsAccumulator(-inf, 1e-7), std::invalid_argument);
-  EXPECT_THROW((void)detect::StreamingCountMatrixAccumulator(nan), std::invalid_argument);
-  EXPECT_THROW((void)detect::StreamingCountMatrixAccumulator(inf), std::invalid_argument);
-  EXPECT_THROW(detect::StreamingCountMatrixAccumulator(1e-9, nan), std::invalid_argument);
-  EXPECT_THROW(detect::StreamingCountMatrixAccumulator(1e-9, -inf), std::invalid_argument);
   EXPECT_THROW(detect::StreamingCorrelatorAccumulator(1e-9, nan), std::invalid_argument);
   EXPECT_THROW(detect::StreamingCorrelatorAccumulator(1e-9, inf), std::invalid_argument);
   EXPECT_THROW(detect::StreamingCorrelatorAccumulator(nan, 1e-8), std::invalid_argument);
-  EXPECT_THROW(detect::StreamingAllanAccumulator(nan, 1), std::invalid_argument);
-  EXPECT_THROW(detect::StreamingAllanAccumulator(40e-9, nan), std::invalid_argument);
-  EXPECT_THROW(detect::StreamingAllanAccumulator(40e-9, inf), std::invalid_argument);
 
   // The diagonal accumulator: bad grids as the full matrix, misuse after
   // finish, and windows whose signal and idler channel counts differ.
@@ -919,7 +527,6 @@ TEST(StreamingAccumulators, RejectMisuse) {
   EXPECT_EQ(cells[0].coincidences, 1.0);
   EXPECT_THROW(pairs.push(w), std::logic_error);
   EXPECT_THROW((void)pairs.finish(), std::logic_error);
-  EXPECT_THROW((void)pairs.snapshot(), std::logic_error);
   detect::StreamingCarPairsAccumulator empty(kCarWindow, kCarSpacing, 10, 1);
   EXPECT_TRUE(empty.finish().empty());
   StreamWindow mismatched = w;

@@ -561,7 +561,6 @@ TEST(FacadeConfigs, EveryTableRejectsNonFiniteValues) {
   expect_non_finite_rejected("QkdNetworkConfig", core::QkdNetworkConfig::uniform(2, 10.0),
                              [](const core::QkdNetworkConfig& cfg) { cfg.validate(5); });
   expect_non_finite_rejected("HbtParams", core::HbtParams{}, validate);
-  expect_non_finite_rejected("HbtStreamParams", core::HbtStreamParams{}, validate);
   expect_non_finite_rejected("FreqBinConfig", qudit::FreqBinConfig{}, validate);
 }
 
