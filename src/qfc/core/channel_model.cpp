@@ -3,7 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "qfc/photonics/constants.hpp"
 
 namespace qfc::core {
 
@@ -23,28 +22,6 @@ ChannelChain ChannelModel::chain(int k, int arm) const {
   c.detector.jitter_sigma_s = jitter_sigma_s;
   c.detector.dead_time_s = dead_time_s;
   return c;
-}
-
-double pump_leakage_click_rate_hz(double pump_power_w, double pump_frequency_hz,
-                                  double rejection_db, double detector_efficiency) {
-  if (pump_power_w < 0) throw std::invalid_argument("pump_leakage: negative power");
-  if (rejection_db < 0) throw std::invalid_argument("pump_leakage: negative rejection");
-  if (detector_efficiency < 0 || detector_efficiency > 1)
-    throw std::invalid_argument("pump_leakage: efficiency outside [0,1]");
-  const double photon_flux =
-      pump_power_w / photonics::photon_energy_J(pump_frequency_hz);
-  return photon_flux * std::pow(10.0, -rejection_db / 10.0) * detector_efficiency;
-}
-
-double required_pump_rejection_db(double pump_power_w, double pump_frequency_hz,
-                                  double max_click_rate_hz,
-                                  double detector_efficiency) {
-  if (max_click_rate_hz <= 0)
-    throw std::invalid_argument("required_pump_rejection: max rate <= 0");
-  const double photon_flux =
-      pump_power_w / photonics::photon_energy_J(pump_frequency_hz);
-  const double needed = photon_flux * detector_efficiency / max_click_rate_hz;
-  return needed > 1.0 ? 10.0 * std::log10(needed) : 0.0;
 }
 
 }  // namespace qfc::core

@@ -30,19 +30,4 @@ struct ChannelModel {
   ChannelChain chain(int k, int arm) const;
 };
 
-/// Residual pump leakage through the demultiplexer: the pump is ~17 orders
-/// of magnitude brighter than the single photons, so the rejection budget
-/// is a first-order design constraint of any comb-based quantum source.
-/// Returns the background click rate a detector of the given efficiency
-/// sees from a pump of `pump_power_w` at `pump_frequency_hz` after
-/// `rejection_db` of filtering.
-double pump_leakage_click_rate_hz(double pump_power_w, double pump_frequency_hz,
-                                  double rejection_db, double detector_efficiency);
-
-/// Minimum demux rejection (dB) keeping pump-leakage clicks below
-/// `max_click_rate_hz`.
-double required_pump_rejection_db(double pump_power_w, double pump_frequency_hz,
-                                  double max_click_rate_hz,
-                                  double detector_efficiency);
-
 }  // namespace qfc::core

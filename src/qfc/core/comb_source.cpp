@@ -4,17 +4,6 @@
 
 namespace qfc::core {
 
-const char* pump_configuration_name(PumpConfiguration c) {
-  switch (c) {
-    case PumpConfiguration::SelfLockedCw: return "self-locked CW (heralded photons)";
-    case PumpConfiguration::CrossPolarized: return "cross-polarized bichromatic (type-II)";
-    case PumpConfiguration::DoublePulse: return "double pulse (time-bin entanglement)";
-    case PumpConfiguration::DoublePulseFourMode:
-      return "double pulse, four modes (multi-photon)";
-  }
-  return "unknown";
-}
-
 QuantumFrequencyComb QuantumFrequencyComb::for_configuration(PumpConfiguration c) {
   switch (c) {
     case PumpConfiguration::SelfLockedCw:

@@ -23,8 +23,6 @@ enum class PumpConfiguration {
   DoublePulseFourMode, ///< Sec. V: four-photon entangled states
 };
 
-const char* pump_configuration_name(PumpConfiguration c);
-
 /// Integrated quantum frequency comb: the microring device plus the
 /// measurement-chain defaults used by the paper's experiments.
 class QuantumFrequencyComb {

@@ -75,12 +75,6 @@ QkdNetwork::QkdNetwork(const TimebinExperiment& experiment, QkdNetworkConfig con
   }
 }
 
-int QkdNetwork::assigned_channel_pair(std::size_t user) const {
-  if (user >= assigned_.size())
-    throw std::out_of_range("QkdNetwork: user index out of range");
-  return assigned_[user];
-}
-
 std::vector<detect::ChannelPairSpec> QkdNetwork::engine_specs() const {
   std::vector<detect::ChannelPairSpec> specs;
   specs.reserve(cfg_.users.size());

@@ -152,10 +152,6 @@ class QkdNetwork {
   const QkdNetworkConfig& config() const noexcept { return cfg_; }
   std::size_t num_users() const noexcept { return cfg_.users.size(); }
 
-  /// Resolved channel-pair assignment for one user (auto assignments
-  /// filled in).
-  int assigned_channel_pair(std::size_t user) const;
-
   /// The engine spec list one shared run consumes: user u is engine
   /// channel u (link_channel_spec of their assignment + endpoint +
   /// geometry), with adjacent-bin cross-talk folded into the background

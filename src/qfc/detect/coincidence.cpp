@@ -6,12 +6,6 @@
 
 namespace qfc::detect {
 
-std::uint64_t CoincidenceHistogram::total() const {
-  std::uint64_t s = 0;
-  for (auto c : counts) s += c;
-  return s;
-}
-
 CoincidenceHistogram correlate(const std::vector<double>& clicks_a,
                                const std::vector<double>& clicks_b,
                                double bin_width_s, double range_s) {

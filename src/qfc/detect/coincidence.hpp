@@ -22,7 +22,6 @@ struct CoincidenceHistogram {
   double bin_time(std::size_t i) const {
     return (static_cast<double>(i) - static_cast<double>(center_bin())) * bin_width_s;
   }
-  std::uint64_t total() const;
 
   QFC_JSON(CoincidenceHistogram, bin_width_s, range_s, counts)
 };

@@ -60,10 +60,6 @@ class SinglePhotonDetector {
                              double duration_s, rng::Xoshiro256& g_photon,
                              rng::Xoshiro256& g_dark) const;
 
-  /// Expected singles rate for a given true photon rate (analytic; ignores
-  /// dead-time saturation which is negligible at the rates simulated here).
-  double expected_singles_rate_hz(double photon_rate_hz) const;
-
  private:
   DetectorParams params_;
 };

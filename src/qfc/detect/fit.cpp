@@ -107,11 +107,4 @@ SinusoidFit fit_sinusoid(const std::vector<double>& x_rad, const std::vector<dou
   return f;
 }
 
-double visibility_from_extrema(double max_counts, double min_counts) {
-  if (max_counts < min_counts)
-    throw std::invalid_argument("visibility_from_extrema: max < min");
-  if (max_counts + min_counts <= 0) return 0;
-  return (max_counts - min_counts) / (max_counts + min_counts);
-}
-
 }  // namespace qfc::detect

@@ -47,7 +47,4 @@ struct SinusoidFit {
 /// Least-squares fit of a fringe y(x) = c0 + a cos x + b sin x; x in rad.
 SinusoidFit fit_sinusoid(const std::vector<double>& x_rad, const std::vector<double>& y);
 
-/// Visibility from explicit extrema: (max−min)/(max+min).
-double visibility_from_extrema(double max_counts, double min_counts);
-
 }  // namespace qfc::detect

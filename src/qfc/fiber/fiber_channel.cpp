@@ -13,11 +13,6 @@ double FiberChannel::transmission() const {
   return std::pow(10.0, -loss_db / 10.0);
 }
 
-double FiberChannel::channel_skew_s(double wavelength_a_m, double wavelength_b_m) const {
-  return params_.dispersion_s_per_m2 * params_.length_m *
-         (wavelength_a_m - wavelength_b_m);
-}
-
 double FiberChannel::pulse_broadening_s(double wavelength_m, double linewidth_hz) const {
   const double c = photonics::speed_of_light_m_per_s;
   const double dlambda = wavelength_m * wavelength_m * linewidth_hz / c;
@@ -31,10 +26,6 @@ double FiberChannel::timebin_visibility_factor(double wavelength_m, double linew
   const double dt = pulse_broadening_s(wavelength_m, linewidth_hz);
   const double x = dt / bin_separation_s;
   return std::exp(-x * x);
-}
-
-double pair_rate_scaling(const FiberChannel& a, const FiberChannel& b) {
-  return a.transmission() * b.transmission();
 }
 
 FiberParams with_length_km(FiberParams base, double length_km) {

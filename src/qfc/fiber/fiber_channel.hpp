@@ -35,10 +35,6 @@ class FiberChannel {
   /// Power transmission of the span.
   double transmission() const;
 
-  /// Group delay difference between two comb channels (arrival-time skew
-  /// from chromatic dispersion):  Δτ = D · L · Δλ.
-  double channel_skew_s(double wavelength_a_m, double wavelength_b_m) const;
-
   /// Temporal broadening of a photon of spectral width δν (Lorentzian
   /// FWHM) centered at `wavelength_m`:  Δt = D · L · Δλ with
   /// Δλ = λ²δν/c. Narrowband comb photons broaden negligibly — the reason
@@ -55,10 +51,6 @@ class FiberChannel {
  private:
   FiberParams params_;
 };
-
-/// Detected coincidence-rate scaling for a pair whose signal travels span A
-/// and idler span B (both transmissions apply).
-double pair_rate_scaling(const FiberChannel& a, const FiberChannel& b);
 
 /// Copy of `base` with its length set to `length_km` kilometers — the
 /// ergonomic step for callers (QKD links/networks) that keep one fiber

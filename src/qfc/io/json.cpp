@@ -477,12 +477,6 @@ JsonView JsonView::at(std::string_view key) const {
   return JsonView(*member, path_ + "." + std::string(key));
 }
 
-const Json* JsonView::find(std::string_view key) const {
-  if (!value_->is_object())
-    fail(std::string("expected object, got ") + type_name(value_->type()));
-  return value_->find(key);
-}
-
 void JsonView::require_keys_among(const std::vector<std::string_view>& allowed) const {
   if (!value_->is_object())
     fail(std::string("expected object, got ") + type_name(value_->type()));

@@ -163,8 +163,6 @@ class JsonView {
   JsonView at(std::size_t index) const;          ///< array element, path += [i]
   bool has(std::string_view key) const;          ///< object member present?
   JsonView at(std::string_view key) const;       ///< required member, path += .key
-  /// Optional member: nullopt-style — returns nullptr when absent.
-  const Json* find(std::string_view key) const;
 
   /// Unknown-key guard: throws "$.path: unknown key 'foo' (expected one
   /// of: a, b, c)" if the object holds any member not in `allowed`.

@@ -77,14 +77,14 @@ JacobiParams jacobi_params(double app, double aqq, cplx apq, double mag);
 /// Sum of squared magnitudes of strictly off-diagonal elements.
 double off_diag_norm2(const CMat& a);
 
-/// Nominal flop count of an m x k by k x n product (2mkn real; 4x for
-/// complex). Feeds the `linalg.<backend>.gemm.flops` obs counters.
-std::uint64_t gemm_flops(std::size_t m, std::size_t k, std::size_t n, bool is_complex);
+/// Nominal flop count of an m x k by k x n complex product (8mkn). Feeds
+/// the `linalg.<backend>.gemm.flops` obs counters.
+std::uint64_t gemm_flops(std::size_t m, std::size_t k, std::size_t n);
 
-/// Nominal flop count of a kron with `out_elems` output elements (one
-/// multiply per element; 6 real flops for complex). Feeds the
+/// Nominal flop count of a complex kron with `out_elems` output elements
+/// (one complex multiply, 6 real flops, per element). Feeds the
 /// `linalg.<backend>.kron.flops` obs counters.
-std::uint64_t kron_flops(std::size_t out_elems, bool is_complex);
+std::uint64_t kron_flops(std::size_t out_elems);
 
 /// The checks every public eig entry point runs before dispatch: square,
 /// finite and Hermitian to `hermiticity_tol`; throws std::invalid_argument
@@ -99,26 +99,22 @@ double jacobi_stop_threshold(double scale, std::size_t n);
 // baseline and as blocked_gemm's small-dimension fallback. Kernels assume
 // pre-validated shapes (the public entry points validate); eig kernels
 // symmetrize their input, so round-off-level non-Hermiticity is tolerated.
-void reference_gemm(const RMat& a, const RMat& b, RMat& c);
 void reference_gemm(const CMat& a, const CMat& b, CMat& c);
 /// herk-style congruence v · diag(d) · v† — the rebuild step of every
 /// spectral matrix function. Result is Hermitian to round-off.
 CMat reference_scaled_congruence(const CMat& v, const RVec& d);
 EigResult reference_hermitian_eig(const CMat& a, const EigOptions& opt);
 SvdResult reference_svd(const CMat& a, int max_sweeps);
-void reference_kron(const RMat& a, const RMat& b, RMat& out);
 void reference_kron(const CMat& a, const CMat& b, CMat& out);
 
 // Blocked kernels (blocked_backend.cpp): the ones the library runs. gemm
 // and kron write into a caller-provided, zero-initialized, conforming
 // output. kron computes each element with the single multiply
 // a(i,j)*b(k,l), bitwise equal to reference_kron and the inline loop.
-void blocked_gemm(const RMat& a, const RMat& b, RMat& c);
 void blocked_gemm(const CMat& a, const CMat& b, CMat& c);
 CMat blocked_scaled_congruence(const CMat& v, const RVec& d);
 EigResult blocked_hermitian_eig(const CMat& a, const EigOptions& opt);
 SvdResult blocked_svd(const CMat& a, int max_sweeps);
-void blocked_kron(const RMat& a, const RMat& b, RMat& out);
 void blocked_kron(const CMat& a, const CMat& b, CMat& out);
 
 /// Shared eig finalization: read the (real) diagonal of the rotated matrix,

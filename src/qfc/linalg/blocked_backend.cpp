@@ -38,16 +38,10 @@ namespace qfc::linalg {
 
 namespace {
 
-void count_blocked_gemm(std::size_t m, std::size_t k, std::size_t n, bool is_complex) {
+void count_blocked_gemm(std::size_t m, std::size_t k, std::size_t n) {
   if (!obs::metrics_enabled()) return;
   obs::counter("linalg.blocked.gemm.calls").increment();
-  obs::counter("linalg.blocked.gemm.flops").add(detail::gemm_flops(m, k, n, is_complex));
-}
-
-void count_blocked_kron(std::size_t out_elems, bool is_complex) {
-  if (!obs::metrics_enabled()) return;
-  obs::counter("linalg.blocked.kron.calls").increment();
-  obs::counter("linalg.blocked.kron.flops").add(detail::kron_flops(out_elems, is_complex));
+  obs::counter("linalg.blocked.gemm.flops").add(detail::gemm_flops(m, k, n));
 }
 
 // ------------------------------------------------------------ SIMD control
@@ -323,26 +317,19 @@ void scale_row(cplx* dst, const cplx* src, std::size_t n, cplx s) {
   scale_row_scalar(dst, src, n, s);
 }
 
-void scale_row(double* dst, const double* src, std::size_t n, double s) {
-  for (std::size_t j = 0; j < n; ++j) dst[j] = s * src[j];
-}
-
 // ------------------------------------------------------------ blocked GEMM
 //
-// Three paths, picked per scalar type and SIMD mode:
-//  - double: pack B transposed once, then each C entry is a unit-stride dot
-//    product with four independent accumulator chains (vectorizes cleanly
-//    and hides FP add latency).
-//  - complex<double>, SIMD active: split B into planar re/im arrays so the
+// Two paths, picked by SIMD mode:
+//  - SIMD active: split B into planar re/im arrays so the
 //    inner loop is four real FMA streams over contiguous memory — the form
 //    AVX FMA units actually like (a complex "interleaved" inner loop
 //    de-vectorizes). Per-row planar accumulators, interleave-store per row.
-//  - complex<double>, scalar: an axpy panel kernel (crow += aik * brow) with
+//  - scalar: an axpy panel kernel (crow += aik * brow) with
 //    k/j cache blocking — complex dots de-vectorize under generic -O3, so
 //    the contiguous axpy form is the faster scalar baseline.
 
 // Below this flop count the dispatch/packing overhead dominates the scalar
-// paths and the reference ikj loop (with its structural-sparsity skip) wins;
+// path and the reference ikj loop (with its structural-sparsity skip) wins;
 // the quantum layer's many tiny gate products stay on that path. The planar
 // SIMD path has no such crossover — it wins at every benched size.
 constexpr std::size_t kGemmFlopCutoff = std::size_t{48} * 48 * 48;
@@ -355,40 +342,9 @@ constexpr std::size_t kGemmAxpySimdCutoff = std::size_t{16} * 16 * 16;
 constexpr std::size_t kGemmColBlock = 512;    // C cols per cache block
 constexpr std::size_t kGemmDepthBlock = 64;   // k extent per cache block
 
-void blocked_gemm_scalar(const RMat& a, const RMat& b, RMat& c) {
-  const std::size_t m = a.rows(), kk = a.cols(), n = b.cols();
-  count_blocked_gemm(m, kk, n, false);
-  QFC_OBS_SPAN("linalg.gemm", {{"m", m}, {"n", n}});
-  // Pack B transposed once so the dot micro-kernel walks unit-stride.
-  std::vector<double> bt(n * kk);
-  for (std::size_t k = 0; k < kk; ++k) {
-    const double* brow = b.data() + k * n;
-    for (std::size_t j = 0; j < n; ++j) bt[j * kk + k] = brow[j];
-  }
-  const double* pa = a.data();
-  double* pc = c.data();
-  for (std::size_t i = 0; i < m; ++i) {
-    const double* arow = pa + i * kk;
-    double* crow = pc + i * n;
-    for (std::size_t j = 0; j < n; ++j) {
-      const double* btrow = bt.data() + j * kk;
-      double s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-      std::size_t k = 0;
-      for (; k + 4 <= kk; k += 4) {
-        s0 += arow[k] * btrow[k];
-        s1 += arow[k + 1] * btrow[k + 1];
-        s2 += arow[k + 2] * btrow[k + 2];
-        s3 += arow[k + 3] * btrow[k + 3];
-      }
-      for (; k < kk; ++k) s0 += arow[k] * btrow[k];
-      crow[j] = (s0 + s1) + (s2 + s3);
-    }
-  }
-}
-
 void blocked_gemm_scalar(const CMat& a, const CMat& b, CMat& c) {
   const std::size_t m = a.rows(), kk = a.cols(), n = b.cols();
-  count_blocked_gemm(m, kk, n, true);
+  count_blocked_gemm(m, kk, n);
   QFC_OBS_SPAN("linalg.gemm", {{"m", m}, {"n", n}});
   const cplx* pa = a.data();
   const cplx* pb = b.data();
@@ -486,7 +442,7 @@ __attribute__((target("avx2,fma"))) void gemm_planar_avx2(
 
 void blocked_gemm_planar(const CMat& a, const CMat& b, CMat& c) {
   const std::size_t m = a.rows(), kk = a.cols(), n = b.cols();
-  count_blocked_gemm(m, kk, n, true);
+  count_blocked_gemm(m, kk, n);
   QFC_OBS_SPAN("linalg.gemm", {{"m", m}, {"n", n}});
   std::vector<double> bre(kk * n), bim(kk * n);
   const cplx* pb = b.data();
@@ -633,19 +589,11 @@ bool simd_request() { return simd_request_slot().load(std::memory_order_relaxed)
 
 namespace detail {
 
-void blocked_gemm(const RMat& a, const RMat& b, RMat& c) {
-  if (a.rows() * a.cols() * b.cols() <= kGemmFlopCutoff) {
-    reference_gemm(a, b, c);
-    return;
-  }
-  blocked_gemm_scalar(a, b, c);
-}
-
 void blocked_gemm(const CMat& a, const CMat& b, CMat& c) {
 #if QFC_SIMD_X86
   if (simd_active()) {
     if (a.rows() * a.cols() * b.cols() <= kGemmAxpySimdCutoff) {
-      count_blocked_gemm(a.rows(), a.cols(), b.cols(), true);
+      count_blocked_gemm(a.rows(), a.cols(), b.cols());
       gemm_axpy_rows_avx2(a, b, c);
       return;
     }
@@ -840,28 +788,21 @@ SvdResult blocked_svd(const CMat& a, int max_sweeps) {
 // inline template and results are bitwise identical across backends and
 // SIMD modes.
 
-template <class T>
-void blocked_kron_impl(const Mat<T>& a, const Mat<T>& b, Mat<T>& out) {
+void blocked_kron(const CMat& a, const CMat& b, CMat& out) {
+  if (obs::metrics_enabled()) {
+    obs::counter("linalg.blocked.kron.calls").increment();
+    obs::counter("linalg.blocked.kron.flops").add(kron_flops(out.size()));
+  }
   const std::size_t rb = b.rows(), cb = b.cols(), cols = out.cols();
-  const T* pb = b.data();
-  T* po = out.data();
+  const cplx* pb = b.data();
+  cplx* po = out.data();
   for (std::size_t i = 0; i < a.rows(); ++i)
     for (std::size_t j = 0; j < a.cols(); ++j) {
-      const T aij = a(i, j);
-      if (aij == T{}) continue;  // block stays zero
+      const cplx aij = a(i, j);
+      if (aij == cplx{}) continue;  // block stays zero
       for (std::size_t k = 0; k < rb; ++k)
         scale_row(po + (i * rb + k) * cols + j * cb, pb + k * cb, cb, aij);
     }
-}
-
-void blocked_kron(const RMat& a, const RMat& b, RMat& out) {
-  count_blocked_kron(out.size(), false);
-  blocked_kron_impl(a, b, out);
-}
-
-void blocked_kron(const CMat& a, const CMat& b, CMat& out) {
-  count_blocked_kron(out.size(), true);
-  blocked_kron_impl(a, b, out);
 }
 
 }  // namespace detail

@@ -13,6 +13,7 @@
 #include <cstddef>
 #include <initializer_list>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 namespace qfc::linalg {
@@ -32,14 +33,11 @@ inline double abs2(const cplx& x) { return std::norm(x); }
 
 /// c = a·b through detail::blocked_gemm (see backend.hpp); c must be
 /// zero-initialized (kernels may accumulate into it or overwrite it).
-/// Defined in backend.cpp for the two scalar types the library instantiates.
-template <class T>
-void gemm_dispatch(const Mat<T>& a, const Mat<T>& b, Mat<T>& c);
+void gemm_dispatch(const Mat<cplx>& a, const Mat<cplx>& b, Mat<cplx>& c);
 
 /// out = a ⊗ b through detail::blocked_kron; out is pre-sized and
-/// zero-initialized. Same explicit-specialization pattern as gemm_dispatch.
-template <class T>
-void kron_dispatch(const Mat<T>& a, const Mat<T>& b, Mat<T>& out);
+/// zero-initialized.
+void kron_dispatch(const Mat<cplx>& a, const Mat<cplx>& b, Mat<cplx>& out);
 }  // namespace detail
 
 /// Dense row-major matrix. T is double or std::complex<double>.
@@ -112,20 +110,23 @@ class Mat {
   friend Mat operator*(const Mat& a, const Mat& b) {
     if (a.cols_ != b.rows_) throw std::invalid_argument("Mat::mul: shape mismatch");
     Mat c(a.rows_, b.cols_);
-    // Tiny products (gates, Paulis, few-level ops) keep the fully inlined
-    // loop — the cross-TU call would cost more than the flops. The loop
-    // is identical to the reference ikj kernel, so results do not
-    // depend on which side of the cutoff a product lands.
-    if (a.rows_ * a.cols_ * b.cols_ <= 4096) {
-      for (std::size_t i = 0; i < a.rows_; ++i) {
-        for (std::size_t k = 0; k < a.cols_; ++k) {
-          const T aik = a(i, k);
-          if (aik == T{}) continue;
-          for (std::size_t j = 0; j < b.cols_; ++j) c(i, j) += aik * b(k, j);
-        }
+    // Tiny complex products (gates, Paulis, few-level ops) keep the fully
+    // inlined loop — the cross-TU call would cost more than the flops. The
+    // loop is identical to the reference ikj kernel, so results do not
+    // depend on which side of the cutoff a product lands. Real products
+    // (small least-squares design matrices) always take the loop.
+    if constexpr (std::is_same_v<T, cplx>) {
+      if (a.rows_ * a.cols_ * b.cols_ > 4096) {
+        detail::gemm_dispatch(a, b, c);
+        return c;
       }
-    } else {
-      detail::gemm_dispatch(a, b, c);
+    }
+    for (std::size_t i = 0; i < a.rows_; ++i) {
+      for (std::size_t k = 0; k < a.cols_; ++k) {
+        const T aik = a(i, k);
+        if (aik == T{}) continue;
+        for (std::size_t j = 0; j < b.cols_; ++j) c(i, j) += aik * b(k, j);
+      }
     }
     return c;
   }
@@ -209,32 +210,19 @@ class Mat {
 using CMat = Mat<cplx>;
 using RMat = Mat<double>;
 
-namespace detail {
-// The only gemm_dispatch / kron_dispatch instantiations, defined in
-// backend.cpp and declared here so every use of operator* / kron sees the
-// explicit specialization before implicit instantiation ([temp.expl.spec]).
-// Other scalar types have no kernels and fail at link.
-template <>
-void gemm_dispatch<double>(const RMat& a, const RMat& b, RMat& c);
-template <>
-void gemm_dispatch<cplx>(const CMat& a, const CMat& b, CMat& c);
-template <>
-void kron_dispatch<double>(const RMat& a, const RMat& b, RMat& out);
-template <>
-void kron_dispatch<cplx>(const CMat& a, const CMat& b, CMat& out);
-}  // namespace detail
-
 /// Kronecker (tensor) product: (a ⊗ b)(i*rb+k, j*cb+l) = a(i,j)*b(k,l).
-/// Large products run detail::blocked_kron (SIMD-scaled row copies); every
-/// path computes each element with the same single multiply, so the result
-/// is bitwise identical on either side of the cutoff and to
+/// Large complex products run detail::blocked_kron (SIMD-scaled row
+/// copies); every path computes each element with the same single multiply,
+/// so the result is bitwise identical on either side of the cutoff and to
 /// detail::reference_kron.
 template <class T>
 Mat<T> kron(const Mat<T>& a, const Mat<T>& b) {
   Mat<T> out(a.rows() * b.rows(), a.cols() * b.cols());
-  if (out.size() > 1024) {
-    detail::kron_dispatch(a, b, out);
-    return out;
+  if constexpr (std::is_same_v<T, cplx>) {
+    if (out.size() > 1024) {
+      detail::kron_dispatch(a, b, out);
+      return out;
+    }
   }
   for (std::size_t i = 0; i < a.rows(); ++i)
     for (std::size_t j = 0; j < a.cols(); ++j) {

@@ -12,12 +12,6 @@ using linalg::cplx;
 using linalg::CMat;
 using linalg::CVec;
 
-std::uint64_t ArrivalHistogram::total() const {
-  std::uint64_t s = 0;
-  for (auto c : counts) s += c;
-  return s;
-}
-
 double ArrivalHistogram::central_to_side_ratio() const {
   const double side =
       (static_cast<double>(counts[1]) + static_cast<double>(counts[3])) / 2.0;
@@ -72,37 +66,6 @@ ArrivalHistogram simulate_arrival_histogram(const quantum::DensityMatrix& rho,
     ++h.counts[static_cast<std::size_t>(ta - tb + 2)];
   }
   return h;
-}
-
-double TimebinPeaks::central_to_side_ratio() const {
-  const double side =
-      (static_cast<double>(early_late) + static_cast<double>(late_early)) / 2.0;
-  if (side <= 0) return 0.0;
-  return static_cast<double>(same_bin) / side;
-}
-
-TimebinPeaks fold_timebin_peaks(const detect::CoincidenceHistogram& hist,
-                                double bin_separation_s, double half_window_s) {
-  if (bin_separation_s <= 0)
-    throw std::invalid_argument("fold_timebin_peaks: bin separation <= 0");
-  if (half_window_s <= 0 || half_window_s > bin_separation_s / 2.0)
-    throw std::invalid_argument(
-        "fold_timebin_peaks: half window outside (0, separation/2]");
-  if (hist.range_s < bin_separation_s + half_window_s)
-    throw std::invalid_argument(
-        "fold_timebin_peaks: histogram range does not reach the side peaks");
-
-  TimebinPeaks p;
-  for (std::size_t i = 0; i < hist.counts.size(); ++i) {
-    const double t = hist.bin_time(i);
-    if (std::abs(t + bin_separation_s) <= half_window_s)
-      p.early_late += hist.counts[i];
-    else if (std::abs(t) <= half_window_s)
-      p.same_bin += hist.counts[i];
-    else if (std::abs(t - bin_separation_s) <= half_window_s)
-      p.late_early += hist.counts[i];
-  }
-  return p;
 }
 
 }  // namespace qfc::timebin

@@ -245,9 +245,6 @@ TEST(Facade, ConfigurationsMapToDevices) {
   EXPECT_NEAR(lw_h, 110e6, 10e6);
   EXPECT_NEAR(lw_t, 80e6, 10e6);
   EXPECT_NEAR(lw_e, 820e6, 60e6);
-
-  EXPECT_STREQ(core::pump_configuration_name(PumpConfiguration::SelfLockedCw),
-               "self-locked CW (heralded photons)");
 }
 
 TEST(Facade, GridFromDevice) {

@@ -25,16 +25,8 @@ TEST(Fiber, TransmissionFollowsAttenuation) {
 }
 
 TEST(Fiber, TransmissionMultiplies) {
-  EXPECT_NEAR(qfc::fiber::pair_rate_scaling(span(25), span(25)),
-              span(50).transmission(), 1e-12);
-}
-
-TEST(Fiber, ChannelSkewScalesWithSeparationAndLength) {
-  // D = 17 ps/(nm km): 1 nm over 100 km -> 1.7 ns.
-  const double skew = span(100).channel_skew_s(1551e-9, 1550e-9);
-  EXPECT_NEAR(skew, 1.7e-9, 0.01e-9);
-  // Antisymmetric in the arguments.
-  EXPECT_NEAR(span(100).channel_skew_s(1550e-9, 1551e-9), -skew, 1e-15);
+  EXPECT_NEAR(span(25).transmission() * span(25).transmission(), span(50).transmission(),
+              1e-12);
 }
 
 TEST(Fiber, NarrowbandPhotonBroadeningIsTiny) {

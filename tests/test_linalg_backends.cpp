@@ -22,7 +22,6 @@ using qfc::linalg::BackendKind;
 using qfc::linalg::CMat;
 using qfc::linalg::cplx;
 using qfc::linalg::EigOptions;
-using qfc::linalg::RMat;
 using qfc::linalg::RVec;
 using qfc::linalg::detail::blocked_gemm;
 using qfc::linalg::detail::blocked_hermitian_eig;
@@ -46,15 +45,6 @@ CMat random_matrix(std::size_t r, std::size_t c, unsigned seed) {
 
 CMat random_hermitian(std::size_t n, unsigned seed) {
   return qfc::linalg::hermitian_part(random_matrix(n, n, seed));
-}
-
-RMat random_real(std::size_t r, std::size_t c, unsigned seed) {
-  std::mt19937 g(seed);
-  std::normal_distribution<double> n(0.0, 1.0);
-  RMat m(r, c);
-  for (std::size_t i = 0; i < r; ++i)
-    for (std::size_t j = 0; j < c; ++j) m(i, j) = n(g);
-  return m;
 }
 
 double max_abs_diff(const CMat& a, const CMat& b) { return (a - b).max_abs(); }
@@ -114,15 +104,6 @@ TEST(BackendParity, GemmComplex) {
     blocked_gemm(a, b, cb);
     EXPECT_LT(max_abs_diff(cr, cb), 1e-10) << s[0] << "x" << s[1] << "x" << s[2];
   }
-}
-
-TEST(BackendParity, GemmReal) {
-  const RMat a = random_real(65, 80, 5);
-  const RMat b = random_real(80, 77, 6);
-  RMat cr(65, 77), cb(65, 77);
-  reference_gemm(a, b, cr);
-  blocked_gemm(a, b, cb);
-  EXPECT_LT((cr - cb).max_abs(), 1e-10);
 }
 
 // ----------------------------------------------------------------- eig
@@ -302,13 +283,6 @@ TEST(BackendParity, KronBitwiseAcrossBackendsAndInlinePath) {
         for (std::size_t l = 0; l < b.cols(); ++l)
           inline_loop(i * b.rows() + k, j * b.cols() + l) = a(i, j) * b(k, l);
   EXPECT_EQ(kr, inline_loop);
-
-  const RMat ra = random_real(11, 7, 503);
-  const RMat rb = random_real(9, 13, 504);
-  RMat rr(99, 91), rbk(99, 91);
-  reference_kron(ra, rb, rr);
-  blocked_kron(ra, rb, rbk);
-  EXPECT_EQ(rr, rbk);
 }
 
 TEST(BackendParity, KronDispatchCutoffIsSeamless) {

@@ -288,20 +288,23 @@ TEST(Obs, LinalgKernelCountersAndFlops) {
   ObsStateGuard guard;
   obs::enable_metrics(true);
 
-  // 32x32 real product: above matrix.hpp's tiny-product inline cutoff but
-  // below blocked_gemm's flop cutoff, so it runs (and bills as) the
-  // reference kernel. Nominal flops = 2 n^3.
+  // 32x32 complex product: above matrix.hpp's tiny-product inline cutoff,
+  // so one kernel runs and bills it: the planar SIMD kernel, or with SIMD
+  // off the reference kernel below blocked_gemm's flop cutoff. Nominal
+  // flops = 8 n^3.
   const std::size_t n = 32;
-  linalg::RMat a(n, n), b(n, n);
+  linalg::CMat a(n, n), b(n, n);
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < n; ++j) {
-      a(i, j) = static_cast<double>(i + 2 * j);
-      b(i, j) = static_cast<double>(i) - static_cast<double>(j);
+      a(i, j) = linalg::cplx(static_cast<double>(i + 2 * j), 1.0);
+      b(i, j) = linalg::cplx(static_cast<double>(i) - static_cast<double>(j), 0.5);
     }
-  const linalg::RMat c = a * b;
+  const linalg::CMat c = a * b;
   ASSERT_EQ(c.rows(), n);
-  EXPECT_EQ(obs::counter("linalg.reference.gemm.calls").value(), 1u);
-  EXPECT_EQ(obs::counter("linalg.reference.gemm.flops").value(), 2ull * n * n * n);
+  const char* kernel = linalg::simd_enabled() ? "blocked" : "reference";
+  EXPECT_EQ(obs::counter(std::string("linalg.") + kernel + ".gemm.calls").value(), 1u);
+  EXPECT_EQ(obs::counter(std::string("linalg.") + kernel + ".gemm.flops").value(),
+            8ull * n * n * n);
 
   // A Hermitian eigensolve books calls/sweeps/rotations.
   linalg::CMat h(8, 8);

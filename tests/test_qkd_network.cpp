@@ -156,10 +156,9 @@ TEST_F(QkdNetworkFixture, TwoHundredFiftySixUsersDeterministic) {
   expect_reports_bitwise_equal(reports[0], reports[1]);
 
   // Round-robin auto-assignment over the experiment's pairs.
-  const core::QkdNetwork net(exp_, cfg);
   const int num_pairs = exp_.config().num_channel_pairs;
   for (std::size_t u = 0; u < 256; ++u)
-    EXPECT_EQ(net.assigned_channel_pair(u),
+    EXPECT_EQ(reports[0].users[u].channel_pair,
               static_cast<int>(u % static_cast<std::size_t>(num_pairs)) + 1);
 
   // Sanity on the aggregates: the near users distill key, the histogram
@@ -257,7 +256,6 @@ TEST_F(QkdNetworkFixture, ValidationNamesTheOffendingUser) {
 
   const core::QkdNetwork ok(exp_, core::QkdNetworkConfig::uniform(2, 30.0));
   EXPECT_THROW(ok.run(0.0), std::invalid_argument);
-  EXPECT_THROW(ok.assigned_channel_pair(2), std::out_of_range);
 }
 
 TEST_F(QkdNetworkFixture, NanStreamWindowIsRejectedAtConstruction) {

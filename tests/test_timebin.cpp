@@ -243,39 +243,4 @@ TEST(FourPhoton, RejectsWrongDimensions) {
   EXPECT_THROW(timebin::fourfold_probability(pair, 0.0), std::invalid_argument);
 }
 
-TEST(TimebinPeaks, FoldsSyntheticHistogram) {
-  // 33 bins at 1 ns width cover ±16 ns; ΔT = 10 ns. Place counts exactly
-  // on the three peak centers plus one stray bin outside every window.
-  detect::CoincidenceHistogram h;
-  h.bin_width_s = 1e-9;
-  h.range_s = 16e-9;
-  h.counts.assign(33, 0);
-  h.counts[h.center_bin()] = 50;        // Δt = 0
-  h.counts[h.center_bin() - 10] = 7;    // Δt = −ΔT
-  h.counts[h.center_bin() + 10] = 9;    // Δt = +ΔT
-  h.counts[h.center_bin() + 5] = 99;    // between windows: ignored
-
-  const auto p = timebin::fold_timebin_peaks(h, 10e-9, 2e-9);
-  EXPECT_EQ(p.early_late, 7u);
-  EXPECT_EQ(p.same_bin, 50u);
-  EXPECT_EQ(p.late_early, 9u);
-  EXPECT_NEAR(p.central_to_side_ratio(), 50.0 / 8.0, 1e-12);
-
-  const timebin::TimebinPeaks empty_sides{0, 5, 0};
-  EXPECT_EQ(empty_sides.central_to_side_ratio(), 0.0);
-}
-
-TEST(TimebinPeaks, FoldValidation) {
-  detect::CoincidenceHistogram h;
-  h.bin_width_s = 1e-9;
-  h.range_s = 16e-9;
-  h.counts.assign(33, 0);
-  EXPECT_THROW(timebin::fold_timebin_peaks(h, 0.0, 1e-9), std::invalid_argument);
-  EXPECT_THROW(timebin::fold_timebin_peaks(h, 10e-9, 0.0), std::invalid_argument);
-  // Half window wider than ΔT/2: windows would overlap.
-  EXPECT_THROW(timebin::fold_timebin_peaks(h, 10e-9, 6e-9), std::invalid_argument);
-  // Range too short to reach the side peaks.
-  EXPECT_THROW(timebin::fold_timebin_peaks(h, 15.5e-9, 2e-9), std::invalid_argument);
-}
-
 }  // namespace
