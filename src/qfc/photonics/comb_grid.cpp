@@ -36,20 +36,6 @@ std::vector<ChannelPair> CombGrid::pairs() const {
   return out;
 }
 
-std::vector<CombChannel> CombGrid::channels() const {
-  std::vector<CombChannel> out;
-  out.reserve(2 * static_cast<std::size_t>(num_pairs_));
-  for (int k = -num_pairs_; k <= num_pairs_; ++k)
-    if (k != 0) out.push_back(channel(k));
-  return out;
-}
-
-bool CombGrid::covers_telecom_bands_only() const {
-  for (const auto& ch : channels())
-    if (ch.band == TelecomBand::Outside) return false;
-  return true;
-}
-
 int CombGrid::itu_channel_number(double frequency_hz) {
   return static_cast<int>(std::lround((frequency_hz - 190.0e12) / 100e9));
 }

@@ -45,12 +45,6 @@ class CombGrid {
 
   std::vector<ChannelPair> pairs() const;
 
-  /// All channels, ascending in frequency (idlers then signals).
-  std::vector<CombChannel> channels() const;
-
-  /// True if every tracked channel lies in S, C or L band.
-  bool covers_telecom_bands_only() const;
-
   /// Nearest 100-GHz ITU-T G.694.1 channel number n for a frequency:
   /// ν = 190.0 THz + n × 0.1 THz  (C-band convention, n can be negative).
   static int itu_channel_number(double frequency_hz);

@@ -21,30 +21,9 @@ double SellmeierMaterial::index(double wavelength_m) const {
   return std::sqrt(n2);
 }
 
-double SellmeierMaterial::group_index(double wavelength_m) const {
-  const double h = wavelength_m * 1e-4;
-  const double dn_dl = (index(wavelength_m + h) - index(wavelength_m - h)) / (2 * h);
-  return index(wavelength_m) - wavelength_m * dn_dl;
-}
-
-double SellmeierMaterial::gvd_s2_per_m(double wavelength_m) const {
-  const double h = wavelength_m * 1e-3;
-  const double d2n_dl2 =
-      (index(wavelength_m + h) - 2 * index(wavelength_m) + index(wavelength_m - h)) / (h * h);
-  const double c = speed_of_light_m_per_s;
-  return wavelength_m * wavelength_m * wavelength_m / (2 * pi * c * c) * d2n_dl2;
-}
-
 const SellmeierMaterial& hydex() {
   // Surrogate fit: n(1550 nm) ≈ 1.70, normal bulk dispersion across S/C/L.
   static const SellmeierMaterial m({1.88, 1.21e-14}, {0.08, 8.1e-11}, 1.0e-5, "Hydex");
-  return m;
-}
-
-const SellmeierMaterial& fused_silica() {
-  // Two-term refit of Malitson (1965): n(1550 nm) ≈ 1.443.
-  static const SellmeierMaterial m({1.10, 8.464e-15}, {0.90, 9.7934e-11}, 8.6e-6,
-                                   "fused silica");
   return m;
 }
 

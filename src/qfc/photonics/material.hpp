@@ -27,12 +27,6 @@ class SellmeierMaterial {
   /// at/below the UV resonance of the model.
   double index(double wavelength_m) const;
 
-  /// Group index n_g = n - λ dn/dλ (central finite difference).
-  double group_index(double wavelength_m) const;
-
-  /// Group-velocity dispersion β₂ = λ³/(2πc²) d²n/dλ², s²/m.
-  double gvd_s2_per_m(double wavelength_m) const;
-
   /// dn/dT, 1/K — used for thermal resonance-drift modeling.
   double thermo_optic_per_K() const noexcept { return dn_dT_; }
 
@@ -48,9 +42,5 @@ class SellmeierMaterial {
 /// dn/dT ≈ 1.0e-5 / K (silica-like, the platform's thermal stability is one
 /// of its selling points).
 const SellmeierMaterial& hydex();
-
-/// Fused silica (Malitson 1965 coefficients, truncated to two terms) — used
-/// as a comparison cladding material and in tests as a known reference.
-const SellmeierMaterial& fused_silica();
 
 }  // namespace qfc::photonics

@@ -1,7 +1,6 @@
 #include "qfc/photonics/microring.hpp"
 
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include "qfc/linalg/error.hpp"
@@ -71,23 +70,6 @@ double MicroringResonator::nearest_resonance_hz(double frequency_hz, Polarizatio
   return best;
 }
 
-std::vector<double> MicroringResonator::resonances_in(double min_hz, double max_hz,
-                                                      Polarization pol) const {
-  if (min_hz <= 0 || max_hz < min_hz)
-    throw std::invalid_argument("resonances_in: invalid range");
-  std::vector<double> out;
-  int m = mode_number_near(min_hz, pol);
-  // Walk down until strictly below the window, then walk up collecting.
-  while (m > 1 && resonance_frequency_hz(m, pol) >= min_hz) --m;
-  for (;; ++m) {
-    const double nu = resonance_frequency_hz(m, pol);
-    if (nu < min_hz) continue;
-    if (nu > max_hz) break;
-    out.push_back(nu);
-  }
-  return out;
-}
-
 double MicroringResonator::finesse() const {
   const double rho = t1_ * t2_ * round_trip_amplitude();
   return pi * std::sqrt(rho) / (1.0 - rho);
@@ -99,48 +81,6 @@ double MicroringResonator::linewidth_hz(double frequency_hz, Polarization pol) c
 
 double MicroringResonator::loaded_q(double frequency_hz, Polarization pol) const {
   return frequency_hz / linewidth_hz(frequency_hz, pol);
-}
-
-double MicroringResonator::intrinsic_q(double frequency_hz, Polarization pol) const {
-  const double a = round_trip_amplitude();
-  if (a >= 1.0) return std::numeric_limits<double>::infinity();
-  const double f_intrinsic = pi * std::sqrt(a) / (1.0 - a);
-  return frequency_hz / (fsr_hz(frequency_hz, pol) / f_intrinsic);
-}
-
-double MicroringResonator::round_trip_phase(double frequency_hz, Polarization pol) const {
-  return 2.0 * pi * frequency_hz * waveguide_.effective_index(frequency_hz, pol) *
-         circumference_ / speed_of_light_m_per_s;
-}
-
-cplx MicroringResonator::through_field(double frequency_hz, Polarization pol) const {
-  const double a = round_trip_amplitude();
-  const cplx ph = std::exp(cplx(0, round_trip_phase(frequency_hz, pol)));
-  return (t1_ - t2_ * a * ph) / (1.0 - t1_ * t2_ * a * ph);
-}
-
-cplx MicroringResonator::drop_field(double frequency_hz, Polarization pol) const {
-  const double a = round_trip_amplitude();
-  const double k1 = std::sqrt(1.0 - t1_ * t1_);
-  const double k2 = std::sqrt(1.0 - t2_ * t2_);
-  const double phi = round_trip_phase(frequency_hz, pol);
-  const cplx half = std::sqrt(a) * std::exp(cplx(0, phi / 2.0));
-  return -k1 * k2 * half / (1.0 - t1_ * t2_ * a * std::exp(cplx(0, phi)));
-}
-
-double MicroringResonator::through_power(double frequency_hz, Polarization pol) const {
-  return std::norm(through_field(frequency_hz, pol));
-}
-
-double MicroringResonator::drop_power(double frequency_hz, Polarization pol) const {
-  return std::norm(drop_field(frequency_hz, pol));
-}
-
-double MicroringResonator::field_enhancement(double frequency_hz, Polarization pol) const {
-  const double a = round_trip_amplitude();
-  const double k1sq = 1.0 - t1_ * t1_;
-  const cplx ph = std::exp(cplx(0, round_trip_phase(frequency_hz, pol)));
-  return k1sq / std::norm(1.0 - t1_ * t2_ * a * ph);
 }
 
 double MicroringResonator::peak_field_enhancement() const {

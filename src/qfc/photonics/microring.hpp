@@ -1,13 +1,12 @@
 #pragma once
 
 /// \file microring.hpp
-/// Add-drop microring resonator model: resonance grid, loaded/intrinsic Q,
-/// linewidth, finesse, field enhancement and port transfer functions for
-/// both polarizations. This is the simulated stand-in for the paper's
+/// Add-drop microring resonator model: resonance grid, loaded Q,
+/// linewidth, finesse and on-resonance field enhancement for both
+/// polarizations. This is the simulated stand-in for the paper's
 /// high-Q Hydex ring (DESIGN.md §4).
 
 #include <complex>
-#include <vector>
 
 #include "qfc/photonics/waveguide.hpp"
 
@@ -42,9 +41,6 @@ class MicroringResonator {
   /// Closest resonance frequency to the given frequency.
   double nearest_resonance_hz(double frequency_hz, Polarization pol) const;
 
-  /// All resonances with min <= ν <= max, ascending.
-  std::vector<double> resonances_in(double min_hz, double max_hz, Polarization pol) const;
-
   /// Finesse = FSR / linewidth = π√(t1 t2 a) / (1 − t1 t2 a).
   double finesse() const;
 
@@ -53,24 +49,6 @@ class MicroringResonator {
 
   /// Loaded quality factor ν/δν.
   double loaded_q(double frequency_hz, Polarization pol) const;
-
-  /// Intrinsic Q (loss-limited, both couplers open).
-  double intrinsic_q(double frequency_hz, Polarization pol) const;
-
-  /// Round-trip phase 2πν n_eff L / c.
-  double round_trip_phase(double frequency_hz, Polarization pol) const;
-
-  /// Through-port field transfer (t1 − t2 a e^{iφ})/(1 − t1 t2 a e^{iφ}).
-  std::complex<double> through_field(double frequency_hz, Polarization pol) const;
-
-  /// Drop-port field transfer −κ1 κ2 √a e^{iφ/2}/(1 − t1 t2 a e^{iφ}).
-  std::complex<double> drop_field(double frequency_hz, Polarization pol) const;
-
-  double through_power(double frequency_hz, Polarization pol) const;
-  double drop_power(double frequency_hz, Polarization pol) const;
-
-  /// Intracavity intensity build-up |E_cav/E_in|² = κ1²/|1 − t1 t2 a e^{iφ}|².
-  double field_enhancement(double frequency_hz, Polarization pol) const;
 
   /// On-resonance intensity build-up κ1²/(1 − t1 t2 a)².
   double peak_field_enhancement() const;

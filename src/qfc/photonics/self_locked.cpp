@@ -26,12 +26,4 @@ double SelfLockedLoop::lasing_detuning_hz(double ring_resonance_hz) const {
   return frac;  // in (−fsr/2, +fsr/2]
 }
 
-double SelfLockedLoop::worst_case_rate_dip(double ring_linewidth_hz) const {
-  if (ring_linewidth_hz <= 0)
-    throw std::invalid_argument("worst_case_rate_dip: linewidth <= 0");
-  const double x = loop_fsr_hz() / ring_linewidth_hz;  // 2·max_det/δν
-  const double enhancement = 1.0 / (1.0 + x * x);
-  return enhancement * enhancement;
-}
-
 }  // namespace qfc::photonics

@@ -28,11 +28,6 @@ class SelfLockedLoop {
   /// Worst-case |detuning| = loop_fsr/2.
   double max_detuning_hz() const { return loop_fsr_hz() / 2.0; }
 
-  /// Worst-case pair-rate dip for a ring of the given linewidth: the rate
-  /// follows the squared Lorentzian enhancement, so
-  ///   rate_min/rate_max = [1 + (loop_fsr/δν)²]⁻².
-  double worst_case_rate_dip(double ring_linewidth_hz) const;
-
  private:
   double length_m_;
   double index_;

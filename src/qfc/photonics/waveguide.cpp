@@ -47,19 +47,6 @@ double Waveguide::group_index(double frequency_hz, Polarization pol) const {
   return effective_index(frequency_hz, pol) + frequency_hz * dn_df;
 }
 
-double Waveguide::gvd_s2_per_m(double frequency_hz, Polarization pol) const {
-  // β₂ = dβ₁/dω with β₁ = n_g/c; ω = 2πν.
-  const double h = frequency_hz * 1e-4;
-  const double b1_plus = group_index(frequency_hz + h, pol) / speed_of_light_m_per_s;
-  const double b1_minus = group_index(frequency_hz - h, pol) / speed_of_light_m_per_s;
-  return (b1_plus - b1_minus) / (2 * h * 2 * pi);
-}
-
-double Waveguide::birefringence(double frequency_hz) const {
-  return effective_index(frequency_hz, Polarization::TE) -
-         effective_index(frequency_hz, Polarization::TM);
-}
-
 double Waveguide::dn_dT_per_K() const { return material_->thermo_optic_per_K(); }
 
 }  // namespace qfc::photonics

@@ -53,12 +53,6 @@ class Waveguide {
   /// Group index n_g = n_eff + ν dn_eff/dν.
   double group_index(double frequency_hz, Polarization pol) const;
 
-  /// GVD β₂ of the guided mode, s²/m.
-  double gvd_s2_per_m(double frequency_hz, Polarization pol) const;
-
-  /// n_eff(TE) − n_eff(TM) at the given frequency.
-  double birefringence(double frequency_hz) const;
-
   /// Thermo-optic resonance drift input: dn_eff/dT ≈ dn_core/dT.
   double dn_dT_per_K() const;
 

@@ -15,14 +15,6 @@ StateVector bell_phi(double phase_rad) {
   return StateVector(std::move(v));
 }
 
-StateVector bell_psi(double phase_rad) {
-  const double s = 1.0 / std::sqrt(2.0);
-  CVec v(4, cplx(0, 0));
-  v[1] = cplx(s, 0);
-  v[2] = s * std::exp(cplx(0, phase_rad));
-  return StateVector(std::move(v));
-}
-
 DensityMatrix werner_phi(double visibility, double phase_rad) {
   return isotropic_noise(bell_phi(phase_rad), visibility);
 }

@@ -14,9 +14,6 @@ namespace qfc::quantum {
 /// pump inter-pulse phase φ (paper Sec. IV).
 StateVector bell_phi(double phase_rad = 0.0);
 
-/// (|01> + e^{iφ} |10>)/√2.
-StateVector bell_psi(double phase_rad = 0.0);
-
 /// Werner-type state: V |Φ(φ)><Φ(φ)| + (1−V) I/4. A two-photon fringe
 /// visibility V maps exactly to this mixing weight for time-bin analysis.
 DensityMatrix werner_phi(double visibility, double phase_rad = 0.0);

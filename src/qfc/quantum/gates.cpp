@@ -10,27 +10,11 @@ namespace qfc::quantum {
 
 using linalg::cplx;
 
-const CMat& cnot_gate() {
-  static const CMat m{{cplx(1, 0), cplx(0, 0), cplx(0, 0), cplx(0, 0)},
-                      {cplx(0, 0), cplx(1, 0), cplx(0, 0), cplx(0, 0)},
-                      {cplx(0, 0), cplx(0, 0), cplx(0, 0), cplx(1, 0)},
-                      {cplx(0, 0), cplx(0, 0), cplx(1, 0), cplx(0, 0)}};
-  return m;
-}
-
 const CMat& cz_gate() {
   static const CMat m{{cplx(1, 0), cplx(0, 0), cplx(0, 0), cplx(0, 0)},
                       {cplx(0, 0), cplx(1, 0), cplx(0, 0), cplx(0, 0)},
                       {cplx(0, 0), cplx(0, 0), cplx(1, 0), cplx(0, 0)},
                       {cplx(0, 0), cplx(0, 0), cplx(0, 0), cplx(-1, 0)}};
-  return m;
-}
-
-const CMat& swap_gate() {
-  static const CMat m{{cplx(1, 0), cplx(0, 0), cplx(0, 0), cplx(0, 0)},
-                      {cplx(0, 0), cplx(0, 0), cplx(1, 0), cplx(0, 0)},
-                      {cplx(0, 0), cplx(1, 0), cplx(0, 0), cplx(0, 0)},
-                      {cplx(0, 0), cplx(0, 0), cplx(0, 0), cplx(1, 0)}};
   return m;
 }
 

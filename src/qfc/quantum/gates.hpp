@@ -14,9 +14,7 @@
 namespace qfc::quantum {
 
 /// Two-qubit gates in the computational basis |q_a q_b>.
-const CMat& cnot_gate();
 const CMat& cz_gate();
-const CMat& swap_gate();
 
 /// Apply a 4x4 two-qubit gate to qubits (a, b) of an n-qubit state
 /// (a = control/first tensor slot). a != b required.

@@ -46,21 +46,6 @@ CMat pauli_string(const std::string& labels) {
   return m;
 }
 
-CMat rotation_x(double theta) {
-  const double c = std::cos(theta / 2), s = std::sin(theta / 2);
-  return CMat{{cplx(c, 0), cplx(0, -s)}, {cplx(0, -s), cplx(c, 0)}};
-}
-
-CMat rotation_y(double theta) {
-  const double c = std::cos(theta / 2), s = std::sin(theta / 2);
-  return CMat{{cplx(c, 0), cplx(-s, 0)}, {cplx(s, 0), cplx(c, 0)}};
-}
-
-CMat rotation_z(double theta) {
-  return CMat{{std::exp(cplx(0, -theta / 2)), cplx(0, 0)},
-              {cplx(0, 0), std::exp(cplx(0, theta / 2))}};
-}
-
 CMat projector(const CVec& v) { return linalg::outer(v, v); }
 
 CMat xy_observable(double phi) {

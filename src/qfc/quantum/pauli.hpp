@@ -25,11 +25,6 @@ const CMat& pauli(char label);
 /// Tensor product of Paulis, e.g. "XZ" -> X ⊗ Z (left-most acts on qubit 0).
 CMat pauli_string(const std::string& labels);
 
-/// Single-qubit rotation exp(-i θ/2 σ) around the given axis.
-CMat rotation_x(double theta);
-CMat rotation_y(double theta);
-CMat rotation_z(double theta);
-
 /// Projector |v><v| from a single-qubit state vector.
 CMat projector(const CVec& v);
 

@@ -131,12 +131,6 @@ double StateVector::overlap_probability(const StateVector& other) const {
   return std::norm(overlap(other));
 }
 
-StateVector StateVector::apply(const CMat& u) const {
-  if (u.rows() != dim() || u.cols() != dim())
-    throw std::invalid_argument("StateVector::apply: operator dim mismatch");
-  return StateVector(u * amps_, dims_);
-}
-
 StateVector StateVector::apply_local(const CMat& u, std::size_t particle) const {
   if (particle >= dims_.size())
     throw std::out_of_range("StateVector::apply_local: particle out of range");
@@ -160,9 +154,6 @@ StateVector StateVector::apply_local(const CMat& u, std::size_t particle) const 
 double StateVector::probability(std::size_t basis_index) const {
   return std::norm(amps_.at(basis_index));
 }
-
-DensityMatrix::DensityMatrix(std::size_t num_qubits)
-    : DensityMatrix(qubits(num_qubits, "DensityMatrix")) {}
 
 DensityMatrix::DensityMatrix(Dims dims)
     : dims_(std::move(dims)), rho_(CMat::identity(density_dim(dims_))) {
@@ -253,12 +244,6 @@ DensityMatrix DensityMatrix::mix(const DensityMatrix& other, double p) const {
   if (p < 0 || p > 1) throw std::invalid_argument("DensityMatrix::mix: p outside [0,1]");
   if (dim() != other.dim()) throw std::invalid_argument("DensityMatrix::mix: dim mismatch");
   return DensityMatrix(dims_, rho_ * cplx(1 - p, 0) + other.rho_ * cplx(p, 0));
-}
-
-DensityMatrix DensityMatrix::evolve(const CMat& u) const {
-  if (u.rows() != dim() || u.cols() != dim())
-    throw std::invalid_argument("DensityMatrix::evolve: dim mismatch");
-  return DensityMatrix(dims_, u * rho_ * u.adjoint());
 }
 
 }  // namespace qfc::quantum

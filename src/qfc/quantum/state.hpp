@@ -64,9 +64,6 @@ class StateVector {
   /// |<this|other>|².
   double overlap_probability(const StateVector& other) const;
 
-  /// Apply a unitary on the full register (dim x dim).
-  StateVector apply(const CMat& u) const;
-
   /// Apply a d_p x d_p unitary on particle p.
   StateVector apply_local(const CMat& u, std::size_t particle) const;
 
@@ -81,9 +78,6 @@ class StateVector {
 /// Density matrix of a register: Hermitian, unit trace, PSD (validated).
 class DensityMatrix {
  public:
-  /// Maximally mixed state I/2^n of n qubits.
-  explicit DensityMatrix(std::size_t num_qubits);
-
   /// Maximally mixed state I/dim with the given per-particle dimensions.
   explicit DensityMatrix(Dims dims);
 
@@ -122,12 +116,9 @@ class DensityMatrix {
   /// Convex mixture (1−p) ρ + p σ.
   DensityMatrix mix(const DensityMatrix& other, double p) const;
 
-  /// U ρ U†.
-  DensityMatrix evolve(const CMat& u) const;
-
  private:
   /// Unchecked path for internal operations whose results are valid by
-  /// construction (tensor, partial trace, mix, evolve).
+  /// construction (tensor, partial trace, mix).
   DensityMatrix(Dims dims, CMat rho) : dims_(std::move(dims)), rho_(std::move(rho)) {}
 
   Dims dims_;

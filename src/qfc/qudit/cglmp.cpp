@@ -121,10 +121,6 @@ double cglmp_value(const quantum::DensityMatrix& rho, const CglmpSettings& s) {
   return cglmp_from_probabilities(all_joint_probabilities(rho, s), d);
 }
 
-double cglmp_max_entangled_value(std::size_t d) {
-  return cglmp_value(quantum::DensityMatrix(quantum::maximally_entangled(d)));
-}
-
 CglmpMeasurement measure_cglmp(const quantum::DensityMatrix& rho, double pairs_per_setting,
                                double accidentals_per_outcome, rng::Xoshiro256& g,
                                const CglmpSettings& s) {

@@ -38,9 +38,6 @@ linalg::RVec cglmp_joint_probabilities(const quantum::DensityMatrix& rho, std::s
 /// dimensions required).
 double cglmp_value(const quantum::DensityMatrix& rho, const CglmpSettings& s = {});
 
-/// I_d of the maximally entangled qudit pair at the standard settings.
-double cglmp_max_entangled_value(std::size_t d);
-
 /// Count-based CGLMP estimate with Poisson statistics.
 struct CglmpMeasurement {
   double i_value = 0;

@@ -59,18 +59,6 @@ CVec FreqBinAnalyzer::fourier_vector(std::size_t outcome, double phase,
   return v;
 }
 
-CVec FreqBinAnalyzer::realized_vector(const CVec& target) const {
-  if (target.size() != d_)
-    throw std::invalid_argument("realized_vector: target size != dimension");
-  CVec v(d_);
-  for (std::size_t k = 0; k < d_; ++k) {
-    const int n = std::abs(static_cast<int>(k) - cfg_.detection_bin);
-    v[k] = target[k] * bessel_jn(n, cfg_.modulation_index);
-  }
-  linalg::vnormalize(v);
-  return v;
-}
-
 double FreqBinAnalyzer::projection_efficiency(const CVec& target) const {
   if (target.size() != d_)
     throw std::invalid_argument("projection_efficiency: target size != dimension");
@@ -83,11 +71,6 @@ double FreqBinAnalyzer::projection_efficiency(const CVec& target) const {
          std::pow(bessel_jn(n, cfg_.modulation_index), 2);
   }
   return s;
-}
-
-CMat FreqBinAnalyzer::realized_projector(const CVec& target) const {
-  const CVec v = realized_vector(target);
-  return linalg::outer(v, v);
 }
 
 CMat FreqBinAnalyzer::ideal_projector(const CVec& target) {

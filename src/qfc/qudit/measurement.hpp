@@ -45,18 +45,10 @@ class FreqBinAnalyzer {
   /// CGLMP measurement layout.
   CVec fourier_vector(std::size_t outcome, double phase, bool conjugate = false) const;
 
-  /// Effective (normalized) projection vector the hardware realizes for a
-  /// target analysis vector: each component is weighted by the EOM sideband
-  /// envelope J_{|k − k_det|}(m) before renormalization.
-  CVec realized_vector(const CVec& target) const;
-
   /// Success probability scale of the hardware projection relative to the
   /// ideal one: ‖J-weighted target‖² (1 for a single-bin projection with
   /// k = k_det, < 1 for superpositions).
   double projection_efficiency(const CVec& target) const;
-
-  /// |v⟩⟨v| of the realized vector.
-  CMat realized_projector(const CVec& target) const;
 
   /// |v⟩⟨v| of the ideal (unweighted) vector.
   static CMat ideal_projector(const CVec& target);

@@ -110,23 +110,6 @@ bool sample_bernoulli(Xoshiro256& g, double p) {
   return g.uniform() < p;
 }
 
-std::uint64_t sample_binomial(Xoshiro256& g, std::uint64_t n, double p) {
-  if (p < 0 || p > 1) throw std::invalid_argument("sample_binomial: p outside [0,1]");
-  if (p == 0 || n == 0) return 0;
-  if (p == 1) return n;
-  const double np = static_cast<double>(n) * p;
-  if (np * (1 - p) > 1000.0) {
-    const double sigma = std::sqrt(np * (1 - p));
-    const double x = std::round(sample_normal(g, np, sigma));
-    if (x < 0) return 0;
-    if (x > static_cast<double>(n)) return n;
-    return static_cast<std::uint64_t>(x);
-  }
-  std::uint64_t k = 0;
-  for (std::uint64_t i = 0; i < n; ++i) k += sample_bernoulli(g, p) ? 1 : 0;
-  return k;
-}
-
 std::size_t sample_discrete(Xoshiro256& g, const std::vector<double>& weights) {
   double total = 0;
   for (double w : weights) {

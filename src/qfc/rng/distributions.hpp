@@ -38,10 +38,6 @@ std::uint64_t sample_zero_truncated_poisson(Xoshiro256& g, double mu);
 /// Bernoulli with success probability p in [0, 1].
 bool sample_bernoulli(Xoshiro256& g, double p);
 
-/// Binomial(n, p) by direct Bernoulli summation for small n, normal
-/// approximation with continuity correction beyond n*p*(1-p) > 1000.
-std::uint64_t sample_binomial(Xoshiro256& g, std::uint64_t n, double p);
-
 /// Sample an index from unnormalized non-negative weights.
 std::size_t sample_discrete(Xoshiro256& g, const std::vector<double>& weights);
 

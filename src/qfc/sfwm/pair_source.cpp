@@ -134,11 +134,4 @@ double PulsedPairSource::mean_pairs_per_pulse(int k) const {
   return rate_kernel(ring_, p_cav, lw, eff_) * pm * interaction_time;
 }
 
-std::vector<double> PulsedPairSource::mean_pairs_all() const {
-  std::vector<double> out;
-  out.reserve(static_cast<std::size_t>(grid_.num_pairs()));
-  for (int k = 1; k <= grid_.num_pairs(); ++k) out.push_back(mean_pairs_per_pulse(k));
-  return out;
-}
-
 }  // namespace qfc::sfwm

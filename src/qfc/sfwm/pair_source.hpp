@@ -102,8 +102,6 @@ class PulsedPairSource {
   /// Mean pairs generated per single pulse into channel pair k.
   double mean_pairs_per_pulse(int k) const;
 
-  std::vector<double> mean_pairs_all() const;
-
  private:
   MicroringResonator ring_;
   photonics::DoublePulsePump pump_;

@@ -30,10 +30,6 @@ double Type2PairSource::photon_linewidth_hz() const {
   return ring_.linewidth_hz(pump_.frequency_te_hz, photonics::Polarization::TE);
 }
 
-double Type2PairSource::coherence_time_s() const {
-  return 1.0 / (pi * photon_linewidth_hz());
-}
-
 double Type2PairSource::pair_rate_hz(int k) const {
   if (k < 1 || k > num_pairs_)
     throw std::out_of_range("Type2PairSource::pair_rate_hz: bad channel index");
@@ -47,20 +43,9 @@ double Type2PairSource::pair_rate_hz(int k) const {
   return eff_.brightness_calibration * g * g * (pi / 2.0) * lw * esc * esc * pm;
 }
 
-std::vector<double> Type2PairSource::pair_rates() const {
-  std::vector<double> out;
-  out.reserve(static_cast<std::size_t>(num_pairs_));
-  for (int k = 1; k <= num_pairs_; ++k) out.push_back(pair_rate_hz(k));
-  return out;
-}
-
 double Type2PairSource::stimulated_suppression_db() const {
   return stimulated_fwm_suppression_db(ring_, pump_.frequency_te_hz,
                                        pump_.frequency_tm_hz);
-}
-
-double Type2PairSource::mean_pairs_per_coherence_time(int k) const {
-  return pair_rate_hz(k) * coherence_time_s();
 }
 
 OpoModel::OpoModel(const MicroringResonator& ring, SfwmEfficiency eff,

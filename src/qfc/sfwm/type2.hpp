@@ -31,16 +31,10 @@ class Type2PairSource {
   /// +k, idler TM at −k).
   double pair_rate_hz(int k) const;
 
-  std::vector<double> pair_rates() const;
-
   /// Suppression of stimulated FWM enforced by the TE/TM grid offset, dB.
   double stimulated_suppression_db() const;
 
   double photon_linewidth_hz() const;
-  double coherence_time_s() const;
-
-  /// Mean pairs per coherence time (multi-pair parameter for CAR).
-  double mean_pairs_per_coherence_time(int k) const;
 
  private:
   MicroringResonator ring_;

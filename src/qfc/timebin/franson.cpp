@@ -53,6 +53,5 @@ FringeScan simulate_fringe(const quantum::DensityMatrix& rho, double pairs_per_p
   return scan;
 }
 
-ThreePeakStructure three_peak_weights() { return ThreePeakStructure{}; }
 
 }  // namespace qfc::timebin

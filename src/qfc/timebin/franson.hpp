@@ -17,15 +17,6 @@
 
 namespace qfc::timebin {
 
-/// Relative weights of the three arrival-time-difference peaks of the
-/// unpostselected coincidence histogram (|Δt| = ΔT, 0, +ΔT): 1 : 2 : 1 for
-/// an ideal time-bin pair — the middle peak carries the interference.
-struct ThreePeakStructure {
-  double early = 0.25;
-  double middle = 0.5;
-  double late = 0.25;
-};
-
 /// Post-selected coincidence probability (per generated pair) for analyzer
 /// phases α, β acting on the two-qubit time-bin state ρ. Includes the
 /// 1/16 double post-selection factor of lossless Michelsons... scaled by
@@ -50,9 +41,5 @@ FringeScan simulate_fringe(const quantum::DensityMatrix& rho, double pairs_per_p
                            double accidental_floor_per_point, int num_points,
                            double analyzer_delay_s, double fixed_phase_rad,
                            rng::Xoshiro256& g);
-
-/// Ideal three-peak histogram weights for a pair passing matched analyzers
-/// (no post-selection).
-ThreePeakStructure three_peak_weights();
 
 }  // namespace qfc::timebin

@@ -30,19 +30,8 @@ CMat UnbalancedMichelson::analyzer_projector() const {
   return quantum::projector(quantum::xy_eigenstate(phase_, +1));
 }
 
-CMat UnbalancedMichelson::analyzer_projector_orthogonal() const {
-  return quantum::projector(quantum::xy_eigenstate(phase_, -1));
-}
-
 double UnbalancedMichelson::postselection_probability() const {
   return std::norm(short_path_amplitude()) + std::norm(long_path_amplitude());
-}
-
-double imbalance_mismatch_ratio(const UnbalancedMichelson& a, const UnbalancedMichelson& b,
-                                double photon_coherence_time_s) {
-  if (photon_coherence_time_s <= 0)
-    throw std::invalid_argument("imbalance_mismatch_ratio: coherence time <= 0");
-  return std::abs(a.delay_s() - b.delay_s()) / photon_coherence_time_s;
 }
 
 double mismatch_visibility_penalty(double delay_mismatch_s,

@@ -35,11 +35,6 @@ class UnbalancedMichelson {
   /// `postselection_probability()`.
   linalg::CMat analyzer_projector() const;
 
-  /// Projector onto the orthogonal analyzer state (|0> − e^{iφ}|1>)/√2 —
-  /// in the folded Michelson geometry this outcome appears on the same
-  /// detector shifted by the interferometer phase offset π.
-  linalg::CMat analyzer_projector_orthogonal() const;
-
   /// Probability that a time-bin photon ends up in the interfering middle
   /// slot: |a_short|² + |a_long|² = 1/4 + 1/4 (for lossless arms).
   double postselection_probability() const;
@@ -49,12 +44,6 @@ class UnbalancedMichelson {
   double phase_;
   double arm_amp_;
 };
-
-/// Verify two interferometers are matched well enough for time-bin
-/// interference: |ΔT₁ − ΔT₂| must be far smaller than the photon coherence
-/// time (returns the mismatch / coherence-time ratio).
-double imbalance_mismatch_ratio(const UnbalancedMichelson& a, const UnbalancedMichelson& b,
-                                double photon_coherence_time_s);
 
 /// Fringe-visibility penalty from a path-imbalance mismatch δ between the
 /// pump interferometer and an analyzer: the interfering wavepackets

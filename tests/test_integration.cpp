@@ -204,7 +204,10 @@ TEST(Integration, StabilityTraceRespectsLoopModeBound) {
   const auto cmp = exp.run();
   const double lw = comb.device().linewidth_hz(photonics::itu_anchor_hz,
                                                photonics::Polarization::TE);
-  const double bound = cfg.loop.worst_case_rate_dip(lw);
+  // Worst-case dip: the rate follows the squared Lorentzian enhancement at
+  // the largest loop detuning, rate_min/rate_max = [1 + (loop_fsr/δν)²]⁻².
+  const double x = cfg.loop.loop_fsr_hz() / lw;
+  const double bound = 1.0 / ((1.0 + x * x) * (1.0 + x * x));
   for (double r : cmp.self_locked.relative_rate) EXPECT_GE(r, bound - 1e-9);
 }
 

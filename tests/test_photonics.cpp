@@ -2,6 +2,7 @@
 // microring, comb grid, pumps, device presets.
 
 #include <cmath>
+#include <complex>
 
 #include <gtest/gtest.h>
 
@@ -38,16 +39,9 @@ TEST(Material, HydexIndexNearPublishedValue) {
   EXPECT_NEAR(hydex().index(k1550nm), 1.70, 0.02);
 }
 
-TEST(Material, SilicaIndexNearMalitson) {
-  EXPECT_NEAR(fused_silica().index(k1550nm), 1.444, 0.005);
-}
-
 TEST(Material, NormalDispersionInTelecomWindow) {
-  // n decreasing with wavelength; group index above phase index.
-  for (const auto* m : {&hydex(), &fused_silica()}) {
-    EXPECT_GT(m->index(1500e-9), m->index(1600e-9));
-    EXPECT_GT(m->group_index(k1550nm), m->index(k1550nm));
-  }
+  // n decreasing with wavelength.
+  EXPECT_GT(hydex().index(1500e-9), hydex().index(1600e-9));
 }
 
 TEST(Material, InvalidWavelengthThrows) {
@@ -66,11 +60,14 @@ TEST(Waveguide, EffectiveIndexBelowBulk) {
 TEST(Waveguide, BirefringenceSignFollowsGeometry) {
   const double f = frequency_from_wavelength(k1550nm);
   // Wider than tall: TE (confined by width) pays a smaller penalty -> n_TE > n_TM.
+  const auto birefringence = [f](const Waveguide& wg) {
+    return wg.effective_index(f, Polarization::TE) - wg.effective_index(f, Polarization::TM);
+  };
   const Waveguide wide({1.6e-6, 1.3e-6}, hydex());
-  EXPECT_GT(wide.birefringence(f), 0.0);
+  EXPECT_GT(birefringence(wide), 0.0);
   // Square: zero birefringence.
   const Waveguide square({1.5e-6, 1.5e-6}, hydex());
-  EXPECT_NEAR(square.birefringence(f), 0.0, 1e-12);
+  EXPECT_NEAR(birefringence(square), 0.0, 1e-12);
 }
 
 TEST(Waveguide, GroupIndexExceedsEffectiveIndex) {
@@ -89,8 +86,24 @@ class MicroringFixture : public ::testing::Test {
  protected:
   MicroringFixture()
       : wg_({1.5e-6, 1.5e-6}, hydex()),
-        ring_(wg_, 135e-6, 0.9995, 0.9995, 6.0) {}
+        ring_(wg_, 135e-6, kT, kT, 6.0) {}
 
+  /// The add-drop transfer functions of the fixture ring (t1 = t2 = kT):
+  /// κ²/|1 − t² a e^{iφ}|² times 1 (intracavity build-up) or κ² a (drop
+  /// power), with the round-trip phase φ = 2πν n_eff L / c. The analytic
+  /// linewidth and peak build-up are checked against them.
+  double resonance_factor(double nu) const {
+    const double a = ring_.round_trip_amplitude();
+    const double phi = 2.0 * pi * nu * wg_.effective_index(nu, Polarization::TE) *
+                       ring_.circumference_m() / speed_of_light_m_per_s;
+    return (1.0 - kT * kT) / std::norm(1.0 - kT * kT * a * std::polar(1.0, phi));
+  }
+  double field_enhancement(double nu) const { return resonance_factor(nu); }
+  double drop_power(double nu) const {
+    return (1.0 - kT * kT) * ring_.round_trip_amplitude() * resonance_factor(nu);
+  }
+
+  static constexpr double kT = 0.9995;
   Waveguide wg_;
   MicroringResonator ring_;
   const double f0_ = frequency_from_wavelength(k1550nm);
@@ -116,64 +129,27 @@ TEST_F(MicroringFixture, NearestResonanceIsWithinHalfFsr) {
   EXPECT_LE(std::abs(nu - f0_), fsr / 2 * 1.01);
 }
 
-TEST_F(MicroringFixture, ResonancesInRangeAreSortedAndSpacedByFsr) {
-  const auto res = ring_.resonances_in(f0_ - 1e12, f0_ + 1e12, Polarization::TE);
-  ASSERT_GT(res.size(), 5u);
-  const double fsr = ring_.fsr_hz(f0_, Polarization::TE);
-  for (std::size_t i = 1; i < res.size(); ++i) {
-    EXPECT_GT(res[i], res[i - 1]);
-    EXPECT_NEAR(res[i] - res[i - 1], fsr, 0.02 * fsr);
-  }
-}
-
 TEST_F(MicroringFixture, LinewidthMatchesFinesseDefinition) {
   const double fsr = ring_.fsr_hz(f0_, Polarization::TE);
   EXPECT_NEAR(ring_.linewidth_hz(f0_, Polarization::TE), fsr / ring_.finesse(),
               1e-3 * fsr / ring_.finesse());
 }
 
-TEST_F(MicroringFixture, DropPowerPeaksOnResonanceAndDipsOff) {
-  const double nu_res = ring_.nearest_resonance_hz(f0_, Polarization::TE);
-  const double lw = ring_.linewidth_hz(nu_res, Polarization::TE);
-  const double on = ring_.drop_power(nu_res, Polarization::TE);
-  const double off = ring_.drop_power(nu_res + 20 * lw, Polarization::TE);
-  EXPECT_GT(on, 100 * off);
-  // Through port: dip on resonance.
-  EXPECT_LT(ring_.through_power(nu_res, Polarization::TE),
-            ring_.through_power(nu_res + 20 * lw, Polarization::TE));
-}
-
 TEST_F(MicroringFixture, HalfWidthPointIsHalfDropPower) {
   const double nu_res = ring_.nearest_resonance_hz(f0_, Polarization::TE);
   const double lw = ring_.linewidth_hz(nu_res, Polarization::TE);
-  const double on = ring_.drop_power(nu_res, Polarization::TE);
-  const double half = ring_.drop_power(nu_res + lw / 2, Polarization::TE);
+  const double on = drop_power(nu_res);
+  const double half = drop_power(nu_res + lw / 2);
   EXPECT_NEAR(half / on, 0.5, 0.05);
-}
-
-TEST_F(MicroringFixture, EnergyConservationAtPorts) {
-  // Lossless check not possible (ring has loss); but T_thru + T_drop <= 1.
-  for (double detune : {0.0, 0.5e9, 5e9}) {
-    const double nu = ring_.nearest_resonance_hz(f0_, Polarization::TE) + detune;
-    const double sum = ring_.through_power(nu, Polarization::TE) +
-                       ring_.drop_power(nu, Polarization::TE);
-    EXPECT_LE(sum, 1.0 + 1e-9);
-    EXPECT_GE(sum, 0.0);
-  }
 }
 
 TEST_F(MicroringFixture, FieldEnhancementPeaksOnResonance) {
   const double nu_res = ring_.nearest_resonance_hz(f0_, Polarization::TE);
   const double lw = ring_.linewidth_hz(nu_res, Polarization::TE);
-  const double on = ring_.field_enhancement(nu_res, Polarization::TE);
+  const double on = field_enhancement(nu_res);
   EXPECT_GT(on, 1.0);  // build-up
   EXPECT_NEAR(on, ring_.peak_field_enhancement(), 0.02 * on);
-  EXPECT_GT(on, ring_.field_enhancement(nu_res + 10 * lw, Polarization::TE) * 50);
-}
-
-TEST_F(MicroringFixture, LoadedQBelowIntrinsicQ) {
-  EXPECT_LT(ring_.loaded_q(f0_, Polarization::TE),
-            ring_.intrinsic_q(f0_, Polarization::TE));
+  EXPECT_GT(on, field_enhancement(nu_res + 10 * lw) * 50);
 }
 
 TEST_F(MicroringFixture, ThermalShiftIsNegativeGHzPerKelvin) {
@@ -223,7 +199,6 @@ TEST(CombGrid, ChannelsAndPairsSymmetric) {
   EXPECT_EQ(p3.signal.offset, 3);
   EXPECT_EQ(p3.idler.offset, -3);
   EXPECT_NEAR(p3.signal.frequency_hz + p3.idler.frequency_hz, 2 * 193.1e12, 1.0);
-  EXPECT_EQ(grid.channels().size(), 10u);
   EXPECT_EQ(grid.pairs().size(), 5u);
 }
 
@@ -245,7 +220,10 @@ TEST(CombGrid, WideGridStaysInTelecomBands) {
   // The paper's comb spans S, C and L with 200 GHz channels: ±14 channels
   // from 193.1 THz stays within [1460, 1625] nm.
   const CombGrid grid(193.1e12, 200e9, 14);
-  EXPECT_TRUE(grid.covers_telecom_bands_only());
+  for (const auto& pair : grid.pairs()) {
+    EXPECT_NE(pair.signal.band, TelecomBand::Outside) << pair.signal.offset;
+    EXPECT_NE(pair.idler.band, TelecomBand::Outside) << pair.idler.offset;
+  }
 }
 
 TEST(Pump, ValidationCatchesBadConfigs) {
@@ -309,26 +287,11 @@ TEST(SelfLockedLoop, ModeSpacingAndDetuningBounds) {
   }
 }
 
-TEST(SelfLockedLoop, WorstCaseDipExplainsFivePercentClaim) {
-  // 10 m loop + 110 MHz ring: even the worst loop-grid alignment keeps the
-  // pair rate within ~7% of peak — the physical origin of the paper's
-  // "< 5% fluctuation without active stabilization".
-  const SelfLockedLoop loop(10.0, 1.468);
-  const double dip = loop.worst_case_rate_dip(110e6);
-  EXPECT_GT(dip, 0.90);
-  EXPECT_LT(dip, 1.0);
-  // A longer loop (denser modes) tracks even better.
-  EXPECT_GT(SelfLockedLoop(100.0, 1.468).worst_case_rate_dip(110e6), dip);
-  // A very short loop (sparse modes) fails to track a narrow ring.
-  EXPECT_LT(SelfLockedLoop(0.5, 1.468).worst_case_rate_dip(110e6), 0.2);
-}
-
 TEST(SelfLockedLoop, RejectsBadParameters) {
   EXPECT_THROW(SelfLockedLoop(-1.0, 1.468), std::invalid_argument);
   EXPECT_THROW(SelfLockedLoop(10.0, 0.5), std::invalid_argument);
   const SelfLockedLoop loop;
   EXPECT_THROW(loop.lasing_detuning_hz(-1.0), std::invalid_argument);
-  EXPECT_THROW(loop.worst_case_rate_dip(0.0), std::invalid_argument);
 }
 
 }  // namespace

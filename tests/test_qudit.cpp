@@ -1,6 +1,5 @@
 // Tests for the frequency-bin qudit subsystem: mixed-radix states, the
-// Weyl/Gell-Mann operator toolbox, the comb-backed FreqBinSource, the
-// EOM + pulse-shaper measurement layer, the CGLMP Bell test (must reduce to
+// comb-backed FreqBinSource, the EOM + pulse-shaper measurement layer, the CGLMP Bell test (must reduce to
 // CHSH at d = 2), and MUB tomography for prime d.
 
 #include <cmath>
@@ -13,7 +12,6 @@
 #include "qfc/qudit/freq_bin_source.hpp"
 #include "qfc/qudit/measurement.hpp"
 #include "qfc/qudit/mub.hpp"
-#include "qfc/qudit/operators.hpp"
 #include "qfc/quantum/bell.hpp"
 #include "qfc/quantum/measures.hpp"
 #include "qfc/quantum/pauli.hpp"
@@ -29,6 +27,34 @@ using namespace qfc::qudit;
 using namespace qfc::quantum;
 
 constexpr double kPi = 3.14159265358979323846;
+
+/// d-point discrete Fourier transform F(j, k) = ω^{jk}/√d.
+CMat fourier(std::size_t d) {
+  CMat f(d, d);
+  for (std::size_t j = 0; j < d; ++j)
+    for (std::size_t k = 0; k < d; ++k)
+      f(j, k) = std::polar(1.0 / std::sqrt(static_cast<double>(d)),
+                           2.0 * kPi * static_cast<double>(j * k % d) / static_cast<double>(d));
+  return f;
+}
+
+/// Cyclic shift |j⟩ → |j+1 mod d⟩.
+CMat cyclic_shift(std::size_t d) {
+  CMat x(d, d);
+  for (std::size_t j = 0; j < d; ++j) x((j + 1) % d, j) = cplx(1, 0);
+  return x;
+}
+
+/// Single-qubit rotation exp(-i θ/2 σ_y).
+CMat rotation_y(double theta) {
+  const double c = std::cos(theta / 2), s = std::sin(theta / 2);
+  return CMat{{c, -s}, {s, c}};
+}
+
+/// CGLMP I_d of the maximally entangled pair at the standard settings.
+double max_entangled_cglmp(std::size_t d) {
+  return cglmp_value(DensityMatrix(maximally_entangled(d)));
+}
 
 TEST(StateVector, GroundStateAndValidation) {
   const StateVector psi(Dims{3, 4});
@@ -57,10 +83,10 @@ TEST(StateVector, ApplyLocalMatchesFullKron) {
                    std::cos(0.3 * static_cast<double>(i)));
   const StateVector psi(amps, Dims{3, 4});
 
-  const CMat f3 = fourier_matrix(3);
-  const CMat x4 = shift_operator(4);
+  const CMat f3 = fourier(3);
+  const CMat x4 = cyclic_shift(4);
   const StateVector via_local = psi.apply_local(f3, 0).apply_local(x4, 1);
-  const StateVector via_full = psi.apply(qfc::linalg::kron(f3, x4));
+  const StateVector via_full(qfc::linalg::kron(f3, x4) * psi.amplitudes(), psi.dims());
   for (std::size_t i = 0; i < psi.dim(); ++i)
     EXPECT_NEAR(std::abs(via_local.amplitude(i) - via_full.amplitude(i)), 0.0, 1e-12);
 
@@ -73,16 +99,17 @@ TEST(StateVector, ApplyLocalMatchesFullKron) {
   const CMat ry[3] = {rotation_y(0.3), rotation_y(1.2), rotation_y(-0.7)};
   const StateVector qubits_local =
       qubits.apply_local(ry[0], 0).apply_local(ry[1], 1).apply_local(ry[2], 2);
-  const StateVector qubits_full =
-      qubits.apply(qfc::linalg::kron(qfc::linalg::kron(ry[0], ry[1]), ry[2]));
+  const StateVector qubits_full(
+      qfc::linalg::kron(qfc::linalg::kron(ry[0], ry[1]), ry[2]) * qubits.amplitudes(),
+      qubits.dims());
   for (std::size_t i = 0; i < qubits.dim(); ++i)
     EXPECT_NEAR(std::abs(qubits_local.amplitude(i) - qubits_full.amplitude(i)), 0.0, 1e-12);
 }
 
 TEST(StateVector, ApplyLocalValidation) {
   const StateVector psi(Dims{3, 4});
-  EXPECT_THROW(psi.apply_local(fourier_matrix(3), 1), std::invalid_argument);
-  EXPECT_THROW(psi.apply_local(fourier_matrix(3), 2), std::out_of_range);
+  EXPECT_THROW(psi.apply_local(fourier(3), 1), std::invalid_argument);
+  EXPECT_THROW(psi.apply_local(fourier(3), 2), std::out_of_range);
 }
 
 TEST(DensityMatrix, PartialTraceOfEntangledPairIsMixed) {
@@ -152,71 +179,6 @@ TEST(Measures, SchmidtNumberCountsEntangledDimensions) {
   EXPECT_NEAR(schmidt_number(maximally_entangled(4)), 4.0, 1e-10);
   const StateVector product = StateVector(Dims{3}).tensor(StateVector(Dims{3}));
   EXPECT_NEAR(schmidt_number(product), 1.0, 1e-10);
-}
-
-TEST(Operators, WeylAlgebra) {
-  for (std::size_t d : {2u, 3u, 5u}) {
-    const CMat x = shift_operator(d);
-    const CMat z = clock_operator(d);
-    EXPECT_TRUE(qfc::linalg::is_unitary(x));
-    EXPECT_TRUE(qfc::linalg::is_unitary(z));
-    // ZX = ω XZ.
-    const cplx omega(std::cos(2 * kPi / static_cast<double>(d)),
-                     std::sin(2 * kPi / static_cast<double>(d)));
-    EXPECT_LT((z * x - x * z * omega).max_abs(), 1e-12) << "d=" << d;
-    // X^d = Z^d = I.
-    CMat xp = CMat::identity(d), zp = CMat::identity(d);
-    for (std::size_t i = 0; i < d; ++i) {
-      xp = xp * x;
-      zp = zp * z;
-    }
-    EXPECT_LT((xp - CMat::identity(d)).max_abs(), 1e-12);
-    EXPECT_LT((zp - CMat::identity(d)).max_abs(), 1e-12);
-  }
-}
-
-TEST(Operators, WeylOperatorsAreOrthogonalBasis) {
-  const std::size_t d = 3;
-  for (std::size_t a = 0; a < d; ++a)
-    for (std::size_t b = 0; b < d; ++b)
-      for (std::size_t a2 = 0; a2 < d; ++a2)
-        for (std::size_t b2 = 0; b2 < d; ++b2) {
-          const cplx tr =
-              (weyl_operator(d, a, b).adjoint() * weyl_operator(d, a2, b2)).trace();
-          const double expected = (a == a2 && b == b2) ? static_cast<double>(d) : 0.0;
-          EXPECT_NEAR(std::abs(tr), expected, 1e-12);
-        }
-}
-
-TEST(Operators, GellMannBasisProperties) {
-  for (std::size_t d : {2u, 3u, 4u}) {
-    const auto basis = gell_mann_basis(d);
-    ASSERT_EQ(basis.size(), d * d - 1);
-    for (std::size_t a = 0; a < basis.size(); ++a) {
-      EXPECT_TRUE(qfc::linalg::is_hermitian(basis[a]));
-      EXPECT_NEAR(std::abs(basis[a].trace()), 0.0, 1e-12);
-      for (std::size_t b = 0; b < basis.size(); ++b) {
-        const double expected = (a == b) ? 2.0 : 0.0;
-        EXPECT_NEAR(std::real((basis[a] * basis[b]).trace()), expected, 1e-12);
-      }
-    }
-  }
-}
-
-TEST(Operators, BlochVectorRoundTrip) {
-  // ρ = I/d + ½ Σ r_a λ_a reconstructs the state from its Bloch vector.
-  const StateVector psi(CVec{cplx(1, 0), cplx(0, 1), cplx(-0.5, 0.2)}, Dims{3});
-  const CMat rho = DensityMatrix(psi).matrix();
-  const auto r = bloch_vector(rho);
-  const auto basis = gell_mann_basis(3);
-  CMat rebuilt = qfc::linalg::to_complex(qfc::linalg::RMat::identity(3));
-  rebuilt *= cplx(1.0 / 3.0, 0);
-  for (std::size_t a = 0; a < basis.size(); ++a) {
-    CMat term = basis[a];
-    term *= cplx(r[a], 0);
-    rebuilt += term;
-  }
-  EXPECT_LT((rebuilt - rho).max_abs(), 1e-10);
 }
 
 TEST(FreqBinSource, AmplitudesFollowBrightness) {
@@ -296,13 +258,6 @@ TEST(Analyzer, ProjectionEfficiencyFollowsBesselEnvelope) {
   EXPECT_LT(eff, j0 * j0);
 }
 
-TEST(Analyzer, RealizedProjectorIsNormalized) {
-  const FreqBinAnalyzer an(4);
-  const CVec target = an.fourier_vector(1, 0.0);
-  const CMat p = an.realized_projector(target);
-  EXPECT_NEAR(std::real((p * p).trace()), 1.0, 1e-12);  // rank-1 projector
-}
-
 // Acceptance criterion: CGLMP at d = 2 matches the existing timebin CHSH
 // to 1e-9, across the whole Werner family (both are linear in ρ).
 TEST(Cglmp, ReducesToChshAtD2) {
@@ -314,15 +269,15 @@ TEST(Cglmp, ReducesToChshAtD2) {
     const double i2 = cglmp_value(as_qudit);
     EXPECT_NEAR(i2, s_chsh, 1e-9) << "V=" << v;
   }
-  EXPECT_NEAR(cglmp_max_entangled_value(2), 2.0 * std::sqrt(2.0), 1e-9);
+  EXPECT_NEAR(max_entangled_cglmp(2), 2.0 * std::sqrt(2.0), 1e-9);
 }
 
 // Acceptance criterion: d = 4 maximally entangled state violates the
 // classical CGLMP bound of 2.
 TEST(Cglmp, ViolationGrowsWithDimension) {
-  const double i2 = cglmp_max_entangled_value(2);
-  const double i3 = cglmp_max_entangled_value(3);
-  const double i4 = cglmp_max_entangled_value(4);
+  const double i2 = max_entangled_cglmp(2);
+  const double i3 = max_entangled_cglmp(3);
+  const double i4 = max_entangled_cglmp(4);
   // Reference values from CGLMP (PRL 88, 040404) Table/text.
   EXPECT_NEAR(i2, 2.8284271, 1e-6);
   EXPECT_NEAR(i3, 2.8729340, 1e-6);
@@ -388,7 +343,7 @@ TEST(Cglmp, CountBasedMeasurementAgreesWithExact) {
   const DensityMatrix rho(maximally_entangled(3));
   const auto m = measure_cglmp(rho, 200000, 5.0, g);
   EXPECT_TRUE(m.violates_classical());
-  EXPECT_NEAR(m.i_value, cglmp_max_entangled_value(3), 0.05);
+  EXPECT_NEAR(m.i_value, max_entangled_cglmp(3), 0.05);
   EXPECT_GT(m.sigmas_above_classical(), 5.0);
 }
 

@@ -190,28 +190,6 @@ TEST(Bernoulli, Extremes) {
   EXPECT_THROW(qfc::rng::sample_bernoulli(g, 1.5), std::invalid_argument);
 }
 
-TEST(Binomial, MatchesMoments) {
-  Xoshiro256 g(19);
-  const std::uint64_t n = 50;
-  const double p = 0.3;
-  const int trials = 50000;
-  double sum = 0;
-  for (int i = 0; i < trials; ++i)
-    sum += static_cast<double>(qfc::rng::sample_binomial(g, n, p));
-  EXPECT_NEAR(sum / trials, static_cast<double>(n) * p, 0.15);
-}
-
-TEST(Binomial, NormalApproximationBranch) {
-  Xoshiro256 g(20);
-  const std::uint64_t n = 2000000;
-  const double p = 0.5;
-  const double x = static_cast<double>(qfc::rng::sample_binomial(g, n, p));
-  // Within 8 sigma of the mean.
-  const double mean = static_cast<double>(n) * p;
-  const double sigma = std::sqrt(mean * (1 - p));
-  EXPECT_NEAR(x, mean, 8 * sigma);
-}
-
 TEST(Discrete, RespectsWeights) {
   Xoshiro256 g(21);
   const std::vector<double> w{1.0, 0.0, 3.0};

@@ -33,26 +33,17 @@ TEST(Interferometer, PathAmplitudesCarryPhase) {
   EXPECT_NEAR(mi.postselection_probability(), 0.5, 1e-12);
 }
 
-TEST(Interferometer, AnalyzerProjectorsAreOrthogonal) {
+TEST(Interferometer, AnalyzerProjectorIsRankOneProjector) {
   const UnbalancedMichelson mi(1e-9, 1.2);
   const auto p = mi.analyzer_projector();
-  const auto q = mi.analyzer_projector_orthogonal();
-  EXPECT_LT((p * q).max_abs(), 1e-12);
   // Projectors: P² = P, trace 1.
   EXPECT_LT((p * p - p).max_abs(), 1e-12);
   EXPECT_NEAR(std::real(p.trace()), 1.0, 1e-12);
-  // Completeness: P + Q = I.
-  EXPECT_LT((p + q - linalg::CMat::identity(2)).max_abs(), 1e-12);
 }
 
 TEST(Interferometer, BadParametersThrow) {
   EXPECT_THROW(UnbalancedMichelson(0.0, 0.0), std::invalid_argument);
   EXPECT_THROW(UnbalancedMichelson(1e-9, 0.0, 1.5), std::invalid_argument);
-}
-
-TEST(Interferometer, MismatchRatio) {
-  const UnbalancedMichelson a(1.00e-9, 0.0), b(1.01e-9, 0.0);
-  EXPECT_NEAR(timebin::imbalance_mismatch_ratio(a, b, 1e-9), 0.01, 1e-9);
 }
 
 TEST(Franson, IdealBellGivesFullFringe) {
@@ -104,12 +95,6 @@ TEST(Franson, SimulatedFringeFitsExpectedVisibility) {
     mn = std::min(mn, e);
   }
   EXPECT_NEAR((mx - mn) / (mx + mn), 0.83, 1e-6);
-}
-
-TEST(Franson, ThreePeakWeights) {
-  const auto w = timebin::three_peak_weights();
-  EXPECT_NEAR(w.early + w.middle + w.late, 1.0, 1e-12);
-  EXPECT_NEAR(w.middle / w.early, 2.0, 1e-12);
 }
 
 TEST(NoiseModel, PredictedVisibilityComponents) {

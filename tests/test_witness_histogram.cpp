@@ -71,7 +71,7 @@ TEST(ArrivalHistogram, WhiteNoisePopulatesOuterPeaks) {
 TEST(ArrivalHistogram, RejectsBadInput) {
   rng::Xoshiro256 g(75);
   EXPECT_THROW(
-      timebin::simulate_arrival_histogram(DensityMatrix(1), 0, 0, 10, g),
+      timebin::simulate_arrival_histogram(DensityMatrix(quantum::Dims{2}), 0, 0, 10, g),
       std::invalid_argument);
   EXPECT_THROW(
       timebin::simulate_arrival_histogram(DensityMatrix{bell_phi()}, 0, 0, 0, g),
