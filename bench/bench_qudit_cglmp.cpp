@@ -69,8 +69,8 @@ int main() {
 
     double mle_ms = -1, mle_gap = 0;
     if (qudit::is_prime(d)) {
-      t0 = std::chrono::steady_clock::now();
       const auto data = qudit::simulate_mub_counts(rho, 20000, g);
+      t0 = std::chrono::steady_clock::now();
       const auto mle = qudit::mub_maximum_likelihood(data, d, 2);
       mle_ms = ms_since(t0);
       mle_gap = mle.likelihood_gap;

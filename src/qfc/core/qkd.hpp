@@ -149,6 +149,9 @@ class MultiplexedQkdLink {
   MultiplexedQkdLink(const TimebinExperiment& experiment,
                      UserEndpointParams endpoint = {},
                      fiber::FiberParams fiber = {});
+  /// The link keeps a pointer to the experiment: a temporary would dangle.
+  MultiplexedQkdLink(const TimebinExperiment&& experiment, UserEndpointParams endpoint = {},
+                     fiber::FiberParams fiber = {}) = delete;
 
   const UserEndpointParams& endpoint() const noexcept { return endpoint_; }
   const fiber::FiberParams& fiber() const noexcept { return fiber_; }

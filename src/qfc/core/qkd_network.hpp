@@ -148,6 +148,9 @@ class QkdNetwork {
   /// share one coincidence window — the shared online accumulator sweeps
   /// every channel with a single window.
   QkdNetwork(const TimebinExperiment& experiment, QkdNetworkConfig config);
+  /// The network keeps a pointer to the experiment: a temporary would
+  /// dangle.
+  QkdNetwork(const TimebinExperiment&& experiment, QkdNetworkConfig config) = delete;
 
   const QkdNetworkConfig& config() const noexcept { return cfg_; }
   std::size_t num_users() const noexcept { return cfg_.users.size(); }

@@ -6,8 +6,10 @@
 namespace qfc::rng {
 
 double sample_normal(Xoshiro256& g) {
-  // Marsaglia polar method; discards the second variate for simplicity —
-  // generation is not a bottleneck next to the physics code.
+  // Marsaglia polar method; discards the second variate. Emission is the
+  // measured critical path of the streaming engine (perfbench
+  // network_stream), so this loop is hot: caching the second variate would
+  // change every generated stream and its pinned outputs.
   for (;;) {
     const double u = g.uniform(-1.0, 1.0);
     const double v = g.uniform(-1.0, 1.0);

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,17 @@
 namespace {
 
 using namespace qfc;
+
+// Both façades keep a pointer to the experiment, so binding a temporary
+// would dangle: only lvalues construct them.
+static_assert(!std::is_constructible_v<core::QkdNetwork, core::TimebinExperiment,
+                                       core::QkdNetworkConfig>);
+static_assert(std::is_constructible_v<core::QkdNetwork, const core::TimebinExperiment&,
+                                      core::QkdNetworkConfig>);
+static_assert(!std::is_constructible_v<core::MultiplexedQkdLink, core::TimebinExperiment>);
+static_assert(!std::is_constructible_v<core::MultiplexedQkdLink, core::TimebinExperiment,
+                                       core::UserEndpointParams>);
+static_assert(std::is_constructible_v<core::MultiplexedQkdLink, core::TimebinExperiment&>);
 
 class QkdNetworkFixture : public ::testing::Test {
  protected:
