@@ -25,9 +25,7 @@ root=$(cd "$(dirname "$0")/.." && pwd)
 build="$root/build-reachability"
 allowlist="$root/scripts/reachability_allowlist.txt"
 
-generator=()
-if command -v ninja > /dev/null; then generator=(-G Ninja); fi
-cmake -S "$root/perfbench" -B "$build" "${generator[@]}" \
+cmake -S "$root/perfbench" -B "$build" \
   -DCMAKE_BUILD_TYPE=Release \
   -DCMAKE_CXX_FLAGS_RELEASE=-O0 \
   -DCMAKE_CXX_FLAGS="-ffunction-sections -fdata-sections" \
