@@ -23,10 +23,6 @@
 #include <string>
 #include <vector>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/resource.h>
-#endif
-
 #include "bench_util.hpp"
 #include "qfc/detect/channel_rng.hpp"
 #include "qfc/detect/coincidence.hpp"
@@ -41,23 +37,7 @@ namespace {
 
 using namespace qfc;
 using Clock = std::chrono::steady_clock;
-
-/// Peak resident set size so far (getrusage ru_maxrss, kilobytes on Linux),
-/// or 0 where unavailable — groundwork for the streaming engine's fixed-RSS
-/// claim: the full-table rows recorded here are the baseline to beat.
-long peak_rss_kb() {
-#if defined(__unix__) || defined(__APPLE__)
-  struct rusage ru;
-  if (getrusage(RUSAGE_SELF, &ru) == 0) {
-#if defined(__APPLE__)
-    return ru.ru_maxrss / 1024;  // macOS reports bytes
-#else
-    return ru.ru_maxrss;
-#endif
-  }
-#endif
-  return 0;
-}
+using bench::peak_rss_kb;
 
 constexpr double kWindow = 8e-9;
 constexpr double kSpacing = 100e-9;

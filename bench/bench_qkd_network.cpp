@@ -19,10 +19,6 @@
 #include <string>
 #include <vector>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/resource.h>
-#endif
-
 #include "bench_util.hpp"
 #include "qfc/core/comb_source.hpp"
 #include "qfc/core/qkd_network.hpp"
@@ -32,20 +28,7 @@ namespace {
 
 using namespace qfc;
 using Clock = std::chrono::steady_clock;
-
-long peak_rss_kb() {
-#if defined(__unix__) || defined(__APPLE__)
-  struct rusage ru;
-  if (getrusage(RUSAGE_SELF, &ru) == 0) {
-#if defined(__APPLE__)
-    return ru.ru_maxrss / 1024;  // macOS reports bytes
-#else
-    return ru.ru_maxrss;
-#endif
-  }
-#endif
-  return 0;
-}
+using bench::peak_rss_kb;
 
 double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();

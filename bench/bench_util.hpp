@@ -13,9 +13,29 @@
 #include <string>
 #include <thread>
 
+#if defined(__unix__) || defined(__APPLE__)
+#include <sys/resource.h>
+#endif
+
 #include "qfc/io/json.hpp"
 
 namespace bench {
+
+/// Peak resident set size so far (getrusage ru_maxrss, kilobytes), or 0
+/// where unavailable. Monotonic over the process lifetime.
+inline long peak_rss_kb() {
+#if defined(__unix__) || defined(__APPLE__)
+  struct rusage ru;
+  if (getrusage(RUSAGE_SELF, &ru) == 0) {
+#if defined(__APPLE__)
+    return ru.ru_maxrss / 1024;  // macOS reports bytes
+#else
+    return ru.ru_maxrss;
+#endif
+  }
+#endif
+  return 0;
+}
 
 inline void header(const char* id, const char* claim) {
   std::printf("==============================================================\n");

@@ -101,17 +101,32 @@ detect::ChannelPairSpec link_channel_spec(const TimebinExperiment& experiment,
                                           const UserEndpointParams& endpoint,
                                           const LinkGeometry& geometry) {
   endpoint.validate();
-  detect::ChannelPairSpec spec =
-      experiment.cw_equivalent_spec(k, endpoint.dark_rate_hz);
-  const double t_arm = geometry.arm_transmission();
-  spec.transmission_signal = t_arm;
-  spec.transmission_idler = t_arm;
-  for (detect::DetectorParams* det : {&spec.detector_signal, &spec.detector_idler}) {
-    det->jitter_sigma_s = endpoint.detector_jitter_sigma_s;
-    det->dead_time_s = endpoint.detector_dead_time_s;
-    det->efficiency *= endpoint.detection_efficiency_scale;
-  }
+  const TimebinConfig& cfg = experiment.config();
+  detect::DetectorParams det;
+  det.efficiency = cfg.detection_efficiency_per_arm * endpoint.detection_efficiency_scale;
+  det.dark_rate_hz = endpoint.dark_rate_hz;
+  det.jitter_sigma_s = endpoint.detector_jitter_sigma_s;
+  det.dead_time_s = endpoint.detector_dead_time_s;
+
+  // The CW equivalent of the double-pulse source: both bins together, twice
+  // the per-pulse mean at the repetition rate, with the ring's linewidth.
+  detect::ChannelPairSpec spec;
+  spec.pair_rate_hz =
+      experiment.source().mean_pairs_per_pulse(k) * 2.0 * cfg.pump.train.repetition_rate_hz;
+  spec.linewidth_hz =
+      experiment.device().linewidth_hz(cfg.pump.frequency_hz, photonics::Polarization::TE);
+  spec.detector_signal = det;
+  spec.detector_idler = det;
+  spec.transmission_signal = geometry.arm_transmission();
+  spec.transmission_idler = spec.transmission_signal;
   return spec;
+}
+
+detect::StreamingCarPairsAccumulator qkd_car_accumulator(double coincidence_window_s) {
+  return detect::StreamingCarPairsAccumulator(
+      coincidence_window_s,
+      /*side_window_spacing_s=*/std::max(100e-9, 20.0 * coincidence_window_s),
+      /*num_side_windows=*/10);
 }
 
 MultiplexedQkdLink::MultiplexedQkdLink(const TimebinExperiment& experiment,
@@ -165,11 +180,8 @@ std::vector<MultiplexedQkdLink::StreamCheck> MultiplexedQkdLink::stream_check(
   // only changes peak memory.
   sc.window_s = options.window_s > 0 ? options.window_s : duration_s;
 
-  const double window = endpoint_.coincidence_window_s;
   detect::EventStreamer streamer(ec, sc, specs);
-  detect::StreamingCarPairsAccumulator car(
-      window, /*side_window_spacing_s=*/std::max(100e-9, 20.0 * window),
-      /*num_side_windows=*/10);
+  auto car = qkd_car_accumulator(endpoint_.coincidence_window_s);
   detect::StreamWindow w;
   while (streamer.next(w)) car.push(w);
   const std::vector<detect::CarResult> cars = car.finish();

@@ -25,6 +25,10 @@
 #include "qfc/detect/event_engine.hpp"
 #include "qfc/fiber/fiber_channel.hpp"
 
+namespace qfc::detect {
+class StreamingCarPairsAccumulator;
+}
+
 namespace qfc::core {
 
 /// Binary entropy h₂(p), bits.
@@ -46,8 +50,7 @@ struct UserEndpointParams {
   double dark_rate_hz = 1000.0;
   /// Basis-sifting factor (Z/X chosen with equal probability).
   double sifting_factor = 0.5;
-  /// Detector timing jitter (1σ) applied in Monte-Carlo checks; the
-  /// default matches TimebinExperiment::cw_equivalent_spec.
+  /// Detector timing jitter (1σ) applied in Monte-Carlo checks.
   double detector_jitter_sigma_s = 100e-12;
   /// Detector dead time applied in Monte-Carlo checks.
   double detector_dead_time_s = 0.0;
@@ -120,14 +123,21 @@ QkdChannelPerformance analytic_channel_performance(
     const TimebinExperiment& experiment, int k,
     const UserEndpointParams& endpoint, const LinkGeometry& geometry);
 
-/// Monte-Carlo channel spec for the same link: cw_equivalent_spec with the
-/// arm transmission folded into both arms and the endpoint's dark rate and
-/// detector overrides applied. Shared by the link's stream_check and
-/// QkdNetwork's shared-engine spec planning.
+/// Monte-Carlo channel spec for the same link: the CW equivalent of channel
+/// pair k (pair rate = both-bin emission rate, linewidth from the ring)
+/// with the arm transmission folded into both arms and the endpoint's
+/// detectors (the experiment's per-arm efficiency times the endpoint scale,
+/// its dark rate, jitter and dead time). Shared by the link's stream_check
+/// and QkdNetwork's shared-engine spec planning.
 detect::ChannelPairSpec link_channel_spec(const TimebinExperiment& experiment,
                                           int k,
                                           const UserEndpointParams& endpoint,
                                           const LinkGeometry& geometry);
+
+/// The online CAR of a QKD stream check: `coincidence_window_s` peak window,
+/// 10 side windows spaced max(100 ns, 20 windows) apart. One grid for the
+/// link's stream_check and QkdNetwork::run.
+detect::StreamingCarPairsAccumulator qkd_car_accumulator(double coincidence_window_s);
 
 /// Knobs of a Monte-Carlo stream check that are about the *run*, not the
 /// link: generation window (memory bound) and seed. The window is

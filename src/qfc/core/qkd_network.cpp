@@ -114,11 +114,8 @@ QkdNetworkReport QkdNetwork::run(double duration_s) const {
   detect::StreamConfig sc;
   sc.window_s = cfg_.stream_window_s;
 
-  const double window = cfg_.users.front().endpoint.coincidence_window_s;
   detect::EventStreamer streamer(ec, sc, engine_specs());
-  detect::StreamingCarPairsAccumulator car(
-      window, /*side_window_spacing_s=*/std::max(100e-9, 20.0 * window),
-      /*num_side_windows=*/10);
+  auto car = qkd_car_accumulator(cfg_.users.front().endpoint.coincidence_window_s);
 
   long long peak_rss = 0;
   detect::StreamWindow w;

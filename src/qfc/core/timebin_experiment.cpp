@@ -92,25 +92,6 @@ TimebinChannelResult TimebinExperiment::run_channel(int k) {
   return r;
 }
 
-detect::ChannelPairSpec TimebinExperiment::cw_equivalent_spec(int k,
-                                                              double dark_rate_hz) const {
-  detect::DetectorParams det;
-  det.efficiency = cfg_.detection_efficiency_per_arm;
-  det.dark_rate_hz = dark_rate_hz;
-  det.jitter_sigma_s = 100e-12;
-  det.dead_time_s = 0.0;
-
-  detect::ChannelPairSpec spec;
-  // Both bins together: twice the per-pulse mean, at the repetition rate.
-  spec.pair_rate_hz =
-      source_.mean_pairs_per_pulse(k) * 2.0 * cfg_.pump.train.repetition_rate_hz;
-  spec.linewidth_hz =
-      device_.linewidth_hz(cfg_.pump.frequency_hz, photonics::Polarization::TE);
-  spec.detector_signal = det;
-  spec.detector_idler = det;
-  return spec;
-}
-
 std::vector<TimebinChannelResult> TimebinExperiment::run_all_channels() {
   std::vector<TimebinChannelResult> out;
   out.reserve(static_cast<std::size_t>(cfg_.num_channel_pairs));

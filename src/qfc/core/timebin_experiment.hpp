@@ -75,6 +75,7 @@ class TimebinExperiment {
   TimebinExperiment(photonics::MicroringResonator device, TimebinConfig cfg,
                     sfwm::SfwmEfficiency eff = {});
 
+  const photonics::MicroringResonator& device() const noexcept { return device_; }
   const sfwm::PulsedPairSource& source() const noexcept { return source_; }
   const TimebinConfig& config() const noexcept { return cfg_; }
 
@@ -89,12 +90,6 @@ class TimebinExperiment {
 
   /// Detected post-selected coincidences per second on channel k.
   double detected_coincidence_rate_hz(int k) const;
-
-  /// CW-equivalent engine spec for channel pair k: pair rate = both-bin
-  /// emission rate, linewidth from the ring, per-arm detection efficiency
-  /// as the detector efficiency, unit channel transmission. Used by the QKD
-  /// layer's link_channel_spec.
-  detect::ChannelPairSpec cw_equivalent_spec(int k, double dark_rate_hz) const;
 
  private:
   photonics::MicroringResonator device_;

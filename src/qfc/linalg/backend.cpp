@@ -9,8 +9,8 @@ namespace detail {
 
 // Nominal flop count of an m x k by k x n complex product: each complex
 // multiply-add is 4 real multiplies + 4 real adds, 8mkn in all. Counted
-// where a concrete kernel runs, so blocked_gemm's fallback to the reference
-// kernel bills as reference.
+// where a concrete kernel runs, so blocked_gemm with SIMD off bills as
+// reference.
 std::uint64_t gemm_flops(std::size_t m, std::size_t k, std::size_t n) {
   return 8ull * m * k * n;
 }

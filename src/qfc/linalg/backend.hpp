@@ -3,7 +3,7 @@
 /// \file backend.hpp
 /// The kernel set behind the dense linear algebra every layer above bottoms
 /// out in: Schmidt purity in `sfwm`, the qudit CGLMP/MUB stack,
-/// `tomo::ml_reconstruct`, and `quantum::measures`. Mat<T>::operator*,
+/// `tomo::maximum_likelihood`, and `quantum::measures`. Mat<T>::operator*,
 /// kron(), hermitian_eig(), svd() and the spectral matrix functions call the
 /// Blocked kernels (`detail::blocked_*`) directly: SIMD micro-kernels,
 /// cache-blocked GEMM with a transposed-B micro-kernel, cyclic / round-robin
@@ -12,8 +12,8 @@
 /// parallelism run independent instances (see src/qfc/parallel/README.md).
 ///
 /// The Reference kernels (`detail::reference_*`) are the original
-/// hand-rolled single-threaded loops. The library runs them only as
-/// blocked_gemm's below-cutoff fallback; tests and benches call them
+/// hand-rolled single-threaded loops. The library runs only reference_gemm,
+/// as blocked_gemm with SIMD off; tests and benches call them
 /// directly as the accuracy and speed baseline. See src/qfc/linalg/README.md.
 
 #include <cstdint>
@@ -96,7 +96,7 @@ void validate_eig_input(const CMat& a, double hermiticity_tol, const char* who);
 double jacobi_stop_threshold(double scale, std::size_t n);
 
 // Reference kernels: the original naive loops, kept as the test and bench
-// baseline and as blocked_gemm's small-dimension fallback. Kernels assume
+// baseline and (reference_gemm) as blocked_gemm with SIMD off. Kernels assume
 // pre-validated shapes (the public entry points validate); eig kernels
 // symmetrize their input, so round-off-level non-Hermiticity is tolerated.
 void reference_gemm(const CMat& a, const CMat& b, CMat& c);

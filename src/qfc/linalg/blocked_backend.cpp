@@ -319,53 +319,17 @@ void scale_row(cplx* dst, const cplx* src, std::size_t n, cplx s) {
 
 // ------------------------------------------------------------ blocked GEMM
 //
-// Two paths, picked by SIMD mode:
-//  - SIMD active: split B into planar re/im arrays so the
-//    inner loop is four real FMA streams over contiguous memory — the form
-//    AVX FMA units actually like (a complex "interleaved" inner loop
-//    de-vectorizes). Per-row planar accumulators, interleave-store per row.
-//  - scalar: an axpy panel kernel (crow += aik * brow) with
-//    k/j cache blocking — complex dots de-vectorize under generic -O3, so
-//    the contiguous axpy form is the faster scalar baseline.
-
-// Below this flop count the dispatch/packing overhead dominates the scalar
-// path and the reference ikj loop (with its structural-sparsity skip) wins;
-// the quantum layer's many tiny gate products stay on that path. The planar
-// SIMD path has no such crossover — it wins at every benched size.
-constexpr std::size_t kGemmFlopCutoff = std::size_t{48} * 48 * 48;
+// With SIMD active, split B into planar re/im arrays so the inner loop is
+// four real FMA streams over contiguous memory — the form AVX FMA units
+// actually like (a complex "interleaved" inner loop de-vectorizes).
+// Per-row planar accumulators, interleave-store per row. With SIMD off
+// every product runs reference_gemm: cache-blocking its ikj loop measured
+// no faster at the MLE shapes.
 
 // With SIMD active, complex products at or below this m*k*n use the
 // vectorized axpy kernel (no packing, bitwise equal to reference); above
 // it the planar-FMA kernel's packing pays for itself.
 constexpr std::size_t kGemmAxpySimdCutoff = std::size_t{16} * 16 * 16;
-
-constexpr std::size_t kGemmColBlock = 512;    // C cols per cache block
-constexpr std::size_t kGemmDepthBlock = 64;   // k extent per cache block
-
-void blocked_gemm_scalar(const CMat& a, const CMat& b, CMat& c) {
-  const std::size_t m = a.rows(), kk = a.cols(), n = b.cols();
-  count_blocked_gemm(m, kk, n);
-  QFC_OBS_SPAN("linalg.gemm", {{"m", m}, {"n", n}});
-  const cplx* pa = a.data();
-  const cplx* pb = b.data();
-  cplx* pc = c.data();
-  for (std::size_t kb = 0; kb < kk; kb += kGemmDepthBlock) {
-    const std::size_t k1 = std::min(kb + kGemmDepthBlock, kk);
-    for (std::size_t jb = 0; jb < n; jb += kGemmColBlock) {
-      const std::size_t j1 = std::min(jb + kGemmColBlock, n);
-      for (std::size_t i = 0; i < m; ++i) {
-        const cplx* arow = pa + i * kk;
-        cplx* crow = pc + i * n;
-        for (std::size_t k = kb; k < k1; ++k) {
-          const cplx aik = arow[k];
-          if (aik == cplx{}) continue;
-          const cplx* brow = pb + k * n;
-          for (std::size_t j = jb; j < j1; ++j) crow[j] += aik * brow[j];
-        }
-      }
-    }
-  }
-}
 
 #if QFC_SIMD_X86
 // Small-matrix complex GEMM: the reference ikj axpy loop with the inner j
@@ -601,11 +565,7 @@ void blocked_gemm(const CMat& a, const CMat& b, CMat& c) {
     return;
   }
 #endif
-  if (a.rows() * a.cols() * b.cols() <= kGemmFlopCutoff) {
-    reference_gemm(a, b, c);
-    return;
-  }
-  blocked_gemm_scalar(a, b, c);
+  reference_gemm(a, b, c);
 }
 
 CMat blocked_scaled_congruence(const CMat& v, const RVec& d) {

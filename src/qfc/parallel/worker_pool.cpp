@@ -1,8 +1,6 @@
 #include "qfc/parallel/worker_pool.hpp"
 
-#include <algorithm>
 #include <array>
-#include <stdexcept>
 #include <string>
 
 #include "qfc/obs/obs.hpp"
@@ -132,19 +130,6 @@ void WorkerPool::run(std::size_t num_tasks, const std::function<void(std::size_t
   }
   if (instrumented) obs::gauge("parallel.queue_depth").set(0);
   if (error_) std::rethrow_exception(error_);
-}
-
-void parallel_for_chunks(WorkerPool& pool, std::size_t n, std::size_t chunk_size,
-                         const std::function<void(std::size_t, std::size_t,
-                                                  std::size_t)>& fn) {
-  if (chunk_size == 0)
-    throw std::invalid_argument("parallel_for_chunks: chunk_size == 0");
-  if (n == 0) return;
-  const std::size_t num_chunks = (n + chunk_size - 1) / chunk_size;
-  pool.run(num_chunks, [&](std::size_t chunk) {
-    const std::size_t begin = chunk * chunk_size;
-    fn(chunk, begin, std::min(begin + chunk_size, n));
-  });
 }
 
 }  // namespace qfc::parallel

@@ -73,14 +73,4 @@ class WorkerPool {
   bool stop_ = false;
 };
 
-/// Deterministic chunked parallel-for: splits [0, n) into contiguous chunks
-/// of at most `chunk_size` and runs fn(chunk_index, begin, end) for each on
-/// the pool. Chunk boundaries depend only on (n, chunk_size) — never on the
-/// pool size — so a caller whose chunks write disjoint data (or that merges
-/// per-chunk partial results in chunk order) is bitwise invariant across
-/// worker counts for free.
-void parallel_for_chunks(WorkerPool& pool, std::size_t n, std::size_t chunk_size,
-                         const std::function<void(std::size_t chunk, std::size_t begin,
-                                                  std::size_t end)>& fn);
-
 }  // namespace qfc::parallel

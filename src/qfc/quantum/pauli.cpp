@@ -63,4 +63,9 @@ CVec xy_eigenstate(double phi, int sign) {
   return CVec{cplx(s, 0), static_cast<double>(sign) * s * std::exp(cplx(0, phi))};
 }
 
+CMat xy_basis(double phi) {
+  const CVec plus = xy_eigenstate(phi, +1), minus = xy_eigenstate(phi, -1);
+  return CMat{{plus[0], minus[0]}, {plus[1], minus[1]}};
+}
+
 }  // namespace qfc::quantum

@@ -36,4 +36,8 @@ CMat xy_observable(double phi);
 /// Eigenvectors of xy_observable(φ): (|0> ± e^{iφ}|1>)/√2.
 CVec xy_eigenstate(double phi, int sign);
 
+/// The analyzer basis at phase φ: column 0 is xy_eigenstate(φ, +1), column
+/// 1 is xy_eigenstate(φ, −1).
+CMat xy_basis(double phi);
+
 }  // namespace qfc::quantum

@@ -6,6 +6,7 @@
 #include "qfc/quantum/bell.hpp"
 #include "qfc/quantum/measures.hpp"
 #include "qfc/qudit/measurement.hpp"
+#include "qfc/tomo/tomography.hpp"
 
 namespace qfc::qudit {
 
@@ -76,31 +77,26 @@ double cglmp_from_probabilities(const std::array<std::array<linalg::RVec, 2>, 2>
   return i_d;
 }
 
-}  // namespace
-
-namespace {
-
-struct SettingProjectors {
-  std::vector<CMat> alice, bob;
-};
-
-/// Alice projects onto (1/√d) Σ_j e^{+i 2π j (m + α_a)/d}|j⟩, Bob onto the
-/// conjugate family (1/√d) Σ_j e^{−i 2π j (n − β_b)/d}|j⟩ — the CGLMP
-/// measurement layout, realized by Fourier-basis analyzers.
-SettingProjectors setting_projectors(std::size_t d, std::size_t a, std::size_t b,
-                                     const CglmpSettings& s) {
+/// The analyzer bases of setting pair (a, b). Alice's column m is
+/// (1/√d) Σ_j e^{+i 2π j (m + α_a)/d}|j⟩, Bob's column n the conjugate family
+/// (1/√d) Σ_j e^{−i 2π j (n − β_b)/d}|j⟩ — the CGLMP measurement layout,
+/// realized by Fourier-basis analyzers — each normalized.
+std::vector<CMat> setting_bases(std::size_t d, std::size_t a, std::size_t b,
+                                const CglmpSettings& s) {
   if (a > 1 || b > 1) throw std::out_of_range("cglmp: setting index > 1");
   const FreqBinAnalyzer analyzer(d);
-  SettingProjectors out;
-  out.alice.reserve(d);
-  out.bob.reserve(d);
-  for (std::size_t m = 0; m < d; ++m)
-    out.alice.push_back(FreqBinAnalyzer::ideal_projector(
-        analyzer.fourier_vector(m, s.alpha[a], false)));
-  for (std::size_t n = 0; n < d; ++n)
-    out.bob.push_back(FreqBinAnalyzer::ideal_projector(
-        analyzer.fourier_vector(n, -s.beta[b], true)));
-  return out;
+  std::vector<CMat> bases(2, CMat(d, d));
+  for (std::size_t k = 0; k < d; ++k) {
+    CVec alice = analyzer.fourier_vector(k, s.alpha[a], false);
+    CVec bob = analyzer.fourier_vector(k, -s.beta[b], true);
+    linalg::vnormalize(alice);
+    linalg::vnormalize(bob);
+    for (std::size_t j = 0; j < d; ++j) {
+      bases[0](j, k) = alice[j];
+      bases[1](j, k) = bob[j];
+    }
+  }
+  return bases;
 }
 
 }  // namespace
@@ -108,12 +104,7 @@ SettingProjectors setting_projectors(std::size_t d, std::size_t a, std::size_t b
 linalg::RVec cglmp_joint_probabilities(const quantum::DensityMatrix& rho, std::size_t a,
                                        std::size_t b, const CglmpSettings& s) {
   const std::size_t d = checked_pair_dim(rho, "cglmp_joint_probabilities");
-  const SettingProjectors proj = setting_projectors(d, a, b, s);
-  linalg::RVec p(d * d);
-  for (std::size_t m = 0; m < d; ++m)
-    for (std::size_t n = 0; n < d; ++n)
-      p[m * d + n] = rho.probability(linalg::kron(proj.alice[m], proj.bob[n]));
-  return p;
+  return tomo::outcome_probabilities(rho, setting_bases(d, a, b, s));
 }
 
 double cglmp_value(const quantum::DensityMatrix& rho, const CglmpSettings& s) {
@@ -125,19 +116,14 @@ CglmpMeasurement measure_cglmp(const quantum::DensityMatrix& rho, double pairs_p
                                double accidentals_per_outcome, rng::Xoshiro256& g,
                                const CglmpSettings& s) {
   const std::size_t d = checked_pair_dim(rho, "measure_cglmp");
-  if (pairs_per_setting <= 0)
-    throw std::invalid_argument("measure_cglmp: pairs_per_setting <= 0");
-  if (accidentals_per_outcome < 0)
-    throw std::invalid_argument("measure_cglmp: negative accidentals");
 
   std::array<std::array<linalg::RVec, 2>, 2> counts;
   double inv_total = 0;
   for (std::size_t a = 0; a < 2; ++a)
     for (std::size_t b = 0; b < 2; ++b) {
-      const SettingProjectors proj = setting_projectors(d, a, b, s);
-      const auto raw = simulate_joint_counts(rho, proj.alice, proj.bob,
-                                             pairs_per_setting,
-                                             accidentals_per_outcome, g);
+      const auto raw = tomo::sample_outcome_counts(rho, setting_bases(d, a, b, s),
+                                                   pairs_per_setting,
+                                                   accidentals_per_outcome, g);
       counts[a][b].assign(raw.begin(), raw.end());
       double t = 0;
       for (double c : counts[a][b]) t += c;

@@ -30,7 +30,8 @@ struct CglmpSettings {
 constexpr double cglmp_classical_bound() { return 2.0; }
 
 /// Joint outcome probabilities P(A_a = m, B_b = n) for one setting pair,
-/// row-major in (m, n), from ideal Fourier-basis projections.
+/// row-major in (m, n): tomo::outcome_probabilities in the ideal Fourier
+/// bases of the two analyzers.
 linalg::RVec cglmp_joint_probabilities(const quantum::DensityMatrix& rho, std::size_t a,
                                        std::size_t b, const CglmpSettings& s = {});
 
@@ -49,7 +50,11 @@ struct CglmpMeasurement {
 };
 
 /// Simulate a CGLMP measurement with `pairs_per_setting` detected pairs per
-/// setting combination and a flat accidental floor per outcome.
+/// setting combination and a flat accidental floor per outcome, drawn by
+/// tomo::sample_outcome_counts in the settings' Fourier bases. Throws
+/// std::invalid_argument for a state that is not an equal-dimension qudit
+/// pair, pairs_per_setting not finite and > 0, or accidentals_per_outcome
+/// not finite and >= 0.
 CglmpMeasurement measure_cglmp(const quantum::DensityMatrix& rho, double pairs_per_setting,
                                double accidentals_per_outcome, rng::Xoshiro256& g,
                                const CglmpSettings& s = {});

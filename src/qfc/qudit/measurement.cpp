@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "qfc/photonics/constants.hpp"
-#include "qfc/rng/distributions.hpp"
 
 namespace qfc::qudit {
 
@@ -71,32 +70,6 @@ double FreqBinAnalyzer::projection_efficiency(const CVec& target) const {
          std::pow(bessel_jn(n, cfg_.modulation_index), 2);
   }
   return s;
-}
-
-CMat FreqBinAnalyzer::ideal_projector(const CVec& target) {
-  CVec v = target;
-  linalg::vnormalize(v);
-  return linalg::outer(v, v);
-}
-
-std::vector<std::uint64_t> simulate_joint_counts(
-    const quantum::DensityMatrix& rho, const std::vector<CMat>& alice_projectors,
-    const std::vector<CMat>& bob_projectors, double pairs,
-    double accidentals_per_outcome, rng::Xoshiro256& g) {
-  if (rho.num_particles() != 2)
-    throw std::invalid_argument("simulate_joint_counts: need a two-qudit state");
-  if (pairs <= 0) throw std::invalid_argument("simulate_joint_counts: pairs <= 0");
-  if (accidentals_per_outcome < 0)
-    throw std::invalid_argument("simulate_joint_counts: negative accidentals");
-
-  std::vector<std::uint64_t> counts;
-  counts.reserve(alice_projectors.size() * bob_projectors.size());
-  for (const auto& pa : alice_projectors)
-    for (const auto& pb : bob_projectors) {
-      const double p = rho.probability(linalg::kron(pa, pb));
-      counts.push_back(rng::sample_poisson(g, pairs * p + accidentals_per_outcome));
-    }
-  return counts;
 }
 
 }  // namespace qfc::qudit

@@ -10,11 +10,7 @@
 /// sinusoidal phase modulation, which is what limits projection efficiency
 /// at large d.
 
-#include <cstdint>
-#include <vector>
-
 #include "qfc/quantum/state.hpp"
-#include "qfc/rng/xoshiro.hpp"
 
 namespace qfc::qudit {
 
@@ -50,19 +46,9 @@ class FreqBinAnalyzer {
   /// k = k_det, < 1 for superpositions).
   double projection_efficiency(const CVec& target) const;
 
-  /// |v⟩⟨v| of the ideal (unweighted) vector.
-  static CMat ideal_projector(const CVec& target);
-
  private:
   std::size_t d_;
   AnalyzerConfig cfg_;
 };
-
-/// Poisson-fluctuating joint counts for a two-qudit state measured with one
-/// projector list per side: counts[a * bob.size() + b].
-std::vector<std::uint64_t> simulate_joint_counts(
-    const quantum::DensityMatrix& rho, const std::vector<CMat>& alice_projectors,
-    const std::vector<CMat>& bob_projectors, double pairs,
-    double accidentals_per_outcome, rng::Xoshiro256& g);
 
 }  // namespace qfc::qudit

@@ -1,5 +1,6 @@
 #include "qfc/sweep/sweep.hpp"
 
+#include <algorithm>
 #include <exception>
 #include <utility>
 
@@ -149,18 +150,13 @@ SweepReport run_sweep(const SweepPlan& plan, int workers) {
     }
   };
 
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < n; ++i) run_one(i);
-  } else {
-    // Every task writes one disjoint slot, so any chunking is bitwise
-    // safe; chunk size 1 keeps long scenarios from serializing behind
-    // each other on one worker.
-    parallel::WorkerPool pool(static_cast<unsigned>(workers));
-    parallel::parallel_for_chunks(
-        pool, n, 1, [&](std::size_t, std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) run_one(i);
-        });
-  }
+  // Every task writes one disjoint slot, so any schedule is bitwise safe;
+  // one task per instance keeps long scenarios from serializing behind each
+  // other on one worker. A pool of one runs inline, and no more threads
+  // start than there are instances.
+  parallel::WorkerPool pool(static_cast<unsigned>(
+      std::min<std::size_t>(static_cast<std::size_t>(std::max(workers, 1)), n)));
+  pool.run(n, run_one);
 
   // Merge in plan (= config) order.
   SweepReport report;

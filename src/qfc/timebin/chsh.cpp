@@ -5,7 +5,7 @@
 
 #include "qfc/photonics/constants.hpp"
 #include "qfc/quantum/pauli.hpp"
-#include "qfc/rng/distributions.hpp"
+#include "qfc/tomo/tomography.hpp"
 
 namespace qfc::timebin {
 
@@ -38,62 +38,31 @@ double chsh_s_value(const quantum::DensityMatrix& rho, const ChshSettings& s) {
   return std::abs(e00 + e01 + e10 - e11);
 }
 
-namespace {
-
-/// Estimate one correlation from simulated outcome counts.
-struct EstimatedE {
-  double e;
-  double var;
-};
-
-EstimatedE estimate_correlation(const quantum::DensityMatrix& rho, double alpha,
-                                double beta, double pairs, double accidentals,
-                                rng::Xoshiro256& g) {
-  const auto proj = [](double phi, int sign) {
-    return quantum::projector(quantum::xy_eigenstate(phi, sign));
-  };
-  double counts[4];
-  double total = 0;
-  double signed_sum = 0;
-  int idx = 0;
-  for (int sa : {+1, -1}) {
-    for (int sb : {+1, -1}) {
-      const linalg::CMat joint = linalg::kron(proj(alpha, sa), proj(beta, sb));
-      const double p = rho.probability(joint);
-      const double mean = pairs * p + accidentals;
-      counts[idx] = static_cast<double>(rng::sample_poisson(g, mean));
-      total += counts[idx];
-      signed_sum += (sa * sb) * counts[idx];
-      ++idx;
-    }
-  }
-  EstimatedE out{0.0, 1.0};
-  if (total > 0) {
-    out.e = signed_sum / total;
-    out.var = (1.0 - out.e * out.e) / total;
-  }
-  return out;
-}
-
-}  // namespace
-
 ChshMeasurement measure_chsh(const quantum::DensityMatrix& rho, const ChshSettings& s,
                              double pairs_per_setting, double accidentals_per_outcome,
                              rng::Xoshiro256& g) {
-  if (pairs_per_setting <= 0)
-    throw std::invalid_argument("measure_chsh: pairs_per_setting <= 0");
-  if (accidentals_per_outcome < 0)
-    throw std::invalid_argument("measure_chsh: negative accidentals");
-
   const double combos[4][2] = {
       {s.a0, s.b0}, {s.a0, s.b1}, {s.a1, s.b0}, {s.a1, s.b1}};
   ChshMeasurement m;
   double var = 0;
   for (int i = 0; i < 4; ++i) {
-    const EstimatedE est = estimate_correlation(
-        rho, combos[i][0], combos[i][1], pairs_per_setting, accidentals_per_outcome, g);
-    m.correlations[static_cast<std::size_t>(i)] = est.e;
-    var += est.var;
+    // Outcomes ++, +−, −+, −− of the X–Y analyzers at α and β.
+    const auto counts = tomo::sample_outcome_counts(
+        rho, {quantum::xy_basis(combos[i][0]), quantum::xy_basis(combos[i][1])},
+        pairs_per_setting, accidentals_per_outcome, g);
+    double total = 0, signed_sum = 0;
+    for (std::size_t o = 0; o < 4; ++o) {
+      const double n = static_cast<double>(counts[o]);
+      total += n;
+      signed_sum += o == 0 || o == 3 ? n : -n;
+    }
+    double e = 0, e_var = 1;
+    if (total > 0) {
+      e = signed_sum / total;
+      e_var = (1.0 - e * e) / total;
+    }
+    m.correlations[static_cast<std::size_t>(i)] = e;
+    var += e_var;
   }
   m.s = std::abs(m.correlations[0] + m.correlations[1] + m.correlations[2] -
                  m.correlations[3]);

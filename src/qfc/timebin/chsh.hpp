@@ -44,7 +44,11 @@ struct ChshMeasurement {
 };
 
 /// Simulate a CHSH measurement with `pairs_per_setting` detected pairs per
-/// setting combination and a flat accidental floor per outcome.
+/// setting combination and a flat accidental floor per outcome, drawn by
+/// tomo::sample_outcome_counts with each analyzer in quantum::xy_basis of
+/// its phase. Throws std::invalid_argument for a state that is not a qubit
+/// pair, pairs_per_setting not finite and > 0, or accidentals_per_outcome
+/// not finite and >= 0.
 ChshMeasurement measure_chsh(const quantum::DensityMatrix& rho, const ChshSettings& s,
                              double pairs_per_setting, double accidentals_per_outcome,
                              rng::Xoshiro256& g);

@@ -68,38 +68,61 @@ CMat outcome_projector(const std::vector<CMat>& bases, std::size_t outcome) {
   return proj;
 }
 
+std::vector<double> outcome_probabilities(const quantum::DensityMatrix& rho,
+                                          const std::vector<CMat>& bases) {
+  bool match = bases.size() == rho.num_particles();
+  for (std::size_t q = 0; q < bases.size() && match; ++q)
+    match = bases[q].is_square() && bases[q].rows() == rho.dims()[q];
+  if (!match)
+    throw std::invalid_argument("outcome_probabilities: particle dimension is not the basis's");
+  std::vector<double> p(rho.dim());
+  for (std::size_t o = 0; o < p.size(); ++o) p[o] = rho.probability(outcome_projector(bases, o));
+  return p;
+}
+
+std::vector<std::uint64_t> sample_outcome_counts(const quantum::DensityMatrix& rho,
+                                                 const std::vector<CMat>& bases, double shots,
+                                                 double accidentals_per_outcome,
+                                                 rng::Xoshiro256& g) {
+  if (!(shots > 0) || !std::isfinite(shots))
+    throw std::invalid_argument("sample_outcome_counts: shots must be finite and > 0");
+  if (!(accidentals_per_outcome >= 0) || !std::isfinite(accidentals_per_outcome))
+    throw std::invalid_argument(
+        "sample_outcome_counts: accidentals_per_outcome must be finite and >= 0");
+  const std::vector<double> p = outcome_probabilities(rho, bases);
+  std::vector<std::uint64_t> counts(p.size());
+  for (std::size_t o = 0; o < p.size(); ++o)
+    counts[o] = rng::sample_poisson(g, shots * p[o] + accidentals_per_outcome);
+  return counts;
+}
+
 std::vector<SettingCounts> simulate_counts(const quantum::DensityMatrix& rho,
                                            const BasisSet& set, double shots_per_setting,
                                            double accidentals_per_outcome,
                                            rng::Xoshiro256& g, const Analyzer& analyzer) {
-  if (!(shots_per_setting > 0) || !std::isfinite(shots_per_setting))
-    throw std::invalid_argument("simulate_counts: shots_per_setting must be finite and > 0");
-  if (!std::isfinite(accidentals_per_outcome))
-    throw std::invalid_argument("simulate_counts: accidentals_per_outcome must be finite");
-  for (std::size_t d : rho.dims())
-    if (d != set.at(0).rows())
-      throw std::invalid_argument("simulate_counts: particle dimension is not the basis set's");
-
   const std::size_t n = rho.num_particles();
   std::vector<SettingCounts> out(power(set.size(), n));
   for (std::size_t s = 0; s < out.size(); ++s) {
     SettingCounts& sc = out[s];
     sc.bases.resize(n);
     for (std::size_t q = n, rem = s; q-- > 0; rem /= set.size()) sc.bases[q] = rem % set.size();
-    const auto measured = analyzer ? analyzer(sc.bases) : setting_bases(set, sc.bases);
-    sc.counts.resize(rho.dim());
-    for (std::size_t o = 0; o < sc.counts.size(); ++o) {
-      const double p = rho.probability(outcome_projector(measured, o));
-      sc.counts[o] = rng::sample_poisson(g, shots_per_setting * p + accidentals_per_outcome);
-    }
+    sc.counts = sample_outcome_counts(
+        rho, analyzer ? analyzer(sc.bases) : setting_bases(set, sc.bases), shots_per_setting,
+        accidentals_per_outcome, g);
   }
   return out;
 }
 
 std::size_t checked_particles(const std::vector<SettingCounts>& data, const BasisSet& set) {
+  const std::size_t d = set.at(0).rows();
+  for (const CMat& basis : set) {
+    if (basis.rows() != d || basis.cols() != d)
+      throw std::invalid_argument("tomography: every basis must be d x d");
+    basis.require_finite("tomography");
+  }
   if (data.empty()) throw std::invalid_argument("tomography: empty data");
   const std::size_t n = data.front().bases.size();
-  const std::size_t dim = quantum::total_dim(quantum::Dims(n, set.at(0).rows()));
+  const std::size_t dim = quantum::total_dim(quantum::Dims(n, d));
   const std::size_t num_settings = power(set.size(), n);
   if (data.size() != num_settings)
     throw std::invalid_argument("tomography: need every setting exactly once");
@@ -120,31 +143,39 @@ std::size_t checked_particles(const std::vector<SettingCounts>& data, const Basi
 
 namespace {
 
-bool all_finite(const CVec& v) {
-  for (const cplx& x : v)
-    if (!std::isfinite(std::real(x)) || !std::isfinite(std::imag(x))) return false;
-  return true;
-}
-
-/// The likelihood over the active terms, packed once: row k of a = A = V†
-/// is ⟨v_k|, column k of v = V is |v_k⟩, f_k = n_k/N. One K x D work
-/// matrix, allocated once per solve, holds W = A·m or diag(c)·A in turn.
+/// The likelihood over the outcomes with counts, packed once: row k of
+/// a = A = V† is ⟨v_k|, column k of v = V is |v_k⟩, f_k = n_k/N. One K x D
+/// work matrix, allocated once per solve, holds W = A·m or diag(c)·A in turn.
 class PackedLikelihood {
  public:
-  PackedLikelihood(const std::vector<ProjectorTerm>& terms, std::size_t active,
-                   double grand_total, std::size_t dim)
-      : a_(active, dim), v_(dim, active), w_(active, dim), f_(active) {
-    std::size_t k = 0;
-    for (const auto& t : terms) {
-      if (t.count <= 0) continue;
-      for (std::size_t j = 0; j < dim; ++j) {
-        a_.data()[k * dim + j] = std::conj(t.vector[j]);
-        v_.data()[j * active + k] = t.vector[j];
+  PackedLikelihood(const std::vector<SettingCounts>& data, const BasisSet& set,
+                   std::size_t dim) {
+    std::size_t active = 0;
+    for (const auto& sc : data)
+      for (std::uint64_t c : sc.counts) {
+        total_ += static_cast<double>(c);
+        active += c > 0;
       }
-      f_[k++] = t.count / grand_total;
+    a_ = CMat(active, dim);
+    v_ = CMat(dim, active);
+    w_ = CMat(active, dim);
+    f_.resize(active);
+    std::size_t k = 0;
+    for (const auto& sc : data) {
+      const auto measured = setting_bases(set, sc.bases);
+      for (std::size_t o = 0; o < sc.counts.size(); ++o) {
+        if (sc.counts[o] == 0) continue;
+        const CVec vec = outcome_vector(measured, o);
+        for (std::size_t j = 0; j < dim; ++j) {
+          a_.data()[k * dim + j] = std::conj(vec[j]);
+          v_.data()[j * active + k] = vec[j];
+        }
+        f_[k++] = static_cast<double>(sc.counts[o]) / total_;
+      }
     }
   }
 
+  double total() const { return total_; }
   std::size_t size() const { return f_.size(); }
   double f(std::size_t k) const { return f_[k]; }
 
@@ -195,45 +226,31 @@ class PackedLikelihood {
  private:
   CMat a_, v_, w_;
   std::vector<double> f_;
+  double total_ = 0;
 };
 
 }  // namespace
 
-MleResult ml_reconstruct(const std::vector<ProjectorTerm>& terms, const CMat& seed,
-                         quantum::Dims dims, const MleOptions& opts) {
-  seed.require_square("ml_reconstruct");
-  seed.require_finite("ml_reconstruct");
+MleResult maximum_likelihood(const std::vector<SettingCounts>& data, const BasisSet& set,
+                             const CMat& seed, const MleOptions& opts) {
+  quantum::Dims dims(checked_particles(data, set), set.front().rows());
+  seed.require_square("maximum_likelihood");
+  seed.require_finite("maximum_likelihood");
   const std::size_t dim = seed.rows();
   if (quantum::total_dim(dims) != dim)
-    throw std::invalid_argument("ml_reconstruct: seed size does not match dims");
+    throw std::invalid_argument("maximum_likelihood: seed size does not match dims");
   if (opts.max_iterations < 0)
-    throw std::invalid_argument("ml_reconstruct: negative max_iterations");
+    throw std::invalid_argument("maximum_likelihood: negative max_iterations");
   if (!(opts.convergence_tol >= 0))
-    throw std::invalid_argument("ml_reconstruct: convergence_tol must be >= 0");
-  double grand_total = 0;
-  std::size_t active = 0;
-  for (const auto& t : terms) {
-    if (t.vector.size() != dim)
-      throw std::invalid_argument("ml_reconstruct: vector length mismatch");
-    if (!all_finite(t.vector))
-      throw std::invalid_argument("ml_reconstruct: non-finite vector entry");
-    if (!std::isfinite(t.count))
-      throw std::invalid_argument("ml_reconstruct: non-finite count");
-    if (t.count < 0)
-      throw std::invalid_argument(
-          "ml_reconstruct: negative count (background-subtracted data is not "
-          "valid maximum-likelihood input)");
-    grand_total += t.count;
-    if (t.count > 0) ++active;
-  }
-  if (grand_total <= 0) throw std::invalid_argument("ml_reconstruct: no counts");
+    throw std::invalid_argument("maximum_likelihood: convergence_tol must be >= 0");
+  PackedLikelihood like(data, set, dim);
+  if (like.total() <= 0) throw std::invalid_argument("maximum_likelihood: no counts");
+  const std::size_t active = like.size();
   obs::SpanGuard span =
       obs::tracing_enabled() ? obs::SpanGuard("tomo.solve") : obs::SpanGuard();
 
-  PackedLikelihood like(terms, active, grand_total, dim);
-
   // Start from the projected seed with a little identity mixed in, so no
-  // term starts at zero probability.
+  // outcome starts at zero probability.
   CMat x = linalg::project_to_density_matrix(seed);
   {
     CMat eye = CMat::identity(dim);
@@ -327,7 +344,7 @@ MleResult ml_reconstruct(const std::vector<ProjectorTerm>& terms, const CMat& se
       const double next = (1 + std::sqrt(1 + 4 * momentum * momentum)) / 2;
       beta = (momentum - 1) / next;
       momentum = next;
-      // An extrapolated y with a term at zero probability has no
+      // An extrapolated y with an outcome at zero probability has no
       // likelihood: restart instead.
       for (std::size_t k = 0; k < active && beta > 0; ++k)
         if (!(px[k] + beta * (px[k] - p_prev[k]) > 0)) beta = 0, momentum = 1;
@@ -350,45 +367,27 @@ MleResult ml_reconstruct(const std::vector<ProjectorTerm>& terms, const CMat& se
   like.diagonal(x, px);
   double ll = 0;
   for (std::size_t k = 0; k < active; ++k)
-    ll += like.f(k) * grand_total * std::log(std::max(1e-300, px[k]));
+    ll += like.f(k) * like.total() * std::log(std::max(1e-300, px[k]));
   const bool converged = gap <= opts.convergence_tol;
   span.set_args({{"iterations", iterations}, {"gap", gap}, {"converged", converged}});
   return MleResult{quantum::DensityMatrix(std::move(x), std::move(dims), 1e-6), iterations,
                    converged, ll, gap};
 }
 
-MleResult maximum_likelihood(const std::vector<SettingCounts>& data, const BasisSet& set,
-                             const CMat& linear_estimate, const MleOptions& opts) {
-  const std::size_t n = checked_particles(data, set);
-  std::vector<ProjectorTerm> terms;
-  for (const auto& sc : data) {
-    const auto measured = setting_bases(set, sc.bases);
-    for (std::size_t o = 0; o < sc.counts.size(); ++o)
-      if (sc.counts[o] > 0)
-        terms.push_back(
-            ProjectorTerm{outcome_vector(measured, o), static_cast<double>(sc.counts[o])});
-  }
-  return ml_reconstruct(terms, linear_estimate, quantum::Dims(n, set.at(0).rows()), opts);
-}
-
 // ------------------------------------------------------------------------
 // Qubit Pauli path.
 
 BasisSet pauli_bases(double phase_error_rad) {
-  const auto xy_basis = [](double phi) {
-    const CVec plus = quantum::xy_eigenstate(phi, +1), minus = quantum::xy_eigenstate(phi, -1);
-    return CMat{{plus[0], minus[0]}, {plus[1], minus[1]}};
-  };
-  return {xy_basis(0.0 + phase_error_rad), xy_basis(photonics::pi / 2.0 + phase_error_rad),
-          CMat::identity(2)};
+  return {quantum::xy_basis(0.0 + phase_error_rad),
+          quantum::xy_basis(photonics::pi / 2.0 + phase_error_rad), CMat::identity(2)};
 }
 
 std::vector<SettingCounts> simulate_counts(const quantum::DensityMatrix& rho,
                                            double shots_per_setting,
                                            const NoiseKnobs& noise, rng::Xoshiro256& g) {
   const double rms = noise.analyzer_phase_rms_rad;
-  if (!std::isfinite(rms))
-    throw std::invalid_argument("simulate_counts: analyzer_phase_rms_rad must be finite");
+  if (!(rms >= 0) || !std::isfinite(rms))
+    throw std::invalid_argument("simulate_counts: analyzer_phase_rms_rad must be finite and >= 0");
   Analyzer analyzer;
   if (rms > 0)
     // Systematic analyzer phase error per qubit, fixed within the setting.

@@ -11,6 +11,8 @@
 /// data check and the maximum-likelihood solver, an accelerated projected
 /// gradient that stops at a certified likelihood gap; they differ in the
 /// basis set, the linear-inversion seed, and the qubit analyzer-phase noise.
+/// The Bell tests measure the same way: timebin::measure_chsh and
+/// qudit::measure_cglmp draw their counts through sample_outcome_counts.
 
 #include <cstdint>
 #include <functional>
@@ -46,26 +48,42 @@ linalg::CVec outcome_vector(const std::vector<linalg::CMat>& bases, std::size_t 
 linalg::CMat outcome_projector(const std::vector<linalg::CMat>& bases,
                                std::size_t outcome);
 
+/// The Born probability ⟨v|ρ|v⟩ of every outcome of one setting that
+/// measures particle q in bases[q], outcomes ordered as outcome_vector's.
+/// Throws std::invalid_argument unless bases has one d_q x d_q matrix per
+/// particle of rho.
+std::vector<double> outcome_probabilities(const quantum::DensityMatrix& rho,
+                                          const std::vector<linalg::CMat>& bases);
+
+/// Poisson counts of every outcome of one setting, around shots x
+/// probability + accidentals_per_outcome, drawn in outcome order: the one
+/// count primitive of tomography and the CHSH and CGLMP tests. Throws
+/// std::invalid_argument for shots not finite and > 0, an
+/// accidentals_per_outcome not finite and >= 0, or bases that do not match
+/// rho (as outcome_probabilities).
+std::vector<std::uint64_t> sample_outcome_counts(const quantum::DensityMatrix& rho,
+                                                 const std::vector<linalg::CMat>& bases,
+                                                 double shots, double accidentals_per_outcome,
+                                                 rng::Xoshiro256& g);
+
 /// The matrices a setting actually measures, when they are not the nominal
 /// setting_bases (e.g. an analyzer with phase errors).
 using Analyzer =
     std::function<std::vector<linalg::CMat>(const std::vector<std::size_t>& setting)>;
 
 /// Simulate a complete product-basis measurement: for each of the |set|^n
-/// settings (mixed radix, particle 0 slowest), Poisson counts around
-/// shots_per_setting x probability + accidentals_per_outcome. `analyzer`,
-/// if set, is called once per setting, before its counts are drawn. Throws
-/// std::invalid_argument for shots_per_setting not finite and > 0, a
-/// non-finite accidentals_per_outcome, or a particle whose dimension is not
-/// the basis set's.
+/// settings (mixed radix, particle 0 slowest), sample_outcome_counts of the
+/// bases it measures. `analyzer`, if set, is called once per setting,
+/// before its counts are drawn.
 std::vector<SettingCounts> simulate_counts(const quantum::DensityMatrix& rho,
                                            const BasisSet& set, double shots_per_setting,
                                            double accidentals_per_outcome,
                                            rng::Xoshiro256& g, const Analyzer& analyzer = {});
 
-/// Number of particles n of `data`, after checking that it holds each of
-/// the |set|^n settings exactly once, each with d^n counts
-/// (std::invalid_argument otherwise).
+/// Number of particles n of `data`, after checking that every basis of
+/// `set` is a finite d x d matrix and that `data` holds each of the |set|^n
+/// settings exactly once, each with d^n counts (std::invalid_argument
+/// otherwise).
 std::size_t checked_particles(const std::vector<SettingCounts>& data, const BasisSet& set);
 
 struct MleOptions {
@@ -89,41 +107,26 @@ struct MleResult {
   double likelihood_gap = 0;
 };
 
-/// One measured rank-1 projector |v⟩⟨v| with its observed count. Every
-/// outcome of a product-basis setting is a Kronecker product of basis
-/// columns, so the core never needs the dense D x D projector.
-struct ProjectorTerm {
-  linalg::CVec vector;  ///< |v⟩, length D
-  double count = 0;
-};
-
-/// Maximum-likelihood reconstruction over an arbitrary list of rank-1
-/// projector/count terms in any dimension D = total_dim(dims), by
+/// Maximum-likelihood reconstruction from complete product-basis data, by
 /// accelerated projected gradient with restarts (Shang, Zhang and Ng, PRA
-/// 95, 062336, 2017). `seed` is projected onto the density matrices and
-/// mixed with a sliver of identity, so no term starts at zero probability.
-/// The K terms with count > 0 are packed once into A = V† (K x D) and V
-/// (D x K). Probabilities p_k = ⟨v_k|ρ|v_k⟩ are linear in ρ, so each
-/// likelihood evaluation is W = A·Δ for the trial step Δ plus O(KD), and
-/// each gradient R = V·diag(n_k/(N p_k))·A, both K x D x D GEMMs. The cost
-/// is per evaluation, not per step: a step takes the gradient at the
+/// 95, 062336, 2017), the solver both paths share. `linear_estimate` seeds
+/// it: projected onto the density matrices and mixed with a sliver of
+/// identity, so no outcome starts at zero probability. The K outcomes with
+/// counts (data order, outcomes ascending) are packed once into A = V†
+/// (K x D) and V (D x K), with |v_k⟩ their outcome_vector and D = d^n.
+/// Probabilities p_k = ⟨v_k|ρ|v_k⟩ are linear in ρ, so each likelihood
+/// evaluation is W = A·Δ for the trial step Δ plus O(KD), and each
+/// gradient R = V·diag(n_k/(N p_k))·A, both K x D x D GEMMs. The cost is
+/// per evaluation, not per step: a step takes the gradient at the
 /// extrapolated point, then one likelihood evaluation and one D x D
 /// eigendecomposition (the projection) per backtracking trial; the
 /// certificate at the accepted point (a gradient and an eigenvalue solve)
 /// waits while an O(KD) lower bound already rules convergence out. Stops
 /// once likelihood_gap <= convergence_tol or after max_iterations steps.
-/// Throws
-/// std::invalid_argument naming ml_reconstruct for a non-finite or
-/// non-square seed, a seed that does not match dims, a vector of the wrong
-/// length or with a non-finite entry, a negative or non-finite count, no
-/// counts at all, a negative max_iterations or a NaN/negative
-/// convergence_tol.
-MleResult ml_reconstruct(const std::vector<ProjectorTerm>& terms, const linalg::CMat& seed,
-                         quantum::Dims dims, const MleOptions& opts = {});
-
-/// The maximum-likelihood driver both paths share: checks `data`, packs
-/// every outcome with counts, and runs ml_reconstruct from the path's
-/// `linear_estimate`.
+/// Throws std::invalid_argument for data that fails checked_particles, and,
+/// naming maximum_likelihood, for a non-finite or non-square seed, a seed
+/// that is not D x D, no counts at all, a negative max_iterations or a
+/// NaN/negative convergence_tol.
 MleResult maximum_likelihood(const std::vector<SettingCounts>& data, const BasisSet& set,
                              const linalg::CMat& linear_estimate,
                              const MleOptions& opts = {});
@@ -146,7 +149,7 @@ struct NoiseKnobs {
 
 /// Simulate Pauli tomography data: all 3^n settings in lexicographic order
 /// (X < Y < Z), each qubit's analyzer phase drawn per setting from `noise`.
-/// rho must be a qubit register, and every knob finite
+/// rho must be a qubit register, and every knob finite and >= 0
 /// (std::invalid_argument otherwise).
 std::vector<SettingCounts> simulate_counts(const quantum::DensityMatrix& rho,
                                            double shots_per_setting,

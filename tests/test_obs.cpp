@@ -290,8 +290,7 @@ TEST(Obs, LinalgKernelCountersAndFlops) {
 
   // 32x32 complex product: above matrix.hpp's tiny-product inline cutoff,
   // so one kernel runs and bills it: the planar SIMD kernel, or with SIMD
-  // off the reference kernel below blocked_gemm's flop cutoff. Nominal
-  // flops = 8 n^3.
+  // off the reference kernel. Nominal flops = 8 n^3.
   const std::size_t n = 32;
   linalg::CMat a(n, n), b(n, n);
   for (std::size_t i = 0; i < n; ++i)

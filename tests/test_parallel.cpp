@@ -1,13 +1,8 @@
 // Tests for the shared qfc::parallel module: WorkerPool task execution,
-// exception propagation, round reuse, and the deterministic
-// parallel_for_chunks boundaries the two pool owners (the sweep runner and
-// detect::EventStreamer) lean on.
+// exception propagation and round reuse, which the two pool owners (the
+// sweep runner and detect::EventStreamer) lean on.
 
-#include <algorithm>
-#include <array>
 #include <atomic>
-#include <mutex>
-#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -17,7 +12,6 @@
 
 namespace {
 
-using qfc::parallel::parallel_for_chunks;
 using qfc::parallel::WorkerPool;
 
 TEST(WorkerPool, SizeCountsTheCaller) {
@@ -65,50 +59,6 @@ TEST(WorkerPool, FirstExceptionPropagatesAndPoolSurvives) {
   std::atomic<int> ok{0};
   pool.run(8, [&](std::size_t) { ++ok; });
   EXPECT_EQ(ok.load(), 8);
-}
-
-TEST(ParallelForChunks, CoversTheRangeWithFixedBoundaries) {
-  // Boundaries must depend only on (n, chunk_size), never on the pool size
-  // — that independence is what the determinism contract builds on.
-  for (const unsigned threads : {1u, 4u}) {
-    WorkerPool pool(threads);
-    std::mutex m;
-    std::vector<std::array<std::size_t, 3>> seen;
-    parallel_for_chunks(pool, 10, 3,
-                        [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-                          std::lock_guard<std::mutex> lock(m);
-                          seen.push_back({chunk, begin, end});
-                        });
-    std::sort(seen.begin(), seen.end());
-    ASSERT_EQ(seen.size(), 4u) << threads << " threads";
-    EXPECT_EQ(seen[0], (std::array<std::size_t, 3>{0, 0, 3}));
-    EXPECT_EQ(seen[1], (std::array<std::size_t, 3>{1, 3, 6}));
-    EXPECT_EQ(seen[2], (std::array<std::size_t, 3>{2, 6, 9}));
-    EXPECT_EQ(seen[3], (std::array<std::size_t, 3>{3, 9, 10}));
-  }
-}
-
-TEST(ParallelForChunks, DisjointChunkSumMatchesSerial) {
-  WorkerPool pool(4);
-  const std::size_t n = 100000;
-  std::vector<double> out(n, 0.0);
-  parallel_for_chunks(pool, n, 4096,
-                      [&](std::size_t, std::size_t begin, std::size_t end) {
-                        for (std::size_t i = begin; i < end; ++i)
-                          out[i] = static_cast<double>(i) * 0.5;
-                      });
-  double sum = std::accumulate(out.begin(), out.end(), 0.0);
-  EXPECT_DOUBLE_EQ(sum, 0.5 * static_cast<double>(n) * static_cast<double>(n - 1) / 2.0);
-}
-
-TEST(ParallelForChunks, ValidatesArguments) {
-  WorkerPool pool(2);
-  EXPECT_THROW(parallel_for_chunks(pool, 10, 0, [](std::size_t, std::size_t, std::size_t) {}),
-               std::invalid_argument);
-  // n == 0 is a no-op, not an error.
-  parallel_for_chunks(pool, 0, 8, [](std::size_t, std::size_t, std::size_t) {
-    FAIL() << "no chunk should run";
-  });
 }
 
 }  // namespace

@@ -315,26 +315,16 @@ TEST(Cglmp, MixedStateLosesViolation) {
   EXPECT_NEAR(cglmp_value(DensityMatrix(Dims{3, 3})), 0.0, 1e-12);
 }
 
-TEST(Analyzer, SimulateJointCountsValidation) {
+TEST(Cglmp, MeasurementRejectsBadInput) {
   qfc::rng::Xoshiro256 g(3);
-  const FreqBinAnalyzer an(3);
-  std::vector<CMat> projs;
-  for (std::size_t k = 0; k < 3; ++k)
-    projs.push_back(FreqBinAnalyzer::ideal_projector(an.fourier_vector(k, 0.0)));
   const DensityMatrix pair(maximally_entangled(3));
-  const auto counts = simulate_joint_counts(pair, projs, projs, 1000, 0.0, g);
-  EXPECT_EQ(counts.size(), 9u);
-  // A single qudit is not a pair; negative knobs are rejected.
-  const DensityMatrix single(Dims{3});
-  EXPECT_THROW(simulate_joint_counts(single, projs, projs, 1000, 0.0, g),
-               std::invalid_argument);
-  EXPECT_THROW(simulate_joint_counts(pair, projs, projs, 0, 0.0, g),
-               std::invalid_argument);
-  EXPECT_THROW(simulate_joint_counts(pair, projs, projs, 1000, -1.0, g),
-               std::invalid_argument);
-  // A NaN pair number passes the `<= 0` check and used to hang the sampler.
-  EXPECT_THROW(simulate_joint_counts(pair, projs, projs,
-                                     std::numeric_limits<double>::quiet_NaN(), 0.0, g),
+  // A single qudit is not a pair; the count knobs go through
+  // tomo::sample_outcome_counts' checks.
+  EXPECT_THROW(measure_cglmp(DensityMatrix(Dims{3}), 1000, 0.0, g), std::invalid_argument);
+  EXPECT_THROW(measure_cglmp(pair, 0, 0.0, g), std::invalid_argument);
+  EXPECT_THROW(measure_cglmp(pair, 1000, -1.0, g), std::invalid_argument);
+  // A NaN pair number passes a `<= 0` check and used to hang the sampler.
+  EXPECT_THROW(measure_cglmp(pair, std::numeric_limits<double>::quiet_NaN(), 0.0, g),
                std::invalid_argument);
 }
 

@@ -18,6 +18,7 @@
 #include "qfc/core/qkd_network.hpp"
 #include "qfc/io/fields.hpp"
 #include "qfc/io/json.hpp"
+#include "qfc/obs/obs.hpp"
 #include "qfc/qudit/freq_bin_source.hpp"
 #include "qfc/sweep/scenario.hpp"
 #include "qfc/sweep/sweep.hpp"
@@ -219,6 +220,24 @@ TEST(SweepRun, ReportBytesIdenticalAcrossWorkerCounts) {
     const std::string bytes = sweep::run_sweep(plan, workers).json.dump(2);
     EXPECT_EQ(bytes, bytes1) << "diverged at " << workers << " workers";
   }
+}
+
+TEST(SweepRun, PoolStartsNoMoreThreadsThanInstances) {
+  // Two instances at eight workers: only the caller and one worker run, so
+  // no busy counter of a pool thread past index 1 moves.
+  const auto plan = sweep::expand_sweep_config(parse_config(
+      R"({"sweeps":[{"scenario":"qudit_source",
+                     "axes":[{"param":"dimension","values":[2,3]}]}]})"));
+  ASSERT_EQ(plan.instances.size(), 2u);
+  obs::reset();
+  obs::enable_metrics(true);
+  const auto report = sweep::run_sweep(plan, 8);
+  obs::disable();
+  EXPECT_EQ(report.num_failed, 0u);
+  EXPECT_EQ(obs::counter("parallel.tasks").value(), 2u);
+  for (int k = 2; k < 8; ++k)
+    EXPECT_EQ(obs::counter("parallel.worker_busy_ns." + std::to_string(k)).value(), 0u) << k;
+  obs::reset();
 }
 
 TEST(SweepRun, ReportMatchesSerialAdapterInvocation) {

@@ -194,6 +194,18 @@ TEST(Chsh, AccidentalsDegradeS) {
   EXPECT_LT(noisy.s, clean.s);
 }
 
+TEST(Chsh, MeasurementRejectsBadInput) {
+  rng::Xoshiro256 g(9);
+  const DensityMatrix rho = werner_phi(0.9);
+  const auto settings = timebin::optimal_settings_for_phi(0.0);
+  EXPECT_THROW(timebin::measure_chsh(rho.tensor(rho), settings, 1.0e3, 0.0, g),
+               std::invalid_argument);
+  EXPECT_THROW(timebin::measure_chsh(rho, settings, 0.0, 0.0, g), std::invalid_argument);
+  EXPECT_THROW(timebin::measure_chsh(rho, settings, 1.0e3, -1.0, g), std::invalid_argument);
+  EXPECT_THROW(timebin::measure_chsh(rho, settings, std::nan(""), 0.0, g),
+               std::invalid_argument);
+}
+
 TEST(FourPhoton, ProbabilityOfProductState) {
   // Tr[(ρ⊗ρ)(Π⊗Π⊗Π⊗Π)] = (Tr[ρ(Π⊗Π)])².
   const DensityMatrix pair = werner_phi(0.8);

@@ -198,6 +198,18 @@ TEST(Tomography, RejectsBadInput) {
   for (const tomo::NoiseKnobs& knobs : {tomo::NoiseKnobs{nan, 0.0}, tomo::NoiseKnobs{inf, 0.0},
                                         tomo::NoiseKnobs{0.0, nan}, tomo::NoiseKnobs{0.0, inf}})
     EXPECT_THROW(tomo::simulate_counts(rho, 100.0, knobs, g), std::invalid_argument);
+  // A negative accidental floor used to subtract counts, and a negative rms
+  // to mean "no noise".
+  for (const tomo::NoiseKnobs& knobs : {tomo::NoiseKnobs{0.0, -0.5}, tomo::NoiseKnobs{-0.1, 0.0}})
+    EXPECT_THROW(tomo::simulate_counts(werner_phi(0.83), 1000.0, knobs, g),
+                 std::invalid_argument);
+  // The count primitive every analyzer shares wants one d_q x d_q basis per
+  // particle.
+  const auto xz = tomo::setting_bases(tomo::pauli_bases(), {0, 2});
+  for (const auto& bases : {std::vector<linalg::CMat>{xz[0]},
+                            std::vector<linalg::CMat>{xz[0], linalg::CMat::identity(3)},
+                            std::vector<linalg::CMat>{xz[0], linalg::CMat(2, 3)}})
+    EXPECT_THROW(tomo::sample_outcome_counts(rho, bases, 100.0, 0.0, g), std::invalid_argument);
 }
 
 TEST(Tomography, BothPathsRejectIncompleteOrRepeatedSettings) {
@@ -229,61 +241,67 @@ TEST(Tomography, BothPathsRejectIncompleteOrRepeatedSettings) {
   EXPECT_THROW(qudit::mub_linear_inversion(mub, 5, 2), std::invalid_argument);
 }
 
-TEST(Tomography, MlCoreValidatesTerms) {
+/// One-qubit Pauli data: every setting, all counts zero except `z0` in
+/// outcome 0 of Z.
+std::vector<tomo::SettingCounts> z_only_data(std::uint64_t z0) {
+  std::vector<tomo::SettingCounts> data;
+  for (std::size_t b = 0; b < 3; ++b) data.push_back({{b}, {0, 0}});
+  data[2].counts[0] = z0;
+  return data;
+}
+
+TEST(Tomography, MaximumLikelihoodValidatesData) {
   const linalg::CMat seed = linalg::CMat::identity(2) * linalg::cplx(0.5, 0);
-  const linalg::CVec p0{linalg::cplx(1, 0), linalg::cplx(0, 0)};
-  // Empty / zero-count data has nothing to reconstruct from.
-  EXPECT_THROW(tomo::ml_reconstruct({}, seed, {2}), std::invalid_argument);
-  // Mis-sized projectors and negative (background-subtracted) counts are
-  // rejected rather than silently mis-normalizing the iteration.
-  EXPECT_THROW(
-      tomo::ml_reconstruct({{linalg::CVec(3, linalg::cplx(1, 0)), 10.0}}, seed, {2}),
-      std::invalid_argument);
-  EXPECT_THROW(tomo::ml_reconstruct({{p0, 10.0}, {p0, -1.0}}, seed, {2}),
+  // Empty or zero-count data has nothing to reconstruct from.
+  EXPECT_THROW(tomo::maximum_likelihood({}, tomo::pauli_bases(), seed), std::invalid_argument);
+  EXPECT_THROW(tomo::maximum_likelihood(z_only_data(0), tomo::pauli_bases(), seed),
                std::invalid_argument);
-  // A well-posed single-projector problem converges to that projector.
-  const auto res = tomo::ml_reconstruct({{p0, 100.0}}, seed, {2});
+  // Every basis must be a d x d matrix, so every outcome vector has length d^n.
+  tomo::BasisSet ragged = tomo::pauli_bases();
+  ragged[1] = linalg::CMat(2, 3);
+  EXPECT_THROW(tomo::maximum_likelihood(z_only_data(100), ragged, seed), std::invalid_argument);
+  // A well-posed single-outcome problem converges to that outcome's projector.
+  const auto res = tomo::maximum_likelihood(z_only_data(100), tomo::pauli_bases(), seed);
   EXPECT_TRUE(res.converged);
   EXPECT_NEAR(std::real(res.rho.matrix()(0, 0)), 1.0, 1e-6);
 }
 
-TEST(Tomography, MlCoreRejectsNonFiniteInputBeforeIterating) {
-  // Every malformed input throws std::invalid_argument from ml_reconstruct
-  // itself, not from a downstream kernel after the iteration cap.
+TEST(Tomography, MaximumLikelihoodRejectsBadInputBeforeIterating) {
+  // Every malformed input throws std::invalid_argument before the solver
+  // iterates: a bad basis from the data check, the rest naming
+  // maximum_likelihood.
   const linalg::CMat seed = linalg::CMat::identity(2) * linalg::cplx(0.5, 0);
-  const linalg::CVec z0{linalg::cplx(1, 0), linalg::cplx(0, 0)};
-  const linalg::CVec z1{linalg::cplx(0, 0), linalg::cplx(1, 0)};
+  const auto data = z_only_data(10);
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  const double inf = std::numeric_limits<double>::infinity();
-  const auto expect_rejected = [](const std::vector<tomo::ProjectorTerm>& terms,
-                                  const linalg::CMat& s, const tomo::MleOptions& opts,
-                                  const quantum::Dims& dims = {2}) {
+  const auto expect_rejected = [&](const tomo::BasisSet& set, const linalg::CMat& s,
+                                   const tomo::MleOptions& opts, const char* prefix) {
     try {
-      tomo::ml_reconstruct(terms, s, dims, opts);
+      tomo::maximum_likelihood(data, set, s, opts);
       ADD_FAILURE() << "no exception";
     } catch (const std::invalid_argument& e) {
-      EXPECT_EQ(std::string(e.what()).rfind("ml_reconstruct", 0), 0u) << e.what();
+      EXPECT_EQ(std::string(e.what()).rfind(prefix, 0), 0u) << e.what();
     }
   };
   const tomo::MleOptions defaults;
-  expect_rejected({{z0, nan}, {z1, 10.0}}, seed, defaults);
-  expect_rejected({{z0, inf}, {z1, 10.0}}, seed, defaults);
-  expect_rejected({{linalg::CVec{linalg::cplx(nan, 0), linalg::cplx(0, 0)}, 10.0},
-                   {z1, 10.0}},
-                  seed, defaults);
+  tomo::BasisSet nan_set = tomo::pauli_bases();
+  nan_set[0](0, 0) = linalg::cplx(nan, 0);
+  expect_rejected(nan_set, seed, defaults, "tomography");
+
+  const tomo::BasisSet pauli = tomo::pauli_bases();
   linalg::CMat nan_seed = seed;
   nan_seed(0, 0) = linalg::cplx(nan, 0);
-  expect_rejected({{z0, 10.0}, {z1, 10.0}}, nan_seed, defaults);
-  expect_rejected({{z0, 10.0}, {z1, 10.0}}, seed, defaults, {3});
+  expect_rejected(pauli, nan_seed, defaults, "maximum_likelihood");
+  expect_rejected(pauli, linalg::CMat::identity(3), defaults, "maximum_likelihood");
+  expect_rejected(pauli, linalg::CMat(2, 3), defaults, "maximum_likelihood");
 
   tomo::MleOptions opts;
   opts.max_iterations = -1;
-  expect_rejected({{z0, 10.0}, {z1, 10.0}}, seed, opts);
+  expect_rejected(pauli, seed, opts, "maximum_likelihood");
   opts = {};
   opts.convergence_tol = nan;
-  expect_rejected({{z0, 10.0}, {z1, 10.0}}, seed, opts);
+  expect_rejected(pauli, seed, opts, "maximum_likelihood");
   opts.convergence_tol = -1e-6;
-  expect_rejected({{z0, 10.0}, {z1, 10.0}}, seed, opts);
+  expect_rejected(pauli, seed, opts, "maximum_likelihood");
 }
 
 // ------------------------------------------------- MLE optimality (KKT)
