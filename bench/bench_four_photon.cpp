@@ -25,12 +25,12 @@ int main() {
     std::printf("%12.3f %10.0f %12.1f\n", r.fringe.phase_rad[i], r.fringe.counts[i],
                 r.fringe.expected[i]);
 
-  std::printf("\nextrema visibility (expected curve): %.3f\n", r.fringe.visibility);
+  std::printf("\nextrema visibility (expected curve): %.3f\n", r.fringe.visibility());
   std::printf("analytic model visibility:           %.3f (paper: 0.89)\n",
               r.analytic_visibility);
 
   const bool ok = r.analytic_visibility > 0.84 && r.analytic_visibility < 0.94 &&
-                  r.fringe.visibility > 0.80;
+                  r.fringe.visibility() > 0.80;
   bench::verdict(ok, "four-photon raw visibility ≈ 89% with the paper's pair "
                      "visibility and four-fold accidental level");
   return ok ? 0 : 1;

@@ -21,7 +21,7 @@ int main() {
   const auto r = exp.run();
 
   std::printf("\n== four-photon interference ==\n");
-  std::printf("fringe visibility (expected curve): %.3f\n", r.fringe.visibility);
+  std::printf("fringe visibility (expected curve): %.3f\n", r.fringe.visibility());
   std::printf("analytic model:                     %.3f (paper: 0.89)\n",
               r.analytic_visibility);
 

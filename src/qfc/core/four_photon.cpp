@@ -23,14 +23,9 @@ double two_digits_up(double gap) {
 
 void FourPhotonConfig::validate() const {
   io::check_fields(*this, "FourPhotonConfig");
+  io::check_fields(tomo_noise, "FourPhotonConfig.tomo_noise");
   if (pair_a == pair_b)
     throw std::invalid_argument("FourPhotonConfig.pair_b: must differ from pair_a");
-  if (!(tomo_noise.analyzer_phase_rms_rad >= 0))
-    throw std::invalid_argument(
-        "FourPhotonConfig.tomo_noise.analyzer_phase_rms_rad: must be >= 0");
-  if (!(tomo_noise.accidentals_per_outcome >= 0))
-    throw std::invalid_argument(
-        "FourPhotonConfig.tomo_noise.accidentals_per_outcome: must be >= 0");
 }
 
 FourPhotonExperiment::FourPhotonExperiment(photonics::MicroringResonator device,
@@ -69,8 +64,10 @@ FourPhotonResult FourPhotonExperiment::run() {
   const double mean_level =
       cfg_.fourfold_events_per_point * (1.0 + v_state * v_state / 2.0) / 16.0;
   const double floor = cfg_.fourfold_accidental_fraction * mean_level;
-  res.fringe = timebin::simulate_fourfold_fringe(
-      rho4, cfg_.fourfold_events_per_point, floor, cfg_.fringe_points, g);
+  // One interferometer phase θ for all four analyzers.
+  res.fringe = {timebin::simulate_fringe(
+      rho4, cfg_.fourfold_events_per_point, floor, cfg_.fringe_points,
+      [](double theta) { return std::vector<double>(4, theta); }, g)};
 
   // The product fringe oscillates at 2θ: fit at that harmonic.
   std::vector<double> x2(res.fringe.phase_rad.size());

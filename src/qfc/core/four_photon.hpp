@@ -43,7 +43,7 @@ struct FourPhotonConfig {
       QFC_FIELD(tomo_shots_per_setting, io::kPositive, "tomography shots per setting"),
       QFC_FIELD(seed, io::kNonNegative, "experiment RNG seed"))
 
-  /// The table's ranges, pair_b != pair_a and the tomo_noise signs; throws
+  /// The table's ranges, tomo_noise's table and pair_b != pair_a; throws
   /// std::invalid_argument("FourPhotonConfig.pair_b: must differ from
   /// pair_a"). The check against the timebin config's channel count stays
   /// in the constructor (it is a cross-config constraint).

@@ -117,22 +117,14 @@ QkdNetworkReport QkdNetwork::run(double duration_s) const {
   detect::EventStreamer streamer(ec, sc, engine_specs());
   auto car = qkd_car_accumulator(cfg_.users.front().endpoint.coincidence_window_s);
 
-  long long peak_rss = 0;
   detect::StreamWindow w;
   {
     QFC_OBS_SPAN("network.stream", {{"users", n}});
     while (streamer.next(w)) {
       car.push(w);
       ++report.stream_windows;
-      obs::counter("network.windows").increment();
-      obs::counter("network.events")
-          .add(w.events.signal.size() + w.events.idler.size());
-      const long long rss = obs::current_rss_kb();
-      peak_rss = std::max(peak_rss, rss);
-      obs::gauge("network.rss_kb").set(rss);
     }
   }
-  report.peak_rss_kb = peak_rss;
   const std::vector<detect::CarResult> cars = car.finish();
 
   // ---- per-user reports: each reads only its own channel pair's CAR.

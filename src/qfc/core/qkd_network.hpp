@@ -130,11 +130,9 @@ struct QkdNetworkReport {
   std::vector<DistanceBinStat> distance_histogram;
   // ---- run diagnostics
   std::size_t stream_windows = 0;  ///< windows the shared run emitted
-  long long peak_rss_kb = 0;       ///< max instantaneous RSS seen per window
 
-  /// Per-user array, aggregates, distance histogram. The run diagnostics
-  /// are host/run-specific and stay out, so reports are bitwise
-  /// reproducible.
+  /// Per-user array, aggregates, distance histogram. The run diagnostic
+  /// follows the window size, not the physics, and stays out.
   QFC_JSON(QkdNetworkReport, duration_s, users, total_key_rate_bps, worst_qber,
            users_with_key, users_no_data, distance_histogram)
 };

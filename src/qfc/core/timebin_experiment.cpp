@@ -67,9 +67,10 @@ TimebinChannelResult TimebinExperiment::run_channel(int k) {
 
   const quantum::DensityMatrix rho = timebin::noisy_pair_state(m, cfg_.pump.pump_phase_rad);
 
-  // Detected pairs contributing per fringe point. The coincidence
-  // probability inside simulate_fringe already includes the 1/16 analyzer
-  // post-selection, so feed it the pre-analyzer detected-pair number.
+  // Detected pairs per fringe point, before the analyzers. Each photon
+  // lands in its analyzer's interfering middle slot with probability 1/2,
+  // so the fringe counts the ++ outcome of a quarter of them; ++ keeps 1/4
+  // of those on average, hence the 1/16 of the floor and the CHSH pairs.
   const double detected_pairs_per_point =
       source_.mean_pairs_per_pulse(k) * 2.0 * cfg_.pump.train.repetition_rate_hz *
       cfg_.integration_s_per_point * cfg_.detection_efficiency_per_arm *
@@ -77,9 +78,10 @@ TimebinChannelResult TimebinExperiment::run_channel(int k) {
   const double accidental_floor = detected_pairs_per_point / 16.0 *
                                   m.accidental_fraction / (1.0 - m.accidental_fraction);
 
-  r.scan = timebin::simulate_fringe(rho, detected_pairs_per_point, accidental_floor,
-                                    cfg_.fringe_points, cfg_.pump.bin_separation_s,
-                                    /*fixed_phase_rad=*/0.0, g);
+  // Analyzer A scans, analyzer B stays at phase 0.
+  r.scan = timebin::simulate_fringe(
+      rho, 0.25 * detected_pairs_per_point, accidental_floor, cfg_.fringe_points,
+      [](double theta) { return std::vector<double>{theta, 0.0}; }, g);
   r.fringe_fit = detect::fit_sinusoid(r.scan.phase_rad, r.scan.counts);
 
   const timebin::ChshSettings settings =

@@ -42,8 +42,8 @@ namespace qfc::io {
 
 inline constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Valid interval of a field. NaN is never inside it; an infinite bound
-/// leaves that side unchecked.
+/// Valid interval of a field. Only finite values are inside it, never NaN
+/// or ±inf; an infinite bound admits every finite value on that side.
 struct Interval {
   double lo = -kInf;
   bool lo_open = false;
@@ -51,7 +51,8 @@ struct Interval {
   bool hi_open = false;
 
   constexpr bool contains(double v) const noexcept {
-    return (lo_open ? v > lo : v >= lo) && (hi_open ? v < hi : v <= hi);
+    return v > -kInf && v < kInf && (lo_open ? v > lo : v >= lo) &&
+           (hi_open ? v < hi : v <= hi);
   }
   constexpr bool bounded() const noexcept { return lo > -kInf || hi < kInf; }
 };
@@ -63,7 +64,7 @@ inline constexpr Interval kEfficiency{0.0, true, 1.0};   ///< (0, 1]
 constexpr Interval at_least(double lo) { return {lo}; }  ///< [lo, inf)
 constexpr Interval between(double lo, double hi) { return {lo, false, hi}; }
 
-/// "> 0", ">= 1", "in (0, 1]", or "a number" when unbounded.
+/// "> 0", ">= 1", "in (0, 1]", or "a finite number" when unbounded.
 inline std::string describe(const Interval& r) {
   const auto num = [](double v) { return (std::ostringstream() << v).str(); };
   if (r.lo > -kInf && r.hi < kInf)
@@ -71,7 +72,7 @@ inline std::string describe(const Interval& r) {
            (r.hi_open ? ")" : "]");
   if (r.lo > -kInf) return (r.lo_open ? "> " : ">= ") + num(r.lo);
   if (r.hi < kInf) return (r.hi_open ? "< " : "<= ") + num(r.hi);
-  return "a number";
+  return "a finite number";
 }
 
 /// One table entry. `valid` is ignored for bool members; `required` marks
@@ -142,7 +143,7 @@ Json to_json(const T& value) {
 }
 
 /// Throws std::invalid_argument("TypeName.field: must be …") for the first
-/// field of `obj` outside its interval (NaN always is).
+/// field of `obj` outside its interval (NaN and ±inf always are).
 template <class T>
 void check_fields(const T& obj, const char* type_name) {
   for_each_field<T>([&](const auto& f) {

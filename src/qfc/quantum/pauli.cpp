@@ -48,15 +48,6 @@ CMat pauli_string(const std::string& labels) {
 
 CMat projector(const CVec& v) { return linalg::outer(v, v); }
 
-CMat xy_observable(double phi) {
-  CMat m = pauli_x();
-  m *= cplx(std::cos(phi), 0);
-  CMat y = pauli_y();
-  y *= cplx(std::sin(phi), 0);
-  m += y;
-  return m;
-}
-
 CVec xy_eigenstate(double phi, int sign) {
   if (sign != 1 && sign != -1) throw std::invalid_argument("xy_eigenstate: sign must be ±1");
   const double s = 1.0 / std::sqrt(2.0);

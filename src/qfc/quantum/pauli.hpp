@@ -28,12 +28,8 @@ CMat pauli_string(const std::string& labels);
 /// Projector |v><v| from a single-qubit state vector.
 CMat projector(const CVec& v);
 
-/// Measurement operator cos observable for a direction in the X-Y plane:
-/// A(φ) = cos(φ) X + sin(φ) Y — the natural analyzer observable of a
-/// time-bin interferometer at phase φ.
-CMat xy_observable(double phi);
-
-/// Eigenvectors of xy_observable(φ): (|0> ± e^{iφ}|1>)/√2.
+/// Eigenvectors of the X-Y plane observable cos(φ) X + sin(φ) Y, the
+/// analyzer of a time-bin interferometer at phase φ: (|0> ± e^{iφ}|1>)/√2.
 CVec xy_eigenstate(double phi, int sign);
 
 /// The analyzer basis at phase φ: column 0 is xy_eigenstate(φ, +1), column

@@ -181,11 +181,6 @@ cplx DensityMatrix::expectation(const CMat& observable) const {
   return linalg::trace_product(rho_, observable);
 }
 
-double DensityMatrix::probability(const CMat& projector) const {
-  const double p = std::real(expectation(projector));
-  return std::min(1.0, std::max(0.0, p));
-}
-
 DensityMatrix DensityMatrix::tensor(const DensityMatrix& other) const {
   return DensityMatrix(concat(dims_, other.dims_), linalg::kron(rho_, other.rho_));
 }

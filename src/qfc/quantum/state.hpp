@@ -100,12 +100,8 @@ class DensityMatrix {
   std::size_t dim() const noexcept { return rho_.rows(); }
   const CMat& matrix() const noexcept { return rho_; }
 
-  /// Tr(ρ O), as the O(dim²) trace of the product — the inner loop of every
-  /// probability evaluation.
+  /// Tr(ρ O), as the O(dim²) trace of the product.
   cplx expectation(const CMat& observable) const;
-
-  /// Probability Tr(ρ P) of projector P, clipped to [0, 1].
-  double probability(const CMat& projector) const;
 
   /// ρ ⊗ σ (dims are concatenated).
   DensityMatrix tensor(const DensityMatrix& other) const;

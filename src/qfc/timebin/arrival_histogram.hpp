@@ -14,8 +14,6 @@
 
 #include "qfc/quantum/state.hpp"
 #include "qfc/rng/xoshiro.hpp"
-#include "qfc/timebin/interferometer.hpp"
-
 
 namespace qfc::timebin {
 

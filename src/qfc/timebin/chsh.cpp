@@ -1,7 +1,6 @@
 #include "qfc/timebin/chsh.hpp"
 
 #include <cmath>
-#include <stdexcept>
 
 #include "qfc/photonics/constants.hpp"
 #include "qfc/quantum/pauli.hpp"
@@ -12,11 +11,10 @@ namespace qfc::timebin {
 using photonics::pi;
 
 double correlation(const quantum::DensityMatrix& rho, double alpha_rad, double beta_rad) {
-  if (rho.num_qubits() != 2)
-    throw std::invalid_argument("correlation: need a two-qubit state");
-  const linalg::CMat obs =
-      linalg::kron(quantum::xy_observable(alpha_rad), quantum::xy_observable(beta_rad));
-  return std::real(rho.expectation(obs));
+  // Outcomes ++, +−, −+, −− of the X–Y analyzers at α and β.
+  const auto p = tomo::outcome_probabilities(
+      rho, {quantum::xy_basis(alpha_rad), quantum::xy_basis(beta_rad)});
+  return p[0] - p[1] - p[2] + p[3];
 }
 
 ChshSettings optimal_settings_for_phi(double pump_phase_rad) {

@@ -15,7 +15,10 @@
 
 namespace qfc::timebin {
 
-/// Correlation E(α, β) = Tr[ρ A(α) ⊗ A(β)] with A(φ) = cos φ X + sin φ Y.
+/// Correlation E(α, β) = p₊₊ − p₊₋ − p₋₊ + p₋₋ of the X–Y analyzers
+/// quantum::xy_basis(α) and xy_basis(β) (tomo::outcome_probabilities), that
+/// is Tr[ρ A(α) ⊗ A(β)] with A(φ) = cos φ X + sin φ Y. Throws
+/// std::invalid_argument for a state that is not a qubit pair.
 double correlation(const quantum::DensityMatrix& rho, double alpha_rad, double beta_rad);
 
 struct ChshSettings {

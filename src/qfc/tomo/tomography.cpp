@@ -76,7 +76,10 @@ std::vector<double> outcome_probabilities(const quantum::DensityMatrix& rho,
   if (!match)
     throw std::invalid_argument("outcome_probabilities: particle dimension is not the basis's");
   std::vector<double> p(rho.dim());
-  for (std::size_t o = 0; o < p.size(); ++o) p[o] = rho.probability(outcome_projector(bases, o));
+  for (std::size_t o = 0; o < p.size(); ++o) {
+    const CVec v = outcome_vector(bases, o);
+    p[o] = std::min(1.0, std::max(0.0, std::real(linalg::vdot(v, rho.matrix() * v))));
+  }
   return p;
 }
 
@@ -385,9 +388,8 @@ BasisSet pauli_bases(double phase_error_rad) {
 std::vector<SettingCounts> simulate_counts(const quantum::DensityMatrix& rho,
                                            double shots_per_setting,
                                            const NoiseKnobs& noise, rng::Xoshiro256& g) {
+  io::check_fields(noise, "NoiseKnobs");
   const double rms = noise.analyzer_phase_rms_rad;
-  if (!(rms >= 0) || !std::isfinite(rms))
-    throw std::invalid_argument("simulate_counts: analyzer_phase_rms_rad must be finite and >= 0");
   Analyzer analyzer;
   if (rms > 0)
     // Systematic analyzer phase error per qubit, fixed within the setting.

@@ -11,13 +11,16 @@
 /// data check and the maximum-likelihood solver, an accelerated projected
 /// gradient that stops at a certified likelihood gap; they differ in the
 /// basis set, the linear-inversion seed, and the qubit analyzer-phase noise.
-/// The Bell tests measure the same way: timebin::measure_chsh and
-/// qudit::measure_cglmp draw their counts through sample_outcome_counts.
+/// Every simulated analyzer measures the same way: outcome_probabilities
+/// is the one Born rule, ⟨v|ρ|v⟩ for each outcome vector |v⟩, behind the
+/// tomography counts, timebin::measure_chsh and timebin::correlation, both
+/// time-bin fringes (timebin::simulate_fringe) and qudit::measure_cglmp.
 
 #include <cstdint>
 #include <functional>
 #include <vector>
 
+#include "qfc/io/fields.hpp"
 #include "qfc/quantum/state.hpp"
 #include "qfc/rng/xoshiro.hpp"
 
@@ -44,14 +47,16 @@ std::vector<linalg::CMat> setting_bases(const BasisSet& set,
 /// bases[q], particle 0 first. std::out_of_range past the last outcome.
 linalg::CVec outcome_vector(const std::vector<linalg::CMat>& bases, std::size_t outcome);
 
-/// Its projector |v⟩⟨v|, as the Kronecker product of per-particle projectors.
+/// Its projector |v⟩⟨v|, as the Kronecker product of per-particle projectors
+/// (for the MUB dual-frame inversion, which sums projectors).
 linalg::CMat outcome_projector(const std::vector<linalg::CMat>& bases,
                                std::size_t outcome);
 
-/// The Born probability ⟨v|ρ|v⟩ of every outcome of one setting that
-/// measures particle q in bases[q], outcomes ordered as outcome_vector's.
-/// Throws std::invalid_argument unless bases has one d_q x d_q matrix per
-/// particle of rho.
+/// The Born probability ⟨v|ρ|v⟩, clamped to [0, 1], of every outcome of one
+/// setting that measures particle q in bases[q], with |v⟩ = outcome_vector
+/// and outcomes in its order; no D x D matrix is built. Throws
+/// std::invalid_argument unless bases has one d_q x d_q matrix per particle
+/// of rho.
 std::vector<double> outcome_probabilities(const quantum::DensityMatrix& rho,
                                           const std::vector<linalg::CMat>& bases);
 
@@ -145,12 +150,16 @@ struct NoiseKnobs {
   double analyzer_phase_rms_rad = 0.0;
   /// Flat accidental counts added to every outcome of every setting.
   double accidentals_per_outcome = 0.0;
+
+  QFC_FIELDS(NoiseKnobs,
+      QFC_FIELD(analyzer_phase_rms_rad, io::kNonNegative, "analyzer phase error RMS [rad]"),
+      QFC_FIELD(accidentals_per_outcome, io::kNonNegative, "accidentals per outcome"))
 };
 
 /// Simulate Pauli tomography data: all 3^n settings in lexicographic order
 /// (X < Y < Z), each qubit's analyzer phase drawn per setting from `noise`.
-/// rho must be a qubit register, and every knob finite and >= 0
-/// (std::invalid_argument otherwise).
+/// rho must be a qubit register, and `noise` pass its table
+/// (std::invalid_argument("NoiseKnobs.<knob>: must be >= 0") otherwise).
 std::vector<SettingCounts> simulate_counts(const quantum::DensityMatrix& rho,
                                            double shots_per_setting,
                                            const NoiseKnobs& noise, rng::Xoshiro256& g);

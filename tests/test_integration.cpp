@@ -146,8 +146,9 @@ TEST(Integration, FourfoldVisibilityConsistency) {
   rng::Xoshiro256 g(123);
   const auto pair = quantum::werner_phi(v);
   const auto four = pair.tensor(pair);
-  const auto fringe = timebin::simulate_fourfold_fringe(four, 1e5, 0.0, 24, g);
-  EXPECT_NEAR(fringe.visibility, timebin::fourfold_visibility(v, 0.0), 0.01);
+  const timebin::FourfoldFringe fringe{timebin::simulate_fringe(
+      four, 1e5, 0.0, 24, [](double theta) { return std::vector<double>(4, theta); }, g)};
+  EXPECT_NEAR(fringe.visibility(), timebin::fourfold_visibility(v, 0.0), 0.01);
 }
 
 TEST(Integration, EntanglementSurvivesDetectionNoiseChain) {

@@ -132,9 +132,10 @@ TEST(Pauli, StringBuildsKron) {
   EXPECT_THROW(pauli_string(""), std::invalid_argument);
 }
 
-TEST(Pauli, XyObservableEigenstates) {
+TEST(Pauli, XyEigenstatesOfPlaneObservable) {
   for (double phi : {0.0, 0.7, 2.0}) {
-    const CMat a = xy_observable(phi);
+    // A(φ) = cos φ X + sin φ Y.
+    const CMat a = std::cos(phi) * pauli_x() + std::sin(phi) * pauli_y();
     for (int sign : {+1, -1}) {
       const CVec v = xy_eigenstate(phi, sign);
       const CVec av = a * v;

@@ -153,7 +153,9 @@ TEST_P(FringeFitSweep, FitRecoversVisibilityUnderPoissonNoise) {
   const double v = GetParam();
   rng::Xoshiro256 g(static_cast<std::uint64_t>(v * 1000) + 5);
   const auto rho = quantum::werner_phi(v);
-  const auto scan = timebin::simulate_fringe(rho, 4.0e5, 0.0, 24, 1e-9, 0.3, g);
+  const auto scan = timebin::simulate_fringe(
+      rho, 0.25 * 4.0e5, 0.0, 24,
+      [](double theta) { return std::vector<double>{theta, 0.3}; }, g);
   const auto fit = detect::fit_sinusoid(scan.phase_rad, scan.counts);
   EXPECT_NEAR(fit.visibility, v, 0.03) << "V=" << v;
 }

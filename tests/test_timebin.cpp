@@ -1,7 +1,10 @@
-// Tests for the time-bin entanglement stack (S7): interferometer, Franson
-// interference, noise model, CHSH, four-photon interference.
+// Tests for the time-bin entanglement stack (S7): Franson interference,
+// noise model, CHSH, four-photon interference.
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -9,10 +12,8 @@
 #include "qfc/quantum/bell.hpp"
 #include "qfc/timebin/arrival_histogram.hpp"
 #include "qfc/quantum/measures.hpp"
-#include "qfc/quantum/pauli.hpp"
 #include "qfc/timebin/chsh.hpp"
 #include "qfc/timebin/franson.hpp"
-#include "qfc/timebin/interferometer.hpp"
 #include "qfc/timebin/multiphoton.hpp"
 #include "qfc/timebin/timebin_state.hpp"
 
@@ -23,69 +24,48 @@ using photonics::pi;
 using quantum::bell_phi;
 using quantum::DensityMatrix;
 using quantum::werner_phi;
-using timebin::UnbalancedMichelson;
 
-TEST(Interferometer, PathAmplitudesCarryPhase) {
-  const UnbalancedMichelson mi(1e-9, 0.7);
-  EXPECT_NEAR(std::abs(mi.short_path_amplitude()), 0.5, 1e-12);
-  EXPECT_NEAR(std::abs(mi.long_path_amplitude()), 0.5, 1e-12);
-  EXPECT_NEAR(std::arg(mi.long_path_amplitude()), 0.7, 1e-12);
-  EXPECT_NEAR(mi.postselection_probability(), 0.5, 1e-12);
-}
-
-TEST(Interferometer, AnalyzerProjectorIsRankOneProjector) {
-  const UnbalancedMichelson mi(1e-9, 1.2);
-  const auto p = mi.analyzer_projector();
-  // Projectors: P² = P, trace 1.
-  EXPECT_LT((p * p - p).max_abs(), 1e-12);
-  EXPECT_NEAR(std::real(p.trace()), 1.0, 1e-12);
-}
-
-TEST(Interferometer, BadParametersThrow) {
-  EXPECT_THROW(UnbalancedMichelson(0.0, 0.0), std::invalid_argument);
-  EXPECT_THROW(UnbalancedMichelson(1e-9, 0.0, 1.5), std::invalid_argument);
+/// The pair fringe's expectation with analyzer A at θ + alpha and B at beta:
+/// events x P(++) at each of num_points scan phases.
+std::vector<double> pair_fringe(const DensityMatrix& rho, double alpha, double beta,
+                                int num_points = 64, double events = 1.0) {
+  rng::Xoshiro256 g(1);
+  return timebin::simulate_fringe(
+             rho, events, 0.0, num_points,
+             [&](double theta) { return std::vector<double>{theta + alpha, beta}; }, g)
+      .expected;
 }
 
 TEST(Franson, IdealBellGivesFullFringe) {
-  const DensityMatrix rho{bell_phi(0.0)};
-  double mx = 0, mn = 1;
-  for (int i = 0; i < 64; ++i) {
-    const double a = 2 * pi * i / 64.0;
-    const UnbalancedMichelson ma(1e-9, a), mb(1e-9, 0.0);
-    const double p = timebin::coincidence_probability(rho, ma, mb);
-    mx = std::max(mx, p);
-    mn = std::min(mn, p);
-  }
-  // P(α,β) = (1 + cos(α+β))/4 x (1/4 post-selection): max 1/8, min 0.
-  EXPECT_NEAR(mx, 1.0 / 8.0, 1e-6);
-  EXPECT_NEAR(mn, 0.0, 1e-6);
+  // With the middle-slot post-selection (1/2 per photon) folded into the
+  // events, P(α,β) = (1 + cos(α+β))/4 x 1/4: max 1/8, min 0.
+  const auto p = pair_fringe(DensityMatrix{bell_phi(0.0)}, 0.0, 0.0, 64, 0.25);
+  EXPECT_NEAR(*std::max_element(p.begin(), p.end()), 1.0 / 8.0, 1e-12);
+  EXPECT_NEAR(*std::min_element(p.begin(), p.end()), 0.0, 1e-12);
 }
 
 TEST(Franson, FringeFollowsSumOfPhases) {
   const DensityMatrix rho{bell_phi(0.0)};
   // Shifting α by +x and β by −x leaves the coincidence rate unchanged.
-  const UnbalancedMichelson a1(1e-9, 0.3), b1(1e-9, 0.9);
-  const UnbalancedMichelson a2(1e-9, 0.3 + 0.4), b2(1e-9, 0.9 - 0.4);
-  EXPECT_NEAR(timebin::coincidence_probability(rho, a1, b1),
-              timebin::coincidence_probability(rho, a2, b2), 1e-12);
+  const auto p1 = pair_fringe(rho, 0.3, 0.9);
+  const auto p2 = pair_fringe(rho, 0.3 + 0.4, 0.9 - 0.4);
+  for (std::size_t i = 0; i < p1.size(); ++i) EXPECT_NEAR(p1[i], p2[i], 1e-12) << i;
 }
 
 TEST(Franson, WernerVisibilityMatchesV) {
   for (double v : {0.5, 0.83, 1.0}) {
-    const DensityMatrix rho = werner_phi(v);
-    const UnbalancedMichelson mb(1e-9, 0.0);
-    const double pmax = timebin::coincidence_probability(
-        rho, UnbalancedMichelson(1e-9, 0.0), mb);
-    const double pmin = timebin::coincidence_probability(
-        rho, UnbalancedMichelson(1e-9, pi), mb);
-    EXPECT_NEAR((pmax - pmin) / (pmax + pmin), v, 1e-9) << "V=" << v;
+    // Four points: θ = 0 and π are the extrema.
+    const auto p = pair_fringe(werner_phi(v), 0.0, 0.0, 4);
+    EXPECT_NEAR((p[0] - p[2]) / (p[0] + p[2]), v, 1e-9) << "V=" << v;
   }
 }
 
 TEST(Franson, SimulatedFringeFitsExpectedVisibility) {
   rng::Xoshiro256 g(42);
   const DensityMatrix rho = werner_phi(0.83);
-  const auto scan = timebin::simulate_fringe(rho, 2.0e5, 0.0, 24, 1e-9, 0.0, g);
+  const auto scan = timebin::simulate_fringe(
+      rho, 0.25 * 2.0e5, 0.0, 24,
+      [](double theta) { return std::vector<double>{theta, 0.0}; }, g);
   ASSERT_EQ(scan.counts.size(), 24u);
   // Fit the analytic expectation: visibility must be exactly 0.83; the
   // Poisson counts must scatter around it.
@@ -95,6 +75,20 @@ TEST(Franson, SimulatedFringeFitsExpectedVisibility) {
     mn = std::min(mn, e);
   }
   EXPECT_NEAR((mx - mn) / (mx + mn), 0.83, 1e-6);
+}
+
+TEST(Franson, RejectsBadInput) {
+  rng::Xoshiro256 g(3);
+  const DensityMatrix rho = werner_phi(0.83);
+  const auto pair = [](double theta) { return std::vector<double>{theta, 0.0}; };
+  const double nan = std::nan(""), inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(timebin::simulate_fringe(rho, 1e3, 0.0, 3, pair, g), std::invalid_argument);
+  for (double events : {0.0, -1.0, nan, inf})
+    EXPECT_THROW(timebin::simulate_fringe(rho, events, 0.0, 24, pair, g),
+                 std::invalid_argument) << events;
+  for (double floor : {-1.0, nan, inf})
+    EXPECT_THROW(timebin::simulate_fringe(rho, 1e3, floor, 24, pair, g),
+                 std::invalid_argument) << floor;
 }
 
 TEST(NoiseModel, PredictedVisibilityComponents) {
@@ -207,15 +201,16 @@ TEST(Chsh, MeasurementRejectsBadInput) {
 }
 
 TEST(FourPhoton, ProbabilityOfProductState) {
-  // Tr[(ρ⊗ρ)(Π⊗Π⊗Π⊗Π)] = (Tr[ρ(Π⊗Π)])².
+  // Tr[(ρ⊗ρ)(Π⊗Π⊗Π⊗Π)] = (Tr[ρ(Π⊗Π)])² at every common phase θ.
   const DensityMatrix pair = werner_phi(0.8);
-  const DensityMatrix four = pair.tensor(pair);
-  for (double th : {0.0, 0.9}) {
-    const double p4 = timebin::fourfold_probability(four, th);
-    const linalg::CMat proj = quantum::projector(quantum::xy_eigenstate(th, +1));
-    const double p2 = pair.probability(linalg::kron(proj, proj));
-    EXPECT_NEAR(p4, p2 * p2, 1e-10);
-  }
+  rng::Xoshiro256 g(5);
+  const auto all_at = [](std::size_t n) {
+    return [n](double theta) { return std::vector<double>(n, theta); };
+  };
+  const auto four = timebin::simulate_fringe(pair.tensor(pair), 1.0, 0.0, 8, all_at(4), g);
+  const auto two = timebin::simulate_fringe(pair, 1.0, 0.0, 8, all_at(2), g);
+  for (std::size_t i = 0; i < two.expected.size(); ++i)
+    EXPECT_NEAR(four.expected[i], two.expected[i] * two.expected[i], 1e-12) << i;
 }
 
 TEST(FourPhoton, AnalyticVisibilityFormula) {
@@ -231,13 +226,18 @@ TEST(FourPhoton, SimulatedFringeMatchesAnalytic) {
   rng::Xoshiro256 g(9);
   const DensityMatrix pair = werner_phi(0.83);
   const DensityMatrix four = pair.tensor(pair);
-  const auto fringe = timebin::simulate_fourfold_fringe(four, 5e4, 0.0, 24, g);
-  EXPECT_NEAR(fringe.visibility, 2 * 0.83 / (1 + 0.83 * 0.83), 0.01);
+  const timebin::FourfoldFringe fringe{timebin::simulate_fringe(
+      four, 5e4, 0.0, 24, [](double theta) { return std::vector<double>(4, theta); }, g)};
+  EXPECT_NEAR(fringe.visibility(), 2 * 0.83 / (1 + 0.83 * 0.83), 0.01);
 }
 
 TEST(FourPhoton, RejectsWrongDimensions) {
-  const DensityMatrix pair = werner_phi(0.8);
-  EXPECT_THROW(timebin::fourfold_probability(pair, 0.0), std::invalid_argument);
+  // Four analyzer phases need four particles.
+  rng::Xoshiro256 g(10);
+  EXPECT_THROW(timebin::simulate_fringe(
+                   werner_phi(0.8), 1.0, 0.0, 8,
+                   [](double theta) { return std::vector<double>(4, theta); }, g),
+               std::invalid_argument);
 }
 
 }  // namespace

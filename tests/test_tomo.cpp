@@ -55,6 +55,27 @@ TEST(Projectors, CompleteAndOrthogonal) {
   EXPECT_THROW(tomo::outcome_vector(xy, 4), std::out_of_range);
 }
 
+TEST(Projectors, ProbabilitiesAreTraceWithProjector) {
+  // ⟨v|ρ|v⟩ from the outcome vector equals Tr(ρ |v⟩⟨v|), for a mixed qubit
+  // pair in a noisy analyzer setting and a qutrit pair in MUB settings.
+  const DensityMatrix qubits = werner_phi(0.7, 0.4);
+  const auto qutrits = quantum::isotropic_noise(quantum::maximally_entangled(3), 0.8);
+  const auto mubs = qudit::mub_bases(3);
+  for (const auto& [rho, bases] :
+       {std::pair{qubits, tomo::setting_bases(tomo::pauli_bases(0.3), {0, 1})},
+        std::pair{qutrits, tomo::setting_bases(mubs, {1, 3})},
+        std::pair{qutrits, tomo::setting_bases(mubs, {2, 0})}}) {
+    const auto p = tomo::outcome_probabilities(rho, bases);
+    double total = 0;
+    for (std::size_t o = 0; o < p.size(); ++o) {
+      const auto proj = tomo::outcome_projector(bases, o);
+      EXPECT_NEAR(p[o], std::real(linalg::trace_product(rho.matrix(), proj)), 1e-13) << o;
+      total += p[o];
+    }
+    EXPECT_NEAR(total, 1.0, 1e-12);
+  }
+}
+
 TEST(Projectors, ZBasisIsComputational) {
   const auto p0 = tomo::outcome_projector(tomo::setting_bases(tomo::pauli_bases(), {2}), 0);
   EXPECT_NEAR(std::real(p0(0, 0)), 1.0, 1e-12);

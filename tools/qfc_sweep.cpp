@@ -14,6 +14,7 @@
 // Exit codes: 0 success; 1 usage/config/I/O error; 2 selfcheck divergence;
 // 3 one or more scenario instances failed (the report still lists them).
 
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -78,8 +79,10 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--workers") == 0) {
       const char* v = value();
       if (!v) return 1;
-      workers = std::atoi(v);
-      if (workers < 1 || workers > 1024) {
+      // The whole argument must be the integer: "2x" and "1e3" are errors.
+      const char* end = v + std::strlen(v);
+      const auto [ptr, ec] = std::from_chars(v, end, workers);
+      if (ec != std::errc() || ptr != end || workers < 1 || workers > 1024) {
         std::cerr << "qfc_sweep: --workers must be in [1, 1024]\n";
         return 1;
       }
