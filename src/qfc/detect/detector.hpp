@@ -74,8 +74,8 @@ inline bool detect_photon_click(double t_s, const DetectorParams& params,
                                 double duration_s, rng::Xoshiro256& g,
                                 double& click_out_s) {
   if (t_s < 0 || t_s >= duration_s) return false;
-  if (!rng::sample_bernoulli(g, params.efficiency)) return false;
-  const double jittered = t_s + rng::sample_normal(g, 0.0, params.jitter_sigma_s);
+  if (!rng::unchecked::bernoulli(g, params.efficiency)) return false;
+  const double jittered = t_s + rng::unchecked::normal(g, 0.0, params.jitter_sigma_s);
   if (jittered < 0 || jittered >= duration_s) return false;
   click_out_s = jittered;
   return true;

@@ -41,12 +41,12 @@ struct ExpState {
         done = true;  // nothing is drawn at rate 0
         return;
       }
-      next = rng::sample_exponential(g, rate_hz);
+      next = rng::unchecked::exponential(g, rate_hz);
       primed = true;
     }
     while (next < duration_s && next < target_s) {
       emit(next);
-      next += rng::sample_exponential(g, rate_hz);
+      next += rng::unchecked::exponential(g, rate_hz);
     }
     if (next >= duration_s) done = true;
   }
@@ -80,12 +80,12 @@ struct PwState {
       if (r > 0) {
         if (!primed) {
           if (seg_start >= target_s) return;
-          next = seg_start + rng::sample_exponential(g, r);
+          next = seg_start + rng::unchecked::exponential(g, r);
           primed = true;
         }
         while (next < seg_end && next < target_s) {
           emit(next);
-          next += rng::sample_exponential(g, r);
+          next += rng::unchecked::exponential(g, r);
         }
         if (next < seg_end) return;  // paused mid-segment
       }
@@ -120,7 +120,7 @@ struct PulsedState {
         done = true;
         return;
       }
-      pulse = std::floor(rng::sample_exponential(g, mu));
+      pulse = std::floor(rng::unchecked::exponential(g, mu));
       primed = true;
     }
     const double period = 1.0 / p.repetition_rate_hz;
@@ -135,12 +135,12 @@ struct PulsedState {
       const std::uint64_t n = rng::sample_zero_truncated_poisson(g, mu);
       for (std::uint64_t i = 0; i < n; ++i) {
         double t0 = t_pulse;
-        if (double_pulse && rng::sample_bernoulli(g, p.late_fraction))
+        if (double_pulse && rng::unchecked::bernoulli(g, p.late_fraction))
           t0 += p.bin_separation_s;
-        if (p.pulse_sigma_s > 0) t0 += rng::sample_normal(g, 0.0, p.pulse_sigma_s);
+        if (p.pulse_sigma_s > 0) t0 += rng::unchecked::normal(g, 0.0, p.pulse_sigma_s);
         emit(t0);
       }
-      pulse += 1.0 + std::floor(rng::sample_exponential(g, mu));
+      pulse += 1.0 + std::floor(rng::unchecked::exponential(g, mu));
     }
   }
 };

@@ -45,12 +45,12 @@ void emit_pair(double t0, double delay_scale, double duration_s, double transmis
                double transmission_b, PairStreams& s, rng::Xoshiro256& g) {
   // Symmetrize: put half the Laplace delay on each photon so neither arm
   // is systematically early.
-  const double delta = rng::sample_double_exponential(g, 1.0 / delay_scale);
+  const double delta = rng::unchecked::double_exponential(g, 1.0 / delay_scale);
   const double ta = t0 + delta / 2.0;
   const double tb = t0 - delta / 2.0;
-  if (ta >= 0 && ta < duration_s && rng::sample_bernoulli(g, transmission_a))
+  if (ta >= 0 && ta < duration_s && rng::unchecked::bernoulli(g, transmission_a))
     s.a.push_back(ta);
-  if (tb >= 0 && tb < duration_s && rng::sample_bernoulli(g, transmission_b))
+  if (tb >= 0 && tb < duration_s && rng::unchecked::bernoulli(g, transmission_b))
     s.b.push_back(tb);
 }
 

@@ -5,34 +5,11 @@
 
 namespace qfc::rng {
 
-double sample_normal(Xoshiro256& g) {
-  // Marsaglia polar method; discards the second variate. Emission is the
-  // measured critical path of the streaming engine (perfbench
-  // network_stream), so this loop is hot: caching the second variate would
-  // change every generated stream and its pinned outputs.
-  for (;;) {
-    const double u = g.uniform(-1.0, 1.0);
-    const double v = g.uniform(-1.0, 1.0);
-    const double s = u * u + v * v;
-    if (s > 0.0 && s < 1.0) return u * std::sqrt(-2.0 * std::log(s) / s);
-  }
-}
+namespace detail {
 
-double sample_normal(Xoshiro256& g, double mean, double sigma) {
-  if (sigma < 0) throw std::invalid_argument("sample_normal: negative sigma");
-  return mean + sigma * sample_normal(g);
-}
+void throw_invalid_argument(const char* what) { throw std::invalid_argument(what); }
 
-double sample_exponential(Xoshiro256& g, double lambda) {
-  if (lambda <= 0) throw std::invalid_argument("sample_exponential: lambda must be > 0");
-  // 1 - uniform() is in (0, 1], so the log argument never vanishes.
-  return -std::log(1.0 - g.uniform()) / lambda;
-}
-
-double sample_double_exponential(Xoshiro256& g, double lambda) {
-  const double mag = sample_exponential(g, lambda);
-  return g.uniform() < 0.5 ? -mag : mag;
-}
+}  // namespace detail
 
 namespace {
 
@@ -105,11 +82,6 @@ std::uint64_t sample_zero_truncated_poisson(Xoshiro256& g, double mu) {
     cdf += p;
   }
   return k;
-}
-
-bool sample_bernoulli(Xoshiro256& g, double p) {
-  if (p < 0 || p > 1) throw std::invalid_argument("sample_bernoulli: p outside [0,1]");
-  return g.uniform() < p;
 }
 
 std::size_t sample_discrete(Xoshiro256& g, const std::vector<double>& weights) {

@@ -81,6 +81,11 @@ TEST(Normal, NegativeSigmaThrows) {
   EXPECT_THROW(qfc::rng::sample_normal(g, 0.0, -1.0), std::invalid_argument);
 }
 
+TEST(Normal, NanSigmaThrows) {
+  Xoshiro256 g(11);
+  EXPECT_THROW(qfc::rng::sample_normal(g, 0.0, std::numeric_limits<double>::quiet_NaN()), std::invalid_argument);
+}
+
 TEST(Exponential, MeanAndPositivity) {
   Xoshiro256 g(12);
   const double lambda = 4.0;
@@ -98,6 +103,9 @@ TEST(Exponential, BadRateThrows) {
   Xoshiro256 g(13);
   EXPECT_THROW(qfc::rng::sample_exponential(g, 0.0), std::invalid_argument);
   EXPECT_THROW(qfc::rng::sample_exponential(g, -2.0), std::invalid_argument);
+  EXPECT_THROW(qfc::rng::sample_exponential(g, std::numeric_limits<double>::quiet_NaN()), std::invalid_argument);
+  EXPECT_THROW(qfc::rng::sample_double_exponential(g, 0.0), std::invalid_argument);
+  EXPECT_THROW(qfc::rng::sample_double_exponential(g, std::numeric_limits<double>::quiet_NaN()), std::invalid_argument);
 }
 
 TEST(DoubleExponential, SymmetricWithLaplaceVariance) {
@@ -188,6 +196,8 @@ TEST(Bernoulli, Extremes) {
     EXPECT_TRUE(qfc::rng::sample_bernoulli(g, 1.0));
   }
   EXPECT_THROW(qfc::rng::sample_bernoulli(g, 1.5), std::invalid_argument);
+  EXPECT_THROW(qfc::rng::sample_bernoulli(g, -0.5), std::invalid_argument);
+  EXPECT_THROW(qfc::rng::sample_bernoulli(g, std::numeric_limits<double>::quiet_NaN()), std::invalid_argument);
 }
 
 TEST(Discrete, RespectsWeights) {
