@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -105,15 +106,36 @@ double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 }
 
+/// The engine's detector pass on arrivals already thinned by efficiency:
+/// jitter per arrival on `g_det`, the internal darks on `g_dark`, then the
+/// shared merge + dead-time pass.
+std::vector<double> jitter_only_detect(const std::vector<double>& arrivals,
+                                       const detect::DetectorParams& d, double duration_s,
+                                       rng::Xoshiro256& g_det, rng::Xoshiro256& g_dark) {
+  std::vector<double> clicks;
+  for (double t : arrivals) {
+    double click;
+    if (detect::jitter_click(t, d.jitter_sigma_s, duration_s, g_det, click))
+      clicks.push_back(click);
+  }
+  const std::vector<double> darks =
+      detect::generate_poisson_arrivals(d.dark_rate_hz, duration_s, g_dark);
+  double dead_last = detect::detail::kNoClick;
+  std::vector<double> out;
+  detect::detail::finalize_clicks(clicks, std::numeric_limits<double>::infinity(), darks, {},
+                                  d.dead_time_s, dead_last, out);
+  return out;
+}
+
 /// Legacy path: per-channel streams through the single-stream kernels
 /// (same fork-per-channel and per-stage sub-stream seeding as the engine,
-/// so the streams match), then n x n pairwise measure_car re-scans of the
-/// full click vectors.
+/// with each arm's detector efficiency folded into its transmission and a
+/// jitter-only detector pass, so the streams match), then n x n pairwise
+/// measure_car re-scans of the full click vectors.
 std::vector<detect::CarResult> legacy_car_matrix(
     const std::vector<detect::ChannelPairSpec>& specs, double duration_s) {
   const std::size_t n = specs.size();
   std::vector<std::vector<double>> sig(n), idl(n);
-  const std::vector<double> no_extra_darks;
   rng::Xoshiro256 master(kSeed);
   for (std::size_t c = 0; c < n; ++c) {
     rng::Xoshiro256 g = master.fork(static_cast<std::uint64_t>(c + 1));
@@ -122,13 +144,13 @@ std::vector<detect::CarResult> legacy_car_matrix(
     p.pair_rate_hz = specs[c].pair_rate_hz;
     p.linewidth_hz = specs[c].linewidth_hz;
     p.duration_s = duration_s;
-    p.transmission_a = specs[c].transmission_signal;
-    p.transmission_b = specs[c].transmission_idler;
+    p.transmission_a = specs[c].transmission_signal * specs[c].detector_signal.efficiency;
+    p.transmission_b = specs[c].transmission_idler * specs[c].detector_idler.efficiency;
     const auto photons = detect::generate_pair_arrivals(p, r.pair);
-    sig[c] = detect::SinglePhotonDetector(specs[c].detector_signal)
-                 .detect(photons.a, no_extra_darks, duration_s, r.det_a, r.dark_a);
-    idl[c] = detect::SinglePhotonDetector(specs[c].detector_idler)
-                 .detect(photons.b, no_extra_darks, duration_s, r.det_b, r.dark_b);
+    sig[c] = jitter_only_detect(photons.a, specs[c].detector_signal, duration_s, r.det_a,
+                                r.dark_a);
+    idl[c] = jitter_only_detect(photons.b, specs[c].detector_idler, duration_s, r.det_b,
+                                r.dark_b);
   }
   std::vector<detect::CarResult> cells;
   cells.reserve(n * n);

@@ -64,21 +64,35 @@ class SinglePhotonDetector {
   DetectorParams params_;
 };
 
-/// One photon arrival through the efficiency + jitter front end: returns
-/// true (and writes the click time) iff the photon is detected and its
-/// jittered timestamp lands inside [0, duration). The per-arrival body of
-/// SinglePhotonDetector::detect and of the event streamer's detector pass.
-/// Note the jitter draw happens only when the efficiency Bernoulli
+/// One photon arrival through the jitter-only front end: returns true (and
+/// writes the click time) iff the arrival lies in [0, duration) and its
+/// jittered timestamp does too. The per-arrival body of the event
+/// streamer's detector pass, whose emission samplers have already thinned
+/// every arrival by the detector efficiency (engine_plan.hpp). Expects a
+/// validated jitter_sigma_s (>= 0, finite); draws one normal per arrival in
+/// range.
+inline bool jitter_click(double t_s, double jitter_sigma_s, double duration_s,
+                         rng::Xoshiro256& g, double& click_out_s) {
+  if (t_s < 0 || t_s >= duration_s) return false;
+  const double jittered = t_s + rng::unchecked::normal(g, 0.0, jitter_sigma_s);
+  if (jittered < 0 || jittered >= duration_s) return false;
+  click_out_s = jittered;
+  return true;
+}
+
+/// One photon arrival through the efficiency + jitter front end: an
+/// efficiency Bernoulli, then jitter_click. The per-arrival body of
+/// SinglePhotonDetector::detect, which takes unthinned photons; the event
+/// streamer folds efficiency into emission instead and calls jitter_click
+/// directly. Expects validated params. Arrivals outside [0, duration) draw
+/// nothing, and the jitter draw happens only when the efficiency Bernoulli
 /// succeeds.
 inline bool detect_photon_click(double t_s, const DetectorParams& params,
                                 double duration_s, rng::Xoshiro256& g,
                                 double& click_out_s) {
   if (t_s < 0 || t_s >= duration_s) return false;
   if (!rng::unchecked::bernoulli(g, params.efficiency)) return false;
-  const double jittered = t_s + rng::unchecked::normal(g, 0.0, params.jitter_sigma_s);
-  if (jittered < 0 || jittered >= duration_s) return false;
-  click_out_s = jittered;
-  return true;
+  return jitter_click(t_s, params.jitter_sigma_s, duration_s, g, click_out_s);
 }
 
 namespace detail {

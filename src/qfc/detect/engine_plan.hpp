@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "qfc/detect/emission_samplers.hpp"
 #include "qfc/detect/event_engine.hpp"
 #include "qfc/detect/event_stream.hpp"
 
@@ -26,13 +27,30 @@ inline void check_engine_config(const EngineConfig& cfg) {
 }
 
 /// Per-channel generation plan, fully validated before any parallel work.
+/// The mode's parameter struct carries the per-arm survival probabilities
+/// e = T·η (channel transmission times detector efficiency) as its
+/// transmissions, and `thin` is the pair thinning they give: the emission
+/// sampler draws only pairs that can click, so the detector pass draws
+/// jitter only.
 struct ChannelPlan {
   EmissionMode mode = EmissionMode::Cw;
   PairStreamParams cw;
   PulsedStreamParams pulsed;
   PiecewiseStreamParams piecewise;
+  PairThinning thin{0.0, 0.0};
 };
 
+/// Validates `p` with the spec's own transmissions, then folds each arm's
+/// detector efficiency into them and plans the pair thinning.
+template <class Params>
+void fold_efficiency(Params& p, const ChannelPairSpec& spec, ChannelPlan& plan) {
+  p.validate();
+  p.transmission_a *= spec.detector_signal.efficiency;
+  p.transmission_b *= spec.detector_idler.efficiency;
+  plan.thin = PairThinning(p.transmission_a, p.transmission_b);
+}
+
+/// Expects the spec's detectors validated (make_checked_plan does that).
 inline ChannelPlan make_plan(const ChannelPairSpec& spec, double duration_s) {
   ChannelPlan plan;
   plan.mode = spec.emission;
@@ -43,7 +61,7 @@ inline ChannelPlan make_plan(const ChannelPairSpec& spec, double duration_s) {
       plan.cw.duration_s = duration_s;
       plan.cw.transmission_a = spec.transmission_signal;
       plan.cw.transmission_b = spec.transmission_idler;
-      plan.cw.validate();
+      fold_efficiency(plan.cw, spec, plan);
       break;
     case EmissionMode::Pulsed:
       if (spec.pair_rate_hz != 0)
@@ -59,7 +77,7 @@ inline ChannelPlan make_plan(const ChannelPairSpec& spec, double duration_s) {
       plan.pulsed.duration_s = duration_s;
       plan.pulsed.transmission_a = spec.transmission_signal;
       plan.pulsed.transmission_b = spec.transmission_idler;
-      plan.pulsed.validate();
+      fold_efficiency(plan.pulsed, spec, plan);
       break;
     case EmissionMode::PiecewiseRates:
       if (spec.pair_rate_hz != 0)
@@ -71,7 +89,7 @@ inline ChannelPlan make_plan(const ChannelPairSpec& spec, double duration_s) {
       plan.piecewise.duration_s = duration_s;
       plan.piecewise.transmission_a = spec.transmission_signal;
       plan.piecewise.transmission_b = spec.transmission_idler;
-      plan.piecewise.validate();
+      fold_efficiency(plan.piecewise, spec, plan);
       break;
   }
   return plan;

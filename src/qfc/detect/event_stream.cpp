@@ -39,23 +39,6 @@ void PairStreamParams::validate() const {
   validate_pair_stream(*this, "PairStreamParams");
 }
 
-namespace detail {
-
-void emit_pair(double t0, double delay_scale, double duration_s, double transmission_a,
-               double transmission_b, PairStreams& s, rng::Xoshiro256& g) {
-  // Symmetrize: put half the Laplace delay on each photon so neither arm
-  // is systematically early.
-  const double delta = rng::unchecked::double_exponential(g, 1.0 / delay_scale);
-  const double ta = t0 + delta / 2.0;
-  const double tb = t0 - delta / 2.0;
-  if (ta >= 0 && ta < duration_s && rng::unchecked::bernoulli(g, transmission_a))
-    s.a.push_back(ta);
-  if (tb >= 0 && tb < duration_s && rng::unchecked::bernoulli(g, transmission_b))
-    s.b.push_back(tb);
-}
-
-}  // namespace detail
-
 namespace {
 
 /// The pair emission times are generated in order and the signal-idler
@@ -69,13 +52,15 @@ void sort_if_needed(PairStreams& s) {
 
 }  // namespace
 
-// Each generator is one sampler of emission_samplers.hpp advanced to +∞.
+// Each generator is one sampler of emission_samplers.hpp advanced to +∞,
+// its pair clock thinned by the arm transmissions.
 
 PairStreams generate_pair_arrivals(const PairStreamParams& p, rng::Xoshiro256& g) {
   p.validate();
   PairStreams s;
-  detail::ExpState{}.advance(p.pair_rate_hz, p.duration_s, kInf, g,
-                             detail::pair_emitter(p, s, g));
+  const detail::PairThinning thin(p.transmission_a, p.transmission_b);
+  detail::ExpState{}.advance(p.pair_rate_hz * thin.p_any, p.duration_s, kInf, g,
+                             detail::pair_emitter(p, thin, s, g));
   sort_if_needed(s);
   return s;
 }
@@ -112,7 +97,8 @@ PairStreams generate_pulsed_pair_arrivals(const PulsedStreamParams& p,
                                           rng::Xoshiro256& g) {
   p.validate();
   PairStreams s;
-  detail::PulsedState{}.advance(p, kInf, g, detail::pair_emitter(p, s, g));
+  const detail::PairThinning thin(p.transmission_a, p.transmission_b);
+  detail::PulsedState{}.advance(p, thin.p_any, kInf, g, detail::pair_emitter(p, thin, s, g));
   sort_if_needed(s);
   return s;
 }
@@ -150,8 +136,9 @@ PairStreams generate_piecewise_pair_arrivals(const PiecewiseStreamParams& p,
                                              rng::Xoshiro256& g) {
   p.validate();
   PairStreams s;
-  detail::PwState{}.advance(p.segments, &RateSegment::pair_rate_hz, p.duration_s, kInf, g,
-                            detail::pair_emitter(p, s, g));
+  const detail::PairThinning thin(p.transmission_a, p.transmission_b);
+  detail::PwState{}.advance(p.segments, &RateSegment::pair_rate_hz, thin.p_any, p.duration_s,
+                            kInf, g, detail::pair_emitter(p, thin, s, g));
   sort_if_needed(s);
   return s;
 }

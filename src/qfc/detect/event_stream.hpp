@@ -10,6 +10,12 @@
 /// per-arm channel transmission. Detector imperfections are applied
 /// separately by SinglePhotonDetector.
 ///
+/// Transmission is applied by thinning the pair clock: only pairs with at
+/// least one transmitted photon are drawn, at rate × (1 - (1-T_a)(1-T_b)),
+/// and one draw picks which arms they reach. The output has the law of
+/// drawing every pair and dropping each photon with probability 1 - T; the
+/// draw sequence of a seed is that of the thinned clock.
+///
 /// Each generator drains the mode's resumable sampler
 /// (emission_samplers.hpp), the same one the windowed engine advances per
 /// window (streaming.hpp); multi-channel callers should use the engine
@@ -95,16 +101,5 @@ struct PiecewiseStreamParams {
 
 PairStreams generate_piecewise_pair_arrivals(const PiecewiseStreamParams& p,
                                              rng::Xoshiro256& g);
-
-namespace detail {
-
-/// Emit one correlated pair born at t0: Laplace-split the signal-idler
-/// delay symmetrically and thin each arm by its transmission. Shared by
-/// all three emission samplers, so delay/transmission semantics and RNG
-/// order are the same in every mode.
-void emit_pair(double t0, double delay_scale, double duration_s, double transmission_a,
-               double transmission_b, PairStreams& s, rng::Xoshiro256& g);
-
-}  // namespace detail
 
 }  // namespace qfc::detect

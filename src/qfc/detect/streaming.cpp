@@ -144,10 +144,12 @@ struct EventStreamer::Impl {
 
   /// One arm of one channel for one window: `arrivals` holds the arm's
   /// carried and freshly emitted arrivals. Advance backgrounds into it up to
-  /// the arrival watermark `theta`, detect its sorted prefix < theta (the
+  /// the arrival watermark `theta`, jitter its sorted prefix < theta (the
   /// rest carries over), advance dark schedules to the click watermark `C`,
   /// and finalize all clicks < C through the shared merge + dead-time pass
-  /// into arm.clicks.
+  /// into arm.clicks. Efficiency was applied upstream: the pair sampler is
+  /// thinned by T·η (ChannelPlan) and the background clocks run at
+  /// rate × η, so this pass draws jitter only.
   void process_arm(ArmState& arm, std::vector<double>& arrivals, WindowScratch& scratch,
                    const DetectorParams& params, double bg_rate_hz,
                    double RateSegment::*pwbg_member, double RateSegment::*pwdark_member,
@@ -161,10 +163,12 @@ struct EventStreamer::Impl {
 
     // Backgrounds are complete below theta by construction of their
     // advance target, so they feed straight into the arrivals.
-    arm.bg.advance(bg_rate_hz, T, theta, g_bg, detail::push_into(arrivals));
-    arm.pwbg.advance(segments, pwbg_member, T, theta, g_pwbg, detail::push_into(arrivals));
+    const double eta = params.efficiency;
+    arm.bg.advance(bg_rate_hz * eta, T, theta, g_bg, detail::push_into(arrivals));
+    arm.pwbg.advance(segments, pwbg_member, eta, T, theta, g_pwbg,
+                     detail::push_into(arrivals));
 
-    // Detect the sorted arrival prefix < theta. Concatenated across
+    // Jitter the sorted arrival prefix < theta. Concatenated across
     // windows this visits every arrival in fully sorted order, so the
     // detection stream's draws do not depend on the window size.
     if (!std::is_sorted(arrivals.begin(), arrivals.end()))
@@ -173,7 +177,7 @@ struct EventStreamer::Impl {
     for (auto it = arrivals.begin(); it != arr_split; ++it) {
       if (*it < prev_theta) ++violations;
       double click;
-      if (detect_photon_click(*it, params, T, g_det, click))
+      if (jitter_click(*it, params.jitter_sigma_s, T, g_det, click))
         arm.pending_clicks.push_back(click);
     }
     arm.pending_arrivals.assign(arr_split, arrivals.end());
@@ -183,7 +187,7 @@ struct EventStreamer::Impl {
     scratch.darks.clear();
     scratch.pwdarks.clear();
     arm.dark.advance(params.dark_rate_hz, T, C, g_dark, detail::push_into(scratch.darks));
-    arm.pwdark.advance(segments, pwdark_member, T, C, g_pwdark,
+    arm.pwdark.advance(segments, pwdark_member, 1.0, T, C, g_pwdark,
                        detail::push_into(scratch.pwdarks));
     detail::finalize_clicks(arm.pending_clicks, C, scratch.darks, scratch.pwdarks,
                             params.dead_time_s, arm.dead_last, arm.clicks);
@@ -208,21 +212,24 @@ struct EventStreamer::Impl {
     arrivals.a.assign(st.a.pending_arrivals.begin(), st.a.pending_arrivals.end());
     arrivals.b.assign(st.b.pending_arrivals.begin(), st.b.pending_arrivals.end());
     const std::size_t carried = arrivals.a.size() + arrivals.b.size();
+    const double p_any = plan.thin.p_any;
     switch (plan.mode) {
       case EmissionMode::Cw:
-        st.cw.advance(plan.cw.pair_rate_hz, plan.cw.duration_s, E, st.rng.pair,
-                      detail::pair_emitter(plan.cw, arrivals, st.rng.pair));
+        st.cw.advance(plan.cw.pair_rate_hz * p_any, plan.cw.duration_s, E, st.rng.pair,
+                      detail::pair_emitter(plan.cw, plan.thin, arrivals, st.rng.pair));
         break;
       case EmissionMode::Pulsed:
-        st.pulsed.advance(plan.pulsed, E, st.rng.pair,
-                          detail::pair_emitter(plan.pulsed, arrivals, st.rng.pair));
+        st.pulsed.advance(plan.pulsed, p_any, E, st.rng.pair,
+                          detail::pair_emitter(plan.pulsed, plan.thin, arrivals, st.rng.pair));
         break;
       case EmissionMode::PiecewiseRates:
-        st.pw.advance(plan.piecewise.segments, &RateSegment::pair_rate_hz,
+        st.pw.advance(plan.piecewise.segments, &RateSegment::pair_rate_hz, p_any,
                       plan.piecewise.duration_s, E, st.rng.pair,
-                      detail::pair_emitter(plan.piecewise, arrivals, st.rng.pair));
+                      detail::pair_emitter(plan.piecewise, plan.thin, arrivals, st.rng.pair));
         break;
     }
+    // Post-thinning arrivals: every one clicks unless jitter or dead time
+    // drops it.
     if (obs::metrics_enabled())
       obs::counter("engine.events_generated")
           .add(arrivals.a.size() + arrivals.b.size() - carried);

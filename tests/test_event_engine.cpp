@@ -64,11 +64,34 @@ TEST(EventTable, FromColumnsRejectsUnsorted) {
   EXPECT_THROW(EventTable::from_columns({{2.0, 1.0}}), std::invalid_argument);
 }
 
+/// The engine's detector pass on arrivals already thinned by efficiency:
+/// jitter per arrival on `g_det`, the internal darks on `g_dark`, then the
+/// shared merge + dead-time pass.
+std::vector<double> jitter_only_detect(const std::vector<double>& arrivals,
+                                       const detect::DetectorParams& d, double duration_s,
+                                       rng::Xoshiro256& g_det, rng::Xoshiro256& g_dark) {
+  std::vector<double> clicks;
+  for (double t : arrivals) {
+    double click;
+    if (detect::jitter_click(t, d.jitter_sigma_s, duration_s, g_det, click))
+      clicks.push_back(click);
+  }
+  const std::vector<double> darks =
+      detect::generate_poisson_arrivals(d.dark_rate_hz, duration_s, g_dark);
+  double dead_last = detect::detail::kNoClick;
+  std::vector<double> out;
+  detect::detail::finalize_clicks(clicks, std::numeric_limits<double>::infinity(), darks, {},
+                                  d.dead_time_s, dead_last, out);
+  return out;
+}
+
 TEST(EventEngine, MatchesHandRolledPipelineBitwise) {
   // The engine's per-channel pipeline must reproduce the hand-rolled
   // generate -> detect chain exactly when the chain is driven with the
   // documented per-stage sub-streams (channel_rng.hpp): pair emission on
-  // stream 1, detection/darks on streams 6/7 (signal) and 9/10 (idler).
+  // stream 1 with transmissions T·η (efficiency folded into emission), the
+  // jitter-only detector pass and darks on streams 6/7 (signal) and 9/10
+  // (idler).
   const auto specs = test_specs(3);
   EngineConfig ec;
   ec.duration_s = 2.0;
@@ -84,16 +107,15 @@ TEST(EventEngine, MatchesHandRolledPipelineBitwise) {
     p.pair_rate_hz = specs[c].pair_rate_hz;
     p.linewidth_hz = specs[c].linewidth_hz;
     p.duration_s = ec.duration_s;
-    p.transmission_a = specs[c].transmission_signal;
-    p.transmission_b = specs[c].transmission_idler;
+    p.transmission_a = specs[c].transmission_signal * specs[c].detector_signal.efficiency;
+    p.transmission_b = specs[c].transmission_idler * specs[c].detector_idler.efficiency;
     const auto photons = detect::generate_pair_arrivals(p, r.pair);
-    const detect::SinglePhotonDetector ds(specs[c].detector_signal);
-    const detect::SinglePhotonDetector di(specs[c].detector_idler);
-    const std::vector<double> no_extra_darks;
     EXPECT_EQ(res.signal.channel_clicks(c),
-              ds.detect(photons.a, no_extra_darks, ec.duration_s, r.det_a, r.dark_a));
+              jitter_only_detect(photons.a, specs[c].detector_signal, ec.duration_s, r.det_a,
+                                 r.dark_a));
     EXPECT_EQ(res.idler.channel_clicks(c),
-              di.detect(photons.b, no_extra_darks, ec.duration_s, r.det_b, r.dark_b));
+              jitter_only_detect(photons.b, specs[c].detector_idler, ec.duration_s, r.det_b,
+                                 r.dark_b));
   }
 }
 
