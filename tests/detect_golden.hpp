@@ -184,41 +184,41 @@ inline void expect_histograms(const std::vector<detect::CoincidenceHistogram>& h
 
 inline const Expected& expected(detect::EmissionMode mode) {
   static const Expected cw{
-      {{2010, 198.19664901506312, 1.5835497266400769e-05, 0.19999405649995994},
-       {2597, 261.74438991159622, 9.6968707574721549e-05, 0.19998717072379427},
-       {3185, 320.13792161060837, 0.00012923816201376102, 0.19999641679424873}},
-      {{1630, 162.97511316011423, 0.00016240677334192257, 0.19996736459409281},
-       {1817, 183.84674269152794, 2.0725474353820999e-05, 0.19992857691964352},
-       {2091, 205.50057152133982, 3.7016556614995068e-05, 0.19983329159995011}},
-      {179, 0, 1, 0, 229, 2, 0, 0, 295},
-      {2, 1, 1, 1, 1, 3, 1, 2, 2},
-      {{0, 0, 0, 0, 0, 0, 0, 1, 0, 31, 116, 30, 3, 2, 0, 1, 0, 0, 0, 0, 0},
-       {0, 0, 0, 0, 0, 0, 1, 4, 7, 42, 123, 46, 13, 0, 0, 0, 0, 0, 0, 0, 0},
-       {0, 0, 0, 0, 0, 0, 0, 3, 12, 65, 152, 58, 18, 4, 0, 0, 0, 0, 0, 0, 0}}};
+      {{2075, 209.20337310372591, 4.6798266267254293e-05, 0.19999405649995994},
+       {2566, 257.52436536549646, 2.402380018346211e-05, 0.19998717072379427},
+       {3213, 316.71839911730359, 0.00010183099684919095, 0.19999641679424873}},
+      {{1613, 164.79367104131779, 0.00024942998419135462, 0.19996736459409281},
+       {1800, 176.63759825266783, 1.9063067817344023e-05, 0.19999332757458385},
+       {2032, 202.2233291026248, 7.8707078666394325e-05, 0.19992314492109112}},
+      {161, 0, 0, 0, 238, 1, 0, 0, 296},
+      {2, 2, 3, 1, 1, 1, 1, 2, 1},
+      {{0, 0, 0, 0, 0, 1, 0, 0, 6, 29, 98, 28, 7, 2, 1, 2, 0, 0, 0, 0, 0},
+       {0, 0, 0, 0, 0, 0, 0, 1, 4, 44, 134, 50, 13, 7, 0, 0, 0, 0, 0, 0, 0},
+       {0, 0, 0, 0, 0, 1, 1, 1, 12, 62, 140, 74, 18, 6, 0, 2, 0, 0, 0, 0, 0}}};
   static const Expected pulsed{
-      {{1983, 197.49294970315395, 1.5499173494392862e-05, 0.19999405649995994},
-       {2714, 270.83975178359066, 0.00020700020882994508, 0.19998717072379427},
-       {3431, 343.9338692599631, 0.00012923816201376102, 0.19999530584790506}},
-      {{1610, 161.03044759024229, 0.00015150022007093608, 0.19999050050558553},
-       {1887, 189.07691981470981, 0.00016150029006795226, 0.19998700060014249},
-       {2298, 226.67313445057272, 3.2499529751066902e-05, 0.19990249993663786}},
-      {177, 4, 5, 5, 258, 6, 7, 9, 355},
-      {4, 6, 12, 4, 16, 14, 11, 20, 17},
-      {{0, 0, 0, 0, 0, 0, 0, 1, 6, 36, 103, 31, 4, 1, 0, 1, 0, 0, 0, 0, 0},
-       {0, 0, 0, 0, 0, 0, 1, 2, 10, 50, 147, 48, 8, 4, 0, 0, 0, 0, 0, 0, 0},
-       {0, 0, 0, 0, 1, 0, 0, 4, 18, 74, 182, 72, 18, 3, 1, 1, 0, 0, 0, 0, 0}}};
+      {{2019, 201.30332984188996, 4.6499237145686623e-05, 0.19999405649995994},
+       {2788, 278.344289315531, 1.7500466899180056e-05, 0.19998717072379427},
+       {3565, 359.6046653990731, 8.9500600935044626e-05, 0.19999641679424873}},
+      {{1642, 162.57446288761906, 4.6500707733117979e-05, 0.19996736459409281},
+       {1975, 197.37288348180292, 1.7500592097864582e-05, 0.19971400015686236},
+       {2245, 228.99161188712912, 7.8707078666394325e-05, 0.19995899987309357}},
+      {173, 5, 5, 8, 306, 12, 2, 12, 374},
+      {5, 11, 10, 10, 8, 13, 10, 18, 18},
+      {{0, 0, 0, 0, 0, 0, 1, 1, 4, 33, 108, 24, 7, 0, 0, 1, 0, 0, 0, 0, 0},
+       {0, 0, 0, 0, 0, 0, 0, 0, 12, 51, 184, 55, 14, 2, 0, 0, 0, 0, 0, 0, 0},
+       {0, 0, 0, 0, 0, 0, 1, 2, 16, 85, 191, 75, 14, 7, 0, 0, 0, 0, 0, 0, 0}}};
   static const Expected piecewise{
-      {{1825, 185.35485788508186, 1.9002549727434525e-05, 0.19999405649995994},
-       {2200, 222.93895385068467, 5.0069716222946502e-05, 0.19998717072379427},
-       {2565, 255.35485878504505, 0.00012923816201376102, 0.19999641679424873}},
-      {{1482, 153.04685364141184, 0.00019488804700603762, 0.19997293752711012},
-       {1507, 153.19828882589454, 2.5561258191503731e-05, 0.19989295353698222},
-       {1678, 165.74235053369844, 4.6534903623206878e-05, 0.1998617917101862}},
-      {139, 0, 0, 0, 163, 2, 0, 0, 181},
-      {1, 1, 1, 2, 1, 1, 2, 2, 1},
-      {{0, 0, 0, 0, 0, 0, 1, 1, 4, 23, 86, 26, 3, 1, 0, 1, 0, 0, 0, 0, 0},
-       {0, 0, 0, 0, 0, 0, 1, 0, 12, 30, 87, 34, 5, 1, 0, 0, 0, 0, 0, 0, 0},
-       {0, 0, 0, 0, 0, 0, 0, 2, 8, 37, 99, 32, 15, 5, 0, 0, 0, 0, 0, 0, 0}}};
+      {{1870, 195.1786393222105, 5.6157859798200001e-05, 0.19999405649995994},
+       {2185, 227.12907227507699, 2.962927362673668e-05, 0.19999456321436909},
+       {2612, 259.60172471081751, 0.00012801627059942977, 0.19999641679424873}},
+      {{1504, 158.42279232301871, 0.00029052369746940943, 0.19996736459409281},
+       {1500, 147.78078835660315, 2.351059897569943e-05, 0.19990340622560135},
+       {1614, 158.41983555191837, 7.8707078666394325e-05, 0.19987855673970839}},
+      {128, 0, 0, 0, 156, 1, 1, 0, 175},
+      {2, 4, 1, 1, 1, 2, 1, 2, 2},
+      {{0, 0, 0, 0, 0, 0, 0, 1, 5, 23, 72, 26, 5, 3, 0, 1, 1, 0, 0, 0, 0},
+       {0, 0, 1, 0, 0, 0, 0, 2, 4, 35, 81, 30, 11, 1, 0, 0, 0, 0, 0, 0, 0},
+       {0, 0, 0, 0, 0, 0, 0, 3, 10, 35, 84, 47, 7, 0, 0, 1, 0, 0, 0, 0, 0}}};
   switch (mode) {
     case detect::EmissionMode::Cw: return cw;
     case detect::EmissionMode::Pulsed: return pulsed;
