@@ -14,6 +14,11 @@
 ///   6 det signal         7 darks signal     8 pw darks signal
 ///   9 det idler         10 darks idler     11 pw darks idler
 ///
+/// Detector efficiency is applied by thinning, not by a draw of its own:
+/// stream 1 runs the pair clock thinned by T·η and picks each pair's arms,
+/// streams 2-5 run the background clocks at rate × η, and the detector
+/// streams 6 and 9 draw jitter only.
+///
 /// Because every stage owns its own stream, pausing one stage at a window
 /// boundary cannot shift the draws of any other stage — runs at any two
 /// window sizes consume identical per-stream sequences, which is what makes
@@ -26,15 +31,15 @@
 namespace qfc::detect::detail {
 
 struct ChannelRngs {
-  rng::Xoshiro256 pair;      ///< emission kernel (all modes)
+  rng::Xoshiro256 pair;      ///< thinned emission kernel (all modes)
   rng::Xoshiro256 bg_a;      ///< spec-level homogeneous background, signal
   rng::Xoshiro256 bg_b;      ///< spec-level homogeneous background, idler
   rng::Xoshiro256 pwbg_a;    ///< piecewise background segments, signal
   rng::Xoshiro256 pwbg_b;    ///< piecewise background segments, idler
-  rng::Xoshiro256 det_a;     ///< detector efficiency + jitter, signal
+  rng::Xoshiro256 det_a;     ///< detector jitter, signal
   rng::Xoshiro256 dark_a;    ///< detector homogeneous darks, signal
   rng::Xoshiro256 pwdark_a;  ///< piecewise dark segments, signal
-  rng::Xoshiro256 det_b;     ///< detector efficiency + jitter, idler
+  rng::Xoshiro256 det_b;     ///< detector jitter, idler
   rng::Xoshiro256 dark_b;    ///< detector homogeneous darks, idler
   rng::Xoshiro256 pwdark_b;  ///< piecewise dark segments, idler
 };

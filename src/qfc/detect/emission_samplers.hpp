@@ -61,8 +61,9 @@ struct ExpState {
 
 /// Piecewise-constant-rate Poisson clock; `rate` selects the RateSegment
 /// member and every segment runs at that rate times `scale` (the pair
-/// thinning p_any, a detector efficiency, or 1 for darks). Each segment restarts the exponential clock at its own rate
-/// (memorylessness makes the restart exact). A segment whose start lies
+/// thinning p_any, a detector efficiency, or 1 for darks). Each segment
+/// restarts the exponential clock at its own rate (memorylessness makes
+/// the restart exact). A segment whose start lies
 /// beyond the target is left unprimed: its first draw happens once the
 /// target reaches it, so the sequence does not depend on where a pause
 /// falls. Drives piecewise pair emission, backgrounds and darks.

@@ -41,13 +41,13 @@ struct ChannelPlan {
 };
 
 /// Validates `p` with the spec's own transmissions, then folds each arm's
-/// detector efficiency into them and plans the pair thinning.
+/// detector efficiency into them; returns the pair thinning they give.
 template <class Params>
-void fold_efficiency(Params& p, const ChannelPairSpec& spec, ChannelPlan& plan) {
+PairThinning fold_efficiency(Params& p, const ChannelPairSpec& spec) {
   p.validate();
   p.transmission_a *= spec.detector_signal.efficiency;
   p.transmission_b *= spec.detector_idler.efficiency;
-  plan.thin = PairThinning(p.transmission_a, p.transmission_b);
+  return PairThinning(p.transmission_a, p.transmission_b);
 }
 
 /// Expects the spec's detectors validated (make_checked_plan does that).
@@ -61,7 +61,7 @@ inline ChannelPlan make_plan(const ChannelPairSpec& spec, double duration_s) {
       plan.cw.duration_s = duration_s;
       plan.cw.transmission_a = spec.transmission_signal;
       plan.cw.transmission_b = spec.transmission_idler;
-      fold_efficiency(plan.cw, spec, plan);
+      plan.thin = fold_efficiency(plan.cw, spec);
       break;
     case EmissionMode::Pulsed:
       if (spec.pair_rate_hz != 0)
@@ -77,7 +77,7 @@ inline ChannelPlan make_plan(const ChannelPairSpec& spec, double duration_s) {
       plan.pulsed.duration_s = duration_s;
       plan.pulsed.transmission_a = spec.transmission_signal;
       plan.pulsed.transmission_b = spec.transmission_idler;
-      fold_efficiency(plan.pulsed, spec, plan);
+      plan.thin = fold_efficiency(plan.pulsed, spec);
       break;
     case EmissionMode::PiecewiseRates:
       if (spec.pair_rate_hz != 0)
@@ -89,7 +89,7 @@ inline ChannelPlan make_plan(const ChannelPairSpec& spec, double duration_s) {
       plan.piecewise.duration_s = duration_s;
       plan.piecewise.transmission_a = spec.transmission_signal;
       plan.piecewise.transmission_b = spec.transmission_idler;
-      fold_efficiency(plan.piecewise, spec, plan);
+      plan.thin = fold_efficiency(plan.piecewise, spec);
       break;
   }
   return plan;

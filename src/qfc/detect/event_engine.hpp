@@ -122,10 +122,11 @@ class EventEngine {
 
   const EngineConfig& config() const noexcept { return cfg_; }
 
-  /// Full chain for all channel pairs: correlated pair generation with
-  /// per-arm transmission, uncorrelated background injection, detector
-  /// efficiency/jitter, dark counts, sort, dead time. Equal to the
-  /// concatenated windows of an EventStreamer over the same inputs.
+  /// Full chain for all channel pairs: correlated pair generation thinned
+  /// by per-arm transmission × detector efficiency, uncorrelated background
+  /// injection thinned by efficiency, detector jitter, dark counts, sort,
+  /// dead time. Equal to the concatenated windows of an EventStreamer over
+  /// the same inputs.
   EngineResult run(const std::vector<ChannelPairSpec>& channels) const;
 
  private:

@@ -5,12 +5,6 @@
 
 namespace qfc::rng {
 
-namespace detail {
-
-void throw_invalid_argument(const char* what) { throw std::invalid_argument(what); }
-
-}  // namespace detail
-
 namespace {
 
 std::uint64_t poisson_inversion(Xoshiro256& g, double mu) {

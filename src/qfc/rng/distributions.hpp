@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "qfc/rng/xoshiro.hpp"
@@ -20,8 +21,10 @@ namespace unchecked {
 // documented range gives an unspecified value here instead of an exception.
 
 /// Standard normal via Marsaglia polar method; discards the second variate.
-/// Emission is the measured critical path of the streaming engine
-/// (perfbench network_stream), so this loop is hot: caching the second
+/// The streaming engine's detector pass draws one per arrival (jitter) and
+/// pulsed emission one per kept pair (pulse envelope), so this loop is hot;
+/// since the samplers were thinned to the photons that click, it runs once
+/// per click rather than once per emitted photon. Caching the second
 /// variate would change every generated stream and its pinned outputs.
 inline double normal(Xoshiro256& g) {
   for (;;) {
@@ -55,12 +58,6 @@ inline bool bernoulli(Xoshiro256& g, double p) { return g.uniform() < p; }
 
 }  // namespace unchecked
 
-namespace detail {
-/// Throws std::invalid_argument(what); kept out of line so the checked
-/// samplers stay small enough to inline.
-[[noreturn]] void throw_invalid_argument(const char* what);
-}  // namespace detail
-
 // The checked samplers: each rejects a NaN parameter as well as an
 // out-of-range one, then runs the matching unchecked kernel.
 
@@ -69,13 +66,13 @@ inline double sample_normal(Xoshiro256& g) { return unchecked::normal(g); }
 
 /// Normal with given mean / standard deviation (sigma >= 0).
 inline double sample_normal(Xoshiro256& g, double mean, double sigma) {
-  if (!(sigma >= 0)) detail::throw_invalid_argument("sample_normal: sigma must be >= 0");
+  if (!(sigma >= 0)) throw std::invalid_argument("sample_normal: sigma must be >= 0");
   return unchecked::normal(g, mean, sigma);
 }
 
 /// Exponential with given rate lambda > 0 (mean 1/lambda).
 inline double sample_exponential(Xoshiro256& g, double lambda) {
-  if (!(lambda > 0)) detail::throw_invalid_argument("sample_exponential: lambda must be > 0");
+  if (!(lambda > 0)) throw std::invalid_argument("sample_exponential: lambda must be > 0");
   return unchecked::exponential(g, lambda);
 }
 
@@ -83,7 +80,7 @@ inline double sample_exponential(Xoshiro256& g, double lambda) {
 /// ~ exp(-lambda |x|). Models cavity-filtered photon arrival-time offsets.
 inline double sample_double_exponential(Xoshiro256& g, double lambda) {
   if (!(lambda > 0))
-    detail::throw_invalid_argument("sample_double_exponential: lambda must be > 0");
+    throw std::invalid_argument("sample_double_exponential: lambda must be > 0");
   return unchecked::double_exponential(g, lambda);
 }
 
@@ -100,7 +97,7 @@ std::uint64_t sample_zero_truncated_poisson(Xoshiro256& g, double mu);
 
 /// Bernoulli with success probability p in [0, 1].
 inline bool sample_bernoulli(Xoshiro256& g, double p) {
-  if (!(p >= 0 && p <= 1)) detail::throw_invalid_argument("sample_bernoulli: p outside [0,1]");
+  if (!(p >= 0 && p <= 1)) throw std::invalid_argument("sample_bernoulli: p outside [0,1]");
   return unchecked::bernoulli(g, p);
 }
 
