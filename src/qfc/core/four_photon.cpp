@@ -12,11 +12,15 @@ namespace {
 /// A likelihood gap to two significant digits, rounded up so it stays a
 /// bound. The certificate log λ_max(R) carries ~1e-15 of round-off that
 /// follows the GEMM summation order, which at a gap of ~1e-8 moves its
-/// seventh digit between SIMD settings; two digits are reproducible.
+/// seventh digit between SIMD settings; two digits are reproducible. The
+/// result is the double nearest the rounded decimal (the integer mantissa
+/// times or over a power of ten, exact up to 10^22), so it prints as two
+/// digits: 6.9e-09, not 6.9000000000000006e-09.
 double two_digits_up(double gap) {
   if (!(gap > 0) || !std::isfinite(gap)) return gap;
-  const double unit = std::pow(10.0, std::floor(std::log10(gap)) - 1);
-  return std::ceil(gap / unit) * unit;
+  const int k = static_cast<int>(std::floor(std::log10(gap))) - 1;
+  const double scale = std::pow(10.0, std::abs(k));
+  return k < 0 ? std::ceil(gap * scale) / scale : std::ceil(gap / scale) * scale;
 }
 
 }  // namespace

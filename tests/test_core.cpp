@@ -2,10 +2,13 @@
 // type-II, time-bin, four-photon, stability, façade.
 
 #include <cmath>
+#include <regex>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "qfc/core/comb_source.hpp"
+#include "qfc/io/fields.hpp"
 #include "qfc/photonics/device_presets.hpp"
 
 namespace {
@@ -175,6 +178,26 @@ TEST(FourPhotonExperimentTest, VisibilityAndFidelityNearPaper) {
   EXPECT_GT(r.bell_fidelity_b, 0.75);
   EXPECT_GT(r.four_photon_fidelity, 0.5);
   EXPECT_LT(r.four_photon_fidelity, 0.85);
+}
+
+TEST(FourPhotonExperimentTest, LikelihoodGapPrintsAsTwoDigits) {
+  // The reported gap is rounded up to two significant digits and must dump
+  // as such: "6.9e-09", not "6.9000000000000006e-09". The configuration is
+  // the smoke sweep's four_photon instance.
+  auto comb = QuantumFrequencyComb::for_configuration(
+      core::PumpConfiguration::DoublePulseFourMode);
+  core::FourPhotonConfig cfg;
+  cfg.fringe_points = 8;
+  cfg.fourfold_events_per_point = 50.0;
+  cfg.tomo_shots_per_setting = 60;
+  const auto r = comb.four_photon(cfg).run();
+  const std::string text = qfc::io::to_json(r).dump();
+  const std::string key = "\"likelihood_gap_four\":";
+  const std::size_t at = text.find(key);
+  ASSERT_NE(at, std::string::npos) << text;
+  const std::string gap = text.substr(at + key.size(), text.find_first_of(",}", at) -
+                                                           at - key.size());
+  EXPECT_TRUE(std::regex_match(gap, std::regex(R"(\s*[1-9](\.[0-9])?e-[0-9]+)"))) << gap;
 }
 
 TEST(FourPhotonExperimentTest, TrueStateIsProductOfPairs) {
