@@ -151,9 +151,10 @@ int main(int argc, char** argv) {
     // setting, default options.
     rng::Xoshiro256 g(12);
     const quantum::DensityMatrix rho(quantum::maximally_entangled(7));
-    const auto data = qudit::simulate_mub_counts(rho, 20000.0, g);
+    const tomo::BasisSet mubs = qudit::mub_bases(7);
+    const auto data = tomo::simulate_counts(rho, mubs, 20000.0, 0.0, g);
     rows.push_back(time_mle("mub_mle_d7", 49, rep_scale,
-                            [&] { return qudit::mub_maximum_likelihood(data, 7, 2); }));
+                            [&] { return tomo::maximum_likelihood(data, mubs); }));
   }
 
   std::printf("%-26s %8s %6s %12s %6s %10s\n", "kernel", "n", "reps", "ms/rep", "steps",

@@ -19,6 +19,7 @@
 #include "qfc/qudit/measurement.hpp"
 #include "qfc/qudit/mub.hpp"
 #include "qfc/sfwm/pair_source.hpp"
+#include "qfc/tomo/tomography.hpp"
 
 namespace {
 
@@ -69,9 +70,10 @@ int main() {
 
     double mle_ms = -1, mle_gap = 0;
     if (qudit::is_prime(d)) {
-      const auto data = qudit::simulate_mub_counts(rho, 20000, g);
+      const tomo::BasisSet mubs = qudit::mub_bases(d);
+      const auto data = tomo::simulate_counts(rho, mubs, 20000, 0.0, g);
       t0 = std::chrono::steady_clock::now();
-      const auto mle = qudit::mub_maximum_likelihood(data, d, 2);
+      const auto mle = tomo::maximum_likelihood(data, mubs);
       mle_ms = ms_since(t0);
       mle_gap = mle.likelihood_gap;
       if (!mle.converged) std::printf("  (warning: d=%zu MLE did not converge)\n", d);

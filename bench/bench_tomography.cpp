@@ -48,7 +48,7 @@ int main() {
   for (double shots : {25.0, 100.0, 400.0, 1600.0}) {
     rng::Xoshiro256 g(static_cast<std::uint64_t>(shots));
     const auto data = tomo::simulate_counts(rho, shots, {}, g);
-    const auto lin = tomo::linear_inversion(data);
+    const auto lin = tomo::linear_inversion(data, tomo::pauli_bases());
     const auto lin_evals = linalg::hermitian_eigenvalues(lin);
     const auto lin_proj =
         quantum::DensityMatrix(linalg::project_to_density_matrix(lin), 1e-6);

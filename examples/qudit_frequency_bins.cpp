@@ -15,6 +15,7 @@
 #include "qfc/qudit/measurement.hpp"
 #include "qfc/qudit/mub.hpp"
 #include "qfc/sfwm/pair_source.hpp"
+#include "qfc/tomo/tomography.hpp"
 
 int main() {
   using namespace qfc;
@@ -68,8 +69,8 @@ int main() {
               analyzer.config().modulation_index);
 
   std::printf("\n== MUB tomography (d = %zu is prime -> %zu bases) ==\n", d, d + 1);
-  const auto data = qudit::simulate_mub_counts(rho, 10000, g);
-  const auto mle = qudit::mub_maximum_likelihood(data, d, 2);
+  const auto data = tomo::simulate_counts(rho, qudit::mub_bases(d), 10000, 0.0, g);
+  const auto mle = tomo::maximum_likelihood(data, qudit::mub_bases(d));
   std::printf("MLE: %d iterations, converged = %s, likelihood gap %.1e per count\n",
               mle.iterations, mle.converged ? "yes" : "no", mle.likelihood_gap);
   std::printf("reconstruction fidelity with the true state: %.4f\n",

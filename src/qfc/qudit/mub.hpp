@@ -2,17 +2,15 @@
 
 /// \file mub.hpp
 /// Mutually unbiased bases for prime dimension d, the basis set of
-/// frequency-bin qudit tomography, and the MUB linear inversion. A complete
-/// set of d+1 MUBs is informationally complete with the minimal number of
-/// measurement settings; the linear inversion uses the 2-design identity
-/// Σ_{b,k} p(k|b) Π_{b,k} = ρ + I (per subsystem). Count simulation and
-/// maximum likelihood are the product-basis stack of qfc::tomo with
-/// mub_bases(d) as the basis set; the entry points here are thin wrappers.
+/// frequency-bin qudit tomography. A complete set of d+1 MUBs is
+/// informationally complete with the minimal number of measurement
+/// settings. Tomography is the product-basis stack of qfc::tomo with
+/// mub_bases(d) as the basis set, for any number of qudits:
+/// tomo::simulate_counts, tomo::linear_inversion and
+/// tomo::maximum_likelihood.
 
 #include <vector>
 
-#include "qfc/quantum/state.hpp"
-#include "qfc/rng/xoshiro.hpp"
 #include "qfc/tomo/tomography.hpp"
 
 namespace qfc::qudit {
@@ -29,24 +27,5 @@ bool is_prime(std::size_t d);
 /// Ivanović/Wootters–Fields superposition bases (X, Y at d = 2), which the
 /// EOM + pulse-shaper analyzer realizes. Throws for non-prime d.
 tomo::BasisSet mub_bases(std::size_t d);
-
-/// Simulate MUB tomography data for a register of equal-dimension qudits
-/// (1 or 2 particles): Poisson counts for each of the (d+1)^n settings, via
-/// tomo::simulate_counts over mub_bases(d).
-std::vector<tomo::SettingCounts> simulate_mub_counts(const quantum::DensityMatrix& rho,
-                                                     double shots_per_setting,
-                                                     rng::Xoshiro256& g);
-
-/// Linear-inversion estimate from complete MUB data; Hermitian and unit
-/// trace but possibly non-physical (project or feed to MLE). Supports 1 and
-/// 2 particle registers of equal prime dimension d.
-CMat mub_linear_inversion(const std::vector<tomo::SettingCounts>& data, std::size_t d,
-                          std::size_t num_particles);
-
-/// Maximum-likelihood reconstruction: tomo::maximum_likelihood over
-/// mub_bases(d), seeded from mub_linear_inversion.
-tomo::MleResult mub_maximum_likelihood(const std::vector<tomo::SettingCounts>& data,
-                                       std::size_t d, std::size_t num_particles,
-                                       const tomo::MleOptions& opts = {});
 
 }  // namespace qfc::qudit

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <string>
 
 #include "qfc/linalg/hermitian_eig.hpp"
 #include "qfc/linalg/matrix_functions.hpp"
@@ -57,15 +56,6 @@ CVec outcome_vector(const std::vector<CMat>& bases, std::size_t outcome) {
   for (const CVec& v : outcome_factors(bases, outcome))
     vec = vec.empty() ? v : linalg::kron(vec, v);
   return vec;
-}
-
-CMat outcome_projector(const std::vector<CMat>& bases, std::size_t outcome) {
-  CMat proj;
-  for (const CVec& v : outcome_factors(bases, outcome)) {
-    const CMat p1 = linalg::outer(v, v);
-    proj = proj.empty() ? p1 : linalg::kron(proj, p1);
-  }
-  return proj;
 }
 
 std::vector<double> outcome_probabilities(const quantum::DensityMatrix& rho,
@@ -142,6 +132,61 @@ std::size_t checked_particles(const std::vector<SettingCounts>& data, const Basi
     seen[key] = true;
   }
   return n;
+}
+
+CMat linear_inversion(const std::vector<SettingCounts>& data, const BasisSet& set) {
+  const std::size_t n = checked_particles(data, set);
+  const std::size_t d = set.front().rows(), d2 = d * d, m_count = set.size() * d;
+  if (set.size() != d + 1)
+    throw std::invalid_argument("linear_inversion: need a complete set of d + 1 bases");
+  // The dual frame element D_m = |v_m⟩⟨v_m| − I/(d+1) of outcome k in basis
+  // b, m = b·d + k, as d² entries (row-major).
+  std::vector<cplx> dual(m_count * d2);
+  for (std::size_t b = 0; b < set.size(); ++b)
+    for (std::size_t k = 0; k < d; ++k)
+      for (std::size_t i = 0; i < d; ++i)
+        for (std::size_t j = 0; j < d; ++j)
+          dual[(b * d + k) * d2 + i * d + j] =
+              set[b](i, k) * std::conj(set[b](j, k)) - (i == j ? 1.0 / (d + 1) : 0.0);
+  // The frequencies f(o|s) as a tensor over (m_0, ..., m_{n-1}), particle 0
+  // slowest; a setting with no counts contributes nothing.
+  std::vector<cplx> t(power(m_count, n));
+  for (const auto& sc : data) {
+    const double total = static_cast<double>(sc.total());
+    if (total <= 0) continue;
+    for (std::size_t o = 0; o < sc.counts.size(); ++o) {
+      std::size_t m = 0, place = 1;
+      for (std::size_t q = n, rem = o; q-- > 0; rem /= d, place *= m_count)
+        m += (sc.bases[q] * d + rem % d) * place;
+      t[m] = static_cast<double>(sc.counts[o]) / total;
+    }
+  }
+  // Contract one particle at a time: index m_q becomes the entry pair
+  // (i_q, j_q) of D_{m_q}, in place, so the tensor ends up indexed by
+  // (i_0, j_0, ..., i_{n-1}, j_{n-1}).
+  for (std::size_t q = 0, done = 1; q < n; ++q, done *= d2) {
+    const std::size_t rest = t.size() / (done * m_count);
+    std::vector<cplx> next(done * d2 * rest);
+    for (std::size_t p = 0; p < done; ++p)
+      for (std::size_t m = 0; m < m_count; ++m)
+        for (std::size_t r = 0; r < rest; ++r) {
+          const cplx f = t[(p * m_count + m) * rest + r];
+          for (std::size_t e = 0; e < d2; ++e)
+            next[(p * d2 + e) * rest + r] += f * dual[m * d2 + e];
+        }
+    t.swap(next);
+  }
+  const std::size_t dim = power(d, n);
+  CMat rho(dim, dim);
+  for (std::size_t idx = 0; idx < t.size(); ++idx) {
+    std::size_t i = 0, j = 0, place = 1;
+    for (std::size_t q = n, rem = idx; q-- > 0; rem /= d2, place *= d) {
+      i += rem % d2 / d * place;
+      j += rem % d * place;
+    }
+    rho(i, j) = t[idx];
+  }
+  return rho;
 }
 
 namespace {
@@ -235,13 +280,10 @@ class PackedLikelihood {
 }  // namespace
 
 MleResult maximum_likelihood(const std::vector<SettingCounts>& data, const BasisSet& set,
-                             const CMat& seed, const MleOptions& opts) {
-  quantum::Dims dims(checked_particles(data, set), set.front().rows());
-  seed.require_square("maximum_likelihood");
-  seed.require_finite("maximum_likelihood");
+                             const MleOptions& opts) {
+  const CMat seed = linear_inversion(data, set);
   const std::size_t dim = seed.rows();
-  if (quantum::total_dim(dims) != dim)
-    throw std::invalid_argument("maximum_likelihood: seed size does not match dims");
+  quantum::Dims dims(data.front().bases.size(), set.front().rows());
   if (opts.max_iterations < 0)
     throw std::invalid_argument("maximum_likelihood: negative max_iterations");
   if (!(opts.convergence_tol >= 0))
@@ -252,8 +294,8 @@ MleResult maximum_likelihood(const std::vector<SettingCounts>& data, const Basis
   obs::SpanGuard span =
       obs::tracing_enabled() ? obs::SpanGuard("tomo.solve") : obs::SpanGuard();
 
-  // Start from the projected seed with a little identity mixed in, so no
-  // outcome starts at zero probability.
+  // Start from the projected linear inversion with a little identity mixed
+  // in, so no outcome starts at zero probability.
   CMat x = linalg::project_to_density_matrix(seed);
   {
     CMat eye = CMat::identity(dim);
@@ -403,61 +445,9 @@ std::vector<SettingCounts> simulate_counts(const quantum::DensityMatrix& rho,
                          noise.accidentals_per_outcome, g, analyzer);
 }
 
-CMat linear_inversion(const std::vector<SettingCounts>& data) {
-  const std::size_t n = checked_particles(data, pauli_bases());
-  const std::size_t dim = std::size_t{1} << n;
-
-  // The settings by mixed-radix index over {X, Y, Z}; checked_particles
-  // guarantees each appears once.
-  std::vector<const SettingCounts*> by_setting(data.size());
-  for (const auto& sc : data) {
-    std::size_t key = 0;
-    for (std::size_t b : sc.bases) key = key * 3 + b;
-    by_setting[key] = &sc;
-  }
-
-  CMat rho(dim, dim);
-  // Identity term.
-  for (std::size_t i = 0; i < dim; ++i) rho(i, i) = cplx(1.0, 0);
-
-  // Enumerate all 4^n Pauli strings except the all-identity one.
-  const std::size_t num_strings = power(4, n);
-  for (std::size_t idx = 1; idx < num_strings; ++idx) {
-    // The string, and its compatible setting: I measured as Z, so letter
-    // i of "IXYZ" is basis (i + 2) % 3 of {X, Y, Z}.
-    std::string pstr(n, 'I');
-    std::size_t key = 0, rem = idx, place = 1;
-    for (std::size_t q = n; q-- > 0; rem /= 4, place *= 3) {
-      pstr[q] = "IXYZ"[rem % 4];
-      key += (rem % 4 + 2) % 3 * place;
-    }
-    const SettingCounts& sc = *by_setting[key];
-    const double tot = static_cast<double>(sc.total());
-    if (tot <= 0) continue;
-
-    double expectation = 0;
-    for (std::size_t o = 0; o < sc.counts.size(); ++o) {
-      int sign = 1;
-      for (std::size_t q = 0; q < n; ++q) {
-        if (pstr[q] == 'I') continue;
-        if ((o >> (n - 1 - q)) & 1) sign = -sign;
-      }
-      expectation += sign * static_cast<double>(sc.counts[o]);
-    }
-    expectation /= tot;
-
-    CMat term = quantum::pauli_string(pstr);
-    term *= cplx(expectation, 0);
-    rho += term;
-  }
-
-  rho *= cplx(1.0 / static_cast<double>(dim), 0);
-  return rho;
-}
-
 MleResult maximum_likelihood(const std::vector<SettingCounts>& data,
                              const MleOptions& opts) {
-  return maximum_likelihood(data, pauli_bases(), linear_inversion(data), opts);
+  return maximum_likelihood(data, pauli_bases(), opts);
 }
 
 }  // namespace qfc::tomo

@@ -8,9 +8,11 @@
 /// particle from a basis set, and every outcome is the Kronecker product of
 /// one basis column per particle, so it is rank 1. The two paths share the
 /// settings/counts type, the outcome builder, the Poisson count loop, the
-/// data check and the maximum-likelihood solver, an accelerated projected
-/// gradient that stops at a certified likelihood gap; they differ in the
-/// basis set, the linear-inversion seed, and the qubit analyzer-phase noise.
+/// data check, the linear inversion (the dual frame of a product of
+/// complete MUB sets, for any number of particles) and the
+/// maximum-likelihood solver it seeds, an accelerated projected gradient
+/// that stops at a certified likelihood gap; they differ only in the basis
+/// set and the qubit analyzer-phase noise.
 /// Every simulated analyzer measures the same way: outcome_probabilities
 /// is the one Born rule, ⟨v|ρ|v⟩ for each outcome vector |v⟩, behind the
 /// tomography counts, timebin::measure_chsh and timebin::correlation, both
@@ -46,11 +48,6 @@ std::vector<linalg::CMat> setting_bases(const BasisSet& set,
 /// most significant digit): the Kronecker product of column (digit q) of
 /// bases[q], particle 0 first. std::out_of_range past the last outcome.
 linalg::CVec outcome_vector(const std::vector<linalg::CMat>& bases, std::size_t outcome);
-
-/// Its projector |v⟩⟨v|, as the Kronecker product of per-particle projectors
-/// (for the MUB dual-frame inversion, which sums projectors).
-linalg::CMat outcome_projector(const std::vector<linalg::CMat>& bases,
-                               std::size_t outcome);
 
 /// The Born probability ⟨v|ρ|v⟩, clamped to [0, 1], of every outcome of one
 /// setting that measures particle q in bases[q], with |v⟩ = outcome_vector
@@ -91,6 +88,20 @@ std::vector<SettingCounts> simulate_counts(const quantum::DensityMatrix& rho,
 /// otherwise).
 std::size_t checked_particles(const std::vector<SettingCounts>& data, const BasisSet& set);
 
+/// Linear-inversion estimate from complete product-basis data over a set of
+/// d + 1 mutually unbiased bases: the canonical dual frame
+///   ρ̂ = Σ_s Σ_o f(o|s) ⊗_q (|v_{b_q,o_q}⟩⟨v_{b_q,o_q}| − I/(d+1)),
+/// with f(o|s) the outcome frequencies of setting s (a setting with no
+/// counts adds nothing). Each particle's sum is the 2-design identity
+/// Σ_{b,k} p(k|b) |v_{b,k}⟩⟨v_{b,k}| = ρ + I, so ρ̂ is unbiased, Hermitian
+/// and, with counts in every setting, unit trace, but it can be
+/// non-physical; project with linalg::project_to_density_matrix or use
+/// maximum_likelihood. It contracts the frequency tensor one particle at a
+/// time, with no D x D matrix per outcome. Throws std::invalid_argument for
+/// data that fails checked_particles or a set that does not have d + 1
+/// bases (it does not check that they are unbiased).
+linalg::CMat linear_inversion(const std::vector<SettingCounts>& data, const BasisSet& set);
+
 struct MleOptions {
   /// Cap on accepted solver steps; the estimate at the cap is returned with
   /// converged = false.
@@ -114,9 +125,10 @@ struct MleResult {
 
 /// Maximum-likelihood reconstruction from complete product-basis data, by
 /// accelerated projected gradient with restarts (Shang, Zhang and Ng, PRA
-/// 95, 062336, 2017), the solver both paths share. `linear_estimate` seeds
-/// it: projected onto the density matrices and mixed with a sliver of
-/// identity, so no outcome starts at zero probability. The K outcomes with
+/// 95, 062336, 2017), the solver both paths share. It seeds itself from
+/// linear_inversion(data, set), projected onto the density matrices and
+/// mixed with a sliver of identity, so no outcome starts at zero
+/// probability; `set` must therefore be a complete MUB set. The K outcomes with
 /// counts (data order, outcomes ascending) are packed once into A = V†
 /// (K x D) and V (D x K), with |v_k⟩ their outcome_vector and D = d^n.
 /// Probabilities p_k = ⟨v_k|ρ|v_k⟩ are linear in ρ, so each likelihood
@@ -128,12 +140,10 @@ struct MleResult {
 /// certificate at the accepted point (a gradient and an eigenvalue solve)
 /// waits while an O(KD) lower bound already rules convergence out. Stops
 /// once likelihood_gap <= convergence_tol or after max_iterations steps.
-/// Throws std::invalid_argument for data that fails checked_particles, and,
-/// naming maximum_likelihood, for a non-finite or non-square seed, a seed
-/// that is not D x D, no counts at all, a negative max_iterations or a
-/// NaN/negative convergence_tol.
+/// Throws std::invalid_argument for data or a set that linear_inversion
+/// rejects, and, naming maximum_likelihood, for no counts at all, a
+/// negative max_iterations or a NaN/negative convergence_tol.
 MleResult maximum_likelihood(const std::vector<SettingCounts>& data, const BasisSet& set,
-                             const linalg::CMat& linear_estimate,
                              const MleOptions& opts = {});
 
 // ------------------------------------------------------------------------
@@ -164,14 +174,8 @@ std::vector<SettingCounts> simulate_counts(const quantum::DensityMatrix& rho,
                                            double shots_per_setting,
                                            const NoiseKnobs& noise, rng::Xoshiro256& g);
 
-/// Linear-inversion estimate: ρ = (1/2^n) Σ_s <σ_s> σ_s over all 4^n Pauli
-/// strings, with each expectation estimated from a compatible setting
-/// (I components marginalized). The result is Hermitian/unit-trace but can
-/// be non-physical; project with linalg::project_to_density_matrix or feed
-/// it to MLE.
-linalg::CMat linear_inversion(const std::vector<SettingCounts>& data);
-
-/// Maximum likelihood over the Pauli set, seeded from linear_inversion.
+/// Maximum likelihood over the Pauli set: maximum_likelihood(data,
+/// pauli_bases(), opts).
 MleResult maximum_likelihood(const std::vector<SettingCounts>& data,
                              const MleOptions& opts = {});
 

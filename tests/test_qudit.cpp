@@ -17,6 +17,7 @@
 #include "qfc/quantum/pauli.hpp"
 #include "qfc/quantum/state.hpp"
 #include "qfc/timebin/chsh.hpp"
+#include "qfc/tomo/tomography.hpp"
 
 namespace {
 
@@ -379,9 +380,9 @@ TEST(Mub, SingleQuditLinearInversionRoundTrip) {
   const StateVector psi(CVec{cplx(0.8, 0), cplx(0, 0.5), cplx(-0.3, 0.1)}, Dims{3});
   const DensityMatrix rho(psi);
   qfc::rng::Xoshiro256 g(7);
-  const auto data = simulate_mub_counts(rho, 2e6, g);
+  const auto data = qfc::tomo::simulate_counts(rho, mub_bases(3), 2e6, 0.0, g);
   ASSERT_EQ(data.size(), 4u);
-  const CMat est = mub_linear_inversion(data, 3, 1);
+  const CMat est = qfc::tomo::linear_inversion(data, mub_bases(3));
   EXPECT_NEAR(std::real(est.trace()), 1.0, 1e-6);
   EXPECT_LT((est - rho.matrix()).max_abs(), 0.01);
 }
@@ -397,10 +398,10 @@ TEST(Mub, TwoQutritTomographyRoundTrip) {
   const DensityMatrix rho(psi);
 
   qfc::rng::Xoshiro256 g(11);
-  const auto data = simulate_mub_counts(rho, 50000, g);
+  const auto data = qfc::tomo::simulate_counts(rho, mub_bases(3), 50000, 0.0, g);
   ASSERT_EQ(data.size(), 16u);  // (d+1)² settings
 
-  const auto mle = mub_maximum_likelihood(data, 3, 2);
+  const auto mle = qfc::tomo::maximum_likelihood(data, mub_bases(3));
   EXPECT_TRUE(mle.converged);
   EXPECT_GT(fidelity(mle.rho, psi), 0.99);
 }
@@ -408,8 +409,9 @@ TEST(Mub, TwoQutritTomographyRoundTrip) {
 TEST(Mub, TomographyRecoversEntangledQutritPair) {
   const StateVector phi = maximally_entangled(3);
   qfc::rng::Xoshiro256 g(99);
-  const auto data = simulate_mub_counts(isotropic_noise(phi, 0.9), 50000, g);
-  const auto mle = mub_maximum_likelihood(data, 3, 2);
+  const auto data =
+      qfc::tomo::simulate_counts(isotropic_noise(phi, 0.9), mub_bases(3), 50000, 0.0, g);
+  const auto mle = qfc::tomo::maximum_likelihood(data, mub_bases(3));
   // Reconstruction preserves the entanglement metrics of the true state.
   EXPECT_NEAR(fidelity(mle.rho, phi), 0.9 + 0.1 / 9.0, 0.02);
   EXPECT_GT(negativity(mle.rho, 1), 0.5);

@@ -15,6 +15,7 @@
 #include "qfc/linalg/matrix_functions.hpp"
 #include "qfc/quantum/bell.hpp"
 #include "qfc/quantum/measures.hpp"
+#include "qfc/quantum/pauli.hpp"
 #include "qfc/qudit/mub.hpp"
 #include "qfc/tomo/tomography.hpp"
 
@@ -24,6 +25,19 @@ using namespace qfc;
 using quantum::bell_phi;
 using quantum::DensityMatrix;
 using quantum::werner_phi;
+
+/// The dense projector |v⟩⟨v| of one outcome (mixed radix, particle 0 the
+/// most significant digit), as the Kronecker product of per-particle
+/// projectors: a reference built independently of tomo::outcome_vector.
+linalg::CMat outcome_projector(const std::vector<linalg::CMat>& bases, std::size_t outcome) {
+  linalg::CMat proj = linalg::CMat::identity(1);
+  for (std::size_t q = bases.size(); q-- > 0; outcome /= bases[q].cols()) {
+    linalg::CVec v(bases[q].rows());
+    for (std::size_t j = 0; j < v.size(); ++j) v[j] = bases[q](j, outcome % bases[q].cols());
+    proj = linalg::kron(linalg::outer(v, v), proj);
+  }
+  return proj;
+}
 
 TEST(Settings, CountAndOrder) {
   // All 3^n settings, lexicographic over {X, Y, Z} with qubit 0 slowest.
@@ -44,14 +58,13 @@ TEST(Projectors, CompleteAndOrthogonal) {
   const auto xy = tomo::setting_bases(tomo::pauli_bases(), {0, 1});
   linalg::CMat sum(4, 4);
   for (std::size_t o = 0; o < 4; ++o) {
-    const auto p = tomo::outcome_projector(xy, o);
+    const auto p = outcome_projector(xy, o);
     sum += p;
     EXPECT_LT((p * p - p).max_abs(), 1e-12);  // idempotent
     const auto v = tomo::outcome_vector(xy, o);  // its rank-1 factor
     EXPECT_LT((linalg::outer(v, v) - p).max_abs(), 1e-15);
   }
   EXPECT_LT((sum - linalg::CMat::identity(4)).max_abs(), 1e-12);
-  EXPECT_THROW(tomo::outcome_projector(xy, 4), std::out_of_range);
   EXPECT_THROW(tomo::outcome_vector(xy, 4), std::out_of_range);
 }
 
@@ -68,7 +81,7 @@ TEST(Projectors, ProbabilitiesAreTraceWithProjector) {
     const auto p = tomo::outcome_probabilities(rho, bases);
     double total = 0;
     for (std::size_t o = 0; o < p.size(); ++o) {
-      const auto proj = tomo::outcome_projector(bases, o);
+      const auto proj = outcome_projector(bases, o);
       EXPECT_NEAR(p[o], std::real(linalg::trace_product(rho.matrix(), proj)), 1e-13) << o;
       total += p[o];
     }
@@ -77,7 +90,7 @@ TEST(Projectors, ProbabilitiesAreTraceWithProjector) {
 }
 
 TEST(Projectors, ZBasisIsComputational) {
-  const auto p0 = tomo::outcome_projector(tomo::setting_bases(tomo::pauli_bases(), {2}), 0);
+  const auto p0 = outcome_projector(tomo::setting_bases(tomo::pauli_bases(), {2}), 0);
   EXPECT_NEAR(std::real(p0(0, 0)), 1.0, 1e-12);
   EXPECT_NEAR(std::real(p0(1, 1)), 0.0, 1e-12);
 }
@@ -109,7 +122,7 @@ TEST(LinearInversion, RecoversBellInNoiselessLimit) {
   rng::Xoshiro256 g(3);
   const DensityMatrix rho{bell_phi()};
   const auto data = tomo::simulate_counts(rho, 2e5, {}, g);
-  const auto est = tomo::linear_inversion(data);
+  const auto est = tomo::linear_inversion(data, tomo::pauli_bases());
   EXPECT_LT((est - rho.matrix()).max_abs(), 0.02);
   EXPECT_NEAR(std::real(est.trace()), 1.0, 1e-9);
 }
@@ -122,7 +135,7 @@ TEST(LinearInversion, CanBeNonPhysicalAtLowCounts) {
   rng::Xoshiro256 g(4);
   const DensityMatrix rho = werner_phi(0.9);
   const auto data = tomo::simulate_counts(rho, 30.0, {}, g);
-  const auto est = tomo::linear_inversion(data);
+  const auto est = tomo::linear_inversion(data, tomo::pauli_bases());
   EXPECT_TRUE(linalg::is_hermitian(est, 1e-9));
   EXPECT_NEAR(std::real(est.trace()), 1.0, 1e-9);
   const auto proj = linalg::project_to_density_matrix(est);
@@ -191,12 +204,13 @@ TEST(Mle, LikelihoodIncreasesVsSeed) {
   const DensityMatrix rho = werner_phi(0.6);
   const auto data = tomo::simulate_counts(rho, 200.0, {}, g);
 
-  const auto seed_mat = linalg::project_to_density_matrix(tomo::linear_inversion(data));
+  const auto seed_mat =
+      linalg::project_to_density_matrix(tomo::linear_inversion(data, tomo::pauli_bases()));
   double ll_seed = 0;
   for (const auto& d : data)
     for (std::size_t o = 0; o < d.counts.size(); ++o) {
       if (d.counts[o] == 0) continue;
-      const auto p = tomo::outcome_projector(tomo::setting_bases(tomo::pauli_bases(), d.bases), o);
+      const auto p = outcome_projector(tomo::setting_bases(tomo::pauli_bases(), d.bases), o);
       const double prob = std::max(1e-12, std::real((seed_mat * p).trace()));
       ll_seed += static_cast<double>(d.counts[o]) * std::log(prob);
     }
@@ -205,7 +219,7 @@ TEST(Mle, LikelihoodIncreasesVsSeed) {
 }
 
 TEST(Tomography, RejectsBadInput) {
-  EXPECT_THROW(tomo::linear_inversion({}), std::invalid_argument);
+  EXPECT_THROW(tomo::linear_inversion({}, tomo::pauli_bases()), std::invalid_argument);
   rng::Xoshiro256 g(11);
   const DensityMatrix rho{bell_phi()};
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -214,7 +228,9 @@ TEST(Tomography, RejectsBadInput) {
   // read as "no noise": every knob must be finite.
   for (double shots : {0.0, -1.0, nan, inf}) {
     EXPECT_THROW(tomo::simulate_counts(rho, shots, {}, g), std::invalid_argument) << shots;
-    EXPECT_THROW(qudit::simulate_mub_counts(rho, shots, g), std::invalid_argument) << shots;
+    EXPECT_THROW(tomo::simulate_counts(rho, qudit::mub_bases(2), shots, 0.0, g),
+                 std::invalid_argument)
+        << shots;
   }
   for (const tomo::NoiseKnobs& knobs : {tomo::NoiseKnobs{nan, 0.0}, tomo::NoiseKnobs{inf, 0.0},
                                         tomo::NoiseKnobs{0.0, nan}, tomo::NoiseKnobs{0.0, inf}})
@@ -239,8 +255,9 @@ TEST(Tomography, BothPathsRejectIncompleteOrRepeatedSettings) {
   // inversion as its last copy and the MLE as the sum of all copies.
   rng::Xoshiro256 g(12);
   const auto pauli = tomo::simulate_counts(DensityMatrix{bell_phi()}, 100.0, {}, g);
-  const auto mub = qudit::simulate_mub_counts(
-      quantum::isotropic_noise(quantum::maximally_entangled(3), 0.9), 100.0, g);
+  const tomo::BasisSet mubs = qudit::mub_bases(3);
+  const auto mub = tomo::simulate_counts(
+      quantum::isotropic_noise(quantum::maximally_entangled(3), 0.9), mubs, 100.0, 0.0, g);
   const auto corrupted = [](const std::vector<tomo::SettingCounts>& data) {
     std::vector<std::vector<tomo::SettingCounts>> out(5, data);
     out[0].push_back(data[0]);         // repeated
@@ -251,15 +268,13 @@ TEST(Tomography, BothPathsRejectIncompleteOrRepeatedSettings) {
     return out;
   };
   for (const auto& data : corrupted(pauli)) {
-    EXPECT_THROW(tomo::linear_inversion(data), std::invalid_argument);
+    EXPECT_THROW(tomo::linear_inversion(data, tomo::pauli_bases()), std::invalid_argument);
     EXPECT_THROW(tomo::maximum_likelihood(data), std::invalid_argument);
   }
   for (const auto& data : corrupted(mub)) {
-    EXPECT_THROW(qudit::mub_linear_inversion(data, 3, 2), std::invalid_argument);
-    EXPECT_THROW(qudit::mub_maximum_likelihood(data, 3, 2), std::invalid_argument);
+    EXPECT_THROW(tomo::linear_inversion(data, mubs), std::invalid_argument);
+    EXPECT_THROW(tomo::maximum_likelihood(data, mubs), std::invalid_argument);
   }
-  EXPECT_THROW(qudit::mub_linear_inversion(mub, 3, 1), std::invalid_argument);
-  EXPECT_THROW(qudit::mub_linear_inversion(mub, 5, 2), std::invalid_argument);
 }
 
 /// One-qubit Pauli data: every setting, all counts zero except `z0` in
@@ -272,17 +287,15 @@ std::vector<tomo::SettingCounts> z_only_data(std::uint64_t z0) {
 }
 
 TEST(Tomography, MaximumLikelihoodValidatesData) {
-  const linalg::CMat seed = linalg::CMat::identity(2) * linalg::cplx(0.5, 0);
   // Empty or zero-count data has nothing to reconstruct from.
-  EXPECT_THROW(tomo::maximum_likelihood({}, tomo::pauli_bases(), seed), std::invalid_argument);
-  EXPECT_THROW(tomo::maximum_likelihood(z_only_data(0), tomo::pauli_bases(), seed),
-               std::invalid_argument);
+  EXPECT_THROW(tomo::maximum_likelihood({}, tomo::pauli_bases()), std::invalid_argument);
+  EXPECT_THROW(tomo::maximum_likelihood(z_only_data(0)), std::invalid_argument);
   // Every basis must be a d x d matrix, so every outcome vector has length d^n.
   tomo::BasisSet ragged = tomo::pauli_bases();
   ragged[1] = linalg::CMat(2, 3);
-  EXPECT_THROW(tomo::maximum_likelihood(z_only_data(100), ragged, seed), std::invalid_argument);
+  EXPECT_THROW(tomo::maximum_likelihood(z_only_data(100), ragged), std::invalid_argument);
   // A well-posed single-outcome problem converges to that outcome's projector.
-  const auto res = tomo::maximum_likelihood(z_only_data(100), tomo::pauli_bases(), seed);
+  const auto res = tomo::maximum_likelihood(z_only_data(100));
   EXPECT_TRUE(res.converged);
   EXPECT_NEAR(std::real(res.rho.matrix()(0, 0)), 1.0, 1e-6);
 }
@@ -291,38 +304,114 @@ TEST(Tomography, MaximumLikelihoodRejectsBadInputBeforeIterating) {
   // Every malformed input throws std::invalid_argument before the solver
   // iterates: a bad basis from the data check, the rest naming
   // maximum_likelihood.
-  const linalg::CMat seed = linalg::CMat::identity(2) * linalg::cplx(0.5, 0);
   const auto data = z_only_data(10);
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  const auto expect_rejected = [&](const tomo::BasisSet& set, const linalg::CMat& s,
-                                   const tomo::MleOptions& opts, const char* prefix) {
+  const auto expect_rejected = [&](const tomo::BasisSet& set, const tomo::MleOptions& opts,
+                                   const char* prefix) {
     try {
-      tomo::maximum_likelihood(data, set, s, opts);
+      tomo::maximum_likelihood(data, set, opts);
       ADD_FAILURE() << "no exception";
     } catch (const std::invalid_argument& e) {
       EXPECT_EQ(std::string(e.what()).rfind(prefix, 0), 0u) << e.what();
     }
   };
-  const tomo::MleOptions defaults;
   tomo::BasisSet nan_set = tomo::pauli_bases();
   nan_set[0](0, 0) = linalg::cplx(nan, 0);
-  expect_rejected(nan_set, seed, defaults, "tomography");
+  expect_rejected(nan_set, {}, "tomography");
 
   const tomo::BasisSet pauli = tomo::pauli_bases();
-  linalg::CMat nan_seed = seed;
-  nan_seed(0, 0) = linalg::cplx(nan, 0);
-  expect_rejected(pauli, nan_seed, defaults, "maximum_likelihood");
-  expect_rejected(pauli, linalg::CMat::identity(3), defaults, "maximum_likelihood");
-  expect_rejected(pauli, linalg::CMat(2, 3), defaults, "maximum_likelihood");
-
   tomo::MleOptions opts;
   opts.max_iterations = -1;
-  expect_rejected(pauli, seed, opts, "maximum_likelihood");
+  expect_rejected(pauli, opts, "maximum_likelihood");
   opts = {};
   opts.convergence_tol = nan;
-  expect_rejected(pauli, seed, opts, "maximum_likelihood");
+  expect_rejected(pauli, opts, "maximum_likelihood");
   opts.convergence_tol = -1e-6;
-  expect_rejected(pauli, seed, opts, "maximum_likelihood");
+  expect_rejected(pauli, opts, "maximum_likelihood");
+}
+
+TEST(LinearInversion, RejectsAnIncompleteBasisSet) {
+  // The dual frame needs all d + 1 bases; data that is complete for a
+  // smaller set is still rejected.
+  rng::Xoshiro256 g(13);
+  for (tomo::BasisSet set : {tomo::pauli_bases(), qudit::mub_bases(3)}) {
+    set.pop_back();
+    const std::size_t d = set.front().rows();
+    const auto data =
+        tomo::simulate_counts(DensityMatrix{quantum::StateVector(linalg::CVec(d, 1.0 / std::sqrt(d)),
+                                                                 quantum::Dims{d})},
+                              set, 100.0, 0.0, g);
+    EXPECT_NO_THROW(tomo::checked_particles(data, set));
+    EXPECT_THROW(tomo::linear_inversion(data, set), std::invalid_argument);
+    EXPECT_THROW(tomo::maximum_likelihood(data, set), std::invalid_argument);
+  }
+}
+
+TEST(LinearInversion, OneQubitIsTheBlochVector) {
+  // ρ̂ = (I + Σ_b ⟨σ_b⟩ σ_b)/2 with ⟨σ_b⟩ = (n_+ − n_−)/(n_+ + n_−) in basis b.
+  rng::Xoshiro256 g(14);
+  const quantum::StateVector psi(linalg::CVec{linalg::cplx(std::cos(0.6), 0),
+                                              std::polar(std::sin(0.6), 1.1)});
+  const auto data = tomo::simulate_counts(DensityMatrix(psi), 500.0, {}, g);
+  linalg::CMat want = linalg::CMat::identity(2);
+  const linalg::CMat* sigma[] = {&quantum::pauli_x(), &quantum::pauli_y(), &quantum::pauli_z()};
+  for (const auto& sc : data) {
+    const double n0 = static_cast<double>(sc.counts[0]), n1 = static_cast<double>(sc.counts[1]);
+    want += *sigma[sc.bases[0]] * linalg::cplx((n0 - n1) / (n0 + n1), 0);
+  }
+  want *= linalg::cplx(0.5, 0);
+  EXPECT_LT((tomo::linear_inversion(data, tomo::pauli_bases()) - want).max_abs(), 1e-15);
+}
+
+TEST(LinearInversion, TwoQuditsMatchTheTwoDesignFormula) {
+  // The two-particle product-MUB identity
+  //   S = Σ p(k,k'|b,b') Π_{b,k} ⊗ Π_{b',k'} = ρ + ρ_A ⊗ I + I ⊗ ρ_B + I ⊗ I
+  // gives ρ̂ = S − ρ_A⊗I − I⊗ρ_B − I⊗I, with each marginal inverted by
+  // the one-particle identity ρ_A = Σ p_A(k|b) Π_{b,k} − I from the
+  // outcome distribution averaged over the other side's d + 1 settings.
+  for (std::size_t d : {3, 5, 7}) {
+    rng::Xoshiro256 g(15 + d);
+    const tomo::BasisSet mubs = qudit::mub_bases(d);
+    const auto data = tomo::simulate_counts(
+        quantum::isotropic_noise(quantum::maximally_entangled(d), 0.8), mubs, 300.0, 0.0, g);
+    const linalg::CMat eye = linalg::CMat::identity(d);
+    linalg::CMat s(d * d, d * d), rho_a = eye * linalg::cplx(-1, 0), rho_b = rho_a;
+    for (const auto& sc : data) {
+      const double total = static_cast<double>(sc.total());
+      const auto measured = tomo::setting_bases(mubs, sc.bases);
+      for (std::size_t o = 0; o < d * d; ++o) {
+        const double p = static_cast<double>(sc.counts[o]) / total;
+        s += outcome_projector(measured, o) * linalg::cplx(p, 0);
+        const double w = p / static_cast<double>(d + 1);
+        rho_a += outcome_projector({measured[0]}, o / d) * linalg::cplx(w, 0);
+        rho_b += outcome_projector({measured[1]}, o % d) * linalg::cplx(w, 0);
+      }
+    }
+    linalg::CMat want = s;
+    want -= linalg::kron(rho_a, eye);
+    want -= linalg::kron(eye, rho_b);
+    want -= linalg::kron(eye, eye);
+    EXPECT_LT((tomo::linear_inversion(data, mubs) - want).max_abs(), 1e-13) << "d=" << d;
+  }
+}
+
+TEST(LinearInversion, ThreeQutritMubTomography) {
+  // Three particles, which the product dual frame handles like any other
+  // count: a noisy qutrit GHZ state at 2000 shots per setting.
+  linalg::CVec ghz(27);
+  for (std::size_t k = 0; k < 3; ++k) ghz[13 * k] = 1.0 / std::sqrt(3.0);
+  const DensityMatrix rho = quantum::isotropic_noise(
+      quantum::StateVector(ghz, quantum::Dims{3, 3, 3}), 0.9);
+  const tomo::BasisSet mubs = qudit::mub_bases(3);
+  rng::Xoshiro256 g(16);
+  const auto data = tomo::simulate_counts(rho, mubs, 2000.0, 0.0, g);
+  ASSERT_EQ(data.size(), 64u);
+  const linalg::CMat est = tomo::linear_inversion(data, mubs);
+  EXPECT_LT((est - rho.matrix()).max_abs(), 0.02);
+  EXPECT_NEAR(std::real(est.trace()), 1.0, 1e-12);
+  const auto mle = tomo::maximum_likelihood(data, mubs);
+  EXPECT_TRUE(mle.converged);
+  EXPECT_LT((mle.rho.matrix() - rho.matrix()).max_abs(), 0.02);
 }
 
 // ------------------------------------------------- MLE optimality (KKT)
@@ -332,7 +421,6 @@ TEST(Tomography, MaximumLikelihoodRejectsBadInputBeforeIterating) {
 struct OptimalityCase {
   tomo::BasisSet set;
   std::vector<tomo::SettingCounts> data;
-  linalg::CMat linear_estimate;
 };
 
 std::vector<OptimalityCase> optimality_cases() {
@@ -343,15 +431,13 @@ std::vector<OptimalityCase> optimality_cases() {
                    std::sin(0.4) * std::exp(linalg::cplx(0, 0.9))});
   for (const DensityMatrix& rho : {werner, werner.tensor(DensityMatrix(pure_qubit))}) {
     rng::Xoshiro256 g(11);
-    auto data = tomo::simulate_counts(rho, 200.0, {}, g);
-    auto linear = tomo::linear_inversion(data);
-    cases.push_back({tomo::pauli_bases(), std::move(data), std::move(linear)});
+    cases.push_back({tomo::pauli_bases(), tomo::simulate_counts(rho, 200.0, {}, g)});
   }
   rng::Xoshiro256 g(12);
-  auto data = qudit::simulate_mub_counts(
-      quantum::isotropic_noise(quantum::maximally_entangled(3), 0.9), 200.0, g);
-  auto linear = qudit::mub_linear_inversion(data, 3, 2);
-  cases.push_back({qudit::mub_bases(3), std::move(data), std::move(linear)});
+  const tomo::BasisSet mubs = qudit::mub_bases(3);
+  cases.push_back({mubs, tomo::simulate_counts(
+                             quantum::isotropic_noise(quantum::maximally_entangled(3), 0.9),
+                             mubs, 200.0, 0.0, g)});
   return cases;
 }
 
@@ -363,7 +449,7 @@ std::pair<std::vector<linalg::CMat>, std::vector<double>> dense_terms(
   for (const auto& sc : c.data)
     for (std::size_t o = 0; o < sc.counts.size(); ++o) {
       if (sc.counts[o] == 0) continue;
-      projectors.push_back(tomo::outcome_projector(tomo::setting_bases(c.set, sc.bases), o));
+      projectors.push_back(outcome_projector(tomo::setting_bases(c.set, sc.bases), o));
       counts.push_back(static_cast<double>(sc.counts[o]));
     }
   return {std::move(projectors), std::move(counts)};
@@ -431,7 +517,7 @@ tomo::MleOptions tight_mle_options() {
 }
 
 tomo::MleResult mle_of(const OptimalityCase& c, const tomo::MleOptions& opts) {
-  return tomo::maximum_likelihood(c.data, c.set, c.linear_estimate, opts);
+  return tomo::maximum_likelihood(c.data, c.set, opts);
 }
 
 TEST(Mle, ProductBasisEstimateIsTheLikelihoodMaximum) {
@@ -458,7 +544,7 @@ TEST(Mle, MatchesLongReference) {
     ASSERT_TRUE(mle.converged) << "dim " << dim;
     EXPECT_LE(mle.likelihood_gap, tomo::MleOptions{}.convergence_tol) << "dim " << dim;
     const auto [projectors, counts] = dense_terms(c);
-    const auto [ref, ref_gap] = rrr_reference(c.linear_estimate, projectors, counts, 1e-12);
+    const auto [ref, ref_gap] = rrr_reference(tomo::linear_inversion(c.data, c.set), projectors, counts, 1e-12);
     ASSERT_LE(ref_gap, 1e-12) << "dim " << dim;
     EXPECT_LT(quantum::trace_distance(mle.rho.matrix(), ref), 1e-6) << "dim " << dim;
     double total = 0;
@@ -579,8 +665,9 @@ TEST(Pin, MubTomographyOutputs) {
         quantum::isotropic_noise(quantum::maximally_entangled(d), 0.9)};
     for (std::size_t n = 1; n <= 2; ++n) {
       rng::Xoshiro256 g(77 + i);
-      const auto data = qudit::simulate_mub_counts(states[n - 1], 200.0, g);
-      expect_pinned(pins[i++], data, qudit::mub_maximum_likelihood(data, d, n));
+      const tomo::BasisSet mubs = qudit::mub_bases(d);
+      const auto data = tomo::simulate_counts(states[n - 1], mubs, 200.0, 0.0, g);
+      expect_pinned(pins[i++], data, tomo::maximum_likelihood(data, mubs));
     }
   }
 }
