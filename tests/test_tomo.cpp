@@ -627,10 +627,10 @@ TEST(Pin, PauliTomographyOutputs) {
   const Pin pins[] = {
       {"n1", 17809315873939459574ull, 3, true, -438.14178098938135, 2.6223601533965741, 0.30262251984984379, 1.0579281565336562, -0.050437086641640635},
       {"n1 noisy", 13710317891451855327ull, 9, true, -475.56127505522574, 2.8322981364913993, 0.20569618973053677, 1.1242236021480154, -0.0342826982884228},
-      {"n2", 10836562860066124018ull, 28, true, -2311.6566745607879, 15.278560436435598, 0.31185171213565094, 0.61810307808386311, -0.012793467435893128},
-      {"n2 noisy", 402094767900601023ull, 28, true, -2328.9739325535852, 15.954868199577302, 0.054599606119438093, 0.57664101977829074, -0.010901769160278907},
-      {"n4", 13611408935159203195ull, 63, true, -11749.143986019884, 446.27444962890519, -0.42766841408783984, 0.34326355864761321, -0.00071392411098644996},
-      {"n4 noisy", 18074667496569185761ull, 84, true, -16070.909605218261, 331.30656016412735, 11.947493519248338, 0.26355406854498137, 0.00095852257476377353},
+      {"n2", 10836562860066124018ull, 29, true, -2311.656674560787, 15.278560444905427, 0.31185170656347627, 0.61810307763955807, -0.012793466691259168},
+      {"n2 noisy", 402094767900601023ull, 24, true, -2328.9739325535857, 15.954868175426274, 0.054599499623109116, 0.5766410148751504, -0.010901767099270768},
+      {"n4", 13611408935159203195ull, 70, true, -11749.143986019888, 446.27445086233359, -0.4276625068007362, 0.34326355862637781, -0.0007139246750831413},
+      {"n4 noisy", 18074667496569185761ull, 66, true, -16070.909605218263, 331.30655768729616, 11.947491427391331, 0.26355407108659573, 0.00095852486296185116},
   };
   const tomo::NoiseKnobs four_photon_noise{0.38, 1.0};
   std::size_t i = 0;
