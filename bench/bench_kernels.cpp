@@ -48,7 +48,7 @@ struct Row {
   std::string name;
   std::size_t n = 0;
   int reps = 0;
-  double ms_per_rep = 0;
+  double rep_ms = 0;
   /// Set on MLE rows: the health of the last repetition's estimate.
   std::optional<tomo::MleResult> mle;
 };
@@ -161,7 +161,7 @@ int main(int argc, char** argv) {
               "MLE gap");
   bool all_converged = true;
   for (const auto& r : rows) {
-    std::printf("%-26s %8zu %6d %12.3f", r.name.c_str(), r.n, r.reps, r.ms_per_rep);
+    std::printf("%-26s %8zu %6d %12.3f", r.name.c_str(), r.n, r.reps, r.rep_ms);
     if (r.mle) std::printf(" %6d %10.1e%s", r.mle->iterations, r.mle->likelihood_gap,
                            r.mle->converged ? "" : "  NOT CONVERGED");
     std::printf("\n");
@@ -172,7 +172,7 @@ int main(int argc, char** argv) {
   Json json_rows = Json::make_array();
   for (const Row& r : rows) {
     Json row = Json::make_object(
-        {{"kernel", r.name}, {"n", r.n}, {"reps", r.reps}, {"ms_per_rep", r.ms_per_rep}});
+        {{"kernel", r.name}, {"n", r.n}, {"reps", r.reps}, {"rep_ms", r.rep_ms}});
     if (r.mle) {
       row.set("iterations", r.mle->iterations);
       row.set("likelihood_gap", r.mle->likelihood_gap);
