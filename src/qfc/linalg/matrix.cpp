@@ -2,13 +2,6 @@
 
 namespace qfc::linalg {
 
-CMat to_complex(const RMat& r) {
-  CMat c(r.rows(), r.cols());
-  for (std::size_t i = 0; i < r.rows(); ++i)
-    for (std::size_t j = 0; j < r.cols(); ++j) c(i, j) = cplx(r(i, j), 0.0);
-  return c;
-}
-
 CMat hermitian_part(const CMat& a) {
   a.require_square("hermitian_part");
   CMat h = a;

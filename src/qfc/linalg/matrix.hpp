@@ -291,9 +291,6 @@ Mat<T> outer(const std::vector<T>& a, const std::vector<T>& b) {
   return m;
 }
 
-/// Convert a real matrix to complex.
-CMat to_complex(const RMat& r);
-
 /// Hermitian part (A + A†)/2.
 CMat hermitian_part(const CMat& a);
 
