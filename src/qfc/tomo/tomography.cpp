@@ -162,8 +162,8 @@ CMat linear_inversion(const std::vector<SettingCounts>& data, const BasisSet& se
     }
   }
   // Contract one particle at a time: index m_q becomes the entry pair
-  // (i_q, j_q) of D_{m_q}, in place, so the tensor ends up indexed by
-  // (i_0, j_0, ..., i_{n-1}, j_{n-1}).
+  // (i_q, j_q) of D_{m_q}, at the same position, so the tensor ends up
+  // indexed by (i_0, j_0, ..., i_{n-1}, j_{n-1}).
   for (std::size_t q = 0, done = 1; q < n; ++q, done *= d2) {
     const std::size_t rest = t.size() / (done * m_count);
     std::vector<cplx> next(done * d2 * rest);
