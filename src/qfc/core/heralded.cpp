@@ -57,12 +57,13 @@ detect::ChannelPairSpec HeraldedPhotonExperiment::channel_spec(int k) const {
 
 void HeraldedPhotonExperiment::stream_events(
     std::vector<detect::ChannelPairSpec> specs, double duration_s, std::uint64_t seed,
-    const std::function<void(const detect::StreamWindow&)>& on_window) const {
+    const std::function<void(const detect::StreamWindow&)>& on_window,
+    detect::DiagonalAccumulator* diagonal) const {
   detect::EngineConfig ec;
   ec.duration_s = duration_s;
   ec.seed = seed;
   ec.num_threads = cfg_.engine_threads;
-  detect::for_each_window(ec, std::move(specs), on_window);
+  detect::for_each_window(ec, std::move(specs), on_window, diagonal);
 }
 
 std::vector<detect::ChannelPairSpec> HeraldedPhotonExperiment::all_channel_specs() const {
@@ -99,14 +100,15 @@ std::vector<ChannelResult> HeraldedPhotonExperiment::run_channel_table() {
   detect::StreamingCarPairsAccumulator car(cfg_.coincidence_window_s,
                                            cfg_.side_window_spacing_s);
   std::vector<std::size_t> singles_signal(n, 0), singles_idler(n, 0);
-  stream_events(all_channel_specs(), cfg_.duration_s, cfg_.seed + 2,
-                [&](const detect::StreamWindow& w) {
-                  car.push(w);
-                  for (std::size_t c = 0; c < n; ++c) {
-                    singles_signal[c] += w.events.signal.channel_size(c);
-                    singles_idler[c] += w.events.idler.channel_size(c);
-                  }
-                });
+  stream_events(
+      all_channel_specs(), cfg_.duration_s, cfg_.seed + 2,
+      [&](const detect::StreamWindow& w) {
+        for (std::size_t c = 0; c < n; ++c) {
+          singles_signal[c] += w.events.signal.channel_size(c);
+          singles_idler[c] += w.events.idler.channel_size(c);
+        }
+      },
+      &car);
   const std::vector<detect::CarResult> cars = car.finish();
 
   std::vector<ChannelResult> out;
@@ -138,7 +140,7 @@ CoherenceResult HeraldedPhotonExperiment::run_coherence_measurement(int k,
   // spec + stream path as the multi-channel runs, restricted to channel k.
   detect::StreamingCorrelatorAccumulator corr(hist_bin_s, hist_range_s);
   stream_events({channel_spec(k)}, duration_s, cfg_.seed + 1000 + static_cast<std::uint64_t>(k),
-                [&](const detect::StreamWindow& w) { corr.push(w); });
+                {}, &corr);
 
   CoherenceResult res;
   res.histogram = corr.finish()[0];

@@ -105,11 +105,13 @@ class HeraldedPhotonExperiment {
   /// SFWM source, transmission and detector from the collection chain.
   detect::ChannelPairSpec channel_spec(int k) const;
   std::vector<detect::ChannelPairSpec> all_channel_specs() const;
-  /// Streams `specs` through `on_window` in windows of
-  /// detect::bounded_window_s, so memory stays bounded however long the run.
+  /// Streams `specs` in windows of detect::bounded_window_s, so memory
+  /// stays bounded however long the run: into `diagonal` (if set) inside
+  /// the channel tasks, then through `on_window` (if set).
   void stream_events(std::vector<detect::ChannelPairSpec> specs, double duration_s,
                      std::uint64_t seed,
-                     const std::function<void(const detect::StreamWindow&)>& on_window) const;
+                     const std::function<void(const detect::StreamWindow&)>& on_window,
+                     detect::DiagonalAccumulator* diagonal = nullptr) const;
 
   photonics::MicroringResonator device_;
   HeraldedConfig cfg_;

@@ -183,7 +183,8 @@ std::vector<MultiplexedQkdLink::StreamCheck> MultiplexedQkdLink::stream_check(
   detect::EventStreamer streamer(ec, sc, specs);
   auto car = qkd_car_accumulator(endpoint_.coincidence_window_s);
   detect::StreamWindow w;
-  while (streamer.next(w)) car.push(w);
+  while (streamer.next(w, car)) {
+  }
   const std::vector<detect::CarResult> cars = car.finish();
 
   std::vector<StreamCheck> out;

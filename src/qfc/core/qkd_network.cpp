@@ -120,10 +120,8 @@ QkdNetworkReport QkdNetwork::run(double duration_s) const {
   detect::StreamWindow w;
   {
     QFC_OBS_SPAN("network.stream", {{"users", n}});
-    while (streamer.next(w)) {
-      car.push(w);
-      ++report.stream_windows;
-    }
+    // Each user's CAR is counted inside its channel's generation task.
+    while (streamer.next(w, car)) ++report.stream_windows;
   }
   const std::vector<detect::CarResult> cars = car.finish();
 

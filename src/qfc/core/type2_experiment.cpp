@@ -60,7 +60,7 @@ Type2CarResult Type2Experiment::measure_at(double total_power_w,
   ec.seed = cfg_.seed + seed_offset;
   detect::StreamingCarPairsAccumulator car(cfg_.coincidence_window_s,
                                            cfg_.side_window_spacing_s);
-  detect::for_each_window(ec, {spec}, [&](const detect::StreamWindow& w) { car.push(w); });
+  detect::for_each_window(ec, {spec}, {}, &car);
   const std::vector<detect::CarResult> cars = car.finish();
 
   Type2CarResult r;

@@ -26,6 +26,18 @@ inline void check_engine_config(const EngineConfig& cfg) {
     throw std::invalid_argument("EngineConfig: negative analysis thread count");
 }
 
+/// Time average of segment rate `member` over a PiecewiseRates spec's
+/// segments; 0 in the other modes, which ignore their segments.
+inline double mean_segment_rate_hz(const ChannelPairSpec& spec, double RateSegment::*member) {
+  if (spec.emission != EmissionMode::PiecewiseRates) return 0.0;
+  double total = 0, rate_time = 0;
+  for (const RateSegment& seg : spec.segments) {
+    total += seg.duration_s;
+    rate_time += seg.*member * seg.duration_s;
+  }
+  return total > 0 ? rate_time / total : 0.0;
+}
+
 /// Per-channel generation plan, fully validated before any parallel work.
 /// The mode's parameter struct carries the per-arm survival probabilities
 /// e = T·η (channel transmission times detector efficiency) as its

@@ -162,14 +162,8 @@ double mean_pair_rate_hz(const ChannelPairSpec& spec) {
       return spec.pair_rate_hz;
     case EmissionMode::Pulsed:
       return spec.pulsed.mean_pairs_per_pulse * spec.pulsed.repetition_rate_hz;
-    case EmissionMode::PiecewiseRates: {
-      double total = 0, rate_time = 0;
-      for (const RateSegment& seg : spec.segments) {
-        total += seg.duration_s;
-        rate_time += seg.pair_rate_hz * seg.duration_s;
-      }
-      return total > 0 ? rate_time / total : 0.0;
-    }
+    case EmissionMode::PiecewiseRates:
+      return detail::mean_segment_rate_hz(spec, &RateSegment::pair_rate_hz);
   }
   return 0.0;
 }

@@ -17,7 +17,8 @@
 /// whole-run window through the matching streaming accumulator. So the
 /// determinism contract is the streaming one: output is bitwise identical
 /// at every window size and generation thread count
-/// (EngineConfig::num_threads). The analysis sweeps are serial.
+/// (EngineConfig::num_threads). The analysis sweeps are serial here; the
+/// streamer can run the diagonal ones inside its channel tasks.
 
 #include <cstdint>
 #include <vector>
@@ -141,8 +142,8 @@ unsigned analysis_threads();
 unsigned analysis_thread_request();
 
 /// Δt histograms for the diagonal (signal k, idler k) channel pairs, all
-/// built in one merge-sweep over the two tables (one whole-run window
-/// through StreamingCorrelatorAccumulator). `num_threads` is inert (the
+/// built in one sweep over the two tables (StreamingCorrelatorAccumulator's
+/// sweep over one whole-run window). `num_threads` is inert (the
 /// sweep is serial), kept only because the repository benchmark passes it;
 /// a negative value is still rejected.
 std::vector<CoincidenceHistogram> correlate_all(const EventTable& signal,

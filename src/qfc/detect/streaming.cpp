@@ -21,6 +21,30 @@
 
 namespace qfc::detect {
 
+namespace detail {
+
+/// A DiagonalSweep seen one channel at a time: how EventStreamer feeds a
+/// DiagonalAccumulator inside its channel tasks, and how push() and the
+/// batch analyzers feed it serially. The one kernel, two callers.
+struct DiagonalSweepBase {
+  /// Serial, before any step of a window over `ns` signal and `ni` idler
+  /// channels: lazy sizing on the first window, the misuse and
+  /// channel-count checks on every one.
+  virtual void begin(std::size_t ns, std::size_t ni) = 0;
+  /// Channel c's window: sweep signal column [s0, s1) (and the carried
+  /// signal events) that `frontier` resolves against the carried idler
+  /// events and idler column [i0, i1), then carry what is left. Touches
+  /// only channel c's state and the calling thread's scratch, so steps of
+  /// distinct channels may run concurrently.
+  virtual void step(std::size_t c, const double* s0, const double* s1, const double* i0,
+                    const double* i1, double frontier) = 0;
+
+ protected:
+  ~DiagonalSweepBase() = default;
+};
+
+}  // namespace detail
+
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -38,6 +62,7 @@ constexpr std::size_t kNoChannels = static_cast<std::size_t>(-1);
 struct WindowScratch {
   PairStreams arrivals;
   std::vector<double> darks, pwdarks;
+  std::vector<double> idler;  ///< a diagonal step's carried + window idler column
 };
 
 WindowScratch& window_scratch() {
@@ -195,7 +220,10 @@ struct EventStreamer::Impl {
       if (t < prev_c) ++violations;
   }
 
-  void process_channel(std::size_t c, double C, bool last) {
+  /// Generate channel c's window and, when `diagonal` is set, fold its
+  /// finalized click columns into it (frontier C).
+  void process_channel(std::size_t c, double C, bool last,
+                       detail::DiagonalSweepBase* diagonal) {
     QFC_OBS_SPAN("engine.stream.channel", {{"channel", c}});
     ChannelState& st = chans[c];
     const ChannelPairSpec& spec = specs[c];
@@ -248,11 +276,18 @@ struct EventStreamer::Impl {
       obs::counter("engine.clicks_kept").add(st.a.clicks.size() + st.b.clicks.size());
     st.prev_theta = theta;
     st.prev_c = C;
+    if (diagonal) {
+      const std::vector<double>& sig = st.a.clicks;
+      const std::vector<double>& idl = st.b.clicks;
+      diagonal->step(c, sig.data(), sig.data() + sig.size(), idl.data(),
+                     idl.data() + idl.size(), C);
+    }
   }
 
-  bool next(StreamWindow& out) {
+  bool next(StreamWindow& out, detail::DiagonalSweepBase* diagonal) {
     if (k >= num_windows) return false;
     QFC_OBS_SPAN("engine.stream.window", {{"index", k}});
+    if (diagonal) diagonal->begin(chans.size(), chans.size());
     const double W = stream.window_s;
     const bool last = (k + 1 == num_windows);
     const double t_begin = static_cast<double>(k) * W;
@@ -260,9 +295,13 @@ struct EventStreamer::Impl {
         last ? cfg.duration_s
              : std::min(static_cast<double>(k + 1) * W, cfg.duration_s);
 
-    pool->run(chans.size(), [&](std::size_t c) { process_channel(c, C, last); });
-    collect_clicks(out.events.signal, &ChannelState::a);
-    collect_clicks(out.events.idler, &ChannelState::b);
+    pool->run(chans.size(), [&](std::size_t c) { process_channel(c, C, last, diagonal); });
+    size_table(out.events.signal, &ChannelState::a);
+    size_table(out.events.idler, &ChannelState::b);
+    pool->run(chans.size(), [&](std::size_t c) {
+      copy_clicks(out.events.signal, chans[c].a.clicks, c);
+      copy_clicks(out.events.idler, chans[c].b.clicks, c);
+    });
     out.index = k;
     out.t_begin_s = t_begin;
     out.t_end_s = C;
@@ -287,19 +326,24 @@ struct EventStreamer::Impl {
     return true;
   }
 
-  /// Refill `table` with every channel's finalized clicks of arm `arm`,
-  /// keeping the table's capacity across windows. The columns are sorted by
-  /// construction (finalize_clicks).
-  void collect_clicks(EventTable& table, ArmState ChannelState::*arm) const {
-    table.time_s.clear();
-    table.channel.clear();
+  /// Set `table`'s offsets to every channel's finalized clicks of arm
+  /// `arm` and size its columns to match, keeping their capacity across
+  /// windows; copy_clicks then fills channel c's range. Resizing without a
+  /// clear fills only the growth beyond the previous window.
+  void size_table(EventTable& table, ArmState ChannelState::*arm) const {
     table.offsets.assign(1, 0);
-    for (std::size_t c = 0; c < chans.size(); ++c) {
-      const std::vector<double>& col = (chans[c].*arm).clicks;
-      table.time_s.insert(table.time_s.end(), col.begin(), col.end());
-      table.channel.insert(table.channel.end(), col.size(), static_cast<std::uint32_t>(c));
-      table.offsets.push_back(table.time_s.size());
-    }
+    for (const ChannelState& st : chans)
+      table.offsets.push_back(table.offsets.back() + (st.*arm).clicks.size());
+    table.time_s.resize(table.offsets.back());
+    table.channel.resize(table.offsets.back());
+  }
+
+  /// Channel c's range of a table sized by size_table. The columns are
+  /// sorted by construction (finalize_clicks).
+  static void copy_clicks(EventTable& table, const std::vector<double>& col, std::size_t c) {
+    const auto at = static_cast<std::ptrdiff_t>(table.offsets[c]);
+    std::copy(col.begin(), col.end(), table.time_s.begin() + at);
+    std::fill_n(table.channel.begin() + at, col.size(), static_cast<std::uint32_t>(c));
   }
 
   std::uint64_t total_violations() const {
@@ -315,7 +359,10 @@ EventStreamer::EventStreamer(const EngineConfig& cfg, const StreamConfig& stream
 
 EventStreamer::~EventStreamer() = default;
 
-bool EventStreamer::next(StreamWindow& out) { return impl_->next(out); }
+bool EventStreamer::next(StreamWindow& out) { return impl_->next(out, nullptr); }
+bool EventStreamer::next(StreamWindow& out, DiagonalAccumulator& diagonal) {
+  return impl_->next(out, &diagonal.sweep());
+}
 std::uint64_t EventStreamer::boundary_violations() const {
   return impl_->total_violations();
 }
@@ -326,23 +373,31 @@ double bounded_window_s(const std::vector<ChannelPairSpec>& channels, double dur
   for (const ChannelPairSpec& s : channels) {
     const DetectorParams& ds = s.detector_signal;
     const DetectorParams& di = s.detector_idler;
+    const auto mean = [&](double RateSegment::*member) {
+      return detail::mean_segment_rate_hz(s, member);
+    };
     rate_hz += mean_pair_rate_hz(s) *
                    (s.transmission_signal * ds.efficiency +
                     s.transmission_idler * di.efficiency) +
-               s.background_rate_signal_hz * ds.efficiency +
-               s.background_rate_idler_hz * di.efficiency + ds.dark_rate_hz +
-               di.dark_rate_hz;
+               (s.background_rate_signal_hz + mean(&RateSegment::background_rate_signal_hz)) *
+                   ds.efficiency +
+               (s.background_rate_idler_hz + mean(&RateSegment::background_rate_idler_hz)) *
+                   di.efficiency +
+               ds.dark_rate_hz + mean(&RateSegment::dark_rate_signal_hz) + di.dark_rate_hz +
+               mean(&RateSegment::dark_rate_idler_hz);
   }
   return rate_hz > 0 ? std::min(duration_s, kClicksPerWindow / rate_hz) : duration_s;
 }
 
 void for_each_window(const EngineConfig& cfg, std::vector<ChannelPairSpec> channels,
-                     const std::function<void(const StreamWindow&)>& on_window) {
+                     const std::function<void(const StreamWindow&)>& on_window,
+                     DiagonalAccumulator* diagonal) {
   StreamConfig sc;
   sc.window_s = bounded_window_s(channels, cfg.duration_s);
   EventStreamer streamer(cfg, sc, std::move(channels));
   StreamWindow w;
-  while (streamer.next(w)) on_window(w);
+  while (diagonal ? streamer.next(w, *diagonal) : streamer.next(w))
+    if (on_window) on_window(w);
 }
 
 // ------------------------------------------------ streaming accumulators
@@ -384,37 +439,31 @@ void append_sorted(std::vector<double>& dst, const double* begin,
 struct SignalRoll {
   std::vector<std::vector<double>> pending;
 
-  /// Counts, through `count(channel, first, last, row)`, every signal event
-  /// — carried, or in the columns of `signal` (may be null) — whose full
-  /// reach lies behind `frontier`, into row `channel` of `counts` (rows of
-  /// `row_size` cells), and carries the rest. Resolved events are swept
-  /// straight from the window's columns; only the unresolved tail is copied.
-  /// Each channel is one serial sweep over at most two ranges (carried, then
-  /// fresh) of integer counts, so the result is bitwise identical at every
-  /// window size.
+  /// Counts, through `count(first, last)`, every signal event of channel
+  /// `c` — carried, or in the window's column [b, e) — whose full reach lies
+  /// behind `frontier`, and carries the rest. Resolved events are swept
+  /// straight from the window's column; only the unresolved tail is copied.
+  /// This is one serial sweep over at most two ranges (carried, then fresh)
+  /// of integer counts, so the result is bitwise identical at every window
+  /// size, and it touches only pending[c].
   template <class CountFn>
-  void resolve(const EventTable* signal, double frontier, double reach,
-               std::size_t row_size, std::vector<std::uint64_t>& counts,
-               const CountFn& count) {
-    const auto resolved_end = [&](const double* b, const double* e) {
-      return std::partition_point(b, e, [&](double ta) { return ta + reach < frontier; });
+  void resolve(std::size_t c, const double* b, const double* e, double frontier,
+               double reach, const CountFn& count) {
+    const auto resolved_end = [&](const double* first, const double* last) {
+      return std::partition_point(first, last,
+                                  [&](double ta) { return ta + reach < frontier; });
     };
-    for (std::size_t c = 0; c < pending.size(); ++c) {
-      auto& p = pending[c];
-      const double* b = signal ? signal->channel_begin(c) : nullptr;
-      const double* e = signal ? signal->channel_end(c) : nullptr;
-      if (!p.empty() && b != e && *b < p.back()) {  // boundary violation
-        append_sorted(p, b, e);
-        b = e;
-      }
-      std::uint64_t* row = counts.data() + c * row_size;
-      const double* p_end = resolved_end(p.data(), p.data() + p.size());
-      if (p_end != p.data()) count(c, p.data(), p_end, row);
-      const double* tail = p_end == p.data() + p.size() ? resolved_end(b, e) : b;
-      if (tail != b) count(c, b, tail, row);
-      p.erase(p.begin(), p.begin() + (p_end - p.data()));
-      p.insert(p.end(), tail, e);
+    auto& p = pending[c];
+    if (!p.empty() && b != e && *b < p.back()) {  // boundary violation
+      append_sorted(p, b, e);
+      b = e;
     }
+    const double* p_end = resolved_end(p.data(), p.data() + p.size());
+    if (p_end != p.data()) count(p.data(), p_end);
+    const double* tail = p_end == p.data() + p.size() ? resolved_end(b, e) : b;
+    if (tail != b) count(b, tail);
+    p.erase(p.begin(), p.begin() + (p_end - p.data()));
+    p.insert(p.end(), tail, e);
   }
 
   /// Earliest carried signal time of channel `c`, or `frontier` if none.
@@ -428,14 +477,14 @@ struct SignalRoll {
   }
 };
 
-/// Drop the prefix of sorted `t` (and its co-sorted `ch`, if any) below
-/// `t_min`; everything when `t_min` is not finite (nothing left to resolve).
-void trim_below(std::vector<double>& t, std::vector<std::uint32_t>* ch, double t_min) {
+/// Drop the prefix of sorted `t` and its co-sorted `ch` below `t_min`;
+/// everything when `t_min` is not finite (nothing left to resolve).
+void trim_below(std::vector<double>& t, std::vector<std::uint32_t>& ch, double t_min) {
   const auto cut = std::isfinite(t_min)
                        ? std::lower_bound(t.begin(), t.end(), t_min) - t.begin()
                        : static_cast<std::ptrdiff_t>(t.size());
   t.erase(t.begin(), t.begin() + cut);
-  if (ch) ch->erase(ch->begin(), ch->begin() + cut);
+  ch.erase(ch.begin(), ch.begin() + cut);
 }
 
 /// Throws std::invalid_argument("<who>: non-finite <what>") unless `v` is
@@ -548,13 +597,17 @@ struct MergedSweep {
 
   void resolve(const EventTable* sig, double frontier) {
     const double reach = kernel.reach();
-    signal.resolve(sig, frontier, reach, ni * kernel.cells(), counts,
-                   [&](std::size_t, const double* a0, const double* a1, std::uint64_t* row) {
-                     std::size_t lo = analysis_detail::sweep_start(it, *a0, reach);
-                     for (const double* a = a0; a != a1; ++a)
-                       kernel.count(*a, it, ich, lo, row);
-                   });
-    trim_below(it, &ich, signal.earliest(frontier) - reach);
+    for (std::size_t c = 0; c < ns; ++c) {
+      std::uint64_t* row = counts.data() + c * ni * kernel.cells();
+      signal.resolve(c, sig ? sig->channel_begin(c) : nullptr,
+                     sig ? sig->channel_end(c) : nullptr, frontier, reach,
+                     [&](const double* a0, const double* a1) {
+                       std::size_t lo = analysis_detail::sweep_start(it, *a0, reach);
+                       for (const double* a = a0; a != a1; ++a)
+                         kernel.count(*a, it, ich, lo, row);
+                     });
+    }
+    trim_below(it, ich, signal.earliest(frontier) - reach);
   }
 
   /// Resolves everything still carried; false when nothing was pushed.
@@ -568,17 +621,19 @@ struct MergedSweep {
 };
 
 /// Signal channel k against idler channel k only: signal events are swept
-/// against their own idler channel's column, which is trimmed below
-/// everything a future signal event of that channel can reach. No merged
+/// against their own idler channel's column, of which only what a future
+/// signal event of that channel can reach is carried. No merged
 /// view is built, and each channel keeps one row of kernel.cells() counts.
+/// Every window goes through begin() and then step() once per channel,
+/// serially here (push, finish) or from the streamer's channel tasks.
 /// `Kernel` supplies the reach, the cells and the per-event column count;
 /// `name` prefixes misuse errors.
 template <class Kernel>
-struct DiagonalSweep {
+struct DiagonalSweep : detail::DiagonalSweepBase {
   Kernel kernel;
   const char* name;
   std::size_t nch = kNoChannels;
-  std::vector<std::vector<double>> idler;  ///< per-channel columns, trimmed
+  std::vector<std::vector<double>> idler;  ///< per-channel carried idler tails
   SignalRoll signal;
   std::vector<std::uint64_t> counts;       ///< nch x kernel.cells()
   bool finished = false;
@@ -588,36 +643,58 @@ struct DiagonalSweep {
     reject_negative_threads(num_threads);
   }
 
-  void push(const EventTable& sig, const EventTable& idl, double frontier) {
+  void begin(std::size_t ns, std::size_t ni) override {
     if (finished) throw std::logic_error(std::string(name) + ": push after finish");
-    if (sig.num_channels() != idl.num_channels())
-      throw std::invalid_argument(std::string(name) + ": channel count mismatch");
+    if (ns != ni) throw std::invalid_argument(std::string(name) + ": channel count mismatch");
     if (nch == kNoChannels) {
-      nch = sig.num_channels();
+      nch = ns;
       idler.resize(nch);
       signal.pending.resize(nch);
       counts.assign(nch * kernel.cells(), 0);
-    } else if (sig.num_channels() != nch) {
+    } else if (ns != nch) {
       throw std::invalid_argument(
           "streaming accumulator: window channel count changed mid-run");
     }
-    for (std::size_t c = 0; c < nch; ++c)
-      append_sorted(idler[c], idl.channel_begin(c), idl.channel_end(c));
-    resolve(&sig, frontier);
   }
 
-  void resolve(const EventTable* sig, double frontier) {
+  void step(std::size_t c, const double* s0, const double* s1, const double* i0,
+            const double* i1, double frontier) override {
+    // The idler events to sweep: the carried column, then the window's. They
+    // are joined, in the thread's scratch, only when both are non-empty, so
+    // a channel keeps only its short carried tail and no window-sized
+    // buffer (whose largest-ever size would grow with the run length).
+    std::vector<double>& col = idler[c];
+    const bool in_place = !col.empty() && i0 == i1;
+    const double* ib = in_place ? col.data() : i0;
+    const double* ie = in_place ? col.data() + col.size() : i1;
+    if (!col.empty() && i0 != i1) {
+      std::vector<double>& joined = window_scratch().idler;
+      joined.assign(col.begin(), col.end());
+      append_sorted(joined, i0, i1);
+      ib = joined.data();
+      ie = ib + joined.size();
+    }
     const double reach = kernel.reach();
-    signal.resolve(sig, frontier, reach, kernel.cells(), counts,
-                   [&](std::size_t c, const double* a0, const double* a1,
-                       std::uint64_t* row) {
-                     const double* ib = idler[c].data();
-                     const double* ie = ib + idler[c].size();
-                     const double* lo = std::lower_bound(ib, ie, *a0 - reach);
-                     for (const double* a = a0; a != a1; ++a) kernel.count(*a, ie, lo, row);
-                   });
+    std::uint64_t* row = counts.data() + c * kernel.cells();
+    signal.resolve(c, s0, s1, frontier, reach, [&](const double* a0, const double* a1) {
+      const double* lo = std::lower_bound(ib, ie, *a0 - reach);
+      for (const double* a = a0; a != a1; ++a) kernel.count(*a, ie, lo, row);
+    });
+    // Carry only what a future signal event of this channel can reach;
+    // nothing once no future event is left (t_min not finite).
+    const double t_min = signal.earliest(c, frontier) - reach;
+    const double* keep = std::isfinite(t_min) ? std::lower_bound(ib, ie, t_min) : ie;
+    if (in_place)
+      col.erase(col.begin(), col.begin() + (keep - ib));
+    else
+      col.assign(keep, ie);
+  }
+
+  void push(const EventTable& sig, const EventTable& idl, double frontier) {
+    begin(sig.num_channels(), idl.num_channels());
     for (std::size_t c = 0; c < nch; ++c)
-      trim_below(idler[c], nullptr, signal.earliest(c, frontier) - reach);
+      step(c, sig.channel_begin(c), sig.channel_end(c), idl.channel_begin(c),
+           idl.channel_end(c), frontier);
   }
 
   /// Resolves everything still carried; false when nothing was pushed.
@@ -625,7 +702,7 @@ struct DiagonalSweep {
     if (finished) throw std::logic_error(std::string(name) + ": finish called twice");
     finished = true;
     if (nch == kNoChannels) return false;
-    resolve(nullptr, kInf);
+    for (std::size_t c = 0; c < nch; ++c) step(c, nullptr, nullptr, nullptr, nullptr, kInf);
     return true;
   }
 };
@@ -713,7 +790,7 @@ CarMatrix StreamingCarAccumulator::finish() { return finish_car(*impl_); }
 
 // ------------------------------------------- StreamingCarPairsAccumulator
 
-struct StreamingCarPairsAccumulator::Impl : CarPairsSweep {
+struct StreamingCarPairsAccumulator::Impl final : CarPairsSweep {
   using CarPairsSweep::CarPairsSweep;
 };
 
@@ -727,16 +804,16 @@ StreamingCarPairsAccumulator::StreamingCarPairsAccumulator(double window_s,
 StreamingCarPairsAccumulator::~StreamingCarPairsAccumulator() = default;
 
 void StreamingCarPairsAccumulator::push(const StreamWindow& w) {
-  QFC_OBS_SPAN("engine.stream.car_pairs_push", {{"events", w.events.signal.size()}});
   impl_->push(w.events.signal, w.events.idler, w.t_end_s);
 }
 std::vector<CarResult> StreamingCarPairsAccumulator::finish() {
   return finish_car_pairs(*impl_);
 }
+detail::DiagonalSweepBase& StreamingCarPairsAccumulator::sweep() { return *impl_; }
 
 // ---------------------------------------- StreamingCorrelatorAccumulator
 
-struct StreamingCorrelatorAccumulator::Impl : CorrelatorSweep {
+struct StreamingCorrelatorAccumulator::Impl final : CorrelatorSweep {
   using CorrelatorSweep::CorrelatorSweep;
 };
 
@@ -747,11 +824,9 @@ StreamingCorrelatorAccumulator::StreamingCorrelatorAccumulator(double bin_width_
                                    "StreamingCorrelatorAccumulator")) {}
 StreamingCorrelatorAccumulator::~StreamingCorrelatorAccumulator() = default;
 
-void StreamingCorrelatorAccumulator::push(const StreamWindow& w) {
-  impl_->push(w.events.signal, w.events.idler, w.t_end_s);
-}
 std::vector<CoincidenceHistogram> StreamingCorrelatorAccumulator::finish() {
   return finish_histograms(*impl_);
 }
+detail::DiagonalSweepBase& StreamingCorrelatorAccumulator::sweep() { return *impl_; }
 
 }  // namespace qfc::detect

@@ -1,7 +1,9 @@
 // Tests for the windowed streaming engine and its online accumulators:
 // bitwise window-size and thread-count invariance across emission modes,
-// anchored to the golden values of detect_golden.hpp; boundary-violation
-// accounting; and the streaming-backed core façades.
+// anchored to the golden values of detect_golden.hpp; the diagonal
+// accumulators fed inside the channel tasks against their serial push and
+// the batch analyzers; boundary-violation accounting; bounded windows; and
+// the streaming-backed core façades.
 
 #include <algorithm>
 #include <cstdint>
@@ -140,18 +142,24 @@ void expect_car_equal(const detect::CarMatrix& a, const detect::CarMatrix& b) {
   }
 }
 
+void expect_pairs_equal(const std::vector<detect::CarResult>& a,
+                        const std::vector<detect::CarResult>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    EXPECT_EQ(a[k].coincidences, b[k].coincidences) << "pair " << k;
+    EXPECT_EQ(a[k].accidentals, b[k].accidentals) << "pair " << k;
+    EXPECT_EQ(a[k].car, b[k].car) << "pair " << k;
+    EXPECT_EQ(a[k].car_err, b[k].car_err) << "pair " << k;
+  }
+}
+
 /// `pairs` is the diagonal of `m`, bitwise.
 void expect_car_diagonal(const std::vector<detect::CarResult>& pairs,
                          const detect::CarMatrix& m) {
   ASSERT_EQ(m.num_signal, m.num_idler);
-  ASSERT_EQ(pairs.size(), m.num_signal);
-  for (std::size_t k = 0; k < pairs.size(); ++k) {
-    const detect::CarResult& want = m.at(k, k);
-    EXPECT_EQ(pairs[k].coincidences, want.coincidences) << "pair " << k;
-    EXPECT_EQ(pairs[k].accidentals, want.accidentals) << "pair " << k;
-    EXPECT_EQ(pairs[k].car, want.car) << "pair " << k;
-    EXPECT_EQ(pairs[k].car_err, want.car_err) << "pair " << k;
-  }
+  std::vector<detect::CarResult> diagonal;
+  for (std::size_t k = 0; k < m.num_signal; ++k) diagonal.push_back(m.at(k, k));
+  expect_pairs_equal(pairs, diagonal);
 }
 
 /// Window sizes exercised by the parity sweep: several windows, a window
@@ -176,31 +184,35 @@ constexpr double kCorrRange = 40e-9;
 class StreamingParity
     : public ::testing::TestWithParam<detect::EmissionMode> {};
 
-/// Stream `specs` in windows of `window_s`, folding every window into the
-/// three accumulators and concatenating the per-channel columns.
+/// Stream `specs` in windows of `window_s` twice. The first pass folds the
+/// diagonal CAR in-task (EventStreamer::next(w, pairs)), pushes the same
+/// windows serially into the full matrix and a second diagonal
+/// accumulator, and concatenates the per-channel columns; the second pass
+/// folds the correlator in-task.
 struct StreamedRun {
   EngineResult events;
   detect::CarMatrix car;
-  std::vector<detect::CarResult> car_pairs;
-  std::vector<detect::CoincidenceHistogram> hists;
+  std::vector<detect::CarResult> car_pairs;         ///< in-task
+  std::vector<detect::CarResult> car_pairs_pushed;  ///< serial push(w)
+  std::vector<detect::CoincidenceHistogram> hists;  ///< in-task
   std::uint64_t boundary_violations = 0;
 };
 
 StreamedRun stream_run(const EngineConfig& ec, const std::vector<ChannelPairSpec>& specs,
                        double window_s, double car_window, double car_spacing,
-                       double corr_bin, double corr_range) {
+                       double corr_bin, double corr_range, double slack_override_s = 0) {
   StreamConfig sc;
   sc.window_s = window_s;
+  sc.slack_override_s = slack_override_s;
   EventStreamer streamer(ec, sc, specs);
   detect::StreamingCarAccumulator car(car_window, car_spacing);
   detect::StreamingCarPairsAccumulator pairs(car_window, car_spacing);
-  detect::StreamingCorrelatorAccumulator corr(corr_bin, corr_range);
+  detect::StreamingCarPairsAccumulator pushed(car_window, car_spacing);
   std::vector<std::vector<double>> sig(specs.size()), idl(specs.size());
   StreamWindow w;
-  while (streamer.next(w)) {
+  while (streamer.next(w, pairs)) {
     car.push(w);
-    pairs.push(w);
-    corr.push(w);
+    pushed.push(w);
     for (std::size_t c = 0; c < specs.size(); ++c) {
       const auto col_s = w.events.signal.channel_clicks(c);
       const auto col_i = w.events.idler.channel_clicks(c);
@@ -209,13 +221,32 @@ StreamedRun stream_run(const EngineConfig& ec, const std::vector<ChannelPairSpec
     }
   }
   StreamedRun r;
-  r.events.signal = EventTable::from_columns(std::move(sig));
-  r.events.idler = EventTable::from_columns(std::move(idl));
+  // Boundary violations can leave the concatenated columns unsorted.
+  if (slack_override_s <= 0) {
+    r.events.signal = EventTable::from_columns(std::move(sig));
+    r.events.idler = EventTable::from_columns(std::move(idl));
+  }
   r.car = car.finish();
   r.car_pairs = pairs.finish();
-  r.hists = corr.finish();
+  r.car_pairs_pushed = pushed.finish();
   r.boundary_violations = streamer.boundary_violations();
+
+  EventStreamer again(ec, sc, specs);
+  detect::StreamingCorrelatorAccumulator corr(corr_bin, corr_range);
+  while (again.next(w, corr)) {
+  }
+  r.hists = corr.finish();
   return r;
+}
+
+void expect_hists_equal(const std::vector<detect::CoincidenceHistogram>& a,
+                        const std::vector<detect::CoincidenceHistogram>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t c = 0; c < a.size(); ++c) {
+    EXPECT_EQ(a[c].counts, b[c].counts) << "channel " << c;
+    EXPECT_EQ(a[c].bin_width_s, b[c].bin_width_s) << "channel " << c;
+    EXPECT_EQ(a[c].range_s, b[c].range_s) << "channel " << c;
+  }
 }
 
 TEST_P(StreamingParity, BitwiseInvariantAcrossWindowSizes) {
@@ -237,9 +268,8 @@ TEST_P(StreamingParity, BitwiseInvariantAcrossWindowSizes) {
     EXPECT_EQ(r.events.idler, one.idler);
     expect_car_equal(r.car, one_car);
     expect_car_diagonal(r.car_pairs, one_car);
-    ASSERT_EQ(r.hists.size(), one_hists.size());
-    for (std::size_t c = 0; c < r.hists.size(); ++c)
-      EXPECT_EQ(r.hists[c].counts, one_hists[c].counts) << "channel " << c;
+    expect_pairs_equal(r.car_pairs, r.car_pairs_pushed);
+    expect_hists_equal(r.hists, one_hists);
 
     // The same windows reproduce the recorded values.
     const StreamedRun g = stream_run(golden::engine_config(), golden::specs(mode), window_s,
@@ -250,6 +280,27 @@ TEST_P(StreamingParity, BitwiseInvariantAcrossWindowSizes) {
     golden::expect_car(g.car, mode);
     golden::expect_car_pairs(g.car_pairs, mode);
     golden::expect_histograms(g.hists, mode);
+  }
+}
+
+TEST_P(StreamingParity, InTaskDiagonalInvariantAcrossEngineThreads) {
+  // The diagonal accumulators run inside the channel tasks: every engine
+  // thread count must give the batch diagonal, bitwise, at every window.
+  const detect::EmissionMode mode = GetParam();
+  const auto specs = specs_for(mode);
+  const EngineResult one = EventEngine(engine_config(1)).run(specs);
+  const auto one_car = detect::car_matrix(one.signal, one.idler, kCarWindow, kCarSpacing);
+  const auto one_hists = detect::correlate_all(one.signal, one.idler, kCorrBin, kCorrRange);
+  for (const int threads : {1, 4}) {
+    for (const double window_s : parity_windows()) {
+      SCOPED_TRACE("threads = " + std::to_string(threads) +
+                   ", window_s = " + std::to_string(window_s));
+      const StreamedRun r = stream_run(engine_config(threads), specs, window_s, kCarWindow,
+                                       kCarSpacing, kCorrBin, kCorrRange);
+      expect_car_diagonal(r.car_pairs, one_car);
+      expect_pairs_equal(r.car_pairs, r.car_pairs_pushed);
+      expect_hists_equal(r.hists, one_hists);
+    }
   }
 }
 
@@ -370,7 +421,7 @@ TEST(EventStreamer, TinySlackForcesCountedBoundaryViolations) {
   // and the look-ahead slack overridden to 1 ps — guarantees clicks and
   // arrivals materialize behind already-emitted boundaries. The streamer
   // must count them and still complete with valid (sorted) windows.
-  std::vector<ChannelPairSpec> specs(1);
+  std::vector<ChannelPairSpec> specs(2);
   specs[0].pair_rate_hz = 50000;
   specs[0].linewidth_hz = 1e3;  // Laplace delay scale ~160 us
   specs[0].detector_signal.efficiency = 0.9;
@@ -378,24 +429,72 @@ TEST(EventStreamer, TinySlackForcesCountedBoundaryViolations) {
   specs[0].detector_signal.jitter_sigma_s = 5e-3;
   specs[0].detector_signal.dead_time_s = 0;
   specs[0].detector_idler = specs[0].detector_signal;
+  specs[1] = specs[0];
+  specs[1].pair_rate_hz = 30000;
 
   StreamConfig sc;
   sc.window_s = 0.05;
   sc.slack_override_s = 1e-12;
   EventStreamer s(engine_config(1), sc, specs);
-  detect::StreamingCarAccumulator car(kCarWindow, kCarSpacing, 10, 1);
-  detect::StreamingCarPairsAccumulator pairs(kCarWindow, kCarSpacing, 10, 1);
   StreamWindow w;
   std::size_t total = 0;
   while (s.next(w)) {
     total += w.events.signal.size() + w.events.idler.size();
-    car.push(w);  // must tolerate out-of-order windows (repair paths)
-    pairs.push(w);
+    for (std::size_t c = 0; c < specs.size(); ++c) {
+      const double* b = w.events.signal.channel_begin(c);
+      EXPECT_TRUE(std::is_sorted(b, w.events.signal.channel_end(c)));
+    }
   }
   EXPECT_GT(total, 0u);
   EXPECT_GT(s.boundary_violations(), 0u);
-  // Both repair paths sort the same events, so the cells still agree.
-  expect_car_diagonal(pairs.finish(), car.finish());
+
+  // The in-task diagonal sweep repairs the out-of-order windows
+  // (append_sorted in its per-channel step) as the serial push and the
+  // full matrix do: all three sort the same events, so the cells agree, at
+  // every engine thread count.
+  std::vector<detect::CarResult> first;
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads = " + std::to_string(threads));
+    const StreamedRun r = stream_run(engine_config(threads), specs, sc.window_s, kCarWindow,
+                                     kCarSpacing, kCorrBin, kCorrRange, sc.slack_override_s);
+    EXPECT_EQ(r.boundary_violations, s.boundary_violations());
+    expect_car_diagonal(r.car_pairs, r.car);
+    expect_pairs_equal(r.car_pairs, r.car_pairs_pushed);
+    if (first.empty()) first = r.car_pairs;
+    expect_pairs_equal(r.car_pairs, first);
+  }
+}
+
+TEST(EventStreamer, RejectedDiagonalLeavesTheStreamerUsable) {
+  // A diagonal accumulator that cannot take the window makes next() throw
+  // before any generation: the streamer does not advance and its pool runs
+  // the following windows as if nothing had happened.
+  const auto specs = specs_for(detect::EmissionMode::Cw);
+  const EngineResult one = EventEngine(engine_config(4)).run(specs);
+  const auto one_car = detect::car_matrix(one.signal, one.idler, kCarWindow, kCarSpacing);
+  StreamConfig sc;
+  sc.window_s = 0.1;
+  EventStreamer s(engine_config(4), sc, specs);
+  StreamWindow w;
+
+  detect::StreamingCarPairsAccumulator finished(kCarWindow, kCarSpacing);
+  (void)finished.finish();
+  EXPECT_THROW((void)s.next(w, finished), std::logic_error);
+  detect::StreamingCorrelatorAccumulator done(kCorrBin, kCorrRange);
+  (void)done.finish();
+  EXPECT_THROW((void)s.next(w, done), std::logic_error);
+  detect::StreamingCarPairsAccumulator other(kCarWindow, kCarSpacing);
+  other.push(w);  // an empty window: zero channels
+  EXPECT_THROW((void)s.next(w, other), std::invalid_argument);
+
+  detect::StreamingCarPairsAccumulator pairs(kCarWindow, kCarSpacing);
+  std::size_t windows = 0;
+  while (s.next(w, pairs)) {
+    EXPECT_EQ(w.index, windows);
+    ++windows;
+  }
+  EXPECT_EQ(windows, 5u);
+  expect_car_diagonal(pairs.finish(), one_car);
 }
 
 TEST(StreamingFacades, QkdStreamCheckWindowSizeInvariant) {
@@ -476,6 +575,30 @@ TEST(StreamingFacades, ChannelTableInvariantToTheDerivedWindow) {
     }
     EXPECT_EQ(detect::bounded_window_s(specs, duration) < duration, duration > window);
   }
+}
+
+TEST(BoundedWindow, CountsPiecewiseSegmentBackgroundsAndDarks) {
+  // A PiecewiseRates spec whose whole load is segment darks and segment
+  // backgrounds: 4e5 dark clicks/s on average per arm, and 1e6 background
+  // photons/s at efficiency 0.5. A window of 10^5 clicks is far below the
+  // 10 s run.
+  ChannelPairSpec s;
+  s.emission = detect::EmissionMode::PiecewiseRates;
+  s.linewidth_hz = 110e6;
+  s.detector_signal.efficiency = 0.5;
+  s.detector_signal.dark_rate_hz = 0;
+  s.detector_idler = s.detector_signal;
+  s.segments = {{5.0, 0.0, 0.0, 0.0, 8e5, 8e5}, {5.0, 0.0, 0.0, 0.0, 0.0, 0.0}};
+  const double duration = 10.0;
+  const double darks_only = detect::bounded_window_s({s}, duration);
+  EXPECT_LT(darks_only, duration);
+  EXPECT_DOUBLE_EQ(darks_only, 1e5 / 8e5);
+  s.segments[1].background_rate_signal_hz = 2e6;
+  s.segments[1].background_rate_idler_hz = 2e6;
+  EXPECT_DOUBLE_EQ(detect::bounded_window_s({s}, duration), 1e5 / (8e5 + 1e6));
+  // The segments of a spec in another mode are never drawn.
+  s.emission = detect::EmissionMode::Cw;
+  EXPECT_EQ(detect::bounded_window_s({s}, duration), duration);
 }
 
 TEST(StreamingAccumulators, RejectMisuse) {
