@@ -37,6 +37,68 @@ std::vector<CVec> outcome_factors(const std::vector<CMat>& bases, std::size_t ou
   return factors;
 }
 
+/// The per-particle outcome table: row m = b·d + k holds the d² entries
+/// (row-major) of |v_m⟩⟨v_m| − shift·I, with |v_m⟩ column k of basis b.
+std::vector<cplx> outcome_operators(const BasisSet& set, double shift) {
+  const std::size_t d = set.front().rows(), d2 = d * d;
+  std::vector<cplx> op(set.size() * d * d2);
+  for (std::size_t b = 0; b < set.size(); ++b)
+    for (std::size_t k = 0; k < d; ++k)
+      for (std::size_t i = 0; i < d; ++i)
+        for (std::size_t j = 0; j < d; ++j)
+          op[(b * d + k) * d2 + i * d + j] =
+              set[b](i, k) * std::conj(set[b](j, k)) - (i == j ? shift : 0.0);
+  return op;
+}
+
+/// Position of outcome o of setting sc in the tensor over the per-particle
+/// (basis, outcome) indices (m_0, ..., m_{n-1}), m_q = b_q·d + o_q in
+/// [0, m_count), particle 0 slowest.
+std::size_t tensor_index(const SettingCounts& sc, std::size_t o, std::size_t d,
+                         std::size_t m_count) {
+  std::size_t m = 0, place = 1;
+  for (std::size_t q = sc.bases.size(), rem = o; q-- > 0; rem /= d, place *= m_count)
+    m += (sc.bases[q] * d + rem % d) * place;
+  return m;
+}
+
+/// For each index of the tensor over per-particle entry pairs (i_0, j_0,
+/// ..., i_{n-1}, j_{n-1}), particle 0 slowest, its row-major position in
+/// the d^n x d^n matrix.
+std::vector<std::size_t> entry_positions(std::size_t n, std::size_t d) {
+  const std::size_t dim = power(d, n), d2 = d * d;
+  std::vector<std::size_t> pos(power(d2, n));
+  for (std::size_t idx = 0; idx < pos.size(); ++idx) {
+    std::size_t i = 0, j = 0, place = 1;
+    for (std::size_t q = n, rem = idx; q-- > 0; rem /= d2, place *= d) {
+      i += rem % d2 / d * place;
+      j += rem % d * place;
+    }
+    pos[idx] = i * dim + j;
+  }
+  return pos;
+}
+
+/// The one product-basis kernel: contract the tensor t over n per-particle
+/// indices of size `in` (particle 0 slowest) with the per-particle map op
+/// (in x out, row-major), one particle at a time. Index x_q becomes y_q at
+/// the same position, weighted op[x_q·out + y_q].
+void contract(std::vector<cplx>& t, std::size_t n, const std::vector<cplx>& op,
+              std::size_t in, std::size_t out) {
+  for (std::size_t q = 0, done = 1; q < n; ++q, done *= out) {
+    const std::size_t rest = t.size() / (done * in);
+    std::vector<cplx> next(done * out * rest);
+    for (std::size_t p = 0; p < done; ++p)
+      for (std::size_t x = 0; x < in; ++x)
+        for (std::size_t r = 0; r < rest; ++r) {
+          const cplx f = t[(p * in + x) * rest + r];
+          for (std::size_t y = 0; y < out; ++y)
+            next[(p * out + y) * rest + r] += f * op[x * out + y];
+        }
+    t.swap(next);
+  }
+}
+
 }  // namespace
 
 std::uint64_t SettingCounts::total() const {
@@ -107,6 +169,7 @@ std::vector<SettingCounts> simulate_counts(const quantum::DensityMatrix& rho,
 }
 
 std::size_t checked_particles(const std::vector<SettingCounts>& data, const BasisSet& set) {
+  if (set.empty()) throw std::invalid_argument("tomography: empty basis set");
   const std::size_t d = set.at(0).rows();
   for (const CMat& basis : set) {
     if (basis.rows() != d || basis.cols() != d)
@@ -136,143 +199,86 @@ std::size_t checked_particles(const std::vector<SettingCounts>& data, const Basi
 
 CMat linear_inversion(const std::vector<SettingCounts>& data, const BasisSet& set) {
   const std::size_t n = checked_particles(data, set);
-  const std::size_t d = set.front().rows(), d2 = d * d, m_count = set.size() * d;
+  const std::size_t d = set.front().rows(), m_count = set.size() * d;
   if (set.size() != d + 1)
     throw std::invalid_argument("linear_inversion: need a complete set of d + 1 bases");
-  // The dual frame element D_m = |v_m⟩⟨v_m| − I/(d+1) of outcome k in basis
-  // b, m = b·d + k, as d² entries (row-major).
-  std::vector<cplx> dual(m_count * d2);
-  for (std::size_t b = 0; b < set.size(); ++b)
-    for (std::size_t k = 0; k < d; ++k)
-      for (std::size_t i = 0; i < d; ++i)
-        for (std::size_t j = 0; j < d; ++j)
-          dual[(b * d + k) * d2 + i * d + j] =
-              set[b](i, k) * std::conj(set[b](j, k)) - (i == j ? 1.0 / (d + 1) : 0.0);
-  // The frequencies f(o|s) as a tensor over (m_0, ..., m_{n-1}), particle 0
-  // slowest; a setting with no counts contributes nothing.
+  // The frequencies f(o|s) as a tensor over (m_0, ..., m_{n-1}); a setting
+  // with no counts contributes nothing.
   std::vector<cplx> t(power(m_count, n));
   for (const auto& sc : data) {
     const double total = static_cast<double>(sc.total());
     if (total <= 0) continue;
-    for (std::size_t o = 0; o < sc.counts.size(); ++o) {
-      std::size_t m = 0, place = 1;
-      for (std::size_t q = n, rem = o; q-- > 0; rem /= d, place *= m_count)
-        m += (sc.bases[q] * d + rem % d) * place;
-      t[m] = static_cast<double>(sc.counts[o]) / total;
-    }
+    for (std::size_t o = 0; o < sc.counts.size(); ++o)
+      t[tensor_index(sc, o, d, m_count)] = static_cast<double>(sc.counts[o]) / total;
   }
-  // Contract one particle at a time: index m_q becomes the entry pair
-  // (i_q, j_q) of D_{m_q}, at the same position, so the tensor ends up
-  // indexed by (i_0, j_0, ..., i_{n-1}, j_{n-1}).
-  for (std::size_t q = 0, done = 1; q < n; ++q, done *= d2) {
-    const std::size_t rest = t.size() / (done * m_count);
-    std::vector<cplx> next(done * d2 * rest);
-    for (std::size_t p = 0; p < done; ++p)
-      for (std::size_t m = 0; m < m_count; ++m)
-        for (std::size_t r = 0; r < rest; ++r) {
-          const cplx f = t[(p * m_count + m) * rest + r];
-          for (std::size_t e = 0; e < d2; ++e)
-            next[(p * d2 + e) * rest + r] += f * dual[m * d2 + e];
-        }
-    t.swap(next);
-  }
+  // Each m_q becomes the entry pair (i_q, j_q) of the dual frame element
+  // |v_m⟩⟨v_m| − I/(d+1).
+  contract(t, n, outcome_operators(set, 1.0 / (d + 1)), m_count, d * d);
   const std::size_t dim = power(d, n);
   CMat rho(dim, dim);
-  for (std::size_t idx = 0; idx < t.size(); ++idx) {
-    std::size_t i = 0, j = 0, place = 1;
-    for (std::size_t q = n, rem = idx; q-- > 0; rem /= d2, place *= d) {
-      i += rem % d2 / d * place;
-      j += rem % d * place;
-    }
-    rho(i, j) = t[idx];
-  }
+  const std::vector<std::size_t> pos = entry_positions(n, d);
+  for (std::size_t idx = 0; idx < t.size(); ++idx) rho.data()[pos[idx]] = t[idx];
   return rho;
 }
 
 namespace {
 
-/// The likelihood over the outcomes with counts, packed once: row k of
-/// a = A = V† is ⟨v_k|, column k of v = V is |v_k⟩, f_k = n_k/N. One K x D
-/// work matrix, allocated once per solve, holds W = A·m or diag(c)·A in turn.
-class PackedLikelihood {
+/// The likelihood over the outcomes with counts, as weights on the
+/// (basis, outcome) tensor that linear_inversion contracts: outcome k with
+/// counts sits at index_[k] with f_k = n_k/N, and every other entry, the
+/// zero-count outcomes included, weighs 0. R and p are the forward and the
+/// adjoint contraction with the plain projectors |v_m⟩⟨v_m|.
+class Likelihood {
  public:
-  PackedLikelihood(const std::vector<SettingCounts>& data, const BasisSet& set,
-                   std::size_t dim) {
-    std::size_t active = 0;
+  Likelihood(const std::vector<SettingCounts>& data, const BasisSet& set, std::size_t n)
+      : n_(n),
+        d_(set.front().rows()),
+        m_count_(set.size() * d_),
+        ops_(outcome_operators(set, 0.0)),
+        adjoint_(ops_.size()),
+        pos_(entry_positions(n, d_)) {
+    const std::size_t d2 = d_ * d_;
+    for (std::size_t m = 0; m < m_count_; ++m)
+      for (std::size_t e = 0; e < d2; ++e) adjoint_[e * m_count_ + m] = std::conj(ops_[m * d2 + e]);
     for (const auto& sc : data)
-      for (std::uint64_t c : sc.counts) {
-        total_ += static_cast<double>(c);
-        active += c > 0;
-      }
-    a_ = CMat(active, dim);
-    v_ = CMat(dim, active);
-    w_ = CMat(active, dim);
-    f_.resize(active);
-    std::size_t k = 0;
-    for (const auto& sc : data) {
-      const auto measured = setting_bases(set, sc.bases);
+      for (std::uint64_t c : sc.counts) total_ += static_cast<double>(c);
+    for (const auto& sc : data)
       for (std::size_t o = 0; o < sc.counts.size(); ++o) {
         if (sc.counts[o] == 0) continue;
-        const CVec vec = outcome_vector(measured, o);
-        for (std::size_t j = 0; j < dim; ++j) {
-          a_.data()[k * dim + j] = std::conj(vec[j]);
-          v_.data()[j * active + k] = vec[j];
-        }
-        f_[k++] = static_cast<double>(sc.counts[o]) / total_;
+        index_.push_back(tensor_index(sc, o, d_, m_count_));
+        f_.push_back(static_cast<double>(sc.counts[o]) / total_);
       }
-    }
   }
 
   double total() const { return total_; }
   std::size_t size() const { return f_.size(); }
   double f(std::size_t k) const { return f_[k]; }
 
-  /// out_k = Re⟨v_k|m|v_k⟩ for Hermitian m, from row k of W = A·m and row
-  /// k of A (Re Σ_j W(k,j)·conj(A(k,j)), summed in real arithmetic).
-  void diagonal(const CMat& m, std::vector<double>& out) {
-    std::fill(w_.data(), w_.data() + w_.size(), cplx(0, 0));
-    linalg::detail::gemm_dispatch(a_, m, w_);
-    const std::size_t dim = a_.cols();
-    for (std::size_t k = 0; k < size(); ++k) {
-      const cplx* wk = w_.data() + k * dim;
-      const cplx* ak = a_.data() + k * dim;
-      double s = 0;
-      for (std::size_t j = 0; j < dim; ++j)
-        s += std::real(wk[j]) * std::real(ak[j]) + std::imag(wk[j]) * std::imag(ak[j]);
-      out[k] = s;
-    }
+  /// out_k = Re⟨v_k|m|v_k⟩ for Hermitian m: m's entries contracted against
+  /// the conjugate of every outcome's projector.
+  void diagonal(const CMat& m, std::vector<double>& out) const {
+    std::vector<cplx> t(pos_.size());
+    for (std::size_t idx = 0; idx < t.size(); ++idx) t[idx] = m.data()[pos_[idx]];
+    contract(t, n_, adjoint_, d_ * d_, m_count_);
+    for (std::size_t k = 0; k < size(); ++k) out[k] = std::real(t[index_[k]]);
   }
 
-  /// R = Σ_k f_k/p_k |v_k⟩⟨v_k| = V·diag(f/p)·A, minus the gradient of the
-  /// negative log-likelihood per count at probabilities p.
-  CMat r_operator(const std::vector<double>& p) {
-    const std::size_t dim = a_.cols();
-    for (std::size_t k = 0; k < size(); ++k) {
-      const double c = f_[k] / p[k];
-      const cplx* ak = a_.data() + k * dim;
-      cplx* bk = w_.data() + k * dim;
-      for (std::size_t j = 0; j < dim; ++j) bk[j] = ak[j] * c;
-    }
+  /// R = Σ_k f_k/p_k |v_k⟩⟨v_k|, minus the gradient of the negative
+  /// log-likelihood per count at probabilities p.
+  CMat r_operator(const std::vector<double>& p) const {
+    std::vector<cplx> t(power(m_count_, n_));
+    for (std::size_t k = 0; k < size(); ++k) t[index_[k]] = f_[k] / p[k];
+    contract(t, n_, ops_, m_count_, d_ * d_);
+    const std::size_t dim = power(d_, n_);
     CMat r(dim, dim);
-    linalg::detail::gemm_dispatch(v_, w_, r);
+    for (std::size_t idx = 0; idx < t.size(); ++idx) r.data()[pos_[idx]] = t[idx];
     return linalg::hermitian_part(r);
   }
 
-  /// ⟨u|R|u⟩ = Σ_k f_k/p_k |⟨v_k|u⟩|² for R at probabilities p, in O(KD).
-  double r_expectation(const std::vector<double>& p, const CVec& u) const {
-    const std::size_t dim = a_.cols();
-    double s = 0;
-    for (std::size_t k = 0; k < size(); ++k) {
-      const cplx* ak = a_.data() + k * dim;
-      cplx vu = 0;
-      for (std::size_t j = 0; j < dim; ++j) vu += ak[j] * u[j];
-      s += f_[k] / p[k] * std::norm(vu);
-    }
-    return s;
-  }
-
  private:
-  CMat a_, v_, w_;
+  std::size_t n_, d_, m_count_;
+  std::vector<cplx> ops_, adjoint_;  ///< m_count x d², and its conjugate transpose
+  std::vector<std::size_t> pos_, index_;
   std::vector<double> f_;
   double total_ = 0;
 };
@@ -288,7 +294,7 @@ MleResult maximum_likelihood(const std::vector<SettingCounts>& data, const Basis
     throw std::invalid_argument("maximum_likelihood: negative max_iterations");
   if (!(opts.convergence_tol >= 0))
     throw std::invalid_argument("maximum_likelihood: convergence_tol must be >= 0");
-  PackedLikelihood like(data, set, dim);
+  Likelihood like(data, set, dims.size());
   if (like.total() <= 0) throw std::invalid_argument("maximum_likelihood: no counts");
   const std::size_t active = like.size();
   obs::SpanGuard span =
@@ -308,17 +314,17 @@ MleResult maximum_likelihood(const std::vector<SettingCounts>& data, const Basis
 
   // The certificate at x bounds L* − L(x) per count: for any state σ,
   // Σ f_k log(⟨v_k|σ|v_k⟩/p_k) ≤ log Tr(R σ) ≤ log λ_max(R) (Jensen). It
-  // takes R(x) and a full eigenvalue solve, because an estimate of λ_max
+  // takes a full eigenvalue solve of R(x), because an estimate of λ_max
   // from below bounds nothing. Such an estimate can still prove that x is
   // not converged: ⟨u|R(x)|u⟩ with u the top eigenvector of the last
-  // certificate costs O(KD), and while its log is above the tolerance the
-  // certificate waits.
-  CMat rx;
+  // certificate costs O(D²), and while its log is above the tolerance the
+  // certificate waits. R(x) is kept: it is the next step's gradient when
+  // y = x.
+  CMat rx = like.r_operator(px);
   CVec top(dim);
   double gap = 0;
-  bool certified = false;  // gap is the certificate at x, and rx is R(x)
+  bool certified = false;  // gap is the certificate at x
   const auto certify = [&] {
-    rx = like.r_operator(px);
     const linalg::EigResult e = linalg::hermitian_eig(rx);
     gap = std::log(e.values.front());
     for (std::size_t j = 0; j < dim; ++j) top[j] = e.vectors(j, 0);
@@ -331,15 +337,15 @@ MleResult maximum_likelihood(const std::vector<SettingCounts>& data, const Basis
   // the extrapolated point y, a backtracking step θ from y along R(y), and
   // a gradient restart (O'Donoghue and Candès) that drops the momentum when
   // the step turns against the last move. Probabilities are linear in ρ, so
-  // p at y and at each accepted point follow from the step's dp = diag(A Δ A†)
-  // alone.
+  // p at y and at each accepted point follow from the step's
+  // dp_k = ⟨v_k|Δ|v_k⟩ alone.
   CMat x_prev = x, y = x;
   py = px;
   double momentum = 1, theta = 1;
   bool y_is_x = true;
   int iterations = 0;
   while (!(certified && gap <= opts.convergence_tol) && iterations < opts.max_iterations) {
-    const CMat ry = y_is_x && certified ? rx : like.r_operator(py);
+    const CMat ry = y_is_x ? rx : like.r_operator(py);
 
     // Backtracking: accept x_next = Proj(y + θ R(y)) once the likelihood
     // change, −Σ f_k log1p(dp_k/p_k) summed term by term, is at most its
@@ -378,8 +384,9 @@ MleResult maximum_likelihood(const std::vector<SettingCounts>& data, const Basis
     x = std::move(x_next);
     p_prev.swap(px);
     px.swap(dp);
+    rx = like.r_operator(px);
     certified = false;
-    if (!(std::log(like.r_expectation(px, top)) > opts.convergence_tol)) certify();
+    if (!(std::log(std::real(linalg::vdot(top, rx * top))) > opts.convergence_tol)) certify();
     ++iterations;
 
     double beta = 0;

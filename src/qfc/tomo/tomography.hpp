@@ -12,7 +12,10 @@
 /// complete MUB sets, for any number of particles) and the
 /// maximum-likelihood solver it seeds, an accelerated projected gradient
 /// that stops at a certified likelihood gap; they differ only in the basis
-/// set and the qubit analyzer-phase noise.
+/// set and the qubit analyzer-phase noise. One product-basis kernel serves
+/// the inversion and the solver: a tensor over the per-particle (basis,
+/// outcome) index, contracted one particle at a time with a d x d matrix
+/// per index, so no D x D matrix per outcome is ever built.
 /// Every simulated analyzer measures the same way: outcome_probabilities
 /// is the one Born rule, ⟨v|ρ|v⟩ for each outcome vector |v⟩, behind the
 /// tomography counts, timebin::measure_chsh and timebin::correlation, both
@@ -82,10 +85,10 @@ std::vector<SettingCounts> simulate_counts(const quantum::DensityMatrix& rho,
                                            double accidentals_per_outcome,
                                            rng::Xoshiro256& g, const Analyzer& analyzer = {});
 
-/// Number of particles n of `data`, after checking that every basis of
-/// `set` is a finite d x d matrix and that `data` holds each of the |set|^n
-/// settings exactly once, each with d^n counts (std::invalid_argument
-/// otherwise).
+/// Number of particles n of `data`, after checking that `set` is not empty,
+/// that every basis of it is a finite d x d matrix and that `data` holds
+/// each of the |set|^n settings exactly once, each with d^n counts
+/// (std::invalid_argument otherwise).
 std::size_t checked_particles(const std::vector<SettingCounts>& data, const BasisSet& set);
 
 /// Linear-inversion estimate from complete product-basis data over a set of
@@ -128,18 +131,21 @@ struct MleResult {
 /// 95, 062336, 2017), the solver both paths share. It seeds itself from
 /// linear_inversion(data, set), projected onto the density matrices and
 /// mixed with a sliver of identity, so no outcome starts at zero
-/// probability; `set` must therefore be a complete MUB set. The K outcomes with
-/// counts (data order, outcomes ascending) are packed once into A = V†
-/// (K x D) and V (D x K), with |v_k⟩ their outcome_vector and D = d^n.
-/// Probabilities p_k = ⟨v_k|ρ|v_k⟩ are linear in ρ, so each likelihood
-/// evaluation is W = A·Δ for the trial step Δ plus O(KD), and each
-/// gradient R = V·diag(n_k/(N p_k))·A, both K x D x D GEMMs. The cost is
-/// per evaluation, not per step: a step takes the gradient at the
-/// extrapolated point, then one likelihood evaluation and one D x D
-/// eigendecomposition (the projection) per backtracking trial; the
-/// certificate at the accepted point (a gradient and an eigenvalue solve)
-/// waits while an O(KD) lower bound already rules convergence out. Stops
-/// once likelihood_gap <= convergence_tol or after max_iterations steps.
+/// probability; `set` must therefore be a complete MUB set. The
+/// likelihood reuses linear_inversion's contraction: the gradient
+/// R = Σ_k (n_k/(N p_k)) |v_k⟩⟨v_k| contracts the weights n_k/(N p_k) of
+/// the outcomes with counts (0 for the rest) with the per-particle
+/// projectors |v⟩⟨v|, and the probabilities p_k = ⟨v_k|Δ|v_k⟩ of a trial
+/// step Δ are the adjoint contraction of Δ's entries. For n particles of
+/// dimension d, each costs at most n·(d(d+1))^n·d² multiply-adds, where a
+/// dense pass over the outcomes would cost K·D² (D = d^n). Each step takes
+/// the gradient at the extrapolated point (reused when that is the last
+/// accepted point), one probability evaluation and one D x D
+/// eigendecomposition (the projection) per backtracking trial, and R at
+/// the accepted point; the certificate's eigenvalue solve waits while
+/// ⟨u|R|u⟩, u the last certificate's top eigenvector, already rules
+/// convergence out. Stops once likelihood_gap <= convergence_tol or after
+/// max_iterations steps.
 /// Throws std::invalid_argument for data or a set that linear_inversion
 /// rejects, and, naming maximum_likelihood, for no counts at all, a
 /// negative max_iterations or a NaN/negative convergence_tol.

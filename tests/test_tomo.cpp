@@ -318,6 +318,10 @@ TEST(Tomography, MaximumLikelihoodRejectsBadInputBeforeIterating) {
   tomo::BasisSet nan_set = tomo::pauli_bases();
   nan_set[0](0, 0) = linalg::cplx(nan, 0);
   expect_rejected(nan_set, {}, "tomography");
+  // An empty set has no d to check against.
+  expect_rejected({}, {}, "tomography");
+  EXPECT_THROW(tomo::checked_particles(data, {}), std::invalid_argument);
+  EXPECT_THROW(tomo::linear_inversion(data, {}), std::invalid_argument);
 
   const tomo::BasisSet pauli = tomo::pauli_bases();
   tomo::MleOptions opts;
@@ -557,6 +561,39 @@ TEST(Mle, MatchesLongReference) {
   }
 }
 
+TEST(Mle, GapAndLikelihoodMatchTheDenseReferenceBeforeConvergence) {
+  // Away from the optimum R is far from I, so the gradient and the
+  // probabilities are checked where they carry weight: after 0, 1 and 3
+  // steps, the certificate and the log-likelihood at the returned ρ against
+  // the dense projector sums. The gap is log λ_max, so 1e-12 on it is
+  // λ_max to 1e-12 relative.
+  std::size_t zero_counts = 0;
+  for (const auto& c : optimality_cases()) {
+    for (const auto& sc : c.data)
+      for (std::uint64_t n : sc.counts) zero_counts += n == 0;
+    const auto [projectors, counts] = dense_terms(c);
+    for (int steps : {0, 1, 3}) {
+      tomo::MleOptions opts;
+      opts.max_iterations = steps;
+      const auto mle = mle_of(c, opts);
+      const std::size_t dim = mle.rho.dim();
+      ASSERT_EQ(mle.iterations, steps) << "dim " << dim;
+      ASSERT_FALSE(mle.converged) << "dim " << dim;
+      const double gap = std::log(linalg::hermitian_eigenvalues(
+                                      r_operator(mle.rho.matrix(), projectors, counts))
+                                      .front());
+      EXPECT_NEAR(mle.likelihood_gap, gap, 1e-12)
+          << "dim " << dim << " steps " << steps;
+      const double ll = log_likelihood(mle.rho.matrix(), projectors, counts);
+      EXPECT_NEAR(mle.log_likelihood, ll, 1e-12 * std::abs(ll))
+          << "dim " << dim << " steps " << steps;
+    }
+  }
+  // Outcomes with no counts weigh 0 in the likelihood's tensor: the cases
+  // must exercise them.
+  EXPECT_GT(zero_counts, 0u);
+}
+
 // ------------------------------------------------------------- bit pins
 
 /// FNV-1a over every count of every setting, in setting order.
@@ -598,8 +635,8 @@ void expect_pinned(const Pin& want, const Data& data, const Mle& mle) {
     scale2 += std::abs(rho.data()[k]) / w;
   }
   // Integers exactly; doubles to 1e-12 of their scale, which leaves room
-  // for the GEMM's SIMD-dependent summation order (QFC_LINALG_SIMD=off)
-  // and nothing more.
+  // for the SIMD-dependent rounding of the projection's eigenvalue solve
+  // (QFC_LINALG_SIMD=off) and nothing more.
   const double tol1 = 1e-12 * scale1, tol2 = 1e-12 * scale2;
   const bool same =
       count_digest(data) == want.counts && mle.iterations == want.iterations &&
